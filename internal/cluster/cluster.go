@@ -99,7 +99,10 @@ func UIDBaseFor(id int) int { return 1 + id*1_000_000 }
 type Job struct {
 	G *ag.Grammar
 	A *ag.Analysis // required for Combined mode
-	// Root is the parsed tree; it is cloned, so the Job can be reused.
+	// Root is the parsed tree. No runtime writes to it — the pool
+	// evaluates a private clone, the simulator and the fleet coordinator
+	// encode fragments straight from it — so a Job can be reused, and
+	// compiled by several callers at once.
 	Root *tree.Node
 	// Lex recomputes terminal attributes after network transfer.
 	Lex tree.TerminalAttrs
@@ -163,7 +166,10 @@ type Result struct {
 	PerFrag []eval.Stats
 	// Frags is the number of fragments the tree was split into.
 	Frags int
-	// Decomp describes the process tree.
+	// Decomp describes the process tree. It is a planned decomposition
+	// (tree.SplitEncode): its fragment roots are nodes of the job's
+	// uncut tree, so read the fragments through its methods (Sizes,
+	// Balance, Children, Describe, Digests), not by walking Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Trace is the machine activity trace (paper Figure 6).
 	Trace *trace.Trace
@@ -249,7 +255,9 @@ func Run(job Job, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("cluster: invalid hardware: %w", err)
 	}
 
-	root := job.Root.Clone()
+	// The parser only ships fragments, so it splits and encodes them
+	// straight from the job's tree, without a private copy.
+	root := job.Root
 	gran := opts.Granularity
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Machines)
@@ -273,7 +281,7 @@ func Run(job Job, opts Options) (*Result, error) {
 			costOf = ag.NewCutPlan(job.G, nil).CostOf()
 		}
 	}
-	decomp := tree.DecomposeWith(root, gran, opts.Machines, opts.Planner, costOf)
+	decomp, encoded := tree.SplitEncode(root, gran, opts.Machines, opts.Planner, costOf)
 	res.Decomp = decomp
 	res.Frags = decomp.NumFragments()
 
@@ -303,6 +311,7 @@ func Run(job Job, opts Options) (*Result, error) {
 		opts:     opts,
 		sim:      sim,
 		decomp:   decomp,
+		encoded:  encoded,
 		res:      res,
 		codeAttr: codeAttr,
 		useLib:   useLib,
@@ -342,6 +351,7 @@ type run struct {
 	opts     Options
 	sim      *netsim.Sim
 	decomp   *tree.Decomposition
+	encoded  [][]byte // the linearized fragments, by fragment ID
 	res      *Result
 	codeAttr int
 	useLib   bool
@@ -382,7 +392,7 @@ func (c *run) runParser(p *netsim.Proc, nodes int) {
 	t0 := p.Now()
 	p.Mark("evaluation starts")
 	for _, f := range c.decomp.Frags {
-		data := tree.Encode(f.Root)
+		data := c.encoded[f.ID]
 		p.Compute(time.Duration(len(data)) * costPerByteCodec)
 		c.send(p, c.evals[f.ID], "subtree",
 			subtreeMsg{frag: f.ID, parent: f.Parent, data: data, uidBase: UIDBaseFor(f.ID)},

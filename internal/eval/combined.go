@@ -125,6 +125,11 @@ func (c *Combined) Run() int {
 	return c.g.run()
 }
 
+// Yielded reports whether the last Run stopped at a yield point with
+// instances still ready. Static visits never yield: they run whole as
+// soon as their inherited phase is complete.
+func (c *Combined) Yielded() bool { return c.g.yielded }
+
 // drainStaticChildren starts visits on static children whose first
 // phases need no inherited attributes. Children are stored in tree
 // order, so the drain is deterministic.

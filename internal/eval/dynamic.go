@@ -47,6 +47,10 @@ func NewDynamic(gr *ag.Grammar, root *tree.Node, hooks Hooks) *Dynamic {
 // interleaved with Supply until Done reports true.
 func (d *Dynamic) Run() int { return d.g.run() }
 
+// Yielded reports whether the last Run stopped at a yield point with
+// instances still ready.
+func (d *Dynamic) Yielded() bool { return d.g.yielded }
+
 // Supply injects an attribute value computed by another evaluator: a
 // synthesized attribute of a remote leaf, or an inherited attribute of
 // the fragment root. The caller should Run afterwards.

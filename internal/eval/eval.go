@@ -52,6 +52,14 @@ type Hooks struct {
 	// for ablation experiments: priority attributes queue like any
 	// other ready attribute.
 	NoPriority bool
+	// YieldAfterPriority makes Run return right after evaluating an
+	// instance whose value was shipped through OnRemoteInh as a
+	// priority attribute, so a runtime can forward the value before
+	// the rest of the ready work runs ("as early as possible", §4.3).
+	// Yielding never changes the evaluation order: the next Run
+	// continues exactly where the previous one stopped. It has no
+	// effect under NoPriority.
+	YieldAfterPriority bool
 }
 
 func (h *Hooks) charge(d time.Duration) {
@@ -102,6 +110,9 @@ type FragmentEvaluator interface {
 	// Run evaluates everything currently ready and returns the number
 	// of dynamically evaluated instances.
 	Run() int
+	// Yielded reports whether the last Run stopped at a yield point
+	// (Hooks.YieldAfterPriority) with instances still ready to run.
+	Yielded() bool
 	// Supply injects an attribute value computed by another evaluator.
 	Supply(n *tree.Node, attr int, v ag.Value)
 	// Done reports whether every local attribute instance is evaluated.

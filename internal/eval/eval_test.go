@@ -123,6 +123,10 @@ type pump struct {
 	evs    []eval.FragmentEvaluator
 	leaves map[int]leafRef // fragment id -> remote leaf in parent
 	queue  []func()
+	// beforeRun, if set, is called before every Run; yields counts
+	// the Runs that stopped at a yield point.
+	beforeRun func()
+	yields    int
 }
 
 type leafRef struct {
@@ -131,6 +135,13 @@ type leafRef struct {
 }
 
 func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition, combined bool) *pump {
+	t.Helper()
+	return newPumpWith(t, g, a, d, combined, eval.Hooks{})
+}
+
+// newPumpWith is newPump over evaluators whose hooks start from base
+// (the pump installs the routing callbacks itself).
+func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition, combined bool, base eval.Hooks) *pump {
 	t.Helper()
 	p := &pump{leaves: make(map[int]leafRef)}
 	for _, f := range d.Frags {
@@ -145,24 +156,26 @@ func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition,
 	}
 	for _, f := range d.Frags {
 		f := f
-		hooks := eval.Hooks{
-			OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
-				child := leaf.RemoteID
-				p.queue = append(p.queue, func() {
-					p.evs[child].Supply(d.Frags[child].Root, attr, v)
-					p.evs[child].Run()
-				})
-			},
-			OnRootSyn: func(attr int, v ag.Value) {
-				ref, ok := p.leaves[f.ID]
-				if !ok {
-					return // root fragment: final attribute
-				}
-				p.queue = append(p.queue, func() {
-					p.evs[ref.parentEv].Supply(ref.leaf, attr, v)
-					p.evs[ref.parentEv].Run()
-				})
-			},
+		hooks := base
+		hooks.OnRemoteInh = func(leaf *tree.Node, attr int, v ag.Value) {
+			if base.OnRemoteInh != nil {
+				base.OnRemoteInh(leaf, attr, v)
+			}
+			child := leaf.RemoteID
+			p.queue = append(p.queue, func() {
+				p.evs[child].Supply(d.Frags[child].Root, attr, v)
+				p.runAll(p.evs[child])
+			})
+		}
+		hooks.OnRootSyn = func(attr int, v ag.Value) {
+			ref, ok := p.leaves[f.ID]
+			if !ok {
+				return // root fragment: final attribute
+			}
+			p.queue = append(p.queue, func() {
+				p.evs[ref.parentEv].Supply(ref.leaf, attr, v)
+				p.runAll(p.evs[ref.parentEv])
+			})
 		}
 		if combined {
 			p.evs = append(p.evs, eval.NewCombined(a, f.Root, hooks))
@@ -176,7 +189,7 @@ func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition,
 func (p *pump) run(t *testing.T) {
 	t.Helper()
 	for _, e := range p.evs {
-		e.Run()
+		p.runAll(e)
 	}
 	for len(p.queue) > 0 {
 		next := p.queue[0]
@@ -187,6 +200,20 @@ func (p *pump) run(t *testing.T) {
 		if !e.Done() {
 			t.Fatalf("fragment %d blocked: %v", i, e.Blocked())
 		}
+	}
+}
+
+// runAll runs e until it blocks, resuming it after every yield.
+func (p *pump) runAll(e eval.FragmentEvaluator) {
+	for {
+		if p.beforeRun != nil {
+			p.beforeRun()
+		}
+		e.Run()
+		if !e.Yielded() {
+			return
+		}
+		p.yields++
 	}
 }
 

@@ -47,6 +47,12 @@ type graph struct {
 	readyHead int
 	prioHead  int
 
+	// yield is raised by markAvail when a priority value has been
+	// shipped under Hooks.YieldAfterPriority; yielded records that the
+	// last run stopped on it with work left.
+	yield   bool
+	yielded bool
+
 	argbuf    []ag.Value // scratch for rule arguments; rules must not retain it
 	defined   int
 	evaluated int
@@ -231,9 +237,12 @@ func (g *graph) pop() (int32, bool) {
 }
 
 // run evaluates every ready instance in topological order and returns
-// how many it evaluated.
+// how many it evaluated. Under Hooks.YieldAfterPriority it returns
+// early, right after an instance whose evaluation shipped a priority
+// value.
 func (g *graph) run() int {
 	count := 0
+	g.yield, g.yielded = false, false
 	for {
 		i, ok := g.pop()
 		if !ok {
@@ -241,7 +250,17 @@ func (g *graph) run() int {
 		}
 		g.evaluate(i)
 		count++
+		if g.yield {
+			g.yield = false
+			g.yielded = g.hasReady()
+			return count
+		}
 	}
+}
+
+// hasReady reports whether an instance is waiting in a ready queue.
+func (g *graph) hasReady() bool {
+	return g.prioHead < len(g.readyPrio) || g.readyHead < len(g.ready)
 }
 
 func (g *graph) evaluate(i int32) {
@@ -268,6 +287,9 @@ func (g *graph) markAvail(i int32, v ag.Value) {
 	attr := n.Sym.Attrs[a]
 	if n.Remote && attr.Kind == ag.Inherited && g.hooks.OnRemoteInh != nil {
 		g.hooks.OnRemoteInh(n, a, v)
+		if attr.Priority && g.hooks.YieldAfterPriority && !g.hooks.NoPriority {
+			g.yield = true
+		}
 	}
 	if n == g.root && attr.Kind == ag.Synthesized && g.hooks.OnRootSyn != nil {
 		g.hooks.OnRootSyn(a, v)

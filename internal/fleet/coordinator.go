@@ -41,9 +41,11 @@ type CoordinatorOptions struct {
 }
 
 // Coordinator is the parser side of a distributed compilation: it
-// clones, decomposes and splices locally — exactly like the simulated
-// cluster's parser and the pool's compile body — but evaluates
-// fragments on remote workers through the Client. It implements
+// decomposes and splices locally — making exactly the cuts of the
+// simulated cluster's parser and the pool's compile body — but
+// evaluates fragments on remote workers through the Client. It encodes
+// the fragments straight from the job's tree without writing to it, so
+// one Job may be compiled by many callers at once. It implements
 // parallel.RemoteEvaluator, so a parallel.Pool routes admitted jobs
 // here when PoolOptions.Remote is set.
 //
@@ -205,7 +207,10 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 	}
 	start := time.Now()
 
-	root := job.Root.Clone()
+	// The coordinator never evaluates, so it never needs a private copy
+	// of the tree: SplitEncode plans the cuts and linearizes each
+	// fragment straight from the caller's tree, which it does not write.
+	root := job.Root
 	gran := opts.Granularity
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Fragments)
@@ -221,7 +226,7 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 			costOf = ag.NewCutPlan(job.G, nil).CostOf()
 		}
 	}
-	decomp := tree.DecomposeWith(root, gran, opts.Fragments, opts.Planner, costOf)
+	decomp, encoded := tree.SplitEncode(root, gran, opts.Fragments, opts.Planner, costOf)
 	planTime := time.Since(planStart)
 	codeAttr := cluster.CodeAttr(job.G)
 	useLib := opts.Librarian && codeAttr >= 0
@@ -252,7 +257,7 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 			id:        fr.ID,
 			parent:    fr.Parent,
 			session:   fmt.Sprintf("%s-%d", sid, fr.ID),
-			data:      tree.Encode(fr.Root),
+			data:      encoded[fr.ID],
 			uidBase:   cluster.UIDBaseFor(fr.ID),
 			wake:      make(chan struct{}, 1),
 			sentOut:   map[outKey]bool{},
@@ -454,7 +459,10 @@ func (j *fjob) runFrag(f *cfrag) {
 			j.closeSession(f)
 			return
 		}
-		batch, ok := j.nextBatch(f)
+		// A worker that stopped early to ship a priority value (routed
+		// by handle just now) is continued at once, with whatever input
+		// has already arrived; otherwise the fragment parks for input.
+		batch, ok := j.nextBatch(f, !resp.More)
 		if !ok {
 			return
 		}
@@ -631,6 +639,7 @@ func (j *fjob) openReqFor(f *cfrag) openReq {
 		Librarian:  j.useLib,
 		UIDPreset:  j.opts.UIDPreset,
 		NoPriority: j.opts.NoPriority,
+		Yield:      true,
 		UIDBase:    f.uidBase,
 		UIDs:       j.uids,
 		Tree:       f.data,
@@ -798,11 +807,12 @@ func (j *fjob) handle(f *cfrag, resp *evalResp) error {
 	return nil
 }
 
-// nextBatch parks the fragment until input arrives (or the job dies).
-func (j *fjob) nextBatch(f *cfrag) ([]wireMsg, bool) {
+// nextBatch takes the fragment's input; with wait it parks the
+// fragment until some arrives (or the job dies).
+func (j *fjob) nextBatch(f *cfrag, wait bool) ([]wireMsg, bool) {
 	for {
 		j.mu.Lock()
-		if len(f.inbox) > 0 {
+		if len(f.inbox) > 0 || !wait {
 			batch := f.inbox
 			f.inbox = nil
 			j.mu.Unlock()

@@ -1,10 +1,13 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"pag/internal/fleet"
 	"pag/internal/parallel"
 	"pag/internal/pascal"
+	"pag/internal/tree"
 	"pag/internal/workload"
 )
 
@@ -163,6 +167,61 @@ func TestFleetMatchesClusterPascal(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFleetConcurrentCompilesShareJob runs two fleet compiles of one
+// Job at once (run it with -race): the coordinator splits and encodes
+// straight from the job's tree, so the tree must come out unchanged —
+// no cut, no cached size written — and both programs byte-identical to
+// the local pool's at the same width. The fleet result's planned
+// decomposition must describe the same fragments as the pool's cut
+// one: equal sizes and digests.
+func TestFleetConcurrentCompilesShareJob(t *testing.T) {
+	// The references come from a second parse of the same program, so
+	// nothing but the two fleet compiles touches job's tree.
+	job, ref := pascalJob(t, workload.Small()), pascalJob(t, workload.Small())
+	e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
+	widths := []int{2, 4}
+	want := make([]*parallel.Result, len(widths))
+	for i, w := range widths {
+		local, err := parallel.Run(ref, parallel.Options{Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = local
+	}
+	got := make([]*parallel.Result, len(widths))
+	errs := make([]error, len(widths))
+	var wg sync.WaitGroup
+	for i, w := range widths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+				Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
+			})
+			got[i], errs[i] = res, err
+		}()
+	}
+	wg.Wait()
+	for i, w := range widths {
+		if errs[i] != nil {
+			t.Fatalf("width %d: %v", w, errs[i])
+		}
+		if got[i].Program != want[i].Program {
+			t.Errorf("width %d: fleet program differs from the pool's", w)
+		}
+		gd, wd := got[i].Decomp, want[i].Decomp
+		if !slices.Equal(gd.Sizes(), wd.Sizes()) {
+			t.Errorf("width %d: fleet fragment sizes %v, want %v", w, gd.Sizes(), wd.Sizes())
+		}
+		if !slices.Equal(gd.Digests(), wd.Digests()) {
+			t.Errorf("width %d: fleet fragment digests differ from the pool's", w)
+		}
+	}
+	if !bytes.Equal(tree.Encode(job.Root), tree.Encode(ref.Root)) {
+		t.Error("fleet compiles modified the job's tree")
 	}
 }
 

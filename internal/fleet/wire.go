@@ -121,6 +121,10 @@ const rootLeaf = -1
 // incarnation of the session: a requeued fragment replays its history
 // on the new worker, which reproduces the dead worker's outputs
 // exactly (evaluation is pure and handle allocation deterministic).
+// Yield asks for priority shipping: the session may answer any RPC
+// with More set, and the coordinator then owes it a continue. A worker
+// never yields unless asked, so a coordinator that predates More never
+// parks a fragment that still has ready work.
 type openReq struct {
 	Session    string      `json:"session"`
 	Grammar    string      `json:"grammar"`
@@ -129,6 +133,7 @@ type openReq struct {
 	Librarian  bool        `json:"librarian"`
 	UIDPreset  bool        `json:"uid_preset"`
 	NoPriority bool        `json:"no_priority"`
+	Yield      bool        `json:"yield,omitempty"`
 	UIDBase    int         `json:"uid_base"`
 	UIDs       []wireUID   `json:"uids,omitempty"`
 	Tree       []byte      `json:"tree"`
@@ -138,7 +143,9 @@ type openReq struct {
 // supplyReq delivers one batch of attribute values to a session. Seq
 // numbers batches from 1 in delivery order; a worker that has already
 // applied Seq returns its cached response, which is what makes a retry
-// after a mid-stream disconnect at-most-once.
+// after a mid-stream disconnect at-most-once. A continue — the answer
+// to a response with More — is a supplyReq whose batch may be empty,
+// numbered and journaled like any other.
 type supplyReq struct {
 	Session string    `json:"session"`
 	Seq     int       `json:"seq"`
@@ -181,9 +188,12 @@ type rootOut struct {
 
 // evalResp is the response to open and supply alike: everything the
 // evaluation produced since the previous response. Stats is valid once
-// Done.
+// Done. More means the session stopped early, right after shipping a
+// priority value (only when the open asked for Yield): it still has
+// work it can do without further input and waits for a continue.
 type evalResp struct {
 	Done   bool       `json:"done,omitempty"`
+	More   bool       `json:"more,omitempty"`
 	Msgs   []outMsg   `json:"msgs,omitempty"`
 	Stores []storeOut `json:"stores,omitempty"`
 	Roots  []rootOut  `json:"roots,omitempty"`

@@ -219,6 +219,11 @@ type session struct {
 	leaves map[int]*tree.Node
 	ev     eval.FragmentEvaluator
 
+	// pending holds the inbound values of the RPCs so far that the
+	// evaluator has not yet been fed: a session that yields (priority
+	// shipping, openReq.Yield) may stop in the middle of a batch.
+	pending []wireMsg
+
 	// Output accumulated since the last drained response; the hooks
 	// append here while ev.Run evaluates.
 	out    []outMsg
@@ -307,7 +312,8 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		return data, ship
 	}
 	hooks := eval.Hooks{
-		NoPriority: req.NoPriority,
+		NoPriority:         req.NoPriority,
+		YieldAfterPriority: req.Yield,
 		OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
 			if uidBase[cluster.AttrKey{Sym: leaf.Sym, Attr: attr}] && req.UIDPreset {
 				return // the child derives uids from its own base (§4.3)
@@ -347,16 +353,17 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 			}
 		}
 	}
-	s.ev.Run()
 
 	// Replay the journal of a requeued fragment: the batches a previous
 	// incarnation of this session already consumed, in order. Purity
 	// makes the replayed outputs identical to what the lost worker
-	// computed and shipped before dying.
+	// computed and shipped before dying; where that incarnation yielded
+	// does not matter, since yielding never reorders the evaluation.
 	for _, batch := range req.Journal {
-		if err := s.apply(batch); err != nil {
-			return http.StatusUnprocessableEntity, []byte(err.Error())
-		}
+		s.pending = append(s.pending, batch...)
+	}
+	if err := s.advance(); err != nil {
+		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
 	if s.evalErr != nil {
 		return http.StatusUnprocessableEntity, []byte(s.evalErr.Error())
@@ -380,26 +387,48 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	return http.StatusOK, resp
 }
 
-// apply decodes and supplies one batch of inbound attribute values,
-// then runs the evaluator to its next blocking point.
-func (s *session) apply(batch []wireMsg) error {
-	for _, m := range batch {
-		var target *tree.Node
-		if m.Leaf == rootLeaf {
-			target = s.root
-		} else if target = s.leaves[m.Leaf]; target == nil {
-			return fmt.Errorf("fleet: session %s has no remote leaf for fragment %d", s.id, m.Leaf)
-		}
-		if m.Attr < 0 || m.Attr >= len(target.Sym.Attrs) {
-			return fmt.Errorf("fleet: session %s: attribute %d out of range for %s", s.id, m.Attr, target.Sym.Name)
-		}
-		v, err := cluster.DecodeAttr(target.Sym, m.Attr, m.Data, s.useLib)
-		if err != nil {
-			return fmt.Errorf("fleet: session %s decoding attr: %w", s.id, err)
-		}
-		s.ev.Supply(target, m.Attr, v)
+// advance runs the evaluator, feeding it the pending inbound values
+// one at a time and running it after each, until it blocks. A yielding
+// session stops early — priority shipping (§4.3) — as soon as the
+// evaluator yields after a priority value with work left, so the value
+// leaves in this response instead of after the rest of the fragment's
+// ready work; the response then carries More and the coordinator
+// answers with a continue (an empty supply batch), which resumes
+// exactly here.
+func (s *session) advance() error {
+	for {
 		s.ev.Run()
+		if s.ev.Yielded() || len(s.pending) == 0 {
+			return nil
+		}
+		m := s.pending[0]
+		s.pending = s.pending[1:]
+		if err := s.supply(m); err != nil {
+			return err
+		}
 	}
+}
+
+// more reports whether the session stopped before its blocking point.
+func (s *session) more() bool { return s.ev.Yielded() || len(s.pending) > 0 }
+
+// supply decodes one inbound attribute value and hands it to the
+// evaluator.
+func (s *session) supply(m wireMsg) error {
+	var target *tree.Node
+	if m.Leaf == rootLeaf {
+		target = s.root
+	} else if target = s.leaves[m.Leaf]; target == nil {
+		return fmt.Errorf("fleet: session %s has no remote leaf for fragment %d", s.id, m.Leaf)
+	}
+	if m.Attr < 0 || m.Attr >= len(target.Sym.Attrs) {
+		return fmt.Errorf("fleet: session %s: attribute %d out of range for %s", s.id, m.Attr, target.Sym.Name)
+	}
+	v, err := cluster.DecodeAttr(target.Sym, m.Attr, m.Data, s.useLib)
+	if err != nil {
+		return fmt.Errorf("fleet: session %s decoding attr: %w", s.id, err)
+	}
+	s.ev.Supply(target, m.Attr, v)
 	return nil
 }
 
@@ -407,6 +436,7 @@ func (s *session) apply(batch []wireMsg) error {
 func (s *session) drain() (int, []byte) {
 	resp := evalResp{
 		Done:   s.ev.Done(),
+		More:   s.more(),
 		Msgs:   s.out,
 		Stores: s.stores,
 		Roots:  s.roots,
@@ -445,7 +475,8 @@ func (w *Worker) handleSupply(body []byte) (int, []byte) {
 		// unrecoverable here; 409 tells the coordinator to requeue.
 		return http.StatusConflict, []byte(fmt.Sprintf("fleet: session %s out of sync: got seq %d, want %d", req.Session, req.Seq, s.lastSeq+1))
 	}
-	if err := s.apply(req.Msgs); err != nil {
+	s.pending = append(s.pending, req.Msgs...)
+	if err := s.advance(); err != nil {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
 	if s.evalErr != nil {

@@ -253,3 +253,82 @@ func TestClientStatesAndPick(t *testing.T) {
 		t.Errorf("pick with no ready worker = %s, want nil", p.addr)
 	}
 }
+
+// TestWorkerPriorityShipping checks priority shipping at the session
+// level: a session opened with Yield answers as soon as its evaluation
+// has shipped a priority value while work remains (More set, the
+// priority value last in the batch), continues resume it, and the
+// concatenated output equals what a non-yielding session sends in one
+// response. A session opened without Yield never sets More.
+func TestWorkerPriorityShipping(t *testing.T) {
+	l := exprlang.MustNew()
+	a, err := ag.Analyze(l.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := l.Parse(exprlang.Generate(8, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, enc := tree.SplitEncode(root, tree.GranularityFor(root, 4), 4, tree.PlanSize, nil)
+	if d.NumFragments() < 3 {
+		t.Fatalf("want several fragments, got %d", d.NumFragments())
+	}
+	run := func(yield bool) []evalResp {
+		w := NewWorker()
+		w.Register(l.G, a, l.TerminalAttrs)
+		body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Mode: int(cluster.Combined), Tree: enc[0], Yield: yield})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := pathOpen
+		var resps []evalResp
+		for seq := 1; ; seq++ {
+			code, raw := w.ServeRPC(path, body)
+			if code != http.StatusOK {
+				t.Fatalf("yield=%v rpc %d: %d %s", yield, seq, code, raw)
+			}
+			var resp evalResp
+			if err := unsealJSON(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			resps = append(resps, resp)
+			if !resp.More {
+				return resps
+			}
+			path, body = pathSupply, sealedSupply(t, "s", seq)
+		}
+	}
+	plain, yielding := run(false), run(true)
+	if len(plain) != 1 {
+		t.Fatalf("session without Yield answered More (%d responses)", len(plain))
+	}
+	if len(yielding) < 2 {
+		t.Fatal("yielding session never stopped early")
+	}
+	if extra, edges := len(yielding)-1, len(d.Children(0)); extra > edges {
+		t.Errorf("%d continues for %d cut edges, want at most one per edge", extra, edges)
+	}
+	var msgs []outMsg
+	for i, resp := range yielding {
+		msgs = append(msgs, resp.Msgs...)
+		if !resp.More {
+			continue
+		}
+		if len(resp.Msgs) == 0 {
+			t.Fatalf("response %d: More without a shipped value", i)
+		}
+		last := resp.Msgs[len(resp.Msgs)-1]
+		if sym := d.Frags[last.Frag].Root.Sym; last.Up || !sym.Attrs[last.Attr].Priority {
+			t.Errorf("response %d stopped after %s.%s, not after a priority value", i, sym.Name, sym.Attrs[last.Attr].Name)
+		}
+	}
+	got, _ := sealJSON(msgs)
+	want, _ := sealJSON(plain[0].Msgs)
+	if !bytes.Equal(got, want) {
+		t.Error("yielding session shipped different values than the non-yielding one")
+	}
+	if last := yielding[len(yielding)-1]; last.Done != plain[0].Done || last.Stats != plain[0].Stats {
+		t.Errorf("yielding session ended done=%v %+v, want done=%v %+v", last.Done, last.Stats, plain[0].Done, plain[0].Stats)
+	}
+}

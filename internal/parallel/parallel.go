@@ -144,7 +144,12 @@ type Result struct {
 	Frags int
 	// Workers is the requested evaluation width (the fragment default).
 	Workers int
-	// Decomp describes the process tree.
+	// Decomp describes the process tree. On the pool its fragment roots
+	// are the cut fragments of the pool's private clone; a fleet result
+	// carries a planned decomposition (tree.SplitEncode) whose fragment
+	// roots are nodes of the job's uncut tree. Read the fragments
+	// through its methods (Sizes, Balance, Children, Describe, Digests),
+	// which are valid on both, not by walking Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"bytes"
 	"testing"
 
 	"pag/internal/ag"
@@ -11,8 +12,9 @@ import (
 // FuzzPlan fuzzes the planning layer's invariants on arbitrary
 // appendix-grammar programs: the grammar cut plan is a pure,
 // deterministic function of (grammar, analysis); both planners
-// decompose without panicking and deterministically at any width; and
-// the cache key separates planners, so a plan change can never be
+// decompose without panicking and deterministically at any width,
+// and the non-mutating SplitEncode agrees with them; and the cache
+// key separates planners, so a plan change can never be
 // served another plan's recording.
 func FuzzPlan(f *testing.F) {
 	f.Add("1+2*(3+4)+5*6", uint8(3))
@@ -78,6 +80,19 @@ func FuzzPlan(f *testing.F) {
 			}
 			if b := d1.Balance(); b < 1 || b != b {
 				t.Fatalf("%v: balance %v out of domain", planner, b)
+			}
+
+			// The fleet's non-mutating split agrees with the cut
+			// fragments byte for byte, and with their sizes.
+			dp, enc := tree.SplitEncode(root, tree.GranularityFor(root, w), w, planner, cf)
+			if dp.NumFragments() != d1.NumFragments() || dp.Balance() != d1.Balance() {
+				t.Fatalf("%v: SplitEncode plans %d fragments (balance %v), DecomposeWith %d (%v)",
+					planner, dp.NumFragments(), dp.Balance(), d1.NumFragments(), d1.Balance())
+			}
+			for i, f := range d1.Frags {
+				if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) {
+					t.Fatalf("%v: SplitEncode fragment %d differs from the cut fragment", planner, i)
+				}
 			}
 
 			// Cache keys built from this decomposition must differ

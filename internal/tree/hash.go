@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"hash"
 	"sync"
+
+	"pag/internal/ag"
 )
 
 // Digest is a canonical structural content address of a subtree.
@@ -48,11 +50,26 @@ func Hash(n *Node) Digest {
 // remote leaves point at), but nothing outside the fragment — so an
 // edit elsewhere in the tree leaves the digest unchanged as long as the
 // cut placement (and hence the fragment numbering) is stable. This is
-// the per-fragment half of the incremental cache key.
+// the per-fragment half of the incremental cache key. A planned
+// decomposition (SplitEncode) hashes each cut subtree as the remote
+// leaf that replaces it, so its digests equal those of the same cuts
+// made in place.
 func (d *Decomposition) Digests() []Digest {
+	var cutAt map[*Node]int
+	if d.cuts != nil {
+		cutAt = make(map[*Node]int, len(d.cuts))
+		for i, c := range d.cuts {
+			cutAt[c.node] = i + 1
+		}
+	}
 	out := make([]Digest, len(d.Frags))
 	for i, f := range d.Frags {
-		out[i] = Hash(f.Root)
+		h := newHasher()
+		h.cutAt = cutAt
+		h.node(f.Root)
+		out[i] = h.sum()
+		h.cutAt = nil
+		h.release()
 	}
 	return out
 }
@@ -81,6 +98,9 @@ func CombineDigests(digs []Digest) Digest {
 type hasher struct {
 	w   hash.Hash
 	buf []byte
+	// cutAt maps the cut nodes of a planned decomposition to the ids of
+	// the fragments they root; nil when hashing a tree as it is.
+	cutAt map[*Node]int
 }
 
 const hasherChunk = 4096
@@ -159,9 +179,7 @@ func (h *hasher) sum() Digest {
 func (h *hasher) node(n *Node) {
 	switch {
 	case n.Remote:
-		h.byte(tagRemote)
-		h.int(n.Sym.Index)
-		h.int(n.RemoteID)
+		h.remote(n.Sym, n.RemoteID)
 	case n.Sym.Terminal:
 		h.byte(tagTerminal)
 		h.int(n.Sym.Index)
@@ -200,7 +218,19 @@ func (h *hasher) node(n *Node) {
 		h.byte(tagInterior)
 		h.int(n.Prod.Index)
 		for _, c := range n.Children {
+			if h.cutAt != nil {
+				if id, ok := h.cutAt[c]; ok {
+					h.remote(c.Sym, id)
+					continue
+				}
+			}
 			h.node(c)
 		}
 	}
+}
+
+func (h *hasher) remote(sym *ag.Symbol, id int) {
+	h.byte(tagRemote)
+	h.int(sym.Index)
+	h.int(id)
 }

@@ -26,6 +26,12 @@ type Decomposition struct {
 	// ID order. Built once at decompose time so the splice and fleet
 	// paths never re-scan the fragment list per lookup.
 	children [][]int
+
+	// cuts is set on a planned decomposition (SplitEncode), whose
+	// fragment roots are nodes of the uncut tree: fragment i+1 is the
+	// subtree at cuts[i].node less the later cuts below it. nil when
+	// every Frags[i].Root is the cut fragment itself.
+	cuts []cut
 }
 
 // NumFragments returns the number of fragments.
@@ -63,6 +69,11 @@ func (d *Decomposition) Sizes() []int {
 	out := make([]int, len(d.Frags))
 	for i, f := range d.Frags {
 		out[i] = f.Root.Size()
+	}
+	// A planned decomposition's roots still hold the subtrees cut from
+	// them; each cut leaves a remote leaf in its place.
+	for i, c := range d.cuts {
+		out[c.from] -= out[i+1] - remoteSize
 	}
 	return out
 }
@@ -102,9 +113,9 @@ func balanceOf(sizes []int) float64 {
 func shallowSize(n *Node) int {
 	switch {
 	case n.Remote:
-		return 4
+		return remoteSize
 	case n.Sym.Terminal:
-		return 3 + len(n.Token)
+		return terminalSize(n.Token)
 	default:
 		return 2
 	}
@@ -367,6 +378,34 @@ func hasAncestor(chain []int, anc int) bool {
 	return false
 }
 
+// planCuts runs the selected policy's walk: the one cut decision that
+// DecomposeWith, SplitEncode and SimulateCuts share.
+func planCuts(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) []cut {
+	if maxFrags <= 1 {
+		return nil
+	}
+	root.Size() // sizes of hand-assembled trees are computed before the walk
+	if granularity < MinGranularity {
+		granularity = MinGranularity
+	}
+	if planner == PlanCost && costOf != nil {
+		return costCuts(root, granularity, maxFrags, costOf)
+	}
+	return sizeCuts(root, granularity, maxFrags)
+}
+
+// fromCuts builds the decomposition cuts describe: fragment i+1 is
+// rooted at cuts[i].node and hangs below fragment cuts[i].from.
+func fromCuts(root *Node, cuts []cut) *Decomposition {
+	d := &Decomposition{Frags: make([]*Fragment, 1, 1+len(cuts))}
+	d.Frags[0] = &Fragment{ID: 0, Parent: -1, Root: root}
+	for i, c := range cuts {
+		d.Frags = append(d.Frags, &Fragment{ID: i + 1, Parent: c.from, Root: c.node})
+	}
+	d.buildChildren()
+	return d
+}
+
 // Decompose splits the tree rooted at root into at most maxFrags
 // fragments by cutting at split-eligible nonterminals (the `split`
 // declarations of the grammar) under the legacy PlanSize policy.
@@ -388,26 +427,13 @@ func Decompose(root *Node, granularity, maxFrags int) *Decomposition {
 // grammar cut cost (costOf, typically ag.CutPlan.CostOf); a nil costOf
 // falls back to PlanSize.
 func DecomposeWith(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) *Decomposition {
-	d := &Decomposition{}
-	d.Frags = append(d.Frags, &Fragment{ID: 0, Parent: -1, Root: root})
-	if maxFrags <= 1 {
-		d.buildChildren()
+	cuts := planCuts(root, granularity, maxFrags, planner, costOf)
+	d := fromCuts(root, cuts)
+	if len(cuts) == 0 {
 		return d
 	}
-	root.Size() // populate size caches before any cuts
-	if granularity < MinGranularity {
-		granularity = MinGranularity
-	}
-	var cuts []cut
-	if planner == PlanCost && costOf != nil {
-		cuts = costCuts(root, granularity, maxFrags, costOf)
-	} else {
-		cuts = sizeCuts(root, granularity, maxFrags)
-	}
-	for _, c := range cuts {
-		f := &Fragment{ID: len(d.Frags), Parent: c.from, Root: c.node}
-		d.Frags = append(d.Frags, f)
-		c.parent.Children[c.idx] = newRemote(c.node.Sym, f.ID)
+	for i, c := range cuts {
+		c.parent.Children[c.idx] = newRemote(c.node.Sym, i+1)
 	}
 	// Cuts invalidate cached sizes (remote leaves are smaller than the
 	// subtrees they replace); recompute per fragment.
@@ -415,7 +441,6 @@ func DecomposeWith(root *Node, granularity, maxFrags int, planner Planner, costO
 		f.Root.invalidateSizes()
 		f.Root.Size()
 	}
-	d.buildChildren()
 	return d
 }
 
@@ -425,18 +450,9 @@ func DecomposeWith(root *Node, granularity, maxFrags int, planner Planner, costO
 // a real decomposition would produce. Callers use it to compare
 // planned message traffic across policies.
 func SimulateCuts(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) []*Node {
-	if maxFrags <= 1 {
+	cuts := planCuts(root, granularity, maxFrags, planner, costOf)
+	if len(cuts) == 0 {
 		return nil
-	}
-	root.Size()
-	if granularity < MinGranularity {
-		granularity = MinGranularity
-	}
-	var cuts []cut
-	if planner == PlanCost && costOf != nil {
-		cuts = costCuts(root, granularity, maxFrags, costOf)
-	} else {
-		cuts = sizeCuts(root, granularity, maxFrags)
 	}
 	out := make([]*Node, len(cuts))
 	for i, c := range cuts {
@@ -464,11 +480,12 @@ func GranularityFor(root *Node, machines int) int {
 // fragments a, b, c, ... in ID order as in paper Figure 7.
 func (d *Decomposition) Describe() string {
 	var b strings.Builder
+	sizes := d.Sizes()
 	var rec func(id, depth int)
 	rec = func(id, depth int) {
 		f := d.Frags[id]
 		fmt.Fprintf(&b, "%s%c: %s (%d bytes)\n",
-			strings.Repeat("  ", depth), 'a'+id, f.Root.Sym.Name, f.Root.Size())
+			strings.Repeat("  ", depth), 'a'+id, f.Root.Sym.Name, sizes[id])
 		for _, c := range d.Children(id) {
 			rec(c, depth+1)
 		}

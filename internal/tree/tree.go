@@ -38,7 +38,10 @@ type Node struct {
 	// coordination is needed.
 	Seq int32
 
-	size int // cached linearized size, bytes
+	// size is the linearized size in bytes. The constructors set it,
+	// so Size never writes to a tree built through them and concurrent
+	// readers of one shared tree do not race; 0 means not yet known.
+	size int
 }
 
 // New creates an interior node for production p with the given
@@ -57,8 +60,24 @@ func New(p *ag.Production, children ...*Node) *Node {
 		Prod:     p,
 		Children: children,
 		Attrs:    make([]ag.Value, len(p.LHS.Attrs)),
+		size:     interiorSize(children),
 	}
 }
+
+// interiorSize is the linearized size of an interior node with the
+// given children.
+func interiorSize(children []*Node) int {
+	s := 2 // node tag + production index
+	for _, c := range children {
+		s += c.Size()
+	}
+	return s
+}
+
+// terminalSize and remoteSize are the linearized sizes of leaves.
+func terminalSize(token string) int { return 3 + len(token) }
+
+const remoteSize = 4
 
 // NewTerminal creates a terminal leaf with scanner-supplied attribute
 // values (in attribute declaration order).
@@ -68,31 +87,25 @@ func NewTerminal(sym *ag.Symbol, token string, attrs ...ag.Value) *Node {
 	}
 	vals := make([]ag.Value, len(sym.Attrs))
 	copy(vals, attrs)
-	return &Node{Sym: sym, Token: token, Attrs: vals}
+	return &Node{Sym: sym, Token: token, Attrs: vals, size: terminalSize(token)}
 }
 
 // newRemote creates a remote-leaf placeholder for fragment id.
 func newRemote(sym *ag.Symbol, id int) *Node {
-	return &Node{Sym: sym, Remote: true, RemoteID: id, Attrs: make([]ag.Value, len(sym.Attrs))}
+	return &Node{Sym: sym, Remote: true, RemoteID: id, Attrs: make([]ag.Value, len(sym.Attrs)), size: remoteSize}
 }
 
 // Size returns the linearized size of the subtree in bytes (the metric
 // the parser compares against the grammar's minimum split sizes). The
-// value is computed once and cached.
+// constructors compute it; a node assembled by hand computes it on
+// first use and caches it.
 func (n *Node) Size() int {
 	if n.size == 0 {
-		s := 2 // node tag + production/symbol index
-		switch {
-		case n.Remote:
-			s = 4
-		case n.Sym.Terminal:
-			s = 3 + len(n.Token)
-		default:
-			for _, c := range n.Children {
-				s += c.Size()
-			}
+		if n.Remote || n.Sym.Terminal {
+			n.size = shallowSize(n)
+		} else {
+			n.size = interiorSize(n.Children)
 		}
-		n.size = s
 	}
 	return n.size
 }
@@ -168,6 +181,7 @@ func (n *Node) Clone() *Node {
 		dst.Token = src.Token
 		dst.Remote = src.Remote
 		dst.RemoteID = src.RemoteID
+		dst.size = src.size
 		if na := len(src.Attrs); na > 0 {
 			dst.Attrs = vals[vi : vi+na : vi+na]
 			vi += na
