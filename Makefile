@@ -48,11 +48,12 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -bench '$(BENCH_TRACKED)' -benchtime 2s -o /tmp/bench-new.json
 	$(GO) run ./cmd/benchjson -compare -fail-over 25 $(BENCH_BASELINE) /tmp/bench-new.json
 
-# Short-budget native fuzzing of the incremental-cache, tree-codec and
-# planning invariants.
+# Short-budget native fuzzing of the incremental-cache, tree-codec,
+# Pascal-parser and planning invariants.
 fuzz:
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzHash -fuzztime 30s
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzDecode -fuzztime 15s
+	$(GO) test ./internal/pascal -run XXX -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzInboundCanon -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzPlan -fuzztime 15s
 	$(GO) test ./internal/rope -run XXX -fuzz FuzzShipCodec -fuzztime 15s

@@ -551,6 +551,22 @@ func BenchmarkT9Parse(b *testing.B) {
 	l := experiments.Lang()
 	src := experiments.Source()
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExprParse measures the appendix-language parser on a sum of
+// let-blocks the size of a small job, beside BenchmarkT9Parse.
+func BenchmarkExprParse(b *testing.B) {
+	l := exprlang.MustNew()
+	src := exprlang.Generate(64, 32)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Parse(src); err != nil {

@@ -1,6 +1,7 @@
 package exprlang_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,26 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := l.Parse(src); err == nil {
 			t.Errorf("Parse accepted %q", src)
+		}
+	}
+}
+
+// TestParseNestingLimit pins the parser's nesting bound: parentheses
+// and let-blocks nested past it are a syntax error rather than a stack
+// overflow, and a few hundred levels still parse.
+func TestParseNestingLimit(t *testing.T) {
+	l := exprlang.MustNew()
+	parens := func(n int) string { return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }
+	lets := func(n int) string { return strings.Repeat("let x = 1 in ", n) + "x" + strings.Repeat(" ni", n) }
+	for _, src := range []string{parens(500), lets(500)} {
+		if _, err := l.Parse(src); err != nil {
+			t.Errorf("Parse(%.20q...): %v", src, err)
+		}
+	}
+	for _, src := range []string{parens(1 << 16), lets(1 << 16)} {
+		_, err := l.Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "exprlang: nesting deeper than 1024 levels at offset") {
+			t.Errorf("Parse(%.20q...) = %v, want a nesting error", src, err)
 		}
 	}
 }

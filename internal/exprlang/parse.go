@@ -97,15 +97,28 @@ func (l *lexer) emit(k tokKind, text string, pos int) {
 	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
 }
 
+// maxNesting bounds how deeply parenthesized expressions and let-blocks
+// may nest. The parser recurses once per level, so without a bound a
+// source of a few megabytes of "(" would exhaust the goroutine stack —
+// a fatal error no recover can catch — instead of failing as a syntax
+// error.
+const maxNesting = 1 << 10
+
 // parser is a recursive-descent parser producing attributed parse
-// trees over the appendix grammar's productions.
+// trees over the appendix grammar's productions. Each Parse call has
+// its own parser, and with it its own tree.Builder, so one Lang parses
+// concurrently.
 type parser struct {
-	l    *Lang
-	toks []token
-	pos  int
+	l     *Lang
+	b     tree.Builder
+	toks  []token
+	pos   int
+	depth int // nesting levels open (see maxNesting)
 }
 
-// Parse parses src into a parse tree rooted at main_expr.
+// Parse parses src into a parse tree rooted at main_expr. The tree is
+// built through a tree.Builder, so its nodes, attribute slots and child
+// slices come from a few slabs rather than one heap object each.
 func (l *Lang) Parse(src string) (*tree.Node, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -119,7 +132,7 @@ func (l *Lang) Parse(src string) (*tree.Node, error) {
 	if p.cur().kind != tokEOF {
 		return nil, fmt.Errorf("exprlang: trailing input at offset %d: %q", p.cur().pos, p.cur().text)
 	}
-	return tree.New(l.PMain, e), nil
+	return p.b.New(l.PMain, e), nil
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -153,7 +166,7 @@ func (p *parser) expr() (*tree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = tree.New(p.l.PAdd, left, tree.NewTerminal(p.l.Plus, "+"), right)
+		left = p.b.New(p.l.PAdd, left, p.b.NewTerminal(p.l.Plus, "+"), right)
 	}
 	return left, nil
 }
@@ -170,19 +183,24 @@ func (p *parser) term() (*tree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = tree.New(p.l.PMul, left, tree.NewTerminal(p.l.Star, "*"), right)
+		left = p.b.New(p.l.PMul, left, p.b.NewTerminal(p.l.Star, "*"), right)
 	}
 	return left, nil
 }
 
 func (p *parser) factor() (*tree.Node, error) {
+	if p.depth >= maxNesting {
+		return nil, fmt.Errorf("exprlang: nesting deeper than %d levels at offset %d", maxNesting, p.cur().pos)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	switch t := p.cur(); t.kind {
 	case tokNumber:
 		p.advance()
-		return tree.New(p.l.PNum, tree.NewTerminal(p.l.Number, t.text, t.text)), nil
+		return p.b.New(p.l.PNum, p.b.NewTerminal(p.l.Number, t.text, t.text)), nil
 	case tokIdent:
 		p.advance()
-		return tree.New(p.l.PIdent, tree.NewTerminal(p.l.Identifier, t.text, t.text)), nil
+		return p.b.New(p.l.PIdent, p.b.NewTerminal(p.l.Identifier, t.text, t.text)), nil
 	case tokLParen:
 		p.advance()
 		e, err := p.expr()
@@ -192,7 +210,7 @@ func (p *parser) factor() (*tree.Node, error) {
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
 			return nil, err
 		}
-		return tree.New(p.l.PParen, tree.NewTerminal(p.l.LP, "("), e, tree.NewTerminal(p.l.RP, ")")), nil
+		return p.b.New(p.l.PParen, p.b.NewTerminal(p.l.LP, "("), e, p.b.NewTerminal(p.l.RP, ")")), nil
 	case tokLet:
 		p.advance()
 		id, err := p.expect(tokIdent, "identifier")
@@ -216,16 +234,16 @@ func (p *parser) factor() (*tree.Node, error) {
 		if _, err := p.expect(tokNi, "'ni'"); err != nil {
 			return nil, err
 		}
-		block := tree.New(p.l.PLet,
-			tree.NewTerminal(p.l.Let, "let"),
-			tree.NewTerminal(p.l.Identifier, id.text, id.text),
-			tree.NewTerminal(p.l.Eq, "="),
+		block := p.b.New(p.l.PLet,
+			p.b.NewTerminal(p.l.Let, "let"),
+			p.b.NewTerminal(p.l.Identifier, id.text, id.text),
+			p.b.NewTerminal(p.l.Eq, "="),
 			bound,
-			tree.NewTerminal(p.l.In, "in"),
+			p.b.NewTerminal(p.l.In, "in"),
 			body,
-			tree.NewTerminal(p.l.Ni, "ni"),
+			p.b.NewTerminal(p.l.Ni, "ni"),
 		)
-		return tree.New(p.l.PBlockExpr, block), nil
+		return p.b.New(p.l.PBlockExpr, block), nil
 	default:
 		return nil, fmt.Errorf("exprlang: unexpected token %q at offset %d", t.text, t.pos)
 	}

@@ -83,8 +83,10 @@ type Lang struct {
 	CaseArms, CaseArm              *ag.Symbol
 	WriteArgs, WriteArg, ReadArgs  *ag.Symbol
 
-	// productions (populated by buildRules)
+	// productions (populated by buildRules), by name and as the
+	// parser's pre-resolved table
 	prods map[string]*ag.Production
+	prod  prodTable
 }
 
 // Prod returns the named production (panics on unknown names; grammar
@@ -192,6 +194,7 @@ func New() (*Lang, error) {
 	b.Start(l.Program)
 
 	l.buildRules(b)
+	l.resolveProds()
 
 	g, err := b.Build()
 	if err != nil {

@@ -11,6 +11,7 @@ type tokKind int
 // Token kinds.
 const (
 	tEOF tokKind = iota + 1
+	tBad         // a scanning failure; the scanner holds the error
 	tIdent
 	tNumber
 	tString // 'text' literal (length != 1)
@@ -69,6 +70,8 @@ const (
 	tWriteln
 	tRead
 	tReadln
+
+	numTokKinds // one past the largest kind, for tables indexed by kind
 )
 
 var keywords = map[string]tokKind{
@@ -110,122 +113,144 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("pascal: line %d: %s", e.line, e.msg) }
 
-// lex scans Pascal source (case-insensitive keywords and identifiers,
-// { } and (* *) comments, '...' string/char literals).
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	emit := func(k tokKind, text string) { toks = append(toks, token{kind: k, text: text, line: line}) }
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '{': // comment
-			for i < len(src) && src[i] != '}' {
-				if src[i] == '\n' {
-					line++
-				}
-				i++
-			}
-			if i == len(src) {
-				return nil, &lexError{line, "unterminated { comment"}
-			}
-			i++
-		case c == '(' && i+1 < len(src) && src[i+1] == '*':
-			i += 2
-			for i+1 < len(src) && !(src[i] == '*' && src[i+1] == ')') {
-				if src[i] == '\n' {
-					line++
-				}
-				i++
-			}
-			if i+1 >= len(src) {
-				return nil, &lexError{line, "unterminated (* comment"}
-			}
-			i += 2
-		case c >= '0' && c <= '9':
-			start := i
-			for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-				i++
-			}
-			emit(tNumber, src[start:i])
-		case isIdentStart(c):
-			start := i
-			for i < len(src) && isIdentPart(src[i]) {
-				i++
-			}
-			word := strings.ToLower(src[start:i])
-			if k, ok := keywords[word]; ok {
-				emit(k, word)
-			} else {
-				emit(tIdent, word)
-			}
-		case c == '\'':
-			i++
-			var sb strings.Builder
-			for {
-				if i >= len(src) || src[i] == '\n' {
-					return nil, &lexError{line, "unterminated string literal"}
-				}
-				if src[i] == '\'' {
-					if i+1 < len(src) && src[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				sb.WriteByte(src[i])
-				i++
-			}
-			s := sb.String()
-			if len(s) == 1 {
-				emit(tChar, s)
-			} else {
-				emit(tString, s)
-			}
-		default:
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			switch {
-			case two == ":=":
-				emit(tAssign, two)
-				i += 2
-			case two == "<=":
-				emit(tLe, two)
-				i += 2
-			case two == ">=":
-				emit(tGe, two)
-				i += 2
-			case two == "<>":
-				emit(tNe, two)
-				i += 2
-			case two == "..":
-				emit(tDotDot, two)
-				i += 2
-			default:
-				k, ok := singleTok[c]
-				if !ok {
-					return nil, &lexError{line, fmt.Sprintf("unexpected character %q", c)}
-				}
-				emit(k, string(c))
-				i++
-			}
-		}
-	}
-	toks = append(toks, token{kind: tEOF, line: line})
-	return toks, nil
+// scanner scans Pascal source (case-insensitive keywords and
+// identifiers, { } and (* *) comments, '...' string/char literals) one
+// token at a time as the parser asks for it. Parsing therefore holds no
+// token buffer: its memory is the tree's, and a hostile source of
+// megabytes of punctuation costs nothing beyond the tokens read before
+// the parser rejects it.
+type scanner struct {
+	src  string
+	pos  int
+	line int
+	err  error // the first scanning failure; scan returns tBad from then on
 }
 
-var singleTok = map[byte]tokKind{
+// scan returns the next token: tEOF at the end of the source, forever
+// after; tBad once scanning has failed, forever after, with err set.
+func (s *scanner) scan() token {
+	src := s.src
+	for s.err == nil && s.pos < len(src) {
+		switch c := src[s.pos]; {
+		case c == '\n':
+			s.line++
+			s.pos++
+		case c == ' ' || c == '\t' || c == '\r':
+			s.pos++
+		case c == '{': // comment
+			for s.pos < len(src) && src[s.pos] != '}' {
+				if src[s.pos] == '\n' {
+					s.line++
+				}
+				s.pos++
+			}
+			if s.pos == len(src) {
+				return s.fail("unterminated { comment")
+			}
+			s.pos++
+		case c == '(' && s.pos+1 < len(src) && src[s.pos+1] == '*':
+			s.pos += 2
+			for s.pos+1 < len(src) && !(src[s.pos] == '*' && src[s.pos+1] == ')') {
+				if src[s.pos] == '\n' {
+					s.line++
+				}
+				s.pos++
+			}
+			if s.pos+1 >= len(src) {
+				return s.fail("unterminated (* comment")
+			}
+			s.pos += 2
+		default:
+			return s.token(c)
+		}
+	}
+	if s.err != nil {
+		return token{kind: tBad, line: s.line}
+	}
+	return token{kind: tEOF, line: s.line}
+}
+
+// token scans the token that starts with c at s.pos.
+func (s *scanner) token(c byte) token {
+	src, start := s.src, s.pos
+	switch {
+	case c >= '0' && c <= '9':
+		for s.pos < len(src) && src[s.pos] >= '0' && src[s.pos] <= '9' {
+			s.pos++
+		}
+		return s.emit(tNumber, src[start:s.pos])
+	case isIdentStart(c):
+		for s.pos < len(src) && isIdentPart(src[s.pos]) {
+			s.pos++
+		}
+		word := strings.ToLower(src[start:s.pos])
+		if k, ok := keywords[word]; ok {
+			return s.emit(k, word)
+		}
+		return s.emit(tIdent, word)
+	case c == '\'':
+		s.pos++
+		var sb strings.Builder
+		for {
+			if s.pos >= len(src) || src[s.pos] == '\n' {
+				return s.fail("unterminated string literal")
+			}
+			if src[s.pos] == '\'' {
+				if s.pos+1 < len(src) && src[s.pos+1] == '\'' { // escaped quote
+					sb.WriteByte('\'')
+					s.pos += 2
+					continue
+				}
+				s.pos++
+				break
+			}
+			sb.WriteByte(src[s.pos])
+			s.pos++
+		}
+		str := sb.String()
+		if len(str) == 1 {
+			return s.emit(tChar, str)
+		}
+		return s.emit(tString, str)
+	}
+	if s.pos+1 < len(src) {
+		var k tokKind
+		switch src[s.pos : s.pos+2] {
+		case ":=":
+			k = tAssign
+		case "<=":
+			k = tLe
+		case ">=":
+			k = tGe
+		case "<>":
+			k = tNe
+		case "..":
+			k = tDotDot
+		}
+		if k != 0 {
+			s.pos += 2
+			return s.emit(k, src[start:s.pos])
+		}
+	}
+	k := singleTok[c]
+	if k == 0 {
+		return s.fail(fmt.Sprintf("unexpected character %q", c))
+	}
+	s.pos++
+	return s.emit(k, src[start:s.pos])
+}
+
+func (s *scanner) emit(k tokKind, text string) token {
+	return token{kind: k, text: text, line: s.line}
+}
+
+func (s *scanner) fail(msg string) token {
+	s.err = &lexError{s.line, msg}
+	return token{kind: tBad, line: s.line}
+}
+
+// singleTok maps a one-character token's byte to its kind (0: none).
+var singleTok = [256]tokKind{
 	'+': tPlus, '-': tMinus, '*': tStar, '/': tSlash,
 	'=': tEq, '<': tLt, '>': tGt,
 	'(': tLParen, ')': tRParen, '[': tLBrack, ']': tRBrack,

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"pag/internal/ag"
-	"pag/internal/arena"
 )
 
 // TerminalAttrs recomputes the scanner-supplied attribute values of a
@@ -115,10 +114,10 @@ func SplitEncode(root *Node, granularity, maxFrags int, planner Planner, costOf 
 // — truncation, out-of-range indices, a child that does not fit its
 // production, non-canonical varints, trailing bytes — is an error,
 // never a panic, and an accepted input re-encodes to the same bytes.
-// The nodes, attribute values and child pointers of the result are
-// carved from slabs, and tokens share one copy of the input, so a
-// decode costs a few allocations per thousand nodes instead of several
-// per node.
+// The result is built through a Builder, so its nodes, attribute
+// values and child pointers are carved from slabs, and tokens share one
+// copy of the input: a decode costs a few allocations per thousand
+// nodes instead of several per node.
 func Decode(g *ag.Grammar, data []byte, lex TerminalAttrs) (*Node, error) {
 	d := decoder{g: g, data: data, str: string(data), lex: lex}
 	n, err := d.node(0)
@@ -139,9 +138,8 @@ type decoder struct {
 	pos  int
 	lex  TerminalAttrs
 
-	nodes arena.Arena[Node]
-	vals  arena.Slab[ag.Value]
-	kids  arena.Slab[*Node]
+	b     Builder
+	stack []*Node // children of the interior nodes being decoded
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -193,10 +191,7 @@ func (d *decoder) node(depth int) (*Node, error) {
 		if id > math.MaxInt32 {
 			return nil, fmt.Errorf("tree: remote fragment id %d out of range", id)
 		}
-		n := d.nodes.New()
-		n.Sym, n.Remote, n.RemoteID, n.size = sym, true, int(id), remoteSize
-		n.Attrs = d.vals.Make(len(sym.Attrs))
-		return n, nil
+		return d.b.remote(sym, int(id)), nil
 	case tagTerminal:
 		sym, err := d.symbol()
 		if err != nil {
@@ -214,17 +209,13 @@ func (d *decoder) node(depth int) (*Node, error) {
 		}
 		tok := d.str[d.pos : d.pos+int(ln)]
 		d.pos += int(ln)
-		n := d.nodes.New()
-		n.Sym, n.Token, n.size = sym, tok, terminalSize(tok)
-		n.Attrs = d.vals.Make(len(sym.Attrs))
+		var vals []ag.Value
 		if d.lex != nil {
-			vals, err := d.lex(sym, tok)
-			if err != nil {
+			if vals, err = d.lex(sym, tok); err != nil {
 				return nil, fmt.Errorf("tree: terminal %s %q: %w", sym, tok, err)
 			}
-			copy(n.Attrs, vals)
 		}
-		return n, nil
+		return d.b.NewTerminal(sym, tok, vals...), nil
 	case tagInterior:
 		pi, err := d.uvarint()
 		if err != nil {
@@ -234,10 +225,7 @@ func (d *decoder) node(depth int) (*Node, error) {
 			return nil, fmt.Errorf("tree: production index %d out of range", pi)
 		}
 		p := d.g.Prods[pi]
-		n := d.nodes.New()
-		n.Sym, n.Prod, n.size = p.LHS, p, 2
-		n.Attrs = d.vals.Make(len(p.LHS.Attrs))
-		n.Children = d.kids.Make(len(p.RHS))
+		base := len(d.stack)
 		for i, want := range p.RHS {
 			c, err := d.node(depth + 1)
 			if err != nil {
@@ -246,9 +234,10 @@ func (d *decoder) node(depth int) (*Node, error) {
 			if c.Sym != want {
 				return nil, fmt.Errorf("tree: production %s child %d: want %s, got %s", p, i, want, c.Sym)
 			}
-			n.Children[i] = c
-			n.size += c.size
+			d.stack = append(d.stack, c)
 		}
+		n := d.b.New(p, d.stack[base:]...)
+		d.stack = d.stack[:base]
 		return n, nil
 	default:
 		return nil, fmt.Errorf("tree: bad tag %d at offset %d", tag, d.pos-1)

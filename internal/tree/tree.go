@@ -27,8 +27,8 @@ type Node struct {
 	Attrs    []ag.Value
 	Token    string
 
-	Remote   bool
 	RemoteID int
+	Remote   bool // packs beside Seq
 
 	// Seq is evaluator workspace: the 1-based registration number of
 	// the node within the evaluator that owns its fragment (0 =
@@ -47,6 +47,18 @@ type Node struct {
 // New creates an interior node for production p with the given
 // children. The child count must match the production arity.
 func New(p *ag.Production, children ...*Node) *Node {
+	checkChildren(p, children)
+	return &Node{
+		Sym:      p.LHS,
+		Prod:     p,
+		Children: children,
+		Attrs:    make([]ag.Value, len(p.LHS.Attrs)),
+		size:     interiorSize(children),
+	}
+}
+
+// checkChildren panics unless children fit production p.
+func checkChildren(p *ag.Production, children []*Node) {
 	if len(children) != len(p.RHS) {
 		panic(fmt.Sprintf("tree: production %s expects %d children, got %d", p, len(p.RHS), len(children)))
 	}
@@ -54,13 +66,6 @@ func New(p *ag.Production, children ...*Node) *Node {
 		if c.Sym != p.RHS[i] {
 			panic(fmt.Sprintf("tree: production %s child %d: want %s, got %s", p, i, p.RHS[i], c.Sym))
 		}
-	}
-	return &Node{
-		Sym:      p.LHS,
-		Prod:     p,
-		Children: children,
-		Attrs:    make([]ag.Value, len(p.LHS.Attrs)),
-		size:     interiorSize(children),
 	}
 }
 
@@ -82,12 +87,17 @@ const remoteSize = 4
 // NewTerminal creates a terminal leaf with scanner-supplied attribute
 // values (in attribute declaration order).
 func NewTerminal(sym *ag.Symbol, token string, attrs ...ag.Value) *Node {
-	if !sym.Terminal {
-		panic(fmt.Sprintf("tree: NewTerminal on nonterminal %s", sym))
-	}
+	checkTerminal(sym)
 	vals := make([]ag.Value, len(sym.Attrs))
 	copy(vals, attrs)
 	return &Node{Sym: sym, Token: token, Attrs: vals, size: terminalSize(token)}
+}
+
+// checkTerminal panics unless sym is a terminal.
+func checkTerminal(sym *ag.Symbol) {
+	if !sym.Terminal {
+		panic(fmt.Sprintf("tree: NewTerminal on nonterminal %s", sym))
+	}
 }
 
 // newRemote creates a remote-leaf placeholder for fragment id.
