@@ -11,7 +11,7 @@
 // multicore Pascal compile (BenchmarkParallelPascal) and the evaluator
 // micro-benchmarks (BenchmarkHotPath), the cache and incremental
 // replay suites, the mixed-traffic service benchmark
-// (BenchmarkSustainedLoad), the planner comparison
+// (BenchmarkSustainedLoad), the uncached compile across widths
 // (BenchmarkAdaptive) and the persistent-cache restart benchmark
 // (BenchmarkWarmRestart).
 package main

@@ -11,7 +11,7 @@ import (
 
 // checkCfg is the baseline -check configuration.
 func checkCfg(jsonOut bool) config {
-	return config{machines: 1, modeName: "combined", planName: "size", check: true, jsonOut: jsonOut}
+	return config{machines: 1, modeName: "combined", check: true, jsonOut: jsonOut}
 }
 
 func TestCheckSeededBadGrammars(t *testing.T) {
@@ -104,12 +104,10 @@ func TestCheckBuiltinGrammarClean(t *testing.T) {
 
 func TestCheckFlagConflicts(t *testing.T) {
 	for name, cfg := range map[string]config{
-		"json without check": {planName: "size", jsonOut: true},
-		"check with batch":   {planName: "size", check: true, batch: true},
-		"check with daemon":  {planName: "size", check: true, daemonURL: "http://localhost:1"},
-		"check with workload": {
-			planName: "size", check: true, wl: "tiny",
-		},
+		"json without check":  {jsonOut: true},
+		"check with batch":    {check: true, batch: true},
+		"check with daemon":   {check: true, daemonURL: "http://localhost:1"},
+		"check with workload": {check: true, wl: "tiny"},
 	} {
 		if err := run(&bytes.Buffer{}, cfg, nil); err == nil {
 			t.Errorf("%s: run succeeded, want flag-conflict error", name)

@@ -39,7 +39,6 @@ type daemonRequest struct {
 	Source      string `json:"source,omitempty"`
 	Workload    string `json:"workload,omitempty"`
 	Mode        string `json:"mode,omitempty"`
-	Plan        string `json:"plan,omitempty"`
 	AutoWidth   bool   `json:"auto_width,omitempty"`
 	NoLibrarian bool   `json:"no_librarian,omitempty"`
 	UIDChain    bool   `json:"uid_chain,omitempty"`
@@ -67,7 +66,6 @@ func runDaemon(out io.Writer, cfg config, args []string) error {
 
 	req := daemonRequest{
 		Mode:        cfg.modeName,
-		Plan:        cfg.planner.String(),
 		AutoWidth:   cfg.autoWidth,
 		NoLibrarian: cfg.noLib,
 		UIDChain:    cfg.chain,

@@ -65,7 +65,6 @@ func main() {
 	machines := flag.Int("n", 1, "number of evaluator machines (1..6)")
 	mode := flag.String("mode", "combined", "evaluator: combined or dynamic")
 	gran := flag.Int("granularity", 0, "split granularity in bytes (0 = tree size / machines)")
-	plan := flag.String("plan", "size", `decomposition planner: "size" (legacy size-driven) or "cost" (grammar-plan cut costs break ties)`)
 	autoWidth := flag.Bool("auto-width", false, "batch and daemon modes: size each job's decomposition from the pool's phase-time cost model instead of the worker count")
 	noLib := flag.Bool("nolibrarian", false, "disable the string librarian")
 	chain := flag.Bool("uidchain", false, "propagate unique-id counters instead of per-evaluator bases")
@@ -89,8 +88,8 @@ func main() {
 
 	cfg := config{
 		machines: *machines, modeName: *mode, gran: *gran,
-		planName: *plan, autoWidth: *autoWidth,
-		check: *check, jsonOut: *jsonOut,
+		autoWidth: *autoWidth,
+		check:     *check, jsonOut: *jsonOut,
 		noLib: *noLib, chain: *chain, gantt: *gantt, asm: *asm, quiet: *quiet,
 		wl: *wl, dump: *dump, batch: *batch, series: *series, workers: *workers, cacheBytes: *cacheBytes,
 		cacheDir:  *cacheDir,
@@ -107,12 +106,8 @@ type config struct {
 	machines int
 	modeName string
 	gran     int
-	// planName is the -plan operand; planner is its parsed value,
-	// resolved once in run (ParsePlanner rejects unknown names before
-	// any mode dispatch). autoWidth lets the batch pool (or the daemon)
-	// size each job's decomposition from its cost model.
-	planName  string
-	planner   tree.Planner
+	// autoWidth lets the batch pool (or the daemon) size each job's
+	// decomposition from its cost model.
 	autoWidth bool
 	// check switches to the grammar-diagnostics mode (check.go);
 	// jsonOut selects its JSON report format.
@@ -166,13 +161,9 @@ func run(out io.Writer, cfg config, args []string) error {
 	if cfg.series && !cfg.batch {
 		return fmt.Errorf("-series is a -batch mode (an edit series compiles through one pool)")
 	}
-	// Resolve the planner and validate the granularity once, before any
-	// mode dispatch: a typo'd -plan or an impossible -granularity fails
-	// identically everywhere instead of being clamped or deferred.
-	var err error
-	if cfg.planner, err = tree.ParsePlanner(cfg.planName); err != nil {
-		return err
-	}
+	// Validate the granularity once, before any mode dispatch: an
+	// impossible -granularity fails identically everywhere instead of
+	// being clamped or deferred.
 	if cfg.gran != 0 && cfg.gran < tree.MinGranularity {
 		return &parallel.GranularityError{Granularity: cfg.gran}
 	}
@@ -247,7 +238,6 @@ func run(out io.Writer, cfg config, args []string) error {
 	opts.Machines = cfg.machines
 	opts.Mode = mode
 	opts.Granularity = cfg.gran
-	opts.Planner = cfg.planner
 	opts.Librarian = !cfg.noLib
 	opts.UIDPreset = !cfg.chain
 
@@ -266,8 +256,8 @@ func run(out io.Writer, cfg config, args []string) error {
 	if !cfg.quiet {
 		fmt.Fprintf(out, "compiled on %d machine(s), %s evaluator: parse %v + evaluate %v\n",
 			cfg.machines, mode, res.ParseTime, res.EvalTime)
-		fmt.Fprintf(out, "fragments: %d %v (%s plan, balance %.2f), %d messages, %d payload bytes, %.1f%% attributes dynamic\n",
-			res.Frags, res.Decomp.Sizes(), cfg.planner, res.Decomp.Balance(), res.Messages, res.Bytes,
+		fmt.Fprintf(out, "fragments: %d %v (balance %.2f), %d messages, %d payload bytes, %.1f%% attributes dynamic\n",
+			res.Frags, res.Decomp.Sizes(), res.Decomp.Balance(), res.Messages, res.Bytes,
 			res.Stats.DynamicFraction()*100)
 	}
 	if cfg.gantt {
@@ -345,7 +335,6 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 	opts := parallel.Options{
 		Mode:        mode,
 		Granularity: cfg.gran,
-		Planner:     cfg.planner,
 		AutoWidth:   cfg.autoWidth,
 		Librarian:   !cfg.noLib,
 		UIDPreset:   !cfg.chain,

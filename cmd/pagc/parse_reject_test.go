@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-// TestPlannerRejectionWording: a typo'd -plan fails up front, naming
-// the accepted planners.
-func TestPlannerRejectionWording(t *testing.T) {
-	err := run(&bytes.Buffer{}, config{machines: 1, modeName: "combined", planName: "speed"}, nil)
-	if err == nil {
-		t.Fatal("unknown planner accepted")
-	}
-	if want := `unknown planner "speed" (want "size" or "cost")`; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q missing %q", err, want)
-	}
-}
-
 // TestCacheDirRejection: -cache-dir outside -batch is refused with
 // the same shape of message as the other pool-only flags, and -batch
 // refuses to persist a cache that -cache-bytes disabled.
@@ -30,13 +18,13 @@ func TestCacheDirRejection(t *testing.T) {
 	}{
 		{
 			"simulator",
-			config{machines: 1, modeName: "combined", planName: "size", cacheDir: "/tmp/pagcache", wl: "tiny"},
+			config{machines: 1, modeName: "combined", cacheDir: "/tmp/pagcache", wl: "tiny"},
 			nil,
 			"-cache-dir persists the -batch pool's fragment cache; the simulator has none",
 		},
 		{
 			"batch-cache-disabled",
-			config{machines: 1, modeName: "combined", planName: "size", batch: true, cacheDir: "/tmp/pagcache", cacheBytes: -1},
+			config{machines: 1, modeName: "combined", batch: true, cacheDir: "/tmp/pagcache", cacheBytes: -1},
 			[]string{"unread.pas"},
 			"-cache-dir persists the fragment cache, which -cache-bytes -1 disables",
 		},
@@ -57,7 +45,7 @@ func TestCacheDirRejection(t *testing.T) {
 // TestPriorityRejectionWording: a typo'd -priority in batch mode
 // fails before any file is read, naming the accepted priorities.
 func TestPriorityRejectionWording(t *testing.T) {
-	cfg := config{machines: 1, modeName: "combined", planName: "size", batch: true, priority: "urgent"}
+	cfg := config{machines: 1, modeName: "combined", batch: true, priority: "urgent"}
 	err := run(&bytes.Buffer{}, cfg, []string{"unread.pas"})
 	if err == nil {
 		t.Fatal("unknown priority accepted")

@@ -95,7 +95,6 @@ import (
 	"pag/internal/fleet"
 	"pag/internal/parallel"
 	"pag/internal/pascal"
-	"pag/internal/tree"
 	"pag/internal/workload"
 )
 
@@ -114,7 +113,6 @@ func main() {
 	quota := flag.Int("quota", 0, "per-client bound on jobs admitted or waiting (0 = unlimited)")
 	priorityHeader := flag.String("priority-header", defaultPriorityHeader, `request header carrying the job priority ("high" or "low")`)
 	maxTimeout := flag.Duration("max-timeout", 0, "server-side job deadline: caps client timeout_ms and applies to requests without one (0 = none)")
-	plan := flag.String("plan", "size", `default decomposition planner for requests without a "plan" field: "size" or "cost"`)
 	autoWidth := flag.Bool("auto-width", false, "size each job's decomposition from the pool's phase-time cost model unless the request pins fragments")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (empty = disabled)")
 	workerMode := flag.Bool("worker", false, "serve as a fleet evaluation worker instead of a coordinator daemon")
@@ -168,16 +166,10 @@ func main() {
 		logger.Info("fleet mode", "workers", addrs, "retries", *fleetRetries,
 			"backoff", fleetBackoff.String(), "health_interval", fleetHealth.String())
 	}
-	defaultPlanner, err := tree.ParsePlanner(*plan)
-	if err != nil {
-		logger.Error("bad -plan", "error", err.Error())
-		os.Exit(1)
-	}
 	s := newServer(poolOpts)
 	s.log = logger
 	s.priorityHeader = *priorityHeader
 	s.maxTimeout = *maxTimeout
-	s.defaultPlanner = defaultPlanner
 	s.defaultAutoWidth = *autoWidth
 	srv := &http.Server{Addr: *addr, Handler: s.routes()}
 	debug := startDebug(logger, *debugAddr)
@@ -292,10 +284,8 @@ type server struct {
 	// timeouts and is the default for requests without one.
 	priorityHeader string
 	maxTimeout     time.Duration
-	// defaultPlanner applies to requests without a "plan" field;
 	// defaultAutoWidth sizes decompositions from the pool's cost model
 	// for requests that don't pin "fragments".
-	defaultPlanner   tree.Planner
 	defaultAutoWidth bool
 	// draining flips when shutdown begins: /readyz answers 503 while
 	// in-flight requests finish, so fleet clients and load balancers
@@ -426,12 +416,10 @@ type compileRequest struct {
 	Fragments int `json:"fragments,omitempty"`
 	// Mode is "combined" (default) or "dynamic".
 	Mode string `json:"mode,omitempty"`
-	// Plan selects the decomposition planner, "size" or "cost" (""
-	// uses the daemon's -plan default). AutoWidth lets the pool size
-	// the decomposition from its phase-time cost model when Fragments
-	// is 0 (the daemon's -auto-width makes it the default).
-	Plan      string `json:"plan,omitempty"`
-	AutoWidth bool   `json:"auto_width,omitempty"`
+	// AutoWidth lets the pool size the decomposition from its
+	// phase-time cost model when Fragments is 0 (the daemon's
+	// -auto-width makes it the default).
+	AutoWidth bool `json:"auto_width,omitempty"`
 	// NoLibrarian and UIDChain disable the §4.3 optimizations, like
 	// pagc's -nolibrarian and -uidchain.
 	NoLibrarian bool `json:"no_librarian,omitempty"`
@@ -453,10 +441,8 @@ type event struct {
 	Frags    int      `json:"frags,omitempty"`
 	Workers  int      `json:"workers,omitempty"`
 	Messages int      `json:"messages,omitempty"`
-	// Planner names the decomposition planner that cut this job's
-	// tree; Balance is the decomposition's size balance (1 = perfectly
+	// Balance is the decomposition's size balance (1 = perfectly
 	// even); AutoWidth reports the cost model chose the width.
-	Planner   string  `json:"planner,omitempty"`
 	Balance   float64 `json:"balance,omitempty"`
 	AutoWidth bool    `json:"auto_width,omitempty"`
 	// PartialHits counts fragments replayed incrementally from the
@@ -598,11 +584,6 @@ func (s *server) jobSpec(req compileRequest) (string, parallel.Options, error) {
 		return "", opts, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMs)
 	}
 	opts.Fragments = req.Fragments
-	if req.Plan == "" {
-		opts.Planner = s.defaultPlanner
-	} else if opts.Planner, err = tree.ParsePlanner(req.Plan); err != nil {
-		return "", opts, err
-	}
 	opts.AutoWidth = req.AutoWidth || s.defaultAutoWidth
 	opts.Librarian = !req.NoLibrarian
 	opts.UIDPreset = !req.UIDChain
@@ -673,7 +654,6 @@ func (s *server) compileStream(ctx context.Context, w http.ResponseWriter, jobID
 		Frags:         res.Frags,
 		Workers:       res.Workers,
 		Messages:      res.Messages,
-		Planner:       res.PlanStats.Planner,
 		Balance:       res.PlanStats.Balance,
 		AutoWidth:     res.PlanStats.AutoWidth,
 		PartialHits:   res.PartialHits,

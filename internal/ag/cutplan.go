@@ -191,13 +191,6 @@ func (cp *CutPlan) Independent(s *Symbol, from, to int) bool {
 // fallback.
 func (cp *CutPlan) Exact(s *Symbol) bool { return cp.syms[s.Index].exact }
 
-// CostOf adapts the plan to the cost-callback shape the tree splitter
-// consumes (internal/tree cannot name CutPlan without an import cycle
-// of concerns; it takes a plain function).
-func (cp *CutPlan) CostOf() func(*Symbol) int {
-	return func(s *Symbol) int { return cp.CutCost(s) }
-}
-
 // CutPlan returns the decomposition plan of the analyzed grammar,
 // building it on first use. The plan is a pure function of the grammar
 // and analysis, so the lazily built value is shared by every caller.

@@ -273,8 +273,8 @@ func (r *Report) checkUsage(g *ag.Grammar) {
 
 // checkCuts emits decomposition advisories from the grammar's CutPlan:
 // a grammar with no split symbol cannot be decomposed at all, and a
-// split symbol whose cut cost dwarfs the cheapest alternative will
-// attract cuts only as a last resort — its attribute interface is the
+// split symbol whose cut cost dwarfs the cheapest alternative makes
+// every cut at it expensive — its attribute interface is the
 // bottleneck (the paper's §2.5 conversion-cost concern).
 func (r *Report) checkCuts(g *ag.Grammar, a *ag.Analysis) {
 	cp := a.CutPlan()
@@ -296,7 +296,7 @@ func (r *Report) checkCuts(g *ag.Grammar, a *ag.Analysis) {
 		waves := len(cp.Waves(s))
 		if len(split) > 1 && cheapest > 0 && cost >= 2*cheapest {
 			r.add(Diagnostic{Code: CodeCutBottleneck, Severity: Advice, Symbol: s.Name,
-				Message: fmt.Sprintf("cut at %s costs %d (%d attribute messages in %d wave(s)) — %.1fx the cheapest split symbol %s (%d); cuts here will be avoided",
+				Message: fmt.Sprintf("cut at %s costs %d (%d attribute messages in %d wave(s)) — %.1fx the cheapest split symbol %s (%d); every cut here pays that traffic",
 					s.Name, cost, cp.CutMessages(s), waves, float64(cost)/float64(cheapest), split[0].Name, cheapest)})
 			continue
 		}

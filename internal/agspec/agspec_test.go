@@ -1,6 +1,8 @@
 package agspec_test
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -232,5 +234,14 @@ s : WORD
 	}
 	if got := root.Attrs[s.AttrIndex("n")]; got != 42 {
 		t.Errorf("n = %v", got)
+	}
+}
+
+// TestAppendixStabCodecRejectsHostileLength: a name length beyond the
+// end of the input is an error, not a panic.
+func TestAppendixStabCodecRejectsHostileLength(t *testing.T) {
+	stab := agspec.AppendixLibrary().Codecs["stab"]
+	if _, err := stab.Decode(binary.AppendUvarint([]byte{1}, math.MaxUint64)); err == nil {
+		t.Error("stab decode accepted a name length beyond the input")
 	}
 }

@@ -100,7 +100,7 @@ func (appendixStabCodec) Decode(data []byte) (ag.Value, error) {
 	t := symtab.New()
 	for i := uint64(0); i < count; i++ {
 		n, k := binary.Uvarint(data[pos:])
-		if k <= 0 || pos+k+int(n) > len(data) {
+		if k <= 0 || n > uint64(len(data)-pos-k) {
 			return nil, fmt.Errorf("agspec: truncated stab name")
 		}
 		pos += k

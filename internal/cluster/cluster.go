@@ -55,12 +55,6 @@ func ModeByName(name string) (Mode, error) {
 	}
 }
 
-// AttrKey names one attribute of one symbol.
-type AttrKey struct {
-	Sym  *ag.Symbol
-	Attr int
-}
-
 // UIDPair names a unique-identifier attribute pair on a split symbol:
 // Base is the inherited counter base threading down the tree, Count the
 // synthesized number of identifiers consumed, threading back up. With
@@ -137,13 +131,6 @@ type Options struct {
 	UIDPreset bool
 	// NoPriority disables priority attributes (ablation, §4.3).
 	NoPriority bool
-	// Planner selects the decomposition policy (default PlanSize, the
-	// legacy size-driven walk). PlanCost weighs split candidates by
-	// granularity fit minus the grammar plan's per-symbol cut cost. The
-	// real runtime (internal/parallel) uses the same policies, which is
-	// part of why its output is byte-identical to the simulator's at
-	// equal width.
-	Planner tree.Planner
 }
 
 // Result is the outcome of a parallel compilation.
@@ -242,6 +229,9 @@ func Run(job Job, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = Combined
 	}
+	if opts.Mode != Combined && opts.Mode != Dynamic {
+		return nil, fmt.Errorf("cluster: unknown mode %s", opts.Mode)
+	}
 	if opts.Mode == Combined && job.A == nil {
 		return nil, fmt.Errorf("cluster: combined mode requires an OAG analysis")
 	}
@@ -270,18 +260,7 @@ func Run(job Job, opts Options) (*Result, error) {
 	// evaluator machines participate; the CPU cost of the decomposition
 	// is charged to the parser process below.
 	nodesBefore := root.Count()
-	var costOf func(*ag.Symbol) int
-	if opts.Planner == tree.PlanCost {
-		// The grammar plan is a pure function of (grammar, analysis),
-		// so simulator and real runtime compute identical cut costs —
-		// and therefore identical decompositions — for the same job.
-		if job.A != nil {
-			costOf = job.A.CutPlan().CostOf()
-		} else {
-			costOf = ag.NewCutPlan(job.G, nil).CostOf()
-		}
-	}
-	decomp, encoded := tree.SplitEncode(root, gran, opts.Machines, opts.Planner, costOf)
+	decomp, encoded := tree.SplitEncode(root, gran, opts.Machines)
 	res.Decomp = decomp
 	res.Frags = decomp.NumFragments()
 
@@ -299,13 +278,6 @@ func Run(job Job, opts Options) (*Result, error) {
 	codeAttr := CodeAttr(job.G)
 	useLib := opts.Librarian && codeAttr >= 0
 
-	uidBase := map[AttrKey]bool{}
-	uidCount := map[AttrKey]bool{}
-	for _, k := range job.UIDs {
-		uidBase[AttrKey{Sym: k.Sym, Attr: k.Base}] = true
-		uidCount[AttrKey{Sym: k.Sym, Attr: k.Count}] = true
-	}
-
 	c := &run{
 		job:      job,
 		opts:     opts,
@@ -315,8 +287,6 @@ func Run(job Job, opts Options) (*Result, error) {
 		res:      res,
 		codeAttr: codeAttr,
 		useLib:   useLib,
-		uidBase:  uidBase,
-		uidCount: uidCount,
 		perFrag:  make([]eval.Stats, decomp.NumFragments()),
 		gotRoot:  make(map[int]bool),
 	}
@@ -355,8 +325,6 @@ type run struct {
 	res      *Result
 	codeAttr int
 	useLib   bool
-	uidBase  map[AttrKey]bool
-	uidCount map[AttrKey]bool
 
 	parser    *netsim.Proc
 	evals     []*netsim.Proc

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pag/internal/ag"
@@ -206,5 +207,14 @@ func TestClusterHugeMachineRequest(t *testing.T) {
 		Machines: rope.MaxHandleRanges + 1, Librarian: true,
 	}); err == nil {
 		t.Fatal("expected an error for a machine count wider than the handle ranges")
+	}
+}
+
+// TestClusterUnknownModeRejected: a mode outside Combined/Dynamic is
+// refused up front instead of silently running the combined evaluator.
+func TestClusterUnknownModeRejected(t *testing.T) {
+	job, _ := exprJob(t, "1+2")
+	if _, err := cluster.Run(job, cluster.Options{Machines: 2, Mode: 7}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("mode 7: err = %v, want an unknown-mode rejection", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pag/internal/ag"
-	"pag/internal/eval"
 	"pag/internal/netsim"
 	"pag/internal/rope"
 	"pag/internal/tree"
@@ -77,15 +76,17 @@ func (c *run) evaluator(p *netsim.Proc, idx int) {
 		return DecodeAttr(sym, attr, data, c.useLib)
 	}
 
-	hooks := eval.Hooks{
-		Charge:     p.Compute,
+	ev, err := NewFragmentEvaluator(c.job, FragmentSpec{
+		ID:         idx,
+		Root:       root,
+		Leaves:     leafList,
+		UIDBase:    sub.uidBase,
+		Mode:       c.opts.Mode,
+		UIDPreset:  c.opts.UIDPreset,
 		NoPriority: c.opts.NoPriority,
-		OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
-			if c.uidBase[AttrKey{Sym: leaf.Sym, Attr: attr}] && c.opts.UIDPreset {
-				// The child derives unique identifiers from its own
-				// base value; no need to propagate the chain (§4.3).
-				return
-			}
+		Charge:     p.Compute,
+		Ready:      func() { p.Mark("ready") },
+		Down: func(leaf *tree.Node, attr int, v ag.Value, _ bool) {
 			data, _ := encodeAttr(leaf.Sym, attr, v)
 			p.Compute(time.Duration(len(data)) * costPerByteCodec)
 			c.send(p, c.evals[leaf.RemoteID], "attr",
@@ -95,52 +96,24 @@ func (c *run) evaluator(p *netsim.Proc, idx int) {
 				p.Mark("sent " + leaf.Sym.Attrs[attr].Name)
 			}
 		},
-		OnRootSyn: func(attr int, v ag.Value) {
-			if c.uidCount[AttrKey{Sym: root.Sym, Attr: attr}] && c.opts.UIDPreset && idx != 0 {
-				// The parent pre-supplied our identifier count as zero;
-				// our identifiers come from the per-fragment base.
-				return
-			}
-			if idx == 0 {
-				// Root fragment: results go back to the parser.
-				data, ship := encodeAttr(root.Sym, attr, v)
-				p.Compute(time.Duration(len(data)) * costPerByteCodec)
-				c.send(p, c.parser, "rootattr",
-					rootAttrMsg{attr: attr, data: data, ship: ship}, len(data)+attrMsgHeader)
-				return
-			}
+		Up: func(attr int, v ag.Value, _ bool) {
 			data, _ := encodeAttr(root.Sym, attr, v)
 			p.Compute(time.Duration(len(data)) * costPerByteCodec)
 			c.send(p, c.evals[c.decomp.Frags[idx].Parent], "attr",
 				attrMsg{frag: idx, up: true, attr: attr, data: data},
 				len(data)+attrMsgHeader)
 		},
-	}
-
-	var ev eval.FragmentEvaluator
-	switch c.opts.Mode {
-	case Dynamic:
-		ev = eval.NewDynamic(c.job.G, root, hooks)
-	default:
-		ev = eval.NewCombined(c.job.A, root, hooks)
-	}
-	p.Mark("ready")
-
-	// Per-evaluator unique-identifier bases (§4.3): the fragment root's
-	// base attribute comes from the parser's per-fragment value, and
-	// remote children's count attributes are treated as zero so no
-	// evaluator ever waits on the identifier chain.
-	if c.opts.UIDPreset {
-		for _, k := range c.job.UIDs {
-			if k.Sym == root.Sym && idx != 0 {
-				ev.Supply(root, k.Base, sub.uidBase)
-			}
-			for _, leaf := range leafList {
-				if k.Sym == leaf.Sym {
-					ev.Supply(leaf, k.Count, 0)
-				}
-			}
-		}
+		Result: func(attr int, v ag.Value) {
+			// Root fragment: results go back to the parser.
+			data, ship := encodeAttr(root.Sym, attr, v)
+			p.Compute(time.Duration(len(data)) * costPerByteCodec)
+			c.send(p, c.parser, "rootattr",
+				rootAttrMsg{attr: attr, data: data, ship: ship}, len(data)+attrMsgHeader)
+		},
+	})
+	if err != nil {
+		c.fail(fmt.Errorf("cluster: evaluator %d: %w", idx, err))
+		return
 	}
 
 	ev.Run()

@@ -93,7 +93,7 @@ func (stabCodec) Decode(data []byte) (ag.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pos+int(ln) > len(data) {
+		if ln > uint64(len(data)-pos) {
 			return nil, fmt.Errorf("exprlang: truncated stab name")
 		}
 		name := string(data[pos : pos+int(ln)])

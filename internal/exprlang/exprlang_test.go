@@ -1,6 +1,8 @@
 package exprlang_test
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,5 +190,10 @@ func TestCodecsRoundTrip(t *testing.T) {
 	})
 	if roundTrips < 4 {
 		t.Errorf("only %d attribute round trips exercised", roundTrips)
+	}
+	// A name length beyond the end of the input is an error, not a panic.
+	stab := l.Block.Attrs[exprlang.AttrStab].Codec
+	if _, err := stab.Decode(binary.AppendUvarint([]byte{1}, math.MaxUint64)); err == nil {
+		t.Error("stab decode accepted a name length beyond the input")
 	}
 }

@@ -216,17 +216,7 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 		gran = tree.GranularityFor(root, opts.Fragments)
 	}
 	planStart := time.Now()
-	var costOf func(*ag.Symbol) int
-	if opts.Planner == tree.PlanCost {
-		// Same pure grammar plan as the local pool and the simulator,
-		// so fleet decompositions are identical at equal width.
-		if job.A != nil {
-			costOf = job.A.CutPlan().CostOf()
-		} else {
-			costOf = ag.NewCutPlan(job.G, nil).CostOf()
-		}
-	}
-	decomp, encoded := tree.SplitEncode(root, gran, opts.Fragments, opts.Planner, costOf)
+	decomp, encoded := tree.SplitEncode(root, gran, opts.Fragments)
 	planTime := time.Since(planStart)
 	codeAttr := cluster.CodeAttr(job.G)
 	useLib := opts.Librarian && codeAttr >= 0
@@ -293,7 +283,6 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 		Decomp:    decomp,
 		Messages:  j.messages,
 		PlanStats: parallel.PlanStats{
-			Planner:  opts.Planner.String(),
 			PlanTime: planTime,
 			Width:    opts.Fragments,
 			Balance:  decomp.Balance(),

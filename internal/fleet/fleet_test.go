@@ -123,48 +123,65 @@ func TestFleetMatchesClusterExprlang(t *testing.T) {
 
 // TestFleetMatchesClusterPascal: byte-identical generated code across
 // the three runtimes — simulated cluster, local pool, worker fleet —
-// with and without the librarian and the UID preset.
+// under every switch the shared fragment constructor reads: both
+// modes, with and without priority attributes, the librarian and the
+// UID preset.
 func TestFleetMatchesClusterPascal(t *testing.T) {
 	job := pascalJob(t, workload.Small())
-	for _, lib := range []bool{true, false} {
-		for _, preset := range []bool{true, false} {
-			for _, w := range []int{1, 2, 4} {
-				name := fmt.Sprintf("lib=%v/preset=%v/workers=%d", lib, preset, w)
-				sim, err := cluster.Run(job, cluster.Options{
-					Machines: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: preset,
-				})
-				if err != nil {
-					t.Fatalf("%s: cluster: %v", name, err)
+	type cfg struct {
+		mode                    cluster.Mode
+		lib, preset, noPriority bool
+	}
+	var cfgs []cfg
+	for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
+		for _, noPriority := range []bool{false, true} {
+			for _, lib := range []bool{true, false} {
+				for _, preset := range []bool{true, false} {
+					cfgs = append(cfgs, cfg{mode, lib, preset, noPriority})
 				}
-				local, err := parallel.Run(job, parallel.Options{
-					Workers: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: preset,
-				})
-				if err != nil {
-					t.Fatalf("%s: parallel: %v", name, err)
-				}
-				e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
-				res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
-					Workers: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: preset,
-				})
-				if err != nil {
-					t.Fatalf("%s: fleet: %v", name, err)
-				}
-				if res.Program == "" {
-					t.Fatalf("%s: empty program", name)
-				}
-				if res.Program != sim.Program {
-					t.Errorf("%s: fleet program differs from cluster program (%d vs %d bytes)",
-						name, len(res.Program), len(sim.Program))
-				}
-				if res.Program != local.Program {
-					t.Errorf("%s: fleet program differs from pool program", name)
-				}
-				if res.RemoteFrags == 0 {
-					t.Errorf("%s: no fragment evaluated remotely", name)
-				}
-				if res.Degraded {
-					t.Errorf("%s: degraded with a healthy fleet", name)
-				}
+			}
+		}
+	}
+	for _, c := range cfgs {
+		widths := []int{1, 2, 4}
+		if c.mode != cluster.Combined || c.noPriority {
+			widths = []int{1, 4}
+		}
+		for _, w := range widths {
+			name := fmt.Sprintf("mode=%v/noPriority=%v/lib=%v/preset=%v/workers=%d", c.mode, c.noPriority, c.lib, c.preset, w)
+			sim, err := cluster.Run(job, cluster.Options{
+				Machines: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset, NoPriority: c.noPriority,
+			})
+			if err != nil {
+				t.Fatalf("%s: cluster: %v", name, err)
+			}
+			opts := parallel.Options{
+				Workers: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset, NoPriority: c.noPriority,
+			}
+			local, err := parallel.Run(job, opts)
+			if err != nil {
+				t.Fatalf("%s: parallel: %v", name, err)
+			}
+			e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
+			res, err := e.co.CompileRemote(context.Background(), job, opts)
+			if err != nil {
+				t.Fatalf("%s: fleet: %v", name, err)
+			}
+			if res.Program == "" {
+				t.Fatalf("%s: empty program", name)
+			}
+			if res.Program != sim.Program {
+				t.Errorf("%s: fleet program differs from cluster program (%d vs %d bytes)",
+					name, len(res.Program), len(sim.Program))
+			}
+			if res.Program != local.Program {
+				t.Errorf("%s: fleet program differs from pool program", name)
+			}
+			if res.RemoteFrags == 0 {
+				t.Errorf("%s: no fragment evaluated remotely", name)
+			}
+			if res.Degraded {
+				t.Errorf("%s: degraded with a healthy fleet", name)
 			}
 		}
 	}

@@ -255,12 +255,9 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	if refuse {
 		return http.StatusServiceUnavailable, []byte("fleet: worker not accepting sessions (draining or saturated)")
 	}
-	mode := cluster.Mode(req.Mode)
-	if mode == 0 {
-		mode = cluster.Combined
-	}
-	if mode == cluster.Combined && entry.a == nil {
-		return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("fleet: grammar %q registered without an analysis; combined mode unavailable", req.Grammar))
+	job, mode, err := req.validate(entry)
+	if err != nil {
+		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
 
 	root, err := tree.Decode(entry.g, req.Tree, entry.lex)
@@ -279,19 +276,8 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		s.leaves[leaf.RemoteID] = leaf
 	}
 
-	// The same hook policy as the simulated cluster machine
-	// (cluster/evaluator.go), with sends replaced by buffer appends —
-	// the coordinator does the routing.
-	uidBase := map[cluster.AttrKey]bool{}
-	uidCount := map[cluster.AttrKey]bool{}
-	for _, k := range req.UIDs {
-		if k.Sym < 0 || k.Sym >= len(entry.g.Symbols) {
-			return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("fleet: uid symbol index %d out of range", k.Sym))
-		}
-		sym := entry.g.Symbols[k.Sym]
-		uidBase[cluster.AttrKey{Sym: sym, Attr: k.Base}] = true
-		uidCount[cluster.AttrKey{Sym: sym, Attr: k.Count}] = true
-	}
+	// The shared fragment policy, with sends replaced by buffer
+	// appends — the coordinator does the routing.
 	var alloc func() (int32, error)
 	if s.useLib {
 		alloc = rope.HandleAllocator(req.Frag)
@@ -311,47 +297,30 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		}
 		return data, ship
 	}
-	hooks := eval.Hooks{
-		NoPriority:         req.NoPriority,
-		YieldAfterPriority: req.Yield,
-		OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
-			if uidBase[cluster.AttrKey{Sym: leaf.Sym, Attr: attr}] && req.UIDPreset {
-				return // the child derives uids from its own base (§4.3)
-			}
+	s.ev, err = cluster.NewFragmentEvaluator(job, cluster.FragmentSpec{
+		ID:         req.Frag,
+		Root:       root,
+		Leaves:     leafList,
+		UIDBase:    req.UIDBase,
+		Mode:       mode,
+		UIDPreset:  req.UIDPreset,
+		NoPriority: req.NoPriority,
+		Yield:      req.Yield,
+		Down: func(leaf *tree.Node, attr int, v ag.Value, _ bool) {
 			data, _ := encode(leaf.Sym, attr, v)
 			s.out = append(s.out, outMsg{Frag: leaf.RemoteID, Attr: attr, Data: data})
 		},
-		OnRootSyn: func(attr int, v ag.Value) {
-			if uidCount[cluster.AttrKey{Sym: root.Sym, Attr: attr}] && req.UIDPreset && req.Frag != 0 {
-				return // the parent pre-supplied our count as zero (§4.3)
-			}
-			if req.Frag == 0 {
-				data, ship := encode(root.Sym, attr, v)
-				s.roots = append(s.roots, rootOut{Attr: attr, Data: data, Ship: ship})
-				return
-			}
+		Up: func(attr int, v ag.Value, _ bool) {
 			data, _ := encode(root.Sym, attr, v)
 			s.out = append(s.out, outMsg{Up: true, Frag: req.Frag, Attr: attr, Data: data})
 		},
-	}
-	switch mode {
-	case cluster.Dynamic:
-		s.ev = eval.NewDynamic(entry.g, root, hooks)
-	default:
-		s.ev = eval.NewCombined(entry.a, root, hooks)
-	}
-	if req.UIDPreset {
-		for _, k := range req.UIDs {
-			sym := entry.g.Symbols[k.Sym]
-			if sym == root.Sym && req.Frag != 0 {
-				s.ev.Supply(root, k.Base, req.UIDBase)
-			}
-			for _, leaf := range leafList {
-				if sym == leaf.Sym {
-					s.ev.Supply(leaf, k.Count, 0)
-				}
-			}
-		}
+		Result: func(attr int, v ag.Value) {
+			data, ship := encode(root.Sym, attr, v)
+			s.roots = append(s.roots, rootOut{Attr: attr, Data: data, Ship: ship})
+		},
+	})
+	if err != nil {
+		return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("fleet: %v", err))
 	}
 
 	// Replay the journal of a requeued fragment: the batches a previous
@@ -385,6 +354,43 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	w.sessions[req.Session] = s
 	w.mu.Unlock()
 	return http.StatusOK, resp
+}
+
+// validate checks an open request against the registered grammar
+// before anything is built, so a malformed or hostile request is
+// refused with a 422 naming the offending field instead of panicking
+// mid-construction. It returns the job the fragment evaluator is built
+// for (the unique-identifier pairs resolved to symbols) and the
+// effective mode.
+func (req *openReq) validate(entry *langEntry) (cluster.Job, cluster.Mode, error) {
+	mode := cluster.Mode(req.Mode)
+	if mode == 0 {
+		mode = cluster.Combined
+	}
+	if mode != cluster.Combined && mode != cluster.Dynamic {
+		return cluster.Job{}, 0, fmt.Errorf("fleet: mode: unknown mode %d", req.Mode)
+	}
+	if mode == cluster.Combined && entry.a == nil {
+		return cluster.Job{}, 0, fmt.Errorf("fleet: grammar %q registered without an analysis; combined mode unavailable", req.Grammar)
+	}
+	if req.Frag < 0 || req.Frag >= rope.MaxHandleRanges {
+		return cluster.Job{}, 0, fmt.Errorf("fleet: frag: fragment id %d out of range [0, %d)", req.Frag, rope.MaxHandleRanges)
+	}
+	job := cluster.Job{G: entry.g, A: entry.a, UIDs: make([]cluster.UIDPair, len(req.UIDs))}
+	for i, k := range req.UIDs {
+		if k.Sym < 0 || k.Sym >= len(entry.g.Symbols) {
+			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].sym: symbol index %d out of range", i, k.Sym)
+		}
+		sym := entry.g.Symbols[k.Sym]
+		if k.Base < 0 || k.Base >= len(sym.Attrs) {
+			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].base: attribute index %d out of range for %s", i, k.Base, sym.Name)
+		}
+		if k.Count < 0 || k.Count >= len(sym.Attrs) {
+			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].count: attribute index %d out of range for %s", i, k.Count, sym.Name)
+		}
+		job.UIDs[i] = cluster.UIDPair{Sym: sym, Base: k.Base, Count: k.Count}
+	}
+	return job, mode, nil
 }
 
 // advance runs the evaluator, feeding it the pending inbound values

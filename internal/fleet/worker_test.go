@@ -168,6 +168,45 @@ func TestWorkerRejectsCorruptAndForeign(t *testing.T) {
 	}
 }
 
+// TestWorkerValidatesOpen: an open request with an unknown mode, a
+// fragment id outside the handle-range space or an out-of-range
+// unique-identifier index is refused with a 422 naming the field,
+// before anything is built — never a contained panic.
+func TestWorkerValidatesOpen(t *testing.T) {
+	w, g, _ := testWorker(t)
+	sym := g.Start
+	bad := len(sym.Attrs)
+	for _, c := range []struct {
+		name  string
+		req   openReq
+		field string
+	}{
+		{"unknown mode", openReq{Mode: 7}, "mode"},
+		{"negative frag", openReq{Frag: -1, Librarian: true}, "frag"},
+		{"frag beyond handle ranges", openReq{Frag: 1 << 20, Librarian: true}, "frag"},
+		{"frag beyond handle ranges without librarian", openReq{Frag: 1 << 20}, "frag"},
+		{"uid symbol", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: len(g.Symbols)}}}, "uids[0].sym"},
+		{"uid base", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Base: bad}}}, "uids[0].base"},
+		{"uid count", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Count: -1}}}, "uids[0].count"},
+	} {
+		c.req.Session, c.req.Grammar = "s", g.Name
+		body, err := sealJSON(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, resp := w.ServeRPC(pathOpen, body)
+		if code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: got %d %s, want 422", c.name, code, resp)
+		}
+		if !bytes.Contains(resp, []byte(c.field)) || bytes.Contains(resp, []byte("worker panic")) {
+			t.Errorf("%s: body %q does not name field %q (or reports a panic)", c.name, resp, c.field)
+		}
+	}
+	if n := w.Sessions(); n != 0 {
+		t.Errorf("%d sessions opened by refused requests", n)
+	}
+}
+
 // TestWireSealDetectsCorruption: every byte flip in a sealed payload is
 // caught, as is truncation.
 func TestWireSealDetectsCorruption(t *testing.T) {
@@ -270,7 +309,7 @@ func TestWorkerPriorityShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, enc := tree.SplitEncode(root, tree.GranularityFor(root, 4), 4, tree.PlanSize, nil)
+	d, enc := tree.SplitEncode(root, tree.GranularityFor(root, 4), 4)
 	if d.NumFragments() < 3 {
 		t.Fatalf("want several fragments, got %d", d.NumFragments())
 	}

@@ -36,8 +36,7 @@ func TestParsePriority(t *testing.T) {
 		if got != PriorityHigh {
 			t.Errorf("ParsePriority(%q) returned %v with error, want PriorityHigh default", tc.in, got)
 		}
-		// Same message shape as ParsePlanner's: quoted input, quoted
-		// vocabulary.
+		// The message quotes the input and the accepted vocabulary.
 		for _, frag := range []string{`unknown priority "` + tc.in + `"`, `(want "high" or "low")`} {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("ParsePriority(%q) error %q missing %q", tc.in, err, frag)

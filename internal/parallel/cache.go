@@ -85,7 +85,6 @@ type cacheKey struct {
 	frags                            int         // decomposition width the digests describe
 	width                            int         // effective fragment cap (decomposition input)
 	gran                             int         // effective granularity (decomposition input)
-	planner                          tree.Planner
 	mode                             cluster.Mode
 	librarian, uidPreset, noPriority bool
 }
@@ -254,14 +253,11 @@ type fragRecord struct {
 // instead of a parent), and every option that shapes evaluation inside
 // a fragment. Decomposition inputs (width, granularity) are
 // deliberately absent: two decompositions that happen to produce the
-// same fragment shape at the same id may share recordings. The
-// planner IS present — a plan change must be a cache miss, never a
-// wrong replay (recordings carry plan-pruned replay prerequisites).
+// same fragment shape at the same id may share recordings.
 type fragKey struct {
 	g                                *ag.Grammar
 	hash                             tree.Digest
 	id, parent                       int
-	planner                          tree.Planner
 	mode                             cluster.Mode
 	librarian, uidPreset, noPriority bool
 }

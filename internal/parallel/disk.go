@@ -250,7 +250,7 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	num(int64(k.frags))
 	num(int64(k.width))
 	num(int64(k.gran))
-	num(int64(k.planner))
+	num(0) // the retired planner choice; kept so existing keys stay valid
 	num(int64(k.mode))
 	num(b2i(k.librarian)<<2 | b2i(k.uidPreset)<<1 | b2i(k.noPriority))
 	var key cas.Key

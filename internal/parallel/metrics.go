@@ -122,15 +122,9 @@ type poolMetrics struct {
 	rejectedQuota    atomic.Int64
 	rejectedClosed   atomic.Int64
 
-	// Plan observability: completed jobs by planner, cross-fragment
-	// messages the cost planner's cuts avoided vs the size plan
-	// (positive contributions only — a counter must be monotone), and
-	// completed jobs by chosen decomposition width (slot 0 collects
-	// widths beyond the last bucket).
-	planSize        atomic.Int64
-	planCost        atomic.Int64
-	planMsgsAvoided atomic.Int64
-	planWidth       [maxPlanWidthBucket + 1]atomic.Int64
+	// Plan observability: completed jobs by chosen decomposition width
+	// (slot 0 collects widths beyond the last bucket).
+	planWidth [maxPlanWidthBucket + 1]atomic.Int64
 }
 
 // maxPlanWidthBucket is the largest decomposition width with its own
@@ -141,14 +135,6 @@ const maxPlanWidthBucket = 32
 // observePlan files one completed job's planning outcome.
 func (m *poolMetrics) observePlan(ps *PlanStats) {
 	m.planSecs.observe(ps.PlanTime)
-	if ps.Planner == "cost" {
-		m.planCost.Add(1)
-		if ps.MessagesAvoided > 0 {
-			m.planMsgsAvoided.Add(int64(ps.MessagesAvoided))
-		}
-	} else {
-		m.planSize.Add(1)
-	}
 	w := ps.Width
 	if w < 1 || w > maxPlanWidthBucket {
 		w = 0
@@ -175,21 +161,16 @@ type Metrics struct {
 	// routes jobs to one (PoolOptions.Remote); nil on a local pool.
 	Fleet *FleetStats `json:"fleet,omitempty"`
 
-	// Plan observability: completed jobs by decomposition planner, the
-	// cross-fragment messages cost-planned cuts avoided vs the size
-	// plan, and completed jobs by chosen width (key 0 collects widths
-	// beyond the last tracked bucket).
-	PlanJobsSize        int64         `json:"plan_jobs_size"`
-	PlanJobsCost        int64         `json:"plan_jobs_cost"`
-	PlanMessagesAvoided int64         `json:"plan_messages_avoided"`
-	PlanWidths          map[int]int64 `json:"plan_widths,omitempty"`
+	// Plan observability: completed jobs by chosen width (key 0
+	// collects widths beyond the last tracked bucket).
+	PlanWidths map[int]int64 `json:"plan_widths,omitempty"`
 
 	// QueueWait is the admission latency of every admitted job (how
 	// long Compile blocked before the pool let it in). The phase
 	// histograms cover completed jobs only: Split is decomposition and
 	// fragment setup, Eval parallel attribute evaluation, Splice final
 	// program assembly, Wall the whole job, PlanTime decomposition
-	// planning (grammar plan + cut selection, a slice of Split).
+	// planning (cut selection, a slice of Split).
 	QueueWait Histogram `json:"queue_wait"`
 	Split     Histogram `json:"split"`
 	Eval      Histogram `json:"eval"`
@@ -206,20 +187,17 @@ func (p *Pool) Metrics() Metrics {
 		fleet = &fs
 	}
 	m := Metrics{
-		PoolStats:           p.Stats(),
-		Fleet:               fleet,
-		RejectedOverload:    p.m.rejectedOverload.Load(),
-		RejectedQuota:       p.m.rejectedQuota.Load(),
-		RejectedClosed:      p.m.rejectedClosed.Load(),
-		PlanJobsSize:        p.m.planSize.Load(),
-		PlanJobsCost:        p.m.planCost.Load(),
-		PlanMessagesAvoided: p.m.planMsgsAvoided.Load(),
-		QueueWait:           p.m.queueWait.snapshot(),
-		Split:               p.m.split.snapshot(),
-		Eval:                p.m.eval.snapshot(),
-		Splice:              p.m.splice.snapshot(),
-		Wall:                p.m.wall.snapshot(),
-		PlanTime:            p.m.planSecs.snapshot(),
+		PoolStats:        p.Stats(),
+		Fleet:            fleet,
+		RejectedOverload: p.m.rejectedOverload.Load(),
+		RejectedQuota:    p.m.rejectedQuota.Load(),
+		RejectedClosed:   p.m.rejectedClosed.Load(),
+		QueueWait:        p.m.queueWait.snapshot(),
+		Split:            p.m.split.snapshot(),
+		Eval:             p.m.eval.snapshot(),
+		Splice:           p.m.splice.snapshot(),
+		Wall:             p.m.wall.snapshot(),
+		PlanTime:         p.m.planSecs.snapshot(),
 	}
 	for w := range p.m.planWidth {
 		if n := p.m.planWidth[w].Load(); n > 0 {
@@ -241,8 +219,6 @@ func (p *Pool) Metrics() Metrics {
 //	pag_workers, pag_max_in_flight                        gauges
 //	pag_cache_{hits,misses,evictions,partial_hits,partial_jobs,demotions}_total
 //	pag_cache_{entries,bytes,cap_bytes}                   gauges
-//	pag_plan_jobs_total{planner="size"|"cost"}            counter
-//	pag_plan_messages_avoided_total                       counter
 //	pag_plan_width_total{width="N"}                       counter
 //	pag_plan_balance                                      gauge
 //	pag_messages_total                                    counter
@@ -297,11 +273,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	b.head("pag_cache_disk_errors_total", "counter", "Persistent-cache operations that failed (corrupt or undecodable entries skipped, I/O errors).")
 	b.val("pag_cache_disk_errors_total", float64(m.DiskErrors))
 
-	b.head("pag_plan_jobs_total", "counter", "Completed jobs, by decomposition planner.")
-	b.val(`pag_plan_jobs_total{planner="size"}`, float64(m.PlanJobsSize))
-	b.val(`pag_plan_jobs_total{planner="cost"}`, float64(m.PlanJobsCost))
-	b.head("pag_plan_messages_avoided_total", "counter", "Cross-fragment messages avoided by cost-planned cuts vs the size plan.")
-	b.val("pag_plan_messages_avoided_total", float64(m.PlanMessagesAvoided))
 	if len(m.PlanWidths) > 0 {
 		b.head("pag_plan_width_total", "counter", "Completed jobs by chosen decomposition width (0 = beyond the last bucket).")
 		for w := 0; w <= maxPlanWidthBucket; w++ {

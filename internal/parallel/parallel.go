@@ -69,13 +69,6 @@ type Options struct {
 	Fragments int
 	// Mode selects the evaluation strategy (default Combined).
 	Mode cluster.Mode
-	// Planner selects the decomposition policy (default PlanSize, the
-	// legacy size-driven walk). PlanCost weighs split candidates by
-	// granularity fit minus the grammar plan's per-symbol cut cost, so
-	// low-traffic boundaries win ties. Planner identity is part of the
-	// fragment-cache key: switching planners is a cache miss, never a
-	// wrong replay.
-	Planner tree.Planner
 	// AutoWidth, with Fragments == 0, picks the decomposition width per
 	// tree from the pool's phase-time EWMAs (eval ns/byte vs per-fragment
 	// split+splice overhead) instead of defaulting to Workers. The first
@@ -180,22 +173,15 @@ type Result struct {
 	Degraded      bool
 }
 
-// PlanStats reports how one job's decomposition was planned: which
-// planner cut the tree, how long planning (grammar plan + cut
-// selection) took, the effective width and whether the auto-width
-// model chose it, the resulting size balance (tree.Decomposition
-// Balance), the total plan cut cost of the chosen cuts, and — for the
-// cost planner — how many cross-fragment attribute messages the chosen
-// cuts avoid relative to what the size planner would have cut
-// (negative if the cost plan trades messages for balance).
+// PlanStats reports how one job's decomposition was planned: how long
+// planning (cut selection) took, the effective width and whether the
+// auto-width model chose it, and the resulting size balance
+// (tree.Decomposition Balance).
 type PlanStats struct {
-	Planner         string        `json:"planner"`
-	PlanTime        time.Duration `json:"plan_time"`
-	Width           int           `json:"width"`
-	AutoWidth       bool          `json:"auto_width"`
-	Balance         float64       `json:"balance"`
-	CutCost         int           `json:"cut_cost"`
-	MessagesAvoided int           `json:"messages_avoided"`
+	PlanTime  time.Duration `json:"plan_time"`
+	Width     int           `json:"width"`
+	AutoWidth bool          `json:"auto_width"`
+	Balance   float64       `json:"balance"`
 }
 
 // GranularityError reports a caller-supplied Options.Granularity below
@@ -313,13 +299,6 @@ type rt struct {
 	job  cluster.Job
 	opts Options
 
-	// plan is the grammar's decomposition plan (ag.CutPlan), set when
-	// the job has an OAG analysis. Recording uses its incidence matrix
-	// to prune each outbound message's replay prerequisites down to the
-	// inbound instances the message can actually depend on, so cached
-	// waves prove earlier on replay.
-	plan *ag.CutPlan
-
 	frags  []*frag
 	leafOf map[int]*tree.Node // child fragment id -> remote leaf in parent
 	// hit is the job-level cache entry this job replays, nil on a cold
@@ -338,12 +317,10 @@ type rt struct {
 	// job instead of once per fragment keeps validation cheap. Guarded
 	// by fpMu (fingerprints happen per cross-fragment message, nowhere
 	// near the per-instance hot path).
-	fpMu     sync.Mutex
-	fpCache  map[fpKey]valFP
-	lib      *rope.Librarian
-	useLib   bool
-	uidBase  map[cluster.AttrKey]bool
-	uidCount map[cluster.AttrKey]bool
+	fpMu    sync.Mutex
+	fpCache map[fpKey]valFP
+	lib     *rope.Librarian
+	useLib  bool
 
 	sched   *sched
 	pending atomic.Int64 // queued or running fragments; 0 = quiescent
@@ -974,14 +951,16 @@ func (r *rt) finalizeRecord(f *frag) {
 // value; it is dropped from the prerequisites. Inbound instances at
 // other nodes are always kept: the plan's incidence matrix only
 // relates attributes of one symbol instance, so cross-node paths stay
-// conservatively assumed. Pruning happens at record time only;
-// replayers just consume the stored index sets, so a plan change is
-// absorbed by the cache key (planner identity), never by re-deriving
-// needs against a different plan.
+// conservatively assumed. The plan is the analysis's own
+// (job.A.CutPlan), a pure function of the grammar the cache key
+// already covers; jobs without an analysis record unpruned. Pruning
+// happens at record time only; replayers just consume the stored index
+// sets.
 func (r *rt) pruneNeeds(f *frag, rec *fragRecord) {
-	if r.plan == nil {
+	if r.job.A == nil {
 		return
 	}
+	plan := r.job.A.CutPlan()
 	for i := range rec.msgs {
 		m := &rec.msgs[i]
 		if m.wave == 0 {
@@ -996,13 +975,13 @@ func (r *rt) pruneNeeds(f *frag, rec *fragRecord) {
 		if m.toRoot {
 			sym, sameLeaf = r.frags[m.target].root.Sym, m.target
 		}
-		if !r.plan.Exact(sym) {
+		if !plan.Exact(sym) {
 			continue
 		}
 		needs := make([]int32, 0, m.wave)
 		for j := 0; j < m.wave; j++ {
 			k := rec.inOrder[j]
-			if k.leaf == sameLeaf && r.plan.Independent(sym, k.attr, m.attr) {
+			if k.leaf == sameLeaf && plan.Independent(sym, k.attr, m.attr) {
 				continue
 			}
 			needs = append(needs, int32(j))
@@ -1014,8 +993,8 @@ func (r *rt) pruneNeeds(f *frag, rec *fragRecord) {
 }
 
 // initFrag builds the fragment's evaluator (the expensive dependency
-// analysis runs inside the pool, in parallel across fragments) and
-// applies the per-fragment unique-identifier presets of §4.3.
+// analysis runs inside the pool, in parallel across fragments) under
+// the shared §4.3 fragment policy of cluster.NewFragmentEvaluator.
 func (r *rt) initFrag(f *frag) {
 	// Per-fragment handle range, as in the simulated cluster: stores
 	// from a fragment are sequential (one worker drives it at a time),
@@ -1047,54 +1026,29 @@ func (r *rt) initFrag(f *frag) {
 			}
 		}
 	}
-	hooks := eval.Hooks{
+	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{
+		ID:         f.id,
+		Root:       f.root,
+		Leaves:     f.leaves,
+		UIDBase:    cluster.UIDBaseFor(f.id),
+		Mode:       r.opts.Mode,
+		UIDPreset:  r.opts.UIDPreset,
 		NoPriority: r.opts.NoPriority,
-		OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
-			if r.uidBase[cluster.AttrKey{Sym: leaf.Sym, Attr: attr}] && r.opts.UIDPreset {
-				// The child derives unique identifiers from its own
-				// base; no need to propagate the chain (§4.3).
-				return
-			}
+		Down: func(leaf *tree.Node, attr int, v ag.Value, priority bool) {
 			child := r.frags[leaf.RemoteID]
-			r.send(f, child,
-				message{node: child.root, attr: attr, val: r.outbound(f, leaf.Sym, attr, v)},
-				leaf.Sym.Attrs[attr].Priority && !r.opts.NoPriority)
+			r.send(f, child, message{node: child.root, attr: attr, val: r.outbound(f, leaf.Sym, attr, v)}, priority)
 		},
-		OnRootSyn: func(attr int, v ag.Value) {
-			if f.id == 0 {
-				// Root fragment: results go to the caller. Only the
-				// worker driving fragment 0 writes here.
-				r.rootAttrs[attr] = v
-				return
-			}
-			if r.uidCount[cluster.AttrKey{Sym: f.root.Sym, Attr: attr}] && r.opts.UIDPreset {
-				// The parent pre-supplied our identifier count as zero.
-				return
-			}
-			parent := r.frags[f.parent]
-			r.send(f, parent,
-				message{node: r.leafOf[f.id], attr: attr, val: r.outbound(f, f.root.Sym, attr, v)},
-				f.root.Sym.Attrs[attr].Priority && !r.opts.NoPriority)
+		Up: func(attr int, v ag.Value, priority bool) {
+			r.send(f, r.frags[f.parent],
+				message{node: r.leafOf[f.id], attr: attr, val: r.outbound(f, f.root.Sym, attr, v)}, priority)
 		},
+		// Only the worker driving fragment 0 writes the results.
+		Result: func(attr int, v ag.Value) { r.rootAttrs[attr] = v },
+	})
+	if err != nil {
+		panic(jobPanic{fmt.Errorf("parallel: fragment %d: %w", f.id, err)})
 	}
-	switch r.opts.Mode {
-	case cluster.Dynamic:
-		f.ev = eval.NewDynamic(r.job.G, f.root, hooks)
-	default:
-		f.ev = eval.NewCombined(r.job.A, f.root, hooks)
-	}
-	if r.opts.UIDPreset {
-		for _, k := range r.job.UIDs {
-			if k.Sym == f.root.Sym && f.id != 0 {
-				f.ev.Supply(f.root, k.Base, cluster.UIDBaseFor(f.id))
-			}
-			for _, leaf := range f.leaves {
-				if k.Sym == leaf.Sym {
-					f.ev.Supply(leaf, k.Count, 0)
-				}
-			}
-		}
-	}
+	f.ev = ev
 }
 
 // outbound prepares an attribute value for another fragment. Code

@@ -10,12 +10,10 @@ import (
 )
 
 // FuzzPlan fuzzes the planning layer's invariants on arbitrary
-// appendix-grammar programs: the grammar cut plan is a pure,
-// deterministic function of (grammar, analysis); both planners
-// decompose without panicking and deterministically at any width,
-// and the non-mutating SplitEncode agrees with them; and the cache
-// key separates planners, so a plan change can never be
-// served another plan's recording.
+// appendix-grammar programs: the grammar cut plan (which replay
+// pruning and aglint read) is a pure, deterministic function of
+// (grammar, analysis); and at any width the non-mutating SplitEncode
+// agrees with the fragments Decompose cuts out of a clone.
 func FuzzPlan(f *testing.F) {
 	f.Add("1+2*(3+4)+5*6", uint8(3))
 	f.Add("let x = 2 in 1 + 3*x ni", uint8(2))
@@ -55,54 +53,23 @@ func FuzzPlan(f *testing.F) {
 			}
 		}
 
-		// Both planners decompose deterministically at any width.
+		// The fleet's non-mutating split agrees with the cut fragments
+		// byte for byte, and with their sizes and digests.
 		w := 2 + int(width)%7
-		costOf := a.CutPlan().CostOf()
-		for _, planner := range []tree.Planner{tree.PlanSize, tree.PlanCost} {
-			cf := costOf
-			if planner == tree.PlanSize {
-				cf = nil
-			}
-			r1, r2 := root.Clone(), root.Clone()
-			d1 := tree.DecomposeWith(r1, tree.GranularityFor(r1, w), w, planner, cf)
-			d2 := tree.DecomposeWith(r2, tree.GranularityFor(r2, w), w, planner, cf)
-			if d1.NumFragments() != d2.NumFragments() {
-				t.Fatalf("%v: %d vs %d fragments on identical input", planner, d1.NumFragments(), d2.NumFragments())
-			}
-			h1, h2 := d1.Digests(), d2.Digests()
-			for i := range h1 {
-				if h1[i] != h2[i] {
-					t.Fatalf("%v: fragment %d digest differs across identical runs", planner, i)
-				}
-				if d1.Frags[i].Parent != d2.Frags[i].Parent {
-					t.Fatalf("%v: fragment %d parent differs across identical runs", planner, i)
-				}
-			}
-			if b := d1.Balance(); b < 1 || b != b {
-				t.Fatalf("%v: balance %v out of domain", planner, b)
-			}
-
-			// The fleet's non-mutating split agrees with the cut
-			// fragments byte for byte, and with their sizes.
-			dp, enc := tree.SplitEncode(root, tree.GranularityFor(root, w), w, planner, cf)
-			if dp.NumFragments() != d1.NumFragments() || dp.Balance() != d1.Balance() {
-				t.Fatalf("%v: SplitEncode plans %d fragments (balance %v), DecomposeWith %d (%v)",
-					planner, dp.NumFragments(), dp.Balance(), d1.NumFragments(), d1.Balance())
-			}
-			for i, f := range d1.Frags {
-				if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) {
-					t.Fatalf("%v: SplitEncode fragment %d differs from the cut fragment", planner, i)
-				}
-			}
-
-			// Cache keys built from this decomposition must differ
-			// across planners and nothing else.
-			kSize := cacheKey{g: l.G, fragsHash: tree.CombineDigests(h1), frags: d1.NumFragments(),
-				width: w, gran: tree.GranularityFor(root, w), planner: tree.PlanSize}
-			kCost := kSize
-			kCost.planner = tree.PlanCost
-			if kSize == kCost {
-				t.Fatal("cache key ignores the planner")
+		gran := tree.GranularityFor(root, w)
+		d := tree.Decompose(root.Clone(), gran, w)
+		if b := d.Balance(); b < 1 || b != b {
+			t.Fatalf("balance %v out of domain", b)
+		}
+		dp, enc := tree.SplitEncode(root, gran, w)
+		if dp.NumFragments() != d.NumFragments() || dp.Balance() != d.Balance() {
+			t.Fatalf("SplitEncode plans %d fragments (balance %v), Decompose %d (%v)",
+				dp.NumFragments(), dp.Balance(), d.NumFragments(), d.Balance())
+		}
+		hp, h := dp.Digests(), d.Digests()
+		for i, f := range d.Frags {
+			if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) || hp[i] != h[i] {
+				t.Fatalf("SplitEncode fragment %d differs from the cut fragment", i)
 			}
 		}
 	})

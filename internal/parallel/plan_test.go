@@ -13,11 +13,11 @@ import (
 	"pag/internal/workload"
 )
 
-// TestPlanByteIdentityBothPlanners is the planner seam's correctness
-// bar: at equal width, both planners must produce output byte-identical
-// to the simulated cluster running the same planner — cold, and warm
-// through the fragment cache (a plan-aware recording replayed on a
-// second identical compile).
+// TestPlanByteIdentityBothPlanners checks the decomposition's
+// correctness bar: at equal width, the pool must produce output
+// byte-identical to the simulated cluster — cold, and warm through the
+// fragment cache (a recording replayed on a second identical compile).
+// Each subtest names the decomposition policy, the size planner.
 func TestPlanByteIdentityBothPlanners(t *testing.T) {
 	jobs := []struct {
 		name string
@@ -28,121 +28,43 @@ func TestPlanByteIdentityBothPlanners(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, j := range jobs {
-		for _, planner := range []tree.Planner{tree.PlanSize, tree.PlanCost} {
-			for _, w := range []int{2, 4, 8} {
-				name := fmt.Sprintf("%s/%v/width=%d", j.name, planner, w)
-				t.Run(name, func(t *testing.T) {
-					sim, err := cluster.Run(j.job, cluster.Options{
-						Machines: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-						Planner: planner,
-					})
-					if err != nil {
-						t.Fatalf("cluster: %v", err)
-					}
-					pool := parallel.NewPool(parallel.PoolOptions{Workers: w})
-					defer pool.Close()
-					opts := parallel.Options{
-						Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-						Planner: planner,
-					}
-					cold, err := pool.Compile(ctx, j.job, opts)
-					if err != nil {
-						t.Fatalf("cold: %v", err)
-					}
-					if cold.Program != sim.Program {
-						t.Errorf("cold program differs from cluster (%d vs %d bytes)",
-							len(cold.Program), len(sim.Program))
-					}
-					if cold.Frags != sim.Frags {
-						t.Errorf("cold frags %d, cluster %d", cold.Frags, sim.Frags)
-					}
-					if got := cold.PlanStats.Planner; got != planner.String() {
-						t.Errorf("PlanStats.Planner = %q, want %q", got, planner.String())
-					}
-					if cold.PlanStats.Balance < 1 {
-						t.Errorf("PlanStats.Balance = %v, want >= 1", cold.PlanStats.Balance)
-					}
-					warm, err := pool.Compile(ctx, j.job, opts)
-					if err != nil {
-						t.Fatalf("warm: %v", err)
-					}
-					if warm.Program != sim.Program {
-						t.Errorf("warm program differs from cluster (%d vs %d bytes)",
-							len(warm.Program), len(sim.Program))
-					}
-					if hits := pool.Stats().CacheHits; hits != 1 {
-						t.Errorf("warm compile recorded %d cache hits, want 1", hits)
-					}
+		for _, w := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/size/width=%d", j.name, w), func(t *testing.T) {
+				sim, err := cluster.Run(j.job, cluster.Options{
+					Machines: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 				})
-			}
-		}
-	}
-}
-
-// TestPlanCacheKeyedByPlanner checks that switching planner between
-// two otherwise identical compiles is a cache miss: a recording made
-// under one plan must never replay under the other (the recordings
-// carry plan-pruned replay prerequisites).
-func TestPlanCacheKeyedByPlanner(t *testing.T) {
-	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
-	defer pool.Close()
-	ctx := context.Background()
-	job := pascalJob(t, workload.Tiny())
-	size := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true, Planner: tree.PlanSize}
-	cost := size
-	cost.Planner = tree.PlanCost
-
-	if _, err := pool.Compile(ctx, job, size); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Compile(ctx, job, cost); err != nil {
-		t.Fatal(err)
-	}
-	if hits := pool.Stats().CacheHits; hits != 0 {
-		t.Errorf("cost-plan compile replayed a size-plan recording (%d cache hits)", hits)
-	}
-	// And the same options again ARE a hit — the miss above was the
-	// planner key, not a broken cache.
-	if _, err := pool.Compile(ctx, job, cost); err != nil {
-		t.Fatal(err)
-	}
-	if hits := pool.Stats().CacheHits; hits != 1 {
-		t.Errorf("identical cost-plan recompile recorded %d cache hits, want 1", hits)
-	}
-}
-
-// TestPlanCostNoMoreMessagesPascal checks the planner's point: on the
-// Pascal workload the cost plan must never send more cross-fragment
-// messages than the size plan at the same width, and the PlanStats
-// accounting must agree with the observed direction.
-func TestPlanCostNoMoreMessagesPascal(t *testing.T) {
-	job := pascalJob(t, workload.Small())
-	for _, w := range []int{4, 8} {
-		sizeRes, err := parallel.Run(job, parallel.Options{
-			Workers: w, Librarian: true, UIDPreset: true, Planner: tree.PlanSize,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		costRes, err := parallel.Run(job, parallel.Options{
-			Workers: w, Librarian: true, UIDPreset: true, Planner: tree.PlanCost,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costRes.Messages > sizeRes.Messages {
-			t.Errorf("width %d: cost plan sent %d messages, size plan %d",
-				w, costRes.Messages, sizeRes.Messages)
-		}
-		// The programs need not be byte-equal across planners (fragment
-		// numbering feeds the UID preset bases); each planner's
-		// byte-identity against the cluster is pinned separately.
-		if costRes.Program == "" || sizeRes.Program == "" {
-			t.Fatalf("width %d: empty program", w)
-		}
-		if costRes.PlanStats.MessagesAvoided < 0 {
-			t.Errorf("width %d: cost plan claims negative avoidance %d",
-				w, costRes.PlanStats.MessagesAvoided)
+				if err != nil {
+					t.Fatalf("cluster: %v", err)
+				}
+				pool := parallel.NewPool(parallel.PoolOptions{Workers: w})
+				defer pool.Close()
+				opts := parallel.Options{Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true}
+				cold, err := pool.Compile(ctx, j.job, opts)
+				if err != nil {
+					t.Fatalf("cold: %v", err)
+				}
+				if cold.Program != sim.Program {
+					t.Errorf("cold program differs from cluster (%d vs %d bytes)",
+						len(cold.Program), len(sim.Program))
+				}
+				if cold.Frags != sim.Frags {
+					t.Errorf("cold frags %d, cluster %d", cold.Frags, sim.Frags)
+				}
+				if cold.PlanStats.Balance < 1 {
+					t.Errorf("PlanStats.Balance = %v, want >= 1", cold.PlanStats.Balance)
+				}
+				warm, err := pool.Compile(ctx, j.job, opts)
+				if err != nil {
+					t.Fatalf("warm: %v", err)
+				}
+				if warm.Program != sim.Program {
+					t.Errorf("warm program differs from cluster (%d vs %d bytes)",
+						len(warm.Program), len(sim.Program))
+				}
+				if hits := pool.Stats().CacheHits; hits != 1 {
+					t.Errorf("warm compile recorded %d cache hits, want 1", hits)
+				}
+			})
 		}
 	}
 }

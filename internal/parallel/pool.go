@@ -147,11 +147,6 @@ type Pool struct {
 	// instead of the local deques (PoolOptions.Remote).
 	remote RemoteEvaluator
 
-	// cutPlans caches one grammar-level decomposition plan (ag.CutPlan)
-	// per grammar for jobs WITHOUT an OAG analysis (dynamic mode);
-	// analyzed grammars share the plan hung off the analysis itself.
-	cutPlans sync.Map // *ag.Grammar -> *ag.CutPlan
-
 	// Auto-width cost model state: exponentially weighted moving
 	// averages of evaluation cost per linearized tree size unit and of
 	// per-fragment runtime overhead (split + splice), trained by every
@@ -437,20 +432,6 @@ func (p *Pool) autoWidthFor(bytes, maxWidth int) int {
 	return w
 }
 
-// cutPlanFor returns the grammar-level decomposition plan, shared via
-// the analysis when one exists (exact wave structure) or via the
-// pool's per-grammar cache otherwise (conservative dynamic-mode plan).
-func (p *Pool) cutPlanFor(g *ag.Grammar, a *ag.Analysis) *ag.CutPlan {
-	if a != nil {
-		return a.CutPlan()
-	}
-	if cp, ok := p.cutPlans.Load(g); ok {
-		return cp.(*ag.CutPlan)
-	}
-	cp, _ := p.cutPlans.LoadOrStore(g, ag.NewCutPlan(g, nil))
-	return cp.(*ag.CutPlan)
-}
-
 // analysisFor returns the shared OAG analysis of g, computing it on
 // first use. Concurrent first users may both run the analysis; the
 // result is deterministic and one copy wins, so the cache stays
@@ -600,28 +581,8 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Fragments)
 	}
-	// Plan the cuts. The cost planner needs the grammar plan's
-	// per-symbol cut costs; it also prices what the size planner would
-	// have cut on the same (still unmutated) tree, so the job can
-	// report the cross-fragment messages its cuts avoid.
 	planStart := time.Now()
-	var costOf func(*ag.Symbol) int
-	var plan *ag.CutPlan
-	msgsAvoided, cutCost := 0, 0
-	if opts.Planner == tree.PlanCost {
-		plan = p.cutPlanFor(job.G, job.A)
-		costOf = plan.CostOf()
-		for _, n := range tree.SimulateCuts(root, gran, opts.Fragments, tree.PlanSize, nil) {
-			msgsAvoided += plan.CutMessages(n.Sym)
-		}
-	}
-	decomp := tree.DecomposeWith(root, gran, opts.Fragments, opts.Planner, costOf)
-	if plan != nil {
-		for _, f := range decomp.Frags[1:] {
-			msgsAvoided -= plan.CutMessages(f.Root.Sym)
-			cutCost += plan.CutCost(f.Root.Sym)
-		}
-	}
+	decomp := tree.Decompose(root, gran, opts.Fragments)
 	planTime := time.Since(planStart)
 
 	// Identify the code attribute of the start symbol. The
@@ -630,25 +591,15 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	codeAttr := cluster.CodeAttr(job.G)
 	useLib := opts.Librarian && codeAttr >= 0
 
-	if plan == nil && job.A != nil {
-		plan = job.A.CutPlan()
-	}
 	r := &rt{
 		job:       job,
 		opts:      opts,
-		plan:      plan,
 		leafOf:    make(map[int]*tree.Node),
 		lib:       p.libs.Get().(*rope.Librarian),
 		useLib:    useLib,
-		uidBase:   make(map[cluster.AttrKey]bool),
-		uidCount:  make(map[cluster.AttrKey]bool),
 		sched:     p.sched,
 		quiet:     make(chan struct{}),
 		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
-	}
-	for _, k := range job.UIDs {
-		r.uidBase[cluster.AttrKey{Sym: k.Sym, Attr: k.Base}] = true
-		r.uidCount[cluster.AttrKey{Sym: k.Sym, Attr: k.Count}] = true
 	}
 	// Complete the content address now that the decomposition is known,
 	// and decide the job's cache schedule. A whole-tree hit replays
@@ -673,7 +624,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			frags:      decomp.NumFragments(),
 			width:      opts.Fragments,
 			gran:       gran,
-			planner:    opts.Planner,
 			mode:       opts.Mode,
 			librarian:  opts.Librarian,
 			uidPreset:  opts.UIDPreset,
@@ -690,7 +640,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 					hash:       digs[i],
 					id:         f.ID,
 					parent:     f.Parent,
-					planner:    opts.Planner,
 					mode:       opts.Mode,
 					librarian:  opts.Librarian,
 					uidPreset:  opts.UIDPreset,
@@ -829,13 +778,10 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		Decomp:    decomp,
 		Messages:  int(r.messages.Load()),
 		PlanStats: PlanStats{
-			Planner:         opts.Planner.String(),
-			PlanTime:        planTime,
-			Width:           opts.Fragments,
-			AutoWidth:       autoChosen,
-			Balance:         decomp.Balance(),
-			CutCost:         cutCost,
-			MessagesAvoided: msgsAvoided,
+			PlanTime:  planTime,
+			Width:     opts.Fragments,
+			AutoWidth: autoChosen,
+			Balance:   decomp.Balance(),
 		},
 	}
 	for _, f := range r.frags {

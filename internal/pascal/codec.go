@@ -67,13 +67,22 @@ func (d *dec) i() int64 {
 	return v
 }
 
-func (d *dec) s() string {
-	n := int(d.u())
-	if d.err != nil {
-		return ""
+// n reads a length or element count. Every element costs at least one
+// byte, so a count the rest of the input cannot hold is malformed: it
+// fails here instead of driving a huge allocation or a loop that
+// outlives the input.
+func (d *dec) n() int {
+	v := d.u()
+	if d.err == nil && v > uint64(len(d.buf)-d.pos) {
+		d.fail("count")
+		return 0
 	}
-	if d.pos+n > len(d.buf) {
-		d.fail("string")
+	return int(v)
+}
+
+func (d *dec) s() string {
+	n := d.n()
+	if d.err != nil {
 		return ""
 	}
 	s := string(d.buf[d.pos : d.pos+n])
@@ -150,7 +159,7 @@ func decodeType(d *dec) Type {
 		hi := int(d.i())
 		return &Array{Lo: lo, Hi: hi, Elem: decodeType(d)}
 	case tyRecord:
-		n := int(d.u())
+		n := d.n()
 		fields := make([]Field, 0, n)
 		for i := 0; i < n; i++ {
 			name := d.s()
@@ -198,7 +207,7 @@ func decodeEntry(d *dec) *Entry {
 	ent.ByRef = d.b()
 	ent.Value = int(d.i())
 	ent.Label = d.s()
-	n := int(d.u())
+	n := d.n()
 	for i := 0; i < n; i++ {
 		p := Param{Name: d.s(), ByRef: d.b()}
 		p.Type = decodeType(d)
@@ -230,7 +239,7 @@ func (envCodec) Decode(data []byte) (ag.Value, error) {
 	d := &dec{buf: data}
 	level := int(d.i())
 	nextFree := int(d.i())
-	n := int(d.u())
+	n := d.n()
 	// Entries arrive in key order; rebuild a balanced tree rather than
 	// inserting sorted keys one by one (which would degenerate the BST
 	// and destroy the O(log n) lookups of paper §4.3).
@@ -276,7 +285,7 @@ func (declCodec) Encode(v ag.Value) ([]byte, error) {
 
 func (declCodec) Decode(data []byte) (ag.Value, error) {
 	d := &dec{buf: data}
-	n := int(d.u())
+	n := d.n()
 	sigs := make([]*DeclSig, 0, n)
 	for i := 0; i < n; i++ {
 		s := &DeclSig{}
@@ -284,7 +293,7 @@ func (declCodec) Decode(data []byte) (ag.Value, error) {
 		s.Name = d.s()
 		s.Type = decodeType(d)
 		s.Value = int(d.i())
-		np := int(d.u())
+		np := d.n()
 		for j := 0; j < np; j++ {
 			p := Param{Name: d.s(), ByRef: d.b()}
 			p.Type = decodeType(d)
@@ -354,7 +363,7 @@ func (errsCodec) Encode(v ag.Value) ([]byte, error) {
 
 func (errsCodec) Decode(data []byte) (ag.Value, error) {
 	d := &dec{buf: data}
-	n := int(d.u())
+	n := d.n()
 	var list []string
 	for i := 0; i < n; i++ {
 		list = append(list, d.s())

@@ -22,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(tree.Encode(root))
-		_, enc := tree.SplitEncode(root, tree.GranularityFor(root, 3), 3, tree.PlanSize, nil)
+		_, enc := tree.SplitEncode(root, tree.GranularityFor(root, 3), 3)
 		for _, e := range enc {
 			f.Add(e) // fragments with remote leaves
 		}

@@ -79,22 +79,22 @@ func appendRemote(b []byte, sym *ag.Symbol, id int) []byte {
 	return binary.AppendUvarint(b, uint64(id))
 }
 
-// SplitEncode plans the decomposition DecomposeWith would make of
-// root and linearizes every fragment, without writing to the tree:
-// where DecomposeWith replaces a cut subtree by a remote leaf, the
-// fragment's encoding carries the remote-leaf tag instead. enc[i]
-// equals Encode(Frags[i].Root) of the DecomposeWith result byte for
-// byte, and d has the same fragment IDs, parents, children, sizes and
-// balance. It is the split of a runtime that ships fragments instead
-// of evaluating them, so it needs no private copy of the tree and one
-// tree can be split by any number of callers at once.
+// SplitEncode plans the decomposition Decompose would make of root
+// and linearizes every fragment, without writing to the tree: where
+// Decompose replaces a cut subtree by a remote leaf, the fragment's
+// encoding carries the remote-leaf tag instead. enc[i] equals
+// Encode(Frags[i].Root) of the Decompose result byte for byte, and d
+// has the same fragment IDs, parents, children, sizes and balance. It
+// is the split of a runtime that ships fragments instead of evaluating
+// them, so it needs no private copy of the tree and one tree can be
+// split by any number of callers at once.
 //
 // d's fragment roots are nodes of the unmodified tree and still
 // contain the subtrees cut from them: inspect the fragments through
 // d's methods (Sizes, Balance, Children, Describe, Digests), which
 // account for the cuts, not by walking Root.
-func SplitEncode(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) (d *Decomposition, enc [][]byte) {
-	cuts := planCuts(root, granularity, maxFrags, planner, costOf)
+func SplitEncode(root *Node, granularity, maxFrags int) (d *Decomposition, enc [][]byte) {
+	cuts := planCuts(root, granularity, maxFrags)
 	d = fromCuts(root, cuts)
 	d.cuts = cuts
 	e := encoder{bufs: make([][]byte, len(d.Frags)), cuts: cuts}

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pag/internal/ag"
@@ -121,45 +120,6 @@ func shallowSize(n *Node) int {
 	}
 }
 
-// Planner selects the decomposition policy Decompose applies.
-type Planner int
-
-const (
-	// PlanSize is the legacy §2.5 policy: purely size-driven cuts at
-	// the first split-eligible node once a fragment has accumulated its
-	// granularity. The default; byte-identical to historic Decompose.
-	PlanSize Planner = iota
-	// PlanCost is the grammar-analysis policy: among split-eligible
-	// nodes it scores (granularity-weighted size balance) − (cut cost),
-	// so chain-shaped programs still split into Figure-7 chains but
-	// boundaries implying less cross-fragment attribute traffic win
-	// ties.
-	PlanCost
-)
-
-func (p Planner) String() string {
-	switch p {
-	case PlanSize:
-		return "size"
-	case PlanCost:
-		return "cost"
-	default:
-		return fmt.Sprintf("Planner(%d)", int(p))
-	}
-}
-
-// ParsePlanner maps "size"/"cost" (and "" = size) to a Planner.
-func ParsePlanner(s string) (Planner, error) {
-	switch s {
-	case "", "size":
-		return PlanSize, nil
-	case "cost":
-		return PlanCost, nil
-	default:
-		return 0, fmt.Errorf("tree: unknown planner %q (want \"size\" or \"cost\")", s)
-	}
-}
-
 // Decomposition granularity constants, from the paper's §2.5 runtime
 // scaling argument: the parser accumulates roughly `granularity`
 // linearized bytes per fragment and cuts the remainder off at the next
@@ -201,15 +161,21 @@ type cut struct {
 	from   int
 }
 
-// sizeCuts runs the legacy size-driven walk and returns the cuts it
-// decides, without mutating the tree. rem[f] is the size fragment f
-// still retains; a subtree is cut off only while the fragment keeps at
-// least one granularity's worth of work for itself, so left-recursive
+// planCuts runs the §2.5 size-driven walk — the one cut decision that
+// Decompose and SplitEncode share — and returns the cuts it decides,
+// without mutating the tree. rem[f] is the size fragment f still
+// retains; a subtree is cut off only while the fragment keeps at least
+// one granularity's worth of work for itself, so left-recursive
 // declaration and statement lists decompose into a chain of roughly
-// granularity-sized pieces (the shape of paper Figure 7). Size caches
-// must be populated (root.Size()) before the walk.
-func sizeCuts(root *Node, granularity, maxFrags int) []cut {
-	rem := []int{root.Size()}
+// granularity-sized pieces (the shape of paper Figure 7).
+func planCuts(root *Node, granularity, maxFrags int) []cut {
+	if maxFrags <= 1 {
+		return nil
+	}
+	if granularity < MinGranularity {
+		granularity = MinGranularity
+	}
+	rem := []int{root.Size()} // sizes of hand-assembled trees are computed here, before the walk
 	var cuts []cut
 	var walk func(n *Node, frag int)
 	walk = func(n *Node, frag int) {
@@ -232,168 +198,6 @@ func sizeCuts(root *Node, granularity, maxFrags int) []cut {
 	return cuts
 }
 
-// costWeight converts a grammar cut cost (messages + waves, see
-// ag.CutPlan) into the dimensionless fitness space of costCuts: small
-// enough that size balance dominates across clearly different sizes,
-// large enough that a few messages decide near-ties.
-const costWeight = 0.02
-
-// costCuts runs the cost-aware policy: enumerate every split-eligible
-// node, score by (granularity-weighted size balance) − costWeight ×
-// (cut cost), and greedily accept in score order subject to the same
-// feasibility budget the legacy walk enforces (each fragment that
-// loses a subtree retains at least one granularity of work). Returned
-// cuts are re-ordered to preorder so fragment IDs keep the legacy
-// parent-before-child DFS numbering.
-func costCuts(root *Node, granularity, maxFrags int, costOf func(*ag.Symbol) int) []cut {
-	// Candidates are appended in DFS order, so a candidate's slice
-	// index doubles as its preorder rank (determinism + numbering).
-	type cand struct {
-		parent *Node
-		idx    int
-		node   *Node
-		anc    []int // candidate-ancestor chain, outermost first
-		score  float64
-	}
-	var cands []cand
-	var walk func(n *Node, chain []int)
-	walk = func(n *Node, chain []int) {
-		for i, c := range n.Children {
-			childChain := chain
-			if !c.Remote && !c.Sym.Terminal && c.Sym.Split &&
-				c.Size() >= splitFloor(c.Sym, granularity) {
-				fit := 1 - absF(float64(c.Size()-granularity))/float64(granularity)
-				cands = append(cands, cand{
-					parent: n, idx: i, node: c,
-					anc:   chain,
-					score: fit - costWeight*float64(costOf(c.Sym)),
-				})
-				childChain = append(chain[:len(chain):len(chain)], len(cands)-1)
-			}
-			walk(c, childChain)
-		}
-	}
-	walk(root, nil)
-	if len(cands) == 0 {
-		return nil
-	}
-
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := &cands[order[a]], &cands[order[b]]
-		if ca.score != cb.score {
-			return ca.score > cb.score
-		}
-		return order[a] < order[b]
-	})
-
-	// Greedy accept with the legacy retention budget. host[c] is the
-	// accepted candidate a cut currently hangs under (-1 = the root
-	// fragment); retained[h] is the linearized size host h keeps after
-	// its accepted cuts are removed.
-	accepted := make([]bool, len(cands))
-	host := make([]int, len(cands))
-	retained := map[int]int{-1: root.Size()}
-	var acceptedList []int
-	for _, ci := range order {
-		if 1+len(acceptedList) >= maxFrags {
-			break
-		}
-		c := &cands[ci]
-		// Nearest accepted ancestor.
-		h := -1
-		for k := len(c.anc) - 1; k >= 0; k-- {
-			if accepted[c.anc[k]] {
-				h = c.anc[k]
-				break
-			}
-		}
-		// Accepted cuts currently hosted by h that live inside c's
-		// subtree re-host to c when c is accepted.
-		var moved, movedSize int
-		for _, ai := range acceptedList {
-			if host[ai] == h && hasAncestor(cands[ai].anc, ci) {
-				moved++
-				movedSize += cands[ai].node.Size()
-			}
-		}
-		newRetC := c.node.Size() - movedSize
-		newRetH := retained[h] - c.node.Size() + movedSize
-		floorC := splitFloor(c.node.Sym, granularity)
-		if moved > 0 {
-			// c itself now loses subtrees; the legacy invariant says a
-			// fragment that sheds work keeps a granularity's worth.
-			floorC = granularity
-		}
-		if newRetH < granularity || newRetC < floorC {
-			continue
-		}
-		accepted[ci] = true
-		host[ci] = h
-		retained[h] = newRetH
-		retained[ci] = newRetC
-		for _, ai := range acceptedList {
-			if host[ai] == h && hasAncestor(cands[ai].anc, ci) {
-				host[ai] = ci
-			}
-		}
-		acceptedList = append(acceptedList, ci)
-	}
-	if len(acceptedList) == 0 {
-		return nil
-	}
-
-	// Number fragments in preorder (parent-before-child, matching the
-	// legacy DFS numbering) and resolve hosts to fragment IDs.
-	sort.Ints(acceptedList)
-	fragID := map[int]int{-1: 0}
-	for i, ci := range acceptedList {
-		fragID[ci] = i + 1
-	}
-	cuts := make([]cut, len(acceptedList))
-	for i, ci := range acceptedList {
-		c := &cands[ci]
-		cuts[i] = cut{parent: c.parent, idx: c.idx, node: c.node, from: fragID[host[ci]]}
-	}
-	return cuts
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// hasAncestor reports whether candidate index anc appears in chain.
-func hasAncestor(chain []int, anc int) bool {
-	for _, a := range chain {
-		if a == anc {
-			return true
-		}
-	}
-	return false
-}
-
-// planCuts runs the selected policy's walk: the one cut decision that
-// DecomposeWith, SplitEncode and SimulateCuts share.
-func planCuts(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) []cut {
-	if maxFrags <= 1 {
-		return nil
-	}
-	root.Size() // sizes of hand-assembled trees are computed before the walk
-	if granularity < MinGranularity {
-		granularity = MinGranularity
-	}
-	if planner == PlanCost && costOf != nil {
-		return costCuts(root, granularity, maxFrags, costOf)
-	}
-	return sizeCuts(root, granularity, maxFrags)
-}
-
 // fromCuts builds the decomposition cuts describe: fragment i+1 is
 // rooted at cuts[i].node and hangs below fragment cuts[i].from.
 func fromCuts(root *Node, cuts []cut) *Decomposition {
@@ -408,26 +212,16 @@ func fromCuts(root *Node, cuts []cut) *Decomposition {
 
 // Decompose splits the tree rooted at root into at most maxFrags
 // fragments by cutting at split-eligible nonterminals (the `split`
-// declarations of the grammar) under the legacy PlanSize policy.
-// granularity is the target fragment size in linearized bytes — the
-// parser's runtime scaling argument of paper §2.5: a fragment
-// accumulates roughly granularity bytes and the remainder is cut off
-// into a new fragment at the next eligible node. Cut subtrees must
-// also meet the grammar's per-symbol MinSplitSize.
+// declarations of the grammar). granularity is the target fragment
+// size in linearized bytes — the parser's runtime scaling argument of
+// paper §2.5: a fragment accumulates roughly granularity bytes and the
+// remainder is cut off into a new fragment at the next eligible node.
+// Cut subtrees must also meet the grammar's per-symbol MinSplitSize.
 //
 // The tree is mutated: cut subtrees are replaced by remote leaves.
 // Decompose(root, _, 1) performs no cuts.
 func Decompose(root *Node, granularity, maxFrags int) *Decomposition {
-	return DecomposeWith(root, granularity, maxFrags, PlanSize, nil)
-}
-
-// DecomposeWith is Decompose with an explicit policy. PlanSize ignores
-// costOf and reproduces the historic byte-identical decomposition.
-// PlanCost scores split-eligible nodes by size balance minus the
-// grammar cut cost (costOf, typically ag.CutPlan.CostOf); a nil costOf
-// falls back to PlanSize.
-func DecomposeWith(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) *Decomposition {
-	cuts := planCuts(root, granularity, maxFrags, planner, costOf)
+	cuts := planCuts(root, granularity, maxFrags)
 	d := fromCuts(root, cuts)
 	if len(cuts) == 0 {
 		return d
@@ -444,21 +238,18 @@ func DecomposeWith(root *Node, granularity, maxFrags int, planner Planner, costO
 	return d
 }
 
-// SimulateCuts reports the subtree roots the given policy would cut,
-// without mutating the tree: the dry-run twin of DecomposeWith,
-// sharing its walk so the answer is exactly the set of fragments 1..n
-// a real decomposition would produce. Callers use it to compare
-// planned message traffic across policies.
-func SimulateCuts(root *Node, granularity, maxFrags int, planner Planner, costOf func(*ag.Symbol) int) []*Node {
-	cuts := planCuts(root, granularity, maxFrags, planner, costOf)
-	if len(cuts) == 0 {
-		return nil
-	}
-	out := make([]*Node, len(cuts))
-	for i, c := range cuts {
-		out[i] = c.node
-	}
-	return out
+// Planner names a decomposition policy. PlanSize, the §2.5 size-driven
+// walk of Decompose, is the only one.
+type Planner int
+
+// PlanSize is the size-driven decomposition policy of Decompose.
+const PlanSize Planner = 0
+
+// DecomposeWith is Decompose under an explicit policy; the policy and
+// the cost callback are ignored. It remains only for the benchmark
+// harness (perfbench/layers.go), which times the split through it.
+func DecomposeWith(root *Node, granularity, maxFrags int, _ Planner, _ func(*ag.Symbol) int) *Decomposition {
+	return Decompose(root, granularity, maxFrags)
 }
 
 // GranularityFor picks a split threshold aimed at producing

@@ -24,7 +24,7 @@ func BenchmarkSplit(b *testing.B) {
 	b.Run("clone-decompose-encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d := tree.DecomposeWith(job.Root.Clone(), gran, width, tree.PlanSize, nil)
+			d := tree.Decompose(job.Root.Clone(), gran, width)
 			for _, f := range d.Frags {
 				tree.Encode(f.Root)
 			}
@@ -33,7 +33,7 @@ func BenchmarkSplit(b *testing.B) {
 	b.Run("split-encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tree.SplitEncode(job.Root, gran, width, tree.PlanSize, nil)
+			tree.SplitEncode(job.Root, gran, width)
 		}
 	})
 }
@@ -44,7 +44,7 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, enc := tree.SplitEncode(job.Root, tree.GranularityFor(job.Root, 2), 2, tree.PlanSize, nil)
+	_, enc := tree.SplitEncode(job.Root, tree.GranularityFor(job.Root, 2), 2)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc[0])))
 	for i := 0; i < b.N; i++ {

@@ -85,20 +85,12 @@ type (
 	Node = tree.Node
 	// Decomposition is a tree split into separately evaluated fragments.
 	Decomposition = tree.Decomposition
-	// Planner selects the decomposition planning policy: PlanSize (the
-	// legacy size-driven splitter) or PlanCost (grammar-plan cut costs
-	// break ties between similarly sized candidates).
-	Planner = tree.Planner
 	// CutPlan is the grammar-level decomposition plan: per-symbol cut
 	// costs from occurrence equivalence classes, a compacted incidence
-	// matrix and the static wave schedule.
+	// matrix and the static wave schedule. Fragment-cache replay prunes
+	// its prerequisites with it and aglint reports its bottlenecks;
+	// decomposition itself is purely size-driven (Decompose).
 	CutPlan = ag.CutPlan
-)
-
-// Decomposition planners (Options.Planner, DecomposeWith).
-const (
-	PlanSize = tree.PlanSize
-	PlanCost = tree.PlanCost
 )
 
 // MinGranularity is the smallest useful split granularity in bytes;
@@ -109,20 +101,12 @@ const MinGranularity = tree.MinGranularity
 var (
 	NewNode     = tree.New
 	NewTerminal = tree.NewTerminal
-	Decompose   = tree.Decompose
-	// DecomposeWith decomposes under an explicit Planner; a PlanCost
-	// cost function comes from CutPlan.CostOf.
-	DecomposeWith = tree.DecomposeWith
-	// SimulateCuts previews the cut points a planner would choose
-	// without mutating the tree.
-	SimulateCuts = tree.SimulateCuts
+	// Decompose splits a tree by size (paper §2.5 granularity).
+	Decompose = tree.Decompose
 	// NewCutPlan computes a grammar's cut plan (analysis may be nil for
 	// a conservative plan).
 	NewCutPlan = ag.NewCutPlan
 )
-
-// ParsePlanner maps "size"/"cost" (and "" = size) to a Planner.
-func ParsePlanner(s string) (Planner, error) { return tree.ParsePlanner(s) }
 
 // Evaluators (internal/eval).
 type (
@@ -208,7 +192,8 @@ type (
 	// MinGranularity.
 	GranularityError = parallel.GranularityError
 	// PlanStats reports the decomposition planning of one compilation:
-	// planner, plan time, chosen width, balance and cut-cost accounting.
+	// plan time, chosen width (and whether auto-width chose it) and
+	// balance.
 	PlanStats = parallel.PlanStats
 	// Pool is a persistent compile service: one long-lived worker pool
 	// serving many concurrent compile jobs, each isolated in its own
