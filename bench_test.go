@@ -209,8 +209,8 @@ func BenchmarkPoolReuse(b *testing.B) {
 // cache buys a pool serving repeated traffic: the same tiny-pascal job
 // compiled through one pool cold (cache bypassed — every compile
 // evaluates every attribute) versus warm (every compile after the
-// first replays the recorded fragments). Warm runs still clone, hash
-// and decompose the tree, re-deposit librarian runs and splice the
+// first replays the recorded fragments). Warm runs still cut and hash
+// the tree, re-deposit librarian runs and splice the
 // program — the gap is pure attribute evaluation, and the warm side
 // must stay >= 2x faster for the cache to earn its complexity. The
 // hits metric reports cache hits per op (warm steady state: 1).

@@ -93,10 +93,14 @@ func UIDBaseFor(id int) int { return 1 + id*1_000_000 }
 type Job struct {
 	G *ag.Grammar
 	A *ag.Analysis // required for Combined mode
-	// Root is the parsed tree. No runtime writes to it — the pool
-	// evaluates a private clone, the simulator and the fleet coordinator
-	// encode fragments straight from it — so a Job can be reused, and
-	// compiled by several callers at once.
+	// Root is the parsed tree. The simulator and the fleet coordinator
+	// only read it: they encode fragments straight from it. A local
+	// pool evaluates it in place: it cuts the tree at the planned
+	// points, its evaluators write the nodes' attribute slots, and it
+	// restores the cuts before Compile returns. Pool compiles of one
+	// tree take turns, so a Job can be reused and compiled by several
+	// callers at once; just do not read the tree elsewhere (a simulator
+	// or fleet compile included) while a local pool compile of it runs.
 	Root *tree.Node
 	// Lex recomputes terminal attributes after network transfer.
 	Lex tree.TerminalAttrs

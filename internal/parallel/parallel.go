@@ -5,8 +5,9 @@
 // The correspondence to the paper, piece by piece:
 //
 //   - The sequential parser that splits the parse tree is the calling
-//     goroutine: it clones the tree and decomposes it with the same
-//     granularity policy as the simulated cluster (internal/tree).
+//     goroutine: it cuts the caller's tree in place with the same
+//     granularity policy as the simulated cluster (internal/tree), and
+//     each fragment evaluator works on its own subtree of it.
 //   - The attribute evaluator machines become a pool of N worker
 //     goroutines. Each tree fragment is an actor owning one combined or
 //     dynamic evaluator (internal/eval); a fragment is scheduled onto a
@@ -118,8 +119,8 @@ type Result struct {
 	// on this machine — the number the simulated cluster can only
 	// estimate. It is the sum of the three phases below.
 	WallTime time.Duration
-	// SplitTime covers the parser side: cloning the tree, decomposing
-	// it and setting up the fragment actors.
+	// SplitTime covers the parser side: planning and cutting the tree,
+	// cache lookups, and setting up the fragment actors.
 	SplitTime time.Duration
 	// EvalTime is the parallel attribute evaluation proper: from the
 	// moment the fragments are handed to the worker pool until the job
@@ -137,12 +138,11 @@ type Result struct {
 	Frags int
 	// Workers is the requested evaluation width (the fragment default).
 	Workers int
-	// Decomp describes the process tree. On the pool its fragment roots
-	// are the cut fragments of the pool's private clone; a fleet result
-	// carries a planned decomposition (tree.SplitEncode) whose fragment
-	// roots are nodes of the job's uncut tree. Read the fragments
-	// through its methods (Sizes, Balance, Children, Describe, Digests),
-	// which are valid on both, not by walking Frags[i].Root.
+	// Decomp describes the process tree: a planned decomposition of the
+	// job's tree (tree.SplitInPlace on the pool, tree.SplitEncode on
+	// the fleet), whose fragment roots are nodes of the caller's uncut
+	// tree. Read the fragments through its methods (Sizes, Balance,
+	// Children, Describe, Digests), not by walking Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int
@@ -343,9 +343,10 @@ type rt struct {
 
 // Run executes one parallel compilation across real CPU cores and
 // returns its result: a one-shot Pool serving a single job. The job's
-// tree is cloned, so the job can be reused (and compared against
-// cluster.Run on the same job). Services that compile repeatedly
-// should hold a Pool and call Compile instead.
+// tree is evaluated in place and restored before Run returns, so the
+// job can be reused (and compared against cluster.Run on the same job).
+// Services that compile repeatedly should hold a Pool and call Compile
+// instead.
 func Run(job cluster.Job, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = cluster.Combined

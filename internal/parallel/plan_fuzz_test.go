@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"pag/internal/ag"
@@ -13,7 +14,9 @@ import (
 // appendix-grammar programs: the grammar cut plan (which replay
 // pruning and aglint read) is a pure, deterministic function of
 // (grammar, analysis); and at any width the non-mutating SplitEncode
-// agrees with the fragments Decompose cuts out of a clone.
+// and the pool's in-place cut (SplitInPlace) agree with the fragments
+// Decompose cuts out of a clone, and undoing the in-place cut gives
+// the tree back.
 func FuzzPlan(f *testing.F) {
 	f.Add("1+2*(3+4)+5*6", uint8(3))
 	f.Add("let x = 2 in 1 + 3*x ni", uint8(2))
@@ -67,10 +70,42 @@ func FuzzPlan(f *testing.F) {
 				dp.NumFragments(), dp.Balance(), d.NumFragments(), d.Balance())
 		}
 		hp, h := dp.Digests(), d.Digests()
+		if !slices.Equal(dp.Sizes(), d.Sizes()) {
+			t.Fatalf("SplitEncode sizes %v, Decompose %v", dp.Sizes(), d.Sizes())
+		}
 		for i, f := range d.Frags {
 			if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) || hp[i] != h[i] {
 				t.Fatalf("SplitEncode fragment %d differs from the cut fragment", i)
 			}
 		}
+
+		// The pool's in-place cut makes the same fragments, hands each
+		// its remote leaves in tree order, and its undo restores the
+		// tree; the decomposition stays valid after the undo.
+		whole, wholeHash := tree.Encode(root), tree.Hash(root)
+		di, leaves, undo := tree.SplitInPlace(root, gran, w)
+		check := func(when string) {
+			if di.NumFragments() != d.NumFragments() || di.Balance() != d.Balance() || !slices.Equal(di.Sizes(), d.Sizes()) {
+				t.Fatalf("%s: SplitInPlace plans %d fragments (balance %v, sizes %v), Decompose %d (%v, %v)", when,
+					di.NumFragments(), di.Balance(), di.Sizes(), d.NumFragments(), d.Balance(), d.Sizes())
+			}
+			if !slices.Equal(di.Digests(), h) {
+				t.Fatalf("%s: SplitInPlace digests differ from the cut fragments'", when)
+			}
+		}
+		check("cut")
+		for i, f := range d.Frags {
+			if di.Frags[i].Parent != f.Parent || !bytes.Equal(tree.Encode(di.Frags[i].Root), enc[i]) {
+				t.Fatalf("SplitInPlace fragment %d differs from the cut fragment", i)
+			}
+			if !slices.Equal(leaves[i], tree.RemoteLeaves(di.Frags[i].Root)) {
+				t.Fatalf("SplitInPlace fragment %d: remote leaves not those of the cut fragment in tree order", i)
+			}
+		}
+		undo()
+		if !bytes.Equal(tree.Encode(root), whole) || tree.Hash(root) != wholeHash {
+			t.Fatal("undoing the in-place cut did not restore the tree")
+		}
+		check("undone")
 	})
 }

@@ -150,7 +150,8 @@ type Pool struct {
 	// Auto-width cost model state: exponentially weighted moving
 	// averages of evaluation cost per linearized tree size unit and of
 	// per-fragment runtime overhead (split + splice), trained by every
-	// completed local job. Stored as float64 bits; zero means untrained
+	// completed local job whose fragments all evaluated live (replays
+	// would skew it). Stored as float64 bits; zero means untrained
 	// (auto-width falls back to the Workers default).
 	ewmaEvalNsPerByte     atomic.Uint64
 	ewmaOverheadNsPerFrag atomic.Uint64
@@ -458,8 +459,11 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // serving every other job). Many Compile calls may run concurrently;
 // each is isolated in its own fragment set and librarian handle
 // namespace, and the output is byte-identical to running the job
-// alone. If the job uses Combined mode and carries no analysis, the
-// pool supplies the shared one for its grammar.
+// alone. The job's tree is evaluated in place and restored before
+// Compile returns, so compiles of one tree, on any pool, take turns:
+// a Compile whose tree is in use waits (until ctx ends) for it. If the
+// job uses Combined mode and carries no analysis, the pool supplies
+// the shared one for its grammar.
 //
 // Admission is governed by Options.Priority (capacity freed by a
 // finishing job goes to waiting high-priority jobs first) and, when
@@ -531,8 +535,46 @@ func (p *Pool) compileRemote(ctx context.Context, job cluster.Job, opts Options)
 	return p.remote.CompileRemote(ctx, job, opts)
 }
 
-// compile is the admitted job body: decompose, seed the shared deques,
-// wait for per-job quiescence, assemble the result.
+// heldTrees lists the job trees being evaluated in place: a local
+// compile cuts its job's tree and writes its attribute slots, so it
+// must be the tree's only user until it has restored it. The table is
+// package-level, not per pool, because one tree may be compiled by
+// several pools at once. Each entry's channel closes when its holder
+// lets the tree go.
+var heldTrees = struct {
+	mu sync.Mutex
+	m  map[*tree.Node]chan struct{}
+}{m: make(map[*tree.Node]chan struct{})}
+
+// holdTree waits until no other compile holds root, then holds it
+// until release is called. It gives up with ctx.Err() when ctx ends
+// first.
+func holdTree(ctx context.Context, root *tree.Node) (release func(), err error) {
+	for {
+		heldTrees.mu.Lock()
+		busy, held := heldTrees.m[root]
+		if !held {
+			free := make(chan struct{})
+			heldTrees.m[root] = free
+			heldTrees.mu.Unlock()
+			return func() {
+				heldTrees.mu.Lock()
+				delete(heldTrees.m, root)
+				heldTrees.mu.Unlock()
+				close(free)
+			}, nil
+		}
+		heldTrees.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// compile is the admitted job body: cut the job's tree, seed the
+// shared deques, wait for per-job quiescence, assemble the result.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = cluster.Combined
@@ -548,18 +590,24 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		opts.Workers = p.workers
 	}
 	// Auto-width applies only when the caller did not pin a width; the
-	// decision itself needs the cloned tree's size, below.
+	// decision itself needs the tree's size, below.
 	wantAuto := opts.AutoWidth && opts.Fragments <= 0
 	if opts.Fragments <= 0 {
 		opts.Fragments = opts.Workers
 	}
+	// The job is evaluated in the caller's tree, so it waits its turn
+	// behind any other compile of the same tree.
+	release, err := holdTree(ctx, job.Root)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	start := time.Now()
 
 	useCache := p.cache != nil && !opts.NoCache
 
-	// The parser side: clone and decompose, same policy as the cluster.
-	root := job.Root.Clone()
-	treeBytes := root.Size() // whole-tree size; per-fragment after the cuts
+	root := job.Root
+	treeBytes := root.Size()
 	autoChosen := false
 	if wantAuto {
 		if w := p.autoWidthFor(treeBytes, opts.Workers); w > 0 {
@@ -581,8 +629,13 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Fragments)
 	}
+	// The parser side, same policy as the cluster: cut the caller's
+	// tree at the planned points. Each fragment evaluator writes into
+	// the tree's own attribute slots; the cuts are undone once the job
+	// is quiescent, on every return path below.
 	planStart := time.Now()
-	decomp := tree.Decompose(root, gran, opts.Fragments)
+	decomp, leaves, undo := tree.SplitInPlace(root, gran, opts.Fragments)
+	defer undo()
 	planTime := time.Since(planStart)
 
 	// Identify the code attribute of the start symbol. The
@@ -681,7 +734,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		// goroutine: the moment the first fragment is pushed, workers
 		// may start posting to its siblings, and those reads of queued
 		// (under the mailbox lock) must not race the seeding loop.
-		fr := &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root, leaves: tree.RemoteLeaves(f.Root), queued: true}
+		fr := &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root, leaves: leaves[f.ID], queued: true}
 		switch {
 		case r.hit != nil:
 			fr.entry = &r.hit.frags[f.ID]
@@ -849,11 +902,16 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	res.EvalTime = evalDone.Sub(splitDone)
 	res.SpliceTime = now.Sub(evalDone)
 	res.WallTime = now.Sub(start)
-	// Train the auto-width cost model and file the plan observability
-	// counters (pool stats + pag_plan_* metrics).
-	ewmaUpdate(&p.ewmaEvalNsPerByte, float64(res.EvalTime.Nanoseconds())/float64(treeBytes))
-	ewmaUpdate(&p.ewmaOverheadNsPerFrag,
-		float64((res.SplitTime+res.SpliceTime).Nanoseconds())/float64(res.Frags))
+	// Train the auto-width cost model, on live evaluation only: a
+	// replayed fragment's "eval" is a microsecond replay, and training
+	// on it would drag the model toward width 1 for the next cold job.
+	// Then file the plan observability counters (pool stats +
+	// pag_plan_* metrics).
+	if r.hit == nil && res.PartialHits == 0 {
+		ewmaUpdate(&p.ewmaEvalNsPerByte, float64(res.EvalTime.Nanoseconds())/float64(treeBytes))
+		ewmaUpdate(&p.ewmaOverheadNsPerFrag,
+			float64((res.SplitTime+res.SpliceTime).Nanoseconds())/float64(res.Frags))
+	}
 	p.messagesTotal.Add(int64(res.Messages))
 	p.lastBalance.Store(math.Float64bits(res.PlanStats.Balance))
 	p.m.observePlan(&res.PlanStats)

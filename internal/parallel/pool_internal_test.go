@@ -3,8 +3,13 @@ package parallel
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"pag/internal/cluster"
+	"pag/internal/pascal"
+	"pag/internal/workload"
 )
 
 // occupy takes admission slots directly from the controller, so the
@@ -230,5 +235,100 @@ func TestPoolDefaults(t *testing.T) {
 	st := p.Stats()
 	if st.Workers != p.workers || st.MaxInFlight != p.maxInFlight || st.QueueDepth != DefaultQueueDepth {
 		t.Errorf("stats don't reflect configuration: %+v", st)
+	}
+}
+
+// TestAutoWidthModelIgnoresReplays checks that the auto-width cost
+// model trains on live evaluation only: a whole-job hit and a partial
+// replay finish in a fraction of a cold job's time, and folding them in
+// would drag the model toward width 1 for the next cold job.
+func TestAutoWidthModelIgnoresReplays(t *testing.T) {
+	lang := pascal.MustNew()
+	base := workload.Generate(workload.Tiny())
+	edited := strings.Replace(base, "(gtotal - gtotal)", "(gtotal - gcount)", 1)
+	if edited == base {
+		t.Fatal("edit target not in the workload")
+	}
+	job := func(src string) cluster.Job {
+		j, err := lang.ClusterJob(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	p := NewPool(PoolOptions{Workers: 2})
+	defer p.Close()
+	ctx := context.Background()
+	opts := Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	model := func() [2]float64 {
+		st := p.Stats()
+		return [2]float64{st.AutoEvalNsPerByte, st.AutoOverheadNsPerFrag}
+	}
+
+	if _, err := p.Compile(ctx, job(base), opts); err != nil {
+		t.Fatal(err)
+	}
+	trained := model()
+	if trained[0] <= 0 || trained[1] <= 0 {
+		t.Fatalf("cold compile left the model untrained: %v", trained)
+	}
+	if _, err := p.Compile(ctx, job(base), opts); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.CacheHits != 1 {
+		t.Fatalf("second compile was not a whole-job hit: %+v", st)
+	}
+	if got := model(); got != trained {
+		t.Fatalf("a whole-job hit moved the model from %v to %v", trained, got)
+	}
+	res, err := p.Compile(ctx, job(edited), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PartialHits == 0 {
+		t.Fatal("edited compile replayed no fragment")
+	}
+	if got := model(); got != trained {
+		t.Fatalf("a partial replay moved the model from %v to %v", trained, got)
+	}
+}
+
+// TestSameTreeWaitHonoursContext holds a job's tree as a running
+// compile would and checks that a Compile of the same tree waits for
+// it, returns ctx.Err() promptly when its context ends, releases its
+// admission slot, and compiles once the tree is free.
+func TestSameTreeWaitHonoursContext(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1, MaxInFlight: 1})
+	defer p.Close()
+	job := exprJobInternal(t)
+	release, err := holdTree(context.Background(), job.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := p.Compile(ctx, job, Options{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("compile of a held tree returned %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("compile gave up %v after its deadline", waited)
+	}
+	if st := p.Stats(); st.Cancelled != 1 || st.InFlight != 0 {
+		t.Fatalf("stats after the abandoned wait: %+v", st)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Compile(context.Background(), job, Options{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("compile of a held tree finished (%v) before the tree was released", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("compile after release: %v", err)
 	}
 }

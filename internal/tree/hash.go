@@ -56,7 +56,7 @@ func Hash(n *Node) Digest {
 // made in place.
 func (d *Decomposition) Digests() []Digest {
 	var cutAt map[*Node]int
-	if d.cuts != nil {
+	if d.cuts != nil && !d.applied {
 		cutAt = make(map[*Node]int, len(d.cuts))
 		for i, c := range d.cuts {
 			cutAt[c.node] = i + 1

@@ -26,11 +26,14 @@ type Decomposition struct {
 	// paths never re-scan the fragment list per lookup.
 	children [][]int
 
-	// cuts is set on a planned decomposition (SplitEncode), whose
-	// fragment roots are nodes of the uncut tree: fragment i+1 is the
-	// subtree at cuts[i].node less the later cuts below it. nil when
-	// every Frags[i].Root is the cut fragment itself.
+	// cuts is set on a planned decomposition (SplitEncode,
+	// SplitInPlace), whose fragment roots are nodes of the uncut tree:
+	// fragment i+1 is the subtree at cuts[i].node less the later cuts
+	// below it. nil when every Frags[i].Root is the cut fragment itself.
 	cuts []cut
+	// applied is set while SplitInPlace's remote leaves stand in the
+	// tree, so hashing a fragment meets them instead of the cut nodes.
+	applied bool
 }
 
 // NumFragments returns the number of fragments.
@@ -162,10 +165,10 @@ type cut struct {
 }
 
 // planCuts runs the §2.5 size-driven walk — the one cut decision that
-// Decompose and SplitEncode share — and returns the cuts it decides,
-// without mutating the tree. rem[f] is the size fragment f still
-// retains; a subtree is cut off only while the fragment keeps at least
-// one granularity's worth of work for itself, so left-recursive
+// Decompose, SplitInPlace and SplitEncode share — and returns the cuts
+// it decides, without mutating the tree. rem[f] is the size fragment f
+// still retains; a subtree is cut off only while the fragment keeps at
+// least one granularity's worth of work for itself, so left-recursive
 // declaration and statement lists decompose into a chain of roughly
 // granularity-sized pieces (the shape of paper Figure 7).
 func planCuts(root *Node, granularity, maxFrags int) []cut {
@@ -221,21 +224,51 @@ func fromCuts(root *Node, cuts []cut) *Decomposition {
 // The tree is mutated: cut subtrees are replaced by remote leaves.
 // Decompose(root, _, 1) performs no cuts.
 func Decompose(root *Node, granularity, maxFrags int) *Decomposition {
-	cuts := planCuts(root, granularity, maxFrags)
-	d := fromCuts(root, cuts)
-	if len(cuts) == 0 {
+	d, _, _ := SplitInPlace(root, granularity, maxFrags)
+	if len(d.cuts) == 0 {
 		return d
 	}
-	for i, c := range cuts {
-		c.parent.Children[c.idx] = newRemote(c.node.Sym, i+1)
-	}
-	// Cuts invalidate cached sizes (remote leaves are smaller than the
-	// subtrees they replace); recompute per fragment.
+	// The cuts stay, so the fragment roots become the cut fragments
+	// themselves, and their cached sizes must drop the subtrees cut
+	// from them (remote leaves are smaller); recompute per fragment.
+	d.cuts, d.applied = nil, false
 	for _, f := range d.Frags {
 		f.Root.invalidateSizes()
 		f.Root.Size()
 	}
 	return d
+}
+
+// SplitInPlace makes the cuts Decompose would make directly in the
+// caller's tree, without copying it: each cut parent gets a remote
+// leaf in place of the cut subtree, so the cost is a few pointer
+// writes per fragment, not a walk of the tree. It returns the planned
+// decomposition (as SplitEncode's: the cut list is kept and cached
+// sizes stay those of the uncut tree), the remote leaves of every
+// fragment in tree (preorder) order, and undo, which puts the cut
+// subtrees back. Until undo the tree is the cut one — its fragment
+// roots are the cut fragments, and an evaluator may run on each — and
+// the caller must be its only user. After undo the tree encodes and
+// hashes as before, and d stays valid through its methods.
+func SplitInPlace(root *Node, granularity, maxFrags int) (d *Decomposition, leaves [][]*Node, undo func()) {
+	cuts := planCuts(root, granularity, maxFrags)
+	d = fromCuts(root, cuts)
+	d.cuts = cuts
+	leaves = make([][]*Node, len(d.Frags))
+	// Cuts are listed in preorder, so each fragment's leaves arrive in
+	// tree order.
+	for i, c := range cuts {
+		leaf := newRemote(c.node.Sym, i+1)
+		c.parent.Children[c.idx] = leaf
+		leaves[c.from] = append(leaves[c.from], leaf)
+	}
+	d.applied = true
+	return d, leaves, func() {
+		for _, c := range cuts {
+			c.parent.Children[c.idx] = c.node
+		}
+		d.applied = false
+	}
 }
 
 // Planner names a decomposition policy. PlanSize, the §2.5 size-driven

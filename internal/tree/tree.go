@@ -160,9 +160,9 @@ func (n *Node) Walk(f func(*Node)) {
 // slab-allocated: one node slab, one attribute-value slab and one
 // child-pointer slab for the whole subtree — three allocations instead
 // of two per node — with every node's Attrs slice carved (full-cap) out
-// of the flat value slab. This is the arena-backed attribute table of
-// the parallel runtime: parallel.Run clones the job tree on every
-// compilation, so clone cost is evaluation hot-path cost.
+// of the flat value slab. No runtime clones a job tree (the pool
+// evaluates it in place, see SplitInPlace); tests and the benchmark
+// harness use Clone for an independent copy.
 func (n *Node) Clone() *Node {
 	var nodes, attrs int
 	var count func(*Node)
