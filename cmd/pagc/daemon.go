@@ -39,7 +39,6 @@ type daemonRequest struct {
 	Source      string `json:"source,omitempty"`
 	Workload    string `json:"workload,omitempty"`
 	Mode        string `json:"mode,omitempty"`
-	AutoWidth   bool   `json:"auto_width,omitempty"`
 	NoLibrarian bool   `json:"no_librarian,omitempty"`
 	UIDChain    bool   `json:"uid_chain,omitempty"`
 }
@@ -66,7 +65,6 @@ func runDaemon(out io.Writer, cfg config, args []string) error {
 
 	req := daemonRequest{
 		Mode:        cfg.modeName,
-		AutoWidth:   cfg.autoWidth,
 		NoLibrarian: cfg.noLib,
 		UIDChain:    cfg.chain,
 	}

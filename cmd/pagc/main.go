@@ -65,7 +65,6 @@ func main() {
 	machines := flag.Int("n", 1, "number of evaluator machines (1..6)")
 	mode := flag.String("mode", "combined", "evaluator: combined or dynamic")
 	gran := flag.Int("granularity", 0, "split granularity in bytes (0 = tree size / machines)")
-	autoWidth := flag.Bool("auto-width", false, "batch and daemon modes: size each job's decomposition from the pool's phase-time cost model instead of the worker count")
 	noLib := flag.Bool("nolibrarian", false, "disable the string librarian")
 	chain := flag.Bool("uidchain", false, "propagate unique-id counters instead of per-evaluator bases")
 	gantt := flag.Bool("gantt", false, "print the machine activity chart")
@@ -88,8 +87,7 @@ func main() {
 
 	cfg := config{
 		machines: *machines, modeName: *mode, gran: *gran,
-		autoWidth: *autoWidth,
-		check:     *check, jsonOut: *jsonOut,
+		check: *check, jsonOut: *jsonOut,
 		noLib: *noLib, chain: *chain, gantt: *gantt, asm: *asm, quiet: *quiet,
 		wl: *wl, dump: *dump, batch: *batch, series: *series, workers: *workers, cacheBytes: *cacheBytes,
 		cacheDir:  *cacheDir,
@@ -106,9 +104,6 @@ type config struct {
 	machines int
 	modeName string
 	gran     int
-	// autoWidth lets the batch pool (or the daemon) size each job's
-	// decomposition from its cost model.
-	autoWidth bool
 	// check switches to the grammar-diagnostics mode (check.go);
 	// jsonOut selects its JSON report format.
 	check      bool
@@ -195,9 +190,6 @@ func run(out io.Writer, cfg config, args []string) error {
 	}
 	if cfg.priority != "" {
 		return fmt.Errorf("-priority classes order admission on the -batch pool; the simulator runs one job")
-	}
-	if cfg.autoWidth {
-		return fmt.Errorf("-auto-width sizes jobs from a pool's cost model; the simulator's width is -n (use -batch or -daemon)")
 	}
 
 	var src string
@@ -335,7 +327,6 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 	opts := parallel.Options{
 		Mode:        mode,
 		Granularity: cfg.gran,
-		AutoWidth:   cfg.autoWidth,
 		Librarian:   !cfg.noLib,
 		UIDPreset:   !cfg.chain,
 		Priority:    prio,
@@ -400,9 +391,6 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 				r.file, len(r.res.Program), r.res.Frags, r.res.WallTime,
 				r.res.SplitTime, r.res.EvalTime, r.res.SpliceTime)
 			fmt.Fprintf(out, ", %d message(s), balance %.2f", r.res.Messages, r.res.PlanStats.Balance)
-			if r.res.PlanStats.AutoWidth {
-				fmt.Fprintf(out, ", auto width %d", r.res.PlanStats.Width)
-			}
 			if r.res.PartialHits > 0 || r.res.Demoted > 0 {
 				fmt.Fprintf(out, ", %d/%d fragment(s) replayed incrementally", r.res.PartialHits, r.res.Frags)
 			}

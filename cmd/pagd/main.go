@@ -19,7 +19,6 @@
 //	POST /compile   submit a job: {"source": "program ...", ...} or
 //	                {"workload": "tiny"|"small"|"course", ...}, plus
 //	                optional "fragments", "mode" ("combined"|"dynamic"),
-//	                "plan" ("size"|"cost"), "auto_width",
 //	                "no_librarian", "uid_chain", "timeout_ms".
 //	                Default: a stream of JSON-lines status events
 //	                ending in {"status":"done","assembly":...} or
@@ -113,7 +112,6 @@ func main() {
 	quota := flag.Int("quota", 0, "per-client bound on jobs admitted or waiting (0 = unlimited)")
 	priorityHeader := flag.String("priority-header", defaultPriorityHeader, `request header carrying the job priority ("high" or "low")`)
 	maxTimeout := flag.Duration("max-timeout", 0, "server-side job deadline: caps client timeout_ms and applies to requests without one (0 = none)")
-	autoWidth := flag.Bool("auto-width", false, "size each job's decomposition from the pool's phase-time cost model unless the request pins fragments")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (empty = disabled)")
 	workerMode := flag.Bool("worker", false, "serve as a fleet evaluation worker instead of a coordinator daemon")
 	fleetAddrs := flag.String("fleet", "", "comma-separated worker base URLs; jobs evaluate on this fleet instead of in-process")
@@ -170,7 +168,6 @@ func main() {
 	s.log = logger
 	s.priorityHeader = *priorityHeader
 	s.maxTimeout = *maxTimeout
-	s.defaultAutoWidth = *autoWidth
 	srv := &http.Server{Addr: *addr, Handler: s.routes()}
 	debug := startDebug(logger, *debugAddr)
 
@@ -284,9 +281,6 @@ type server struct {
 	// timeouts and is the default for requests without one.
 	priorityHeader string
 	maxTimeout     time.Duration
-	// defaultAutoWidth sizes decompositions from the pool's cost model
-	// for requests that don't pin "fragments".
-	defaultAutoWidth bool
 	// draining flips when shutdown begins: /readyz answers 503 while
 	// in-flight requests finish, so fleet clients and load balancers
 	// stop routing here before the listener closes.
@@ -416,10 +410,6 @@ type compileRequest struct {
 	Fragments int `json:"fragments,omitempty"`
 	// Mode is "combined" (default) or "dynamic".
 	Mode string `json:"mode,omitempty"`
-	// AutoWidth lets the pool size the decomposition from its
-	// phase-time cost model when Fragments is 0 (the daemon's
-	// -auto-width makes it the default).
-	AutoWidth bool `json:"auto_width,omitempty"`
 	// NoLibrarian and UIDChain disable the §4.3 optimizations, like
 	// pagc's -nolibrarian and -uidchain.
 	NoLibrarian bool `json:"no_librarian,omitempty"`
@@ -442,9 +432,8 @@ type event struct {
 	Workers  int      `json:"workers,omitempty"`
 	Messages int      `json:"messages,omitempty"`
 	// Balance is the decomposition's size balance (1 = perfectly
-	// even); AutoWidth reports the cost model chose the width.
-	Balance   float64 `json:"balance,omitempty"`
-	AutoWidth bool    `json:"auto_width,omitempty"`
+	// even).
+	Balance float64 `json:"balance,omitempty"`
 	// PartialHits counts fragments replayed incrementally from the
 	// cache for this job (an edited tree reusing unaffected fragments).
 	PartialHits   int     `json:"partial_hits,omitempty"`
@@ -584,7 +573,6 @@ func (s *server) jobSpec(req compileRequest) (string, parallel.Options, error) {
 		return "", opts, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMs)
 	}
 	opts.Fragments = req.Fragments
-	opts.AutoWidth = req.AutoWidth || s.defaultAutoWidth
 	opts.Librarian = !req.NoLibrarian
 	opts.UIDPreset = !req.UIDChain
 	return src, opts, nil
@@ -655,7 +643,6 @@ func (s *server) compileStream(ctx context.Context, w http.ResponseWriter, jobID
 		Workers:       res.Workers,
 		Messages:      res.Messages,
 		Balance:       res.PlanStats.Balance,
-		AutoWidth:     res.PlanStats.AutoWidth,
 		PartialHits:   res.PartialHits,
 		WallMs:        float64(res.WallTime) / float64(time.Millisecond),
 		EvalMs:        float64(res.EvalTime) / float64(time.Millisecond),

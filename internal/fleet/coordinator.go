@@ -621,18 +621,17 @@ func (j *fjob) place(f *cfrag) (*evalResp, error) {
 // openReqFor assembles the (re)open request, journal included.
 func (j *fjob) openReqFor(f *cfrag) openReq {
 	return openReq{
-		Session:    f.session,
-		Grammar:    j.job.G.Name,
-		Frag:       f.id,
-		Mode:       int(j.opts.Mode),
-		Librarian:  j.useLib,
-		UIDPreset:  j.opts.UIDPreset,
-		NoPriority: j.opts.NoPriority,
-		Yield:      true,
-		UIDBase:    f.uidBase,
-		UIDs:       j.uids,
-		Tree:       f.data,
-		Journal:    f.journal,
+		Session:   f.session,
+		Grammar:   j.job.G.Name,
+		Frag:      f.id,
+		Mode:      int(j.opts.Mode),
+		Librarian: j.useLib,
+		UIDPreset: j.opts.UIDPreset,
+		Yield:     true,
+		UIDBase:   f.uidBase,
+		UIDs:      j.uids,
+		Tree:      f.data,
+		Journal:   f.journal,
 	}
 }
 

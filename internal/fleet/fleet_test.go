@@ -123,40 +123,37 @@ func TestFleetMatchesClusterExprlang(t *testing.T) {
 
 // TestFleetMatchesClusterPascal: byte-identical generated code across
 // the three runtimes — simulated cluster, local pool, worker fleet —
-// under every switch the shared fragment constructor reads: both
-// modes, with and without priority attributes, the librarian and the
-// UID preset.
+// under every switch the shared fragment constructor reads from the
+// runtimes: both modes, the librarian and the UID preset.
 func TestFleetMatchesClusterPascal(t *testing.T) {
 	job := pascalJob(t, workload.Small())
 	type cfg struct {
-		mode                    cluster.Mode
-		lib, preset, noPriority bool
+		mode        cluster.Mode
+		lib, preset bool
 	}
 	var cfgs []cfg
 	for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
-		for _, noPriority := range []bool{false, true} {
-			for _, lib := range []bool{true, false} {
-				for _, preset := range []bool{true, false} {
-					cfgs = append(cfgs, cfg{mode, lib, preset, noPriority})
-				}
+		for _, lib := range []bool{true, false} {
+			for _, preset := range []bool{true, false} {
+				cfgs = append(cfgs, cfg{mode, lib, preset})
 			}
 		}
 	}
 	for _, c := range cfgs {
 		widths := []int{1, 2, 4}
-		if c.mode != cluster.Combined || c.noPriority {
+		if c.mode != cluster.Combined {
 			widths = []int{1, 4}
 		}
 		for _, w := range widths {
-			name := fmt.Sprintf("mode=%v/noPriority=%v/lib=%v/preset=%v/workers=%d", c.mode, c.noPriority, c.lib, c.preset, w)
+			name := fmt.Sprintf("mode=%v/lib=%v/preset=%v/workers=%d", c.mode, c.lib, c.preset, w)
 			sim, err := cluster.Run(job, cluster.Options{
-				Machines: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset, NoPriority: c.noPriority,
+				Machines: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset,
 			})
 			if err != nil {
 				t.Fatalf("%s: cluster: %v", name, err)
 			}
 			opts := parallel.Options{
-				Workers: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset, NoPriority: c.noPriority,
+				Workers: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset,
 			}
 			local, err := parallel.Run(job, opts)
 			if err != nil {

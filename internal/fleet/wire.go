@@ -126,18 +126,17 @@ const rootLeaf = -1
 // never yields unless asked, so a coordinator that predates More never
 // parks a fragment that still has ready work.
 type openReq struct {
-	Session    string      `json:"session"`
-	Grammar    string      `json:"grammar"`
-	Frag       int         `json:"frag"`
-	Mode       int         `json:"mode"`
-	Librarian  bool        `json:"librarian"`
-	UIDPreset  bool        `json:"uid_preset"`
-	NoPriority bool        `json:"no_priority"`
-	Yield      bool        `json:"yield,omitempty"`
-	UIDBase    int         `json:"uid_base"`
-	UIDs       []wireUID   `json:"uids,omitempty"`
-	Tree       []byte      `json:"tree"`
-	Journal    [][]wireMsg `json:"journal,omitempty"`
+	Session   string      `json:"session"`
+	Grammar   string      `json:"grammar"`
+	Frag      int         `json:"frag"`
+	Mode      int         `json:"mode"`
+	Librarian bool        `json:"librarian"`
+	UIDPreset bool        `json:"uid_preset"`
+	Yield     bool        `json:"yield,omitempty"`
+	UIDBase   int         `json:"uid_base"`
+	UIDs      []wireUID   `json:"uids,omitempty"`
+	Tree      []byte      `json:"tree"`
+	Journal   [][]wireMsg `json:"journal,omitempty"`
 }
 
 // supplyReq delivers one batch of attribute values to a session. Seq

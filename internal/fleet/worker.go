@@ -298,14 +298,13 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		return data, ship
 	}
 	s.ev, err = cluster.NewFragmentEvaluator(job, cluster.FragmentSpec{
-		ID:         req.Frag,
-		Root:       root,
-		Leaves:     leafList,
-		UIDBase:    req.UIDBase,
-		Mode:       mode,
-		UIDPreset:  req.UIDPreset,
-		NoPriority: req.NoPriority,
-		Yield:      req.Yield,
+		ID:        req.Frag,
+		Root:      root,
+		Leaves:    leafList,
+		UIDBase:   req.UIDBase,
+		Mode:      mode,
+		UIDPreset: req.UIDPreset,
+		Yield:     req.Yield,
 		Down: func(leaf *tree.Node, attr int, v ag.Value, _ bool) {
 			data, _ := encode(leaf.Sym, attr, v)
 			s.out = append(s.out, outMsg{Frag: leaf.RemoteID, Attr: attr, Data: data})

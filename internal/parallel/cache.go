@@ -80,13 +80,13 @@ import (
 // speculation is demoted at job quiescence, topmost first, so chains
 // settle toward the maximal consistent replay set.
 type cacheKey struct {
-	g                                *ag.Grammar
-	fragsHash                        tree.Digest // every post-cut fragment subtree, in order
-	frags                            int         // decomposition width the digests describe
-	width                            int         // effective fragment cap (decomposition input)
-	gran                             int         // effective granularity (decomposition input)
-	mode                             cluster.Mode
-	librarian, uidPreset, noPriority bool
+	g                    *ag.Grammar
+	fragsHash            tree.Digest // every post-cut fragment subtree, in order
+	frags                int         // decomposition width the digests describe
+	width                int         // effective fragment cap (decomposition input)
+	gran                 int         // effective granularity (decomposition input)
+	mode                 cluster.Mode
+	librarian, uidPreset bool
 }
 
 // cachedMsg is one recorded outbound attribute message of a fragment:
@@ -122,19 +122,9 @@ type cachedMsg struct {
 	toRoot bool
 	attr   int
 	wave   int
-	// needs, when non-nil, lists the exact inbound instances (indices
-	// into fragRecord.inOrder, all < wave) this message's value may
-	// depend on, per the grammar plan's compacted incidence matrix: a
-	// same-node inbound attribute the plan proves transitively
-	// independent of this message's attribute is dropped from the
-	// prefix. Replay may ship the message once every listed instance
-	// has matched, proving waves earlier than the full prefix. nil
-	// keeps the legacy prefix semantics (inOrder[:wave]); an empty
-	// non-nil slice means "depends on nothing external".
-	needs []int32
-	val   ag.Value
-	text  string
-	code  bool // text is the canonical form (val references handles)
+	val    ag.Value
+	text   string
+	code   bool // text is the canonical form (val references handles)
 }
 
 // inKey names one inbound attribute instance of a fragment in
@@ -255,11 +245,11 @@ type fragRecord struct {
 // deliberately absent: two decompositions that happen to produce the
 // same fragment shape at the same id may share recordings.
 type fragKey struct {
-	g                                *ag.Grammar
-	hash                             tree.Digest
-	id, parent                       int
-	mode                             cluster.Mode
-	librarian, uidPreset, noPriority bool
+	g                    *ag.Grammar
+	hash                 tree.Digest
+	id, parent           int
+	mode                 cluster.Mode
+	librarian, uidPreset bool
 }
 
 // cacheEntry is one job's complete recording: every fragment's record

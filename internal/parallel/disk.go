@@ -51,11 +51,11 @@ import (
 // entries. It participates in both the cas scope (a bump wipes stale
 // directories wholesale) and each payload's leading byte (belt and
 // suspenders against mixed-version shared directories).
-const entryFormat = 1
+const entryFormat = 2
 
 // DiskScope is the cas scope string pools open their store under;
 // sharing a directory requires sharing the scope.
-const DiskScope = "pag-fragment-recordings/v1"
+const DiskScope = "pag-fragment-recordings/v2"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
 // wiping) dir as a persistent fragment-cache store for
@@ -250,9 +250,8 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	num(int64(k.frags))
 	num(int64(k.width))
 	num(int64(k.gran))
-	num(0) // the retired planner choice; kept so existing keys stay valid
 	num(int64(k.mode))
-	num(b2i(k.librarian)<<2 | b2i(k.uidPreset)<<1 | b2i(k.noPriority))
+	num(b2i(k.librarian)<<1 | b2i(k.uidPreset))
 	var key cas.Key
 	h.Sum(key[:0])
 	return key
@@ -554,14 +553,6 @@ func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, e
 			e.b(m.toRoot)
 			e.u(uint64(m.attr))
 			e.u(uint64(m.wave))
-			if m.needs == nil {
-				e.i(-1)
-			} else {
-				e.i(int64(len(m.needs)))
-				for _, n := range m.needs {
-					e.u(uint64(n))
-				}
-			}
 			encodeValue(e, msgSym(m, fi, syms), m.attr, m.val)
 			e.str(m.text)
 			e.b(m.code)
@@ -631,16 +622,6 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 			m.toRoot = d.b()
 			m.attr = int(d.u())
 			m.wave = int(d.u())
-			if nn := d.i(); nn >= 0 {
-				if uint64(nn) > uint64(len(d.data)-d.pos) {
-					d.fail("needs count")
-					break
-				}
-				m.needs = make([]int32, 0, nn)
-				for j := int64(0); j < nn && d.err == nil; j++ {
-					m.needs = append(m.needs, int32(d.u()))
-				}
-			}
 			if m.target < 0 || m.target >= nf {
 				d.fail("message target out of range")
 				break

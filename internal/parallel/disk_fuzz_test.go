@@ -3,6 +3,10 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pag/internal/ag"
@@ -103,4 +107,55 @@ func FuzzDecodeEntry(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tinyRecording records the Tiny Pascal workload at width 3, the
+// recording context FuzzDecodeEntry's Pascal seed decodes against.
+func tinyRecording(t *testing.T) ([]byte, recordingCtx) {
+	t.Helper()
+	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return record(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true})
+}
+
+// TestDiskRejectsOldFormat checks the recording format gate: a payload
+// in the previous layout (leading byte 1) is refused at its first
+// byte, before any of its fields is read under the current layout.
+func TestDiskRejectsOldFormat(t *testing.T) {
+	data, rc := tinyRecording(t)
+	if _, err := decodeEntry(data, rc.syms, rc.g); err != nil {
+		t.Fatalf("current recording does not decode: %v", err)
+	}
+	data[0] = 1
+	_, err := decodeEntry(data, rc.syms, rc.g)
+	if err == nil || !strings.Contains(err.Error(), "recording format 1") {
+		t.Fatalf("format-1 payload: got %v, want a recording format error", err)
+	}
+}
+
+// TestDiskFuzzCorpusReachesEnvCodec keeps the checked-in
+// FuzzDecodeEntry regression input effective: it must get past the
+// format byte and the recording framing and fail inside the Pascal
+// environment codec, on an entry count the payload cannot hold — the
+// input once drove that codec into a huge allocation.
+func TestDiskFuzzCorpusReachesEnvCodec(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeEntry", "0263d7a344b7980d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus file layout:\n%s", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rc := tinyRecording(t)
+	_, err = decodeEntry([]byte(data), rc.syms, rc.g)
+	if err == nil || !strings.Contains(err.Error(), ".env: pascal: truncated count") {
+		t.Fatalf("corpus input: got %v, want an env codec count error", err)
+	}
 }

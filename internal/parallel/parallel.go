@@ -70,12 +70,6 @@ type Options struct {
 	Fragments int
 	// Mode selects the evaluation strategy (default Combined).
 	Mode cluster.Mode
-	// AutoWidth, with Fragments == 0, picks the decomposition width per
-	// tree from the pool's phase-time EWMAs (eval ns/byte vs per-fragment
-	// split+splice overhead) instead of defaulting to Workers. The first
-	// jobs after pool start run at the Workers default until the model
-	// has samples.
-	AutoWidth bool
 	// Librarian routes code attributes through a shared rope.Librarian:
 	// fragments exchange O(1) descriptors instead of rope structure.
 	// With the librarian enabled the effective Fragments request (and
@@ -88,8 +82,6 @@ type Options struct {
 	Granularity int
 	// UIDPreset enables per-fragment unique-identifier bases (§4.3).
 	UIDPreset bool
-	// NoPriority disables priority attributes.
-	NoPriority bool
 	// NoCache bypasses the pool's content-addressed fragment cache for
 	// this job: nothing is looked up and nothing is recorded. Jobs on a
 	// pool whose cache is disabled (PoolOptions.CacheBytes < 0) behave
@@ -174,14 +166,12 @@ type Result struct {
 }
 
 // PlanStats reports how one job's decomposition was planned: how long
-// planning (cut selection) took, the effective width and whether the
-// auto-width model chose it, and the resulting size balance
-// (tree.Decomposition Balance).
+// planning (cut selection) took, the effective width, and the resulting
+// size balance (tree.Decomposition Balance).
 type PlanStats struct {
-	PlanTime  time.Duration `json:"plan_time"`
-	Width     int           `json:"width"`
-	AutoWidth bool          `json:"auto_width"`
-	Balance   float64       `json:"balance"`
+	PlanTime time.Duration `json:"plan_time"`
+	Width    int           `json:"width"`
+	Balance  float64       `json:"balance"`
 }
 
 // GranularityError reports a caller-supplied Options.Granularity below
@@ -662,43 +652,18 @@ func (r *rt) stepWait(f *frag) bool {
 // w was recorded after receiving exactly the instances inOrder[:w], so
 // once those have all arrived with matching values, the message's
 // value is (by purity) a function of validated inputs and the
-// unchanged subtree — exact, not speculative. Messages carrying a
-// plan-pruned needs set replay on the stronger condition that just
-// those instances have matched: the grammar plan proved the rest of
-// the prefix cannot reach the message's attribute, so a wave can prove
-// out of arrival order. Messages are recorded in send order with
-// nondecreasing waves; the cursor advances over the proven head, and
-// needs-bearing messages past it are re-scanned (replayMsgs' emitted
-// dedup makes the re-scan idempotent).
+// unchanged subtree — exact, not speculative. Messages are recorded in
+// send order with nondecreasing waves, so the cursor advances over the
+// proven head.
 func (r *rt) advanceReplay(f *frag) {
 	c := f.cand
 	for f.covered < len(c.inOrder) && f.seen[c.inOrder[f.covered]] {
 		f.covered++
 	}
-	for f.nextMsg < len(c.msgs) && r.msgProven(f, &c.msgs[f.nextMsg]) {
+	for f.nextMsg < len(c.msgs) && c.msgs[f.nextMsg].wave <= f.covered {
 		r.replayMsgs(f, c.msgs[f.nextMsg:f.nextMsg+1])
 		f.nextMsg++
 	}
-	for i := f.nextMsg; i < len(c.msgs); i++ {
-		if m := &c.msgs[i]; m.needs != nil && r.msgProven(f, m) {
-			r.replayMsgs(f, c.msgs[i:i+1])
-		}
-	}
-}
-
-// msgProven reports whether wait-mode candidate f has validated every
-// inbound instance recorded message m may depend on: the plan-pruned
-// needs set when present, the full wave prefix otherwise.
-func (r *rt) msgProven(f *frag, m *cachedMsg) bool {
-	if m.needs == nil {
-		return m.wave <= f.covered
-	}
-	for _, ni := range m.needs {
-		if !f.seen[f.cand.inOrder[ni]] {
-			return false
-		}
-	}
-	return true
 }
 
 // fpKey memoizes a fingerprint by value identity plus codec (the same
@@ -938,59 +903,6 @@ func (r *rt) finalizeRecord(f *frag) {
 		rec.inOrder[i] = obs[i].key
 	}
 	rec.inbound = in
-	r.pruneNeeds(f, rec)
-}
-
-// pruneNeeds tightens each recorded outbound message's replay
-// prerequisites from the full wave prefix down to the inbound
-// instances the message can actually depend on, per the grammar plan's
-// compacted incidence matrix. An outbound message defines an attribute
-// of one symbol instance — f's own root going up, the child fragment's
-// root going down — and an inbound instance at that SAME node whose
-// attribute the plan proves transitively independent (no IDS path to
-// the message's attribute in ANY tree) cannot have influenced the
-// value; it is dropped from the prerequisites. Inbound instances at
-// other nodes are always kept: the plan's incidence matrix only
-// relates attributes of one symbol instance, so cross-node paths stay
-// conservatively assumed. The plan is the analysis's own
-// (job.A.CutPlan), a pure function of the grammar the cache key
-// already covers; jobs without an analysis record unpruned. Pruning
-// happens at record time only; replayers just consume the stored index
-// sets.
-func (r *rt) pruneNeeds(f *frag, rec *fragRecord) {
-	if r.job.A == nil {
-		return
-	}
-	plan := r.job.A.CutPlan()
-	for i := range rec.msgs {
-		m := &rec.msgs[i]
-		if m.wave == 0 {
-			continue
-		}
-		// The node whose same-node inbound instances the plan can
-		// reason about: an upward message is a synthesized attribute of
-		// f's root (inbound twins arrive at rootSlot); a downward one is
-		// an inherited attribute of child m.target's root (inbound twins
-		// arrive at the remote leaf standing for that child).
-		sym, sameLeaf := f.root.Sym, rootSlot
-		if m.toRoot {
-			sym, sameLeaf = r.frags[m.target].root.Sym, m.target
-		}
-		if !plan.Exact(sym) {
-			continue
-		}
-		needs := make([]int32, 0, m.wave)
-		for j := 0; j < m.wave; j++ {
-			k := rec.inOrder[j]
-			if k.leaf == sameLeaf && plan.Independent(sym, k.attr, m.attr) {
-				continue
-			}
-			needs = append(needs, int32(j))
-		}
-		if len(needs) < m.wave {
-			m.needs = needs
-		}
-	}
 }
 
 // initFrag builds the fragment's evaluator (the expensive dependency
@@ -1028,13 +940,12 @@ func (r *rt) initFrag(f *frag) {
 		}
 	}
 	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{
-		ID:         f.id,
-		Root:       f.root,
-		Leaves:     f.leaves,
-		UIDBase:    cluster.UIDBaseFor(f.id),
-		Mode:       r.opts.Mode,
-		UIDPreset:  r.opts.UIDPreset,
-		NoPriority: r.opts.NoPriority,
+		ID:        f.id,
+		Root:      f.root,
+		Leaves:    f.leaves,
+		UIDBase:   cluster.UIDBaseFor(f.id),
+		Mode:      r.opts.Mode,
+		UIDPreset: r.opts.UIDPreset,
 		Down: func(leaf *tree.Node, attr int, v ag.Value, priority bool) {
 			child := r.frags[leaf.RemoteID]
 			r.send(f, child, message{node: child.root, attr: attr, val: r.outbound(f, leaf.Sym, attr, v)}, priority)

@@ -12,7 +12,7 @@ import (
 
 // FuzzPlan fuzzes the planning layer's invariants on arbitrary
 // appendix-grammar programs: the grammar cut plan (which replay
-// pruning and aglint read) is a pure, deterministic function of
+// aglint reads) is a pure, deterministic function of
 // (grammar, analysis); and at any width the non-mutating SplitEncode
 // and the pool's in-place cut (SplitInPlace) agree with the fragments
 // Decompose cuts out of a clone, and undoing the in-place cut gives
@@ -34,25 +34,19 @@ func FuzzPlan(f *testing.F) {
 		}
 
 		// Plan purity: two independent constructions agree symbol by
-		// symbol, with and without the analysis.
+		// symbol, with and without the analysis; without one, every cut
+		// exchanges a single wave.
 		p1, p2 := ag.NewCutPlan(l.G, a), ag.NewCutPlan(l.G, a)
-		dyn := ag.NewCutPlan(l.G, nil)
+		d1, d2 := ag.NewCutPlan(l.G, nil), ag.NewCutPlan(l.G, nil)
 		for _, s := range l.G.Symbols {
-			if p1.CutCost(s) != p2.CutCost(s) || p1.CutMessages(s) != p2.CutMessages(s) {
-				t.Fatalf("cut plan not deterministic for %s", s.Name)
-			}
-			if p1.Classes(s) != p2.Classes(s) {
-				t.Fatalf("class count not deterministic for %s", s.Name)
-			}
-			if dyn.Exact(s) {
-				t.Fatalf("plan without analysis claims an exact incidence matrix for %s", s.Name)
-			}
-			// The incidence relation is reflexive: an attribute never
-			// proves independent of itself.
-			for i := range s.Attrs {
-				if p1.Independent(s, i, i) {
-					t.Fatalf("%s attr %d independent of itself", s.Name, i)
+			for _, pp := range [][2]*ag.CutPlan{{p1, p2}, {d1, d2}} {
+				x, y := pp[0], pp[1]
+				if x.CutCost(s) != y.CutCost(s) || x.CutMessages(s) != y.CutMessages(s) || x.Classes(s) != y.Classes(s) {
+					t.Fatalf("cut plan not deterministic for %s", s.Name)
 				}
+			}
+			if n := len(d1.Waves(s)); n != 1 {
+				t.Fatalf("plan without analysis gives %s %d waves, want 1", s.Name, n)
 			}
 		}
 

@@ -90,69 +90,3 @@ func TestGranularityErrorTyped(t *testing.T) {
 		t.Fatalf("granularity %d rejected: %v", tree.MinGranularity, err)
 	}
 }
-
-// TestAutoWidthBounds checks the auto-width selection contract: an
-// untrained pool keeps the worker-count default (AutoWidth unreported),
-// and once the cost model has samples the chosen width is always
-// within [1, Workers] and reported in PlanStats.
-func TestAutoWidthBounds(t *testing.T) {
-	const workers = 4
-	pool := parallel.NewPool(parallel.PoolOptions{Workers: workers, CacheBytes: -1})
-	defer pool.Close()
-	ctx := context.Background()
-	job := pascalJob(t, workload.Small())
-
-	first, err := pool.Compile(ctx, job, parallel.Options{AutoWidth: true, Librarian: true, UIDPreset: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.PlanStats.AutoWidth {
-		t.Errorf("untrained pool claims auto-chosen width %d", first.PlanStats.Width)
-	}
-	if first.PlanStats.Width != workers {
-		t.Errorf("untrained auto-width job ran at width %d, want default %d", first.PlanStats.Width, workers)
-	}
-
-	// With UIDPreset the label numbering depends on the width, so each
-	// auto-width result is compared with a fixed-width compile at the
-	// width the model chose: byte identity at equal width.
-	refs := map[int]string{}
-	for i := 0; i < 3; i++ {
-		res, err := pool.Compile(ctx, job, parallel.Options{AutoWidth: true, Librarian: true, UIDPreset: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.PlanStats.AutoWidth {
-			t.Fatalf("iteration %d: trained pool did not auto-size", i)
-		}
-		if res.PlanStats.Width < 1 || res.PlanStats.Width > workers {
-			t.Errorf("iteration %d: auto width %d outside [1, %d]", i, res.PlanStats.Width, workers)
-		}
-		w := res.PlanStats.Width
-		if _, ok := refs[w]; !ok {
-			ref, err := pool.Compile(ctx, job, parallel.Options{Fragments: w, Librarian: true, UIDPreset: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[w] = ref.Program
-		}
-		if res.Program != refs[w] {
-			t.Errorf("iteration %d: auto-width output differs from the fixed-width output at width %d", i, w)
-		}
-	}
-	stats := pool.Stats()
-	if stats.AutoEvalNsPerByte <= 0 || stats.AutoOverheadNsPerFrag <= 0 {
-		t.Errorf("trained pool reports cost model e=%v o=%v, want positive",
-			stats.AutoEvalNsPerByte, stats.AutoOverheadNsPerFrag)
-	}
-
-	// An explicit Fragments request always wins over AutoWidth.
-	fixed, err := pool.Compile(ctx, job, parallel.Options{AutoWidth: true, Fragments: 3, Librarian: true, UIDPreset: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.PlanStats.AutoWidth || fixed.PlanStats.Width != 3 {
-		t.Errorf("explicit Fragments=3 with AutoWidth: got auto=%v width=%d",
-			fixed.PlanStats.AutoWidth, fixed.PlanStats.Width)
-	}
-}

@@ -147,15 +147,6 @@ type Pool struct {
 	// instead of the local deques (PoolOptions.Remote).
 	remote RemoteEvaluator
 
-	// Auto-width cost model state: exponentially weighted moving
-	// averages of evaluation cost per linearized tree size unit and of
-	// per-fragment runtime overhead (split + splice), trained by every
-	// completed local job whose fragments all evaluated live (replays
-	// would skew it). Stored as float64 bits; zero means untrained
-	// (auto-width falls back to the Workers default).
-	ewmaEvalNsPerByte     atomic.Uint64
-	ewmaOverheadNsPerFrag atomic.Uint64
-
 	// Plan observability: cross-fragment messages across completed
 	// local jobs, and the size balance of the latest decomposition
 	// (float64 bits).
@@ -211,13 +202,10 @@ type PoolStats struct {
 	DiskErrors int64 `json:"disk_errors"`
 
 	// Decomposition-plan observability: total cross-fragment attribute
-	// messages across completed local jobs, the size balance of the
-	// most recent decomposition, and the auto-width cost model's
-	// current EWMAs (zero until the first completed job trains them).
-	MessagesTotal         int64   `json:"messages_total"`
-	LastBalance           float64 `json:"last_balance"`
-	AutoEvalNsPerByte     float64 `json:"auto_eval_ns_per_byte"`
-	AutoOverheadNsPerFrag float64 `json:"auto_overhead_ns_per_frag"`
+	// messages across completed local jobs and the size balance of the
+	// most recent decomposition.
+	MessagesTotal int64   `json:"messages_total"`
+	LastBalance   float64 `json:"last_balance"`
 }
 
 // NewPool starts the worker goroutines and returns the ready pool.
@@ -341,8 +329,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 	st.MessagesTotal = p.messagesTotal.Load()
 	st.LastBalance = math.Float64frombits(p.lastBalance.Load())
-	st.AutoEvalNsPerByte = math.Float64frombits(p.ewmaEvalNsPerByte.Load())
-	st.AutoOverheadNsPerFrag = math.Float64frombits(p.ewmaOverheadNsPerFrag.Load())
 	return st
 }
 
@@ -385,52 +371,6 @@ func (p *Pool) acquire(ctx context.Context, opts Options) error {
 		p.adm.release(opts.Client)
 	}
 	return err
-}
-
-// ewmaAlpha is the smoothing factor of the auto-width cost model's
-// moving averages: recent jobs dominate (the workload mix drifts) but
-// one outlier job cannot swing the model.
-const ewmaAlpha = 0.2
-
-// ewmaUpdate folds one sample into a float64-bits EWMA cell with a CAS
-// loop. The first positive sample seeds the average directly;
-// non-positive or non-finite samples are discarded.
-func ewmaUpdate(a *atomic.Uint64, sample float64) {
-	if sample <= 0 || math.IsInf(sample, 0) || math.IsNaN(sample) {
-		return
-	}
-	for {
-		old := a.Load()
-		next := sample
-		if cur := math.Float64frombits(old); cur > 0 {
-			next = cur + ewmaAlpha*(sample-cur)
-		}
-		if a.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// autoWidthFor picks the decomposition width for a tree of the given
-// linearized size from the trained cost model: with evaluation cost
-// e·bytes/w spread across w fragments and per-fragment overhead o·w,
-// total time e·bytes/w + o·w is minimized at w* = sqrt(e·bytes/o).
-// Returns 0 while the model is untrained (either EWMA empty), telling
-// the caller to keep the Workers default.
-func (p *Pool) autoWidthFor(bytes, maxWidth int) int {
-	e := math.Float64frombits(p.ewmaEvalNsPerByte.Load())
-	o := math.Float64frombits(p.ewmaOverheadNsPerFrag.Load())
-	if e <= 0 || o <= 0 || bytes <= 0 {
-		return 0
-	}
-	w := int(math.Round(math.Sqrt(e * float64(bytes) / o)))
-	if w < 1 {
-		w = 1
-	}
-	if w > maxWidth {
-		w = maxWidth
-	}
-	return w
 }
 
 // analysisFor returns the shared OAG analysis of g, computing it on
@@ -589,9 +529,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if opts.Workers <= 0 {
 		opts.Workers = p.workers
 	}
-	// Auto-width applies only when the caller did not pin a width; the
-	// decision itself needs the tree's size, below.
-	wantAuto := opts.AutoWidth && opts.Fragments <= 0
 	if opts.Fragments <= 0 {
 		opts.Fragments = opts.Workers
 	}
@@ -607,14 +544,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	useCache := p.cache != nil && !opts.NoCache
 
 	root := job.Root
-	treeBytes := root.Size()
-	autoChosen := false
-	if wantAuto {
-		if w := p.autoWidthFor(treeBytes, opts.Workers); w > 0 {
-			opts.Fragments = w
-			autoChosen = true
-		}
-	}
 	// Validate the effective decomposition width against the
 	// librarian's handle-range layout before doing any work: a wider
 	// librarian run would panic mid-evaluation when a fragment claims
@@ -672,15 +601,14 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if useCache {
 		digs := decomp.Digests()
 		key = cacheKey{
-			g:          job.G,
-			fragsHash:  tree.CombineDigests(digs),
-			frags:      decomp.NumFragments(),
-			width:      opts.Fragments,
-			gran:       gran,
-			mode:       opts.Mode,
-			librarian:  opts.Librarian,
-			uidPreset:  opts.UIDPreset,
-			noPriority: opts.NoPriority,
+			g:         job.G,
+			fragsHash: tree.CombineDigests(digs),
+			frags:     decomp.NumFragments(),
+			width:     opts.Fragments,
+			gran:      gran,
+			mode:      opts.Mode,
+			librarian: opts.Librarian,
+			uidPreset: opts.UIDPreset,
 		}
 		r.cache = p.cache
 		if e, ok := p.cache.get(key); ok && len(e.frags) == decomp.NumFragments() {
@@ -689,14 +617,13 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			fragKeys = make([]fragKey, len(decomp.Frags))
 			for i, f := range decomp.Frags {
 				fragKeys[i] = fragKey{
-					g:          job.G,
-					hash:       digs[i],
-					id:         f.ID,
-					parent:     f.Parent,
-					mode:       opts.Mode,
-					librarian:  opts.Librarian,
-					uidPreset:  opts.UIDPreset,
-					noPriority: opts.NoPriority,
+					g:         job.G,
+					hash:      digs[i],
+					id:        f.ID,
+					parent:    f.Parent,
+					mode:      opts.Mode,
+					librarian: opts.Librarian,
+					uidPreset: opts.UIDPreset,
 				}
 				if rec, ok := p.cache.lookupFrag(fragKeys[i]); ok {
 					if cands == nil {
@@ -831,10 +758,9 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		Decomp:    decomp,
 		Messages:  int(r.messages.Load()),
 		PlanStats: PlanStats{
-			PlanTime:  planTime,
-			Width:     opts.Fragments,
-			AutoWidth: autoChosen,
-			Balance:   decomp.Balance(),
+			PlanTime: planTime,
+			Width:    opts.Fragments,
+			Balance:  decomp.Balance(),
 		},
 	}
 	for _, f := range r.frags {
@@ -902,16 +828,8 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	res.EvalTime = evalDone.Sub(splitDone)
 	res.SpliceTime = now.Sub(evalDone)
 	res.WallTime = now.Sub(start)
-	// Train the auto-width cost model, on live evaluation only: a
-	// replayed fragment's "eval" is a microsecond replay, and training
-	// on it would drag the model toward width 1 for the next cold job.
-	// Then file the plan observability counters (pool stats +
-	// pag_plan_* metrics).
-	if r.hit == nil && res.PartialHits == 0 {
-		ewmaUpdate(&p.ewmaEvalNsPerByte, float64(res.EvalTime.Nanoseconds())/float64(treeBytes))
-		ewmaUpdate(&p.ewmaOverheadNsPerFrag,
-			float64((res.SplitTime+res.SpliceTime).Nanoseconds())/float64(res.Frags))
-	}
+	// File the plan observability counters (pool stats + pag_plan_*
+	// metrics).
 	p.messagesTotal.Add(int64(res.Messages))
 	p.lastBalance.Store(math.Float64bits(res.PlanStats.Balance))
 	p.m.observePlan(&res.PlanStats)

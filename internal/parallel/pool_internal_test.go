@@ -3,13 +3,8 @@ package parallel
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
-
-	"pag/internal/cluster"
-	"pag/internal/pascal"
-	"pag/internal/workload"
 )
 
 // occupy takes admission slots directly from the controller, so the
@@ -235,61 +230,6 @@ func TestPoolDefaults(t *testing.T) {
 	st := p.Stats()
 	if st.Workers != p.workers || st.MaxInFlight != p.maxInFlight || st.QueueDepth != DefaultQueueDepth {
 		t.Errorf("stats don't reflect configuration: %+v", st)
-	}
-}
-
-// TestAutoWidthModelIgnoresReplays checks that the auto-width cost
-// model trains on live evaluation only: a whole-job hit and a partial
-// replay finish in a fraction of a cold job's time, and folding them in
-// would drag the model toward width 1 for the next cold job.
-func TestAutoWidthModelIgnoresReplays(t *testing.T) {
-	lang := pascal.MustNew()
-	base := workload.Generate(workload.Tiny())
-	edited := strings.Replace(base, "(gtotal - gtotal)", "(gtotal - gcount)", 1)
-	if edited == base {
-		t.Fatal("edit target not in the workload")
-	}
-	job := func(src string) cluster.Job {
-		j, err := lang.ClusterJob(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	p := NewPool(PoolOptions{Workers: 2})
-	defer p.Close()
-	ctx := context.Background()
-	opts := Options{Fragments: 4, Librarian: true, UIDPreset: true}
-	model := func() [2]float64 {
-		st := p.Stats()
-		return [2]float64{st.AutoEvalNsPerByte, st.AutoOverheadNsPerFrag}
-	}
-
-	if _, err := p.Compile(ctx, job(base), opts); err != nil {
-		t.Fatal(err)
-	}
-	trained := model()
-	if trained[0] <= 0 || trained[1] <= 0 {
-		t.Fatalf("cold compile left the model untrained: %v", trained)
-	}
-	if _, err := p.Compile(ctx, job(base), opts); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.CacheHits != 1 {
-		t.Fatalf("second compile was not a whole-job hit: %+v", st)
-	}
-	if got := model(); got != trained {
-		t.Fatalf("a whole-job hit moved the model from %v to %v", trained, got)
-	}
-	res, err := p.Compile(ctx, job(edited), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PartialHits == 0 {
-		t.Fatal("edited compile replayed no fragment")
-	}
-	if got := model(); got != trained {
-		t.Fatalf("a partial replay moved the model from %v to %v", trained, got)
 	}
 }
 

@@ -86,10 +86,9 @@ type (
 	// Decomposition is a tree split into separately evaluated fragments.
 	Decomposition = tree.Decomposition
 	// CutPlan is the grammar-level decomposition plan: per-symbol cut
-	// costs from occurrence equivalence classes, a compacted incidence
-	// matrix and the static wave schedule. Fragment-cache replay prunes
-	// its prerequisites with it and aglint reports its bottlenecks;
-	// decomposition itself is purely size-driven (Decompose).
+	// costs from occurrence equivalence classes and the static wave
+	// schedule. aglint reports its bottlenecks; decomposition itself is
+	// purely size-driven (Decompose).
 	CutPlan = ag.CutPlan
 )
 
@@ -104,7 +103,7 @@ var (
 	// Decompose splits a tree by size (paper §2.5 granularity).
 	Decompose = tree.Decompose
 	// NewCutPlan computes a grammar's cut plan (analysis may be nil for
-	// a conservative plan).
+	// a single-wave plan).
 	NewCutPlan = ag.NewCutPlan
 )
 
@@ -192,8 +191,7 @@ type (
 	// MinGranularity.
 	GranularityError = parallel.GranularityError
 	// PlanStats reports the decomposition planning of one compilation:
-	// plan time, chosen width (and whether auto-width chose it) and
-	// balance.
+	// plan time, width and balance.
 	PlanStats = parallel.PlanStats
 	// Pool is a persistent compile service: one long-lived worker pool
 	// serving many concurrent compile jobs, each isolated in its own
