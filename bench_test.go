@@ -739,7 +739,7 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("combined-build-run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := eval.NewCombined(a, root, eval.Hooks{})
+			c := eval.NewCombined(a, root, nil, eval.Hooks{})
 			if c.Run(); !c.Done() {
 				b.Fatal("evaluator blocked")
 			}

@@ -98,7 +98,7 @@ func NewFragmentEvaluator(job Job, s FragmentSpec) (eval.FragmentEvaluator, erro
 		if job.A == nil {
 			return nil, fmt.Errorf("cluster: combined mode requires an OAG analysis")
 		}
-		ev = eval.NewCombined(job.A, s.Root, hooks)
+		ev = eval.NewCombined(job.A, s.Root, s.Leaves, hooks)
 	case Dynamic:
 		ev = eval.NewDynamic(job.G, s.Root, hooks)
 	default:

@@ -97,7 +97,7 @@ func TestCombinedEvaluatorAllocBudget(t *testing.T) {
 	}
 	instances := root.CountAttrs()
 	allocs := testing.AllocsPerRun(20, func() {
-		c := eval.NewCombined(a, root, eval.Hooks{})
+		c := eval.NewCombined(a, root, nil, eval.Hooks{})
 		if c.Run(); !c.Done() {
 			t.Fatal("evaluator blocked")
 		}

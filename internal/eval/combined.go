@@ -45,16 +45,17 @@ type Combined struct {
 }
 
 // NewCombined builds a combined evaluator for the fragment rooted at
-// root. Dynamic dependency information is computed only for spine
-// nodes, which the paper's measurements show is a small fraction of the
-// tree ("less than N percent of the attributes are evaluated
-// dynamically", §4.1).
-func NewCombined(a *ag.Analysis, root *tree.Node, hooks Hooks) *Combined {
+// root, whose remote leaves in tree order are leaves (nil for a
+// fragment without any). Dynamic dependency information is computed
+// only for spine nodes, which the paper's measurements show is a small
+// fraction of the tree ("less than N percent of the attributes are
+// evaluated dynamically", §4.1).
+func NewCombined(a *ag.Analysis, root *tree.Node, leaves []*tree.Node, hooks Hooks) *Combined {
 	c := &Combined{a: a, childOf: make(map[*tree.Node]int32)}
 	c.g.init(root, a.G.MaxRuleArgs(), hooks)
 	c.st = NewStatic(a, Hooks{Charge: hooks.Charge})
 
-	spine := tree.Spine(root)
+	spine := tree.Spine(root, leaves)
 	if len(spine) == 0 {
 		// Entirely local fragment: pure static evaluation, gated on the
 		// root's inherited phases ("all bottom subtrees are evaluated

@@ -100,7 +100,7 @@ func TestCombinedOnUnsplitTreeIsPureStatic(t *testing.T) {
 	}
 	for _, tc := range exprCases {
 		root := parseCase(t, l, tc.src)
-		c := eval.NewCombined(a, root, eval.Hooks{})
+		c := eval.NewCombined(a, root, nil, eval.Hooks{})
 		// The start symbol has no inherited attributes, so the whole
 		// fragment evaluates in one Run.
 		c.Run()
@@ -178,7 +178,7 @@ func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposit
 			})
 		}
 		if combined {
-			p.evs = append(p.evs, eval.NewCombined(a, f.Root, hooks))
+			p.evs = append(p.evs, eval.NewCombined(a, f.Root, tree.RemoteLeaves(f.Root), hooks))
 		} else {
 			p.evs = append(p.evs, eval.NewDynamic(g, f.Root, hooks))
 		}

@@ -274,7 +274,9 @@ func (g *graph) evaluate(i int32) {
 	}
 	v := r.Eval(args)
 	in.node.Attrs[in.attr] = v
-	g.hooks.charge(r.SimCost(args) + CostSchedule)
+	if g.hooks.Charge != nil {
+		g.hooks.Charge(r.SimCost(args) + CostSchedule)
+	}
 	g.stats.DynamicEvals++
 	g.evaluated++
 	g.markAvail(i, v)

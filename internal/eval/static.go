@@ -77,7 +77,9 @@ func (s *Static) evalOp(n *tree.Node, op *ag.CompiledOp) {
 		target = n.Children[op.TargetOcc-1]
 	}
 	target.Attrs[op.TargetAttr] = val
-	s.hooks.charge(rule.SimCost(args) + CostStaticOp)
+	if s.hooks.Charge != nil {
+		s.hooks.Charge(rule.SimCost(args) + CostStaticOp)
+	}
 	s.stats.StaticEvals++
 }
 

@@ -117,6 +117,33 @@ func costLookup(args []ag.Value) time.Duration {
 	return micros(30)
 }
 
+// ---- shared snippets --------------------------------------------------
+
+// Constant code snippets are built once and shared: ropes are
+// immutable, so one leaf can sit in any number of programs.
+var (
+	codePushR0   = rope.Text("\tpushl r0\n")
+	codePushFP   = rope.Text("\tpushl fp\n")
+	codePopR1    = rope.Text("\tmovl r0, r1\n\tmovl (sp)+, r0\n")
+	codePopCmp   = rope.Text("\tmovl r0, r1\n\tmovl (sp)+, r0\n\tcmpl r0, r1\n")
+	codePopStore = rope.Text("\tmovl (sp)+, (r0)\n")
+	codeClrR0    = rope.Text("\tclrl r0\n")
+	codeDeref    = rope.Text("\tmovl (r0), r0\n")
+	codeNeg      = rope.Text("\tmnegl r0, r0\n")
+	codeNot      = rope.Text("\txorl2 $1, r0\n")
+	codeFuncSlot = rope.Text("\tmoval -8(fp), r0\n")
+	codeChaseFP  = rope.Text("\tmovl -4(fp), r0\n")
+	codeChaseR0  = rope.Text("\tmovl -4(r0), r0\n")
+	codeAndTail  = rope.Text("\tmcoml r1, r1\n\tbicl2 r1, r0\n")
+	codeModTail  = rope.Text("\tdivl3 r1, r0, r2\n\tmull2 r1, r2\n\tsubl2 r2, r0\n")
+	codeRet      = rope.Text("\tret\n")
+	codeData     = rope.Text("\n\t.data\n")
+	codeFuncRet  = rope.Text("\tmovl -8(fp), r0\n\tret\n")
+	codePrintNL  = rope.Text("\tcalls $0, _printnl\n")
+	codeReadSkip = rope.Text("\tcalls $0, _readskip\n")
+	codeReadInt  = rope.Text("\tpushl r0\n\tcalls $1, _readint\n")
+)
+
 // ---- labels ---------------------------------------------------------
 
 // lbl renders unique label n; string-literal labels use the same space.
@@ -200,14 +227,14 @@ func procScope(outer *Env, params []Param, isFunc bool) ScopeVal {
 // procScope (argument i+1 lives at 4(i+2)(ap); the slot base depends on
 // whether a function-result slot is reserved).
 func prologue(label string, frameSize int, params []Param, isFunc bool) rope.Code {
-	code := rope.Textf("\n%s:\n\t.word 0\n\tsubl2 $%d, sp\n\tmovl 4(ap), -4(fp)\n", label, frameSize)
+	code := rope.Text("\n" + label + ":\n\t.word 0\n\tsubl2 $" + strconv.Itoa(frameSize) + ", sp\n\tmovl 4(ap), -4(fp)\n")
 	base := 4
 	if isFunc {
 		base = 8
 	}
 	for i := range params {
 		code = rope.CatCode(code,
-			rope.Textf("\tmovl %d(ap), %d(fp)\n", 4*(i+2), -(base+4*(i+1))))
+			rope.Text("\tmovl "+strconv.Itoa(4*(i+2))+"(ap), "+strconv.Itoa(-(base+4*(i+1)))+"(fp)\n"))
 	}
 	return code
 }
@@ -217,9 +244,9 @@ func prologue(label string, frameSize int, params []Param, isFunc bool) rope.Cod
 // chaseCode emits the static-link chase that leaves the frame pointer
 // of the frame at the entry's level in r0 (k = levels up, k >= 1).
 func chaseCode(k int) rope.Code {
-	c := rope.Text("\tmovl -4(fp), r0\n")
+	c := codeChaseFP
 	for i := 1; i < k; i++ {
-		c = rope.CatCode(c, rope.Text("\tmovl -4(r0), r0\n"))
+		c = rope.CatCode(c, codeChaseR0)
 	}
 	return c
 }
@@ -229,15 +256,15 @@ func addrCode(env *Env, ent *Entry) rope.Code {
 	k := env.Level - ent.Level
 	if k == 0 {
 		if ent.ByRef {
-			return rope.Textf("\tmovl %d(fp), r0\n", ent.Offset)
+			return rope.Text("\tmovl " + strconv.Itoa(ent.Offset) + "(fp), r0\n")
 		}
-		return rope.Textf("\tmoval %d(fp), r0\n", ent.Offset)
+		return rope.Text("\tmoval " + strconv.Itoa(ent.Offset) + "(fp), r0\n")
 	}
 	c := chaseCode(k)
 	if ent.ByRef {
-		return rope.CatCode(c, rope.Textf("\tmovl %d(r0), r0\n", ent.Offset))
+		return rope.CatCode(c, rope.Text("\tmovl "+strconv.Itoa(ent.Offset)+"(r0), r0\n"))
 	}
-	return rope.CatCode(c, rope.Textf("\tmoval %d(r0), r0\n", ent.Offset))
+	return rope.CatCode(c, rope.Text("\tmoval "+strconv.Itoa(ent.Offset)+"(r0), r0\n"))
 }
 
 // ---- binary operators -------------------------------------------------
@@ -246,48 +273,60 @@ func addrCode(env *Env, ent *Entry) rope.Code {
 // is a direct VAX operand the stack round trip disappears. x's code
 // leaves x in r0; likewise y.
 func genBin(op string, xCode, yCode rope.Code, xOp, yOp string) rope.Code {
-	op2 := map[string]string{
-		"add": "addl2", "sub": "subl2", "mul": "mull2", "div": "divl2", "or": "bisl2",
-	}[op]
+	op2 := arith2(op)
 	switch {
 	case yOp != "":
 		switch op {
 		case "and":
-			return rope.CatCode(xCode, rope.Textf("\tmcoml %s, r1\n\tbicl2 r1, r0\n", yOp))
+			return rope.CatCode(xCode, rope.Text("\tmcoml "+yOp+", r1\n\tbicl2 r1, r0\n"))
 		case "mod":
-			return rope.CatCode(xCode, rope.Textf("\tdivl3 %s, r0, r2\n\tmull2 %s, r2\n\tsubl2 r2, r0\n", yOp, yOp))
+			return rope.CatCode(xCode, rope.Text("\tdivl3 "+yOp+", r0, r2\n\tmull2 "+yOp+", r2\n\tsubl2 r2, r0\n"))
 		default:
-			return rope.CatCode(xCode, rope.Textf("\t%s %s, r0\n", op2, yOp))
+			return rope.CatCode(xCode, rope.Text("\t"+op2+" "+yOp+", r0\n"))
 		}
 	case xOp != "":
 		switch op {
 		case "add", "mul", "or":
-			return rope.CatCode(yCode, rope.Textf("\t%s %s, r0\n", op2, xOp))
+			return rope.CatCode(yCode, rope.Text("\t"+op2+" "+xOp+", r0\n"))
 		case "and":
-			return rope.CatCode(yCode, rope.Textf("\tmcoml r0, r1\n\tbicl3 r1, %s, r0\n", xOp))
+			return rope.CatCode(yCode, rope.Text("\tmcoml r0, r1\n\tbicl3 r1, "+xOp+", r0\n"))
 		case "sub":
-			return rope.CatCode(yCode, rope.Textf("\tsubl3 r0, %s, r0\n", xOp))
+			return rope.CatCode(yCode, rope.Text("\tsubl3 r0, "+xOp+", r0\n"))
 		case "div":
-			return rope.CatCode(yCode, rope.Textf("\tdivl3 r0, %s, r0\n", xOp))
+			return rope.CatCode(yCode, rope.Text("\tdivl3 r0, "+xOp+", r0\n"))
 		case "mod":
 			return rope.CatCode(yCode,
-				rope.Textf("\tdivl3 r0, %s, r2\n\tmull2 r0, r2\n\tsubl3 r2, %s, r0\n", xOp, xOp))
+				rope.Text("\tdivl3 r0, "+xOp+", r2\n\tmull2 r0, r2\n\tsubl3 r2, "+xOp+", r0\n"))
 		}
 	}
-	var tail string
+	var tail rope.Code
 	switch op {
 	case "and":
-		tail = "\tmcoml r1, r1\n\tbicl2 r1, r0\n"
+		tail = codeAndTail
 	case "mod":
-		tail = "\tdivl3 r1, r0, r2\n\tmull2 r1, r2\n\tsubl2 r2, r0\n"
+		tail = codeModTail
 	default:
-		tail = "\t" + op2 + " r1, r0\n"
+		tail = rope.Text("\t" + op2 + " r1, r0\n")
 	}
-	return rope.CatCode(
-		xCode, rope.Text("\tpushl r0\n"),
-		yCode, rope.Text("\tmovl r0, r1\n\tmovl (sp)+, r0\n"),
-		rope.Text(tail),
-	)
+	return rope.CatCode(xCode, codePushR0, yCode, codePopR1, tail)
+}
+
+// arith2 names the two-operand VAX instruction of a binary operator
+// ("" for and/mod, which need instruction sequences).
+func arith2(op string) string {
+	switch op {
+	case "add":
+		return "addl2"
+	case "sub":
+		return "subl2"
+	case "mul":
+		return "mull2"
+	case "div":
+		return "divl2"
+	case "or":
+		return "bisl2"
+	}
+	return ""
 }
 
 // memOperand reports whether o is a plain memory operand (assignable,
@@ -315,13 +354,13 @@ func genCall(env *Env, ent *Entry, args []ArgInfo) (rope.Code, []string) {
 			if f.ByRef {
 				if args[i].ACode == nil {
 					errs = append(errs, fmt.Sprintf("argument %d of %q must be a variable (var parameter)", i+1, ent.Name))
-					code = rope.CatCode(code, rope.Text("\tclrl r0\n\tpushl r0\n"))
+					code = rope.CatCode(code, codeClrR0, codePushR0)
 					continue
 				}
 				if !f.Type.Equal(args[i].Ty) {
 					errs = append(errs, fmt.Sprintf("argument %d of %q: expected %s, got %s", i+1, ent.Name, f.Type, args[i].Ty))
 				}
-				code = rope.CatCode(code, args[i].ACode, rope.Text("\tpushl r0\n"))
+				code = rope.CatCode(code, args[i].ACode, codePushR0)
 				continue
 			}
 			if !isScalar(f.Type) {
@@ -332,18 +371,18 @@ func genCall(env *Env, ent *Entry, args []ArgInfo) (rope.Code, []string) {
 			}
 		}
 		if args[i].Opnd != "" {
-			code = rope.CatCode(code, rope.Textf("\tpushl %s\n", args[i].Opnd))
+			code = rope.CatCode(code, rope.Text("\tpushl "+args[i].Opnd+"\n"))
 			continue
 		}
-		code = rope.CatCode(code, args[i].Code, rope.Text("\tpushl r0\n"))
+		code = rope.CatCode(code, args[i].Code, codePushR0)
 	}
 	k := env.Level - ent.Level
 	if k == 0 {
-		code = rope.CatCode(code, rope.Text("\tpushl fp\n"))
+		code = rope.CatCode(code, codePushFP)
 	} else {
-		code = rope.CatCode(code, chaseCode(k), rope.Text("\tpushl r0\n"))
+		code = rope.CatCode(code, chaseCode(k), codePushR0)
 	}
-	code = rope.CatCode(code, rope.Textf("\tcalls $%d, %s\n", len(args)+1, ent.Label))
+	code = rope.CatCode(code, rope.Text("\tcalls $"+strconv.Itoa(len(args)+1)+", "+ent.Label+"\n"))
 	return code, errs
 }
 

@@ -30,11 +30,11 @@ func (l *Lang) buildRules(b *ag.Builder) {
 			body := asCode(a[1])
 			procs := asCode(a[2])
 			data := asCode(a[3])
-			head := rope.Textf(".text\n\t.globl _main\n_main:\n\t.word 0\n\tsubl2 $%d, sp\n\tclrl -4(fp)\n",
-				scope.Env.NextFree)
-			out := rope.CatCode(head, body, rope.Text("\tret\n"), procs)
+			head := rope.Text(".text\n\t.globl _main\n_main:\n\t.word 0\n\tsubl2 $" +
+				strconv.Itoa(scope.Env.NextFree) + ", sp\n\tclrl -4(fp)\n")
+			out := rope.CatCode(head, body, codeRet, procs)
 			if data != nil && data.CodeLen() > 0 {
-				out = rope.CatCode(out, rope.Text("\n\t.data\n"), data)
+				out = rope.CatCode(out, codeData, data)
 			}
 			return out
 		}, "2.scope", "2.code", "2.procs", "2.data").WithCost(costGen),
@@ -291,7 +291,7 @@ func (l *Lang) declRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			return rope.CatCode(
 				prologue(label, scope.Env.NextFree, params, false),
 				asCode(a[4]),
-				rope.Text("\tret\n"),
+				codeRet,
 				asCode(a[5]),
 			)
 		}, "label", "1.string", "3.scope", "2.params", "3.code", "3.procs").WithCost(costBig),
@@ -321,7 +321,7 @@ func (l *Lang) declRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			return rope.CatCode(
 				prologue(label, scope.Env.NextFree, params, true),
 				asCode(a[4]),
-				rope.Text("\tmovl -8(fp), r0\n\tret\n"),
+				codeFuncRet,
 				asCode(a[5]),
 			)
 		}, "label", "1.string", "4.scope", "2.params", "4.code", "4.procs").WithCost(costBig),

@@ -62,17 +62,14 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 				var cmp rope.Code
 				switch {
 				case o2 != "":
-					cmp = rope.CatCode(asCode(a[0]), rope.Textf("\tcmpl r0, %s\n", o2))
+					cmp = rope.CatCode(asCode(a[0]), rope.Text("\tcmpl r0, "+o2+"\n"))
 				case o1 != "":
-					cmp = rope.CatCode(asCode(a[1]), rope.Textf("\tcmpl %s, r0\n", o1))
+					cmp = rope.CatCode(asCode(a[1]), rope.Text("\tcmpl "+o1+", r0\n"))
 				default:
-					cmp = rope.CatCode(
-						asCode(a[0]), rope.Text("\tpushl r0\n"),
-						asCode(a[1]), rope.Text("\tmovl r0, r1\n\tmovl (sp)+, r0\n\tcmpl r0, r1\n"))
+					cmp = rope.CatCode(asCode(a[0]), codePushR0, asCode(a[1]), codePopCmp)
 				}
 				return rope.CatCode(cmp,
-					rope.Textf("\t%s %s\n\tclrl r0\n\tbrb %s\n%s:\n\tmovl $1, r0\n%s:\n",
-						branch, yes, end, yes, end))
+					rope.Text("\t"+branch+" "+yes+"\n\tclrl r0\n\tbrb "+end+"\n"+yes+":\n\tmovl $1, r0\n"+end+":\n"))
 			}, "1.code", "2.code", "lbase", "1.opnd", "2.opnd").WithCost(costGen),
 			ag.Const("acode", rope.Code(nil)),
 			ag.Const("opnd", ""),
@@ -102,7 +99,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 		ag.Copy("1.lbase", "lbase"),
 		ag.Copy("lused", "1.lused"),
 		ag.Def("code", func(a []ag.Value) ag.Value {
-			return rope.CatCode(asCode(a[0]), rope.Text("\tmnegl r0, r0\n"))
+			return rope.CatCode(asCode(a[0]), codeNeg)
 		}, "1.code").WithCost(costGen),
 		ag.Const("acode", rope.Code(nil)),
 		ag.Const("opnd", ""),
@@ -121,7 +118,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 		ag.Copy("1.lbase", "lbase"),
 		ag.Copy("lused", "1.lused"),
 		ag.Def("code", func(a []ag.Value) ag.Value {
-			return rope.CatCode(asCode(a[0]), rope.Text("\txorl2 $1, r0\n"))
+			return rope.CatCode(asCode(a[0]), codeNot)
 		}, "1.code").WithCost(costGen),
 		ag.Const("acode", rope.Code(nil)),
 		ag.Const("opnd", ""),
@@ -139,7 +136,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 	P("expr_num", l.Expr, S(l.TNum),
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			n, _ := strconv.Atoi(asStr(a[0]))
-			return rope.Textf("\tmovl $%d, r0\n", n)
+			return rope.Text("\tmovl $" + strconv.Itoa(n) + ", r0\n")
 		}, "1.string").WithCost(costTiny),
 		ag.Const("acode", rope.Code(nil)),
 		ag.Def("opnd", func(a []ag.Value) ag.Value {
@@ -157,7 +154,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			if len(s) > 0 {
 				c = s[0]
 			}
-			return rope.Textf("\tmovl $%d, r0\n", int(c))
+			return rope.Text("\tmovl $" + strconv.Itoa(int(c)) + ", r0\n")
 		}, "1.string").WithCost(costTiny),
 		ag.Const("acode", rope.Code(nil)),
 		ag.Def("opnd", func(a []ag.Value) ag.Value {
@@ -174,7 +171,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 	)
 	boolLit := func(name string, v int) {
 		P(name, l.Expr, S(),
-			ag.Const("code", rope.Code(rope.Textf("\tmovl $%d, r0\n", v))),
+			ag.Const("code", rope.Text("\tmovl $"+strconv.Itoa(v)+", r0\n")),
 			ag.Const("acode", rope.Code(nil)),
 			ag.Const("opnd", "$"+strconv.Itoa(v)),
 			ag.Const("ty", Type(BooleanType)),
@@ -192,12 +189,12 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 		ag.Copy("lused", "1.lused"),
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			if o := asStr(a[2]); o != "" {
-				return rope.Code(rope.Textf("\tmovl %s, r0\n", o))
+				return rope.Text("\tmovl " + o + ", r0\n")
 			}
 			if asBool(a[1]) { // constant: code already loads the value
 				return asCode(a[0])
 			}
-			return rope.CatCode(asCode(a[0]), rope.Text("\tmovl (r0), r0\n"))
+			return rope.CatCode(asCode(a[0]), codeDeref)
 		}, "1.code", "1.direct", "1.opnd").WithCost(costTiny),
 		ag.Def("acode", func(a []ag.Value) ag.Value {
 			if asBool(a[1]) {
@@ -219,7 +216,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			env := asEnv(a[0])
 			ent, ok := env.Lookup(asStr(a[1]))
 			if !ok || ent.Kind != FuncEntry {
-				return rope.Code(rope.Text("\tclrl r0\n"))
+				return codeClrR0
 			}
 			code, _ := genCall(env, ent, asArgs(a[2]))
 			return peep(code)
@@ -276,16 +273,16 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			env := asEnv(a[0])
 			ent, ok := env.Lookup(asStr(a[1]))
 			if !ok {
-				return rope.Code(rope.Text("\tclrl r0\n"))
+				return codeClrR0
 			}
 			switch ent.Kind {
 			case ConstEntry:
-				return rope.Code(rope.Textf("\tmovl $%d, r0\n", ent.Value))
+				return rope.Text("\tmovl $" + strconv.Itoa(ent.Value) + ", r0\n")
 			case FuncEntry:
 				// assignment to the function result slot
-				return rope.Code(rope.Text("\tmoval -8(fp), r0\n"))
+				return codeFuncSlot
 			case ProcEntry:
-				return rope.Code(rope.Text("\tclrl r0\n"))
+				return codeClrR0
 			default:
 				return addrCode(env, ent)
 			}
@@ -330,9 +327,9 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			}
 			return rope.CatCode(
 				asCode(a[0]), // base address
-				rope.Text("\tpushl r0\n"),
+				codePushR0,
 				asCode(a[1]), // index value
-				rope.Textf("\tsubl2 $%d, r0\n\tmull2 $%d, r0\n\taddl2 (sp)+, r0\n", arr.Lo, arr.Elem.Size()),
+				rope.Text("\tsubl2 $"+strconv.Itoa(arr.Lo)+", r0\n\tmull2 $"+strconv.Itoa(arr.Elem.Size())+", r0\n\taddl2 (sp)+, r0\n"),
 			)
 		}, "1.code", "2.code", "1.ty").WithCost(costGen),
 		ag.Def("ty", func(a []ag.Value) ag.Value {
@@ -372,7 +369,7 @@ func (l *Lang) exprRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			if !ok {
 				return asCode(a[0])
 			}
-			return rope.CatCode(asCode(a[0]), rope.Textf("\taddl2 $%d, r0\n", f.Offset))
+			return rope.CatCode(asCode(a[0]), rope.Text("\taddl2 $"+strconv.Itoa(f.Offset)+", r0\n"))
 		}, "1.code", "1.ty", "2.string").WithCost(costGen),
 		ag.Def("ty", func(a []ag.Value) ag.Value {
 			rec, ok := asType(a[0]).(*Record)

@@ -64,15 +64,15 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			target, value := asStr(a[2]), asStr(a[3])
 			switch {
 			case memOperand(target) && value != "":
-				return rope.Code(rope.Textf("\tmovl %s, %s\n", value, target))
+				return rope.Text("\tmovl " + value + ", " + target + "\n")
 			case memOperand(target):
-				return peep(rope.CatCode(asCode(a[1]), rope.Textf("\tmovl r0, %s\n", target)))
+				return peep(rope.CatCode(asCode(a[1]), rope.Text("\tmovl r0, "+target+"\n")))
 			default:
 				return peep(rope.CatCode(
-					asCode(a[1]),              // value in r0
-					rope.Text("\tpushl r0\n"), // save it
-					asCode(a[0]),              // address in r0
-					rope.Text("\tmovl (sp)+, (r0)\n"),
+					asCode(a[1]), // value in r0
+					codePushR0,   // save it
+					asCode(a[0]), // address in r0
+					codePopStore,
 				))
 			}
 		}, "1.code", "2.code", "1.opnd", "2.opnd").WithCost(costPeep),
@@ -138,9 +138,9 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			end := lbl(asInt(a[2]))
 			return rope.CatCode(
 				asCode(a[0]),
-				rope.Textf("\ttstl r0\n\tbeql %s\n", end),
+				rope.Text("\ttstl r0\n\tbeql "+end+"\n"),
 				asCode(a[1]),
-				rope.Textf("%s:\n", end),
+				rope.Text(end+":\n"),
 			)
 		}, "1.code", "2.code", "lbase").WithCost(costGen),
 		ag.Copy("data", "2.data"),
@@ -167,11 +167,11 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			els, end := lbl(asInt(a[3])), lbl(asInt(a[3])+1)
 			return rope.CatCode(
 				asCode(a[0]),
-				rope.Textf("\ttstl r0\n\tbeql %s\n", els),
+				rope.Text("\ttstl r0\n\tbeql "+els+"\n"),
 				asCode(a[1]),
-				rope.Textf("\tbrb %s\n%s:\n", end, els),
+				rope.Text("\tbrb "+end+"\n"+els+":\n"),
 				asCode(a[2]),
-				rope.Textf("%s:\n", end),
+				rope.Text(end+":\n"),
 			)
 		}, "1.code", "2.code", "3.code", "lbase").WithCost(costGen),
 		ag.Def("data", cat2, "2.data", "3.data").WithCost(costTiny),
@@ -196,11 +196,11 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			top, end := lbl(asInt(a[2])), lbl(asInt(a[2])+1)
 			return rope.CatCode(
-				rope.Textf("%s:\n", top),
+				rope.Text(top+":\n"),
 				asCode(a[0]),
-				rope.Textf("\ttstl r0\n\tbeql %s\n", end),
+				rope.Text("\ttstl r0\n\tbeql "+end+"\n"),
 				asCode(a[1]),
-				rope.Textf("\tbrb %s\n%s:\n", top, end),
+				rope.Text("\tbrb "+top+"\n"+end+":\n"),
 			)
 		}, "1.code", "2.code", "lbase").WithCost(costGen),
 		ag.Copy("data", "2.data"),
@@ -225,10 +225,10 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			top := lbl(asInt(a[2]))
 			return rope.CatCode(
-				rope.Textf("%s:\n", top),
+				rope.Text(top+":\n"),
 				asCode(a[0]),
 				asCode(a[1]),
-				rope.Textf("\ttstl r0\n\tbeql %s\n", top),
+				rope.Text("\ttstl r0\n\tbeql "+top+"\n"),
 			)
 		}, "1.code", "2.code", "lbase").WithCost(costGen),
 		ag.Copy("data", "1.data"),
@@ -265,36 +265,36 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 				// limit on the stack for the loop's duration
 				var limit rope.Code
 				if o := asStr(a[6]); o != "" {
-					limit = rope.Textf("\tpushl %s\n", o)
+					limit = rope.Text("\tpushl " + o + "\n")
 				} else {
-					limit = rope.CatCode(asCode(a[2]), rope.Text("\tpushl r0\n"))
+					limit = rope.CatCode(asCode(a[2]), codePushR0)
 				}
 				if memOperand(iOp) {
 					var init rope.Code
 					if o := asStr(a[7]); o != "" {
-						init = rope.Textf("\tmovl %s, %s\n", o, iOp)
+						init = rope.Text("\tmovl " + o + ", " + iOp + "\n")
 					} else {
-						init = rope.CatCode(asCode(a[1]), rope.Textf("\tmovl r0, %s\n", iOp))
+						init = rope.CatCode(asCode(a[1]), rope.Text("\tmovl r0, "+iOp+"\n"))
 					}
 					return rope.CatCode(
 						limit, init,
-						rope.Textf("%s:\n\tcmpl %s, (sp)\n\t%s %s\n", top, iOp, cmpBr, end),
+						rope.Text(top+":\n\tcmpl "+iOp+", (sp)\n\t"+cmpBr+" "+end+"\n"),
 						asCode(a[3]), // body
-						rope.Textf("\t%s %s\n\tbrb %s\n%s:\n\tmovl (sp)+, r1\n", step, iOp, top, end),
+						rope.Text("\t"+step+" "+iOp+"\n\tbrb "+top+"\n"+end+":\n\tmovl (sp)+, r1\n"),
 					)
 				}
 				return rope.CatCode(
 					limit,
 					asCode(a[1]), // start -> r0
-					rope.Text("\tpushl r0\n"),
-					asCode(a[0]),                      // loop var address -> r0
-					rope.Text("\tmovl (sp)+, (r0)\n"), // i := start
-					rope.Textf("%s:\n", top),
+					codePushR0,
+					asCode(a[0]), // loop var address -> r0
+					codePopStore, // i := start
+					rope.Text(top+":\n"),
 					asCode(a[0]), // address again
-					rope.Textf("\tmovl (r0), r1\n\tcmpl r1, (sp)\n\t%s %s\n", cmpBr, end),
+					rope.Text("\tmovl (r0), r1\n\tcmpl r1, (sp)\n\t"+cmpBr+" "+end+"\n"),
 					asCode(a[3]), // body
 					asCode(a[0]),
-					rope.Textf("\t%s (r0)\n\tbrb %s\n%s:\n\tmovl (sp)+, r1\n", step, top, end),
+					rope.Text("\t"+step+" (r0)\n\tbrb "+top+"\n"+end+":\n\tmovl (sp)+, r1\n"),
 				)
 			}, "1.code", "2.code", "3.code", "4.code", "lbase", "1.opnd", "3.opnd", "2.opnd").WithCost(costBig),
 			ag.Copy("data", "4.data"),
@@ -328,14 +328,14 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			"1.lused", "2.lused").WithCost(costCopy),
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			end := lbl(asInt(a[2]))
-			sel := rope.CatCode(asCode(a[0]), rope.Text("\tpushl r0\n"))
+			sel := rope.CatCode(asCode(a[0]), codePushR0)
 			if o := asStr(a[3]); o != "" {
-				sel = rope.Textf("\tpushl %s\n", o)
+				sel = rope.Text("\tpushl " + o + "\n")
 			}
 			return rope.CatCode(
 				sel,
 				asCode(a[1]),
-				rope.Textf("%s:\n\tmovl (sp)+, r1\n", end),
+				rope.Text(end+":\n\tmovl (sp)+, r1\n"),
 			)
 		}, "1.code", "2.code", "lbase", "1.opnd").WithCost(costGen),
 		ag.Copy("data", "2.data"),
@@ -361,15 +361,15 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			"1.lused", "2.lused", "3.lused").WithCost(costCopy),
 		ag.Def("code", func(a []ag.Value) ag.Value {
 			end := lbl(asInt(a[3]))
-			sel := rope.CatCode(asCode(a[0]), rope.Text("\tpushl r0\n"))
+			sel := rope.CatCode(asCode(a[0]), codePushR0)
 			if o := asStr(a[4]); o != "" {
-				sel = rope.Textf("\tpushl %s\n", o)
+				sel = rope.Text("\tpushl " + o + "\n")
 			}
 			return rope.CatCode(
 				sel,
 				asCode(a[1]),
 				asCode(a[2]), // else statement
-				rope.Textf("%s:\n\tmovl (sp)+, r1\n", end),
+				rope.Text(end+":\n\tmovl (sp)+, r1\n"),
 			)
 		}, "1.code", "2.code", "3.code", "lbase", "1.opnd").WithCost(costGen),
 		ag.Def("data", cat2, "2.data", "3.data").WithCost(costTiny),
@@ -412,13 +412,13 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			body, next := lbl(asInt(a[2])), lbl(asInt(a[2])+1)
 			var tests rope.Code
 			for _, c := range asNums(a[0]) {
-				tests = rope.CatCode(tests, rope.Textf("\tcmpl (sp), $%d\n\tbeql %s\n", c, body))
+				tests = rope.CatCode(tests, rope.Text("\tcmpl (sp), $"+strconv.Itoa(c)+"\n\tbeql "+body+"\n"))
 			}
 			return rope.CatCode(
 				tests,
-				rope.Textf("\tbrb %s\n%s:\n", next, body),
+				rope.Text("\tbrb "+next+"\n"+body+":\n"),
 				asCode(a[1]),
-				rope.Textf("\tbrb %s\n%s:\n", asStr(a[3]), next),
+				rope.Text("\tbrb "+asStr(a[3])+"\n"+next+":\n"),
 			)
 		}, "1.nums", "2.code", "lbase", "endlab").WithCost(costGen),
 		ag.Copy("data", "2.data"),
@@ -446,7 +446,7 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			ag.Def("code", func(a []ag.Value) ag.Value {
 				code := asCode(a[0])
 				if newline {
-					code = rope.CatCode(code, rope.Text("\tcalls $0, _printnl\n"))
+					code = rope.CatCode(code, codePrintNL)
 				}
 				return code
 			}, "1.code").WithCost(costTiny),
@@ -488,9 +488,9 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 				runtime = "_printint"
 			}
 			if o := asStr(a[2]); o != "" {
-				return rope.Code(rope.Textf("\tpushl %s\n\tcalls $1, %s\n", o, runtime))
+				return rope.Text("\tpushl " + o + "\n\tcalls $1, " + runtime + "\n")
 			}
-			return peep(rope.CatCode(asCode(a[0]), rope.Textf("\tpushl r0\n\tcalls $1, %s\n", runtime)))
+			return peep(rope.CatCode(asCode(a[0]), rope.Text("\tpushl r0\n\tcalls $1, "+runtime+"\n")))
 		}, "1.code", "1.ty", "1.opnd").WithCost(costPeep),
 		ag.Const("data", rope.Code(nil)),
 		ag.Def("errs", func(a []ag.Value) ag.Value {
@@ -503,10 +503,10 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 	)
 	P("warg_str", l.WriteArg, S(l.TStr),
 		ag.Def("code", func(a []ag.Value) ag.Value {
-			return rope.Textf("\tpushab %s\n\tcalls $1, _printstr\n", strLbl(asInt(a[0])))
+			return rope.Text("\tpushab " + strLbl(asInt(a[0])) + "\n\tcalls $1, _printstr\n")
 		}, "lbase").WithCost(costGen),
 		ag.Def("data", func(a []ag.Value) ag.Value {
-			return rope.Textf("%s:\t.asciz \"%s\"\n", strLbl(asInt(a[1])), escapeStr(asStr(a[0])))
+			return rope.Text(strLbl(asInt(a[1])) + ":\t.asciz \"" + escapeStr(asStr(a[0])) + "\"\n")
 		}, "1.string", "lbase").WithCost(costGen),
 		ag.Const("lused", 1),
 		ag.Const("errs", []string(nil)),
@@ -521,7 +521,7 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 			ag.Def("code", func(a []ag.Value) ag.Value {
 				code := asCode(a[0])
 				if skip {
-					code = rope.CatCode(code, rope.Text("\tcalls $0, _readskip\n"))
+					code = rope.CatCode(code, codeReadSkip)
 				}
 				return code
 			}, "1.code").WithCost(costTiny),
@@ -534,9 +534,9 @@ func (l *Lang) stmtRules(b *ag.Builder, P func(string, *ag.Symbol, []*ag.Symbol,
 
 	readOne := func(a []ag.Value) ag.Value {
 		if o := asStr(a[1]); memOperand(o) {
-			return rope.Code(rope.Textf("\tpushal %s\n\tcalls $1, _readint\n", o))
+			return rope.Text("\tpushal " + o + "\n\tcalls $1, _readint\n")
 		}
-		return peep(rope.CatCode(asCode(a[0]), rope.Text("\tpushl r0\n\tcalls $1, _readint\n")))
+		return peep(rope.CatCode(asCode(a[0]), codeReadInt))
 	}
 	readErrs := func(a []ag.Value) ag.Value {
 		errs := asErrs(a[0])

@@ -73,11 +73,6 @@ func CatCode(cs ...Code) Code {
 // Text is shorthand for a literal code snippet.
 func Text(s string) Code { return Leaf(s) }
 
-// Textf is shorthand for a formatted code snippet.
-func Textf(format string, args ...any) Code {
-	return Leaf(fmt.Sprintf(format, args...))
-}
-
 // WalkCode traverses the leaves of a Code value left to right, calling
 // text for literal runs and handle for librarian references.
 func WalkCode(c Code, text func(s string), handle func(h int32, n int)) {
@@ -88,10 +83,14 @@ func WalkCode(c Code, text func(s string), handle func(h int32, n int)) {
 }
 
 // FlattenCode resolves a Code value to a plain string; lookup resolves
-// librarian handles (nil lookup panics on handles).
+// librarian handles (nil lookup panics on handles). A single leaf is
+// returned without copying.
 func FlattenCode(c Code, lookup func(h int32) string) string {
 	if c == nil {
 		return ""
+	}
+	if r, ok := c.(*Rope); ok {
+		return r.String()
 	}
 	var b strings.Builder
 	b.Grow(c.CodeLen())

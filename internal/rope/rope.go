@@ -71,10 +71,14 @@ func (r *Rope) Leaves(f func(s string)) {
 	r.right.Leaves(f)
 }
 
-// String flattens the rope in O(n).
+// String flattens the rope in O(n). A single leaf is returned without
+// copying.
 func (r *Rope) String() string {
 	if r == nil {
 		return ""
+	}
+	if r.left == nil && r.right == nil {
+		return r.leaf
 	}
 	var b strings.Builder
 	b.Grow(r.n)

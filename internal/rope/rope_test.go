@@ -102,7 +102,7 @@ func TestCodeMixing(t *testing.T) {
 	mixed := rope.CatCode(
 		rope.Text("head "),
 		rope.HandleDesc(7, 4),
-		rope.Textf(" tail %d", 42),
+		rope.Text(" tail 42"),
 	)
 	if mixed.CodeLen() != len("head ")+4+len(" tail 42") {
 		t.Errorf("CodeLen = %d", mixed.CodeLen())

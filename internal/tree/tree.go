@@ -226,24 +226,36 @@ func RemoteLeaves(root *Node) []*Node {
 // Spine returns the set of nodes lying on a path from root to some
 // remote leaf, including root itself if any remote leaf exists. These
 // are exactly the nodes the combined evaluator processes dynamically
-// (paper §2.4); all other nodes are evaluated by static visits.
-func Spine(root *Node) map[*Node]bool {
+// (paper §2.4); all other nodes are evaluated by static visits. leaves
+// must be the remote leaves of root in tree order (RemoteLeaves(root)),
+// which every runtime already holds: with none the spine is empty and
+// no node is visited, otherwise the walk stops at the last leaf.
+func Spine(root *Node, leaves []*Node) map[*Node]bool {
+	if len(leaves) == 0 {
+		return nil
+	}
 	spine := make(map[*Node]bool)
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
+	last := leaves[len(leaves)-1]
+	var path []*Node
+	done := false
+	var walk func(n *Node)
+	walk = func(n *Node) {
 		if n.Remote {
-			return true
+			// Mark the path bottom-up; above a node already on the
+			// spine everything is marked.
+			for i := len(path) - 1; i >= 0 && !spine[path[i]]; i-- {
+				spine[path[i]] = true
+			}
+			done = n == last
+			return
 		}
-		onSpine := false
+		path = append(path, n)
 		for _, c := range n.Children {
-			if walk(c) {
-				onSpine = true
+			if walk(c); done {
+				break
 			}
 		}
-		if onSpine {
-			spine[n] = true
-		}
-		return onSpine
+		path = path[:len(path)-1]
 	}
 	walk(root)
 	return spine

@@ -170,7 +170,7 @@ func TestDecomposeOnlyCutsSplitSymbols(t *testing.T) {
 func TestSpine(t *testing.T) {
 	_, root := parse(t, exprlang.Generate(6, 8))
 	d := tree.Decompose(root, tree.GranularityFor(root, 3), 3)
-	spine := tree.Spine(d.Frags[0].Root)
+	spine := tree.Spine(d.Frags[0].Root, tree.RemoteLeaves(d.Frags[0].Root))
 	if len(spine) == 0 {
 		t.Fatal("root fragment with remote leaves has an empty spine")
 	}
@@ -190,7 +190,10 @@ func TestSpine(t *testing.T) {
 	}
 	check(d.Frags[0].Root)
 	// A tree with no remote leaves has no spine.
-	if s := tree.Spine(d.Frags[len(d.Frags)-1].Root); len(s) != 0 {
+	if s := tree.Spine(d.Frags[0].Root, nil); len(s) != 0 {
+		t.Errorf("spine of %d nodes without remote leaves", len(s))
+	}
+	if s := tree.Spine(d.Frags[len(d.Frags)-1].Root, tree.RemoteLeaves(d.Frags[len(d.Frags)-1].Root)); len(s) != 0 {
 		last := d.Frags[len(d.Frags)-1]
 		hasRemote := false
 		last.Root.Walk(func(n *tree.Node) { hasRemote = hasRemote || n.Remote })

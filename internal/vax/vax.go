@@ -116,7 +116,7 @@ func parseLine(raw string) (label, mnemonic string, operands []string) {
 // allocating. ok is false when s does not have exactly two operands.
 // The peephole pass calls this once per instruction per fixpoint
 // iteration, so it must not produce garbage like splitOperands does.
-func splitTwo(s string) (first, second string, ok bool) {
+func splitTwo(s []byte) (first, second []byte, ok bool) {
 	depth := 0
 	inStr := false
 	cut := -1
@@ -131,14 +131,14 @@ func splitTwo(s string) (first, second string, ok bool) {
 		case ',':
 			if depth == 0 && !inStr {
 				if cut >= 0 {
-					return "", "", false // three or more operands
+					return nil, nil, false // three or more operands
 				}
 				cut = i
 			}
 		}
 	}
 	if cut < 0 {
-		return "", "", false
+		return nil, nil, false
 	}
 	return s[:cut], s[cut+1:], true
 }

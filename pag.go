@@ -303,5 +303,4 @@ var (
 	CatCode   = rope.CatCode
 	NewSymTab = symtab.New
 	Text      = rope.Text
-	Textf     = rope.Textf
 )
