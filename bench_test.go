@@ -209,11 +209,12 @@ func BenchmarkPoolReuse(b *testing.B) {
 // cache buys a pool serving repeated traffic: the same tiny-pascal job
 // compiled through one pool cold (cache bypassed — every compile
 // evaluates every attribute) versus warm (every compile after the
-// first replays the recorded fragments). Warm runs still cut and hash
-// the tree, re-deposit librarian runs and splice the
-// program — the gap is pure attribute evaluation, and the warm side
-// must stay >= 2x faster for the cache to earn its complexity. The
-// hits metric reports cache hits per op (warm steady state: 1).
+// first is a whole-tree hit that returns the recorded result). Warm
+// runs still cut and hash the tree, but run no fragment, re-deposit no
+// librarian text and splice nothing — the recorded program is already
+// text. The warm side must stay >= 2x faster for the cache to earn its
+// complexity. The hits metric reports cache hits per op (warm steady
+// state: 1).
 func BenchmarkFragmentCache(b *testing.B) {
 	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
 	if err != nil {

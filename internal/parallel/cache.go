@@ -21,8 +21,7 @@ import (
 // paper's decomposition makes natural: a compilation splits into
 // subtrees evaluated independently, so a pool serving heavy repeated
 // traffic (resubmitted sources, shared workloads) can skip attribute
-// evaluation entirely and replay each fragment's recorded outputs
-// instead.
+// evaluation entirely and reuse a recorded outcome instead.
 //
 // Soundness dictates the key. A fragment's outputs are NOT a function
 // of its own subtree alone: its inherited inputs (the global symbol
@@ -43,23 +42,17 @@ import (
 //     (effective fragment width and granularity, mode, librarian, UID
 //     preset, priority).
 //
-// One entry records one whole job, as per-fragment recordings that
-// replay through the same actor machinery cold fragments use — hits
-// evaluate nothing but still run fragment-parallel. The recording is
-// all-of-the-job-or-nothing deliberately: fragments exchange librarian
-// descriptors, and handle values depend on each fragment's store
-// order, which concurrency does not make deterministic across runs.
-// Within ONE recorded run they are consistent, and replay re-deposits
-// each fragment's own text runs in recorded order under the replaying
-// job's private handle range for that fragment — reproducing exactly
-// the handle→text mapping the recording was made with, so shared
-// descriptor values stay valid and cross-job handle isolation is
-// preserved. Mixing recordings of different runs could pair a
-// descriptor with another run's handle numbering, so whole-job replay
-// is all-or-nothing.
+// One entry records one whole job. A whole-tree hit evaluates nothing
+// and runs no fragment: it returns the recorded root attributes and
+// job counters as the job's result. Recordings hold no librarian
+// handles — a handle is a descriptor valid only inside the run that
+// deposited its text (§4.3), so every handle-bearing code value is
+// resolved to its text before the recording is published, and the
+// recorded root attributes are already spliced.
 //
-// The INCREMENTAL layer relaxes that for edited trees without giving
-// up the soundness argument. Each recorded fragment also carries its
+// The INCREMENTAL layer reuses recordings for edited trees, whose
+// whole-tree key misses, without giving up the soundness argument.
+// Each recorded fragment also carries its
 // inbound message set in a canonical order-independent form
 // (fingerprints of the values it actually received). On a job whose
 // whole-tree key misses, every fragment whose per-fragment content
@@ -68,10 +61,9 @@ import (
 // against the recording, while edited/unknown fragments evaluate live
 // through the normal scheduler. A candidate whose complete inbound set
 // matches has, by rule purity, outputs equal to the recording — it
-// commits, replaying its recorded outbound messages (handle-bearing
-// code values are re-shipped from their recorded text under the new
-// job's own handle ranges, because the recorded handle numbering is
-// only valid within the recording's run). Any mismatch — a value that
+// commits, replaying its recorded outbound messages (code values
+// recorded as resolved text are re-deposited under the new job's own
+// handle ranges). Any mismatch — a value that
 // differs, an instance the recording never received — demotes the
 // candidate to ordinary live evaluation, which is what preserves
 // inherited-attribute soundness: a fragment whose inherited inputs
@@ -93,16 +85,13 @@ type cacheKey struct {
 // to the root of child fragment target (toRoot) or to the remote leaf
 // standing for this fragment in its parent. The value is shared as-is
 // across jobs — attribute values are immutable by the purity
-// requirement on semantic rules, and descriptor values stay valid
-// because whole-job replay reproduces every handle they reference.
-//
-// When the value is a librarian-handle-bearing code value, text holds
-// its resolved form (filled at publish time, while the recording job's
-// librarian is still alive). The incremental replay path must use it:
-// a partially replayed job mixes this recording with live evaluation,
-// so the recorded handle numbering is not valid there — the replaying
-// fragment re-deposits text under its own range and ships a fresh
-// descriptor instead.
+// requirement on semantic rules — and holds no librarian handle: a
+// code value that crossed the boundary as a descriptor is recorded as
+// one Leaf of its resolved text (resolved at publish time, while the
+// recording job's librarian is still alive), and code is set. Replay
+// re-deposits that text under the replaying fragment's own handle
+// range and ships a fresh descriptor, exactly as the live fragment
+// would have.
 //
 // wave is the number of inbound messages the fragment had received
 // when it sent this one. "Sent after receiving only those inputs"
@@ -123,8 +112,7 @@ type cachedMsg struct {
 	attr   int
 	wave   int
 	val    ag.Value
-	text   string
-	code   bool // text is the canonical form (val references handles)
+	code   bool // val is resolved text to re-deposit on replay
 }
 
 // inKey names one inbound attribute instance of a fragment in
@@ -184,6 +172,14 @@ func fingerprintValue(sym *ag.Symbol, attr int, v ag.Value, lookup func(int32) s
 	return fp, nil
 }
 
+// holdsHandle reports whether code references librarian text by
+// handle — a descriptor valid only inside the run that deposited it.
+func holdsHandle(code rope.Code) bool {
+	found := false
+	rope.WalkCode(code, func(string) {}, func(int32, int) { found = true })
+	return found
+}
+
 // inObs is one observed inbound message in canonical coordinates, the
 // input to canonInbound.
 type inObs struct {
@@ -210,20 +206,17 @@ func canonInbound(obs []inObs) (map[inKey]valFP, error) {
 	return m, nil
 }
 
-// fragRecord is one fragment's recorded outcome: the text runs it
-// deposited at the librarian (in deposit order — whole-job replay
-// reproduces their handles exactly), its outbound messages (in send
-// order), its inbound message set in canonical order-independent form
-// (what gates incremental replay: the recording may be reused under a
-// DIFFERENT whole tree only if the fragment actually receives these
-// exact values), and — for the root fragment — the job's post-splice
-// root attributes. inbound == nil marks a recording that cannot be
-// validated (a value had no canonical form) and is never offered as an
-// incremental candidate; whole-job replay, which needs no validation,
-// still uses it.
+// fragRecord is one fragment's recorded outcome: its outbound
+// messages (in send order, handle-free), its inbound message set in
+// canonical order-independent form (what gates incremental replay: the
+// recording may be reused under a DIFFERENT whole tree only if the
+// fragment actually receives these exact values), and — for the root
+// fragment — the job's post-splice root attributes. inbound == nil
+// marks a recording that cannot be validated (a value had no
+// canonical form); it is never offered as an incremental candidate,
+// though its entry still serves whole-tree hits.
 type fragRecord struct {
-	ownRuns []string
-	msgs    []cachedMsg
+	msgs []cachedMsg
 	// inOrder lists the fragment's inbound instance keys in the order
 	// the recording received them; cachedMsg.wave values index into
 	// this sequence (a message of wave w may replay once the keys
@@ -252,18 +245,22 @@ type fragKey struct {
 	librarian, uidPreset bool
 }
 
-// cacheEntry is one job's complete recording: every fragment's record
-// plus the synthesized root attributes (librarian-free by the time
-// they are recorded: the code attribute has been spliced to text).
-// fragKeys mirrors frags (entry i's per-fragment index key), kept so
-// eviction can unregister the entry's fragments from the incremental
-// index.
+// cacheEntry is one job's complete recording: every fragment's record,
+// and what a whole-tree hit returns as its result — the synthesized
+// root attributes (librarian-free: the code attribute has been spliced
+// to text) and the cold run's cross-fragment message count and
+// librarian activity. fragKeys mirrors frags (entry i's per-fragment
+// index key), kept so eviction can unregister the entry's fragments
+// from the incremental index.
 type cacheEntry struct {
-	key       cacheKey
-	frags     []fragRecord
-	fragKeys  []fragKey
-	rootAttrs []ag.Value
-	bytes     int64
+	key           cacheKey
+	frags         []fragRecord
+	fragKeys      []fragKey
+	rootAttrs     []ag.Value
+	messages      int
+	storedStrings int
+	storedBytes   int
+	bytes         int64
 }
 
 // memSized is implemented by attribute value types that can estimate
@@ -305,20 +302,17 @@ func valSize(v ag.Value, seen map[ag.Value]bool) int64 {
 }
 
 // size estimates the entry's memory footprint for the byte budget:
-// deposited text, resolved message texts and retained attribute values
-// dominate.
+// retained attribute values (recorded code text above all) and
+// per-message overhead dominate.
 func (e *cacheEntry) size() int64 {
-	const entryCost, msgCost, runCost, fpCost = 512, 64, 32, 48
+	const entryCost, msgCost, fpCost = 512, 64, 48
 	seen := make(map[ag.Value]bool)
 	s := int64(entryCost)
 	for i := range e.frags {
 		f := &e.frags[i]
 		s += entryCost
-		for _, run := range f.ownRuns {
-			s += runCost + int64(len(run))
-		}
 		for j := range f.msgs {
-			s += msgCost + int64(len(f.msgs[j].text)) + valSize(f.msgs[j].val, seen)
+			s += msgCost + valSize(f.msgs[j].val, seen)
 		}
 		s += fpCost * int64(len(f.inbound)+len(f.inOrder))
 	}

@@ -1,23 +1,32 @@
 package parallel
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"pag/internal/ag"
+	"pag/internal/cluster"
+	"pag/internal/pascal"
+	"pag/internal/rope"
 	"pag/internal/tree"
+	"pag/internal/workload"
 )
 
 func testKey(i int) cacheKey { return cacheKey{fragsHash: tree.Digest{byte(i)}, frags: 1} }
 
-func testEntry(runBytes int) *cacheEntry {
-	runs := []string{string(make([]byte, runBytes))}
-	return &cacheEntry{frags: []fragRecord{{ownRuns: runs}}}
+// testEntry is a one-fragment entry whose only retained value is a
+// code root attribute of textBytes bytes.
+func testEntry(textBytes int) *cacheEntry {
+	code := rope.Leaf(string(make([]byte, textBytes)))
+	return &cacheEntry{frags: []fragRecord{{}}, rootAttrs: []ag.Value{code}}
 }
 
 // TestFragCacheLRU pins the eviction mechanics: the byte budget holds,
 // eviction is least-recently-used, and a get refreshes recency.
 func TestFragCacheLRU(t *testing.T) {
-	// Entry overhead is 2*entryCost(512) + runCost(32) + run bytes; a
-	// budget of three 2000-byte entries fits two 900-byte-run entries
+	// Entry overhead is 2*entryCost(512) + valueCost(64) + text bytes;
+	// a budget of two 2000-byte entries fits two 900-byte-text entries
 	// but not three.
 	c := newFragCache(2 * 2000)
 	a, b, d := testEntry(900), testEntry(900), testEntry(900)
@@ -73,5 +82,67 @@ func TestFragCacheStatsCounters(t *testing.T) {
 	}
 	if c.hits.Load() != 1 || c.misses.Load() != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/1", c.hits.Load(), c.misses.Load())
+	}
+}
+
+// TestRecordingsHoldNoHandles pins the recording invariant: after a
+// cold librarian compile, no recorded message value and no recorded
+// root attribute references librarian text by handle, and the code
+// values that crossed fragment boundaries as descriptors are kept as
+// text to re-deposit. An encoder handed a value that still holds a
+// handle reports an error instead of panicking (the spill writer
+// goroutine has no recover).
+func TestRecordingsHoldNoHandles(t *testing.T) {
+	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, rc := recordEntry(t, job, Options{Fragments: 4, Librarian: true, UIDPreset: true})
+	handleFree := func(v ag.Value) bool {
+		code, ok := v.(rope.Code)
+		return !ok || !holdsHandle(code)
+	}
+	reshipped := 0
+	for fi := range entry.frags {
+		for mi, m := range entry.frags[fi].msgs {
+			if !handleFree(m.val) {
+				t.Errorf("fragment %d message %d holds a librarian handle", fi, mi)
+			}
+			if m.code {
+				reshipped++
+			}
+		}
+	}
+	for ai, v := range entry.rootAttrs {
+		if !handleFree(v) {
+			t.Errorf("root attribute %d holds a librarian handle", ai)
+		}
+	}
+	if reshipped == 0 {
+		t.Fatal("no recorded message is marked for re-deposit; the librarian path went unexercised")
+	}
+	if _, err := encodeEntry(entry, rc.syms, rc.g); err != nil {
+		t.Fatalf("handle-free recording does not encode: %v", err)
+	}
+
+	// Put a descriptor back into a copy of one re-deposit message and
+	// of the code root attribute: each must fail the encoding, not
+	// panic.
+	isCode := func(m cachedMsg) bool { return m.code }
+	desc := rope.HandleDesc(rope.HandleBase(0), 3)
+	for _, inMsg := range []bool{true, false} {
+		bad := *entry
+		bad.frags = slices.Clone(entry.frags)
+		bad.rootAttrs = slices.Clone(entry.rootAttrs)
+		if inMsg {
+			f := &bad.frags[slices.IndexFunc(bad.frags, func(f fragRecord) bool { return slices.ContainsFunc(f.msgs, isCode) })]
+			f.msgs = slices.Clone(f.msgs)
+			f.msgs[slices.IndexFunc(f.msgs, isCode)].val = desc
+		} else {
+			bad.rootAttrs[cluster.CodeAttr(job.G)] = rope.CatCode(rope.Leaf("x"), desc)
+		}
+		if _, err := encodeEntry(&bad, rc.syms, rc.g); err == nil || !strings.Contains(err.Error(), "librarian handle") {
+			t.Errorf("encoding a handle (in a message: %v) returned %v, want a librarian handle error", inMsg, err)
+		}
 	}
 }

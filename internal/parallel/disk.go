@@ -24,20 +24,21 @@ package parallel
 // Values survive the trip through each attribute's own network codec —
 // the same canonical byte form the simulated cluster ships, which is
 // the equivalence the byte-identity oracle is built on — except code
-// values, which serialize structurally (text runs and raw librarian
-// handle numbers). Handle numbers are valid because replay re-deposits
-// each fragment's recorded ownRuns in recorded order under the
-// replaying job's private range, reproducing the exact handle→text
-// mapping of the recording run; that argument is process-independent,
-// so it holds for a disk load in a fresh process too.
+// values, which are stored as their flattened text and decode to one
+// Leaf. A recording holds no librarian handle: finalizeRecord resolves
+// every handle-bearing message value before publication and the
+// recorded root attributes are already spliced. So no payload carries
+// a number whose meaning depends on the handle layout of the run that
+// wrote it, and a value that still holds a handle is an encoding
+// error, not something to persist.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -51,11 +52,11 @@ import (
 // entries. It participates in both the cas scope (a bump wipes stale
 // directories wholesale) and each payload's leading byte (belt and
 // suspenders against mixed-version shared directories).
-const entryFormat = 2
+const entryFormat = 3
 
 // DiskScope is the cas scope string pools open their store under;
 // sharing a directory requires sharing the scope.
-const DiskScope = "pag-fragment-recordings/v2"
+const DiskScope = "pag-fragment-recordings/v3"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
 // wiping) dir as a persistent fragment-cache store for
@@ -324,6 +325,17 @@ func (d *entryDec) i() int64 {
 
 func (d *entryDec) b() bool { return d.u() != 0 }
 
+// counter reads a job counter, bounded so a corrupted value cannot
+// overflow an int on any platform.
+func (d *entryDec) counter() int {
+	v := d.u()
+	if v > math.MaxInt32 {
+		d.fail(fmt.Sprintf("counter %d out of range", v))
+		return 0
+	}
+	return int(v)
+}
+
 // count reads a collection length, bounding it by the bytes that could
 // possibly back it (each element costs at least one byte) so a
 // corrupted length cannot drive a giant allocation.
@@ -376,34 +388,28 @@ func (d *entryDec) raw(n int) []byte {
 const (
 	valNil   = 0 // no bytes
 	valCodec = 1 // attribute codec bytes
-	valCode  = 2 // rope.Code structure: text runs + raw handles
+	valCode  = 2 // rope.Code flattened to text (handle-free)
 	valTyped = 3 // structural fallback for plain codec-less values
 )
 
 // encodeValue writes one attribute value. Code values are checked
-// first — they may carry librarian handles only the structural form
-// preserves — then the attribute's network codec, then a structural
-// fallback for the plain Go types grammars use without codecs.
+// first and stored as their text — a code value still holding a
+// librarian handle has no meaning outside the run that deposited it,
+// so it fails the encoding — then the attribute's network codec, then
+// a structural fallback for the plain Go types grammars use without
+// codecs.
 func encodeValue(e *entryEnc, sym *ag.Symbol, attr int, v ag.Value) {
 	if v == nil {
 		e.u(valNil)
 		return
 	}
 	if code, ok := v.(rope.Code); ok {
+		if holdsHandle(code) {
+			e.fail(fmt.Errorf("parallel: %s.%s code value holds a librarian handle", sym.Name, sym.Attrs[attr].Name))
+			return
+		}
 		e.u(valCode)
-		var npieces uint64
-		rope.WalkCode(code, func(string) { npieces++ }, func(int32, int) { npieces++ })
-		e.u(npieces)
-		rope.WalkCode(code,
-			func(s string) {
-				e.u(0)
-				e.str(s)
-			},
-			func(h int32, n int) {
-				e.u(1)
-				e.i(int64(h))
-				e.u(uint64(n))
-			})
+		e.str(rope.FlattenCode(code, nil))
 		return
 	}
 	if codec := sym.Attrs[attr].Codec; codec != nil {
@@ -447,43 +453,7 @@ func decodeValue(d *entryDec, sym *ag.Symbol, attr int) ag.Value {
 	case valNil:
 		return nil
 	case valCode:
-		n := d.count()
-		var code rope.Code
-		// Coalesce adjacent text runs: a pure-text value decodes to one
-		// Leaf (matching the flattened form callers print and compare),
-		// not a concatenation mirroring the encoder's walk.
-		var pending strings.Builder
-		flush := func() {
-			if pending.Len() > 0 {
-				code = rope.CatCode(code, rope.Leaf(pending.String()))
-				pending.Reset()
-			}
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			switch kind := d.u(); kind {
-			case 0:
-				pending.WriteString(d.str())
-			case 1:
-				flush()
-				h := d.i()
-				ln := d.u()
-				if h < 0 || h > int64(^uint32(0)>>1) || ln > uint64(^uint32(0)>>1) {
-					d.fail("handle out of range")
-					return nil
-				}
-				code = rope.CatCode(code, rope.HandleDesc(int32(h), int(ln)))
-			default:
-				d.fail("bad code piece kind")
-				return nil
-			}
-		}
-		flush()
-		if code == nil {
-			// CatCode drops empty operands; a recorded empty code value
-			// must stay a non-nil Code on replay.
-			code = rope.Leaf("")
-		}
-		return code
+		return rope.Leaf(d.str())
 	case valCodec:
 		codec := sym.Attrs[attr].Codec
 		if codec == nil {
@@ -542,10 +512,6 @@ func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, e
 	e.u(uint64(len(entry.frags)))
 	for fi := range entry.frags {
 		f := &entry.frags[fi]
-		e.u(uint64(len(f.ownRuns)))
-		for _, run := range f.ownRuns {
-			e.str(run)
-		}
 		e.u(uint64(len(f.msgs)))
 		for mi := range f.msgs {
 			m := &f.msgs[mi]
@@ -554,7 +520,6 @@ func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, e
 			e.u(uint64(m.attr))
 			e.u(uint64(m.wave))
 			encodeValue(e, msgSym(m, fi, syms), m.attr, m.val)
-			e.str(m.text)
 			e.b(m.code)
 		}
 		e.u(uint64(len(f.inOrder)))
@@ -588,6 +553,9 @@ func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, e
 	for ai, v := range entry.rootAttrs {
 		encodeValue(e, g.Start, ai, v)
 	}
+	e.u(uint64(entry.messages))
+	e.u(uint64(entry.storedStrings))
+	e.u(uint64(entry.storedBytes))
 	return e.buf, e.err
 }
 
@@ -606,12 +574,6 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 	entry := &cacheEntry{frags: make([]fragRecord, nf)}
 	for fi := 0; fi < nf && d.err == nil; fi++ {
 		f := &entry.frags[fi]
-		if n := d.count(); d.err == nil {
-			f.ownRuns = make([]string, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				f.ownRuns = append(f.ownRuns, d.str())
-			}
-		}
 		nm := d.count()
 		if d.err == nil {
 			f.msgs = make([]cachedMsg, 0, nm)
@@ -632,8 +594,12 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 				break
 			}
 			m.val = decodeValue(d, sym, m.attr)
-			m.text = d.str()
 			m.code = d.b()
+			if _, ok := m.val.(rope.Code); m.code && !ok {
+				// Replay would have no text to re-deposit.
+				d.fail("re-deposit flag on a non-code value")
+				break
+			}
 			f.msgs = append(f.msgs, m)
 		}
 		if n := d.count(); d.err == nil {
@@ -666,6 +632,9 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 	for i := 0; i < na && d.err == nil; i++ {
 		entry.rootAttrs = append(entry.rootAttrs, decodeValue(d, g.Start, i))
 	}
+	entry.messages = d.counter()
+	entry.storedStrings = d.counter()
+	entry.storedBytes = d.counter()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -673,8 +642,8 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 		return nil, fmt.Errorf("parallel: %d trailing bytes after recording", len(d.data)-d.pos)
 	}
 	// The root fragment's record exposes the job's post-splice root
-	// attributes during whole-job replay, same aliasing put() jobs set
-	// up at publication.
+	// attributes to incremental replay, the same aliasing a cold run
+	// sets up at publication.
 	if nf > 0 {
 		entry.frags[0].rootAttrs = entry.rootAttrs
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"pag/internal/cluster"
 	"pag/internal/exprlang"
 	"pag/internal/pascal"
+	"pag/internal/rope"
 	"pag/internal/workload"
 )
 
@@ -23,10 +25,10 @@ type recordingCtx struct {
 	g    *ag.Grammar
 }
 
-// record compiles job once on a fresh caching pool and returns the
-// recording that compile published, encoded as the disk tier stores
-// it, and the context it decodes against.
-func record(tb testing.TB, job cluster.Job, opts Options) ([]byte, recordingCtx) {
+// recordEntry compiles job once on a fresh caching pool and returns
+// the recording that compile published and the context it encodes and
+// decodes against.
+func recordEntry(tb testing.TB, job cluster.Job, opts Options) (*cacheEntry, recordingCtx) {
 	tb.Helper()
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
@@ -37,11 +39,18 @@ func record(tb testing.TB, job cluster.Job, opts Options) ([]byte, recordingCtx)
 	if p.cache.len() != 1 {
 		tb.Fatalf("compile published %d recordings, want 1", p.cache.len())
 	}
-	entry := p.cache.lru.Front().Value.(*cacheEntry)
 	rc := recordingCtx{g: job.G}
 	for _, f := range res.Decomp.Frags {
 		rc.syms = append(rc.syms, f.Root.Sym)
 	}
+	return p.cache.lru.Front().Value.(*cacheEntry), rc
+}
+
+// record is recordEntry with the recording encoded as the disk tier
+// stores it.
+func record(tb testing.TB, job cluster.Job, opts Options) ([]byte, recordingCtx) {
+	tb.Helper()
+	entry, rc := recordEntry(tb, job, opts)
 	data, err := encodeEntry(entry, rc.syms, rc.g)
 	if err != nil {
 		tb.Fatal(err)
@@ -121,17 +130,18 @@ func tinyRecording(t *testing.T) ([]byte, recordingCtx) {
 }
 
 // TestDiskRejectsOldFormat checks the recording format gate: a payload
-// in the previous layout (leading byte 1) is refused at its first
-// byte, before any of its fields is read under the current layout.
+// in the previous layout (leading byte 2, whose recordings carried
+// librarian handles) is refused at its first byte, before any of its
+// fields is read under the current layout.
 func TestDiskRejectsOldFormat(t *testing.T) {
 	data, rc := tinyRecording(t)
 	if _, err := decodeEntry(data, rc.syms, rc.g); err != nil {
 		t.Fatalf("current recording does not decode: %v", err)
 	}
-	data[0] = 1
+	data[0] = 2
 	_, err := decodeEntry(data, rc.syms, rc.g)
-	if err == nil || !strings.Contains(err.Error(), "recording format 1") {
-		t.Fatalf("format-1 payload: got %v, want a recording format error", err)
+	if err == nil || !strings.Contains(err.Error(), "recording format 2") {
+		t.Fatalf("format-2 payload: got %v, want a recording format error", err)
 	}
 }
 
@@ -157,5 +167,35 @@ func TestDiskFuzzCorpusReachesEnvCodec(t *testing.T) {
 	_, err = decodeEntry([]byte(data), rc.syms, rc.g)
 	if err == nil || !strings.Contains(err.Error(), ".env: pascal: truncated count") {
 		t.Fatalf("corpus input: got %v, want an env codec count error", err)
+	}
+}
+
+// TestDiskRejectsCodeFlagOnNonCode: a payload that marks a non-code
+// message value for re-deposit is refused at decode, instead of
+// failing the job that would replay it.
+func TestDiskRejectsCodeFlagOnNonCode(t *testing.T) {
+	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, rc := recordEntry(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true})
+	bad := *entry
+	bad.frags = slices.Clone(entry.frags)
+	f := &bad.frags[0]
+	f.msgs = slices.Clone(f.msgs)
+	i := slices.IndexFunc(f.msgs, func(m cachedMsg) bool {
+		_, isCode := m.val.(rope.Code)
+		return !isCode
+	})
+	if i < 0 {
+		t.Fatal("root fragment recorded no non-code message")
+	}
+	f.msgs[i].code = true
+	data, err := encodeEntry(&bad, rc.syms, rc.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeEntry(data, rc.syms, rc.g); err == nil || !strings.Contains(err.Error(), "re-deposit flag") {
+		t.Fatalf("got %v, want a re-deposit flag error", err)
 	}
 }

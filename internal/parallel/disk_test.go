@@ -88,8 +88,12 @@ func TestDiskWarmRestartByteIdentical(t *testing.T) {
 					t.Errorf("root attr %d differs disk-warm vs cold", ai)
 				}
 			}
-			if warm.Frags != cold.Frags {
-				t.Errorf("disk-warm frags %d, cold %d", warm.Frags, cold.Frags)
+			if warm.Frags != cold.Frags || len(warm.PerFrag) != warm.Frags {
+				t.Errorf("disk-warm frags %d (%d per-fragment stats), cold %d", warm.Frags, len(warm.PerFrag), cold.Frags)
+			}
+			if warm.Messages != cold.Messages || warm.StoredStrings != cold.StoredStrings || warm.StoredBytes != cold.StoredBytes {
+				t.Errorf("disk-warm counters %d/%d/%d differ from cold %d/%d/%d (messages/stored strings/stored bytes)",
+					warm.Messages, warm.StoredStrings, warm.StoredBytes, cold.Messages, cold.StoredStrings, cold.StoredBytes)
 			}
 			// The loaded entry is published to the in-memory cache: a
 			// third identical compile hits memory, not disk again.

@@ -202,7 +202,7 @@ func TestCompileRestoresTree(t *testing.T) {
 			pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
 			defer pool.Close()
 			want := fresh(t, c.opts)
-			// Cold (recording), then warm (whole-job replay).
+			// Cold (recording), then warm (whole-tree hit).
 			for _, round := range []string{"cold", "warm"} {
 				res, err := pool.Compile(ctx, job, c.opts)
 				if err != nil {

@@ -138,14 +138,16 @@ type Result struct {
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int
-	// StoredStrings and StoredBytes report librarian activity.
+	// StoredStrings and StoredBytes report librarian activity. A
+	// whole-tree cache hit runs no fragment; it reports these three
+	// counters as the cold run that made the recording counted them.
 	StoredStrings int
 	StoredBytes   int
 	// PlanStats describes the decomposition planning of this job.
 	PlanStats PlanStats
 	// PartialHits counts fragments this job completed by incremental
-	// per-fragment cache replay (edited-tree reuse). Whole-job cache
-	// hits replay every fragment but report zero here — they show up in
+	// per-fragment cache replay (edited-tree reuse). Whole-tree cache
+	// hits run no fragment and report zero here — they show up in
 	// PoolStats.CacheHits instead.
 	PartialHits int
 	// Demoted counts incremental-replay candidates this job demoted to
@@ -228,12 +230,10 @@ type frag struct {
 	store func(text string) (int32, error)
 	stats eval.Stats
 
-	// Fragment-cache state, fixed at job setup and then touched only by
-	// the driving worker: on a job-level cache hit, entry holds this
-	// fragment's recording to replay; on a recording (miss) job, rec
-	// accumulates the fragment's outputs (and recIn its raw inbound
-	// messages) for publication when the whole job completes.
-	entry *fragRecord
+	// Recording state, fixed at job setup and then touched only by the
+	// driving worker: on a fully cold job, rec accumulates the
+	// fragment's outputs (and recIn its raw inbound messages) for
+	// publication when the whole job completes.
 	rec   *fragRecord
 	recIn []message
 
@@ -291,9 +291,6 @@ type rt struct {
 
 	frags  []*frag
 	leafOf map[int]*tree.Node // child fragment id -> remote leaf in parent
-	// hit is the job-level cache entry this job replays, nil on a cold
-	// run; each fragment's share of it is wired up as frag.entry.
-	hit *cacheEntry
 	// cache is the pool's fragment cache (nil when this job bypasses
 	// it); the incremental path files its per-fragment counters there.
 	// partial counts this job's committed per-fragment replays,
@@ -518,18 +515,13 @@ func (r *rt) failure() error {
 	return r.failErr
 }
 
-// run is the evaluation body of step. A fragment of a cache-hit job
-// replays its recorded outputs on first entry and completes without
-// ever building an evaluator; an incremental-replay candidate starts
-// in wait mode (see the frag field comments), where arriving values
-// are validated against the candidate recording and, on a full match,
-// the whole fragment commits without an evaluator ever existing.
+// run is the evaluation body of step. An incremental-replay candidate
+// starts in wait mode (see the frag field comments), where arriving
+// values are validated against the candidate recording and, on a full
+// match, the whole fragment commits without an evaluator ever
+// existing.
 func (r *rt) run(w int, f *frag) {
 	f.curWorker = w
-	if f.entry != nil {
-		r.replay(f)
-		return
-	}
 	if f.cand != nil && !f.runAhead {
 		if r.stepWait(f) {
 			return // still waiting tentatively, or committed
@@ -745,13 +737,9 @@ func (r *rt) demote(f *frag) {
 // commitPartial completes fragment f from its candidate recording:
 // every recorded inbound instance has arrived with a matching value,
 // so by rule purity f's outputs equal the recording's. Recorded
-// outbound messages are re-posted through the normal mailboxes;
-// handle-bearing code values are re-shipped from their recorded text —
-// deposited under THIS job's private handle range for f.id and sent as
-// fresh descriptors — because the recorded descriptor values reference
-// the recording run's handle numbering, which a mixed replay/live
-// schedule does not reproduce. The root fragment restores the job's
-// recorded (post-splice, librarian-free) root attributes.
+// outbound messages are re-posted through the normal mailboxes (see
+// replayMsgs). The root fragment restores the job's recorded
+// (post-splice, librarian-free) root attributes.
 func (r *rt) commitPartial(f *frag) {
 	cand := f.cand
 	// The commit replays recorded messages; clear cand first so send()
@@ -780,13 +768,12 @@ func (r *rt) commitPartial(f *frag) {
 // replayMsgs posts recorded outbound messages of fragment f through
 // the normal mailbox machinery, skipping instances f already shipped
 // (recorded in f.emitted by send() and by earlier replays).
-// Handle-bearing code values are re-shipped from their recorded text —
-// deposited under THIS job's private handle range for f.id and sent as
-// fresh descriptors — because the recorded descriptor values reference
-// the recording run's handle numbering, which a mixed replay/live
-// schedule does not reproduce. The store continues f's single handle
-// allocator, so replayed and live deposits of one fragment never
-// collide.
+// Code values that crossed the boundary as descriptors were recorded
+// as their resolved text (code); that text is deposited under THIS
+// job's private handle range for f.id and shipped as a fresh
+// descriptor, as the live fragment would have. The store continues
+// f's single handle allocator, so replayed and live deposits of one
+// fragment never collide.
 func (r *rt) replayMsgs(f *frag, msgs []cachedMsg) {
 	for i := range msgs {
 		m := &msgs[i]
@@ -803,14 +790,15 @@ func (r *rt) replayMsgs(f *frag, msgs []cachedMsg) {
 			if f.store == nil {
 				f.store = r.lib.Range(rope.HandleBase(f.id))
 			}
-			// Deposit the recorded text as one run and reference it
+			// Deposit the recorded leaf as one run and reference it
 			// directly — the general ToDescriptor walk would only copy
 			// the already-flat text through a builder first.
-			h, err := f.store(m.text)
+			text := rope.FlattenCode(val.(rope.Code), nil)
+			h, err := f.store(text)
 			if err != nil {
 				panic(jobPanic{fmt.Errorf("parallel: fragment %d: re-shipping cached code: %w", f.id, err)})
 			}
-			val = rope.HandleDesc(h, len(m.text))
+			val = rope.HandleDesc(h, len(text))
 		}
 		target := r.frags[m.target]
 		node := r.leafOf[f.id]
@@ -855,11 +843,12 @@ func (r *rt) runAheadAtQuiescence(f *frag) {
 }
 
 // finalizeRecord completes fragment f's recording for publication:
-// resolve handle-bearing outbound code values to their text (the
-// recording job's librarian is still alive here) and canonicalize the
-// raw inbound messages into the order-independent fingerprint set. An
-// inbound value with no canonical form leaves rec.inbound nil — the
-// record still serves whole-job replay, but is never offered as an
+// replace each handle-bearing outbound code value with one Leaf of its
+// resolved text (the recording job's librarian is still alive here),
+// so the recording holds no handle, and canonicalize the raw inbound
+// messages into the order-independent fingerprint set. An inbound
+// value with no canonical form leaves rec.inbound nil — the entry
+// still serves whole-tree hits, but the record is never offered as an
 // incremental candidate (nothing could validate it).
 func (r *rt) finalizeRecord(f *frag) {
 	rec := f.rec
@@ -869,12 +858,10 @@ func (r *rt) finalizeRecord(f *frag) {
 		if !ok {
 			continue
 		}
-		hasHandle := false
-		rope.WalkCode(code, func(string) {}, func(int32, int) { hasHandle = true })
-		if !hasHandle {
+		if !holdsHandle(code) {
 			continue
 		}
-		m.text = rope.FlattenCode(code, r.lib.Lookup)
+		m.val = rope.Leaf(rope.FlattenCode(code, r.lib.Lookup))
 		m.code = true
 	}
 	obs := make([]inObs, 0, len(f.recIn))
@@ -916,28 +903,12 @@ func (r *rt) initFrag(f *frag) {
 	// cannot collide either. Only librarian runs need a range
 	// (HandleBase bounds-checks the id; the pool has validated the
 	// decomposition width when the librarian is in play).
-	if r.useLib {
-		// A mode-switched candidate may already hold the range (its
-		// phase-0 replay deposited through it); a fragment owns ONE
-		// handle allocator for its whole life, so replayed and live
-		// deposits stay collision-free.
-		if f.store == nil {
-			f.store = r.lib.Range(rope.HandleBase(f.id))
-		}
-		if f.rec != nil {
-			// Recording: remember every deposited run in deposit order,
-			// so replay can reproduce this fragment's exact handle→text
-			// mapping (descriptor values recorded elsewhere in the job
-			// reference these handles by value).
-			base := f.store
-			f.store = func(text string) (int32, error) {
-				h, err := base(text)
-				if err == nil {
-					f.rec.ownRuns = append(f.rec.ownRuns, text)
-				}
-				return h, err
-			}
-		}
+	// A mode-switched candidate may already hold the range (its phase-0
+	// replay deposited through it); a fragment owns ONE handle allocator
+	// for its whole life, so replayed and live deposits stay
+	// collision-free.
+	if r.useLib && f.store == nil {
+		f.store = r.lib.Range(rope.HandleBase(f.id))
 	}
 	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{
 		ID:        f.id,
@@ -985,40 +956,4 @@ func (r *rt) outbound(f *frag, sym *ag.Symbol, attr int, v ag.Value) ag.Value {
 		panic(jobPanic{fmt.Errorf("parallel: fragment %d: %w", f.id, err)})
 	}
 	return d
-}
-
-// replay completes fragment f from its recording without building an
-// evaluator. First it re-deposits the text runs the recorded run
-// stored, in recorded order, under THIS job's private handle range for
-// f.id — reproducing exactly the handle→text mapping the recording's
-// descriptor values reference, inside this job's own librarian (so
-// handles never migrate between jobs). Then it re-posts the recorded
-// outbound messages through the normal mailbox machinery, and the root
-// fragment restores the job's root attributes.
-func (r *rt) replay(f *frag) {
-	if r.useLib && len(f.entry.ownRuns) > 0 {
-		store := r.lib.Range(rope.HandleBase(f.id))
-		for _, run := range f.entry.ownRuns {
-			if _, err := store(run); err != nil {
-				panic(jobPanic{fmt.Errorf("parallel: fragment %d: replaying cached code: %w", f.id, err)})
-			}
-		}
-	}
-	for i := range f.entry.msgs {
-		m := &f.entry.msgs[i]
-		target := r.frags[m.target]
-		node := r.leafOf[f.id]
-		if m.toRoot {
-			node = target.root
-		}
-		r.send(f, target, message{node: node, attr: m.attr, val: m.val}, false)
-	}
-	r.flush(f)
-	if f.id == 0 {
-		copy(r.rootAttrs, r.hit.rootAttrs)
-	}
-	f.mu.Lock()
-	f.done = true
-	f.mu.Unlock()
-	r.doneCnt.Add(1)
 }

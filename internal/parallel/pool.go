@@ -13,6 +13,7 @@ import (
 	"pag/internal/ag"
 	"pag/internal/cas"
 	"pag/internal/cluster"
+	"pag/internal/eval"
 	"pag/internal/rope"
 	"pag/internal/tree"
 )
@@ -47,10 +48,11 @@ type PoolOptions struct {
 	// DiskCache, when non-nil, persists whole-job recordings to the
 	// given store and loads them back on whole-tree misses — across
 	// pool restarts, and across processes sharing one directory. Cold
-	// runs spill write-behind (a slow disk never stalls compiles);
-	// loads feed the same replay machinery in-memory hits use, so a
-	// disk hit stays byte-identical to cold evaluation. Requires the
-	// in-memory cache (ignored when CacheBytes is negative).
+	// runs spill write-behind (a slow disk never stalls compiles); a
+	// loaded recording serves the job exactly as an in-memory hit
+	// does, so a disk hit stays byte-identical to cold evaluation.
+	// Requires the in-memory cache (ignored when CacheBytes is
+	// negative).
 	DiskCache *cas.Store
 	// Remote, when set, routes admitted jobs to a distributed
 	// evaluation backend (a pagd worker fleet) instead of the pool's
@@ -131,7 +133,7 @@ type Pool struct {
 
 	// cache is the content-addressed fragment cache (nil when
 	// disabled): completed fragment evaluations are recorded under a
-	// structural content address and replayed for later jobs with
+	// structural content address and reused for later jobs with
 	// identical content, see cache.go.
 	cache *fragCache
 
@@ -513,8 +515,10 @@ func holdTree(ctx context.Context, root *tree.Node) (release func(), err error) 
 	}
 }
 
-// compile is the admitted job body: cut the job's tree, seed the
-// shared deques, wait for per-job quiescence, assemble the result.
+// compile is the admitted job body: cut the job's tree, look the job up
+// in the cache, seed the shared deques, wait for per-job quiescence,
+// assemble the result. A whole-tree cache hit returns right after the
+// lookup, running no fragment.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = cluster.Combined
@@ -561,38 +565,38 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// The parser side, same policy as the cluster: cut the caller's
 	// tree at the planned points. Each fragment evaluator writes into
 	// the tree's own attribute slots; the cuts are undone once the job
-	// is quiescent, on every return path below.
+	// is quiescent, on every return path below. A whole-tree hit cuts
+	// too: the content address is made of the fragments' digests.
 	planStart := time.Now()
 	decomp, leaves, undo := tree.SplitInPlace(root, gran, opts.Fragments)
 	defer undo()
-	planTime := time.Since(planStart)
+	res := &Result{
+		Frags:   decomp.NumFragments(),
+		Workers: opts.Workers,
+		Decomp:  decomp,
+		PlanStats: PlanStats{
+			PlanTime: time.Since(planStart),
+			Width:    opts.Fragments,
+			Balance:  decomp.Balance(),
+		},
+	}
 
 	// Identify the code attribute of the start symbol. The
 	// decomposition is never wider than the validated Fragments
 	// request, so librarian handle ranges cannot run out here.
 	codeAttr := cluster.CodeAttr(job.G)
-	useLib := opts.Librarian && codeAttr >= 0
 
-	r := &rt{
-		job:       job,
-		opts:      opts,
-		leafOf:    make(map[int]*tree.Node),
-		lib:       p.libs.Get().(*rope.Librarian),
-		useLib:    useLib,
-		sched:     p.sched,
-		quiet:     make(chan struct{}),
-		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
-	}
 	// Complete the content address now that the decomposition is known,
-	// and decide the job's cache schedule. A whole-tree hit replays
-	// every fragment from one internally consistent recording. On a
-	// whole-tree miss, each fragment is looked up by its own content
-	// address (fragKey): fragments with a recording become tentative
+	// and decide the job's cache schedule. A whole-tree hit, from memory
+	// or from disk, is the job's result: the recording's root attributes
+	// and counters are returned and no fragment runs. On a whole-tree
+	// miss, each fragment is looked up by its own content address
+	// (fragKey): fragments with a recording become tentative
 	// incremental-replay candidates, validated against their actually
 	// received inbound values while edited/unknown fragments evaluate
 	// live (see cache.go). Only a fully cold job — no candidate
-	// anywhere — records: its fragments all belong to one run, which is
-	// what keeps both replay paths internally consistent.
+	// anywhere — records: its fragments all belong to one run, so the
+	// recorded root attributes and counters are that run's.
 	var key cacheKey
 	var fragKeys []fragKey
 	var cands []*fragRecord
@@ -603,17 +607,16 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		key = cacheKey{
 			g:         job.G,
 			fragsHash: tree.CombineDigests(digs),
-			frags:     decomp.NumFragments(),
+			frags:     res.Frags,
 			width:     opts.Fragments,
 			gran:      gran,
 			mode:      opts.Mode,
 			librarian: opts.Librarian,
 			uidPreset: opts.UIDPreset,
 		}
-		r.cache = p.cache
-		if e, ok := p.cache.get(key); ok && len(e.frags) == decomp.NumFragments() {
-			r.hit = e
-		} else {
+		hit, ok := p.cache.get(key)
+		if !ok || len(hit.frags) != res.Frags {
+			hit = nil
 			fragKeys = make([]fragKey, len(decomp.Frags))
 			for i, f := range decomp.Frags {
 				fragKeys[i] = fragKey{
@@ -633,29 +636,49 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 				}
 			}
 		}
-		if p.disk != nil {
+		if hit == nil && p.disk != nil {
 			fragSyms = make([]*ag.Symbol, len(decomp.Frags))
 			for i, f := range decomp.Frags {
 				fragSyms[i] = f.Root.Sym
 			}
 			dk = p.diskKey(&key, job.UIDs)
-			if r.hit == nil {
-				// Memory missed; try the persistent tier. A loaded entry
-				// is published to the in-memory cache first — which also
-				// registers its fragments in the incremental index, so a
-				// later *edited* tree in this process partial-replays
-				// from it exactly as from a local recording — then
-				// replayed whole, superseding any incremental candidates.
-				if e := p.disk.load(dk, fragSyms, job.G); e != nil && len(e.frags) == decomp.NumFragments() {
-					e.fragKeys = fragKeys
-					p.cache.put(key, e)
-					r.hit = e
-					cands = nil
-				}
+			// Memory missed; try the persistent tier. A loaded entry is
+			// published to the in-memory cache — which also registers its
+			// fragments in the incremental index, so a later *edited* tree
+			// in this process partial-replays from it exactly as from a
+			// local recording — and serves this job as a whole-tree hit.
+			if e := p.disk.load(dk, fragSyms, job.G); e != nil && len(e.frags) == res.Frags {
+				e.fragKeys = fragKeys
+				p.cache.put(key, e)
+				hit = e
 			}
 		}
+		if hit != nil {
+			res.RootAttrs = append([]ag.Value(nil), hit.rootAttrs...)
+			res.PerFrag = make([]eval.Stats, res.Frags)
+			res.Messages = hit.messages
+			res.StoredStrings, res.StoredBytes = hit.storedStrings, hit.storedBytes
+			lookupDone := time.Now()
+			splice(res, codeAttr, nil)
+			p.finish(res, start, lookupDone, lookupDone)
+			return res, nil
+		}
 	}
-	recording := useCache && r.hit == nil && cands == nil
+	recording := useCache && cands == nil
+
+	r := &rt{
+		job:       job,
+		opts:      opts,
+		leafOf:    make(map[int]*tree.Node),
+		lib:       p.libs.Get().(*rope.Librarian),
+		useLib:    opts.Librarian && codeAttr >= 0,
+		sched:     p.sched,
+		quiet:     make(chan struct{}),
+		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
+	}
+	if useCache {
+		r.cache = p.cache
+	}
 	for _, f := range decomp.Frags {
 		// queued is set here, while the job is still private to this
 		// goroutine: the moment the first fragment is pushed, workers
@@ -663,8 +686,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		// (under the mailbox lock) must not race the seeding loop.
 		fr := &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root, leaves: leaves[f.ID], queued: true}
 		switch {
-		case r.hit != nil:
-			fr.entry = &r.hit.frags[f.ID]
 		case cands != nil:
 			fr.cand = cands[f.ID] // nil for edited/unknown fragments: they run live
 		case recording:
@@ -751,34 +772,17 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			r.demote(f)
 		}
 	}
-	res := &Result{
-		RootAttrs: r.rootAttrs,
-		Frags:     decomp.NumFragments(),
-		Workers:   opts.Workers,
-		Decomp:    decomp,
-		Messages:  int(r.messages.Load()),
-		PlanStats: PlanStats{
-			PlanTime: planTime,
-			Width:    opts.Fragments,
-			Balance:  decomp.Balance(),
-		},
-	}
+	res.RootAttrs = r.rootAttrs
+	res.Messages = int(r.messages.Load())
 	for _, f := range r.frags {
 		res.PerFrag = append(res.PerFrag, f.stats)
 		res.Stats.Add(f.stats)
 	}
-	if codeAttr >= 0 {
-		if code, ok := r.rootAttrs[codeAttr].(rope.Code); ok {
-			res.Program = rope.FlattenCode(code, r.lib.Lookup)
-			if r.useLib {
-				// The raw value may reference librarian handles the
-				// caller cannot resolve (the librarian is recycled when
-				// the job ends); expose the spliced text instead, so
-				// RootAttrs is always consumable with a nil lookup.
-				res.RootAttrs[codeAttr] = rope.Leaf(res.Program)
-			}
-		}
+	var lookup func(int32) string
+	if r.useLib {
+		lookup = r.lib.Lookup
 	}
+	splice(res, codeAttr, lookup)
 	res.StoredStrings, res.StoredBytes = r.lib.Stored()
 	res.PartialHits = int(r.partial.Load())
 	res.Demoted = int(r.demotedCnt.Load())
@@ -789,16 +793,19 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// the code attribute has been spliced to plain text, so the
 	// recorded root attributes are librarian-free and safe to share
 	// across jobs; each per-fragment record carries everything else —
-	// deposited runs, outbound messages (with handle-bearing code
-	// values resolved to text for the incremental path), and the
-	// canonical inbound set that gates incremental reuse. Mixed
-	// replay/live runs publish nothing: their fragments' outputs do not
-	// all come from one run, which both replay paths rely on.
+	// outbound messages (with handle-bearing code values resolved to
+	// text) and the canonical inbound set that gates incremental reuse.
+	// Mixed replay/live runs publish nothing: their fragments' outputs
+	// do not all come from one run, which the recorded root attributes
+	// and counters rely on.
 	if recording {
 		entry := &cacheEntry{
-			frags:     make([]fragRecord, len(r.frags)),
-			fragKeys:  fragKeys,
-			rootAttrs: append([]ag.Value(nil), r.rootAttrs...),
+			frags:         make([]fragRecord, len(r.frags)),
+			fragKeys:      fragKeys,
+			rootAttrs:     append([]ag.Value(nil), r.rootAttrs...),
+			messages:      res.Messages,
+			storedStrings: res.StoredStrings,
+			storedBytes:   res.StoredBytes,
 		}
 		for i, f := range r.frags {
 			r.finalizeRecord(f)
@@ -809,10 +816,9 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		}
 		p.cache.put(key, entry)
 		// Spill the freshly published recording write-behind; the entry
-		// is immutable from here on, so the writer goroutine encodes it
-		// off the compile path. Handle-bearing code values persist
-		// structurally (finalizeRecord already resolved their text),
-		// so nothing below needs this job's librarian.
+		// is immutable from here on and holds no librarian handle, so
+		// the writer goroutine encodes it off the compile path without
+		// this job's librarian.
 		if p.disk != nil {
 			p.disk.spill(dk, entry, fragSyms, job.G)
 		}
@@ -823,15 +829,40 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// garbage-collected with the rest of the job state.)
 	r.lib.Reset()
 	p.libs.Put(r.lib)
+	p.finish(res, start, splitDone, evalDone)
+	return res, nil
+}
+
+// splice sets res.Program from the code attribute of res.RootAttrs, if
+// the grammar has one. lookup resolves librarian handles; when it is
+// set, the raw value may reference handles the caller cannot resolve
+// (the librarian is recycled when the job ends), so the spliced text
+// replaces it and RootAttrs is always consumable with a nil lookup. A
+// whole-tree hit passes nil: recorded root attributes hold no handles.
+func splice(res *Result, codeAttr int, lookup func(int32) string) {
+	if codeAttr < 0 {
+		return
+	}
+	code, ok := res.RootAttrs[codeAttr].(rope.Code)
+	if !ok {
+		return
+	}
+	res.Program = rope.FlattenCode(code, lookup)
+	if lookup != nil {
+		res.RootAttrs[codeAttr] = rope.Leaf(res.Program)
+	}
+}
+
+// finish stamps the phase timings on a completed job's result and
+// files the plan observability counters (pool stats + pag_plan_*
+// metrics), for cold runs and whole-tree hits alike.
+func (p *Pool) finish(res *Result, start, splitDone, evalDone time.Time) {
 	now := time.Now()
 	res.SplitTime = splitDone.Sub(start)
 	res.EvalTime = evalDone.Sub(splitDone)
 	res.SpliceTime = now.Sub(evalDone)
 	res.WallTime = now.Sub(start)
-	// File the plan observability counters (pool stats + pag_plan_*
-	// metrics).
 	p.messagesTotal.Add(int64(res.Messages))
 	p.lastBalance.Store(math.Float64bits(res.PlanStats.Balance))
 	p.m.observePlan(&res.PlanStats)
-	return res, nil
 }

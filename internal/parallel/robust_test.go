@@ -148,9 +148,11 @@ func TestHandleRangeExhaustionFailsJob(t *testing.T) {
 	}
 }
 
-// TestRangeExhaustionDuringReplay covers the warm path of the same
-// bug: a cache hit re-deposits recorded text runs, and exhaustion
-// there must also fail the one job cleanly.
+// TestRangeExhaustionDuringReplay covers the warm paths of the same
+// bug. Incremental replay re-deposits recorded code text under the
+// replaying job's own handle ranges, and exhaustion there must fail the
+// one job cleanly. A whole-tree hit deposits nothing, so it succeeds
+// even under a zero cap.
 func TestRangeExhaustionDuringReplay(t *testing.T) {
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
 	defer pool.Close()
@@ -162,17 +164,35 @@ func TestRangeExhaustionDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// One more granularity unit leaves the cuts alone but changes the
+	// whole-tree key: every fragment is an incremental candidate.
+	partial := opts
+	partial.Granularity = tree.GranularityFor(job.Root, opts.Fragments) + 1
 	restore := rope.SetRangeCapForTesting(0)
-	_, err = pool.Compile(ctx, job, opts) // replay under a zero cap
+	_, err = pool.Compile(ctx, job, partial)
 	restore()
-	if !errors.Is(err, rope.ErrRangeExhausted) {
-		t.Fatalf("replay under zero cap returned %v, want ErrRangeExhausted", err)
+	if !errors.Is(err, rope.ErrRangeExhausted) || !strings.Contains(err.Error(), "re-shipping cached code") {
+		t.Fatalf("incremental replay under zero cap returned %v, want ErrRangeExhausted from re-shipping cached code", err)
 	}
-	res, err := pool.Compile(ctx, job, opts)
+	res, err := pool.Compile(ctx, job, partial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Program != ref.Program {
 		t.Error("replay after failed replay produced different output")
+	}
+	if res.PartialHits != 4 || res.Demoted != 0 {
+		t.Errorf("partial hits %d, demoted %d; want every fragment replayed (4, 0)", res.PartialHits, res.Demoted)
+	}
+
+	restore = rope.SetRangeCapForTesting(0)
+	hit, err := pool.Compile(ctx, job, opts)
+	restore()
+	if err != nil {
+		t.Fatalf("whole-tree hit under zero cap: %v", err)
+	}
+	if hit.Program != ref.Program {
+		t.Error("whole-tree hit under zero cap returned a different program")
 	}
 }

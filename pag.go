@@ -196,8 +196,9 @@ type (
 	// Pool is a persistent compile service: one long-lived worker pool
 	// serving many concurrent compile jobs, each isolated in its own
 	// fragment set and librarian handle namespace, with a
-	// content-addressed fragment cache replaying recompilations of
-	// identical sources without re-evaluating any attributes — and,
+	// content-addressed fragment cache returning the recorded result
+	// for recompilations of identical sources without running any
+	// fragment — and,
 	// incrementally, replaying the unaffected fragments of EDITED
 	// sources (each fragment's recording is validated against the
 	// inbound attribute values it actually receives, so inherited
@@ -211,8 +212,7 @@ type (
 	PoolOptions = parallel.PoolOptions
 	// DiskCache is the crash-safe on-disk store behind
 	// PoolOptions.DiskCache: whole-job recordings spilled write-behind
-	// and replayed byte-identically across pool (and process)
-	// restarts. One directory may be shared by many pools/processes.
+	// and served byte-identically across pool (and process) restarts. One directory may be shared by many pools/processes.
 	DiskCache = cas.Store
 	// PoolStats is a snapshot of a Pool's activity, including fragment
 	// cache hit/miss/eviction counters and the incremental-replay
