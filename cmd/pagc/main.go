@@ -16,10 +16,11 @@
 //
 //	pagc -batch [-workers 8] [-cache-bytes N] a.pas b.pas c.pas
 //
-// -cache-dir persists the pool's recordings to a crash-safe on-disk
-// store, so a later batch (a separate process) replays files this one
-// compiled — including partial replays of edited versions in -series
-// mode (see README "Persistent cache"):
+// -cache-dir persists the pool's whole-job results to a crash-safe
+// on-disk store, so a later batch (a separate process) serves files
+// this one compiled straight from disk; an edited version compiles
+// cold there, because incremental replay is in-process only (see
+// README "Persistent cache"):
 //
 //	pagc -batch -cache-dir ~/.cache/pag a.pas b.pas
 //

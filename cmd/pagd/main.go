@@ -7,9 +7,9 @@
 //	pagd -addr :8642 -workers 8 -max-inflight 16 -queue 64 -cache-bytes 67108864 \
 //	     -cache-dir /var/cache/pag -quota 8 -max-timeout 30s -debug-addr localhost:8643
 //
-// -cache-dir persists the fragment cache across restarts: cold
-// recordings spill to a crash-safe on-disk store (see README
-// "Persistent cache") and a restarted daemon replays them
+// -cache-dir persists the fragment cache across restarts: cold runs'
+// results spill to a crash-safe on-disk store (see README "Persistent
+// cache") and a restarted daemon serves identical sources from them
 // byte-identically instead of recompiling. -cache-disk-bytes bounds
 // the directory (0 = default 256 MiB, <0 = unbounded); several
 // daemons may share one directory.

@@ -251,7 +251,8 @@ type fragKey struct {
 // to text) and the cold run's cross-fragment message count and
 // librarian activity. fragKeys mirrors frags (entry i's per-fragment
 // index key), kept so eviction can unregister the entry's fragments
-// from the incremental index.
+// from the incremental index. An entry loaded from disk holds the
+// results only: frags and fragKeys are empty.
 type cacheEntry struct {
 	key           cacheKey
 	frags         []fragRecord

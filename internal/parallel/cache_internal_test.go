@@ -89,15 +89,15 @@ func TestFragCacheStatsCounters(t *testing.T) {
 // cold librarian compile, no recorded message value and no recorded
 // root attribute references librarian text by handle, and the code
 // values that crossed fragment boundaries as descriptors are kept as
-// text to re-deposit. An encoder handed a value that still holds a
-// handle reports an error instead of panicking (the spill writer
-// goroutine has no recover).
+// text to re-deposit. Handed a root code attribute that still holds a
+// handle, encodeEntry returns the code codec's error instead of
+// panicking (the spill writer goroutine has no recover).
 func TestRecordingsHoldNoHandles(t *testing.T) {
 	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, rc := recordEntry(t, job, Options{Fragments: 4, Librarian: true, UIDPreset: true})
+	entry := recordEntry(t, job, Options{Fragments: 4, Librarian: true, UIDPreset: true})
 	handleFree := func(v ag.Value) bool {
 		code, ok := v.(rope.Code)
 		return !ok || !holdsHandle(code)
@@ -121,28 +121,14 @@ func TestRecordingsHoldNoHandles(t *testing.T) {
 	if reshipped == 0 {
 		t.Fatal("no recorded message is marked for re-deposit; the librarian path went unexercised")
 	}
-	if _, err := encodeEntry(entry, rc.syms, rc.g); err != nil {
+	if _, err := encodeEntry(entry, job.G); err != nil {
 		t.Fatalf("handle-free recording does not encode: %v", err)
 	}
 
-	// Put a descriptor back into a copy of one re-deposit message and
-	// of the code root attribute: each must fail the encoding, not
-	// panic.
-	isCode := func(m cachedMsg) bool { return m.code }
-	desc := rope.HandleDesc(rope.HandleBase(0), 3)
-	for _, inMsg := range []bool{true, false} {
-		bad := *entry
-		bad.frags = slices.Clone(entry.frags)
-		bad.rootAttrs = slices.Clone(entry.rootAttrs)
-		if inMsg {
-			f := &bad.frags[slices.IndexFunc(bad.frags, func(f fragRecord) bool { return slices.ContainsFunc(f.msgs, isCode) })]
-			f.msgs = slices.Clone(f.msgs)
-			f.msgs[slices.IndexFunc(f.msgs, isCode)].val = desc
-		} else {
-			bad.rootAttrs[cluster.CodeAttr(job.G)] = rope.CatCode(rope.Leaf("x"), desc)
-		}
-		if _, err := encodeEntry(&bad, rc.syms, rc.g); err == nil || !strings.Contains(err.Error(), "librarian handle") {
-			t.Errorf("encoding a handle (in a message: %v) returned %v, want a librarian handle error", inMsg, err)
-		}
+	bad := *entry
+	bad.rootAttrs = slices.Clone(entry.rootAttrs)
+	bad.rootAttrs[cluster.CodeAttr(job.G)] = rope.CatCode(rope.Leaf("x"), rope.HandleDesc(rope.HandleBase(0), 3))
+	if _, err := encodeEntry(&bad, job.G); err == nil || !strings.Contains(err.Error(), "cannot flatten librarian handles") {
+		t.Errorf("encoding a root handle returned %v, want the code codec's librarian handle error", err)
 	}
 }

@@ -1,10 +1,19 @@
 package parallel
 
-// The persistent tier of the fragment cache: whole-job recordings
-// (cacheEntry) are spilled write-behind to an internal/cas store and
-// loaded back on whole-tree misses — including by a different process
-// over the same directory, which is what makes a pagd restart warm and
-// lets N replicas share one cache.
+// The persistent tier of the fragment cache: whole-job results are
+// spilled write-behind to an internal/cas store and loaded back on
+// whole-tree misses — including by a different process over the same
+// directory, which is what makes a pagd restart warm and lets N
+// replicas share one cache.
+//
+// A disk recording holds only what a disk hit returns: the job's
+// post-splice root attributes and its three counters (messages,
+// librarian strings and bytes). One compilation's output is its root
+// attributes (§4.3) — the spliced program is among them — so nothing
+// else is needed to serve an identical tree. Per-fragment records
+// (outbound messages, waves, inbound fingerprints) stay in memory: a
+// disk-loaded entry serves whole-tree hits only and does not join the
+// incremental index, so an edit after a restart compiles cold.
 //
 // Soundness carries over from the in-memory design unchanged because
 // the disk key is a superset of the in-memory one. cacheKey leans on
@@ -21,16 +30,12 @@ package parallel
 // fresh cache directory) to invalidate old recordings; README's
 // persistent-cache section documents this.
 //
-// Values survive the trip through each attribute's own network codec —
-// the same canonical byte form the simulated cluster ships, which is
-// the equivalence the byte-identity oracle is built on — except code
-// values, which are stored as their flattened text and decode to one
-// Leaf. A recording holds no librarian handle: finalizeRecord resolves
-// every handle-bearing message value before publication and the
-// recorded root attributes are already spliced. So no payload carries
-// a number whose meaning depends on the handle layout of the run that
-// wrote it, and a value that still holds a handle is an encoding
-// error, not something to persist.
+// Each root attribute is stored as its own codec's bytes — the bytes
+// cluster.EncodeAttr ships with the librarian off, the canonical form
+// the byte-identity oracle is built on. The recorded root attributes
+// are already spliced, so they hold no librarian handle; a value that
+// still holds one (CodeCodec.Encode refuses it) or has no codec is an
+// encoding error, not something to persist.
 
 import (
 	"crypto/sha256"
@@ -38,25 +43,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"pag/internal/ag"
 	"pag/internal/cas"
 	"pag/internal/cluster"
-	"pag/internal/rope"
 )
 
 // entryFormat versions the recording payload layout inside cas
 // entries. It participates in both the cas scope (a bump wipes stale
 // directories wholesale) and each payload's leading byte (belt and
 // suspenders against mixed-version shared directories).
-const entryFormat = 3
+const entryFormat = 4
 
 // DiskScope is the cas scope string pools open their store under;
 // sharing a directory requires sharing the scope.
-const DiskScope = "pag-fragment-recordings/v3"
+const DiskScope = "pag-fragment-recordings/v4"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
 // wiping) dir as a persistent fragment-cache store for
@@ -88,7 +91,6 @@ type diskCache struct {
 type spillReq struct {
 	key   cas.Key
 	entry *cacheEntry
-	syms  []*ag.Symbol // per-fragment root symbols (codec resolution)
 	g     *ag.Grammar
 }
 
@@ -102,11 +104,11 @@ func newDiskCache(store *cas.Store) *diskCache {
 func (d *diskCache) writer() {
 	defer d.wg.Done()
 	for req := range d.ch {
-		data, err := encodeEntry(req.entry, req.syms, req.g)
+		data, err := encodeEntry(req.entry, req.g)
 		if err != nil {
-			// A value no codec or structural fallback covers: the
-			// recording serves this process from memory but cannot
-			// persist. Counted, not fatal.
+			// A root value its codec cannot encode (or one with no
+			// codec): the recording serves this process from memory
+			// but cannot persist. Counted, not fatal.
 			d.errors.Add(1)
 			continue
 		}
@@ -121,9 +123,9 @@ func (d *diskCache) writer() {
 // spill queues one recording for write-behind persistence; a full
 // queue drops it (the entry stays replayable from memory and a later
 // identical cold run gets another chance).
-func (d *diskCache) spill(key cas.Key, entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) {
+func (d *diskCache) spill(key cas.Key, entry *cacheEntry, g *ag.Grammar) {
 	select {
-	case d.ch <- spillReq{key: key, entry: entry, syms: syms, g: g}:
+	case d.ch <- spillReq{key: key, entry: entry, g: g}:
 	default:
 	}
 }
@@ -138,7 +140,7 @@ func (d *diskCache) close() {
 // miss silently, anything else (I/O failure, corrupt store entry,
 // undecodable payload) via the errors counter. An undecodable payload
 // is deleted so the next cold run rewrites it.
-func (d *diskCache) load(key cas.Key, syms []*ag.Symbol, g *ag.Grammar) *cacheEntry {
+func (d *diskCache) load(key cas.Key, g *ag.Grammar) *cacheEntry {
 	data, err := d.store.Get(key)
 	if err != nil {
 		if !errors.Is(err, cas.ErrNotExist) {
@@ -146,7 +148,7 @@ func (d *diskCache) load(key cas.Key, syms []*ag.Symbol, g *ag.Grammar) *cacheEn
 		}
 		return nil
 	}
-	e, err := decodeEntry(data, syms, g)
+	e, err := decodeEntry(data, g)
 	if err != nil {
 		d.errors.Add(1)
 		d.store.Delete(key)
@@ -158,7 +160,7 @@ func (d *diskCache) load(key cas.Key, syms []*ag.Symbol, g *ag.Grammar) *cacheEn
 
 // grammarDigest hashes the structure that addresses recordings: every
 // symbol (name, kind flags, attribute names/kinds/priorities and codec
-// *types* — the codec chooses the wire form values replay through) and
+// *types* — the codec chooses the byte form root values are stored in) and
 // every production's shape and rule dependency graph. Rule bodies are
 // Go functions and deliberately absent; see the package comment.
 func grammarDigest(g *ag.Grammar) [sha256.Size]byte {
@@ -267,14 +269,7 @@ type entryEnc struct {
 	err error
 }
 
-func (e *entryEnc) u(v uint64)   { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *entryEnc) i(v int64)    { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *entryEnc) b(v bool)     { e.u(uint64(b2i(v))) }
-func (e *entryEnc) raw(b []byte) { e.buf = append(e.buf, b...) }
-func (e *entryEnc) str(s string) {
-	e.u(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *entryEnc) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *entryEnc) bytes(b []byte) {
 	e.u(uint64(len(b)))
 	e.buf = append(e.buf, b...)
@@ -310,20 +305,15 @@ func (d *entryDec) u() uint64 {
 	return v
 }
 
-func (d *entryDec) i() int64 {
-	if d.err != nil {
-		return 0
+// flag reads a 0/1 flag; any other value is malformed, so an accepted
+// payload is canonical.
+func (d *entryDec) flag() bool {
+	v := d.u()
+	if v > 1 {
+		d.fail(fmt.Sprintf("flag %d", v))
 	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.pos += n
-	return v
+	return v == 1
 }
-
-func (d *entryDec) b() bool { return d.u() != 0 }
 
 // counter reads a job counter, bounded so a corrupted value cannot
 // overflow an int on any platform.
@@ -351,16 +341,6 @@ func (d *entryDec) count() int {
 	return int(v)
 }
 
-func (d *entryDec) str() string {
-	n := d.count()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
 func (d *entryDec) bytes() []byte {
 	n := d.count()
 	if d.err != nil {
@@ -371,187 +351,29 @@ func (d *entryDec) bytes() []byte {
 	return b
 }
 
-func (d *entryDec) raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > len(d.data)-d.pos {
-		d.fail("truncated")
-		return nil
-	}
-	b := d.data[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
-
-// Value tags of the payload encoding.
-const (
-	valNil   = 0 // no bytes
-	valCodec = 1 // attribute codec bytes
-	valCode  = 2 // rope.Code flattened to text (handle-free)
-	valTyped = 3 // structural fallback for plain codec-less values
-)
-
-// encodeValue writes one attribute value. Code values are checked
-// first and stored as their text — a code value still holding a
-// librarian handle has no meaning outside the run that deposited it,
-// so it fails the encoding — then the attribute's network codec, then
-// a structural fallback for the plain Go types grammars use without
-// codecs.
-func encodeValue(e *entryEnc, sym *ag.Symbol, attr int, v ag.Value) {
-	if v == nil {
-		e.u(valNil)
-		return
-	}
-	if code, ok := v.(rope.Code); ok {
-		if holdsHandle(code) {
-			e.fail(fmt.Errorf("parallel: %s.%s code value holds a librarian handle", sym.Name, sym.Attrs[attr].Name))
-			return
-		}
-		e.u(valCode)
-		e.str(rope.FlattenCode(code, nil))
-		return
-	}
-	if codec := sym.Attrs[attr].Codec; codec != nil {
-		data, err := codec.Encode(v)
-		if err != nil {
-			e.fail(fmt.Errorf("parallel: encoding %s.%s: %w", sym.Name, sym.Attrs[attr].Name, err))
-			return
-		}
-		e.u(valCodec)
-		e.bytes(data)
-		return
-	}
-	switch x := v.(type) {
-	case bool:
-		e.u(valTyped)
-		e.str("b")
-		e.b(x)
-	case int:
-		e.u(valTyped)
-		e.str("i")
-		e.i(int64(x))
-	case string:
-		e.u(valTyped)
-		e.str("s")
-		e.str(x)
-	case []string:
-		e.u(valTyped)
-		e.str("S")
-		e.u(uint64(len(x)))
-		for _, s := range x {
-			e.str(s)
-		}
-	default:
-		e.fail(fmt.Errorf("parallel: %s.%s value %T has no persistent form",
-			sym.Name, sym.Attrs[attr].Name, v))
-	}
-}
-
-func decodeValue(d *entryDec, sym *ag.Symbol, attr int) ag.Value {
-	switch tag := d.u(); tag {
-	case valNil:
-		return nil
-	case valCode:
-		return rope.Leaf(d.str())
-	case valCodec:
-		codec := sym.Attrs[attr].Codec
-		if codec == nil {
-			d.fail(fmt.Sprintf("%s.%s has no codec for stored value", sym.Name, sym.Attrs[attr].Name))
-			return nil
-		}
-		v, err := codec.Decode(d.bytes())
-		if err != nil {
-			d.fail(fmt.Sprintf("decoding %s.%s: %v", sym.Name, sym.Attrs[attr].Name, err))
-			return nil
-		}
-		return v
-	case valTyped:
-		switch kind := d.str(); kind {
-		case "b":
-			return d.b()
-		case "i":
-			return int(d.i())
-		case "s":
-			return d.str()
-		case "S":
-			n := d.count()
-			out := make([]string, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				out = append(out, d.str())
-			}
-			return out
-		default:
-			d.fail("bad typed-value kind")
-			return nil
-		}
-	default:
-		d.fail("bad value tag")
-		return nil
-	}
-}
-
-// msgSym resolves the symbol whose attribute a recorded message
-// defines: downward (toRoot) messages set an inherited attribute of
-// the target fragment's root; upward ones a synthesized attribute of
-// the sending fragment's root (arriving at the remote leaf standing
-// for it, which shares that symbol).
-func msgSym(m *cachedMsg, from int, syms []*ag.Symbol) *ag.Symbol {
-	if m.toRoot {
-		return syms[m.target]
-	}
-	return syms[from]
-}
-
-// encodeEntry serializes one whole-job recording. syms lists each
-// fragment's root symbol in fragment order (needed to resolve
-// attribute codecs); g is the job's grammar (root attributes).
-func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, error) {
+// encodeEntry serializes what a disk hit returns: the format byte, the
+// root attributes of g's start symbol (each a nil flag, then its
+// codec's bytes) and the three job counters.
+func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
 	e := &entryEnc{}
 	e.u(entryFormat)
-	e.u(uint64(len(entry.frags)))
-	for fi := range entry.frags {
-		f := &entry.frags[fi]
-		e.u(uint64(len(f.msgs)))
-		for mi := range f.msgs {
-			m := &f.msgs[mi]
-			e.u(uint64(m.target))
-			e.b(m.toRoot)
-			e.u(uint64(m.attr))
-			e.u(uint64(m.wave))
-			encodeValue(e, msgSym(m, fi, syms), m.attr, m.val)
-			e.b(m.code)
-		}
-		e.u(uint64(len(f.inOrder)))
-		for _, k := range f.inOrder {
-			e.i(int64(k.leaf)) // rootSlot is -1: signed
-			e.u(uint64(k.attr))
-		}
-		if f.inbound == nil {
-			e.i(-1)
-		} else {
-			keys := make([]inKey, 0, len(f.inbound))
-			for k := range f.inbound {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i].leaf != keys[j].leaf {
-					return keys[i].leaf < keys[j].leaf
-				}
-				return keys[i].attr < keys[j].attr
-			})
-			e.i(int64(len(keys)))
-			for _, k := range keys {
-				e.i(int64(k.leaf))
-				e.u(uint64(k.attr))
-				fp := f.inbound[k]
-				e.raw(fp[:])
-			}
-		}
-	}
 	e.u(uint64(len(entry.rootAttrs)))
 	for ai, v := range entry.rootAttrs {
-		encodeValue(e, g.Start, ai, v)
+		e.u(uint64(b2i(v != nil)))
+		if v == nil {
+			continue
+		}
+		a := &g.Start.Attrs[ai]
+		if a.Codec == nil {
+			e.fail(fmt.Errorf("parallel: %s.%s value %T has no codec", g.Start.Name, a.Name, v))
+			break
+		}
+		data, err := a.Codec.Encode(v)
+		if err != nil {
+			e.fail(fmt.Errorf("parallel: encoding %s.%s: %w", g.Start.Name, a.Name, err))
+			break
+		}
+		e.bytes(data)
 	}
 	e.u(uint64(entry.messages))
 	e.u(uint64(entry.storedStrings))
@@ -559,78 +381,38 @@ func encodeEntry(entry *cacheEntry, syms []*ag.Symbol, g *ag.Grammar) ([]byte, e
 	return e.buf, e.err
 }
 
-// decodeEntry reconstructs a recording. Structural mismatches against
-// the current job (fragment count, attribute indices out of range) are
-// decode errors — the caller deletes the entry and the job runs cold.
-func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, error) {
+// decodeEntry reconstructs a results-only recording. A root-attribute
+// count that does not match g's start symbol is a decode error — the
+// caller deletes the entry and the job runs cold.
+func decodeEntry(data []byte, g *ag.Grammar) (*cacheEntry, error) {
 	d := &entryDec{data: data}
 	if v := d.u(); d.err == nil && v != entryFormat {
 		return nil, fmt.Errorf("parallel: recording format %d (want %d)", v, entryFormat)
-	}
-	nf := d.count()
-	if d.err == nil && nf != len(syms) {
-		return nil, fmt.Errorf("parallel: recording has %d fragments, job has %d", nf, len(syms))
-	}
-	entry := &cacheEntry{frags: make([]fragRecord, nf)}
-	for fi := 0; fi < nf && d.err == nil; fi++ {
-		f := &entry.frags[fi]
-		nm := d.count()
-		if d.err == nil {
-			f.msgs = make([]cachedMsg, 0, nm)
-		}
-		for i := 0; i < nm && d.err == nil; i++ {
-			var m cachedMsg
-			m.target = int(d.u())
-			m.toRoot = d.b()
-			m.attr = int(d.u())
-			m.wave = int(d.u())
-			if m.target < 0 || m.target >= nf {
-				d.fail("message target out of range")
-				break
-			}
-			sym := msgSym(&m, fi, syms)
-			if m.attr < 0 || m.attr >= len(sym.Attrs) {
-				d.fail("message attribute out of range")
-				break
-			}
-			m.val = decodeValue(d, sym, m.attr)
-			m.code = d.b()
-			if _, ok := m.val.(rope.Code); m.code && !ok {
-				// Replay would have no text to re-deposit.
-				d.fail("re-deposit flag on a non-code value")
-				break
-			}
-			f.msgs = append(f.msgs, m)
-		}
-		if n := d.count(); d.err == nil {
-			f.inOrder = make([]inKey, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				leaf := int(d.i())
-				attr := int(d.u())
-				f.inOrder = append(f.inOrder, inKey{leaf: leaf, attr: attr})
-			}
-		}
-		if ni := d.i(); ni >= 0 {
-			if uint64(ni) > uint64(len(d.data)-d.pos) {
-				d.fail("inbound count")
-				continue
-			}
-			f.inbound = make(map[inKey]valFP, ni)
-			for i := int64(0); i < ni && d.err == nil; i++ {
-				k := inKey{leaf: int(d.i()), attr: int(d.u())}
-				var fp valFP
-				copy(fp[:], d.raw(len(fp)))
-				f.inbound[k] = fp
-			}
-		}
 	}
 	na := d.count()
 	if d.err == nil && na != len(g.Start.Attrs) {
 		return nil, fmt.Errorf("parallel: recording has %d root attrs, grammar has %d", na, len(g.Start.Attrs))
 	}
-	entry.rootAttrs = make([]ag.Value, 0, na)
-	for i := 0; i < na && d.err == nil; i++ {
-		entry.rootAttrs = append(entry.rootAttrs, decodeValue(d, g.Start, i))
+	entry := &cacheEntry{rootAttrs: make([]ag.Value, na)}
+	for ai := 0; ai < na && d.err == nil; ai++ {
+		if !d.flag() {
+			continue
+		}
+		a := &g.Start.Attrs[ai]
+		if a.Codec == nil {
+			d.fail(fmt.Sprintf("%s.%s has no codec for stored value", g.Start.Name, a.Name))
+			break
+		}
+		data := d.bytes()
+		if d.err != nil {
+			break
+		}
+		v, err := a.Codec.Decode(data)
+		if err != nil {
+			d.fail(fmt.Sprintf("decoding %s.%s: %v", g.Start.Name, a.Name, err))
+			break
+		}
+		entry.rootAttrs[ai] = v
 	}
 	entry.messages = d.counter()
 	entry.storedStrings = d.counter()
@@ -640,12 +422,6 @@ func decodeEntry(data []byte, syms []*ag.Symbol, g *ag.Grammar) (*cacheEntry, er
 	}
 	if d.pos != len(d.data) {
 		return nil, fmt.Errorf("parallel: %d trailing bytes after recording", len(d.data)-d.pos)
-	}
-	// The root fragment's record exposes the job's post-splice root
-	// attributes to incremental replay, the same aliasing a cold run
-	// sets up at publication.
-	if nf > 0 {
-		entry.frags[0].rootAttrs = entry.rootAttrs
 	}
 	return entry, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,57 +13,41 @@ import (
 	"pag/internal/cluster"
 	"pag/internal/exprlang"
 	"pag/internal/pascal"
-	"pag/internal/rope"
 	"pag/internal/workload"
 )
 
-// recordingCtx is what decodeEntry checks a recording against: the
-// fragment root symbols of the job's decomposition and its grammar.
-type recordingCtx struct {
-	syms []*ag.Symbol
-	g    *ag.Grammar
-}
-
 // recordEntry compiles job once on a fresh caching pool and returns
-// the recording that compile published and the context it encodes and
-// decodes against.
-func recordEntry(tb testing.TB, job cluster.Job, opts Options) (*cacheEntry, recordingCtx) {
+// the recording that compile published.
+func recordEntry(tb testing.TB, job cluster.Job, opts Options) *cacheEntry {
 	tb.Helper()
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	res, err := p.Compile(context.Background(), job, opts)
-	if err != nil {
+	if _, err := p.Compile(context.Background(), job, opts); err != nil {
 		tb.Fatal(err)
 	}
 	if p.cache.len() != 1 {
 		tb.Fatalf("compile published %d recordings, want 1", p.cache.len())
 	}
-	rc := recordingCtx{g: job.G}
-	for _, f := range res.Decomp.Frags {
-		rc.syms = append(rc.syms, f.Root.Sym)
-	}
-	return p.cache.lru.Front().Value.(*cacheEntry), rc
+	return p.cache.lru.Front().Value.(*cacheEntry)
 }
 
 // record is recordEntry with the recording encoded as the disk tier
 // stores it.
-func record(tb testing.TB, job cluster.Job, opts Options) ([]byte, recordingCtx) {
+func record(tb testing.TB, job cluster.Job, opts Options) []byte {
 	tb.Helper()
-	entry, rc := recordEntry(tb, job, opts)
-	data, err := encodeEntry(entry, rc.syms, rc.g)
+	data, err := encodeEntry(recordEntry(tb, job, opts), job.G)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return data, rc
+	return data
 }
 
 // FuzzDecodeEntry fuzzes the on-disk recording decoder, which reads
 // bytes another process may have written. decodeEntry must never
 // panic, and any entry it accepts must encode (without error) to bytes
 // that decode to an equal entry: re-encoding the re-decoded entry
-// reproduces those bytes exactly. Every input is decoded against the
-// contexts of both seed jobs, a Pascal and an expression-language
-// recording.
+// reproduces those bytes exactly. Every input is decoded against both
+// seed grammars, Pascal and the expression language.
 func FuzzDecodeEntry(f *testing.F) {
 	el := exprlang.MustNew()
 	ea, err := ag.Analyze(el.G)
@@ -80,7 +63,6 @@ func FuzzDecodeEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var ctxs []recordingCtx
 	for _, c := range []struct {
 		job  cluster.Job
 		opts Options
@@ -89,25 +71,24 @@ func FuzzDecodeEntry(f *testing.F) {
 		{pjob, Options{Fragments: 3, Librarian: true, UIDPreset: true}},
 		{pjob, Options{Fragments: 2}},
 	} {
-		data, rc := record(f, c.job, c.opts)
-		f.Add(data)
-		ctxs = append(ctxs, rc)
+		f.Add(record(f, c.job, c.opts))
 	}
+	grammars := []*ag.Grammar{ejob.G, pjob.G}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, rc := range ctxs {
-			e1, err := decodeEntry(data, rc.syms, rc.g)
+		for _, g := range grammars {
+			e1, err := decodeEntry(data, g)
 			if err != nil {
 				continue
 			}
-			b1, err := encodeEntry(e1, rc.syms, rc.g)
+			b1, err := encodeEntry(e1, g)
 			if err != nil {
 				t.Fatalf("accepted entry does not encode: %v", err)
 			}
-			e2, err := decodeEntry(b1, rc.syms, rc.g)
+			e2, err := decodeEntry(b1, g)
 			if err != nil {
 				t.Fatalf("re-encoded entry does not decode: %v", err)
 			}
-			b2, err := encodeEntry(e2, rc.syms, rc.g)
+			b2, err := encodeEntry(e2, g)
 			if err != nil {
 				t.Fatalf("re-decoded entry does not encode: %v", err)
 			}
@@ -118,39 +99,40 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
-// tinyRecording records the Tiny Pascal workload at width 3, the
-// recording context FuzzDecodeEntry's Pascal seed decodes against.
-func tinyRecording(t *testing.T) ([]byte, recordingCtx) {
+// tinyRecording records the Tiny Pascal workload at width 3, one of
+// FuzzDecodeEntry's Pascal seeds, and returns it with its grammar.
+func tinyRecording(t *testing.T) ([]byte, *ag.Grammar) {
 	t.Helper()
 	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return record(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true})
+	return record(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true}), job.G
 }
 
 // TestDiskRejectsOldFormat checks the recording format gate: a payload
-// in the previous layout (leading byte 2, whose recordings carried
-// librarian handles) is refused at its first byte, before any of its
-// fields is read under the current layout.
+// in the previous layout (leading byte 3, whose recordings carried
+// every fragment's messages for cross-process incremental replay) is
+// refused at its first byte, before any of its fields is read under
+// the current layout.
 func TestDiskRejectsOldFormat(t *testing.T) {
-	data, rc := tinyRecording(t)
-	if _, err := decodeEntry(data, rc.syms, rc.g); err != nil {
+	data, g := tinyRecording(t)
+	if _, err := decodeEntry(data, g); err != nil {
 		t.Fatalf("current recording does not decode: %v", err)
 	}
-	data[0] = 2
-	_, err := decodeEntry(data, rc.syms, rc.g)
-	if err == nil || !strings.Contains(err.Error(), "recording format 2") {
-		t.Fatalf("format-2 payload: got %v, want a recording format error", err)
+	data[0] = 3
+	_, err := decodeEntry(data, g)
+	if err == nil || !strings.Contains(err.Error(), "recording format 3") {
+		t.Fatalf("format-3 payload: got %v, want a recording format error", err)
 	}
 }
 
-// TestDiskFuzzCorpusReachesEnvCodec keeps the checked-in
+// TestDiskFuzzCorpusReachesRootCodec keeps the checked-in
 // FuzzDecodeEntry regression input effective: it must get past the
 // format byte and the recording framing and fail inside the Pascal
-// environment codec, on an entry count the payload cannot hold — the
-// input once drove that codec into a huge allocation.
-func TestDiskFuzzCorpusReachesEnvCodec(t *testing.T) {
+// error-list codec of the root symbol, on an entry count the payload
+// cannot hold — a count that, if trusted, would size a huge slice.
+func TestDiskFuzzCorpusReachesRootCodec(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeEntry", "0263d7a344b7980d"))
 	if err != nil {
 		t.Fatal(err)
@@ -163,39 +145,9 @@ func TestDiskFuzzCorpusReachesEnvCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rc := tinyRecording(t)
-	_, err = decodeEntry([]byte(data), rc.syms, rc.g)
-	if err == nil || !strings.Contains(err.Error(), ".env: pascal: truncated count") {
-		t.Fatalf("corpus input: got %v, want an env codec count error", err)
-	}
-}
-
-// TestDiskRejectsCodeFlagOnNonCode: a payload that marks a non-code
-// message value for re-deposit is refused at decode, instead of
-// failing the job that would replay it.
-func TestDiskRejectsCodeFlagOnNonCode(t *testing.T) {
-	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, rc := recordEntry(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true})
-	bad := *entry
-	bad.frags = slices.Clone(entry.frags)
-	f := &bad.frags[0]
-	f.msgs = slices.Clone(f.msgs)
-	i := slices.IndexFunc(f.msgs, func(m cachedMsg) bool {
-		_, isCode := m.val.(rope.Code)
-		return !isCode
-	})
-	if i < 0 {
-		t.Fatal("root fragment recorded no non-code message")
-	}
-	f.msgs[i].code = true
-	data, err := encodeEntry(&bad, rc.syms, rc.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeEntry(data, rc.syms, rc.g); err == nil || !strings.Contains(err.Error(), "re-deposit flag") {
-		t.Fatalf("got %v, want a re-deposit flag error", err)
+	_, g := tinyRecording(t)
+	_, err = decodeEntry([]byte(data), g)
+	if err == nil || !strings.Contains(err.Error(), ".errs: pascal: truncated count") {
+		t.Fatalf("corpus input: got %v, want an errs codec count error", err)
 	}
 }

@@ -111,13 +111,14 @@ func TestDiskWarmRestartByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDiskIncrementalAcrossProcesses is the cross-process shape of
-// `pagc -batch -series`: pool 1 records a base program to disk; pool 2
-// (a fresh process) disk-hits the base — which registers its fragments
-// in the incremental index — then compiles a one-token edit and
-// partial-replays the untouched fragments from the previous process's
-// recording.
-func TestDiskIncrementalAcrossProcesses(t *testing.T) {
+// TestDiskEditAfterRestartCompilesCold pins what a disk recording
+// holds: the job's results, not its fragments. Pool 1 records a base
+// program to disk; pool 2 (a fresh process, as far as the cache can
+// tell) disk-hits the base, but the disk-loaded entry does not join
+// the incremental index, so a one-token edit compiles cold — with no
+// partial hit, byte-identical to the cache-free reference — and is
+// recorded in turn: a third pool serves the edit as a disk hit.
+func TestDiskEditAfterRestartCompilesCold(t *testing.T) {
 	dir := t.TempDir()
 	base := workload.Generate(workload.Tiny())
 	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
@@ -137,23 +138,35 @@ func TestDiskIncrementalAcrossProcesses(t *testing.T) {
 	}
 
 	pool2 := diskPool(t, dir)
-	defer pool2.Close()
 	if _, err := pool2.Compile(ctx, pascalSrcJob(t, base), opts); err != nil {
 		t.Fatal(err)
+	}
+	if st := pool2.Stats(); st.DiskHits < 1 {
+		t.Fatalf("base compile did not hit disk: %+v", st)
 	}
 	res, err := pool2.Compile(ctx, pascalSrcJob(t, edited), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pool2.Stats()
-	if st.DiskHits < 1 {
-		t.Fatalf("base compile did not hit disk: %+v", st)
-	}
-	if res.PartialHits < 1 || st.CachePartialHits < 1 {
-		t.Fatalf("edited compile replayed no fragments from the disk-loaded recording: res %d, %+v", res.PartialHits, st)
+	if st := pool2.Stats(); res.PartialHits != 0 || st.CachePartialHits != 0 {
+		t.Fatalf("edited compile replayed fragments of a disk-loaded recording: res %d, %+v", res.PartialHits, st)
 	}
 	if res.Program != ref.Program {
-		t.Errorf("partially replayed program differs from cache-free reference")
+		t.Errorf("edited program after restart differs from cache-free reference")
+	}
+	pool2.Close() // flushes the edit's spill
+
+	pool3 := diskPool(t, dir)
+	defer pool3.Close()
+	warm, err := pool3.Compile(ctx, pascalSrcJob(t, edited), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pool3.Stats(); st.DiskHits < 1 {
+		t.Fatalf("edited tree was not served from disk: %+v", st)
+	}
+	if warm.Program != ref.Program {
+		t.Errorf("disk-served edited program differs from cache-free reference")
 	}
 }
 

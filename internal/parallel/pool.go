@@ -601,7 +601,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	var fragKeys []fragKey
 	var cands []*fragRecord
 	var dk cas.Key
-	var fragSyms []*ag.Symbol
 	if useCache {
 		digs := decomp.Digests()
 		key = cacheKey{
@@ -615,8 +614,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			uidPreset: opts.UIDPreset,
 		}
 		hit, ok := p.cache.get(key)
-		if !ok || len(hit.frags) != res.Frags {
-			hit = nil
+		if !ok {
 			fragKeys = make([]fragKey, len(decomp.Frags))
 			for i, f := range decomp.Frags {
 				fragKeys[i] = fragKey{
@@ -637,18 +635,14 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			}
 		}
 		if hit == nil && p.disk != nil {
-			fragSyms = make([]*ag.Symbol, len(decomp.Frags))
-			for i, f := range decomp.Frags {
-				fragSyms[i] = f.Root.Sym
-			}
 			dk = p.diskKey(&key, job.UIDs)
-			// Memory missed; try the persistent tier. A loaded entry is
-			// published to the in-memory cache — which also registers its
-			// fragments in the incremental index, so a later *edited* tree
-			// in this process partial-replays from it exactly as from a
-			// local recording — and serves this job as a whole-tree hit.
-			if e := p.disk.load(dk, fragSyms, job.G); e != nil && len(e.frags) == res.Frags {
-				e.fragKeys = fragKeys
+			// Memory missed; try the persistent tier. A disk recording
+			// holds only the job's results (see disk.go): it is
+			// published to the in-memory cache, so later identical
+			// trees hit memory, and serves this job as a whole-tree
+			// hit. It has no fragment records, so it never joins the
+			// incremental index: no edited tree replays from it.
+			if e := p.disk.load(dk, job.G); e != nil {
 				p.cache.put(key, e)
 				hit = e
 			}
@@ -820,7 +814,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		// the writer goroutine encodes it off the compile path without
 		// this job's librarian.
 		if p.disk != nil {
-			p.disk.spill(dk, entry, fragSyms, job.G)
+			p.disk.spill(dk, entry, job.G)
 		}
 	}
 	// The job completed cleanly, so nothing can reference its handle

@@ -211,8 +211,11 @@ type (
 	// store (DiskCache, from OpenDiskCache).
 	PoolOptions = parallel.PoolOptions
 	// DiskCache is the crash-safe on-disk store behind
-	// PoolOptions.DiskCache: whole-job recordings spilled write-behind
-	// and served byte-identically across pool (and process) restarts. One directory may be shared by many pools/processes.
+	// PoolOptions.DiskCache: whole-job results (root attributes and
+	// counters) spilled write-behind and served byte-identically to an
+	// identical tree across pool (and process) restarts. A disk hit
+	// returns results only; an edited tree after a restart compiles
+	// cold. One directory may be shared by many pools/processes.
 	DiskCache = cas.Store
 	// PoolStats is a snapshot of a Pool's activity, including fragment
 	// cache hit/miss/eviction counters and the incremental-replay
