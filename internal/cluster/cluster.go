@@ -93,7 +93,7 @@ func UIDBaseFor(id int) int { return 1 + id*1_000_000 }
 type Job struct {
 	G *ag.Grammar
 	A *ag.Analysis // required for Combined mode
-	// Root is the parsed tree. The simulator and the fleet coordinator
+	// Root is the parsed tree. The simulator and a pool's fleet jobs
 	// only read it: they encode fragments straight from it. A local
 	// pool evaluates it in place: it cuts the tree at the planned
 	// points, its evaluators write the nodes' attribute slots, and it
@@ -305,11 +305,11 @@ func Run(job Job, opts Options) (*Result, error) {
 	}
 	c.parser = sim.Spawn("parser", func(p *netsim.Proc) { c.runParser(p, nodesBefore) })
 
-	if _, err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("cluster: %s on %d machine(s): %w", opts.Mode, opts.Machines, err)
-	}
-	if c.err != nil {
+	// A machine's own failure outranks the deadlock it leaves behind.
+	if _, err := sim.Run(); c.err != nil {
 		return nil, c.err
+	} else if err != nil {
+		return nil, fmt.Errorf("cluster: %s on %d machine(s): %w", opts.Mode, opts.Machines, err)
 	}
 	res.PerFrag = c.perFrag
 	for _, s := range c.perFrag {
@@ -392,7 +392,6 @@ func (c *run) runParser(p *netsim.Proc, nodes int) {
 		switch pl := m.Payload.(type) {
 		case rootAttrMsg:
 			c.gotRoot[pl.attr] = true
-			attr := c.job.G.Start.Attrs[pl.attr]
 			p.Compute(time.Duration(len(pl.data)) * costPerByteCodec)
 			if pl.ship {
 				// Code descriptor: ask the librarian to splice the
@@ -401,9 +400,9 @@ func (c *run) runParser(p *netsim.Proc, nodes int) {
 				c.send(p, c.librarian, "resolve", resolveMsg{data: pl.data}, len(pl.data)+attrMsgHeader)
 				continue
 			}
-			v, err := attr.Codec.Decode(pl.data)
+			v, err := DecodeResult(c.job.G, pl.attr, pl.data, false, nil)
 			if err != nil {
-				c.fail(fmt.Errorf("cluster: decoding root attribute %s: %w", attr.Name, err))
+				c.fail(err)
 				return
 			}
 			if c.res.RootAttrs == nil {
@@ -447,13 +446,12 @@ func (c *run) runLibrarian(p *netsim.Proc) {
 			store[pl.handle] = pl.text
 		case resolveMsg:
 			p.Compute(costMsgHandle)
-			v, err := rope.CodeCodec{Librarian: true}.DecodeShip(pl.data)
+			v, err := DecodeResult(c.job.G, c.codeAttr, pl.data, true, func(h int32) string { return store[h] })
 			if err != nil {
-				c.fail(fmt.Errorf("cluster: librarian decoding descriptor: %w", err))
+				c.fail(err)
 				return
 			}
-			desc := v.(*rope.Descriptor)
-			text := desc.Resolve(func(h int32) string { return store[h] })
+			text := rope.FlattenCode(v.(rope.Code), nil)
 			p.Compute(time.Duration(len(text)) * costSplicePerByte)
 			c.send(p, c.parser, "program", programMsg{text: text}, len(text)+attrMsgHeader)
 		case nil:

@@ -16,7 +16,6 @@ import (
 	"pag/internal/cluster"
 	"pag/internal/eval"
 	"pag/internal/parallel"
-	"pag/internal/rope"
 	"pag/internal/tree"
 )
 
@@ -40,14 +39,13 @@ type CoordinatorOptions struct {
 	Seed int64
 }
 
-// Coordinator is the parser side of a distributed compilation: it
-// decomposes and splices locally — making exactly the cuts of the
-// simulated cluster's parser and the pool's compile body — but
-// evaluates fragments on remote workers through the Client. It encodes
-// the fragments straight from the job's tree without writing to it, so
-// one Job may be compiled by many callers at once. It implements
-// parallel.RemoteEvaluator, so a parallel.Pool routes admitted jobs
-// here when PoolOptions.Remote is set.
+// Coordinator is the fleet's evaluator side: it evaluates the
+// fragments a parallel.Pool has planned and encoded on remote workers
+// through the Client, and hands back what they produced for the pool
+// to splice. It implements parallel.RemoteEvaluator, so a pool routes
+// admitted jobs here when PoolOptions.Remote is set; the pool keeps
+// the parser side (options, analysis, split, splice), the coordinator
+// only places, evaluates and routes.
 //
 // Failure policy, per fragment: an RPC that fails in transit or
 // arrives corrupt is retried against the same placement with
@@ -67,7 +65,6 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *mrand.Rand
 
-	analyses   sync.Map // *ag.Grammar -> *ag.Analysis
 	registered sync.Map // *ag.Grammar -> bool
 
 	remoteFrags atomic.Int64
@@ -104,10 +101,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	}
 }
 
-// LocalWorker exposes the in-process fallback worker (tests register
-// extra grammars or inspect sessions through it).
-func (co *Coordinator) LocalWorker() *Worker { return co.local }
-
 // FleetStats implements parallel.RemoteEvaluator.
 func (co *Coordinator) FleetStats() parallel.FleetStats {
 	fs := parallel.FleetStats{
@@ -123,18 +116,6 @@ func (co *Coordinator) FleetStats() parallel.FleetStats {
 		fs.WorkerTransitions = co.client.Transitions()
 	}
 	return fs
-}
-
-func (co *Coordinator) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
-	if a, ok := co.analyses.Load(g); ok {
-		return a.(*ag.Analysis), nil
-	}
-	a, err := ag.Analyze(g)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := co.analyses.LoadOrStore(g, a)
-	return actual.(*ag.Analysis), nil
 }
 
 // ensureLocal registers the job's grammar on the fallback worker, once
@@ -169,59 +150,21 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// CompileRemote implements parallel.RemoteEvaluator: one distributed
-// compilation, byte-identical to cluster.Run and Pool.Compile at the
-// same width.
-func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts parallel.Options) (*parallel.Result, error) {
-	if opts.Mode == 0 {
-		opts.Mode = cluster.Combined
-	}
-	if opts.Mode == cluster.Combined && job.A == nil {
-		a, err := co.analysisFor(job.G)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: combined mode: %w", err)
-		}
-		job.A = a
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-		if co.client != nil && len(co.client.workers) > 0 {
-			opts.Workers = len(co.client.workers)
-		}
-	}
-	if opts.Fragments <= 0 {
-		opts.Fragments = opts.Workers
-	}
-	if opts.Librarian && opts.Fragments > rope.MaxHandleRanges {
-		return nil, fmt.Errorf("fleet: %d fragments exceed the librarian's %d handle ranges",
-			opts.Fragments, rope.MaxHandleRanges)
-	}
+// Evaluate implements parallel.RemoteEvaluator: it evaluates the
+// pool's planned fragments on the fleet and fills res with what they
+// produced, byte-identical to cluster.Run and a local Pool.Compile at
+// the same width.
+func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts parallel.Options, decomp *tree.Decomposition, encoded [][]byte, res *parallel.Result) error {
 	// Results (and every fragment boundary) cross a real network here:
 	// reject grammars whose start symbol cannot be serialized, like the
 	// cluster does.
 	for _, ai := range job.G.Start.Syn() {
 		if job.G.Start.Attrs[ai].Codec == nil {
-			return nil, fmt.Errorf("fleet: start symbol %s attribute %s needs a Codec (results return over the network)",
+			return fmt.Errorf("fleet: start symbol %s attribute %s needs a Codec (results return over the network)",
 				job.G.Start.Name, job.G.Start.Attrs[ai].Name)
 		}
 	}
-	start := time.Now()
-
-	// The coordinator never evaluates, so it never needs a private copy
-	// of the tree: SplitEncode plans the cuts and linearizes each
-	// fragment straight from the caller's tree, which it does not write.
-	root := job.Root
-	gran := opts.Granularity
-	if gran == 0 {
-		gran = tree.GranularityFor(root, opts.Fragments)
-	}
-	planStart := time.Now()
-	decomp, encoded := tree.SplitEncode(root, gran, opts.Fragments)
-	planTime := time.Since(planStart)
-	codeAttr := cluster.CodeAttr(job.G)
-	useLib := opts.Librarian && codeAttr >= 0
 	co.ensureLocal(job)
-
 	uids := make([]wireUID, len(job.UIDs))
 	for i, k := range job.UIDs {
 		uids[i] = wireUID{Sym: k.Sym.Index, Base: k.Base, Count: k.Count}
@@ -235,7 +178,7 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 		cancel: cancel,
 		job:    job,
 		opts:   opts,
-		useLib: useLib,
+		useLib: opts.Librarian && cluster.CodeAttr(job.G) >= 0,
 		uids:   uids,
 		store:  map[int32]string{},
 		roots:  map[int]rootOut{},
@@ -248,7 +191,6 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 			parent:    fr.Parent,
 			session:   fmt.Sprintf("%s-%d", sid, fr.ID),
 			data:      encoded[fr.ID],
-			uidBase:   cluster.UIDBaseFor(fr.ID),
 			wake:      make(chan struct{}, 1),
 			sentOut:   map[outKey]bool{},
 			seenStore: map[int32]bool{},
@@ -256,7 +198,6 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 		})
 	}
 	j.busy = len(j.frags)
-	splitDone := time.Now()
 
 	var wg sync.WaitGroup
 	for _, f := range j.frags {
@@ -267,27 +208,15 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 		}(f)
 	}
 	wg.Wait()
-	evalDone := time.Now()
 
 	if j.failErr != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, j.failErr
+		return j.failErr
 	}
 
-	res := &parallel.Result{
-		RootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
-		Frags:     decomp.NumFragments(),
-		Workers:   opts.Workers,
-		Decomp:    decomp,
-		Messages:  j.messages,
-		PlanStats: parallel.PlanStats{
-			PlanTime: planTime,
-			Width:    opts.Fragments,
-			Balance:  decomp.Balance(),
-		},
-	}
+	res.Messages = j.messages
 	for _, f := range j.frags {
 		res.PerFrag = append(res.PerFrag, f.stats)
 		res.Stats.Add(f.stats)
@@ -299,42 +228,21 @@ func (co *Coordinator) CompileRemote(ctx context.Context, job cluster.Job, opts 
 	}
 	res.FleetRetries = int(j.retries.Load())
 	res.FleetRequeues = int(j.requeueN.Load())
+	res.RootAttrs = make([]ag.Value, len(job.G.Start.Attrs))
 	for _, ai := range job.G.Start.Syn() {
 		rec, ok := j.roots[ai]
 		if !ok {
-			return nil, fmt.Errorf("fleet: root attribute %s never arrived", job.G.Start.Attrs[ai].Name)
+			return fmt.Errorf("fleet: root attribute %s never arrived", job.G.Start.Attrs[ai].Name)
 		}
-		if rec.Ship {
-			v, err := (rope.CodeCodec{Librarian: true}).DecodeShip(rec.Data)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: decoding root descriptor: %w", err)
-			}
-			text := v.(*rope.Descriptor).Resolve(func(h int32) string { return j.store[h] })
-			res.Program = text
-			// Like the pool, the returned code attribute is consumable
-			// with no librarian in sight.
-			res.RootAttrs[ai] = rope.Leaf(text)
-			continue
-		}
-		v, err := job.G.Start.Attrs[ai].Codec.Decode(rec.Data)
+		v, err := cluster.DecodeResult(job.G, ai, rec.Data, rec.Ship, func(h int32) string { return j.store[h] })
 		if err != nil {
-			return nil, fmt.Errorf("fleet: decoding root attribute %s: %w", job.G.Start.Attrs[ai].Name, err)
+			return fmt.Errorf("fleet: %w", err)
 		}
 		res.RootAttrs[ai] = v
-		if ai == codeAttr {
-			if code, ok := v.(rope.Code); ok {
-				res.Program = rope.FlattenCode(code, nil)
-			}
-		}
 	}
 	res.StoredStrings = len(j.store)
 	res.StoredBytes = j.storeBytes
-	now := time.Now()
-	res.SplitTime = splitDone.Sub(start)
-	res.EvalTime = evalDone.Sub(splitDone)
-	res.SpliceTime = now.Sub(evalDone)
-	res.WallTime = now.Sub(start)
-	return res, nil
+	return nil
 }
 
 // outKey dedups one fragment's routed outputs across journal replays:
@@ -352,7 +260,6 @@ type cfrag struct {
 	parent  int
 	session string
 	data    []byte
-	uidBase int
 
 	// journal is every supply batch delivered so far, in order — the
 	// replay log a requeue rebuilds the session from.
@@ -627,8 +534,7 @@ func (j *fjob) openReqFor(f *cfrag) openReq {
 		Mode:      int(j.opts.Mode),
 		Librarian: j.useLib,
 		UIDPreset: j.opts.UIDPreset,
-		Yield:     true,
-		UIDBase:   f.uidBase,
+		UIDBase:   cluster.UIDBaseFor(f.id),
 		UIDs:      j.uids,
 		Tree:      f.data,
 		Journal:   f.journal,
@@ -772,7 +678,7 @@ func (j *fjob) handle(f *cfrag, resp *evalResp) error {
 				return fmt.Errorf("fleet: fragment %d routed attr to unknown fragment %d", f.id, m.Frag)
 			}
 			target = j.frags[m.Frag]
-			wm = wireMsg{Leaf: rootLeaf, Attr: m.Attr, Data: m.Data}
+			wm = wireMsg{Leaf: cluster.RootLeaf, Attr: m.Attr, Data: m.Data}
 		}
 		j.messages++
 		target.inbox = append(target.inbox, wm)

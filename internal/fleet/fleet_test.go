@@ -3,7 +3,9 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -42,6 +44,14 @@ func exprJob(t *testing.T, src string) cluster.Job {
 		t.Fatalf("Parse: %v", err)
 	}
 	return cluster.Job{G: l.G, A: a, Root: root, Lex: l.TerminalAttrs}
+}
+
+// compileFleet runs one job through a pool whose jobs evaluate on co:
+// the pool plans and splices, the coordinator evaluates.
+func compileFleet(ctx context.Context, co *fleet.Coordinator, job cluster.Job, opts parallel.Options) (*parallel.Result, error) {
+	pool := parallel.NewPool(parallel.PoolOptions{Workers: 1, Remote: co})
+	defer pool.Close()
+	return pool.Compile(ctx, job, opts)
 }
 
 // env is a test fleet: n in-process workers on a MemTransport,
@@ -107,7 +117,7 @@ func TestFleetMatchesClusterExprlang(t *testing.T) {
 				t.Fatalf("cluster %v x%d: %v", mode, w, err)
 			}
 			e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
-			res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{Workers: w, Mode: mode})
+			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: w, Mode: mode})
 			if err != nil {
 				t.Fatalf("fleet %v x%d: %v", mode, w, err)
 			}
@@ -160,7 +170,7 @@ func TestFleetMatchesClusterPascal(t *testing.T) {
 				t.Fatalf("%s: parallel: %v", name, err)
 			}
 			e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
-			res, err := e.co.CompileRemote(context.Background(), job, opts)
+			res, err := compileFleet(context.Background(), e.co, job, opts)
 			if err != nil {
 				t.Fatalf("%s: fleet: %v", name, err)
 			}
@@ -212,7 +222,7 @@ func TestFleetConcurrentCompilesShareJob(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 				Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 			})
 			got[i], errs[i] = res, err
@@ -261,7 +271,7 @@ func TestFleetHTTPWorkers(t *testing.T) {
 	client.Start()
 	t.Cleanup(client.Stop)
 	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
-	res, err := co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), co, job, parallel.Options{
 		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -291,7 +301,7 @@ func TestFleetCrashMidEvaluationRequeues(t *testing.T) {
 		Seed:       7,
 		CrashAfter: map[string]int{"w0": 1},
 	}, fleet.CoordinatorOptions{Retries: 1})
-	res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -331,7 +341,7 @@ func TestFleetAllWorkersDownDegrades(t *testing.T) {
 	client.Start()
 	t.Cleanup(client.Stop)
 	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
-	res, err := co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), co, job, parallel.Options{
 		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -372,7 +382,7 @@ func TestFleetSurvivesTotalFleetLoss(t *testing.T) {
 		Seed:       11,
 		CrashAfter: map[string]int{"w0": 2, "w1": 4},
 	}, fleet.CoordinatorOptions{Retries: 1})
-	res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -402,7 +412,7 @@ func TestFleetCorruptResponseNeverSpliced(t *testing.T) {
 		Seed:        3,
 		CorruptProb: 0.4,
 	}, fleet.CoordinatorOptions{Retries: 8})
-	res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -445,7 +455,7 @@ func TestFleetFaultStorm(t *testing.T) {
 				DisconnectProb: 0.1,
 				CrashAfter:     map[string]int{"w1": 6},
 			}, fleet.CoordinatorOptions{Retries: 6, Seed: seed})
-			res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 				Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 			})
 			if err != nil {
@@ -474,7 +484,7 @@ func TestFleetDisconnectIdempotency(t *testing.T) {
 		Seed:           13,
 		DisconnectProb: 0.3,
 	}, fleet.CoordinatorOptions{Retries: 8})
-	res, err := e.co.CompileRemote(context.Background(), job, parallel.Options{
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
 		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
 	})
 	if err != nil {
@@ -485,19 +495,41 @@ func TestFleetDisconnectIdempotency(t *testing.T) {
 	}
 }
 
-// TestFleetContextCancellation: a cancelled job context fails the
-// compile promptly instead of retrying forever.
+// cancelTransport cancels a job's context as the job's first session
+// opens, and passes every call on.
+type cancelTransport struct {
+	fleet.Transport
+	cancel context.CancelFunc
+}
+
+func (c cancelTransport) Do(ctx context.Context, addr, path string, body []byte) ([]byte, error) {
+	if path == "/fleet/open" {
+		c.cancel()
+	}
+	return c.Transport.Do(ctx, addr, path, body)
+}
+
+// TestFleetContextCancellation: a job context cancelled while the
+// coordinator places fragments fails the compile promptly instead of
+// retrying forever.
 func TestFleetContextCancellation(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	mem := fleet.NewMemTransport() // dead fleet, and a blocked local path is fine
-	client := fleet.NewClient(fleet.ClientOptions{Workers: []string{"w0"}, Transport: mem})
+	mem := fleet.NewMemTransport()
+	w := fleet.NewWorker()
+	w.Register(job.G, job.A, job.Lex)
+	mem.Add("w0", w)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := fleet.NewClient(fleet.ClientOptions{Workers: []string{"w0"}, Transport: cancelTransport{mem, cancel}})
 	client.Start()
 	t.Cleanup(client.Stop)
 	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := co.CompileRemote(ctx, job, parallel.Options{Workers: 2}); err == nil {
+	_, err := compileFleet(ctx, co, job, parallel.Options{Workers: 2})
+	if err == nil {
 		t.Fatal("compile with cancelled context succeeded")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled compile failed with %v, want context.Canceled", err)
 	}
 }
 
@@ -550,5 +582,38 @@ func TestPoolRoutesRemote(t *testing.T) {
 		if !strings.Contains(text, metric) {
 			t.Errorf("Prometheus output missing %s", metric)
 		}
+	}
+}
+
+// TestFleetPoolFilesPlanMetrics: a pool that routes to the fleet files
+// the same plan observability as a local pool for the same job — the
+// cross-fragment message total, the latest balance, the width and
+// planning-time histograms — because the pool plans both kinds of job.
+func TestFleetPoolFilesPlanMetrics(t *testing.T) {
+	job := pascalJob(t, workload.Tiny())
+	opts := parallel.Options{Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true}
+	local := parallel.NewPool(parallel.PoolOptions{Workers: 2, CacheBytes: -1})
+	defer local.Close()
+	e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
+	remote := parallel.NewPool(parallel.PoolOptions{Workers: 2, Remote: e.co})
+	defer remote.Close()
+	for _, p := range []*parallel.Pool{local, remote} {
+		if _, err := p.Compile(context.Background(), job, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lm, rm := local.Metrics(), remote.Metrics()
+	if rm.MessagesTotal == 0 || rm.MessagesTotal != lm.MessagesTotal {
+		t.Errorf("fleet pool MessagesTotal = %d, local pool %d", rm.MessagesTotal, lm.MessagesTotal)
+	}
+	if rm.LastBalance == 0 || rm.LastBalance != lm.LastBalance {
+		t.Errorf("fleet pool LastBalance = %v, local pool %v", rm.LastBalance, lm.LastBalance)
+	}
+	if len(rm.PlanWidths) == 0 || !maps.Equal(rm.PlanWidths, lm.PlanWidths) {
+		t.Errorf("fleet pool PlanWidths = %v, local pool %v", rm.PlanWidths, lm.PlanWidths)
+	}
+	if rm.PlanTime.Count != 1 || lm.PlanTime.Count != 1 || rm.Wall.Count != 1 {
+		t.Errorf("plan-time counts: fleet %d, local %d (fleet wall %d), want 1 each",
+			rm.PlanTime.Count, lm.PlanTime.Count, rm.Wall.Count)
 	}
 }

@@ -1,15 +1,22 @@
-// Package fleet is the distributed evaluation runtime: a coordinator
-// that splits and splices a compilation locally (like the simulated
-// cluster's parser process) but farms fragment evaluation out to pagd
-// worker processes over RPC, designed failure-first. Workers are
-// health-checked and load-balanced; a fragment whose worker dies
-// mid-evaluation is transparently requeued to a healthy worker (its
-// supply journal replays there, and rule purity plus deterministic
-// handle allocation make the replayed outputs byte-identical); when no
-// worker is healthy at all, evaluation degrades to an in-process
-// worker instead of failing the job. Every RPC payload is sealed with
-// an integrity checksum, so a corrupted response is detected and the
-// fragment retried — garbage is never spliced into a program.
+// Package fleet is the distributed transport of the pool: a
+// coordinator that evaluates a job's fragments on pagd worker processes
+// over RPC, designed failure-first. The parallel.Pool stays the parser
+// side — it plans and encodes the fragments and splices the result, as
+// it does for a local job — and hands the coordinator only the
+// evaluation (PoolOptions.Remote). Each worker session is a
+// cluster.Endpoint, the same wire-level fragment evaluator the
+// simulated cluster's machines run. Workers are health-checked and
+// load-balanced; a fragment whose worker dies mid-evaluation is
+// transparently requeued to a healthy worker (its supply journal
+// replays there, and rule purity plus deterministic handle allocation
+// make the replayed outputs byte-identical); when no worker is healthy
+// at all, evaluation degrades to an in-process worker instead of
+// failing the job. Every RPC payload is sealed with an integrity
+// checksum, so a corrupted response is detected and the fragment
+// retried — garbage is never spliced into a program.
+//
+// Coordinator and workers must come from one build: grammar symbols
+// and attributes travel by position.
 //
 // The simulated cluster (internal/cluster) remains the byte-identity
 // oracle: fleet output must equal cluster.Run and parallel.Pool output
@@ -105,26 +112,22 @@ type wireUID struct {
 }
 
 // wireMsg is one inbound attribute value for a session: Leaf is the
-// remote-leaf fragment id the value lands on, or -1 for the fragment's
-// own root (an inherited value arriving from the parent side).
+// remote-leaf fragment id the value lands on, or cluster.RootLeaf (-1)
+// for the fragment's own root (an inherited value arriving from the
+// parent side).
 type wireMsg struct {
 	Leaf int    `json:"leaf"`
 	Attr int    `json:"attr"`
 	Data []byte `json:"data,omitempty"`
 }
 
-// rootLeaf is the wireMsg.Leaf value addressing the fragment root.
-const rootLeaf = -1
-
 // openReq creates (or rebuilds, idempotently) one evaluation session.
 // Journal carries the supply batches already delivered to a previous
 // incarnation of the session: a requeued fragment replays its history
 // on the new worker, which reproduces the dead worker's outputs
 // exactly (evaluation is pure and handle allocation deterministic).
-// Yield asks for priority shipping: the session may answer any RPC
-// with More set, and the coordinator then owes it a continue. A worker
-// never yields unless asked, so a coordinator that predates More never
-// parks a fragment that still has ready work.
+// Sessions ship priority values early: any response may carry More,
+// and the coordinator then owes the session a continue.
 type openReq struct {
 	Session   string      `json:"session"`
 	Grammar   string      `json:"grammar"`
@@ -132,7 +135,6 @@ type openReq struct {
 	Mode      int         `json:"mode"`
 	Librarian bool        `json:"librarian"`
 	UIDPreset bool        `json:"uid_preset"`
-	Yield     bool        `json:"yield,omitempty"`
 	UIDBase   int         `json:"uid_base"`
 	UIDs      []wireUID   `json:"uids,omitempty"`
 	Tree      []byte      `json:"tree"`
@@ -188,8 +190,8 @@ type rootOut struct {
 // evalResp is the response to open and supply alike: everything the
 // evaluation produced since the previous response. Stats is valid once
 // Done. More means the session stopped early, right after shipping a
-// priority value (only when the open asked for Yield): it still has
-// work it can do without further input and waits for a continue.
+// priority value: it still has work it can do without further input
+// and waits for a continue.
 type evalResp struct {
 	Done   bool       `json:"done,omitempty"`
 	More   bool       `json:"more,omitempty"`

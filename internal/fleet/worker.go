@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 
 	"pag/internal/ag"
 	"pag/internal/aglint"
 	"pag/internal/cluster"
-	"pag/internal/eval"
 	"pag/internal/rope"
 	"pag/internal/tree"
 )
@@ -208,30 +208,25 @@ func (w *Worker) Routes() http.Handler {
 	return mux
 }
 
-// session is one fragment's evaluation state on this worker.
+// session is one fragment's evaluation state on this worker: a
+// fragment endpoint whose sinks append to the next response (the
+// coordinator does the routing).
 type session struct {
 	mu sync.Mutex
 
-	id     string
-	frag   int
-	useLib bool
-	root   *tree.Node
-	leaves map[int]*tree.Node
-	ev     eval.FragmentEvaluator
+	id string
+	ep *cluster.Endpoint
 
 	// pending holds the inbound values of the RPCs so far that the
-	// evaluator has not yet been fed: a session that yields (priority
-	// shipping, openReq.Yield) may stop in the middle of a batch.
+	// endpoint has not yet been fed: a session yields after each
+	// priority value, possibly in the middle of a batch.
 	pending []wireMsg
 
-	// Output accumulated since the last drained response; the hooks
-	// append here while ev.Run evaluates.
+	// Output accumulated since the last drained response; the sinks
+	// append here while the endpoint evaluates.
 	out    []outMsg
 	stores []storeOut
 	roots  []rootOut
-	// evalErr records a hook-side failure (attribute encode error,
-	// handle-range exhaustion); the RPC that triggered it answers 422.
-	evalErr error
 
 	// lastSeq/lastResp make supply idempotent: a batch the session has
 	// already applied answers with the cached sealed response.
@@ -260,61 +255,25 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
 
-	root, err := tree.Decode(entry.g, req.Tree, entry.lex)
-	if err != nil {
-		return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("fleet: decoding subtree: %v", err))
-	}
-	s := &session{
-		id:     req.Session,
-		frag:   req.Frag,
-		useLib: req.Librarian,
-		root:   root,
-		leaves: map[int]*tree.Node{},
-	}
-	leafList := tree.RemoteLeaves(root)
-	for _, leaf := range leafList {
-		s.leaves[leaf.RemoteID] = leaf
-	}
-
-	// The shared fragment policy, with sends replaced by buffer
-	// appends — the coordinator does the routing.
-	var alloc func() (int32, error)
-	if s.useLib {
-		alloc = rope.HandleAllocator(req.Frag)
-	}
-	store := func(text string) (int32, error) {
-		h, err := alloc()
-		if err != nil {
-			return 0, fmt.Errorf("fleet: fragment %d: %w", req.Frag, err)
-		}
-		s.stores = append(s.stores, storeOut{Handle: h, Text: text})
-		return h, nil
-	}
-	encode := func(sym *ag.Symbol, attr int, v ag.Value) ([]byte, bool) {
-		data, ship, err := cluster.EncodeAttr(sym, attr, v, s.useLib, store)
-		if err != nil && s.evalErr == nil {
-			s.evalErr = fmt.Errorf("fleet: encoding %s.%s: %w", sym.Name, sym.Attrs[attr].Name, err)
-		}
-		return data, ship
-	}
-	s.ev, err = cluster.NewFragmentEvaluator(job, cluster.FragmentSpec{
+	s := &session{id: req.Session}
+	s.ep, err = cluster.NewEndpoint(job, req.Tree, cluster.FragmentSpec{
 		ID:        req.Frag,
-		Root:      root,
-		Leaves:    leafList,
 		UIDBase:   req.UIDBase,
 		Mode:      mode,
 		UIDPreset: req.UIDPreset,
-		Yield:     req.Yield,
-		Down: func(leaf *tree.Node, attr int, v ag.Value, _ bool) {
-			data, _ := encode(leaf.Sym, attr, v)
+		Yield:     true,
+	}, cluster.Wire{
+		Librarian: req.Librarian,
+		Store: func(h int32, text string) {
+			s.stores = append(s.stores, storeOut{Handle: h, Text: text})
+		},
+		Down: func(leaf *tree.Node, attr int, data []byte) {
 			s.out = append(s.out, outMsg{Frag: leaf.RemoteID, Attr: attr, Data: data})
 		},
-		Up: func(attr int, v ag.Value, _ bool) {
-			data, _ := encode(root.Sym, attr, v)
+		Up: func(attr int, data []byte) {
 			s.out = append(s.out, outMsg{Up: true, Frag: req.Frag, Attr: attr, Data: data})
 		},
-		Result: func(attr int, v ag.Value) {
-			data, ship := encode(root.Sym, attr, v)
+		Result: func(attr int, data []byte, ship bool) {
 			s.roots = append(s.roots, rootOut{Attr: attr, Data: data, Ship: ship})
 		},
 	})
@@ -332,9 +291,6 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	}
 	if err := s.advance(); err != nil {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
-	}
-	if s.evalErr != nil {
-		return http.StatusUnprocessableEntity, []byte(s.evalErr.Error())
 	}
 	s.lastSeq = len(req.Journal)
 	code, resp := s.drain()
@@ -375,7 +331,7 @@ func (req *openReq) validate(entry *langEntry) (cluster.Job, cluster.Mode, error
 	if req.Frag < 0 || req.Frag >= rope.MaxHandleRanges {
 		return cluster.Job{}, 0, fmt.Errorf("fleet: frag: fragment id %d out of range [0, %d)", req.Frag, rope.MaxHandleRanges)
 	}
-	job := cluster.Job{G: entry.g, A: entry.a, UIDs: make([]cluster.UIDPair, len(req.UIDs))}
+	job := cluster.Job{G: entry.g, A: entry.a, Lex: entry.lex, UIDs: make([]cluster.UIDPair, len(req.UIDs))}
 	for i, k := range req.UIDs {
 		if k.Sym < 0 || k.Sym >= len(entry.g.Symbols) {
 			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].sym: symbol index %d out of range", i, k.Sym)
@@ -387,67 +343,57 @@ func (req *openReq) validate(entry *langEntry) (cluster.Job, cluster.Mode, error
 		if k.Count < 0 || k.Count >= len(sym.Attrs) {
 			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].count: attribute index %d out of range for %s", i, k.Count, sym.Name)
 		}
+		// The presets supply counters to both attributes: a pair is an
+		// inherited base and a synthesized count of one value type, so
+		// a pair naming any other attributes would feed them a counter.
+		base, count := sym.Attrs[k.Base], sym.Attrs[k.Count]
+		if base.Kind != ag.Inherited || count.Kind != ag.Synthesized || base.Codec == nil ||
+			reflect.TypeOf(base.Codec) != reflect.TypeOf(count.Codec) {
+			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d]: %s.%s and %s.%s are not an inherited base and a synthesized count of one codec",
+				i, sym.Name, base.Name, sym.Name, count.Name)
+		}
 		job.UIDs[i] = cluster.UIDPair{Sym: sym, Base: k.Base, Count: k.Count}
 	}
 	return job, mode, nil
 }
 
-// advance runs the evaluator, feeding it the pending inbound values
-// one at a time and running it after each, until it blocks. A yielding
-// session stops early — priority shipping (§4.3) — as soon as the
-// evaluator yields after a priority value with work left, so the value
-// leaves in this response instead of after the rest of the fragment's
-// ready work; the response then carries More and the coordinator
-// answers with a continue (an empty supply batch), which resumes
-// exactly here.
+// advance runs the endpoint, feeding it the pending inbound values
+// one at a time and running it after each, until it blocks. It stops
+// early — priority shipping (§4.3) — as soon as the evaluator yields
+// after a priority value with work left, so the value leaves in this
+// response instead of after the rest of the fragment's ready work; the
+// response then carries More and the coordinator answers with a
+// continue (an empty supply batch), which resumes exactly here.
 func (s *session) advance() error {
 	for {
-		s.ev.Run()
-		if s.ev.Yielded() || len(s.pending) == 0 {
+		if err := s.ep.Run(); err != nil {
+			return fmt.Errorf("fleet: session %s: %w", s.id, err)
+		}
+		if s.ep.Yielded() || len(s.pending) == 0 {
 			return nil
 		}
 		m := s.pending[0]
 		s.pending = s.pending[1:]
-		if err := s.supply(m); err != nil {
-			return err
+		if err := s.ep.Supply(m.Leaf, m.Attr, m.Data); err != nil {
+			return fmt.Errorf("fleet: session %s: %w", s.id, err)
 		}
 	}
 }
 
 // more reports whether the session stopped before its blocking point.
-func (s *session) more() bool { return s.ev.Yielded() || len(s.pending) > 0 }
-
-// supply decodes one inbound attribute value and hands it to the
-// evaluator.
-func (s *session) supply(m wireMsg) error {
-	var target *tree.Node
-	if m.Leaf == rootLeaf {
-		target = s.root
-	} else if target = s.leaves[m.Leaf]; target == nil {
-		return fmt.Errorf("fleet: session %s has no remote leaf for fragment %d", s.id, m.Leaf)
-	}
-	if m.Attr < 0 || m.Attr >= len(target.Sym.Attrs) {
-		return fmt.Errorf("fleet: session %s: attribute %d out of range for %s", s.id, m.Attr, target.Sym.Name)
-	}
-	v, err := cluster.DecodeAttr(target.Sym, m.Attr, m.Data, s.useLib)
-	if err != nil {
-		return fmt.Errorf("fleet: session %s decoding attr: %w", s.id, err)
-	}
-	s.ev.Supply(target, m.Attr, v)
-	return nil
-}
+func (s *session) more() bool { return s.ep.Yielded() || len(s.pending) > 0 }
 
 // drain moves the accumulated output into a sealed response.
 func (s *session) drain() (int, []byte) {
 	resp := evalResp{
-		Done:   s.ev.Done(),
+		Done:   s.ep.Done(),
 		More:   s.more(),
 		Msgs:   s.out,
 		Stores: s.stores,
 		Roots:  s.roots,
 	}
 	if resp.Done {
-		resp.Stats = s.ev.Stats()
+		resp.Stats = s.ep.Stats()
 	}
 	s.out, s.stores, s.roots = nil, nil, nil
 	body, err := sealJSON(resp)
@@ -483,9 +429,6 @@ func (w *Worker) handleSupply(body []byte) (int, []byte) {
 	s.pending = append(s.pending, req.Msgs...)
 	if err := s.advance(); err != nil {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
-	}
-	if s.evalErr != nil {
-		return http.StatusUnprocessableEntity, []byte(s.evalErr.Error())
 	}
 	code, resp := s.drain()
 	if code != http.StatusOK {

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"pag/internal/ag"
@@ -169,13 +171,21 @@ func TestWorkerRejectsCorruptAndForeign(t *testing.T) {
 }
 
 // TestWorkerValidatesOpen: an open request with an unknown mode, a
-// fragment id outside the handle-range space or an out-of-range
-// unique-identifier index is refused with a 422 naming the field,
-// before anything is built — never a contained panic.
+// fragment id outside the handle-range space, an out-of-range
+// unique-identifier index or a unique-identifier pair that is not an
+// inherited base and a synthesized count of one codec is refused with
+// a 422 naming the field, before anything is built — never a contained
+// panic.
 func TestWorkerValidatesOpen(t *testing.T) {
 	w, g, _ := testWorker(t)
 	sym := g.Start
 	bad := len(sym.Attrs)
+	var block *ag.Symbol
+	for _, s := range g.Symbols {
+		if s.Name == "block" {
+			block = s
+		}
+	}
 	for _, c := range []struct {
 		name  string
 		req   openReq
@@ -188,6 +198,8 @@ func TestWorkerValidatesOpen(t *testing.T) {
 		{"uid symbol", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: len(g.Symbols)}}}, "uids[0].sym"},
 		{"uid base", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Base: bad}}}, "uids[0].base"},
 		{"uid count", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Count: -1}}}, "uids[0].count"},
+		{"uid pair against the flow", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrValue, Count: exprlang.AttrStab}}}, "uids[0]"},
+		{"uid pair of two codecs", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrStab, Count: exprlang.AttrValue}}}, "uids[0]"},
 	} {
 		c.req.Session, c.req.Grammar = "s", g.Name
 		body, err := sealJSON(c.req)
@@ -294,11 +306,10 @@ func TestClientStatesAndPick(t *testing.T) {
 }
 
 // TestWorkerPriorityShipping checks priority shipping at the session
-// level: a session opened with Yield answers as soon as its evaluation
-// has shipped a priority value while work remains (More set, the
-// priority value last in the batch), continues resume it, and the
-// concatenated output equals what a non-yielding session sends in one
-// response. A session opened without Yield never sets More.
+// level: a session answers as soon as its evaluation has shipped a
+// priority value while work remains (More set, the priority value last
+// in the batch), continues resume it, and the concatenated output
+// equals what the same fragment's endpoint sends when it never yields.
 func TestWorkerPriorityShipping(t *testing.T) {
 	l := exprlang.MustNew()
 	a, err := ag.Analyze(l.G)
@@ -313,37 +324,51 @@ func TestWorkerPriorityShipping(t *testing.T) {
 	if d.NumFragments() < 3 {
 		t.Fatalf("want several fragments, got %d", d.NumFragments())
 	}
-	run := func(yield bool) []evalResp {
-		w := NewWorker()
-		w.Register(l.G, a, l.TerminalAttrs)
-		body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Mode: int(cluster.Combined), Tree: enc[0], Yield: yield})
-		if err != nil {
+
+	// The reference: fragment 0 evaluated to its blocking point in one
+	// Run, with no yield.
+	var plain []outMsg
+	job := cluster.Job{G: l.G, A: a, Lex: l.TerminalAttrs}
+	ep, err := cluster.NewEndpoint(job, enc[0], cluster.FragmentSpec{Mode: cluster.Combined}, cluster.Wire{
+		Down: func(leaf *tree.Node, attr int, data []byte) {
+			plain = append(plain, outMsg{Frag: leaf.RemoteID, Attr: attr, Data: data})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ep.Yielded() {
+		t.Fatal("endpoint built without Yield yielded")
+	}
+
+	w := NewWorker()
+	w.Register(l.G, a, l.TerminalAttrs)
+	body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Mode: int(cluster.Combined), Tree: enc[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := pathOpen
+	var yielding []evalResp
+	for seq := 1; ; seq++ {
+		code, raw := w.ServeRPC(path, body)
+		if code != http.StatusOK {
+			t.Fatalf("rpc %d: %d %s", seq, code, raw)
+		}
+		var resp evalResp
+		if err := unsealJSON(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
-		path := pathOpen
-		var resps []evalResp
-		for seq := 1; ; seq++ {
-			code, raw := w.ServeRPC(path, body)
-			if code != http.StatusOK {
-				t.Fatalf("yield=%v rpc %d: %d %s", yield, seq, code, raw)
-			}
-			var resp evalResp
-			if err := unsealJSON(raw, &resp); err != nil {
-				t.Fatal(err)
-			}
-			resps = append(resps, resp)
-			if !resp.More {
-				return resps
-			}
-			path, body = pathSupply, sealedSupply(t, "s", seq)
+		yielding = append(yielding, resp)
+		if !resp.More {
+			break
 		}
-	}
-	plain, yielding := run(false), run(true)
-	if len(plain) != 1 {
-		t.Fatalf("session without Yield answered More (%d responses)", len(plain))
+		path, body = pathSupply, sealedSupply(t, "s", seq)
 	}
 	if len(yielding) < 2 {
-		t.Fatal("yielding session never stopped early")
+		t.Fatal("session never stopped early")
 	}
 	if extra, edges := len(yielding)-1, len(d.Children(0)); extra > edges {
 		t.Errorf("%d continues for %d cut edges, want at most one per edge", extra, edges)
@@ -363,11 +388,114 @@ func TestWorkerPriorityShipping(t *testing.T) {
 		}
 	}
 	got, _ := sealJSON(msgs)
-	want, _ := sealJSON(plain[0].Msgs)
+	want, _ := sealJSON(plain)
 	if !bytes.Equal(got, want) {
-		t.Error("yielding session shipped different values than the non-yielding one")
+		t.Error("yielding session shipped different values than the non-yielding endpoint")
 	}
-	if last := yielding[len(yielding)-1]; last.Done != plain[0].Done || last.Stats != plain[0].Stats {
-		t.Errorf("yielding session ended done=%v %+v, want done=%v %+v", last.Done, last.Stats, plain[0].Done, plain[0].Stats)
+	if last := yielding[len(yielding)-1]; last.Done != ep.Done() || (last.Done && last.Stats != ep.Stats()) {
+		t.Errorf("yielding session ended done=%v %+v, want done=%v %+v", last.Done, last.Stats, ep.Done(), ep.Stats())
 	}
+}
+
+// TestWorkerRejectsMisdirectedValues: the session endpoint refuses a
+// value against its attribute's flow — a synthesized value at the
+// fragment root, an inherited one at a remote leaf — and a second
+// value for one instance, each with a named 422, never a contained
+// panic. Each leafless fragment first gets its root's synthesized
+// value, which must not let a visit start before the inherited symbol
+// table has arrived.
+func TestWorkerRejectsMisdirectedValues(t *testing.T) {
+	l := exprlang.MustNew()
+	a, err := ag.Analyze(l.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := l.Parse(exprlang.Generate(8, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, enc := tree.SplitEncode(root, tree.GranularityFor(root, 4), 4)
+	w := NewWorker()
+	w.Register(l.G, a, l.TerminalAttrs)
+	open := func(frag int) evalResp {
+		t.Helper()
+		body, err := sealJSON(openReq{Session: fmt.Sprint("s", frag), Grammar: l.G.Name, Frag: frag, Tree: enc[frag]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, raw := w.ServeRPC(pathOpen, body)
+		if code != http.StatusOK {
+			t.Fatalf("open fragment %d: %d %s", frag, code, raw)
+		}
+		var resp evalResp
+		if err := unsealJSON(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	supply := func(frag, seq int, msgs ...wireMsg) (int, string) {
+		t.Helper()
+		body, err := sealJSON(supplyReq{Session: fmt.Sprint("s", frag), Seq: seq, Msgs: msgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, raw := w.ServeRPC(pathSupply, body)
+		return code, string(raw)
+	}
+	want := func(what string, code int, body string, err error) {
+		t.Helper()
+		if code != http.StatusUnprocessableEntity || !strings.Contains(body, err.Error()) || strings.Contains(body, "worker panic") {
+			t.Errorf("%s: got %d %s, want 422 naming %q", what, code, body, err)
+		}
+	}
+
+	// Fragment 0 ships the symbol table down first: run it to its
+	// blocking point and keep one inherited value for a child's root.
+	var stab wireMsg
+	resp, seq := open(0), 0
+	for {
+		for _, m := range resp.Msgs {
+			if !m.Up && m.Attr == exprlang.AttrStab {
+				stab = wireMsg{Leaf: cluster.RootLeaf, Attr: m.Attr, Data: m.Data}
+			}
+		}
+		if !resp.More {
+			break
+		}
+		seq++
+		code, raw := supply(0, seq)
+		if code != http.StatusOK {
+			t.Fatalf("continue fragment 0: %d %s", code, raw)
+		}
+		resp = evalResp{}
+		if err := unsealJSON([]byte(raw), &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stab.Data == nil {
+		t.Fatal("fragment 0 shipped no symbol table")
+	}
+	value, err := (l.G.Start.Attrs[0].Codec).Encode(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafless := 0
+	for _, f := range d.Frags[1:] {
+		if len(d.Children(f.ID)) > 0 {
+			continue
+		}
+		leafless++
+		open(f.ID)
+		code, body := supply(f.ID, 1, wireMsg{Leaf: cluster.RootLeaf, Attr: exprlang.AttrValue, Data: value})
+		want(fmt.Sprintf("fragment %d: synthesized value at the root", f.ID), code, body, cluster.ErrWrongDirection)
+		open(f.ID)
+		code, body = supply(f.ID, 1, stab, stab)
+		want(fmt.Sprintf("fragment %d: second symbol table", f.ID), code, body, cluster.ErrDuplicateValue)
+	}
+	if leafless == 0 {
+		t.Fatal("no fragment without remote leaves")
+	}
+	child := d.Children(0)[0]
+	code, body := supply(0, seq+1, wireMsg{Leaf: child, Attr: exprlang.AttrStab, Data: stab.Data})
+	want("inherited value at a remote leaf", code, body, cluster.ErrWrongDirection)
 }

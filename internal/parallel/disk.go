@@ -31,7 +31,7 @@ package parallel
 // persistent-cache section documents this.
 //
 // Each root attribute is stored as its own codec's bytes — the bytes
-// cluster.EncodeAttr ships with the librarian off, the canonical form
+// a cluster.Endpoint ships with the librarian off, the canonical form
 // the byte-identity oracle is built on. The recorded root attributes
 // are already spliced, so they hold no librarian handle; a value that
 // still holds one (CodeCodec.Encode refuses it) or has no codec is an

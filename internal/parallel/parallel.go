@@ -131,10 +131,11 @@ type Result struct {
 	// Workers is the requested evaluation width (the fragment default).
 	Workers int
 	// Decomp describes the process tree: a planned decomposition of the
-	// job's tree (tree.SplitInPlace on the pool, tree.SplitEncode on
-	// the fleet), whose fragment roots are nodes of the caller's uncut
-	// tree. Read the fragments through its methods (Sizes, Balance,
-	// Children, Describe, Digests), not by walking Frags[i].Root.
+	// job's tree (tree.SplitInPlace for a local job, tree.SplitEncode
+	// for a fleet job), whose fragment roots are nodes of the caller's
+	// uncut tree. Read the fragments through its methods (Sizes,
+	// Balance, Children, Describe, Digests), not by walking
+	// Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int

@@ -150,8 +150,8 @@ type Pool struct {
 	remote RemoteEvaluator
 
 	// Plan observability: cross-fragment messages across completed
-	// local jobs, and the size balance of the latest decomposition
-	// (float64 bits).
+	// jobs, local and fleet, and the size balance of the latest
+	// decomposition (float64 bits).
 	messagesTotal atomic.Int64
 	lastBalance   atomic.Uint64
 
@@ -204,8 +204,8 @@ type PoolStats struct {
 	DiskErrors int64 `json:"disk_errors"`
 
 	// Decomposition-plan observability: total cross-fragment attribute
-	// messages across completed local jobs and the size balance of the
-	// most recent decomposition.
+	// messages across completed jobs (local and fleet alike) and the
+	// size balance of the most recent decomposition.
 	MessagesTotal int64   `json:"messages_total"`
 	LastBalance   float64 `json:"last_balance"`
 }
@@ -403,9 +403,10 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // namespace, and the output is byte-identical to running the job
 // alone. The job's tree is evaluated in place and restored before
 // Compile returns, so compiles of one tree, on any pool, take turns:
-// a Compile whose tree is in use waits (until ctx ends) for it. If the
-// job uses Combined mode and carries no analysis, the pool supplies
-// the shared one for its grammar.
+// a Compile whose tree is in use waits (until ctx ends) for it; a pool
+// with a RemoteEvaluator only reads the tree. If the job uses Combined
+// mode and carries no analysis, the pool supplies the shared one for
+// its grammar.
 //
 // Admission is governed by Options.Priority (capacity freed by a
 // finishing job goes to waiting high-priority jobs first) and, when
@@ -434,13 +435,7 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	}
 	p.m.queueWait.observe(time.Since(enter))
 	defer p.adm.release(opts.Client)
-	var res *Result
-	var err error
-	if p.remote != nil {
-		res, err = p.compileRemote(ctx, job, opts)
-	} else {
-		res, err = p.compile(ctx, job, opts)
-	}
+	res, err := p.compile(ctx, job, opts)
 	switch {
 	case err == nil:
 		p.jobsDone.Add(1)
@@ -454,27 +449,6 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		p.jobsFailed.Add(1)
 	}
 	return res, err
-}
-
-// compileRemote is the admitted job body of a pool with a distributed
-// backend: option defaulting stays here (so fleet jobs get the same
-// width and analysis-cache behavior as local ones), evaluation happens
-// on the RemoteEvaluator.
-func (p *Pool) compileRemote(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
-	if opts.Mode == 0 {
-		opts.Mode = cluster.Combined
-	}
-	if opts.Mode == cluster.Combined && job.A == nil {
-		a, err := p.analysisFor(job.G)
-		if err != nil {
-			return nil, fmt.Errorf("parallel: combined mode: %w", err)
-		}
-		job.A = a
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = p.workers
-	}
-	return p.remote.CompileRemote(ctx, job, opts)
 }
 
 // heldTrees lists the job trees being evaluated in place: a local
@@ -515,10 +489,13 @@ func holdTree(ctx context.Context, root *tree.Node) (release func(), err error) 
 	}
 }
 
-// compile is the admitted job body: cut the job's tree, look the job up
-// in the cache, seed the shared deques, wait for per-job quiescence,
-// assemble the result. A whole-tree cache hit returns right after the
-// lookup, running no fragment.
+// compile is the admitted job body. The parser side is the same for
+// local and remote jobs: default the options, supply the analysis,
+// check the width, plan the cuts. A remote job then goes to
+// remoteJob. A local one looks the job up in the cache, seeds the
+// shared deques, waits for per-job quiescence and assembles the
+// result; a whole-tree cache hit returns right after the lookup,
+// running no fragment.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
 	if opts.Mode == 0 {
 		opts.Mode = cluster.Combined
@@ -536,18 +513,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if opts.Fragments <= 0 {
 		opts.Fragments = opts.Workers
 	}
-	// The job is evaluated in the caller's tree, so it waits its turn
-	// behind any other compile of the same tree.
-	release, err := holdTree(ctx, job.Root)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	start := time.Now()
-
-	useCache := p.cache != nil && !opts.NoCache
-
-	root := job.Root
 	// Validate the effective decomposition width against the
 	// librarian's handle-range layout before doing any work: a wider
 	// librarian run would panic mid-evaluation when a fragment claims
@@ -558,18 +523,39 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		return nil, fmt.Errorf("parallel: %d fragments (from %d workers) exceed the librarian's %d handle ranges",
 			opts.Fragments, opts.Workers, rope.MaxHandleRanges)
 	}
+	// A local job is evaluated in the caller's tree, so it waits its
+	// turn behind any other compile of the same tree.
+	if p.remote == nil {
+		release, err := holdTree(ctx, job.Root)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+	}
+	start := time.Now()
+	root := job.Root
 	gran := opts.Granularity
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Fragments)
 	}
-	// The parser side, same policy as the cluster: cut the caller's
-	// tree at the planned points. Each fragment evaluator writes into
-	// the tree's own attribute slots; the cuts are undone once the job
-	// is quiescent, on every return path below. A whole-tree hit cuts
-	// too: the content address is made of the fragments' digests.
+	// The parser side, same policy as the cluster. A remote job
+	// linearizes each planned fragment straight from the caller's tree,
+	// which it does not write. A local job cuts the caller's tree at the
+	// planned points: each fragment evaluator writes into the tree's own
+	// attribute slots, and the cuts are undone once the job is
+	// quiescent, on every return path below. A whole-tree hit cuts too:
+	// the content address is made of the fragments' digests.
 	planStart := time.Now()
-	decomp, leaves, undo := tree.SplitInPlace(root, gran, opts.Fragments)
-	defer undo()
+	var decomp *tree.Decomposition
+	var encoded [][]byte      // remote: the linearized fragments
+	var leaves [][]*tree.Node // local: each fragment's remote leaves
+	if p.remote != nil {
+		decomp, encoded = tree.SplitEncode(root, gran, opts.Fragments)
+	} else {
+		var undo func()
+		decomp, leaves, undo = tree.SplitInPlace(root, gran, opts.Fragments)
+		defer undo()
+	}
 	res := &Result{
 		Frags:   decomp.NumFragments(),
 		Workers: opts.Workers,
@@ -580,6 +566,10 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			Balance:  decomp.Balance(),
 		},
 	}
+	if p.remote != nil {
+		return p.remoteJob(ctx, job, opts, encoded, res, start)
+	}
+	useCache := p.cache != nil && !opts.NoCache
 
 	// Identify the code attribute of the start symbol. The
 	// decomposition is never wider than the validated Fragments
@@ -823,6 +813,20 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// garbage-collected with the rest of the job state.)
 	r.lib.Reset()
 	p.libs.Put(r.lib)
+	p.finish(res, start, splitDone, evalDone)
+	return res, nil
+}
+
+// remoteJob evaluates the planned fragments of an admitted job on the
+// RemoteEvaluator, then splices and files the result like a local
+// job's. Remote jobs bypass the cache.
+func (p *Pool) remoteJob(ctx context.Context, job cluster.Job, opts Options, encoded [][]byte, res *Result, start time.Time) (*Result, error) {
+	splitDone := time.Now()
+	if err := p.remote.Evaluate(ctx, job, opts, res.Decomp, encoded, res); err != nil {
+		return nil, err
+	}
+	evalDone := time.Now()
+	splice(res, cluster.CodeAttr(job.G), nil)
 	p.finish(res, start, splitDone, evalDone)
 	return res, nil
 }

@@ -4,21 +4,32 @@ import (
 	"context"
 
 	"pag/internal/cluster"
+	"pag/internal/tree"
 )
 
 // RemoteEvaluator is a distributed evaluation backend a Pool can route
 // admitted jobs to instead of its in-process deques: the coordinator of
 // a pagd worker fleet (internal/fleet) implements it. The pool keeps
 // owning admission — quotas, priorities, queue bounds and the outcome
-// counters all apply unchanged — while the evaluator owns placement,
-// health checking, retry/requeue and the degrade-to-local fallback.
+// counters all apply unchanged — and the parser side: it defaults the
+// options, supplies the analysis, plans and encodes the fragments
+// (tree.SplitEncode, so the caller's tree is only read), and splices
+// and files the result like a local job's. The evaluator owns only the
+// evaluation: placement, health checking, retry/requeue and the
+// degrade-to-local fallback.
 //
-// The contract mirrors Pool.Compile: the result must be byte-identical
-// to evaluating the same job locally at the same width (the simulated
-// cluster remains the shared oracle), ctx cancellation must abort the
-// job, and implementations must be safe for concurrent calls.
+// Evaluate evaluates the fragments of decomp, encoded[i] being fragment
+// i's linearized subtree. The pool has set res's header (Frags,
+// Workers, Decomp, PlanStats); Evaluate fills RootAttrs (the code
+// attribute, if any, a handle-free Code), PerFrag, Stats, Messages,
+// StoredStrings, StoredBytes and the fleet outcome fields.
+//
+// The result must be byte-identical to evaluating the same job locally
+// at the same width (the simulated cluster remains the shared oracle),
+// ctx cancellation must abort the job, and implementations must be
+// safe for concurrent calls.
 type RemoteEvaluator interface {
-	CompileRemote(ctx context.Context, job cluster.Job, opts Options) (*Result, error)
+	Evaluate(ctx context.Context, job cluster.Job, opts Options, decomp *tree.Decomposition, encoded [][]byte, res *Result) error
 	// FleetStats snapshots the evaluator's distribution counters for
 	// Metrics / the Prometheus exposition.
 	FleetStats() FleetStats

@@ -1,34 +1,42 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/exprlang"
+	"pag/internal/tree"
 )
 
-// stubRemote records what the pool hands a RemoteEvaluator and returns
-// a canned result.
+// stubRemote records what the pool hands a RemoteEvaluator and fills
+// in a canned outcome.
 type stubRemote struct {
-	jobs  []cluster.Job
-	opts  []Options
-	stats FleetStats
+	jobs    []cluster.Job
+	opts    []Options
+	encoded [][][]byte
+	stats   FleetStats
 }
 
-func (s *stubRemote) CompileRemote(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
+func (s *stubRemote) Evaluate(ctx context.Context, job cluster.Job, opts Options, decomp *tree.Decomposition, encoded [][]byte, res *Result) error {
 	s.jobs = append(s.jobs, job)
 	s.opts = append(s.opts, opts)
-	return &Result{Program: "remote", RemoteFrags: 2, Degraded: true}, nil
+	s.encoded = append(s.encoded, encoded)
+	res.RootAttrs = make([]ag.Value, len(job.G.Start.Attrs))
+	res.Program, res.RemoteFrags, res.Degraded = "remote", 2, true
+	return nil
 }
 
 func (s *stubRemote) FleetStats() FleetStats { return s.stats }
 
 // TestPoolRemoteRouting: with PoolOptions.Remote set, admitted jobs go
-// to the remote evaluator with the mode defaulted and the analysis
-// filled in, and the fleet counters surface through Metrics and the
-// Prometheus text format.
+// to the remote evaluator with the mode defaulted, the analysis filled
+// in and the fragments planned and encoded, and the fleet counters
+// surface through Metrics and the Prometheus text format.
 func TestPoolRemoteRouting(t *testing.T) {
 	l := exprlang.MustNew()
 	root, err := l.Parse(exprlang.Generate(3, 2))
@@ -57,6 +65,13 @@ func TestPoolRemoteRouting(t *testing.T) {
 	}
 	if stub.opts[0].Workers != 2 {
 		t.Errorf("workers = %d, want pool default 2", stub.opts[0].Workers)
+	}
+	if res.Decomp == nil || res.Frags != res.Decomp.NumFragments() || res.PlanStats.Width != 2 {
+		t.Errorf("result header: frags %d, decomp %v, width %d", res.Frags, res.Decomp != nil, res.PlanStats.Width)
+	}
+	_, want := tree.SplitEncode(root, tree.GranularityFor(root, 2), 2)
+	if !slices.EqualFunc(stub.encoded[0], want, bytes.Equal) {
+		t.Errorf("pool handed %d encoded fragments, not SplitEncode's %d", len(stub.encoded[0]), len(want))
 	}
 
 	m := p.Metrics()
