@@ -4,7 +4,7 @@
 GO ?= go
 
 # Benchmarks tracked in the BENCH_*.json perf trajectory.
-BENCH_TRACKED = BenchmarkParallelPascal|BenchmarkHotPath|BenchmarkPoolReuse|BenchmarkFragmentCache|BenchmarkIncremental|BenchmarkSustainedLoad|BenchmarkFleet|BenchmarkAdaptive|BenchmarkWarmRestart
+BENCH_TRACKED = BenchmarkParallelPascal|BenchmarkHotPath|BenchmarkPoolReuse|BenchmarkFragmentCache|BenchmarkSustainedLoad|BenchmarkFleet|BenchmarkAdaptive|BenchmarkWarmRestart
 BENCH_BASELINE = BENCH_PR10.json
 
 .PHONY: all build test race bench bench-parallel bench-json benchstat bench-gate fuzz lint fmt check figures clean
@@ -48,14 +48,13 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -bench '$(BENCH_TRACKED)' -benchtime 2s -o /tmp/bench-new.json
 	$(GO) run ./cmd/benchjson -compare -fail-over 25 $(BENCH_BASELINE) /tmp/bench-new.json
 
-# Short-budget native fuzzing of the incremental-cache, tree-codec,
+# Short-budget native fuzzing of the tree-hash, tree-codec,
 # Pascal-parser, planning, disk-recording, CAS-frame, fleet-worker RPC
 # and peephole invariants.
 fuzz:
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzHash -fuzztime 30s
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzDecode -fuzztime 15s
 	$(GO) test ./internal/pascal -run XXX -fuzz FuzzParse -fuzztime 15s
-	$(GO) test ./internal/parallel -run XXX -fuzz FuzzInboundCanon -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzPlan -fuzztime 15s
 	$(GO) test ./internal/rope -run XXX -fuzz FuzzShipCodec -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzDecodeEntry -fuzztime 15s

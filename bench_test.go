@@ -259,81 +259,6 @@ func BenchmarkFragmentCache(b *testing.B) {
 	})
 }
 
-// BenchmarkIncremental measures what incremental recompilation buys an
-// edit-compile loop: the same single-token edit of the tiny Pascal
-// program compiled through one pool cold (cache bypassed — every
-// fragment evaluates) versus warm-incremental (the unedited base
-// program was compiled once; the edited tree misses the whole-tree key
-// and every fragment the edit does not touch replays from its
-// per-fragment recording, with only the edited fragment evaluating
-// live). The edit changes one operand token inside the root fragment
-// and no declarations, so the global symbol table every other fragment
-// receives is unchanged and they all commit. Warm-incremental must
-// stay >= 2x faster than cold — the paper's economy that an edited
-// program only pays for the fragments its change actually touches.
-// The partial/op metric reports fragments replayed per compile.
-func BenchmarkIncremental(b *testing.B) {
-	lang := pascal.MustNew()
-	base := workload.Generate(workload.Tiny())
-	// Swap one character inside the final writeln's string constant:
-	// same token length (the cuts stay put), different assembly, no
-	// declaration touched — and the last statement of the program stays
-	// in the root fragment's retained tail across decomposition widths.
-	const oldTok, newTok = "'total '", "'tutal '"
-	edited := strings.Replace(base, oldTok, newTok, 1)
-	if edited == base {
-		b.Fatalf("edit target %q not found in the tiny workload", oldTok)
-	}
-	baseJob, err := lang.ClusterJob(base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	editedJob, err := lang.ClusterJob(edited)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := experiments.DefaultParallelOptions()
-	opts.Workers = 4
-	opts.Fragments = 6
-	ctx := context.Background()
-
-	b.Run("cold", func(b *testing.B) {
-		pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
-		defer pool.Close()
-		o := opts
-		o.NoCache = true
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pool.Compile(ctx, editedJob, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-incremental", func(b *testing.B) {
-		pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
-		defer pool.Close()
-		if _, err := pool.Compile(ctx, baseJob, opts); err != nil {
-			b.Fatal(err) // record the base program
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var partial int
-		for i := 0; i < b.N; i++ {
-			res, err := pool.Compile(ctx, editedJob, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.PartialHits < 1 {
-				b.Fatalf("edited compile replayed no fragments (demoted %d)", res.Demoted)
-			}
-			partial += res.PartialHits
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(partial)/float64(b.N), "partial/op")
-	})
-}
-
 // BenchmarkWarmRestart measures what the persistent cache buys a
 // process restart: one "process" (open store + pool, compile, close)
 // per op, either over a fresh directory every time (cold-start —

@@ -52,7 +52,7 @@ type File struct {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkParallelPascal|BenchmarkHotPath|BenchmarkPoolReuse|BenchmarkFragmentCache|BenchmarkIncremental|BenchmarkSustainedLoad|BenchmarkFleet|BenchmarkAdaptive|BenchmarkWarmRestart", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkParallelPascal|BenchmarkHotPath|BenchmarkPoolReuse|BenchmarkFragmentCache|BenchmarkSustainedLoad|BenchmarkFleet|BenchmarkAdaptive|BenchmarkWarmRestart", "benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "1s", "value passed to go test -benchtime")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("o", "BENCH_PR10.json", "output file")

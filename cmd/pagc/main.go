@@ -11,29 +11,21 @@
 //
 // Batch mode drives many files through one persistent compile pool on
 // the real shared-memory runtime instead of the simulator; the pool's
-// content-addressed fragment cache replays duplicate sources instead
-// of re-evaluating them (-cache-bytes sizes it, negative disables):
+// content-addressed whole-job cache returns the recorded result of a
+// duplicate source instead of re-evaluating it (-cache-bytes sizes it,
+// negative disables):
 //
 //	pagc -batch [-workers 8] [-cache-bytes N] a.pas b.pas c.pas
 //
 // -cache-dir persists the pool's whole-job results to a crash-safe
 // on-disk store, so a later batch (a separate process) serves files
-// this one compiled straight from disk; an edited version compiles
-// cold there, because incremental replay is in-process only (see
-// README "Persistent cache"):
+// this one compiled straight from disk (see README "Persistent
+// cache"):
 //
 //	pagc -batch -cache-dir ~/.cache/pag a.pas b.pas
 //
-// Series mode treats the operands as successive versions of ONE
-// program (an edit series) and compiles them in order through the
-// pool, so each version's unchanged fragments replay incrementally
-// from the previous versions' recordings; the per-file report shows
-// the partial-hit counts:
-//
-//	pagc -batch -series v1.pas v2.pas v3.pas
-//
 // -dump-source prints the generated workload source instead of
-// compiling it (the seed for building such an edit series):
+// compiling it:
 //
 //	pagc -workload tiny -dump-source > v1.pas
 //
@@ -76,10 +68,9 @@ func main() {
 	wl := flag.String("workload", "", "compile a generated workload (tiny, small, course) instead of a file")
 	dump := flag.Bool("dump-source", false, "print the generated -workload source instead of compiling it")
 	batch := flag.Bool("batch", false, "compile every file through one persistent pool on the real multicore runtime")
-	series := flag.Bool("series", false, "batch mode: compile the files sequentially as successive versions of one program (edit series; unchanged fragments replay incrementally)")
 	workers := flag.Int("workers", 0, "batch mode: pool worker goroutines (0 = all CPUs)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "batch mode: fragment cache budget in bytes (0 = default, <0 = disable)")
-	cacheDir := flag.String("cache-dir", "", "batch mode: persist the fragment cache to this directory across runs (empty = in-memory only)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "batch mode: whole-job cache budget in bytes (0 = default, <0 = disable)")
+	cacheDir := flag.String("cache-dir", "", "batch mode: persist the whole-job cache to this directory across runs (empty = in-memory only)")
 	priority := flag.String("priority", "", `batch and daemon modes: admission class of the jobs ("high" or "low"; "" = high)`)
 	daemon := flag.String("daemon", "", "compile via a running pagd at this base URL (e.g. http://localhost:8642) instead of in-process")
 	retries := flag.Int("retries", -1, "daemon mode: retries for requests that failed before a response body started (-1 = default 2)")
@@ -90,7 +81,7 @@ func main() {
 		machines: *machines, modeName: *mode, gran: *gran,
 		check: *check, jsonOut: *jsonOut,
 		noLib: *noLib, chain: *chain, gantt: *gantt, asm: *asm, quiet: *quiet,
-		wl: *wl, dump: *dump, batch: *batch, series: *series, workers: *workers, cacheBytes: *cacheBytes,
+		wl: *wl, dump: *dump, batch: *batch, workers: *workers, cacheBytes: *cacheBytes,
 		cacheDir:  *cacheDir,
 		priority:  *priority,
 		daemonURL: *daemon, retries: *retries, retryBackoff: *retryBackoff,
@@ -117,7 +108,6 @@ type config struct {
 	wl         string
 	dump       bool
 	batch      bool
-	series     bool
 	workers    int
 	cacheBytes int64
 	cacheDir   string
@@ -154,9 +144,6 @@ func run(out io.Writer, cfg config, args []string) error {
 		}
 		return runCheck(out, cfg, args)
 	}
-	if cfg.series && !cfg.batch {
-		return fmt.Errorf("-series is a -batch mode (an edit series compiles through one pool)")
-	}
 	// Validate the granularity once, before any mode dispatch: an
 	// impossible -granularity fails identically everywhere instead of
 	// being clamped or deferred.
@@ -184,10 +171,10 @@ func run(out io.Writer, cfg config, args []string) error {
 		return fmt.Errorf("-workers configures the -batch pool; single-job simulator runs size with -n")
 	}
 	if cfg.cacheBytes != 0 {
-		return fmt.Errorf("-cache-bytes configures the -batch pool's fragment cache; the simulator has none")
+		return fmt.Errorf("-cache-bytes configures the -batch pool's whole-job cache; the simulator has none")
 	}
 	if cfg.cacheDir != "" {
-		return fmt.Errorf("-cache-dir persists the -batch pool's fragment cache; the simulator has none")
+		return fmt.Errorf("-cache-dir persists the -batch pool's whole-job cache; the simulator has none")
 	}
 	if cfg.priority != "" {
 		return fmt.Errorf("-priority classes order admission on the -batch pool; the simulator runs one job")
@@ -315,7 +302,7 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 		// The disk layer records and replays through the in-memory
 		// cache, so persisting a disabled cache cannot work.
 		if cfg.cacheBytes < 0 {
-			return fmt.Errorf("-cache-dir persists the fragment cache, which -cache-bytes %d disables", cfg.cacheBytes)
+			return fmt.Errorf("-cache-dir persists the whole-job cache, which -cache-bytes %d disables", cfg.cacheBytes)
 		}
 		store, err := parallel.OpenDiskCache(cfg.cacheDir, 0)
 		if err != nil {
@@ -359,25 +346,15 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 	}
 
 	start := time.Now()
-	if cfg.series {
-		// An edit series is inherently ordered: version N+1's unchanged
-		// fragments replay from the recordings version N (or an earlier
-		// full version) left in the cache, so the files must go through
-		// the pool one after another, not concurrently.
-		for i, file := range args {
+	var wg sync.WaitGroup
+	for i, file := range args {
+		wg.Add(1)
+		go func(i int, file string) {
+			defer wg.Done()
 			compileOne(i, file)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, file := range args {
-			wg.Add(1)
-			go func(i int, file string) {
-				defer wg.Done()
-				compileOne(i, file)
-			}(i, file)
-		}
-		wg.Wait()
+		}(i, file)
 	}
+	wg.Wait()
 	wall := time.Since(start)
 
 	failed := 0
@@ -392,9 +369,6 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 				r.file, len(r.res.Program), r.res.Frags, r.res.WallTime,
 				r.res.SplitTime, r.res.EvalTime, r.res.SpliceTime)
 			fmt.Fprintf(out, ", %d message(s), balance %.2f", r.res.Messages, r.res.PlanStats.Balance)
-			if r.res.PartialHits > 0 || r.res.Demoted > 0 {
-				fmt.Fprintf(out, ", %d/%d fragment(s) replayed incrementally", r.res.PartialHits, r.res.Frags)
-			}
 			fmt.Fprintln(out)
 		}
 		if cfg.asm {
@@ -405,8 +379,7 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 		fmt.Fprintf(out, "batch: %d/%d file(s) on a %d-worker pool in %v\n",
 			len(args)-failed, len(args), pool.Workers(), wall)
 		if st := pool.Stats(); st.CacheCapBytes > 0 {
-			fmt.Fprintf(out, "cache: %d whole-job hit(s), %d fragment(s) replayed incrementally across %d job(s), %d candidate(s) demoted\n",
-				st.CacheHits, st.CachePartialHits, st.CachePartialJobs, st.CacheDemoted)
+			fmt.Fprintf(out, "cache: %d hit(s), %d miss(es)\n", st.CacheHits, st.CacheMisses)
 			if cfg.cacheDir != "" {
 				// Spills are write-behind: the write count settles when
 				// the deferred Close flushes, so it may still be low here.

@@ -159,7 +159,7 @@ func TestCacheBytesFlagRequiresBatch(t *testing.T) {
 }
 
 // TestBatchIdenticalFilesHitCache compiles the same source many times
-// in one batch: the fragment cache replays the repeats and every
+// in one batch: the whole-job cache serves the repeats and every
 // assembly block must still be identical (with -cache-bytes 0 default
 // budget, and with the cache disabled for the cross-check).
 func TestBatchIdenticalFilesHitCache(t *testing.T) {
@@ -233,50 +233,5 @@ func TestDumpSource(t *testing.T) {
 	cfg3.wl = "tiny"
 	if err := run(os.Stdout, cfg3, []string{"a.pas"}); err == nil {
 		t.Error("-dump-source with a file operand was accepted")
-	}
-}
-
-// TestSeriesModeReplaysIncrementally drives an edit series (base
-// program plus two one-token-edited versions) through -batch -series
-// and checks the pool reports incremental fragment replays: the edited
-// versions miss the whole-tree key but reuse the unchanged fragments.
-func TestSeriesModeReplaysIncrementally(t *testing.T) {
-	dir := t.TempDir()
-	base := workload.Generate(workload.Tiny())
-	versions := []string{
-		base,
-		strings.Replace(base, "(gtotal - gtotal)", "(gtotal - gcount)", 1),
-		strings.Replace(base, "'total '", "'tutal '", 1),
-	}
-	files := make([]string, len(versions))
-	for i, src := range versions {
-		if i > 0 && src == versions[0] {
-			t.Fatal("edit did not apply")
-		}
-		files[i] = filepath.Join(dir, fmt.Sprintf("v%d.pas", i+1))
-		if err := os.WriteFile(files[i], []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := defaults()
-	cfg.machines = 1
-	cfg.batch = true
-	cfg.series = true
-	cfg.quiet = false
-	cfg.workers = 4
-	var out bytes.Buffer
-	if err := run(&out, cfg, files); err != nil {
-		t.Fatalf("series run failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "replayed incrementally") {
-		t.Errorf("series report shows no incremental replays:\n%s", out.String())
-	}
-
-	// -series outside -batch is a usage error.
-	cfg2 := defaults()
-	cfg2.series = true
-	cfg2.wl = "tiny"
-	if err := run(os.Stdout, cfg2, nil); err == nil {
-		t.Error("-series without -batch was accepted")
 	}
 }

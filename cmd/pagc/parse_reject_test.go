@@ -20,13 +20,13 @@ func TestCacheDirRejection(t *testing.T) {
 			"simulator",
 			config{machines: 1, modeName: "combined", cacheDir: "/tmp/pagcache", wl: "tiny"},
 			nil,
-			"-cache-dir persists the -batch pool's fragment cache; the simulator has none",
+			"-cache-dir persists the -batch pool's whole-job cache; the simulator has none",
 		},
 		{
 			"batch-cache-disabled",
 			config{machines: 1, modeName: "combined", batch: true, cacheDir: "/tmp/pagcache", cacheBytes: -1},
 			[]string{"unread.pas"},
-			"-cache-dir persists the fragment cache, which -cache-bytes -1 disables",
+			"-cache-dir persists the whole-job cache, which -cache-bytes -1 disables",
 		},
 	}
 	for _, c := range cases {

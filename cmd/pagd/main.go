@@ -7,7 +7,7 @@
 //	pagd -addr :8642 -workers 8 -max-inflight 16 -queue 64 -cache-bytes 67108864 \
 //	     -cache-dir /var/cache/pag -quota 8 -max-timeout 30s -debug-addr localhost:8643
 //
-// -cache-dir persists the fragment cache across restarts: cold runs'
+// -cache-dir persists the whole-job cache across restarts: cold runs'
 // results spill to a crash-safe on-disk store (see README "Persistent
 // cache") and a restarted daemon serves identical sources from them
 // byte-identically instead of recompiling. -cache-disk-bytes bounds
@@ -26,7 +26,7 @@
 //	                response is the plain VAX assembly text (errors map
 //	                to HTTP status codes), which diffs cleanly against
 //	                `pagc -q -S`. With ?nocache=1 the request bypasses
-//	                the pool's fragment cache.
+//	                the pool's whole-job cache.
 //	POST /check     validate a grammar specification: {"spec": "..."}.
 //	                Answers the diagnostics report as JSON — 200 when
 //	                the grammar is clean (warnings and advisories
@@ -106,8 +106,8 @@ func main() {
 	workers := flag.Int("workers", 0, "pool worker goroutines (0 = all CPUs)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently evaluating jobs (0 = worker count)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond max-inflight (0 = default, <0 = none)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "fragment cache budget in bytes (0 = default, <0 = disable)")
-	cacheDir := flag.String("cache-dir", "", "persist the fragment cache to this directory across restarts (empty = in-memory only)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "whole-job cache budget in bytes (0 = default, <0 = disable)")
+	cacheDir := flag.String("cache-dir", "", "persist the whole-job cache to this directory across restarts (empty = in-memory only)")
 	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "with -cache-dir: on-disk cache bound in bytes (0 = default 256 MiB, <0 = unbounded)")
 	quota := flag.Int("quota", 0, "per-client bound on jobs admitted or waiting (0 = unlimited)")
 	priorityHeader := flag.String("priority-header", defaultPriorityHeader, `request header carrying the job priority ("high" or "low")`)
@@ -433,10 +433,7 @@ type event struct {
 	Messages int      `json:"messages,omitempty"`
 	// Balance is the decomposition's size balance (1 = perfectly
 	// even).
-	Balance float64 `json:"balance,omitempty"`
-	// PartialHits counts fragments replayed incrementally from the
-	// cache for this job (an edited tree reusing unaffected fragments).
-	PartialHits   int     `json:"partial_hits,omitempty"`
+	Balance       float64 `json:"balance,omitempty"`
 	WallMs        float64 `json:"wall_ms,omitempty"`
 	EvalMs        float64 `json:"eval_ms,omitempty"`
 	AssemblyBytes int     `json:"assembly_bytes,omitempty"`
@@ -506,7 +503,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.Priority = prio
 	opts.Client = clientID(r)
-	// ?nocache=1 opts this one request out of the fragment cache (for
+	// ?nocache=1 opts this one request out of the whole-job cache (for
 	// benchmarking against a cold compile, or distrust of a cached
 	// result); anything else, including absence, uses the cache.
 	if r.URL.Query().Get("nocache") == "1" {
@@ -540,7 +537,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("compile done", append(attrs,
-		"frags", res.Frags, "partial_hits", res.PartialHits,
+		"frags", res.Frags,
 		"assembly_bytes", len(res.Program))...)
 }
 
@@ -643,7 +640,6 @@ func (s *server) compileStream(ctx context.Context, w http.ResponseWriter, jobID
 		Workers:       res.Workers,
 		Messages:      res.Messages,
 		Balance:       res.PlanStats.Balance,
-		PartialHits:   res.PartialHits,
 		WallMs:        float64(res.WallTime) / float64(time.Millisecond),
 		EvalMs:        float64(res.EvalTime) / float64(time.Millisecond),
 		AssemblyBytes: len(res.Program),

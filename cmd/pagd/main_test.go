@@ -200,7 +200,7 @@ func TestManyConcurrentRequests(t *testing.T) {
 
 // TestCacheWarmRequestAndStats submits the same job twice: the second
 // (warm) response must be byte-identical to the first, /stats must
-// show the fragment-cache hit, and ?nocache=1 must bypass the cache
+// show the whole-job cache hit, and ?nocache=1 must bypass the cache
 // while still returning the same assembly.
 func TestCacheWarmRequestAndStats(t *testing.T) {
 	_, ts := testServer(t)
@@ -434,11 +434,11 @@ func TestRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestIncrementalEditOverHTTP is the end-to-end incremental path: a
+// TestIncrementalEditOverHTTP is the end-to-end edit path: a
 // one-token-edited source submitted after the base workload misses the
-// whole-tree key, replays the unaffected fragments (partial_hits in
-// /stats and in the stream's done event), and returns assembly
-// byte-identical to compiling the edited source from scratch.
+// whole-tree key, compiles cold to assembly byte-identical to a fresh
+// daemon's, and is recorded, so submitting the edit again (streaming
+// this time) is a whole-tree hit with the same assembly.
 func TestIncrementalEditOverHTTP(t *testing.T) {
 	_, ts := testServer(t)
 	base := workload.Generate(workload.Tiny())
@@ -488,21 +488,8 @@ func TestIncrementalEditOverHTTP(t *testing.T) {
 		t.Errorf("incremental assembly differs from cold reference (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// /stats reports the partial replay.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var st parallel.PoolStats
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.CachePartialHits < 1 || st.CachePartialJobs < 1 {
-		t.Errorf("stats missed the incremental replay: %+v", st)
-	}
-
-	// The streaming mode's done event carries the per-job count.
+	// Submitting the edit again, in streaming mode, hits the recording
+	// the first edit left.
 	stream, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(enc(edited)))
 	if err != nil {
 		t.Fatal(err)
@@ -519,8 +506,21 @@ func TestIncrementalEditOverHTTP(t *testing.T) {
 			done = e
 		}
 	}
-	if done.Status != "done" || done.PartialHits < 1 {
-		t.Errorf("done event reports %d partial hits, want >= 1 (%+v)", done.PartialHits, done)
+	// The asm mode prints the program with a trailing newline.
+	if done.Status != "done" || done.Assembly+"\n" != got {
+		t.Errorf("repeated edit: done event %q with %d assembly bytes, want the first edit's %d", done.Status, len(done.Assembly), len(got)-1)
+	}
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var st parallel.PoolStats
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Errorf("stats after base, edit, edit: %d hit(s), %d miss(es), want 1 and 2", st.CacheHits, st.CacheMisses)
 	}
 }
 

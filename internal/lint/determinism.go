@@ -8,7 +8,7 @@ import (
 // Determinism guards canonical-encoding code. Files that opt in with
 // //paglint:deterministic compute content addresses, cache keys or
 // wire bytes whose correctness argument is "same input, same bytes,
-// on every machine, forever" — tree hashing, fragment-cache
+// on every machine, forever" — tree hashing, whole-job cache
 // canonicalisation, the fleet wire codec. Three things silently break
 // that property:
 //

@@ -15,20 +15,20 @@ import (
 
 func testKey(i int) cacheKey { return cacheKey{fragsHash: tree.Digest{byte(i)}, frags: 1} }
 
-// testEntry is a one-fragment entry whose only retained value is a
-// code root attribute of textBytes bytes.
+// testEntry is an entry whose only retained value is a code root
+// attribute of textBytes bytes.
 func testEntry(textBytes int) *cacheEntry {
 	code := rope.Leaf(string(make([]byte, textBytes)))
-	return &cacheEntry{frags: []fragRecord{{}}, rootAttrs: []ag.Value{code}}
+	return &cacheEntry{rootAttrs: []ag.Value{code}}
 }
 
 // TestFragCacheLRU pins the eviction mechanics: the byte budget holds,
 // eviction is least-recently-used, and a get refreshes recency.
 func TestFragCacheLRU(t *testing.T) {
-	// Entry overhead is 2*entryCost(512) + valueCost(64) + text bytes;
-	// a budget of two 2000-byte entries fits two 900-byte-text entries
-	// but not three.
-	c := newFragCache(2 * 2000)
+	// An entry costs entryCost(512) + valueCost(64) + text bytes, 1476
+	// here: a 3000-byte budget fits two 900-byte-text entries but not
+	// three.
+	c := newJobCache(3000)
 	a, b, d := testEntry(900), testEntry(900), testEntry(900)
 	c.put(testKey(1), a)
 	c.put(testKey(2), b)
@@ -72,7 +72,7 @@ func TestFragCacheLRU(t *testing.T) {
 
 // TestFragCacheStatsCounters checks hit/miss accounting.
 func TestFragCacheStatsCounters(t *testing.T) {
-	c := newFragCache(1 << 20)
+	c := newJobCache(1 << 20)
 	if _, ok := c.get(testKey(9)); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -86,40 +86,25 @@ func TestFragCacheStatsCounters(t *testing.T) {
 }
 
 // TestRecordingsHoldNoHandles pins the recording invariant: after a
-// cold librarian compile, no recorded message value and no recorded
-// root attribute references librarian text by handle, and the code
-// values that crossed fragment boundaries as descriptors are kept as
-// text to re-deposit. Handed a root code attribute that still holds a
-// handle, encodeEntry returns the code codec's error instead of
-// panicking (the spill writer goroutine has no recover).
+// cold librarian compile, no recorded root attribute references
+// librarian text by handle, so the recording encodes. Handed a root
+// code attribute that still holds a handle, encodeEntry returns the
+// code codec's error instead of panicking (the spill writer goroutine
+// has no recover).
 func TestRecordingsHoldNoHandles(t *testing.T) {
 	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry := recordEntry(t, job, Options{Fragments: 4, Librarian: true, UIDPreset: true})
-	handleFree := func(v ag.Value) bool {
-		code, ok := v.(rope.Code)
-		return !ok || !holdsHandle(code)
-	}
-	reshipped := 0
-	for fi := range entry.frags {
-		for mi, m := range entry.frags[fi].msgs {
-			if !handleFree(m.val) {
-				t.Errorf("fragment %d message %d holds a librarian handle", fi, mi)
-			}
-			if m.code {
-				reshipped++
-			}
-		}
-	}
 	for ai, v := range entry.rootAttrs {
-		if !handleFree(v) {
-			t.Errorf("root attribute %d holds a librarian handle", ai)
+		code, ok := v.(rope.Code)
+		if !ok {
+			continue
 		}
-	}
-	if reshipped == 0 {
-		t.Fatal("no recorded message is marked for re-deposit; the librarian path went unexercised")
+		rope.WalkCode(code, func(string) {}, func(int32, int) {
+			t.Errorf("root attribute %d holds a librarian handle", ai)
+		})
 	}
 	if _, err := encodeEntry(entry, job.G); err != nil {
 		t.Fatalf("handle-free recording does not encode: %v", err)

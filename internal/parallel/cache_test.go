@@ -11,7 +11,7 @@ import (
 	"pag/internal/workload"
 )
 
-// TestCacheWarmHitByteIdentical is the fragment cache's correctness
+// TestCacheWarmHitByteIdentical is the whole-job cache's correctness
 // bar: a warm (whole-tree hit) compile of an identical source must
 // report what the cold run did — program text, root attributes,
 // librarian activity, message count and fragment count — for both the

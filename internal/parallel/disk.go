@@ -1,19 +1,17 @@
 package parallel
 
-// The persistent tier of the fragment cache: whole-job results are
-// spilled write-behind to an internal/cas store and loaded back on
-// whole-tree misses — including by a different process over the same
-// directory, which is what makes a pagd restart warm and lets N
-// replicas share one cache.
+// The persistent tier of the whole-job cache: job results are spilled
+// write-behind to an internal/cas store and loaded back on in-memory
+// misses — including by a different process over the same directory,
+// which is what makes a pagd restart warm and lets N replicas share
+// one cache.
 //
-// A disk recording holds only what a disk hit returns: the job's
-// post-splice root attributes and its three counters (messages,
-// librarian strings and bytes). One compilation's output is its root
-// attributes (§4.3) — the spliced program is among them — so nothing
-// else is needed to serve an identical tree. Per-fragment records
-// (outbound messages, waves, inbound fingerprints) stay in memory: a
-// disk-loaded entry serves whole-tree hits only and does not join the
-// incremental index, so an edit after a restart compiles cold.
+// A disk recording holds exactly what an in-memory entry holds, and
+// what a hit returns: the job's post-splice root attributes and its
+// three counters (messages, librarian strings and bytes). One
+// compilation's output is its root attributes (§4.3) — the spliced
+// program is among them — so nothing else is needed to serve an
+// identical tree.
 //
 // Soundness carries over from the in-memory design unchanged because
 // the disk key is a superset of the in-memory one. cacheKey leans on
@@ -62,14 +60,14 @@ const entryFormat = 4
 const DiskScope = "pag-fragment-recordings/v4"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
-// wiping) dir as a persistent fragment-cache store for
+// wiping) dir as a persistent whole-job cache store for
 // PoolOptions.DiskCache. maxBytes bounds the directory
 // (0 = cas.DefaultMaxBytes, negative = unbounded).
 func OpenDiskCache(dir string, maxBytes int64) (*cas.Store, error) {
 	return cas.Open(cas.Options{Dir: dir, MaxBytes: maxBytes, Scope: DiskScope})
 }
 
-// diskCache wires a cas.Store behind the in-memory fragment cache:
+// diskCache wires a cas.Store behind the in-memory whole-job cache:
 // loads are synchronous (a whole-tree miss is already off the
 // per-message hot path), spills are write-behind on a single writer
 // goroutine with a bounded queue — a slow or full disk drops spills

@@ -112,12 +112,11 @@ func TestDiskWarmRestartByteIdentical(t *testing.T) {
 }
 
 // TestDiskEditAfterRestartCompilesCold pins what a disk recording
-// holds: the job's results, not its fragments. Pool 1 records a base
-// program to disk; pool 2 (a fresh process, as far as the cache can
-// tell) disk-hits the base, but the disk-loaded entry does not join
-// the incremental index, so a one-token edit compiles cold — with no
-// partial hit, byte-identical to the cache-free reference — and is
-// recorded in turn: a third pool serves the edit as a disk hit.
+// holds: one job's results, keyed by its whole tree. Pool 1 records a
+// base program to disk; pool 2 (a fresh process, as far as the cache
+// can tell) disk-hits the base, but a one-token edit misses both tiers
+// and compiles cold, byte-identical to the cache-free reference, and
+// is recorded in turn: a third pool serves the edit as a disk hit.
 func TestDiskEditAfterRestartCompilesCold(t *testing.T) {
 	dir := t.TempDir()
 	base := workload.Generate(workload.Tiny())
@@ -148,8 +147,8 @@ func TestDiskEditAfterRestartCompilesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := pool2.Stats(); res.PartialHits != 0 || st.CachePartialHits != 0 {
-		t.Fatalf("edited compile replayed fragments of a disk-loaded recording: res %d, %+v", res.PartialHits, st)
+	if st := pool2.Stats(); st.DiskHits != 1 || st.CacheHits != 0 {
+		t.Fatalf("edited compile was served from a cache tier: %+v", st)
 	}
 	if res.Program != ref.Program {
 		t.Errorf("edited program after restart differs from cache-free reference")

@@ -13,15 +13,15 @@ import (
 	"pag/internal/workload"
 )
 
-// incLang is the one Pascal frontend shared by the incremental tests:
-// the per-fragment cache key includes grammar identity (recordings are
-// only valid for the grammar they were made under), so base and edited
-// jobs must come from the same Lang — exactly how pagd and pagc hold
-// one frontend across requests.
+// incLang is the one Pascal frontend shared by the edit tests: the
+// cache key includes grammar identity (recordings are only valid for
+// the grammar they were made under), so base and edited jobs must come
+// from the same Lang — exactly how pagd and pagc hold one frontend
+// across requests.
 var incLang = pascal.MustNew()
 
 // pascalSrcJob builds a cluster job from explicit Pascal source (the
-// incremental tests compile edited variants of a generated workload).
+// edit tests compile edited variants of a generated workload).
 func pascalSrcJob(t *testing.T, src string) cluster.Job {
 	t.Helper()
 	job, err := incLang.ClusterJob(src)
@@ -45,13 +45,24 @@ func editSameLen(t *testing.T, src, old, new string) string {
 	return strings.Replace(src, old, new, 1)
 }
 
+// coldProgram is the reference output: parallel.Run, whose one-shot
+// pool has no cache, compiling the job from scratch.
+func coldProgram(t *testing.T, job cluster.Job, opts parallel.Options) string {
+	t.Helper()
+	res, err := parallel.Run(job, opts)
+	if err != nil {
+		t.Fatalf("parallel.Run: %v", err)
+	}
+	return res.Program
+}
+
 // clusterProgram is the byte-identity oracle: the simulated cluster's
 // output for the same job at the same decomposition width.
-func clusterProgram(t *testing.T, job cluster.Job, frags int, librarian bool) string {
+func clusterProgram(t *testing.T, job cluster.Job, frags int) string {
 	t.Helper()
 	opts := experiments.DefaultOptions()
 	opts.Machines = frags
-	opts.Librarian = librarian
+	opts.Librarian = true
 	res, err := cluster.Run(job, opts)
 	if err != nil {
 		t.Fatalf("cluster.Run: %v", err)
@@ -59,63 +70,79 @@ func clusterProgram(t *testing.T, job cluster.Job, frags int, librarian bool) st
 	return res.Program
 }
 
-// TestIncrementalEditReplaysUnaffectedFragments is the incremental
-// cache's core contract: after a cold compile records the base
-// program, compiling a one-token-edited variant (whole-tree key miss)
-// replays the fragments the edit does not touch and produces output
-// byte-identical to the simulated cluster compiling the edited program
-// from scratch.
-func TestIncrementalEditReplaysUnaffectedFragments(t *testing.T) {
-	base := workload.Generate(workload.Tiny())
-	// The edit lands in the statements the root fragment retains and
-	// changes neither declarations (the global symbol table stays
-	// identical) nor any token length (the cuts stay put) — every
-	// non-root fragment is unaffected and eligible to replay.
-	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
+// compileTwice compiles job on pool twice and checks both outputs
+// against want: the first compile misses the cache and records, the
+// second is a whole-tree hit.
+func compileTwice(t *testing.T, pool *parallel.Pool, job cluster.Job, opts parallel.Options, want string) {
+	t.Helper()
+	ctx := context.Background()
+	hits := pool.Stats().CacheHits
+	first, err := pool.Compile(ctx, job, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Program != want {
+		t.Errorf("first compile differs from the cache-free reference (%d vs %d bytes)", len(first.Program), len(want))
+	}
+	if got := pool.Stats().CacheHits; got != hits {
+		t.Errorf("first compile hit the cache (%d -> %d hits)", hits, got)
+	}
+	second, err := pool.Compile(ctx, job, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Program != want {
+		t.Errorf("second compile differs from the cache-free reference")
+	}
+	if got := pool.Stats().CacheHits; got != hits+1 {
+		t.Errorf("second compile was not a whole-tree hit (%d -> %d hits)", hits, got)
+	}
+}
 
-	for _, width := range []int{2, 4} {
-		t.Run(map[int]string{2: "width2", 4: "width4"}[width], func(t *testing.T) {
+// TestEditOnWarmPoolIsRecorded is the edit path's contract: after a
+// cold compile records the base program, a one-token-edited variant
+// (a whole-tree miss) compiles to the same bytes as a cache-free
+// compile of the edited program, and is itself recorded, so compiling
+// the edit again is a whole-tree hit. The body edit changes neither
+// declarations nor any token length (the cuts stay put), so base and
+// edit differ in one fragment only; the declaration edit changes the
+// global symbol table every fragment receives.
+func TestEditOnWarmPoolIsRecorded(t *testing.T) {
+	base := workload.Generate(workload.Tiny())
+	body := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
+	decl := editSameLen(t, base, "scale = 4", "scale = 7")
+	for _, c := range []struct {
+		name   string
+		edited string
+		width  int
+	}{
+		{"width2", body, 2},
+		{"width4", body, 4},
+		{"declaration", decl, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
 			defer pool.Close()
-			ctx := context.Background()
-			opts := parallel.Options{Fragments: width, Librarian: true, UIDPreset: true}
+			opts := parallel.Options{Fragments: c.width, Librarian: true, UIDPreset: true}
 
-			cold, err := pool.Compile(ctx, pascalSrcJob(t, base), opts)
+			editedJob := pascalSrcJob(t, c.edited)
+			want := coldProgram(t, editedJob, opts)
+			cold, err := pool.Compile(context.Background(), pascalSrcJob(t, base), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cold.PartialHits != 0 {
-				t.Errorf("cold run reported %d partial hits", cold.PartialHits)
+			if cold.Program == want {
+				t.Fatal("edited program is identical to base — the edit compiled to nothing new")
 			}
-			editedJob := pascalSrcJob(t, edited)
-			warm, err := pool.Compile(ctx, editedJob, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.PartialHits < 1 {
-				t.Errorf("edited compile replayed %d fragments, want >= 1 (demoted %d)", warm.PartialHits, warm.Demoted)
-			}
-			if warm.Program == cold.Program {
-				t.Errorf("edited program is identical to base — the edit did not recompile")
-			}
-			if want := clusterProgram(t, editedJob, width, true); warm.Program != want {
-				t.Errorf("incremental program differs from cluster reference (%d vs %d bytes)", len(warm.Program), len(want))
-			}
-			st := pool.Stats()
-			if st.CachePartialHits < 1 || st.CachePartialJobs < 1 {
-				t.Errorf("pool stats missed the partial replay: %+v", st)
-			}
+			compileTwice(t, pool, editedJob, opts, want)
 		})
 	}
 }
 
 // TestIncrementalRepeatedEditsStaySound recompiles the edited variant
-// many times on one pool: every run is a whole-tree miss validating
-// recordings against live-produced inbound values whose arrival order
-// varies with scheduling. The canonical (order-independent) inbound
-// form must make every run replay the same fragments and produce the
-// same bytes — an order-sensitive comparison would demote flakily and
-// this test would catch it.
+// many times on one pool: the first compile of the edit is cold and
+// records, and every later one is a whole-tree hit returning the same
+// bytes as the simulated cluster.
 func TestIncrementalRepeatedEditsStaySound(t *testing.T) {
 	base := workload.Generate(workload.Tiny())
 	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
@@ -128,91 +155,28 @@ func TestIncrementalRepeatedEditsStaySound(t *testing.T) {
 		t.Fatal(err)
 	}
 	editedJob := pascalSrcJob(t, edited)
-	want := clusterProgram(t, editedJob, 4, true)
-	first := -1
-	for i := 0; i < 20; i++ {
+	want := clusterProgram(t, editedJob, opts.Fragments)
+	const runs = 20
+	for i := 0; i < runs; i++ {
 		res, err := pool.Compile(ctx, editedJob, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Program != want {
-			t.Fatalf("run %d: program differs from cluster reference", i)
+			t.Fatalf("run %d: program differs from the simulated cluster's", i)
 		}
-		if res.PartialHits < 1 {
-			t.Fatalf("run %d: no partial hits (demoted %d)", i, res.Demoted)
-		}
-		if first < 0 {
-			first = res.PartialHits
-		} else if res.PartialHits != first {
-			t.Fatalf("run %d: replayed %d fragments, run 0 replayed %d — arrival order leaked into matching",
-				i, res.PartialHits, first)
-		}
+	}
+	if st := pool.Stats(); st.CacheHits != runs-1 || st.CacheMisses != 2 {
+		t.Errorf("%d hit(s) and %d miss(es), want %d and 2", st.CacheHits, st.CacheMisses, runs-1)
 	}
 }
 
-// TestIncrementalDemotesOnChangedInputs edits a declaration, which
-// changes the global symbol table every fragment receives: every
-// replay candidate must demote (replaying would be unsound) and the
-// output must still be byte-identical to a from-scratch compile.
-func TestIncrementalDemotesOnChangedInputs(t *testing.T) {
-	base := workload.Generate(workload.Tiny())
-	edited := editSameLen(t, base, "scale = 4", "scale = 7")
-	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
-	defer pool.Close()
-	ctx := context.Background()
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
-
-	if _, err := pool.Compile(ctx, pascalSrcJob(t, base), opts); err != nil {
-		t.Fatal(err)
-	}
-	editedJob := pascalSrcJob(t, edited)
-	res, err := pool.Compile(ctx, editedJob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Demoted < 1 {
-		t.Errorf("changed symbol table demoted %d candidates, want >= 1 (partial hits %d)", res.Demoted, res.PartialHits)
-	}
-	if want := clusterProgram(t, editedJob, 4, true); res.Program != want {
-		t.Errorf("post-demotion program differs from cluster reference")
-	}
-	if st := pool.Stats(); st.CacheDemoted < 1 {
-		t.Errorf("pool stats missed the demotion: %+v", st)
-	}
-}
-
-// TestIncrementalNoLibrarian runs the incremental path without the
-// string librarian (code values cross as plain ropes): the recording,
-// matching and replay machinery must not depend on handle plumbing.
-func TestIncrementalNoLibrarian(t *testing.T) {
-	base := workload.Generate(workload.Tiny())
-	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
-	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
-	defer pool.Close()
-	ctx := context.Background()
-	opts := parallel.Options{Fragments: 4, UIDPreset: true}
-
-	if _, err := pool.Compile(ctx, pascalSrcJob(t, base), opts); err != nil {
-		t.Fatal(err)
-	}
-	editedJob := pascalSrcJob(t, edited)
-	res, err := pool.Compile(ctx, editedJob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PartialHits < 1 {
-		t.Errorf("no-librarian edited compile replayed %d fragments, want >= 1", res.PartialHits)
-	}
-	if want := clusterProgram(t, editedJob, 4, false); res.Program != want {
-		t.Errorf("no-librarian incremental program differs from cluster reference")
-	}
-}
-
-// TestIncrementalConcurrentStress mixes base and edited compiles of
-// the same program concurrently on one pool (16 jobs, mixed whole-job
-// replay, incremental replay and live evaluation under -race): every
-// job's output must match its own single-job reference, proving the
-// mixed schedules never leak state across jobs.
+// TestIncrementalConcurrentStress compiles a base program and three
+// edits of it concurrently on one cached pool (32 jobs under -race):
+// cold runs of one tree race each other's recordings and whole-tree
+// hits race cold runs of other trees. Every job's output must equal
+// the simulated cluster's compile of its own source, and the cache must end up
+// holding exactly one recording per distinct tree.
 func TestIncrementalConcurrentStress(t *testing.T) {
 	base := workload.Generate(workload.Tiny())
 	variants := []string{
@@ -226,19 +190,24 @@ func TestIncrementalConcurrentStress(t *testing.T) {
 	refs := make([]string, len(variants))
 	for i, src := range variants {
 		jobs[i] = pascalSrcJob(t, src)
-		refs[i] = clusterProgram(t, jobs[i], 4, true)
+		refs[i] = clusterProgram(t, jobs[i], opts.Fragments)
 	}
 
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
 	defer pool.Close()
 	ctx := context.Background()
-	// Prime the cache with the base recording so the edited jobs race
-	// their incremental validation against concurrent base replays.
-	if _, err := pool.Compile(ctx, jobs[0], opts); err != nil {
-		t.Fatal(err)
-	}
 
-	const jobsN = 16
+	// Half the jobs share the reference trees (compiles of one tree
+	// take turns); the other half each parse their own, so identical
+	// sources also race freely.
+	const jobsN = 32
+	trees := make([]cluster.Job, jobsN)
+	for i := range trees {
+		trees[i] = jobs[i%len(jobs)]
+		if i >= jobsN/2 {
+			trees[i] = pascalSrcJob(t, variants[i%len(variants)])
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, jobsN)
 	got := make([]string, jobsN)
@@ -246,7 +215,7 @@ func TestIncrementalConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := pool.Compile(ctx, jobs[i%len(jobs)], opts)
+			res, err := pool.Compile(ctx, trees[i], opts)
 			if err != nil {
 				errs[i] = err
 				return
@@ -260,7 +229,12 @@ func TestIncrementalConcurrentStress(t *testing.T) {
 			t.Fatalf("job %d: %v", i, errs[i])
 		}
 		if got[i] != refs[i%len(refs)] {
-			t.Errorf("job %d (variant %d): program differs from reference", i, i%len(refs))
+			t.Errorf("job %d (variant %d): program differs from the simulated cluster's", i, i%len(refs))
 		}
+	}
+	st := pool.Stats()
+	if st.CacheEntries != len(variants) || st.CacheHits+st.CacheMisses != jobsN {
+		t.Errorf("cache after the stress: %d entries, %d hits + %d misses; want %d entries and %d lookups",
+			st.CacheEntries, st.CacheHits, st.CacheMisses, len(variants), jobsN)
 	}
 }

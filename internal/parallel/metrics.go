@@ -108,7 +108,7 @@ func HistogramBounds() []float64 {
 
 // poolMetrics is the pool-side home of the counters that have no
 // other owner (admission rejections, latency histograms). Job outcome
-// counters live on Pool, cache counters on fragCache; Metrics gathers
+// counters live on Pool, cache counters on jobCache; Metrics gathers
 // all of them into one snapshot.
 type poolMetrics struct {
 	queueWait histogram // admission wait, every admitted job
@@ -217,7 +217,7 @@ func (p *Pool) Metrics() Metrics {
 //	pag_admission_rejected_total{reason="overloaded"|"quota"|"closed"}
 //	pag_in_flight, pag_queue_depth{priority="high"|"low"} gauges
 //	pag_workers, pag_max_in_flight                        gauges
-//	pag_cache_{hits,misses,evictions,partial_hits,partial_jobs,demotions}_total
+//	pag_cache_{hits,misses,evictions}_total               counters
 //	pag_cache_{entries,bytes,cap_bytes}                   gauges
 //	pag_plan_width_total{width="N"}                       counter
 //	pag_plan_balance                                      gauge
@@ -248,23 +248,17 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	b.head("pag_max_in_flight", "gauge", "Admission bound on concurrently evaluating jobs.")
 	b.val("pag_max_in_flight", float64(m.MaxInFlight))
 
-	b.head("pag_cache_hits_total", "counter", "Whole-job fragment-cache hits.")
+	b.head("pag_cache_hits_total", "counter", "Whole-job cache hits.")
 	b.val("pag_cache_hits_total", float64(m.CacheHits))
-	b.head("pag_cache_misses_total", "counter", "Whole-job fragment-cache misses.")
+	b.head("pag_cache_misses_total", "counter", "Whole-job cache misses.")
 	b.val("pag_cache_misses_total", float64(m.CacheMisses))
-	b.head("pag_cache_evictions_total", "counter", "Fragment-cache recordings evicted for space.")
+	b.head("pag_cache_evictions_total", "counter", "Whole-job cache recordings evicted for space.")
 	b.val("pag_cache_evictions_total", float64(m.CacheEvicted))
-	b.head("pag_cache_partial_hits_total", "counter", "Fragments replayed incrementally inside whole-tree-miss jobs.")
-	b.val("pag_cache_partial_hits_total", float64(m.CachePartialHits))
-	b.head("pag_cache_partial_jobs_total", "counter", "Jobs that committed at least one incremental fragment replay.")
-	b.val("pag_cache_partial_jobs_total", float64(m.CachePartialJobs))
-	b.head("pag_cache_demotions_total", "counter", "Incremental-replay candidates demoted to live evaluation.")
-	b.val("pag_cache_demotions_total", float64(m.CacheDemoted))
-	b.head("pag_cache_entries", "gauge", "Fragment-cache entries resident.")
+	b.head("pag_cache_entries", "gauge", "Whole-job cache entries resident.")
 	b.val("pag_cache_entries", float64(m.CacheEntries))
-	b.head("pag_cache_bytes", "gauge", "Fragment-cache bytes resident.")
+	b.head("pag_cache_bytes", "gauge", "Whole-job cache bytes resident.")
 	b.val("pag_cache_bytes", float64(m.CacheBytes))
-	b.head("pag_cache_cap_bytes", "gauge", "Fragment-cache byte budget.")
+	b.head("pag_cache_cap_bytes", "gauge", "Whole-job cache byte budget.")
 	b.val("pag_cache_cap_bytes", float64(m.CacheCapBytes))
 	b.head("pag_cache_disk_hits_total", "counter", "Whole-job recordings loaded from the persistent cache.")
 	b.val("pag_cache_disk_hits_total", float64(m.DiskHits))

@@ -121,8 +121,6 @@ func TestWritePrometheus(t *testing.T) {
 		"pag_in_flight 0",
 		"pag_cache_hits_total 0",
 		"pag_cache_misses_total 1",
-		"pag_cache_partial_hits_total 0",
-		"pag_cache_demotions_total 0",
 		`pag_phase_seconds_bucket{phase="split",le="+Inf"} 1`,
 		`pag_phase_seconds_bucket{phase="eval",le="+Inf"} 1`,
 		`pag_phase_seconds_bucket{phase="splice",le="+Inf"} 1`,

@@ -44,7 +44,6 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -82,7 +81,7 @@ type Options struct {
 	Granularity int
 	// UIDPreset enables per-fragment unique-identifier bases (§4.3).
 	UIDPreset bool
-	// NoCache bypasses the pool's content-addressed fragment cache for
+	// NoCache bypasses the pool's content-addressed whole-job cache for
 	// this job: nothing is looked up and nothing is recorded. Jobs on a
 	// pool whose cache is disabled (PoolOptions.CacheBytes < 0) behave
 	// as if NoCache were always set.
@@ -146,14 +145,11 @@ type Result struct {
 	StoredBytes   int
 	// PlanStats describes the decomposition planning of this job.
 	PlanStats PlanStats
-	// PartialHits counts fragments this job completed by incremental
-	// per-fragment cache replay (edited-tree reuse). Whole-tree cache
-	// hits run no fragment and report zero here — they show up in
-	// PoolStats.CacheHits instead.
+	// PartialHits and Demoted are always zero: the runtime replays
+	// whole jobs only, never single fragments. They stay for the
+	// benchmark harness, which still reads them, until it drops them.
 	PartialHits int
-	// Demoted counts incremental-replay candidates this job demoted to
-	// live evaluation (inbound mismatch or speculation deadlock).
-	Demoted int
+	Demoted     int
 
 	// Fleet-mode outcome (jobs evaluated through a RemoteEvaluator;
 	// all zero for local pool evaluation): RemoteFrags counts fragments
@@ -230,56 +226,6 @@ type frag struct {
 	ev    eval.FragmentEvaluator // created on first step, in a worker
 	store func(text string) (int32, error)
 	stats eval.Stats
-
-	// Recording state, fixed at job setup and then touched only by the
-	// driving worker: on a fully cold job, rec accumulates the
-	// fragment's outputs (and recIn its raw inbound messages) for
-	// publication when the whole job completes.
-	rec   *fragRecord
-	recIn []message
-
-	// Incremental-replay state (whole-tree miss with a per-fragment
-	// recording available): cand is the candidate recording this
-	// fragment tentatively replays. A candidate starts in WAIT mode:
-	// its recorded phase-0 outputs (the zero-input prefix — exact by
-	// rule purity, since they depend only on the subtree the content
-	// address covers) are replayed immediately so the paper's
-	// bottom-up first phase, the declaration signatures, keeps flowing
-	// and a live root is never starved by tentative children; arriving
-	// messages are buffered in held and validated against the
-	// recording (seen/matched), with no evaluator built at all. A full
-	// match commits the replay. A value mismatch demotes the fragment
-	// to live evaluation (cand = nil). A candidate starved at job
-	// quiescence (its remaining inbound can only follow from its own
-	// withheld outputs) mode-switches to RUN-AHEAD (runAhead = true):
-	// it builds its evaluator and evaluates forward like a live
-	// fragment, but keeps validating — if the full inbound set still
-	// matches, it commits and skips its remaining evaluation. All of
-	// this state is touched only by the driving worker (or by the job
-	// goroutine at quiescence, when no worker holds the fragment).
-	cand     *fragRecord
-	held     []message
-	seen     map[inKey]bool
-	matched  int
-	emitted  map[outKey]bool
-	runAhead bool
-	// Wave-replay cursors (wait mode): covered is the length of the
-	// prefix of cand.inOrder whose keys have matched, nextMsg the next
-	// recorded outbound message to consider for replay (messages are
-	// recorded in send order, so their waves are nondecreasing).
-	covered, nextMsg int
-}
-
-// outKey identifies one outbound attribute instance of a fragment: the
-// destination fragment, whether the message addresses the
-// destination's root (inherited, parent→child) or the remote leaf
-// standing for the sender in its parent (synthesized, child→parent),
-// and the attribute. Each instance is sent at most once per run, so
-// the key is unique among a fragment's outbound messages.
-type outKey struct {
-	target int
-	toRoot bool
-	attr   int
 }
 
 // rt is the state of one job in flight on a Pool: the job's private
@@ -292,29 +238,16 @@ type rt struct {
 
 	frags  []*frag
 	leafOf map[int]*tree.Node // child fragment id -> remote leaf in parent
-	// cache is the pool's fragment cache (nil when this job bypasses
-	// it); the incremental path files its per-fragment counters there.
-	// partial counts this job's committed per-fragment replays,
-	// demotedCnt its candidates demoted to live evaluation.
-	cache      *fragCache
-	partial    atomic.Int64
-	demotedCnt atomic.Int64
-	// fpCache memoizes value fingerprints by identity within this job:
-	// shared structured values (the global symbol table above all)
-	// reach many fragments as one pointer, and encoding them once per
-	// job instead of once per fragment keeps validation cheap. Guarded
-	// by fpMu (fingerprints happen per cross-fragment message, nowhere
-	// near the per-instance hot path).
-	fpMu    sync.Mutex
-	fpCache map[fpKey]valFP
-	lib     *rope.Librarian
-	useLib  bool
+	lib    *rope.Librarian
+	useLib bool
 
 	sched   *sched
 	pending atomic.Int64 // queued or running fragments; 0 = quiescent
 	doneCnt atomic.Int64
-	// cancelled flips once when the job's context ends; workers then
-	// discard the job's fragments instead of evaluating them.
+	// ctx is the job's context; cancelled flips once the job stops
+	// (see stopped), and workers then discard the job's fragments
+	// instead of evaluating them.
+	ctx       context.Context
 	cancelled atomic.Bool
 	// failMu/failErr hold the first evaluation failure (a recovered
 	// panic or handle-range exhaustion); fail() also flips cancelled so
@@ -344,7 +277,7 @@ func Run(job cluster.Job, opts Options) (*Result, error) {
 	if opts.Mode == cluster.Combined && job.A == nil {
 		return nil, fmt.Errorf("parallel: combined mode requires an OAG analysis")
 	}
-	// A one-shot pool serves exactly one job, so its fragment cache
+	// A one-shot pool serves exactly one job, so its whole-job cache
 	// could never hit: disable it and skip the hashing/recording work
 	// (Run stays a pure measurement of evaluation for the benchmarks
 	// and parity tests).
@@ -359,32 +292,6 @@ func Run(job cluster.Job, opts Options) (*Result, error) {
 // buffered per destination and delivered in one batch when f's
 // evaluation pauses.
 func (r *rt) send(f *frag, target *frag, m message, priority bool) {
-	if f.rec != nil {
-		// Record the value exactly as shipped (post-outbound
-		// conversion); node pointers are job-private, so remember the
-		// destination symbolically instead (child root vs own leaf in
-		// the parent).
-		f.rec.msgs = append(f.rec.msgs, cachedMsg{
-			target: target.id, toRoot: m.node == target.root, attr: m.attr,
-			wave: len(f.recIn), val: m.val,
-		})
-	}
-	if f.emitted != nil || f.cand != nil {
-		// Incremental bookkeeping: emitted records which outbound
-		// instances this fragment has already shipped, so a commit
-		// replays only the remainder — and a candidate whose phase-0
-		// outputs were replayed from the recording, then mode-switched
-		// to live evaluation, does not ship those instances a second
-		// time (the live value is content-equal by purity; a duplicate
-		// Supply at the receiver is not).
-		k := outKey{target: target.id, toRoot: m.node == target.root, attr: m.attr}
-		if f.emitted == nil {
-			f.emitted = make(map[outKey]bool)
-		} else if f.emitted[k] {
-			return
-		}
-		f.emitted[k] = true
-	}
 	if priority {
 		// postBatch copies the batch into the inbox, so the scratch
 		// array is free again when it returns (f is single-threaded).
@@ -392,13 +299,6 @@ func (r *rt) send(f *frag, target *frag, m message, priority bool) {
 		r.postBatch(f, target, f.prio[:])
 		return
 	}
-	r.sendRaw(f, target, m)
-}
-
-// sendRaw buffers one outbound message for batch delivery, with no
-// recording or replay bookkeeping (replayMsgs posts through here —
-// its messages are already deduplicated and must not be re-recorded).
-func (r *rt) sendRaw(f *frag, target *frag, m message) {
 	for i := range f.out {
 		if f.out[i].target == target {
 			f.out[i].msgs = append(f.out[i].msgs, m)
@@ -490,7 +390,7 @@ func (r *rt) stepGuarded(w int, f *frag) {
 		f.done = true
 		f.mu.Unlock()
 	}()
-	if r.cancelled.Load() {
+	if r.stopped() {
 		f.mu.Lock()
 		f.done = true
 		f.mu.Unlock()
@@ -509,6 +409,22 @@ func (r *rt) fail(err error) {
 	r.cancelled.Store(true)
 }
 
+// stopped reports whether the job's fragments should stop evaluating:
+// a failure cancelled the job, or its context ended. The context is
+// read here, at every step boundary, rather than by a watcher
+// goroutine, so no step that starts after the job's deadline evaluates
+// anything.
+func (r *rt) stopped() bool {
+	if r.cancelled.Load() {
+		return true
+	}
+	if r.ctx.Err() != nil {
+		r.cancelled.Store(true)
+		return true
+	}
+	return false
+}
+
 // failure returns the job's failure, if any.
 func (r *rt) failure() error {
 	r.failMu.Lock()
@@ -516,61 +432,23 @@ func (r *rt) failure() error {
 	return r.failErr
 }
 
-// run is the evaluation body of step. An incremental-replay candidate
-// starts in wait mode (see the frag field comments), where arriving
-// values are validated against the candidate recording and, on a full
-// match, the whole fragment commits without an evaluator ever
-// existing.
+// run is the evaluation body of step.
 func (r *rt) run(w int, f *frag) {
 	f.curWorker = w
-	if f.cand != nil && !f.runAhead {
-		if r.stepWait(f) {
-			return // still waiting tentatively, or committed
-		}
-		// Fell through: an inbound value contradicted the recording.
-		// Evaluate live below; held carries everything received.
-	}
 	if f.ev == nil {
 		r.initFrag(f)
-		// The first Run happens before anything is supplied, for every
-		// fragment. For recording jobs this biases the recording toward
-		// tight message waves — the zero-input outputs (the paper's
-		// bottom-up declaration phase) get wave 0 instead of whatever
-		// happened to be in the mailbox at first step, so replays of
-		// the recording can ship them unconditionally. Re-sends of
-		// instances a mode-switched candidate already replayed are
-		// deduplicated by send().
+		// The first Run happens before anything is supplied, so the
+		// outputs that need no input (the paper's bottom-up declaration
+		// phase) ship before the fragment works through inputs that
+		// have already arrived.
 		f.ev.Run()
 		r.flush(f)
-		for _, m := range f.held {
-			f.ev.Supply(m.node, m.attr, m.val)
-		}
-		f.held = nil
 	}
 	for {
 		f.mu.Lock()
 		msgs := f.inbox
 		f.inbox = f.spare[:0]
 		f.mu.Unlock()
-		if f.rec != nil {
-			f.recIn = append(f.recIn, msgs...)
-		}
-		if f.cand != nil {
-			// Run-ahead validation: keep matching while evaluating
-			// live; a full match still commits and skips the rest of
-			// the evaluation.
-			for _, m := range msgs {
-				if !r.matchTentative(f, m) {
-					r.demote(f)
-					break
-				}
-			}
-			if f.cand != nil && f.matched == len(f.cand.inbound) {
-				f.spare = msgs
-				r.commitPartial(f)
-				return
-			}
-		}
 		for _, m := range msgs {
 			f.ev.Supply(m.node, m.attr, m.val)
 		}
@@ -586,311 +464,13 @@ func (r *rt) run(w int, f *frag) {
 			return
 		}
 		f.mu.Lock()
-		if len(f.inbox) == 0 || r.cancelled.Load() {
+		if len(f.inbox) == 0 || r.stopped() {
 			f.queued = false
 			f.mu.Unlock()
 			return
 		}
 		f.mu.Unlock()
 	}
-}
-
-// stepWait drives a wait-mode candidate: drain the mailbox, holding
-// and validating each arriving value against the candidate recording's
-// canonical inbound set, and replay every recorded outbound message
-// whose wave prerequisites have matched — no evaluator is built, and
-// nothing unproven is shipped. The replay commits once every recorded
-// inbound instance has arrived with a matching value. It returns false
-// when a value contradicts the recording — the fragment is demoted
-// (cand cleared, counters filed) and the caller evaluates it live with
-// the held messages, which were kept regardless of match so demotion
-// loses nothing.
-func (r *rt) stepWait(f *frag) bool {
-	if f.seen == nil {
-		f.seen = make(map[inKey]bool, len(f.cand.inbound))
-	}
-	for {
-		r.advanceReplay(f)
-		if f.matched == len(f.cand.inbound) {
-			r.commitPartial(f)
-			return true
-		}
-		r.flush(f)
-		f.mu.Lock()
-		msgs := f.inbox
-		f.inbox = f.spare[:0]
-		f.mu.Unlock()
-		f.held = append(f.held, msgs...)
-		f.spare = msgs[:0]
-		for _, m := range msgs {
-			if !r.matchTentative(f, m) {
-				r.demote(f)
-				return false
-			}
-		}
-		if len(msgs) == 0 {
-			f.mu.Lock()
-			if len(f.inbox) == 0 || r.cancelled.Load() {
-				f.queued = false
-				f.mu.Unlock()
-				return true
-			}
-			f.mu.Unlock()
-		}
-	}
-}
-
-// advanceReplay ships every recorded outbound message of wait-mode
-// candidate f whose prerequisites have been proven. A message of wave
-// w was recorded after receiving exactly the instances inOrder[:w], so
-// once those have all arrived with matching values, the message's
-// value is (by purity) a function of validated inputs and the
-// unchanged subtree — exact, not speculative. Messages are recorded in
-// send order with nondecreasing waves, so the cursor advances over the
-// proven head.
-func (r *rt) advanceReplay(f *frag) {
-	c := f.cand
-	for f.covered < len(c.inOrder) && f.seen[c.inOrder[f.covered]] {
-		f.covered++
-	}
-	for f.nextMsg < len(c.msgs) && c.msgs[f.nextMsg].wave <= f.covered {
-		r.replayMsgs(f, c.msgs[f.nextMsg:f.nextMsg+1])
-		f.nextMsg++
-	}
-}
-
-// fpKey memoizes a fingerprint by value identity plus codec (the same
-// value could in principle be declared with different codecs on
-// different attributes, which would encode differently).
-type fpKey struct {
-	v ag.Value
-	c ag.Codec
-}
-
-// fingerprint is fingerprintValue with job-level memoization for
-// pointer-shaped values (safe as map keys, and the ones — symbol
-// tables — whose encoding is worth sharing across fragments). Code
-// values are excluded: their descriptors are fragment-local and never
-// recur.
-func (r *rt) fingerprint(sym *ag.Symbol, attr int, v ag.Value) (valFP, error) {
-	if v == nil || reflect.TypeOf(v).Kind() != reflect.Pointer {
-		return fingerprintValue(sym, attr, v, r.lib.Lookup)
-	}
-	if _, isCode := v.(rope.Code); isCode {
-		return fingerprintValue(sym, attr, v, r.lib.Lookup)
-	}
-	k := fpKey{v: v, c: sym.Attrs[attr].Codec}
-	r.fpMu.Lock()
-	fp, ok := r.fpCache[k]
-	r.fpMu.Unlock()
-	if ok {
-		return fp, nil
-	}
-	fp, err := fingerprintValue(sym, attr, v, r.lib.Lookup)
-	if err != nil {
-		return fp, err
-	}
-	r.fpMu.Lock()
-	if r.fpCache == nil {
-		r.fpCache = make(map[fpKey]valFP)
-	}
-	r.fpCache[k] = fp
-	r.fpMu.Unlock()
-	return fp, nil
-}
-
-// matchTentative validates one inbound message against the candidate
-// recording: the instance must exist in the recorded inbound set and
-// the value must fingerprint identically (codec bytes, or resolved
-// text for code values — see fingerprintValue).
-func (r *rt) matchTentative(f *frag, m message) bool {
-	key := inKey{leaf: rootSlot, attr: m.attr}
-	sym := f.root.Sym
-	if m.node != f.root {
-		key.leaf = m.node.RemoteID
-		sym = m.node.Sym
-	}
-	want, ok := f.cand.inbound[key]
-	if !ok {
-		return false
-	}
-	got, err := r.fingerprint(sym, m.attr, m.val)
-	if err != nil || got != want {
-		return false
-	}
-	if !f.seen[key] {
-		f.seen[key] = true
-		f.matched++
-	}
-	return true
-}
-
-// demote turns an incremental-replay candidate into an ordinary live
-// fragment (the recording stays in the cache for other jobs).
-func (r *rt) demote(f *frag) {
-	f.cand = nil
-	r.demotedCnt.Add(1)
-	if r.cache != nil {
-		r.cache.demoted.Add(1)
-	}
-}
-
-// commitPartial completes fragment f from its candidate recording:
-// every recorded inbound instance has arrived with a matching value,
-// so by rule purity f's outputs equal the recording's. Recorded
-// outbound messages are re-posted through the normal mailboxes (see
-// replayMsgs). The root fragment restores the job's recorded
-// (post-splice, librarian-free) root attributes.
-func (r *rt) commitPartial(f *frag) {
-	cand := f.cand
-	// The commit replays recorded messages; clear cand first so send()
-	// stops run-ahead bookkeeping (replayMsgs does its own emitted
-	// dedup against everything already shipped).
-	f.cand = nil
-	r.replayMsgs(f, cand.msgs)
-	r.flush(f)
-	if f.id == 0 {
-		copy(r.rootAttrs, cand.rootAttrs)
-	}
-	f.held = nil
-	if f.ev != nil {
-		f.stats = f.ev.Stats() // run-ahead evaluation did real work
-	}
-	r.partial.Add(1)
-	if r.cache != nil {
-		r.cache.partialHits.Add(1)
-	}
-	f.mu.Lock()
-	f.done = true
-	f.mu.Unlock()
-	r.doneCnt.Add(1)
-}
-
-// replayMsgs posts recorded outbound messages of fragment f through
-// the normal mailbox machinery, skipping instances f already shipped
-// (recorded in f.emitted by send() and by earlier replays).
-// Code values that crossed the boundary as descriptors were recorded
-// as their resolved text (code); that text is deposited under THIS
-// job's private handle range for f.id and shipped as a fresh
-// descriptor, as the live fragment would have. The store continues
-// f's single handle allocator, so replayed and live deposits of one
-// fragment never collide.
-func (r *rt) replayMsgs(f *frag, msgs []cachedMsg) {
-	for i := range msgs {
-		m := &msgs[i]
-		k := outKey{target: m.target, toRoot: m.toRoot, attr: m.attr}
-		if f.emitted[k] {
-			continue
-		}
-		if f.emitted == nil {
-			f.emitted = make(map[outKey]bool)
-		}
-		f.emitted[k] = true
-		val := m.val
-		if m.code {
-			if f.store == nil {
-				f.store = r.lib.Range(rope.HandleBase(f.id))
-			}
-			// Deposit the recorded leaf as one run and reference it
-			// directly — the general ToDescriptor walk would only copy
-			// the already-flat text through a builder first.
-			text := rope.FlattenCode(val.(rope.Code), nil)
-			h, err := f.store(text)
-			if err != nil {
-				panic(jobPanic{fmt.Errorf("parallel: fragment %d: re-shipping cached code: %w", f.id, err)})
-			}
-			val = rope.HandleDesc(h, len(text))
-		}
-		target := r.frags[m.target]
-		node := r.leafOf[f.id]
-		if m.toRoot {
-			node = target.root
-		}
-		r.sendRaw(f, target, message{node: node, attr: m.attr, val: val})
-	}
-}
-
-// pickWaiting returns the topmost (lowest-id) fragment still in
-// wait-mode tentative replay, or nil. Called only at job quiescence,
-// when no worker holds any of the job's fragments.
-func (r *rt) pickWaiting() *frag {
-	for _, f := range r.frags {
-		f.mu.Lock()
-		done := f.done
-		f.mu.Unlock()
-		if !done && f.cand != nil && !f.runAhead {
-			return f
-		}
-	}
-	return nil
-}
-
-// runAheadAtQuiescence switches starved wait-mode candidate f to
-// run-ahead (build the evaluator, evaluate forward, keep validating)
-// and requeues it, re-arming the job's quiescence latch. Topmost-first
-// (pickWaiting) matters: a waiting parent is what starves its subtree
-// — it withholds the inherited attributes everything below needs — so
-// releasing the topmost waiter gives every candidate below it the
-// chance to still match and commit; the released fragment itself also
-// still commits if its full inbound set eventually matches.
-func (r *rt) runAheadAtQuiescence(f *frag) {
-	f.runAhead = true
-	r.quiet = make(chan struct{})
-	r.pending.Store(1)
-	f.mu.Lock()
-	f.queued = true
-	f.mu.Unlock()
-	r.sched.push(f.id%len(r.sched.deques), f)
-}
-
-// finalizeRecord completes fragment f's recording for publication:
-// replace each handle-bearing outbound code value with one Leaf of its
-// resolved text (the recording job's librarian is still alive here),
-// so the recording holds no handle, and canonicalize the raw inbound
-// messages into the order-independent fingerprint set. An inbound
-// value with no canonical form leaves rec.inbound nil — the entry
-// still serves whole-tree hits, but the record is never offered as an
-// incremental candidate (nothing could validate it).
-func (r *rt) finalizeRecord(f *frag) {
-	rec := f.rec
-	for i := range rec.msgs {
-		m := &rec.msgs[i]
-		code, ok := m.val.(rope.Code)
-		if !ok {
-			continue
-		}
-		if !holdsHandle(code) {
-			continue
-		}
-		m.val = rope.Leaf(rope.FlattenCode(code, r.lib.Lookup))
-		m.code = true
-	}
-	obs := make([]inObs, 0, len(f.recIn))
-	for _, m := range f.recIn {
-		key := inKey{leaf: rootSlot, attr: m.attr}
-		sym := f.root.Sym
-		if m.node != f.root {
-			key.leaf = m.node.RemoteID
-			sym = m.node.Sym
-		}
-		fp, err := r.fingerprint(sym, m.attr, m.val)
-		if err != nil {
-			return
-		}
-		obs = append(obs, inObs{key: key, fp: fp})
-	}
-	f.recIn = nil
-	in, err := canonInbound(obs)
-	if err != nil {
-		return
-	}
-	// inOrder preserves the arrival order the message waves were
-	// recorded against; the canonical map is what matching compares.
-	rec.inOrder = make([]inKey, len(obs))
-	for i := range obs {
-		rec.inOrder[i] = obs[i].key
-	}
-	rec.inbound = in
 }
 
 // initFrag builds the fragment's evaluator (the expensive dependency
@@ -904,11 +484,7 @@ func (r *rt) initFrag(f *frag) {
 	// cannot collide either. Only librarian runs need a range
 	// (HandleBase bounds-checks the id; the pool has validated the
 	// decomposition width when the librarian is in play).
-	// A mode-switched candidate may already hold the range (its phase-0
-	// replay deposited through it); a fragment owns ONE handle allocator
-	// for its whole life, so replayed and live deposits stay
-	// collision-free.
-	if r.useLib && f.store == nil {
+	if r.useLib {
 		f.store = r.lib.Range(rope.HandleBase(f.id))
 	}
 	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{

@@ -16,7 +16,7 @@ import (
 // TestPlanByteIdentityBothPlanners checks the decomposition's
 // correctness bar: at equal width, the pool must produce output
 // byte-identical to the simulated cluster — cold, and warm through the
-// fragment cache (a recording replayed on a second identical compile).
+// whole-job cache (a recording replayed on a second identical compile).
 // Each subtest names the decomposition policy, the size planner.
 func TestPlanByteIdentityBothPlanners(t *testing.T) {
 	jobs := []struct {

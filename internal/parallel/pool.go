@@ -32,12 +32,12 @@ type PoolOptions struct {
 	// unbounded state. 0 uses DefaultQueueDepth; negative disables
 	// queueing entirely (busy pool = immediate ErrOverloaded).
 	QueueDepth int
-	// CacheBytes bounds the content-addressed fragment cache, the
+	// CacheBytes bounds the content-addressed whole-job cache, the
 	// memoization layer that lets the pool skip attribute evaluation
-	// for subtrees it has compiled before (identical resubmitted
-	// sources above all). 0 uses DefaultCacheBytes; negative disables
-	// caching entirely. Per-job, Options.NoCache opts a single compile
-	// out.
+	// for trees it has compiled before (identical resubmitted sources,
+	// an edit compiled a second time). 0 uses DefaultCacheBytes;
+	// negative disables caching entirely. Per-job, Options.NoCache
+	// opts a single compile out.
 	CacheBytes int64
 	// ClientQuota bounds the jobs one client (Options.Client) may have
 	// admitted or waiting at once; further submissions fail fast with
@@ -65,7 +65,7 @@ type PoolOptions struct {
 // PoolOptions.QueueDepth is zero.
 const DefaultQueueDepth = 64
 
-// DefaultCacheBytes is the fragment-cache budget used when
+// DefaultCacheBytes is the whole-job cache budget used when
 // PoolOptions.CacheBytes is zero.
 const DefaultCacheBytes = 64 << 20
 
@@ -131,11 +131,11 @@ type Pool struct {
 	// stops allocating librarian stores in steady state.
 	libs sync.Pool
 
-	// cache is the content-addressed fragment cache (nil when
-	// disabled): completed fragment evaluations are recorded under a
-	// structural content address and reused for later jobs with
+	// cache is the content-addressed whole-job cache (nil when
+	// disabled): every clean cold job's result is recorded under a
+	// structural content address and returned to later jobs with
 	// identical content, see cache.go.
-	cache *fragCache
+	cache *jobCache
 
 	// disk is the persistent tier behind cache (nil without
 	// PoolOptions.DiskCache): whole-job recordings spilled write-behind
@@ -161,7 +161,7 @@ type Pool struct {
 }
 
 // PoolStats is a point-in-time snapshot of a Pool's activity. The
-// Cache* fields report the fragment cache (all zero when disabled):
+// Cache* fields report the whole-job cache (all zero when disabled):
 // hits and misses count whole-job lookups (one per cached-eligible
 // Compile), evictions count recordings dropped to hold the byte
 // budget.
@@ -185,14 +185,10 @@ type PoolStats struct {
 	CacheBytes    int64 `json:"cache_bytes"`
 	CacheCapBytes int64 `json:"cache_cap_bytes"`
 
-	// Incremental (per-fragment) replay: fragments completed from a
-	// recording inside a whole-tree-miss job, jobs that committed at
-	// least one such replay, and replay candidates demoted to live
-	// evaluation (inbound mismatch, or speculation starvation at
-	// quiescence).
-	CachePartialHits int64 `json:"partial_hits"`
-	CachePartialJobs int64 `json:"partial_jobs"`
-	CacheDemoted     int64 `json:"partial_demotions"`
+	// CacheDemoted is always zero: the pool replays whole jobs only. It
+	// stays for the benchmark harness, which still reads it, until it
+	// drops it.
+	CacheDemoted int64 `json:"partial_demotions"`
 
 	// Persistent cache (all zero without PoolOptions.DiskCache):
 	// whole-job recordings loaded from disk, spilled to disk, and disk
@@ -242,7 +238,7 @@ func NewPool(opts PoolOptions) *Pool {
 		remote:      opts.Remote,
 	}
 	if cacheBytes > 0 {
-		p.cache = newFragCache(cacheBytes)
+		p.cache = newJobCache(cacheBytes)
 		if opts.DiskCache != nil {
 			p.disk = newDiskCache(opts.DiskCache)
 		}
@@ -320,9 +316,6 @@ func (p *Pool) Stats() PoolStats {
 		st.CacheEntries = c.len()
 		st.CacheBytes = c.bytes.Load()
 		st.CacheCapBytes = c.max
-		st.CachePartialHits = c.partialHits.Load()
-		st.CachePartialJobs = c.partialJobs.Load()
-		st.CacheDemoted = c.demoted.Load()
 	}
 	if d := p.disk; d != nil {
 		st.DiskHits = d.hits.Load()
@@ -576,26 +569,17 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// request, so librarian handle ranges cannot run out here.
 	codeAttr := cluster.CodeAttr(job.G)
 
-	// Complete the content address now that the decomposition is known,
-	// and decide the job's cache schedule. A whole-tree hit, from memory
-	// or from disk, is the job's result: the recording's root attributes
-	// and counters are returned and no fragment runs. On a whole-tree
-	// miss, each fragment is looked up by its own content address
-	// (fragKey): fragments with a recording become tentative
-	// incremental-replay candidates, validated against their actually
-	// received inbound values while edited/unknown fragments evaluate
-	// live (see cache.go). Only a fully cold job — no candidate
-	// anywhere — records: its fragments all belong to one run, so the
-	// recorded root attributes and counters are that run's.
+	// Complete the content address now that the decomposition is known.
+	// A hit, from memory or from disk, is the job's result: the
+	// recording's root attributes and counters are returned and no
+	// fragment runs. A miss evaluates every fragment live and, once the
+	// job completes cleanly, records its result.
 	var key cacheKey
-	var fragKeys []fragKey
-	var cands []*fragRecord
 	var dk cas.Key
 	if useCache {
-		digs := decomp.Digests()
 		key = cacheKey{
 			g:         job.G,
-			fragsHash: tree.CombineDigests(digs),
+			fragsHash: tree.CombineDigests(decomp.Digests()),
 			frags:     res.Frags,
 			width:     opts.Fragments,
 			gran:      gran,
@@ -603,35 +587,12 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			librarian: opts.Librarian,
 			uidPreset: opts.UIDPreset,
 		}
-		hit, ok := p.cache.get(key)
-		if !ok {
-			fragKeys = make([]fragKey, len(decomp.Frags))
-			for i, f := range decomp.Frags {
-				fragKeys[i] = fragKey{
-					g:         job.G,
-					hash:      digs[i],
-					id:        f.ID,
-					parent:    f.Parent,
-					mode:      opts.Mode,
-					librarian: opts.Librarian,
-					uidPreset: opts.UIDPreset,
-				}
-				if rec, ok := p.cache.lookupFrag(fragKeys[i]); ok {
-					if cands == nil {
-						cands = make([]*fragRecord, len(decomp.Frags))
-					}
-					cands[i] = rec
-				}
-			}
-		}
+		hit, _ := p.cache.get(key)
 		if hit == nil && p.disk != nil {
 			dk = p.diskKey(&key, job.UIDs)
-			// Memory missed; try the persistent tier. A disk recording
-			// holds only the job's results (see disk.go): it is
-			// published to the in-memory cache, so later identical
-			// trees hit memory, and serves this job as a whole-tree
-			// hit. It has no fragment records, so it never joins the
-			// incremental index: no edited tree replays from it.
+			// Memory missed; try the persistent tier. A loaded result is
+			// published to the in-memory cache, so later identical trees
+			// hit memory, and serves this job as a hit.
 			if e := p.disk.load(dk, job.G); e != nil {
 				p.cache.put(key, e)
 				hit = e
@@ -648,7 +609,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			return res, nil
 		}
 	}
-	recording := useCache && cands == nil
 
 	r := &rt{
 		job:       job,
@@ -657,11 +617,9 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		lib:       p.libs.Get().(*rope.Librarian),
 		useLib:    opts.Librarian && codeAttr >= 0,
 		sched:     p.sched,
+		ctx:       ctx,
 		quiet:     make(chan struct{}),
 		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
-	}
-	if useCache {
-		r.cache = p.cache
 	}
 	for _, f := range decomp.Frags {
 		// queued is set here, while the job is still private to this
@@ -669,27 +627,18 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		// may start posting to its siblings, and those reads of queued
 		// (under the mailbox lock) must not race the seeding loop.
 		fr := &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root, leaves: leaves[f.ID], queued: true}
-		switch {
-		case cands != nil:
-			fr.cand = cands[f.ID] // nil for edited/unknown fragments: they run live
-		case recording:
-			fr.rec = &fragRecord{}
-		}
 		r.frags = append(r.frags, fr)
 		for _, leaf := range fr.leaves {
 			r.leafOf[leaf.RemoteID] = leaf
 		}
 	}
 
-	// Watch for cancellation while the job runs. The watcher only
-	// flips the job's cancelled flag; the workers do the reclamation
-	// as they pop the job's fragments.
-	stopWatch := context.AfterFunc(ctx, func() { r.cancelled.Store(true) })
-
 	// Seed every fragment round-robin across the worker deques, then
 	// wait for this job's quiescence. Workers may start stepping the
 	// first fragment before the last is pushed; pending is preset so
-	// the job cannot look quiescent early.
+	// the job cannot look quiescent early. Cancellation needs no
+	// watcher: every step checks the job's context (rt.stopped), and
+	// the workers reclaim a cancelled job's fragments as they pop them.
 	r.pending.Store(int64(len(r.frags)))
 	for _, f := range r.frags {
 		r.sched.push(f.id%p.workers, f)
@@ -697,27 +646,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	splitDone := time.Now()
 
 	<-r.quiet
-	// Speculation can starve itself: a wait-mode candidate's remaining
-	// inbound may only be producible by fragments that are themselves
-	// waiting (a waiting parent withholds the inherited attributes —
-	// the symbol table — that everything below it needs, while its own
-	// commit waits on its children's synthesized values). At
-	// quiescence, switch the topmost waiting candidate to run-ahead
-	// and let the job settle again; each round either completes the
-	// job or shrinks the waiting set, so this terminates. Run-ahead
-	// fragments evaluate and ship everything a live fragment would, so
-	// candidates below them keep matching — and the released fragment
-	// itself still commits (skipping its evaluation tail) if its full
-	// inbound set matches.
-	for r.failure() == nil && !r.cancelled.Load() && int(r.doneCnt.Load()) != len(r.frags) {
-		t := r.pickWaiting()
-		if t == nil {
-			break
-		}
-		r.runAheadAtQuiescence(t)
-		<-r.quiet
-	}
-	stopWatch()
 	evalDone := time.Now()
 
 	if int(r.doneCnt.Load()) != len(r.frags) {
@@ -746,16 +674,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			opts.Mode, opts.Workers, blocked)
 	}
 
-	// A run-ahead candidate that finished live without its full inbound
-	// set ever matching fell back to ordinary evaluation just like a
-	// mismatch demotion — settle it into the demotion counters so
-	// partial_hits + partial_demotions accounts for every candidate
-	// this job was offered.
-	for _, f := range r.frags {
-		if f.cand != nil {
-			r.demote(f)
-		}
-	}
 	res.RootAttrs = r.rootAttrs
 	res.Messages = int(r.messages.Load())
 	for _, f := range r.frags {
@@ -768,41 +686,19 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	}
 	splice(res, codeAttr, lookup)
 	res.StoredStrings, res.StoredBytes = r.lib.Stored()
-	res.PartialHits = int(r.partial.Load())
-	res.Demoted = int(r.demotedCnt.Load())
-	if res.PartialHits > 0 {
-		p.cache.partialJobs.Add(1)
-	}
-	// Publish the recording of a clean fully cold run. By this point
-	// the code attribute has been spliced to plain text, so the
-	// recorded root attributes are librarian-free and safe to share
-	// across jobs; each per-fragment record carries everything else —
-	// outbound messages (with handle-bearing code values resolved to
-	// text) and the canonical inbound set that gates incremental reuse.
-	// Mixed replay/live runs publish nothing: their fragments' outputs
-	// do not all come from one run, which the recorded root attributes
-	// and counters rely on.
-	if recording {
+	// Record the clean run's result. The code attribute has been
+	// spliced to plain text by now, so the recorded root attributes are
+	// librarian-free and safe to share across jobs, and the write-behind
+	// spill encodes the entry off the compile path without this job's
+	// librarian.
+	if useCache {
 		entry := &cacheEntry{
-			frags:         make([]fragRecord, len(r.frags)),
-			fragKeys:      fragKeys,
 			rootAttrs:     append([]ag.Value(nil), r.rootAttrs...),
 			messages:      res.Messages,
 			storedStrings: res.StoredStrings,
 			storedBytes:   res.StoredBytes,
 		}
-		for i, f := range r.frags {
-			r.finalizeRecord(f)
-			if i == 0 {
-				f.rec.rootAttrs = entry.rootAttrs
-			}
-			entry.frags[i] = *f.rec
-		}
 		p.cache.put(key, entry)
-		// Spill the freshly published recording write-behind; the entry
-		// is immutable from here on and holds no librarian handle, so
-		// the writer goroutine encodes it off the compile path without
-		// this job's librarian.
 		if p.disk != nil {
 			p.disk.spill(dk, entry, job.G)
 		}

@@ -3,12 +3,14 @@ package parallel_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/parallel"
+	"pag/internal/pascal"
 	"pag/internal/tree"
 	"pag/internal/workload"
 )
@@ -135,6 +137,34 @@ func TestPoolQuotaPriorityEndToEnd(t *testing.T) {
 	}
 }
 
+// expiringCtx is a context whose deadline passes when expire is
+// called, not on a timer, so a test can make it pass at an exact point
+// of a compile.
+type expiringCtx struct {
+	context.Context
+	done    chan struct{}
+	expired atomic.Bool
+}
+
+func newExpiringCtx() *expiringCtx {
+	return &expiringCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c *expiringCtx) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *expiringCtx) expire() {
+	if c.expired.CompareAndSwap(false, true) {
+		close(c.done)
+	}
+}
+
 // TestPoolDeadlineMidEvaluation is the deadline contract end to end:
 // a job whose context deadline expires mid-evaluation comes back with
 // context.DeadlineExceeded, counts as cancelled, and leaves the pool
@@ -142,9 +172,29 @@ func TestPoolQuotaPriorityEndToEnd(t *testing.T) {
 // bytes as before, repeatedly, proving fragments and librarian handle
 // ranges were reclaimed.
 func TestPoolDeadlineMidEvaluation(t *testing.T) {
-	job := pascalJob(t, workload.Small())
-	// NoCache keeps every round a full evaluation, so short deadlines
-	// land mid-flight instead of after a near-instant replay.
+	// Every semantic rule of this grammar first expires the armed
+	// context, if any: the deadline passes when the job's first rule
+	// runs, mid-evaluation however loaded the host is. No fragment is
+	// done at that point and at most one step per worker is running,
+	// so with more fragments than workers the job cannot complete.
+	lang := pascal.MustNew()
+	var armed atomic.Pointer[expiringCtx]
+	for _, p := range lang.G.Prods {
+		for i := range p.Rules {
+			eval := p.Rules[i].Eval
+			p.Rules[i].Eval = func(args []ag.Value) ag.Value {
+				if c := armed.Swap(nil); c != nil {
+					c.expire()
+				}
+				return eval(args)
+			}
+		}
+	}
+	job, err := lang.ClusterJob(workload.Generate(workload.Small()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NoCache keeps every round a full evaluation.
 	opts := parallel.Options{Fragments: 8, Librarian: true, UIDPreset: true, NoCache: true}
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, MaxInFlight: 2})
 	defer pool.Close()
@@ -153,30 +203,20 @@ func TestPoolDeadlineMidEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ref.Frags <= pool.Workers() {
+		t.Fatalf("%d fragments on %d workers; the test needs more fragments than workers", ref.Frags, pool.Workers())
+	}
 
-	expired := 0
-	for _, d := range []time.Duration{50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond, 4 * time.Millisecond} {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		res, err := pool.Compile(ctx, job, opts)
-		cancel()
-		switch {
-		case err == nil:
-			if res.Program != ref.Program {
-				t.Fatalf("deadline %v: completed job has wrong output", d)
-			}
-		case errors.Is(err, context.DeadlineExceeded):
-			expired++
-		default:
-			t.Fatalf("deadline %v: %v", d, err)
+	const expiries = 3
+	for i := 0; i < expiries; i++ {
+		ctx := newExpiringCtx()
+		armed.Store(ctx)
+		if _, err := pool.Compile(ctx, job, opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("compile %d: deadline passed mid-evaluation, got %v, want DeadlineExceeded", i, err)
 		}
 	}
-	// A Small cold compile takes milliseconds; the 50µs deadline (at
-	// least) must have expired mid-evaluation.
-	if expired == 0 {
-		t.Fatal("no deadline expired mid-evaluation; the test exercised nothing")
-	}
-	if got := pool.Metrics().Cancelled; got < int64(expired) {
-		t.Errorf("Metrics.Cancelled = %d, want >= %d", got, expired)
+	if got := pool.Metrics().Cancelled; got < expiries {
+		t.Errorf("Metrics.Cancelled = %d, want >= %d", got, expiries)
 	}
 
 	for i := 0; i < 3; i++ {

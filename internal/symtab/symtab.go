@@ -138,7 +138,7 @@ func (t *Table) Len() int {
 
 // MemBytes estimates the retained memory of the table: every reachable
 // tree node plus its identifier text. Caches that retain attribute
-// values across compilations (the fragment cache's byte budget) use it
+// values across compilations (the whole-job cache's byte budget) use it
 // to charge symbol tables at their real weight; structure shared with
 // other persistent versions is charged to each of them, so the
 // estimate never undercounts.

@@ -7,7 +7,7 @@ import (
 	"pag/internal/tree"
 )
 
-// FuzzHash fuzzes the content-address invariants the fragment cache
+// FuzzHash fuzzes the content-address invariants the whole-job cache
 // keys on: determinism, clone invariance, mutation sensitivity (any
 // single-token mutation changes the digest — a miss served as a hit
 // would silently return another program's output), and post-cut

@@ -15,7 +15,7 @@ import (
 )
 
 // Digest is a canonical structural content address of a subtree.
-// SHA-256 deliberately: fragment-cache keys are built from digests of
+// SHA-256 deliberately: whole-job cache keys are built from digests of
 // arbitrary user sources, and a collision would silently serve one
 // job's cached output as another's — the address must be
 // collision-resistant, not merely well-distributed.

@@ -196,17 +196,14 @@ type (
 	// Pool is a persistent compile service: one long-lived worker pool
 	// serving many concurrent compile jobs, each isolated in its own
 	// fragment set and librarian handle namespace, with a
-	// content-addressed fragment cache returning the recorded result
+	// content-addressed whole-job cache returning the recorded result
 	// for recompilations of identical sources without running any
-	// fragment — and,
-	// incrementally, replaying the unaffected fragments of EDITED
-	// sources (each fragment's recording is validated against the
-	// inbound attribute values it actually receives, so inherited
-	// inputs that changed demote it to live evaluation instead).
+	// fragment. Every clean cold compile records, so an edited source
+	// compiles cold once and hits from its second compile on.
 	Pool = parallel.Pool
 	// PoolOptions configures a Pool: workers, max in-flight jobs, the
 	// admission-queue depth, the per-client quota (ClientQuota), the
-	// fragment-cache byte budget (CacheBytes; 0 = DefaultCacheBytes,
+	// whole-job cache byte budget (CacheBytes; 0 = DefaultCacheBytes,
 	// negative disables caching) and the optional persistent cache
 	// store (DiskCache, from OpenDiskCache).
 	PoolOptions = parallel.PoolOptions
@@ -214,12 +211,11 @@ type (
 	// PoolOptions.DiskCache: whole-job results (root attributes and
 	// counters) spilled write-behind and served byte-identically to an
 	// identical tree across pool (and process) restarts. A disk hit
-	// returns results only; an edited tree after a restart compiles
-	// cold. One directory may be shared by many pools/processes.
+	// serves exactly the trees that were recorded. One directory may be
+	// shared by many pools/processes.
 	DiskCache = cas.Store
-	// PoolStats is a snapshot of a Pool's activity, including fragment
-	// cache hit/miss/eviction counters and the incremental-replay
-	// counters (partial hits, partial jobs, demotions).
+	// PoolStats is a snapshot of a Pool's activity, including the
+	// whole-job cache's hit/miss/eviction counters.
 	PoolStats = parallel.PoolStats
 	// RemoteEvaluator is the distributed backend a Pool routes admitted
 	// jobs to when PoolOptions.Remote is set; internal/fleet provides
@@ -232,12 +228,12 @@ type (
 	FleetStats = parallel.FleetStats
 )
 
-// DefaultCacheBytes is the fragment-cache budget a Pool uses when
+// DefaultCacheBytes is the whole-job cache budget a Pool uses when
 // PoolOptions.CacheBytes is zero.
 const DefaultCacheBytes = parallel.DefaultCacheBytes
 
 // OpenDiskCache opens (creating, or wiping on a layout-version
-// mismatch) dir as a persistent fragment-cache store for
+// mismatch) dir as a persistent whole-job cache store for
 // PoolOptions.DiskCache. maxBytes bounds the directory's size with
 // oldest-first GC (0 picks a default, negative disables the bound).
 // Stale or damaged entries are skipped and rewritten, never misread.
