@@ -70,8 +70,7 @@ func BenchmarkParallelPascal(b *testing.B) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := experiments.DefaultParallelOptions()
-			opts.Workers = w
+			opts := parallel.Options{Workers: w}
 			var last *parallel.Result
 			for i := 0; i < b.N; i++ {
 				res, err := parallel.Run(job, opts)
@@ -114,7 +113,7 @@ func BenchmarkAdaptive(b *testing.B) {
 		job  cluster.Job
 		opts parallel.Options
 	}{
-		{"pascal", pascalJob, experiments.DefaultParallelOptions()},
+		{"pascal", pascalJob, parallel.Options{}},
 		{"exprlang", exprJob, parallel.Options{}},
 	}
 	for _, j := range jobs {
@@ -139,8 +138,8 @@ func BenchmarkAdaptive(b *testing.B) {
 }
 
 // BenchmarkPoolReuse measures what the persistent compile service
-// buys: the same job compiled through one long-lived Pool (workers,
-// deques and librarians reused across jobs, analysis shared) versus a
+// buys: the same job compiled through one long-lived Pool (workers
+// and deques reused across jobs, analysis shared) versus a
 // fresh one-shot runtime per compilation (parallel.Run), which is what
 // a naive service would do. The pool case is the steady state of
 // cmd/pagd; the gap between the two is the per-job setup/teardown
@@ -171,14 +170,9 @@ func BenchmarkPoolReuse(b *testing.B) {
 		// keeps this a measurement of pool reuse, not of the fragment
 		// cache (BenchmarkFragmentCache measures that).
 		{"micro", microJob, parallel.Options{Workers: 4, NoCache: true}},
-		// tiny-pascal: a small but real compilation (librarian, UID
-		// presets), the shape a compile service actually serves.
-		{"tiny-pascal", pascalJob, func() parallel.Options {
-			o := experiments.DefaultParallelOptions()
-			o.Workers = 4
-			o.NoCache = true
-			return o
-		}()},
+		// tiny-pascal: a small but real compilation, the shape a
+		// compile service actually serves.
+		{"tiny-pascal", pascalJob, parallel.Options{Workers: 4, NoCache: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/pool", func(b *testing.B) {
@@ -210,9 +204,8 @@ func BenchmarkPoolReuse(b *testing.B) {
 // compiled through one pool cold (cache bypassed — every compile
 // evaluates every attribute) versus warm (every compile after the
 // first is a whole-tree hit that returns the recorded result). Warm
-// runs still cut and hash the tree, but run no fragment, re-deposit no
-// librarian text and splice nothing — the recorded program is already
-// text. The warm side must stay >= 2x faster for the cache to earn its
+// runs still cut and hash the tree, but run no fragment and flatten
+// no rope — the recorded program is already one leaf. The warm side must stay >= 2x faster for the cache to earn its
 // complexity. The hits metric reports cache hits per op (warm steady
 // state: 1).
 func BenchmarkFragmentCache(b *testing.B) {
@@ -220,8 +213,7 @@ func BenchmarkFragmentCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := experiments.DefaultParallelOptions()
-	opts.Workers = 4
+	opts := parallel.Options{Workers: 4}
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
@@ -272,8 +264,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := experiments.DefaultParallelOptions()
-	opts.Workers = 4
+	opts := parallel.Options{Workers: 4}
 	ctx := context.Background()
 
 	process := func(b *testing.B, dir string) int64 {
@@ -340,9 +331,7 @@ func BenchmarkSustainedLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := experiments.DefaultParallelOptions()
-	opts.Workers = 4
-	opts.Fragments = 6
+	opts := parallel.Options{Workers: 4, Fragments: 6}
 
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4, MaxInFlight: 8, QueueDepth: 64})
 	defer pool.Close()
@@ -726,9 +715,7 @@ func BenchmarkFleet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := experiments.DefaultParallelOptions()
-	opts.Workers = 2
-	opts.NoCache = true
+	opts := parallel.Options{Workers: 2, NoCache: true}
 	ctx := context.Background()
 
 	compileLoop := func(b *testing.B, pool *parallel.Pool, wantRemote bool) {

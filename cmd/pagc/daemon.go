@@ -36,11 +36,8 @@ const (
 
 // daemonRequest mirrors pagd's compile request wire format.
 type daemonRequest struct {
-	Source      string `json:"source,omitempty"`
-	Workload    string `json:"workload,omitempty"`
-	Mode        string `json:"mode,omitempty"`
-	NoLibrarian bool   `json:"no_librarian,omitempty"`
-	UIDChain    bool   `json:"uid_chain,omitempty"`
+	Source   string `json:"source,omitempty"`
+	Workload string `json:"workload,omitempty"`
 }
 
 // runDaemon is the -daemon entry point.
@@ -62,12 +59,11 @@ func runDaemon(out io.Writer, cfg config, args []string) error {
 	if cfg.workers != 0 || cfg.cacheBytes != 0 {
 		return fmt.Errorf("-workers and -cache-bytes configure a local pool; the daemon owns its own")
 	}
-
-	req := daemonRequest{
-		Mode:        cfg.modeName,
-		NoLibrarian: cfg.noLib,
-		UIDChain:    cfg.chain,
+	if err := refuseAblations(cfg, "the daemon runs"); err != nil {
+		return err
 	}
+
+	var req daemonRequest
 	switch {
 	case cfg.wl != "" && len(args) > 0:
 		return fmt.Errorf("-workload %s conflicts with file operand(s) %v: pass one or the other", cfg.wl, args)

@@ -7,7 +7,10 @@
 // Flags select the machine count, the evaluator (combined or dynamic),
 // the decomposition granularity and the §4.3 optimizations; -gantt
 // prints the machine activity chart and -S the produced VAX assembly
-// (-q suppresses everything but the assembly).
+// (-q suppresses everything but the assembly). The evaluator and the
+// §4.3 switches (-mode, -nolibrarian, -uidchain) are ablations of the
+// simulator: -batch and -daemon run the paper's configuration and
+// refuse them.
 //
 // Batch mode drives many files through one persistent compile pool on
 // the real shared-memory runtime instead of the simulator; the pool's
@@ -56,10 +59,10 @@ import (
 
 func main() {
 	machines := flag.Int("n", 1, "number of evaluator machines (1..6)")
-	mode := flag.String("mode", "combined", "evaluator: combined or dynamic")
+	mode := flag.String("mode", "combined", "simulator evaluator: combined or dynamic (-batch and -daemon run combined)")
 	gran := flag.Int("granularity", 0, "split granularity in bytes (0 = tree size / machines)")
-	noLib := flag.Bool("nolibrarian", false, "disable the string librarian")
-	chain := flag.Bool("uidchain", false, "propagate unique-id counters instead of per-evaluator bases")
+	noLib := flag.Bool("nolibrarian", false, "simulator ablation: disable the string librarian")
+	chain := flag.Bool("uidchain", false, "simulator ablation: propagate unique-id counters instead of per-evaluator bases")
 	gantt := flag.Bool("gantt", false, "print the machine activity chart")
 	asm := flag.Bool("S", false, "print the produced VAX assembly")
 	quiet := flag.Bool("q", false, "suppress the compilation summary (with -S: print assembly only)")
@@ -251,6 +254,21 @@ func run(out io.Writer, cfg config, args []string) error {
 	return nil
 }
 
+// refuseAblations rejects the simulator's evaluator ablations in the
+// modes that run the paper's configuration on a real runtime; where
+// says which ("batch mode runs", "the daemon runs").
+func refuseAblations(cfg config, where string) error {
+	switch {
+	case cfg.modeName != "combined":
+		return fmt.Errorf("-mode selects the simulator's evaluator; %s the combined evaluator only", where)
+	case cfg.noLib:
+		return fmt.Errorf("-nolibrarian is a simulator ablation; %s the paper's configuration", where)
+	case cfg.chain:
+		return fmt.Errorf("-uidchain is a simulator ablation; %s the paper's configuration", where)
+	}
+	return nil
+}
+
 func workloadSource(name string) (string, error) {
 	cfg, err := workload.ByName(name)
 	if err != nil {
@@ -284,8 +302,7 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 	if cfg.gantt {
 		return fmt.Errorf("-gantt is a simulator feature; batch mode has no machine activity chart")
 	}
-	mode, err := cluster.ModeByName(cfg.modeName)
-	if err != nil {
+	if err := refuseAblations(cfg, "batch mode runs"); err != nil {
 		return err
 	}
 	prio, err := parallel.ParsePriority(cfg.priority)
@@ -312,13 +329,7 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 	}
 	pool := parallel.NewPool(poolOpts)
 	defer pool.Close()
-	opts := parallel.Options{
-		Mode:        mode,
-		Granularity: cfg.gran,
-		Librarian:   !cfg.noLib,
-		UIDPreset:   !cfg.chain,
-		Priority:    prio,
-	}
+	opts := parallel.Options{Granularity: cfg.gran, Priority: prio}
 	results := make([]batchResult, len(args))
 
 	compileOne := func(i int, file string) {

@@ -235,3 +235,37 @@ func TestDumpSource(t *testing.T) {
 		t.Error("-dump-source with a file operand was accepted")
 	}
 }
+
+// TestSimulatorAblationFlags drives the simulator-only ablations end to
+// end: the dynamic evaluator and the naive (librarian-free) result
+// propagation emit the default assembly, and the unique-identifier
+// chain numbers labels the same way on any machine count, because the
+// chain does not depend on where the tree is cut.
+func TestSimulatorAblationFlags(t *testing.T) {
+	asm := func(t *testing.T, set func(*config)) string {
+		t.Helper()
+		cfg := defaults()
+		cfg.asm = true
+		cfg.wl = "tiny"
+		set(&cfg)
+		var out bytes.Buffer
+		if err := run(&out, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() == 0 {
+			t.Fatal("no assembly printed")
+		}
+		return out.String()
+	}
+	def := asm(t, func(*config) {})
+	if got := asm(t, func(c *config) { c.modeName = "dynamic" }); got != def {
+		t.Error("-mode dynamic -S differs from the default assembly")
+	}
+	if got := asm(t, func(c *config) { c.noLib = true }); got != def {
+		t.Error("-nolibrarian -S differs from the default assembly")
+	}
+	chain1 := asm(t, func(c *config) { c.chain = true })
+	if got := asm(t, func(c *config) { c.chain = true; c.machines = 3 }); got != chain1 {
+		t.Error("-n 3 -uidchain -S differs from -n 1 -uidchain -S")
+	}
+}

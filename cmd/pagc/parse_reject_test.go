@@ -54,3 +54,32 @@ func TestPriorityRejectionWording(t *testing.T) {
 		t.Errorf("error %q missing %q", err, want)
 	}
 }
+
+// TestRealRuntimesRefuseAblations: -batch and -daemon run the paper's
+// configuration on a real runtime, so they refuse the simulator's
+// evaluator ablations by name, the way they refuse -n and -gantt,
+// before any file is read or any request is sent.
+func TestRealRuntimesRefuseAblations(t *testing.T) {
+	ablations := map[string]func(*config){
+		"-mode":        func(c *config) { c.modeName = "dynamic" },
+		"-nolibrarian": func(c *config) { c.noLib = true },
+		"-uidchain":    func(c *config) { c.chain = true },
+	}
+	runtimes := map[string]func(*config){
+		"batch":  func(c *config) { c.batch = true },
+		"daemon": func(c *config) { c.daemonURL = "http://127.0.0.1:1" },
+	}
+	for rname, setRuntime := range runtimes {
+		for flag, set := range ablations {
+			t.Run(rname+"/"+flag, func(t *testing.T) {
+				cfg := config{machines: 1, modeName: "combined", retries: -1}
+				setRuntime(&cfg)
+				set(&cfg)
+				err := run(&bytes.Buffer{}, cfg, []string{"unread.pas"})
+				if err == nil || !strings.Contains(err.Error(), flag+" ") {
+					t.Errorf("%s %s: err = %v, want a rejection naming %s", rname, flag, err, flag)
+				}
+			})
+		}
+	}
+}

@@ -18,8 +18,11 @@
 //
 //	POST /compile   submit a job: {"source": "program ...", ...} or
 //	                {"workload": "tiny"|"small"|"course", ...}, plus
-//	                optional "fragments", "mode" ("combined"|"dynamic"),
-//	                "no_librarian", "uid_chain", "timeout_ms".
+//	                optional "fragments" and "timeout_ms". Every job
+//	                runs the paper's configuration (combined evaluator,
+//	                unique-identifier presets); a request carrying one
+//	                of the removed fields "mode", "no_librarian" or
+//	                "uid_chain" is refused with 400.
 //	                Default: a stream of JSON-lines status events
 //	                ending in {"status":"done","assembly":...} or
 //	                {"status":"error",...}. With ?format=asm the
@@ -64,8 +67,9 @@
 // in the bounded admission queue, beyond that the service answers 503,
 // and over-quota clients get 429 instead of crowding everyone else
 // out. Failure stays scoped to the job that caused it: evaluation
-// panics and librarian handle-range exhaustion are contained per job
-// by the pool's workers, and an HTTP recovery middleware answers 500
+// panics are contained per job by the pool's workers (and a fleet
+// worker's handle-range exhaustion fails only its job), and an HTTP
+// recovery middleware answers 500
 // for anything that still escapes a handler, so one malformed request
 // never takes the daemon down.
 package main
@@ -90,7 +94,6 @@ import (
 	"syscall"
 	"time"
 
-	"pag/internal/cluster"
 	"pag/internal/fleet"
 	"pag/internal/parallel"
 	"pag/internal/pascal"
@@ -408,16 +411,34 @@ type compileRequest struct {
 	// Fragments caps the decomposition (0 = the pool's worker count,
 	// matching `pagc -n` at the same width).
 	Fragments int `json:"fragments,omitempty"`
-	// Mode is "combined" (default) or "dynamic".
-	Mode string `json:"mode,omitempty"`
-	// NoLibrarian and UIDChain disable the §4.3 optimizations, like
-	// pagc's -nolibrarian and -uidchain.
-	NoLibrarian bool `json:"no_librarian,omitempty"`
-	UIDChain    bool `json:"uid_chain,omitempty"`
 	// TimeoutMs bounds the job. The daemon's -max-timeout caps it and
 	// stands in for it when absent; 0 with no -max-timeout means no
 	// bound beyond the request context.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
+}
+
+// removedFields are the request fields that once chose the evaluator
+// configuration (mode, librarian, unique-identifier chain). pagd runs
+// one configuration, so a request that still carries one is refused
+// by name: a client asking for the chain must not be served the
+// presets' labels without notice.
+type removedFields struct {
+	Mode        json.RawMessage `json:"mode"`
+	NoLibrarian json.RawMessage `json:"no_librarian"`
+	UIDChain    json.RawMessage `json:"uid_chain"`
+}
+
+// check names the first removed field the request carried.
+func (r *removedFields) check() error {
+	for _, f := range []struct {
+		name string
+		val  json.RawMessage
+	}{{"mode", r.Mode}, {"no_librarian", r.NoLibrarian}, {"uid_chain", r.UIDChain}} {
+		if f.val != nil {
+			return fmt.Errorf("request field %q was removed: pagd always runs the paper's configuration (combined evaluator, unique-identifier presets)", f.name)
+		}
+	}
+	return nil
 }
 
 // event is one JSON line of the default streaming response.
@@ -486,12 +507,19 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req compileRequest
+	var req struct {
+		compileRequest
+		removedFields
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "bad request JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	src, opts, err := s.jobSpec(req)
+	if err := req.removedFields.check(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	src, opts, err := s.jobSpec(req.compileRequest)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -558,11 +586,6 @@ func (s *server) jobSpec(req compileRequest) (string, parallel.Options, error) {
 		}
 		src = workload.Generate(cfg)
 	}
-	mode, err := cluster.ModeByName(req.Mode)
-	if err != nil {
-		return "", opts, err
-	}
-	opts.Mode = mode
 	if req.Fragments < 0 {
 		return "", opts, fmt.Errorf("fragments %d is negative", req.Fragments)
 	}
@@ -570,8 +593,6 @@ func (s *server) jobSpec(req compileRequest) (string, parallel.Options, error) {
 		return "", opts, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMs)
 	}
 	opts.Fragments = req.Fragments
-	opts.Librarian = !req.NoLibrarian
-	opts.UIDPreset = !req.UIDChain
 	return src, opts, nil
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"pag/internal/cluster"
 	"pag/internal/parallel"
-	"pag/internal/rope"
 	"pag/internal/workload"
 )
 
@@ -98,24 +97,34 @@ func TestCompileStreamEvents(t *testing.T) {
 	}
 }
 
-// TestCompileRequestValidation checks the 4xx paths.
+// TestCompileRequestValidation checks the 4xx paths. The removed
+// evaluator-configuration fields are refused by name whatever their
+// value, so a client asking for the unique-identifier chain (or any
+// other ablation) is never silently served the presets' labels.
 func TestCompileRequestValidation(t *testing.T) {
 	_, ts := testServer(t)
-	for name, body := range map[string]string{
-		"empty":          `{}`,
-		"both":           `{"source":"program p; begin end.","workload":"tiny"}`,
-		"bad workload":   `{"workload":"enormous"}`,
-		"bad mode":       `{"workload":"tiny","mode":"psychic"}`,
-		"negative frags": `{"workload":"tiny","fragments":-1}`,
-		"not even json":  `{`,
+	for name, c := range map[string]struct{ body, want string }{
+		"empty":                {`{}`, ""},
+		"both":                 {`{"source":"program p; begin end.","workload":"tiny"}`, ""},
+		"bad workload":         {`{"workload":"enormous"}`, ""},
+		"bad mode":             {`{"workload":"tiny","mode":"psychic"}`, `"mode"`},
+		"removed mode":         {`{"workload":"tiny","mode":"combined"}`, `"mode"`},
+		"removed no_librarian": {`{"workload":"tiny","no_librarian":false}`, `"no_librarian"`},
+		"removed uid_chain":    {`{"workload":"tiny","uid_chain":true}`, `"uid_chain"`},
+		"negative frags":       {`{"workload":"tiny","fragments":-1}`, ""},
+		"not even json":        {`{`, ""},
 	} {
-		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(raw), c.want) {
+			t.Errorf("%s: body %q does not name %s", name, raw, c.want)
 		}
 	}
 }
@@ -248,39 +257,6 @@ func TestCacheWarmRequestAndStats(t *testing.T) {
 	}
 	if st := stats(); st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Errorf("nocache request touched the cache: %+v", st)
-	}
-}
-
-// TestHandleExhaustionOverHTTP is the end-to-end half of the
-// librarian range-exhaustion fix: a job that runs out of handles must
-// answer an HTTP error — the daemon used to die outright — and the
-// daemon must keep serving afterwards.
-func TestHandleExhaustionOverHTTP(t *testing.T) {
-	_, ts := testServer(t)
-	restore := rope.SetRangeCapForTesting(0)
-	resp, err := http.Post(ts.URL+"/compile?format=asm", "application/json",
-		strings.NewReader(`{"workload":"tiny","fragments":4}`))
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("exhausted job answered %d (%s), want 422", resp.StatusCode, raw)
-	}
-	if !strings.Contains(string(raw), "handle range exhausted") {
-		t.Errorf("error body %q does not name the exhaustion", raw)
-	}
-
-	resp, err = http.Post(ts.URL+"/compile?format=asm", "application/json",
-		strings.NewReader(`{"workload":"tiny","fragments":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("daemon unhealthy after exhausted job: status %d", resp.StatusCode)
 	}
 }
 

@@ -44,7 +44,7 @@ func run() error {
 
 	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
 		real, err := pag.CompileParallel(job, pag.Options{
-			Workers: workers, Fragments: machines, Librarian: true, UIDPreset: true,
+			Workers: workers, Fragments: machines,
 		})
 		if err != nil {
 			return err

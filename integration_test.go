@@ -227,9 +227,7 @@ func TestFacadeParallelRuntimeMatchesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := pag.CompileParallel(job, pag.Options{
-		Workers: n, Librarian: true, UIDPreset: true,
-	})
+	real, err := pag.CompileParallel(job, pag.Options{Workers: n})
 	if err != nil {
 		t.Fatal(err)
 	}

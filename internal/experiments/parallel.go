@@ -26,17 +26,6 @@ type Fig8Result struct {
 	CPUs   int
 }
 
-// DefaultParallelOptions mirrors the paper's measurement configuration
-// on the real runtime: combined evaluation, string librarian,
-// per-fragment unique-identifier bases.
-func DefaultParallelOptions() parallel.Options {
-	return parallel.Options{
-		Mode:      cluster.Combined,
-		Librarian: true,
-		UIDPreset: true,
-	}
-}
-
 // Fig8 measures the real shared-memory parallel runtime on the paper's
 // Pascal workload at each worker count, taking the best of reps runs
 // per point (reps <= 0 uses 3). Unlike Figure 5, these are wall-clock
@@ -56,8 +45,7 @@ func Fig8(workers []int, reps int) (*Fig8Result, error) {
 	}
 	out := &Fig8Result{CPUs: runtime.NumCPU()}
 	for _, w := range workers {
-		opts := DefaultParallelOptions()
-		opts.Workers = w
+		opts := parallel.Options{Workers: w}
 		var best *parallel.Result
 		for i := 0; i < reps; i++ {
 			res, err := parallel.Run(job, opts)
@@ -118,9 +106,7 @@ func ParallelMatchesCluster(workers int) error {
 	if err != nil {
 		return err
 	}
-	popts := DefaultParallelOptions()
-	popts.Workers = workers
-	real, err := parallel.Run(job, popts)
+	real, err := parallel.Run(job, parallel.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

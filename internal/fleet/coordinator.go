@@ -16,6 +16,7 @@ import (
 	"pag/internal/cluster"
 	"pag/internal/eval"
 	"pag/internal/parallel"
+	"pag/internal/rope"
 	"pag/internal/tree"
 )
 
@@ -164,6 +165,12 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 				job.G.Start.Name, job.G.Start.Attrs[ai].Name)
 		}
 	}
+	// The coordinator owns the fleet's librarian: each fragment
+	// allocates handles from its own range, so the decomposition may
+	// not be wider than the ranges (they would wrap and collide).
+	if n := decomp.NumFragments(); n > rope.MaxHandleRanges {
+		return fmt.Errorf("fleet: %d fragments exceed the librarian's %d handle ranges", n, rope.MaxHandleRanges)
+	}
 	co.ensureLocal(job)
 	uids := make([]wireUID, len(job.UIDs))
 	for i, k := range job.UIDs {
@@ -177,8 +184,6 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 		ctx:    jctx,
 		cancel: cancel,
 		job:    job,
-		opts:   opts,
-		useLib: opts.Librarian && cluster.CodeAttr(job.G) >= 0,
 		uids:   uids,
 		store:  map[int32]string{},
 		roots:  map[int]rootOut{},
@@ -289,8 +294,6 @@ type fjob struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	job    cluster.Job
-	opts   parallel.Options
-	useLib bool
 	uids   []wireUID
 
 	mu         sync.Mutex
@@ -528,16 +531,13 @@ func (j *fjob) place(f *cfrag) (*evalResp, error) {
 // openReqFor assembles the (re)open request, journal included.
 func (j *fjob) openReqFor(f *cfrag) openReq {
 	return openReq{
-		Session:   f.session,
-		Grammar:   j.job.G.Name,
-		Frag:      f.id,
-		Mode:      int(j.opts.Mode),
-		Librarian: j.useLib,
-		UIDPreset: j.opts.UIDPreset,
-		UIDBase:   cluster.UIDBaseFor(f.id),
-		UIDs:      j.uids,
-		Tree:      f.data,
-		Journal:   f.journal,
+		Session: f.session,
+		Grammar: j.job.G.Name,
+		Frag:    f.id,
+		UIDBase: cluster.UIDBaseFor(f.id),
+		UIDs:    j.uids,
+		Tree:    f.data,
+		Journal: f.journal,
 	}
 }
 
@@ -740,5 +740,5 @@ func (j *fjob) checkStalledLocked() {
 			stuck = append(stuck, f.id)
 		}
 	}
-	j.fail(fmt.Errorf("fleet: %s evaluation deadlocked; fragments %v blocked with no input in flight", j.opts.Mode, stuck))
+	j.fail(fmt.Errorf("fleet: %s evaluation deadlocked; fragments %v blocked with no input in flight", cluster.Combined, stuck))
 }

@@ -106,90 +106,71 @@ func newEnv(t *testing.T, n int, job cluster.Job, faults *fleet.FaultConfig, cop
 }
 
 // TestFleetMatchesClusterExprlang: distributed evaluation of the
-// appendix grammar agrees with the simulated cluster for both modes
-// and several widths.
+// appendix grammar agrees with the simulated cluster at several
+// widths.
 func TestFleetMatchesClusterExprlang(t *testing.T) {
 	job := exprJob(t, exprlang.Generate(8, 6))
-	for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
-		for _, w := range []int{1, 2, 4} {
-			sim, err := cluster.Run(job, cluster.Options{Machines: w, Mode: mode})
-			if err != nil {
-				t.Fatalf("cluster %v x%d: %v", mode, w, err)
-			}
-			e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
-			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: w, Mode: mode})
-			if err != nil {
-				t.Fatalf("fleet %v x%d: %v", mode, w, err)
-			}
-			if got, want := fmt.Sprint(res.RootAttrs[exprlang.AttrValue]), fmt.Sprint(sim.RootAttrs[exprlang.AttrValue]); got != want {
-				t.Errorf("%v x%d: value = %s, want %s", mode, w, got, want)
-			}
-			if res.Frags != sim.Frags {
-				t.Errorf("%v x%d: frags = %d, cluster had %d", mode, w, res.Frags, sim.Frags)
-			}
+	for _, w := range []int{1, 2, 4} {
+		sim, err := cluster.Run(job, cluster.Options{Machines: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true})
+		if err != nil {
+			t.Fatalf("cluster x%d: %v", w, err)
+		}
+		e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
+		res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: w})
+		if err != nil {
+			t.Fatalf("fleet x%d: %v", w, err)
+		}
+		if got, want := fmt.Sprint(res.RootAttrs[exprlang.AttrValue]), fmt.Sprint(sim.RootAttrs[exprlang.AttrValue]); got != want {
+			t.Errorf("x%d: value = %s, want %s", w, got, want)
+		}
+		if res.Frags != sim.Frags {
+			t.Errorf("x%d: frags = %d, cluster had %d", w, res.Frags, sim.Frags)
 		}
 	}
 }
 
 // TestFleetMatchesClusterPascal: byte-identical generated code across
 // the three runtimes — simulated cluster, local pool, worker fleet —
-// under every switch the shared fragment constructor reads from the
-// runtimes: both modes, the librarian and the UID preset.
+// at several widths. The fleet ships code through its librarian and
+// stores strings; the pool keeps no librarian and stores none.
 func TestFleetMatchesClusterPascal(t *testing.T) {
 	job := pascalJob(t, workload.Small())
-	type cfg struct {
-		mode        cluster.Mode
-		lib, preset bool
-	}
-	var cfgs []cfg
-	for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
-		for _, lib := range []bool{true, false} {
-			for _, preset := range []bool{true, false} {
-				cfgs = append(cfgs, cfg{mode, lib, preset})
-			}
+	for _, w := range []int{1, 2, 4} {
+		name := fmt.Sprintf("workers=%d", w)
+		sim, err := cluster.Run(job, cluster.Options{
+			Machines: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: cluster: %v", name, err)
 		}
-	}
-	for _, c := range cfgs {
-		widths := []int{1, 2, 4}
-		if c.mode != cluster.Combined {
-			widths = []int{1, 4}
+		opts := parallel.Options{Workers: w}
+		local, err := parallel.Run(job, opts)
+		if err != nil {
+			t.Fatalf("%s: parallel: %v", name, err)
 		}
-		for _, w := range widths {
-			name := fmt.Sprintf("mode=%v/lib=%v/preset=%v/workers=%d", c.mode, c.lib, c.preset, w)
-			sim, err := cluster.Run(job, cluster.Options{
-				Machines: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset,
-			})
-			if err != nil {
-				t.Fatalf("%s: cluster: %v", name, err)
-			}
-			opts := parallel.Options{
-				Workers: w, Mode: c.mode, Librarian: c.lib, UIDPreset: c.preset,
-			}
-			local, err := parallel.Run(job, opts)
-			if err != nil {
-				t.Fatalf("%s: parallel: %v", name, err)
-			}
-			e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
-			res, err := compileFleet(context.Background(), e.co, job, opts)
-			if err != nil {
-				t.Fatalf("%s: fleet: %v", name, err)
-			}
-			if res.Program == "" {
-				t.Fatalf("%s: empty program", name)
-			}
-			if res.Program != sim.Program {
-				t.Errorf("%s: fleet program differs from cluster program (%d vs %d bytes)",
-					name, len(res.Program), len(sim.Program))
-			}
-			if res.Program != local.Program {
-				t.Errorf("%s: fleet program differs from pool program", name)
-			}
-			if res.RemoteFrags == 0 {
-				t.Errorf("%s: no fragment evaluated remotely", name)
-			}
-			if res.Degraded {
-				t.Errorf("%s: degraded with a healthy fleet", name)
-			}
+		e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
+		res, err := compileFleet(context.Background(), e.co, job, opts)
+		if err != nil {
+			t.Fatalf("%s: fleet: %v", name, err)
+		}
+		if res.Program == "" {
+			t.Fatalf("%s: empty program", name)
+		}
+		if res.Program != sim.Program {
+			t.Errorf("%s: fleet program differs from cluster program (%d vs %d bytes)",
+				name, len(res.Program), len(sim.Program))
+		}
+		if res.Program != local.Program {
+			t.Errorf("%s: fleet program differs from pool program", name)
+		}
+		if res.RemoteFrags == 0 {
+			t.Errorf("%s: no fragment evaluated remotely", name)
+		}
+		if res.Degraded {
+			t.Errorf("%s: degraded with a healthy fleet", name)
+		}
+		if w > 1 && res.StoredStrings == 0 {
+			t.Errorf("%s: the fleet stored no librarian strings", name)
 		}
 	}
 }
@@ -209,7 +190,7 @@ func TestFleetConcurrentCompilesShareJob(t *testing.T) {
 	widths := []int{2, 4}
 	want := make([]*parallel.Result, len(widths))
 	for i, w := range widths {
-		local, err := parallel.Run(ref, parallel.Options{Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true})
+		local, err := parallel.Run(ref, parallel.Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +203,7 @@ func TestFleetConcurrentCompilesShareJob(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-				Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-			})
+			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: w})
 			got[i], errs[i] = res, err
 		}()
 	}
@@ -271,9 +250,7 @@ func TestFleetHTTPWorkers(t *testing.T) {
 	client.Start()
 	t.Cleanup(client.Stop)
 	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
-	res, err := compileFleet(context.Background(), co, job, parallel.Options{
-		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), co, job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +278,7 @@ func TestFleetCrashMidEvaluationRequeues(t *testing.T) {
 		Seed:       7,
 		CrashAfter: map[string]int{"w0": 1},
 	}, fleet.CoordinatorOptions{Retries: 1})
-	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("compile with crashing worker: %v", err)
 	}
@@ -341,9 +316,7 @@ func TestFleetAllWorkersDownDegrades(t *testing.T) {
 	client.Start()
 	t.Cleanup(client.Stop)
 	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
-	res, err := compileFleet(context.Background(), co, job, parallel.Options{
-		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), co, job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("degraded compile: %v", err)
 	}
@@ -382,9 +355,7 @@ func TestFleetSurvivesTotalFleetLoss(t *testing.T) {
 		Seed:       11,
 		CrashAfter: map[string]int{"w0": 2, "w1": 4},
 	}, fleet.CoordinatorOptions{Retries: 1})
-	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("compile through total fleet loss: %v", err)
 	}
@@ -412,9 +383,7 @@ func TestFleetCorruptResponseNeverSpliced(t *testing.T) {
 		Seed:        3,
 		CorruptProb: 0.4,
 	}, fleet.CoordinatorOptions{Retries: 8})
-	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-		Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("compile under corruption: %v", err)
 	}
@@ -455,9 +424,7 @@ func TestFleetFaultStorm(t *testing.T) {
 				DisconnectProb: 0.1,
 				CrashAfter:     map[string]int{"w1": 6},
 			}, fleet.CoordinatorOptions{Retries: 6, Seed: seed})
-			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-				Workers: 4, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-			})
+			res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: 4})
 			if err != nil {
 				t.Fatalf("fault storm: %v", err)
 			}
@@ -484,9 +451,7 @@ func TestFleetDisconnectIdempotency(t *testing.T) {
 		Seed:           13,
 		DisconnectProb: 0.3,
 	}, fleet.CoordinatorOptions{Retries: 8})
-	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{
-		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := compileFleet(context.Background(), e.co, job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("compile under disconnects: %v", err)
 	}
@@ -539,18 +504,14 @@ func TestFleetContextCancellation(t *testing.T) {
 // counters surface in Metrics and the Prometheus text format.
 func TestPoolRoutesRemote(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	local, err := parallel.Run(job, parallel.Options{
-		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	local, err := parallel.Run(job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, Remote: e.co})
 	defer pool.Close()
-	res, err := pool.Compile(context.Background(), job, parallel.Options{
-		Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	res, err := pool.Compile(context.Background(), job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +552,7 @@ func TestPoolRoutesRemote(t *testing.T) {
 // planning-time histograms — because the pool plans both kinds of job.
 func TestFleetPoolFilesPlanMetrics(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	opts := parallel.Options{Workers: 2, Mode: cluster.Combined, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Workers: 2}
 	local := parallel.NewPool(parallel.PoolOptions{Workers: 2, CacheBytes: -1})
 	defer local.Close()
 	e := newEnv(t, 2, job, nil, fleet.CoordinatorOptions{})

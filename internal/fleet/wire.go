@@ -127,18 +127,18 @@ type wireMsg struct {
 // on the new worker, which reproduces the dead worker's outputs
 // exactly (evaluation is pure and handle allocation deterministic).
 // Sessions ship priority values early: any response may carry More,
-// and the coordinator then owes the session a continue.
+// and the coordinator then owes the session a continue. Every session
+// runs the paper's configuration: the combined evaluator with
+// unique-identifier presets, and the librarian whenever the grammar
+// has a code attribute.
 type openReq struct {
-	Session   string      `json:"session"`
-	Grammar   string      `json:"grammar"`
-	Frag      int         `json:"frag"`
-	Mode      int         `json:"mode"`
-	Librarian bool        `json:"librarian"`
-	UIDPreset bool        `json:"uid_preset"`
-	UIDBase   int         `json:"uid_base"`
-	UIDs      []wireUID   `json:"uids,omitempty"`
-	Tree      []byte      `json:"tree"`
-	Journal   [][]wireMsg `json:"journal,omitempty"`
+	Session string      `json:"session"`
+	Grammar string      `json:"grammar"`
+	Frag    int         `json:"frag"`
+	UIDBase int         `json:"uid_base"`
+	UIDs    []wireUID   `json:"uids,omitempty"`
+	Tree    []byte      `json:"tree"`
+	Journal [][]wireMsg `json:"journal,omitempty"`
 }
 
 // supplyReq delivers one batch of attribute values to a session. Seq

@@ -62,9 +62,10 @@ func NewWorker() *Worker {
 	}
 }
 
-// Register makes grammar g (by its Name) servable. a may be nil if
-// only Dynamic-mode jobs will arrive; lex recomputes terminal
-// attributes after tree transfer.
+// Register makes grammar g (by its Name) servable. a is g's OAG
+// analysis, which the combined evaluator of every session needs: a
+// grammar registered without one is refused at every open (422). lex
+// recomputes terminal attributes after tree transfer.
 func (w *Worker) Register(g *ag.Grammar, a *ag.Analysis, lex tree.TerminalAttrs) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -250,7 +251,7 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	if refuse {
 		return http.StatusServiceUnavailable, []byte("fleet: worker not accepting sessions (draining or saturated)")
 	}
-	job, mode, err := req.validate(entry)
+	job, err := req.validate(entry)
 	if err != nil {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
@@ -259,11 +260,11 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	s.ep, err = cluster.NewEndpoint(job, req.Tree, cluster.FragmentSpec{
 		ID:        req.Frag,
 		UIDBase:   req.UIDBase,
-		Mode:      mode,
-		UIDPreset: req.UIDPreset,
+		Mode:      cluster.Combined,
+		UIDPreset: true,
 		Yield:     true,
 	}, cluster.Wire{
-		Librarian: req.Librarian,
+		Librarian: cluster.CodeAttr(job.G) >= 0,
 		Store: func(h int32, text string) {
 			s.stores = append(s.stores, storeOut{Handle: h, Text: text})
 		},
@@ -315,33 +316,25 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 // before anything is built, so a malformed or hostile request is
 // refused with a 422 naming the offending field instead of panicking
 // mid-construction. It returns the job the fragment evaluator is built
-// for (the unique-identifier pairs resolved to symbols) and the
-// effective mode.
-func (req *openReq) validate(entry *langEntry) (cluster.Job, cluster.Mode, error) {
-	mode := cluster.Mode(req.Mode)
-	if mode == 0 {
-		mode = cluster.Combined
-	}
-	if mode != cluster.Combined && mode != cluster.Dynamic {
-		return cluster.Job{}, 0, fmt.Errorf("fleet: mode: unknown mode %d", req.Mode)
-	}
-	if mode == cluster.Combined && entry.a == nil {
-		return cluster.Job{}, 0, fmt.Errorf("fleet: grammar %q registered without an analysis; combined mode unavailable", req.Grammar)
+// for (the unique-identifier pairs resolved to symbols).
+func (req *openReq) validate(entry *langEntry) (cluster.Job, error) {
+	if entry.a == nil {
+		return cluster.Job{}, fmt.Errorf("fleet: grammar %q registered without an analysis; combined mode unavailable", req.Grammar)
 	}
 	if req.Frag < 0 || req.Frag >= rope.MaxHandleRanges {
-		return cluster.Job{}, 0, fmt.Errorf("fleet: frag: fragment id %d out of range [0, %d)", req.Frag, rope.MaxHandleRanges)
+		return cluster.Job{}, fmt.Errorf("fleet: frag: fragment id %d out of range [0, %d)", req.Frag, rope.MaxHandleRanges)
 	}
 	job := cluster.Job{G: entry.g, A: entry.a, Lex: entry.lex, UIDs: make([]cluster.UIDPair, len(req.UIDs))}
 	for i, k := range req.UIDs {
 		if k.Sym < 0 || k.Sym >= len(entry.g.Symbols) {
-			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].sym: symbol index %d out of range", i, k.Sym)
+			return cluster.Job{}, fmt.Errorf("fleet: uids[%d].sym: symbol index %d out of range", i, k.Sym)
 		}
 		sym := entry.g.Symbols[k.Sym]
 		if k.Base < 0 || k.Base >= len(sym.Attrs) {
-			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].base: attribute index %d out of range for %s", i, k.Base, sym.Name)
+			return cluster.Job{}, fmt.Errorf("fleet: uids[%d].base: attribute index %d out of range for %s", i, k.Base, sym.Name)
 		}
 		if k.Count < 0 || k.Count >= len(sym.Attrs) {
-			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d].count: attribute index %d out of range for %s", i, k.Count, sym.Name)
+			return cluster.Job{}, fmt.Errorf("fleet: uids[%d].count: attribute index %d out of range for %s", i, k.Count, sym.Name)
 		}
 		// The presets supply counters to both attributes: a pair is an
 		// inherited base and a synthesized count of one value type, so
@@ -349,12 +342,12 @@ func (req *openReq) validate(entry *langEntry) (cluster.Job, cluster.Mode, error
 		base, count := sym.Attrs[k.Base], sym.Attrs[k.Count]
 		if base.Kind != ag.Inherited || count.Kind != ag.Synthesized || base.Codec == nil ||
 			reflect.TypeOf(base.Codec) != reflect.TypeOf(count.Codec) {
-			return cluster.Job{}, 0, fmt.Errorf("fleet: uids[%d]: %s.%s and %s.%s are not an inherited base and a synthesized count of one codec",
+			return cluster.Job{}, fmt.Errorf("fleet: uids[%d]: %s.%s and %s.%s are not an inherited base and a synthesized count of one codec",
 				i, sym.Name, base.Name, sym.Name, count.Name)
 		}
 		job.UIDs[i] = cluster.UIDPair{Sym: sym, Base: k.Base, Count: k.Count}
 	}
-	return job, mode, nil
+	return job, nil
 }
 
 // advance runs the endpoint, feeding it the pending inbound values

@@ -15,7 +15,9 @@ import (
 // the panic recovery of ServeRPC: a hostile or malformed session must
 // be refused by validation or by the fragment endpoint, with an error
 // that names what is wrong. The seeds are valid sessions of every
-// fragment of an expression program at width 4.
+// fragment of an expression program at width 4: each fragment opened
+// and fed its first input, and each opened and sent a continue (an
+// empty supply batch).
 func FuzzWorkerRPC(f *testing.F) {
 	l := exprlang.MustNew()
 	a, err := ag.Analyze(l.G)
@@ -45,16 +47,15 @@ func FuzzWorkerRPC(f *testing.F) {
 		return payload
 	}
 	for _, fr := range d.Frags {
-		for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
-			open := mustJSON(openReq{Session: "s", Grammar: l.G.Name, Frag: fr.ID, Mode: int(mode), Librarian: true, UIDBase: cluster.UIDBaseFor(fr.ID), Tree: enc[fr.ID]})
-			// A child fragment's first input is its root's symbol table;
-			// the root fragment's is a child's synthesized value.
-			msg := wireMsg{Leaf: cluster.RootLeaf, Attr: exprlang.AttrStab, Data: stabData}
-			if fr.ID == 0 {
-				msg = wireMsg{Leaf: d.Children(0)[0], Attr: exprlang.AttrValue, Data: valueData}
-			}
-			f.Add(open, mustJSON(supplyReq{Session: "s", Seq: 1, Msgs: []wireMsg{msg}}))
+		open := mustJSON(openReq{Session: "s", Grammar: l.G.Name, Frag: fr.ID, UIDBase: cluster.UIDBaseFor(fr.ID), Tree: enc[fr.ID]})
+		// A child fragment's first input is its root's symbol table;
+		// the root fragment's is a child's synthesized value.
+		msg := wireMsg{Leaf: cluster.RootLeaf, Attr: exprlang.AttrStab, Data: stabData}
+		if fr.ID == 0 {
+			msg = wireMsg{Leaf: d.Children(0)[0], Attr: exprlang.AttrValue, Data: valueData}
 		}
+		f.Add(open, mustJSON(supplyReq{Session: "s", Seq: 1, Msgs: []wireMsg{msg}}))
+		f.Add(open, mustJSON(supplyReq{Session: "s", Seq: 1}))
 	}
 	f.Fuzz(func(t *testing.T, open, supply []byte) {
 		w := NewWorker()

@@ -33,7 +33,6 @@ func testWorker(t *testing.T) (*Worker, *ag.Grammar, []byte) {
 		Session: "sess-0",
 		Grammar: l.G.Name,
 		Frag:    0,
-		Mode:    int(cluster.Combined),
 		Tree:    tree.Encode(root),
 	})
 	if err != nil {
@@ -158,7 +157,7 @@ func TestWorkerRejectsCorruptAndForeign(t *testing.T) {
 	if code, _ := w.ServeRPC(pathOpen, foreign); code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown grammar: got %d, want 422", code)
 	}
-	hostile, err := sealJSON(openReq{Session: "s", Grammar: g.Name, Frag: 1 << 30, Librarian: true})
+	hostile, err := sealJSON(openReq{Session: "s", Grammar: g.Name, Frag: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +169,8 @@ func TestWorkerRejectsCorruptAndForeign(t *testing.T) {
 	}
 }
 
-// TestWorkerValidatesOpen: an open request with an unknown mode, a
-// fragment id outside the handle-range space, an out-of-range
+// TestWorkerValidatesOpen: an open request with a fragment id outside
+// the handle-range space, an out-of-range
 // unique-identifier index or a unique-identifier pair that is not an
 // inherited base and a synthesized count of one codec is refused with
 // a 422 naming the field, before anything is built — never a contained
@@ -191,15 +190,13 @@ func TestWorkerValidatesOpen(t *testing.T) {
 		req   openReq
 		field string
 	}{
-		{"unknown mode", openReq{Mode: 7}, "mode"},
-		{"negative frag", openReq{Frag: -1, Librarian: true}, "frag"},
-		{"frag beyond handle ranges", openReq{Frag: 1 << 20, Librarian: true}, "frag"},
-		{"frag beyond handle ranges without librarian", openReq{Frag: 1 << 20}, "frag"},
-		{"uid symbol", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: len(g.Symbols)}}}, "uids[0].sym"},
-		{"uid base", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Base: bad}}}, "uids[0].base"},
-		{"uid count", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: sym.Index, Count: -1}}}, "uids[0].count"},
-		{"uid pair against the flow", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrValue, Count: exprlang.AttrStab}}}, "uids[0]"},
-		{"uid pair of two codecs", openReq{UIDPreset: true, UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrStab, Count: exprlang.AttrValue}}}, "uids[0]"},
+		{"negative frag", openReq{Frag: -1}, "frag"},
+		{"frag beyond handle ranges", openReq{Frag: 1 << 20}, "frag"},
+		{"uid symbol", openReq{UIDs: []wireUID{{Sym: len(g.Symbols)}}}, "uids[0].sym"},
+		{"uid base", openReq{UIDs: []wireUID{{Sym: sym.Index, Base: bad}}}, "uids[0].base"},
+		{"uid count", openReq{UIDs: []wireUID{{Sym: sym.Index, Count: -1}}}, "uids[0].count"},
+		{"uid pair against the flow", openReq{UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrValue, Count: exprlang.AttrStab}}}, "uids[0]"},
+		{"uid pair of two codecs", openReq{UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrStab, Count: exprlang.AttrValue}}}, "uids[0]"},
 	} {
 		c.req.Session, c.req.Grammar = "s", g.Name
 		body, err := sealJSON(c.req)
@@ -346,7 +343,7 @@ func TestWorkerPriorityShipping(t *testing.T) {
 
 	w := NewWorker()
 	w.Register(l.G, a, l.TerminalAttrs)
-	body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Mode: int(cluster.Combined), Tree: enc[0]})
+	body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Tree: enc[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

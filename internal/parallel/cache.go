@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"pag/internal/ag"
-	"pag/internal/cluster"
 	"pag/internal/rope"
 	"pag/internal/tree"
 )
@@ -31,40 +30,35 @@ import (
 //     job tree — attribute rules being pure, it determines every
 //     attribute value in the job (a separate whole-tree hash would be
 //     redundant work on every lookup),
-//   - every option that shapes the decomposition or the values
-//     (effective fragment width and granularity, mode, librarian, UID
-//     preset). Admission options (priority, client) are not inputs:
-//     they decide when a job runs, not what it computes.
+//   - every option that shapes the decomposition (effective fragment
+//     width and granularity). The evaluator configuration is not an
+//     input: every job runs the combined evaluator with
+//     unique-identifier presets. Admission options (priority, client)
+//     are not inputs either: they decide when a job runs, not what it
+//     computes.
 //
-// One entry records one whole job: its root attributes and counters.
-// A hit evaluates nothing and runs no fragment: it returns them as the
-// job's result. Every clean cold run records, whatever its tree, so an
-// edited tree misses once and hits from its second compile on. The
-// recorded root attributes are already spliced, so an entry holds no
-// librarian handle — a handle is a descriptor valid only inside the
-// run that deposited its text (§4.3).
+// One entry records one whole job: its root attributes and message
+// count. A hit evaluates nothing and runs no fragment: it returns them
+// as the job's result. Every clean cold run records, whatever its
+// tree, so an edited tree misses once and hits from its second compile
+// on.
 type cacheKey struct {
-	g                    *ag.Grammar
-	fragsHash            tree.Digest // every post-cut fragment subtree, in order
-	frags                int         // decomposition width the digests describe
-	width                int         // effective fragment cap (decomposition input)
-	gran                 int         // effective granularity (decomposition input)
-	mode                 cluster.Mode
-	librarian, uidPreset bool
+	g         *ag.Grammar
+	fragsHash tree.Digest // every post-cut fragment subtree, in order
+	frags     int         // decomposition width the digests describe
+	width     int         // effective fragment cap (decomposition input)
+	gran      int         // effective granularity (decomposition input)
 }
 
 // cacheEntry is one job's recorded result, what a hit returns: the
-// synthesized root attributes (librarian-free: the code attribute has
-// been spliced to text) and the cold run's cross-fragment message
-// count and librarian activity. The disk tier stores exactly these
-// fields (see disk.go).
+// synthesized root attributes (the code attribute flattened to one
+// leaf) and the cold run's cross-fragment message count. The disk tier
+// stores exactly these fields (see disk.go).
 type cacheEntry struct {
-	key           cacheKey
-	rootAttrs     []ag.Value
-	messages      int
-	storedStrings int
-	storedBytes   int
-	bytes         int64
+	key       cacheKey
+	rootAttrs []ag.Value
+	messages  int
+	bytes     int64
 }
 
 // memSized is implemented by attribute value types that can estimate

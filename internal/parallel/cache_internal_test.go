@@ -86,8 +86,8 @@ func TestFragCacheStatsCounters(t *testing.T) {
 }
 
 // TestRecordingsHoldNoHandles pins the recording invariant: after a
-// cold librarian compile, no recorded root attribute references
-// librarian text by handle, so the recording encodes. Handed a root
+// cold compile, no recorded root attribute references librarian text
+// by handle, so the recording encodes. Handed a root
 // code attribute that still holds a handle, encodeEntry returns the
 // code codec's error instead of panicking (the spill writer goroutine
 // has no recover).
@@ -96,7 +96,7 @@ func TestRecordingsHoldNoHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := recordEntry(t, job, Options{Fragments: 4, Librarian: true, UIDPreset: true})
+	entry := recordEntry(t, job, Options{Fragments: 4})
 	for ai, v := range entry.rootAttrs {
 		code, ok := v.(rope.Code)
 		if !ok {

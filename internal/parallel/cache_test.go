@@ -1,3 +1,7 @@
+// The warm-hit test still sets the deprecated Librarian and UIDPreset
+// knobs: it checks that the pool ignores them.
+//
+//lint:file-ignore SA1019 the deprecated knobs are set on purpose
 package parallel_test
 
 import (
@@ -15,8 +19,10 @@ import (
 // bar: a warm (whole-tree hit) compile of an identical source must
 // report what the cold run did — program text, root attributes,
 // librarian activity, message count and fragment count — for both the
-// Pascal compiler and the appendix grammar, with and without the
-// librarian.
+// Pascal compiler and the appendix grammar. The deprecated Librarian
+// and UIDPreset knobs are ignored: pascal-nolib hits the recording
+// pascal-lib made at the same width, and pascal-chain gets the
+// presets' program, the one a cache-free run gives.
 func TestCacheWarmHitByteIdentical(t *testing.T) {
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
 	defer pool.Close()
@@ -33,9 +39,16 @@ func TestCacheWarmHitByteIdentical(t *testing.T) {
 	pascal := pascalJob(t, workload.Tiny())
 	for _, c := range jobs {
 		t.Run(c.name, func(t *testing.T) {
+			ref, err := parallel.Run(pascal, parallel.Options{Fragments: c.opts.Fragments})
+			if err != nil {
+				t.Fatal(err)
+			}
 			cold, err := pool.Compile(ctx, pascal, c.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cold.Program != ref.Program {
+				t.Errorf("program differs from a cache-free run without the deprecated knobs")
 			}
 			warm, err := pool.Compile(ctx, pascal, c.opts)
 			if err != nil {
@@ -78,15 +91,17 @@ func TestCacheWarmHitByteIdentical(t *testing.T) {
 		}
 	})
 
+	// Three recordings (pascal at widths 4 and 3, exprlang); every
+	// other compile hits one of them.
 	st := pool.Stats()
-	if st.CacheHits < 4 || st.CacheMisses < 4 || st.CacheEntries < 4 {
-		t.Errorf("cache stats don't reflect the warm hits: %+v", st)
+	if st.CacheHits != 5 || st.CacheMisses != 3 || st.CacheEntries != 3 {
+		t.Errorf("want 5 hits, 3 misses, 3 entries: %+v", st)
 	}
 }
 
 // TestCacheKeySeparation checks that the content address really
 // separates what must be separated: a different source, a different
-// decomposition width and a different option set must each miss (and
+// decomposition width and a different granularity must each miss (and
 // produce their own correct output) rather than replay the wrong
 // recording.
 func TestCacheKeySeparation(t *testing.T) {
@@ -100,10 +115,10 @@ func TestCacheKeySeparation(t *testing.T) {
 		opts parallel.Options
 	}
 	variants := []variant{
-		{"tiny/4", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}},
-		{"tiny/2", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 2, Librarian: true, UIDPreset: true}},
-		{"tiny/4-nolib", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 4, UIDPreset: true}},
-		{"small/4", workload.Generate(workload.Small()), parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}},
+		{"tiny/4", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 4}},
+		{"tiny/2", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 2}},
+		{"tiny/4-gran", workload.Generate(workload.Tiny()), parallel.Options{Fragments: 4, Granularity: 8}},
+		{"small/4", workload.Generate(workload.Small()), parallel.Options{Fragments: 4}},
 	}
 	lang := pascal.MustNew()
 	for _, v := range variants {
@@ -135,7 +150,7 @@ func TestCacheKeySeparation(t *testing.T) {
 // caching pool, and a pool built with CacheBytes < 0.
 func TestCacheNoCacheBypass(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true, NoCache: true}
+	opts := parallel.Options{Fragments: 4, NoCache: true}
 	ctx := context.Background()
 
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
@@ -174,7 +189,7 @@ func TestCacheEvictionKeepsServing(t *testing.T) {
 	defer pool.Close()
 	ctx := context.Background()
 	job := pascalJob(t, workload.Tiny())
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 
 	var first string
 	for i := 0; i < 3; i++ {

@@ -8,10 +8,9 @@ package parallel
 //
 // A disk recording holds exactly what an in-memory entry holds, and
 // what a hit returns: the job's post-splice root attributes and its
-// three counters (messages, librarian strings and bytes). One
-// compilation's output is its root attributes (§4.3) — the spliced
-// program is among them — so nothing else is needed to serve an
-// identical tree.
+// cross-fragment message count. One compilation's output is its root
+// attributes (§4.3) — the spliced program is among them — so nothing
+// else is needed to serve an identical tree.
 //
 // Soundness carries over from the in-memory design unchanged because
 // the disk key is a superset of the in-memory one. cacheKey leans on
@@ -30,10 +29,10 @@ package parallel
 //
 // Each root attribute is stored as its own codec's bytes — the bytes
 // a cluster.Endpoint ships with the librarian off, the canonical form
-// the byte-identity oracle is built on. The recorded root attributes
-// are already spliced, so they hold no librarian handle; a value that
-// still holds one (CodeCodec.Encode refuses it) or has no codec is an
-// encoding error, not something to persist.
+// the byte-identity oracle is built on. The pool keeps no librarian,
+// so a recorded value holds no handle; a value that did (CodeCodec.Encode
+// refuses it) or has no codec is an encoding error, not something to
+// persist.
 
 import (
 	"crypto/sha256"
@@ -53,11 +52,11 @@ import (
 // entries. It participates in both the cas scope (a bump wipes stale
 // directories wholesale) and each payload's leading byte (belt and
 // suspenders against mixed-version shared directories).
-const entryFormat = 4
+const entryFormat = 5
 
 // DiskScope is the cas scope string pools open their store under;
 // sharing a directory requires sharing the scope.
-const DiskScope = "pag-fragment-recordings/v4"
+const DiskScope = "pag-fragment-recordings/v5"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
 // wiping) dir as a persistent whole-job cache store for
@@ -251,8 +250,6 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	num(int64(k.frags))
 	num(int64(k.width))
 	num(int64(k.gran))
-	num(int64(k.mode))
-	num(b2i(k.librarian)<<1 | b2i(k.uidPreset))
 	var key cas.Key
 	h.Sum(key[:0])
 	return key
@@ -351,7 +348,7 @@ func (d *entryDec) bytes() []byte {
 
 // encodeEntry serializes what a disk hit returns: the format byte, the
 // root attributes of g's start symbol (each a nil flag, then its
-// codec's bytes) and the three job counters.
+// codec's bytes) and the message count.
 func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
 	e := &entryEnc{}
 	e.u(entryFormat)
@@ -374,8 +371,6 @@ func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
 		e.bytes(data)
 	}
 	e.u(uint64(entry.messages))
-	e.u(uint64(entry.storedStrings))
-	e.u(uint64(entry.storedBytes))
 	return e.buf, e.err
 }
 
@@ -413,8 +408,6 @@ func decodeEntry(data []byte, g *ag.Grammar) (*cacheEntry, error) {
 		entry.rootAttrs[ai] = v
 	}
 	entry.messages = d.counter()
-	entry.storedStrings = d.counter()
-	entry.storedBytes = d.counter()
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -67,8 +67,8 @@ func FuzzDecodeEntry(f *testing.F) {
 		job  cluster.Job
 		opts Options
 	}{
-		{ejob, Options{Fragments: 3, Librarian: true, UIDPreset: true}},
-		{pjob, Options{Fragments: 3, Librarian: true, UIDPreset: true}},
+		{ejob, Options{Fragments: 3}},
+		{pjob, Options{Fragments: 3}},
 		{pjob, Options{Fragments: 2}},
 	} {
 		f.Add(record(f, c.job, c.opts))
@@ -107,12 +107,12 @@ func tinyRecording(t *testing.T) ([]byte, *ag.Grammar) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return record(t, job, Options{Fragments: 3, Librarian: true, UIDPreset: true}), job.G
+	return record(t, job, Options{Fragments: 3}), job.G
 }
 
 // TestDiskRejectsOldFormat checks the recording format gate: a payload
-// in the previous layout (leading byte 3, whose recordings carried
-// every fragment's messages for cross-process incremental replay) is
+// in the previous layout (leading byte 4, whose recordings carried the
+// librarian's string and byte counts after the message count) is
 // refused at its first byte, before any of its fields is read under
 // the current layout.
 func TestDiskRejectsOldFormat(t *testing.T) {
@@ -120,10 +120,10 @@ func TestDiskRejectsOldFormat(t *testing.T) {
 	if _, err := decodeEntry(data, g); err != nil {
 		t.Fatalf("current recording does not decode: %v", err)
 	}
-	data[0] = 3
+	data[0] = 4
 	_, err := decodeEntry(data, g)
-	if err == nil || !strings.Contains(err.Error(), "recording format 3") {
-		t.Fatalf("format-3 payload: got %v, want a recording format error", err)
+	if err == nil || !strings.Contains(err.Error(), "recording format 4") {
+		t.Fatalf("format-4 payload: got %v, want a recording format error", err)
 	}
 }
 

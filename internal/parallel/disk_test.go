@@ -1,3 +1,7 @@
+// The warm-restart cases set the deprecated Librarian and UIDPreset
+// knobs: they check that the pool ignores them.
+//
+//lint:file-ignore SA1019 the deprecated knobs are set on purpose
 package parallel_test
 
 import (
@@ -43,8 +47,9 @@ func diskPool(t *testing.T, dir string) *parallel.Pool {
 // TestDiskWarmRestartByteIdentical is the persistent cache's core
 // contract: a SECOND pool over the same directory — a restarted
 // process, as far as the cache can tell — serves the job as a disk
-// hit, byte-identical to the first pool's cold run, with and without
-// the librarian.
+// hit, byte-identical to the first pool's cold run. The deprecated
+// Librarian and UIDPreset knobs are ignored: every case compiles to
+// the program of a cache-free run without them.
 func TestDiskWarmRestartByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -60,10 +65,17 @@ func TestDiskWarmRestartByteIdentical(t *testing.T) {
 			job := pascalJob(t, workload.Tiny())
 			ctx := context.Background()
 
+			ref, err := parallel.Run(job, parallel.Options{Fragments: c.opts.Fragments})
+			if err != nil {
+				t.Fatal(err)
+			}
 			pool1 := diskPool(t, dir)
 			cold, err := pool1.Compile(ctx, job, c.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cold.Program != ref.Program {
+				t.Errorf("program differs from a cache-free run without the deprecated knobs")
 			}
 			pool1.Close() // flushes the write-behind spill
 			if st := pool1.Stats(); st.DiskWrites < 1 {
@@ -121,7 +133,7 @@ func TestDiskEditAfterRestartCompilesCold(t *testing.T) {
 	dir := t.TempDir()
 	base := workload.Generate(workload.Tiny())
 	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 	ctx := context.Background()
 
 	pool1 := diskPool(t, dir)
@@ -200,7 +212,7 @@ func TestDiskCorruptEntrySkippedAndRewritten(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			job := pascalJob(t, workload.Tiny())
-			opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+			opts := parallel.Options{Fragments: 4}
 			ctx := context.Background()
 
 			pool1 := diskPool(t, dir)
@@ -265,7 +277,7 @@ func TestDiskSharedDirConcurrent(t *testing.T) {
 		workload.Generate(workload.Tiny()),
 		workload.Generate(workload.Small()),
 	}
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 	refs := make([]string, len(srcs))
 	for i, src := range srcs {
 		res, err := parallel.Run(pascalSrcJob(t, src), opts)
@@ -313,11 +325,11 @@ func TestDiskSharedDirConcurrent(t *testing.T) {
 }
 
 // TestDiskScopeMismatchWipes: a directory written under a different
-// cas scope opens clean (no misreads, no errors) — the versioning
-// story end to end.
+// cas scope — the previous recording format's — opens clean (no
+// misreads, no errors): the versioning story end to end.
 func TestDiskScopeMismatchWipes(t *testing.T) {
 	dir := t.TempDir()
-	stale, err := cas.Open(cas.Options{Dir: dir, Scope: "some-older-layout/v0"})
+	stale, err := cas.Open(cas.Options{Dir: dir, Scope: "pag-fragment-recordings/v4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +341,7 @@ func TestDiskScopeMismatchWipes(t *testing.T) {
 	pool := diskPool(t, dir) // opens with parallel.DiskScope, wipes
 	defer pool.Close()
 	job := pascalJob(t, workload.Tiny())
-	if _, err := pool.Compile(context.Background(), job, parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}); err != nil {
+	if _, err := pool.Compile(context.Background(), job, parallel.Options{Fragments: 4}); err != nil {
 		t.Fatal(err)
 	}
 	st := pool.Stats()

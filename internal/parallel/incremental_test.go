@@ -123,7 +123,7 @@ func TestEditOnWarmPoolIsRecorded(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
 			defer pool.Close()
-			opts := parallel.Options{Fragments: c.width, Librarian: true, UIDPreset: true}
+			opts := parallel.Options{Fragments: c.width}
 
 			editedJob := pascalSrcJob(t, c.edited)
 			want := coldProgram(t, editedJob, opts)
@@ -149,7 +149,7 @@ func TestIncrementalRepeatedEditsStaySound(t *testing.T) {
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
 	defer pool.Close()
 	ctx := context.Background()
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 
 	if _, err := pool.Compile(ctx, pascalSrcJob(t, base), opts); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestIncrementalConcurrentStress(t *testing.T) {
 		editSameLen(t, base, "(gcount - gcount)", "(gcount - gtotal)"),
 		editSameLen(t, base, "scale = 4", "scale = 7"),
 	}
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 	jobs := make([]cluster.Job, len(variants))
 	refs := make([]string, len(variants))
 	for i, src := range variants {

@@ -1,3 +1,7 @@
+// The reuse cases set the deprecated Mode and Librarian knobs on
+// purpose: the pool refuses the one and ignores the other.
+//
+//lint:file-ignore SA1019 the deprecated knobs are set on purpose
 package parallel_test
 
 import (
@@ -14,7 +18,6 @@ import (
 	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/parallel"
-	"pag/internal/rope"
 	"pag/internal/tree"
 	"pag/internal/workload"
 )
@@ -89,17 +92,17 @@ func boomListJob(t *testing.T, first string) cluster.Job {
 // TestCompileRestoresTree checks the in-place contract of Pool.Compile:
 // the pool cuts the caller's tree and evaluates it where it lies, with
 // no copy, and on every return path — success, cancellation, a
-// panicking rule, an exhausted librarian range — it hands the tree back
-// encoding, hashing and sized exactly as before. The same tree then
-// compiles again, under other options and cache states, to the program
-// a fresh parse gives.
+// panicking rule, a refused mode — it hands the tree back encoding,
+// hashing and sized exactly as before. The same tree then compiles
+// again, under other options and cache states, to the program a fresh
+// parse gives.
 func TestCompileRestoresTree(t *testing.T) {
 	base := workload.Generate(workload.Tiny())
 	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
 	job := pascalSrcJob(t, base)
 	before := stateOf(job.Root)
 	ctx := context.Background()
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 
 	t.Run("success", func(t *testing.T) {
 		pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
@@ -129,7 +132,7 @@ func TestCompileRestoresTree(t *testing.T) {
 		for _, d := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
 			cctx, cancel := context.WithCancel(ctx)
 			timer := time.AfterFunc(d, cancel)
-			_, err := pool.Compile(cctx, job, parallel.Options{Fragments: 8, Librarian: true, UIDPreset: true, NoCache: true})
+			_, err := pool.Compile(cctx, job, parallel.Options{Fragments: 8, NoCache: true})
 			timer.Stop()
 			cancel()
 			switch {
@@ -163,18 +166,6 @@ func TestCompileRestoresTree(t *testing.T) {
 		}
 	})
 
-	t.Run("range exhausted", func(t *testing.T) {
-		pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
-		defer pool.Close()
-		restore := rope.SetRangeCapForTesting(0)
-		_, err := pool.Compile(ctx, job, opts)
-		restore()
-		if !errors.Is(err, rope.ErrRangeExhausted) {
-			t.Fatalf("exhausted job returned %v, want ErrRangeExhausted", err)
-		}
-		checkRestored(t, "range exhausted", job.Root, before)
-	})
-
 	// Reuse: the tree every case above compiled, compiled again, must
 	// give what a fresh parse gives under the same options.
 	fresh := func(t *testing.T, o parallel.Options) string {
@@ -190,18 +181,18 @@ func TestCompileRestoresTree(t *testing.T) {
 		name string
 		opts parallel.Options
 	}{
-		{"width 1", parallel.Options{Fragments: 1, Librarian: true, UIDPreset: true}},
-		{"width 2", parallel.Options{Fragments: 2, Librarian: true, UIDPreset: true}},
-		{"width 3", parallel.Options{Fragments: 3, Librarian: true, UIDPreset: true}},
-		{"width 8", parallel.Options{Fragments: 8, Librarian: true, UIDPreset: true}},
-		{"dynamic", parallel.Options{Fragments: 4, Mode: cluster.Dynamic, Librarian: true, UIDPreset: true}},
-		{"no librarian", parallel.Options{Fragments: 4, UIDPreset: true}},
+		{"width 1", parallel.Options{Fragments: 1}},
+		{"width 2", parallel.Options{Fragments: 2}},
+		{"width 3", parallel.Options{Fragments: 3}},
+		{"width 8", parallel.Options{Fragments: 8}},
+		// The deprecated Librarian knob is ignored.
+		{"no librarian", parallel.Options{Fragments: 4, Librarian: false}},
 	}
 	for _, c := range reuse {
 		t.Run("reuse "+c.name, func(t *testing.T) {
 			pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
 			defer pool.Close()
-			want := fresh(t, c.opts)
+			want := fresh(t, parallel.Options{Fragments: c.opts.Fragments})
 			// Cold (recording), then warm (whole-tree hit).
 			for _, round := range []string{"cold", "warm"} {
 				res, err := pool.Compile(ctx, job, c.opts)
@@ -215,6 +206,25 @@ func TestCompileRestoresTree(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("reuse dynamic", func(t *testing.T) {
+		pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
+		defer pool.Close()
+		// The pool refuses dynamic mode before it touches the tree; the
+		// tree then compiles as usual.
+		if _, err := pool.Compile(ctx, job, parallel.Options{Fragments: 4, Mode: cluster.Dynamic}); err == nil {
+			t.Fatal("dynamic-mode compile was not refused")
+		}
+		checkRestored(t, "refused dynamic", job.Root, before)
+		res, err := pool.Compile(ctx, job, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Program != fresh(t, opts) {
+			t.Fatal("compile of the reused tree after a refused mode differs from a fresh parse")
+		}
+		checkRestored(t, "dynamic", job.Root, before)
+	})
 
 	t.Run("reuse incremental", func(t *testing.T) {
 		pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
@@ -247,7 +257,7 @@ func TestSameTreeConcurrentCompiles(t *testing.T) {
 	src := workload.Generate(workload.Tiny())
 	job := pascalSrcJob(t, src)
 	before := stateOf(job.Root)
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Fragments: 4}
 	ref, err := parallel.Run(pascalSrcJob(t, src), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,8 @@ type poolMetrics struct {
 
 // maxPlanWidthBucket is the largest decomposition width with its own
 // slot in the chosen-width histogram; wider jobs share the overflow
-// slot. 32 covers rope.MaxHandleRanges and every realistic core count.
+// slot. 32 covers every realistic core count; wider requests
+// oversubscribe the pool, which sets no upper bound on the width.
 const maxPlanWidthBucket = 32
 
 // observePlan files one completed job's planning outcome.

@@ -9,8 +9,9 @@
 //     granularity policy as the simulated cluster (internal/tree), and
 //     each fragment evaluator works on its own subtree of it.
 //   - The attribute evaluator machines become a pool of N worker
-//     goroutines. Each tree fragment is an actor owning one combined or
-//     dynamic evaluator (internal/eval); a fragment is scheduled onto a
+//     goroutines. Each tree fragment is an actor owning one combined
+//     evaluator (internal/eval) with unique-identifier presets (§4.3),
+//     the paper's configuration; a fragment is scheduled onto a
 //     worker whenever it has unprocessed input, and at most one worker
 //     drives a given fragment at a time. Runnable fragments sit in
 //     per-worker work-stealing deques (local LIFO push/pop, random
@@ -24,17 +25,20 @@
 //     evaluates and delivers each batch under a single mailbox lock,
 //     and the receiver drains its whole inbox under one acquisition.
 //     Priority attributes (§4.3) skip the batch and ship immediately.
-//   - The string librarian process becomes rope.Librarian, a
-//     mutex-protected store: evaluators deposit generated text and
-//     exchange O(1)-sized rope descriptors; the final program is
-//     spliced once at the end (§4.3).
+//   - The string librarian (§4.3) has nothing to do in shared memory:
+//     it exists so that code text is not copied across the network,
+//     and a rope pointer already is an O(1) descriptor. Code
+//     attributes cross fragment edges as ropes and the final program
+//     is flattened once at the end. The simulated cluster and the
+//     worker fleet, whose fragments talk over a wire, keep the
+//     librarian.
 //
 // The paper frames the evaluator machines as a standing facility that
 // compilations are farmed out to (§3), and that is how the runtime is
 // organized: Pool is the long-lived facility — worker goroutines,
 // deques, shared read-only analyses — multiplexing many concurrent
-// jobs, each isolated in its own fragment set and librarian handle
-// namespace. Run wraps a whole Pool lifecycle around a single job.
+// jobs, each isolated in its own fragment set. Run wraps a whole Pool
+// lifecycle around a single job.
 //
 // Because attribute evaluation is purely functional, the result is
 // deterministic regardless of scheduling, and byte-identical to the
@@ -52,7 +56,6 @@ import (
 	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/eval"
-	"pag/internal/rope"
 	"pag/internal/tree"
 )
 
@@ -67,19 +70,24 @@ type Options struct {
 	// policy, so results are byte-identical to cluster.Run with
 	// Machines == Workers). Larger values oversubscribe the pool.
 	Fragments int
-	// Mode selects the evaluation strategy (default Combined).
+	// Mode must be 0 or cluster.Combined: the real runtimes run only
+	// the combined evaluator, and Compile rejects any other mode.
+	//
+	// Deprecated: ignored; the next benchmark-harness PR deletes it.
 	Mode cluster.Mode
-	// Librarian routes code attributes through a shared rope.Librarian:
-	// fragments exchange O(1) descriptors instead of rope structure.
-	// With the librarian enabled the effective Fragments request (and
-	// hence the worker count it defaults from) must not exceed
-	// rope.MaxHandleRanges; the run rejects wider requests up front
-	// rather than risk silent handle-range collisions.
+	// Librarian has no effect: the pool shares code ropes by pointer,
+	// and the fleet uses its librarian whenever the grammar has a code
+	// attribute.
+	//
+	// Deprecated: ignored; the next benchmark-harness PR deletes it.
 	Librarian bool
 	// Granularity is the minimum linearized subtree size for a split;
 	// 0 derives it from the tree size and fragment count.
 	Granularity int
-	// UIDPreset enables per-fragment unique-identifier bases (§4.3).
+	// UIDPreset has no effect: every job runs with per-fragment
+	// unique-identifier bases (§4.3).
+	//
+	// Deprecated: ignored; the next benchmark-harness PR deletes it.
 	UIDPreset bool
 	// NoCache bypasses the pool's content-addressed whole-job cache for
 	// this job: nothing is looked up and nothing is recorded. Jobs on a
@@ -100,11 +108,10 @@ type Options struct {
 type Result struct {
 	// RootAttrs holds the synthesized attributes of the tree root,
 	// indexed by attribute index. The code attribute, if any, is always
-	// a handle-free Code (librarian descriptors are resolved before the
-	// run returns).
+	// the flattened program as a handle-free rope.Leaf.
 	RootAttrs []ag.Value
-	// Program is the final code text, spliced via the librarian when
-	// enabled, if the grammar has a code attribute.
+	// Program is the final code text, if the grammar has a code
+	// attribute.
 	Program string
 	// WallTime is the real elapsed time of the whole run, as measured
 	// on this machine — the number the simulated cluster can only
@@ -118,8 +125,8 @@ type Result struct {
 	// reaches quiescence. This is the phase the paper's running-time
 	// figures measure.
 	EvalTime time.Duration
-	// SpliceTime covers assembling the final program text (librarian
-	// splice / rope flatten) after evaluation.
+	// SpliceTime covers assembling the final program text (rope
+	// flatten) after evaluation.
 	SpliceTime time.Duration
 	// Stats aggregates evaluator statistics across fragments.
 	Stats eval.Stats
@@ -138,9 +145,9 @@ type Result struct {
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int
-	// StoredStrings and StoredBytes report librarian activity. A
-	// whole-tree cache hit runs no fragment; it reports these three
-	// counters as the cold run that made the recording counted them.
+	// StoredStrings and StoredBytes report librarian activity: always
+	// zero on the local pool, which keeps no librarian, and the fleet
+	// librarian's strings and bytes on a fleet job.
 	StoredStrings int
 	StoredBytes   int
 	// PlanStats describes the decomposition planning of this job.
@@ -224,22 +231,17 @@ type frag struct {
 	out   []outBatch
 	prio  [1]message             // scratch for immediate (priority) sends
 	ev    eval.FragmentEvaluator // created on first step, in a worker
-	store func(text string) (int32, error)
 	stats eval.Stats
 }
 
 // rt is the state of one job in flight on a Pool: the job's private
-// fragment set, librarian (handle namespace), message counters and
-// quiescence tracking. The sched it pushes to is the pool's shared
-// scheduler.
+// fragment set, message counters and quiescence tracking. The sched it
+// pushes to is the pool's shared scheduler.
 type rt struct {
-	job  cluster.Job
-	opts Options
+	job cluster.Job
 
 	frags  []*frag
 	leafOf map[int]*tree.Node // child fragment id -> remote leaf in parent
-	lib    *rope.Librarian
-	useLib bool
 
 	sched   *sched
 	pending atomic.Int64 // queued or running fragments; 0 = quiescent
@@ -250,8 +252,8 @@ type rt struct {
 	ctx       context.Context
 	cancelled atomic.Bool
 	// failMu/failErr hold the first evaluation failure (a recovered
-	// panic or handle-range exhaustion); fail() also flips cancelled so
-	// the job's remaining fragments are reclaimed, not evaluated.
+	// panic); fail() also flips cancelled so the job's remaining
+	// fragments are reclaimed, not evaluated.
 	failMu  sync.Mutex
 	failErr error
 	// quiet closes at job quiescence: no fragment queued or running
@@ -269,12 +271,9 @@ type rt struct {
 // Services that compile repeatedly should hold a Pool and call Compile
 // instead.
 func Run(job cluster.Job, opts Options) (*Result, error) {
-	if opts.Mode == 0 {
-		opts.Mode = cluster.Combined
-	}
 	// One-shot runs keep the strict contract: the caller supplies the
 	// analysis (a Pool would compute and cache one per grammar).
-	if opts.Mode == cluster.Combined && job.A == nil {
+	if job.A == nil {
 		return nil, fmt.Errorf("parallel: combined mode requires an OAG analysis")
 	}
 	// A one-shot pool serves exactly one job, so its whole-job cache
@@ -364,9 +363,9 @@ func (r *rt) step(w int, f *frag) {
 }
 
 // jobPanic carries an error out of fragment evaluation through
-// panic/recover: semantic-rule hooks have no error returns, so deep
-// failures (librarian handle-range exhaustion above all) unwind to the
-// worker's recovery point, which files them as a clean job failure.
+// panic/recover: the evaluator is built inside a worker, so a
+// construction failure unwinds to the worker's recovery point, which
+// files it as a clean job failure.
 type jobPanic struct{ err error }
 
 // stepGuarded is step's body with panic containment: a panicking
@@ -477,30 +476,19 @@ func (r *rt) run(w int, f *frag) {
 // analysis runs inside the pool, in parallel across fragments) under
 // the shared §4.3 fragment policy of cluster.NewFragmentEvaluator.
 func (r *rt) initFrag(f *frag) {
-	// Per-fragment handle range, as in the simulated cluster: stores
-	// from a fragment are sequential (one worker drives it at a time),
-	// and ranges of distinct fragments never collide. The librarian
-	// itself is private to the job, so fragments of concurrent jobs
-	// cannot collide either. Only librarian runs need a range
-	// (HandleBase bounds-checks the id; the pool has validated the
-	// decomposition width when the librarian is in play).
-	if r.useLib {
-		f.store = r.lib.Range(rope.HandleBase(f.id))
-	}
 	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{
 		ID:        f.id,
 		Root:      f.root,
 		Leaves:    f.leaves,
 		UIDBase:   cluster.UIDBaseFor(f.id),
-		Mode:      r.opts.Mode,
-		UIDPreset: r.opts.UIDPreset,
+		Mode:      cluster.Combined,
+		UIDPreset: true,
 		Down: func(leaf *tree.Node, attr int, v ag.Value, priority bool) {
 			child := r.frags[leaf.RemoteID]
-			r.send(f, child, message{node: child.root, attr: attr, val: r.outbound(f, leaf.Sym, attr, v)}, priority)
+			r.send(f, child, message{node: child.root, attr: attr, val: v}, priority)
 		},
 		Up: func(attr int, v ag.Value, priority bool) {
-			r.send(f, r.frags[f.parent],
-				message{node: r.leafOf[f.id], attr: attr, val: r.outbound(f, f.root.Sym, attr, v)}, priority)
+			r.send(f, r.frags[f.parent], message{node: r.leafOf[f.id], attr: attr, val: v}, priority)
 		},
 		// Only the worker driving fragment 0 writes the results.
 		Result: func(attr int, v ag.Value) { r.rootAttrs[attr] = v },
@@ -509,28 +497,4 @@ func (r *rt) initFrag(f *frag) {
 		panic(jobPanic{fmt.Errorf("parallel: fragment %d: %w", f.id, err)})
 	}
 	f.ev = ev
-}
-
-// outbound prepares an attribute value for another fragment. Code
-// attributes are converted to librarian descriptors when the librarian
-// is enabled; everything else is shared directly (attribute values are
-// immutable). Handle-range exhaustion unwinds as a jobPanic: the
-// worker's recovery point fails this one job and the pool keeps
-// serving the rest.
-func (r *rt) outbound(f *frag, sym *ag.Symbol, attr int, v ag.Value) ag.Value {
-	if !r.useLib || v == nil {
-		return v
-	}
-	if _, ok := sym.Attrs[attr].Codec.(rope.ShipCodec); !ok {
-		return v
-	}
-	code, ok := v.(rope.Code)
-	if !ok {
-		return v
-	}
-	d, err := rope.ToDescriptor(code, f.store)
-	if err != nil {
-		panic(jobPanic{fmt.Errorf("parallel: fragment %d: %w", f.id, err)})
-	}
-	return d
 }

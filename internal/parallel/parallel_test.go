@@ -1,7 +1,9 @@
 package parallel_test
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pag/internal/ag"
@@ -37,61 +39,57 @@ func pascalJob(t *testing.T, cfg workload.Config) cluster.Job {
 }
 
 // TestParallelMatchesClusterExprlang checks that the real runtime and
-// the simulated cluster agree on the appendix grammar for every mode
-// and worker count.
+// the simulated cluster agree on the appendix grammar for every worker
+// count. The simulator's dynamic mode is compared with its combined
+// mode by TestModesProduceIdenticalOutput.
 func TestParallelMatchesClusterExprlang(t *testing.T) {
 	job := exprJob(t, exprlang.Generate(8, 6))
-	for _, mode := range []cluster.Mode{cluster.Combined, cluster.Dynamic} {
-		for _, w := range []int{1, 2, 4, 6} {
-			sim, err := cluster.Run(job, cluster.Options{Machines: w, Mode: mode})
-			if err != nil {
-				t.Fatalf("cluster %v x%d: %v", mode, w, err)
-			}
-			real, err := parallel.Run(job, parallel.Options{Workers: w, Mode: mode})
-			if err != nil {
-				t.Fatalf("parallel %v x%d: %v", mode, w, err)
-			}
-			if got, want := fmt.Sprint(real.RootAttrs[exprlang.AttrValue]), fmt.Sprint(sim.RootAttrs[exprlang.AttrValue]); got != want {
-				t.Errorf("%v x%d: value = %s, want %s", mode, w, got, want)
-			}
-			if real.Frags != sim.Frags {
-				t.Errorf("%v x%d: frags = %d, cluster had %d", mode, w, real.Frags, sim.Frags)
-			}
+	for _, w := range []int{1, 2, 4, 6} {
+		sim, err := cluster.Run(job, cluster.Options{Machines: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true})
+		if err != nil {
+			t.Fatalf("cluster x%d: %v", w, err)
+		}
+		real, err := parallel.Run(job, parallel.Options{Workers: w})
+		if err != nil {
+			t.Fatalf("parallel x%d: %v", w, err)
+		}
+		if got, want := fmt.Sprint(real.RootAttrs[exprlang.AttrValue]), fmt.Sprint(sim.RootAttrs[exprlang.AttrValue]); got != want {
+			t.Errorf("x%d: value = %s, want %s", w, got, want)
+		}
+		if real.Frags != sim.Frags {
+			t.Errorf("x%d: frags = %d, cluster had %d", w, real.Frags, sim.Frags)
 		}
 	}
 }
 
 // TestParallelMatchesClusterPascal checks byte-identical generated code
-// on the Pascal compiler, with and without the librarian and the
-// unique-identifier preset, across worker counts.
+// on the Pascal compiler across worker counts: the pool, which keeps no
+// librarian, against the simulator with its librarian on and off. The
+// pool deposits nothing, so it reports no stored strings.
 func TestParallelMatchesClusterPascal(t *testing.T) {
 	job := pascalJob(t, workload.Small())
-	for _, lib := range []bool{true, false} {
-		for _, preset := range []bool{true, false} {
-			for _, w := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("lib=%v/preset=%v/workers=%d", lib, preset, w)
-				sim, err := cluster.Run(job, cluster.Options{
-					Machines: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: preset,
-				})
-				if err != nil {
-					t.Fatalf("%s: cluster: %v", name, err)
-				}
-				real, err := parallel.Run(job, parallel.Options{
-					Workers: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: preset,
-				})
-				if err != nil {
-					t.Fatalf("%s: parallel: %v", name, err)
-				}
-				if real.Program == "" {
-					t.Fatalf("%s: empty program", name)
-				}
-				if real.Program != sim.Program {
-					t.Errorf("%s: parallel program differs from cluster program (%d vs %d bytes)",
-						name, len(real.Program), len(sim.Program))
-				}
-				if lib && w > 1 && real.StoredStrings == 0 {
-					t.Errorf("%s: librarian enabled but no strings stored", name)
-				}
+	for _, w := range []int{1, 2, 4, 8} {
+		real, err := parallel.Run(job, parallel.Options{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: parallel: %v", w, err)
+		}
+		if real.Program == "" {
+			t.Fatalf("workers=%d: empty program", w)
+		}
+		if real.StoredStrings != 0 || real.StoredBytes != 0 {
+			t.Errorf("workers=%d: pool reports %d stored strings (%d bytes), want none", w, real.StoredStrings, real.StoredBytes)
+		}
+		for _, lib := range []bool{true, false} {
+			name := fmt.Sprintf("lib=%v/workers=%d", lib, w)
+			sim, err := cluster.Run(job, cluster.Options{
+				Machines: w, Mode: cluster.Combined, Librarian: lib, UIDPreset: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: cluster: %v", name, err)
+			}
+			if real.Program != sim.Program {
+				t.Errorf("%s: parallel program differs from cluster program (%d vs %d bytes)",
+					name, len(real.Program), len(sim.Program))
 			}
 		}
 	}
@@ -109,9 +107,7 @@ func TestParallelManyWorkersAndFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		res, err := parallel.Run(job, parallel.Options{
-			Workers: 4, Fragments: 16, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-		})
+		res, err := parallel.Run(job, parallel.Options{Workers: 4, Fragments: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +125,7 @@ func TestParallelManyWorkersAndFragments(t *testing.T) {
 // goroutine scheduling.
 func TestParallelDeterministic(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	opts := parallel.Options{Workers: 8, Mode: cluster.Combined, Librarian: true, UIDPreset: true}
+	opts := parallel.Options{Workers: 8}
 	a, err := parallel.Run(job, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -149,27 +145,29 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelDynamicModePascal checks the purely dynamic evaluator
-// path end to end on the Pascal grammar.
-func TestParallelDynamicModePascal(t *testing.T) {
+// TestPoolRejectsDynamicMode checks that the pool refuses the
+// simulator's dynamic-mode ablation with an error naming the mode,
+// rather than silently running the combined evaluator in its place,
+// and keeps serving the paper's configuration afterwards.
+func TestPoolRejectsDynamicMode(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	sim, err := cluster.Run(job, cluster.Options{
-		Machines: 4, Mode: cluster.Dynamic, Librarian: true, UIDPreset: true,
-	})
+	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
+	defer pool.Close()
+	//lint:ignore SA1019 the test checks that the deprecated knob is refused
+	_, err := pool.Compile(context.Background(), job, parallel.Options{Mode: cluster.Dynamic})
+	if err == nil || !strings.Contains(err.Error(), "dynamic") {
+		t.Fatalf("dynamic-mode compile returned %v, want a rejection naming the mode", err)
+	}
+	if st := pool.Stats(); st.Done != 0 || st.Failed != 0 {
+		t.Errorf("rejected job counted as done %d / failed %d, want neither", st.Done, st.Failed)
+	}
+	//lint:ignore SA1019 Combined is the one mode the deprecated knob still accepts
+	res, err := pool.Compile(context.Background(), job, parallel.Options{Mode: cluster.Combined})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("combined mode after the rejection: %v", err)
 	}
-	real, err := parallel.Run(job, parallel.Options{
-		Workers: 4, Mode: cluster.Dynamic, Librarian: true, UIDPreset: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if real.Program != sim.Program {
-		t.Error("dynamic-mode parallel program differs from cluster program")
-	}
-	if real.Stats.DynamicEvals == 0 || real.Stats.StaticEvals != 0 {
-		t.Errorf("dynamic mode stats look wrong: %+v", real.Stats)
+	if res.Program == "" {
+		t.Fatal("combined mode after the rejection: empty program")
 	}
 }
 
@@ -177,45 +175,42 @@ func TestParallelDynamicModePascal(t *testing.T) {
 func TestParallelCombinedNeedsAnalysis(t *testing.T) {
 	job := exprJob(t, "1+2")
 	job.A = nil
-	if _, err := parallel.Run(job, parallel.Options{Workers: 2, Mode: cluster.Combined}); err == nil {
+	if _, err := parallel.Run(job, parallel.Options{Workers: 2}); err == nil {
 		t.Fatal("expected an error for combined mode without analysis")
 	}
 }
 
-// TestParallelHugeFragmentRequest checks that asking for more
-// fragments than the librarian has handle ranges is rejected up front
-// when the librarian is in play (handle ranges would collide
-// silently), and still works without the librarian, where no handle
-// ranges exist and the decomposition is bounded by the tree itself.
+// TestParallelHugeFragmentRequest checks that a fragment request wider
+// than the librarian's handle ranges runs on the pool: the pool keeps
+// no librarian, so it has no handle ranges to run out of, and the
+// decomposition is bounded by the tree itself. (The fleet, which keeps
+// the librarian, refuses such a width; see
+// TestCoordinatorRejectsTooManyFragments.)
 func TestParallelHugeFragmentRequest(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	if _, err := parallel.Run(job, parallel.Options{
-		Workers: 2, Fragments: rope.MaxHandleRanges + 1, Librarian: true, UIDPreset: true,
-	}); err == nil {
-		t.Fatal("librarian: expected an error for a fragment request wider than the handle ranges")
-	}
-	res, err := parallel.Run(job, parallel.Options{
-		Workers: 2, Fragments: rope.MaxHandleRanges + 1, Librarian: false, UIDPreset: true,
-	})
+	res, err := parallel.Run(job, parallel.Options{Workers: 2, Fragments: rope.MaxHandleRanges + 1})
 	if err != nil {
-		t.Fatalf("no librarian: %v", err)
+		t.Fatal(err)
 	}
 	if res.Frags > rope.MaxHandleRanges {
-		t.Fatalf("no librarian: tiny tree decomposed into %d fragments", res.Frags)
+		t.Fatalf("tiny tree decomposed into %d fragments", res.Frags)
 	}
 	if res.Program == "" {
-		t.Fatal("no librarian: empty program")
+		t.Fatal("empty program")
 	}
 }
 
-// TestParallelHugeWorkerRequest checks the same validation when the
-// width comes from the worker count (Fragments defaults to Workers).
+// TestParallelHugeWorkerRequest checks the same when the width comes
+// from the worker count (Fragments defaults to Workers): a one-shot
+// pool wider than the handle ranges compiles.
 func TestParallelHugeWorkerRequest(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	if _, err := parallel.Run(job, parallel.Options{
-		Workers: rope.MaxHandleRanges + 1, Librarian: true, UIDPreset: true,
-	}); err == nil {
-		t.Fatal("expected an error for a worker count wider than the handle ranges")
+	res, err := parallel.Run(job, parallel.Options{Workers: rope.MaxHandleRanges + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Program == "" {
+		t.Fatal("empty program")
 	}
 }
 
@@ -223,7 +218,7 @@ func TestParallelHugeWorkerRequest(t *testing.T) {
 // timers are populated and sum to the wall time.
 func TestParallelTimingPhases(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	res, err := parallel.Run(job, parallel.Options{Workers: 2, Librarian: true, UIDPreset: true})
+	res, err := parallel.Run(job, parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +243,7 @@ func TestParallelStatsMatchCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := parallel.Run(job, parallel.Options{
-		Workers: 5, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
-	})
+	real, err := parallel.Run(job, parallel.Options{Workers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,31 +262,27 @@ func TestParallelStatsMatchCluster(t *testing.T) {
 }
 
 // TestParallelRootCodeAttrIsResolvable checks that the exposed root
-// code attribute never leaks librarian handles: FlattenCode with a nil
+// code attribute never holds librarian handles: FlattenCode with a nil
 // lookup (the codebase-wide idiom) must work on it.
 func TestParallelRootCodeAttrIsResolvable(t *testing.T) {
 	job := pascalJob(t, workload.Tiny())
-	for _, lib := range []bool{true, false} {
-		res, err := parallel.Run(job, parallel.Options{
-			Workers: 4, Librarian: lib, UIDPreset: true,
-		})
-		if err != nil {
-			t.Fatalf("librarian=%v: %v", lib, err)
+	res, err := parallel.Run(job, parallel.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find the code attribute: the one whose flattened form equals the
+	// program.
+	found := false
+	for _, v := range res.RootAttrs {
+		c, isCode := v.(rope.Code)
+		if !isCode {
+			continue
 		}
-		// Find the code attribute: the one whose flattened form equals
-		// the program.
-		found := false
-		for _, v := range res.RootAttrs {
-			c, isCode := v.(rope.Code)
-			if !isCode {
-				continue
-			}
-			if got := rope.FlattenCode(c, nil); got == res.Program {
-				found = true
-			}
+		if got := rope.FlattenCode(c, nil); got == res.Program {
+			found = true
 		}
-		if !found {
-			t.Fatalf("librarian=%v: no root attribute flattens (with nil lookup) to the program", lib)
-		}
+	}
+	if !found {
+		t.Fatal("no root attribute flattens (with nil lookup) to the program")
 	}
 }

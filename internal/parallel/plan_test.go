@@ -38,7 +38,7 @@ func TestPlanByteIdentityBothPlanners(t *testing.T) {
 				}
 				pool := parallel.NewPool(parallel.PoolOptions{Workers: w})
 				defer pool.Close()
-				opts := parallel.Options{Workers: w, Mode: cluster.Combined, Librarian: true, UIDPreset: true}
+				opts := parallel.Options{Workers: w}
 				cold, err := pool.Compile(ctx, j.job, opts)
 				if err != nil {
 					t.Fatalf("cold: %v", err)

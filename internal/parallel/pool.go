@@ -85,11 +85,9 @@ var (
 // compilation assembling its own machine room.
 //
 // Isolation between concurrent jobs is structural: each job owns its
-// fragment set, its runtime state and its own string librarian (a
-// private handle-range namespace, so handles of distinct jobs can
-// never collide), while read-only state — the grammar, the OAG
-// analysis with its compiled visit plans — is shared across all jobs
-// of the same grammar. Jobs are cancellable via context: a cancelled
+// fragment set and its runtime state, while read-only state — the
+// grammar, the OAG analysis with its compiled visit plans — is shared
+// across all jobs of the same grammar. Jobs are cancellable via context: a cancelled
 // job's queued fragments are discarded as workers pop them, its
 // pending messages are dropped, and its workers move on to other jobs.
 //
@@ -125,11 +123,6 @@ type Pool struct {
 	// after construction, so all concurrent jobs of one grammar share a
 	// single copy.
 	analyses sync.Map // *ag.Grammar -> *ag.Analysis
-
-	// libs recycles per-job string librarians: a job that completes
-	// cleanly resets its librarian and returns it, so a busy service
-	// stops allocating librarian stores in steady state.
-	libs sync.Pool
 
 	// cache is the content-addressed whole-job cache (nil when
 	// disabled): every clean cold job's result is recorded under a
@@ -243,7 +236,6 @@ func NewPool(opts PoolOptions) *Pool {
 			p.disk = newDiskCache(opts.DiskCache)
 		}
 	}
-	p.libs.New = func() any { return rope.NewLibrarian() }
 	for w := 0; w < p.workers; w++ {
 		p.wg.Add(1)
 		go p.worker(w)
@@ -392,14 +384,15 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // reclaimed — queued ones dropped as workers pop them, in-flight
 // messages discarded — and Compile returns ctx.Err(); the pool keeps
 // serving every other job). Many Compile calls may run concurrently;
-// each is isolated in its own fragment set and librarian handle
-// namespace, and the output is byte-identical to running the job
-// alone. The job's tree is evaluated in place and restored before
-// Compile returns, so compiles of one tree, on any pool, take turns:
-// a Compile whose tree is in use waits (until ctx ends) for it; a pool
-// with a RemoteEvaluator only reads the tree. If the job uses Combined
-// mode and carries no analysis, the pool supplies the shared one for
-// its grammar.
+// each is isolated in its own fragment set, and the output is
+// byte-identical to running the job alone. The job's tree is evaluated
+// in place and restored before Compile returns, so compiles of one
+// tree, on any pool, take turns: a Compile whose tree is in use waits
+// (until ctx ends) for it; a pool with a RemoteEvaluator only reads the
+// tree. Every job runs the paper's configuration — combined evaluation
+// with unique-identifier presets — and Compile rejects an Options.Mode
+// other than Combined; if the job carries no analysis, the pool
+// supplies the shared one for its grammar.
 //
 // Admission is governed by Options.Priority (capacity freed by a
 // finishing job goes to waiting high-priority jobs first) and, when
@@ -415,6 +408,11 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	// clamped (Decompose itself still clamps its 0-means-derive input).
 	if opts.Granularity != 0 && opts.Granularity < tree.MinGranularity {
 		return nil, &GranularityError{Granularity: opts.Granularity}
+	}
+	// Dynamic mode is a simulator ablation; refuse it rather than
+	// silently run the combined evaluator in its place.
+	if opts.Mode != 0 && opts.Mode != cluster.Combined {
+		return nil, fmt.Errorf("parallel: mode %s: the pool runs only the combined evaluator (the simulator keeps the others)", opts.Mode)
 	}
 	enter := time.Now()
 	if err := p.acquire(ctx, opts); err != nil {
@@ -484,16 +482,13 @@ func holdTree(ctx context.Context, root *tree.Node) (release func(), err error) 
 
 // compile is the admitted job body. The parser side is the same for
 // local and remote jobs: default the options, supply the analysis,
-// check the width, plan the cuts. A remote job then goes to
-// remoteJob. A local one looks the job up in the cache, seeds the
+// plan the cuts. A remote job then goes to remoteJob. A local one
+// looks the job up in the cache, seeds the
 // shared deques, waits for per-job quiescence and assembles the
 // result; a whole-tree cache hit returns right after the lookup,
 // running no fragment.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
-	if opts.Mode == 0 {
-		opts.Mode = cluster.Combined
-	}
-	if opts.Mode == cluster.Combined && job.A == nil {
+	if job.A == nil {
 		a, err := p.analysisFor(job.G)
 		if err != nil {
 			return nil, fmt.Errorf("parallel: combined mode: %w", err)
@@ -505,16 +500,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	}
 	if opts.Fragments <= 0 {
 		opts.Fragments = opts.Workers
-	}
-	// Validate the effective decomposition width against the
-	// librarian's handle-range layout before doing any work: a wider
-	// librarian run would panic mid-evaluation when a fragment claims
-	// an out-of-range handle base. Rejecting the request up front (for
-	// any librarian run, whether or not the grammar routes a code
-	// attribute through it) turns that crash into an error.
-	if opts.Librarian && opts.Fragments > rope.MaxHandleRanges {
-		return nil, fmt.Errorf("parallel: %d fragments (from %d workers) exceed the librarian's %d handle ranges",
-			opts.Fragments, opts.Workers, rope.MaxHandleRanges)
 	}
 	// A local job is evaluated in the caller's tree, so it waits its
 	// turn behind any other compile of the same tree.
@@ -564,9 +549,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	}
 	useCache := p.cache != nil && !opts.NoCache
 
-	// Identify the code attribute of the start symbol. The
-	// decomposition is never wider than the validated Fragments
-	// request, so librarian handle ranges cannot run out here.
 	codeAttr := cluster.CodeAttr(job.G)
 
 	// Complete the content address now that the decomposition is known.
@@ -583,9 +565,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			frags:     res.Frags,
 			width:     opts.Fragments,
 			gran:      gran,
-			mode:      opts.Mode,
-			librarian: opts.Librarian,
-			uidPreset: opts.UIDPreset,
 		}
 		hit, _ := p.cache.get(key)
 		if hit == nil && p.disk != nil {
@@ -602,9 +581,8 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			res.RootAttrs = append([]ag.Value(nil), hit.rootAttrs...)
 			res.PerFrag = make([]eval.Stats, res.Frags)
 			res.Messages = hit.messages
-			res.StoredStrings, res.StoredBytes = hit.storedStrings, hit.storedBytes
 			lookupDone := time.Now()
-			splice(res, codeAttr, nil)
+			splice(res, codeAttr)
 			p.finish(res, start, lookupDone, lookupDone)
 			return res, nil
 		}
@@ -612,10 +590,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 
 	r := &rt{
 		job:       job,
-		opts:      opts,
 		leafOf:    make(map[int]*tree.Node),
-		lib:       p.libs.Get().(*rope.Librarian),
-		useLib:    opts.Librarian && codeAttr >= 0,
 		sched:     p.sched,
 		ctx:       ctx,
 		quiet:     make(chan struct{}),
@@ -649,10 +624,10 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	evalDone := time.Now()
 
 	if int(r.doneCnt.Load()) != len(r.frags) {
-		// An evaluation failure (recovered panic, handle-range
-		// exhaustion) takes precedence: fail() also flips cancelled to
-		// reclaim the job's remaining fragments, and the failure — not
-		// the cancellation it triggered — is the job's outcome.
+		// An evaluation failure (a recovered panic) takes precedence:
+		// fail() also flips cancelled to reclaim the job's remaining
+		// fragments, and the failure — not the cancellation it
+		// triggered — is the job's outcome.
 		if err := r.failure(); err != nil {
 			return nil, err
 		}
@@ -671,7 +646,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 			}
 		}
 		return nil, fmt.Errorf("parallel: %s on %d worker(s) deadlocked; blocked: %v",
-			opts.Mode, opts.Workers, blocked)
+			cluster.Combined, opts.Workers, blocked)
 	}
 
 	res.RootAttrs = r.rootAttrs
@@ -680,35 +655,20 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		res.PerFrag = append(res.PerFrag, f.stats)
 		res.Stats.Add(f.stats)
 	}
-	var lookup func(int32) string
-	if r.useLib {
-		lookup = r.lib.Lookup
-	}
-	splice(res, codeAttr, lookup)
-	res.StoredStrings, res.StoredBytes = r.lib.Stored()
+	splice(res, codeAttr)
 	// Record the clean run's result. The code attribute has been
-	// spliced to plain text by now, so the recorded root attributes are
-	// librarian-free and safe to share across jobs, and the write-behind
-	// spill encodes the entry off the compile path without this job's
-	// librarian.
+	// flattened to one leaf by now, so a hit returns the program
+	// without walking the rope again.
 	if useCache {
 		entry := &cacheEntry{
-			rootAttrs:     append([]ag.Value(nil), r.rootAttrs...),
-			messages:      res.Messages,
-			storedStrings: res.StoredStrings,
-			storedBytes:   res.StoredBytes,
+			rootAttrs: append([]ag.Value(nil), r.rootAttrs...),
+			messages:  res.Messages,
 		}
 		p.cache.put(key, entry)
 		if p.disk != nil {
 			p.disk.spill(dk, entry, job.G)
 		}
 	}
-	// The job completed cleanly, so nothing can reference its handle
-	// namespace anymore: recycle the librarian for the next job.
-	// (Cancelled and deadlocked jobs drop theirs — their librarian is
-	// garbage-collected with the rest of the job state.)
-	r.lib.Reset()
-	p.libs.Put(r.lib)
 	p.finish(res, start, splitDone, evalDone)
 	return res, nil
 }
@@ -722,18 +682,17 @@ func (p *Pool) remoteJob(ctx context.Context, job cluster.Job, opts Options, enc
 		return nil, err
 	}
 	evalDone := time.Now()
-	splice(res, cluster.CodeAttr(job.G), nil)
+	splice(res, cluster.CodeAttr(job.G))
 	p.finish(res, start, splitDone, evalDone)
 	return res, nil
 }
 
 // splice sets res.Program from the code attribute of res.RootAttrs, if
-// the grammar has one. lookup resolves librarian handles; when it is
-// set, the raw value may reference handles the caller cannot resolve
-// (the librarian is recycled when the job ends), so the spliced text
-// replaces it and RootAttrs is always consumable with a nil lookup. A
-// whole-tree hit passes nil: recorded root attributes hold no handles.
-func splice(res *Result, codeAttr int, lookup func(int32) string) {
+// the grammar has one, and replaces the attribute by the program as a
+// single leaf. Root attributes hold no librarian handle: the pool keeps
+// no librarian, and a RemoteEvaluator resolves its handles before it
+// returns.
+func splice(res *Result, codeAttr int) {
 	if codeAttr < 0 {
 		return
 	}
@@ -741,10 +700,8 @@ func splice(res *Result, codeAttr int, lookup func(int32) string) {
 	if !ok {
 		return
 	}
-	res.Program = rope.FlattenCode(code, lookup)
-	if lookup != nil {
-		res.RootAttrs[codeAttr] = rope.Leaf(res.Program)
-	}
+	res.Program = rope.FlattenCode(code, nil)
+	res.RootAttrs[codeAttr] = rope.Leaf(res.Program)
 }
 
 // finish stamps the phase timings on a completed job's result and

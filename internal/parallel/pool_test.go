@@ -23,21 +23,20 @@ type poolJob struct {
 	opts    parallel.Options
 	program string // reference Program (pascal jobs)
 	value   string // reference root value (exprlang jobs)
-	stored  int    // reference librarian StoredStrings
 }
 
-// mixedJobs builds the stress mix: pascal tiny/small with and without
-// the librarian, plus an exprlang job — different grammars, different
-// codecs, all on one pool.
+// mixedJobs builds the stress mix: pascal tiny/small at three widths,
+// plus an exprlang job — different grammars, different codecs, all on
+// one pool.
 func mixedJobs(t *testing.T) []poolJob {
 	t.Helper()
 	mix := []poolJob{
-		{name: "pascal-tiny-lib", job: pascalJob(t, workload.Tiny()),
-			opts: parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}},
-		{name: "pascal-tiny-nolib", job: pascalJob(t, workload.Tiny()),
-			opts: parallel.Options{Fragments: 3, UIDPreset: true}},
-		{name: "pascal-small-lib", job: pascalJob(t, workload.Small()),
-			opts: parallel.Options{Fragments: 6, Librarian: true, UIDPreset: true}},
+		{name: "pascal-tiny-4", job: pascalJob(t, workload.Tiny()),
+			opts: parallel.Options{Fragments: 4}},
+		{name: "pascal-tiny-3", job: pascalJob(t, workload.Tiny()),
+			opts: parallel.Options{Fragments: 3}},
+		{name: "pascal-small-6", job: pascalJob(t, workload.Small()),
+			opts: parallel.Options{Fragments: 6}},
 		{name: "exprlang", job: exprJob(t, exprlang.Generate(8, 6)),
 			opts: parallel.Options{Fragments: 4}},
 	}
@@ -53,17 +52,13 @@ func mixedJobs(t *testing.T) []poolJob {
 		if mix[i].name == "exprlang" {
 			mix[i].value = fmt.Sprint(ref.RootAttrs[exprlang.AttrValue])
 		}
-		mix[i].stored = ref.StoredStrings
 	}
 	return mix
 }
 
 // TestPoolConcurrentMixedJobs is the pool's core contract under -race:
 // one pool, >= 8 concurrent jobs of mixed grammars, every output
-// byte-identical to the single-job run. Byte-identity across the
-// librarian-enabled jobs also proves per-job handle namespaces: a
-// cross-job handle collision would splice one job's strings into
-// another's program.
+// byte-identical to the single-job run.
 func TestPoolConcurrentMixedJobs(t *testing.T) {
 	mix := mixedJobs(t)
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 4, MaxInFlight: 16})
@@ -91,10 +86,6 @@ func TestPoolConcurrentMixedJobs(t *testing.T) {
 						errCh <- fmt.Errorf("%s: root value = %s, single-job run had %s", m.name, got, m.value)
 					}
 				}
-				if res.StoredStrings != m.stored {
-					errCh <- fmt.Errorf("%s: librarian stored %d strings, single-job run stored %d (handle-range leak across jobs?)",
-						m.name, res.StoredStrings, m.stored)
-				}
 			}(m)
 		}
 	}
@@ -116,7 +107,7 @@ func TestPoolSharesAnalysisAcrossJobs(t *testing.T) {
 	defer pool.Close()
 
 	withA := pascalJob(t, workload.Tiny())
-	ref, err := pool.Compile(context.Background(), withA, parallel.Options{Fragments: 2, Librarian: true, UIDPreset: true})
+	ref, err := pool.Compile(context.Background(), withA, parallel.Options{Fragments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +118,7 @@ func TestPoolSharesAnalysisAcrossJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := pool.Compile(context.Background(), bare, parallel.Options{Fragments: 2, Librarian: true, UIDPreset: true})
+			res, err := pool.Compile(context.Background(), bare, parallel.Options{Fragments: 2})
 			if err != nil {
 				t.Errorf("analysis-free job: %v", err)
 				return
@@ -149,7 +140,7 @@ func TestPoolCancellation(t *testing.T) {
 	// the mid-flight cancellation points would mostly land after the
 	// near-instant replay finished, gutting the test's coverage.
 	job := pascalJob(t, workload.Small())
-	opts := parallel.Options{Fragments: 8, Librarian: true, UIDPreset: true, NoCache: true}
+	opts := parallel.Options{Fragments: 8, NoCache: true}
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, MaxInFlight: 2})
 	defer pool.Close()
 
@@ -238,12 +229,11 @@ func TestRunReleasesGoroutinesOnError(t *testing.T) {
 	okJob := pascalJob(t, workload.Tiny())
 	before := settleGoroutines()
 	for i := 0; i < 20; i++ {
-		// Fails in the pool (librarian width validation) after the
-		// worker goroutines have started.
-		if _, err := parallel.Run(okJob, parallel.Options{
-			Workers: 2, Fragments: 1 << 20, Librarian: true,
-		}); err == nil {
-			t.Fatal("expected a librarian-width error")
+		// Fails in the pool (mode validation) after the worker
+		// goroutines have started.
+		//lint:ignore SA1019 the refused mode is the failure under test
+		if _, err := parallel.Run(okJob, parallel.Options{Workers: 2, Mode: cluster.Dynamic}); err == nil {
+			t.Fatal("expected a mode error")
 		}
 		// Fails before the pool exists (no analysis).
 		bad := okJob
@@ -265,7 +255,7 @@ func TestPoolCloseReleasesGoroutines(t *testing.T) {
 	before := settleGoroutines()
 	for i := 0; i < 5; i++ {
 		pool := parallel.NewPool(parallel.PoolOptions{Workers: 8})
-		if _, err := pool.Compile(context.Background(), job, parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}); err != nil {
+		if _, err := pool.Compile(context.Background(), job, parallel.Options{Fragments: 4}); err != nil {
 			t.Fatal(err)
 		}
 		pool.Close()

@@ -60,9 +60,6 @@ func TestPoolRemoteRouting(t *testing.T) {
 	if stub.jobs[0].A == nil {
 		t.Errorf("pool did not fill in the analysis before routing remote")
 	}
-	if stub.opts[0].Mode != cluster.Combined {
-		t.Errorf("mode = %v, want defaulted to Combined", stub.opts[0].Mode)
-	}
 	if stub.opts[0].Workers != 2 {
 		t.Errorf("workers = %d, want pool default 2", stub.opts[0].Workers)
 	}

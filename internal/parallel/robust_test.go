@@ -2,7 +2,6 @@ package parallel_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/parallel"
-	"pag/internal/rope"
 	"pag/internal/tree"
 	"pag/internal/workload"
 )
@@ -73,7 +71,7 @@ func TestPanicInRuleFailsJobNotPool(t *testing.T) {
 	// The pool must still be fully serviceable: run panicking and
 	// healthy jobs concurrently, healthy output byte-identical.
 	pascal := pascalJob(t, workload.Tiny())
-	pOpts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
+	pOpts := parallel.Options{Fragments: 4}
 	ref, err := pool.Compile(ctx, pascal, pOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -107,59 +105,5 @@ func TestPanicInRuleFailsJobNotPool(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Failed < 5 || st.InFlight != 0 {
 		t.Errorf("stats after panics: %+v", st)
-	}
-}
-
-// TestHandleRangeExhaustionFailsJob is the librarian store-path
-// regression test: a job that exhausts a fragment's private handle
-// range must fail with ErrRangeExhausted — the store path used to
-// panic, killing the whole process — and the pool must keep compiling
-// once the pathological job is gone. A whole-tree hit deposits
-// nothing, so once the job is recorded it succeeds even under a zero
-// cap.
-func TestHandleRangeExhaustionFailsJob(t *testing.T) {
-	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
-	defer pool.Close()
-	ctx := context.Background()
-	job := pascalJob(t, workload.Tiny())
-	opts := parallel.Options{Fragments: 4, Librarian: true, UIDPreset: true}
-
-	restore := rope.SetRangeCapForTesting(0)
-	_, err := pool.Compile(ctx, job, opts)
-	restore()
-	if !errors.Is(err, rope.ErrRangeExhausted) {
-		t.Fatalf("exhausted job returned %v, want ErrRangeExhausted", err)
-	}
-
-	// Same pool, same job, sane cap: must compile cleanly (and match a
-	// one-shot reference — the failed job must not have poisoned the
-	// whole-job cache or the recycled librarians).
-	ref, err := parallel.Run(job, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.Compile(ctx, job, opts)
-	if err != nil {
-		t.Fatalf("compile after exhaustion: %v", err)
-	}
-	if res.Program != ref.Program {
-		t.Error("output differs after an exhausted job (leaked state?)")
-	}
-	st := pool.Stats()
-	if st.Failed != 1 || st.Done != 1 {
-		t.Errorf("stats: %+v, want 1 failed + 1 done", st)
-	}
-
-	restore = rope.SetRangeCapForTesting(0)
-	hit, err := pool.Compile(ctx, job, opts)
-	restore()
-	if err != nil {
-		t.Fatalf("whole-tree hit under zero cap: %v", err)
-	}
-	if hit.Program != ref.Program {
-		t.Error("whole-tree hit under zero cap returned a different program")
-	}
-	if got := pool.Stats().CacheHits; got != st.CacheHits+1 {
-		t.Errorf("cache hits %d -> %d, want a whole-tree hit", st.CacheHits, got)
 	}
 }

@@ -195,7 +195,7 @@ func TestPoolDeadlineMidEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// NoCache keeps every round a full evaluation.
-	opts := parallel.Options{Fragments: 8, Librarian: true, UIDPreset: true, NoCache: true}
+	opts := parallel.Options{Fragments: 8, NoCache: true}
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, MaxInFlight: 2})
 	defer pool.Close()
 

@@ -3,7 +3,6 @@ package parallel_test
 import (
 	"testing"
 
-	"pag/internal/cluster"
 	"pag/internal/parallel"
 	"pag/internal/workload"
 )
@@ -22,9 +21,7 @@ func TestCombinedWorkSplitPinned(t *testing.T) {
 		{2, 159, 120011, 237},
 		{8, 1791, 118379, 2714},
 	} {
-		res, err := parallel.Run(job, parallel.Options{
-			Workers: tc.width, Mode: cluster.Combined, Librarian: true, UIDPreset: true, NoCache: true,
-		})
+		res, err := parallel.Run(job, parallel.Options{Workers: tc.width, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

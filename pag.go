@@ -15,7 +15,13 @@
 //     NewStatic, NewCombined.
 //   - The real shared-memory parallel runtime (internal/parallel):
 //     NewPool and Pool.Compile (context-first, with metrics, quotas
-//     and priorities), or one-shot CompileParallel.
+//     and priorities), or one-shot CompileParallel. It runs the
+//     paper's configuration only — the combined evaluator with
+//     unique-identifier presets — and keeps no string librarian,
+//     since in shared memory a rope pointer already is the O(1)
+//     descriptor the librarian exists to provide. The ablations
+//     (dynamic mode, no librarian, the unique-identifier chain) live
+//     in the simulator, which reproduces the paper's tables with them.
 //   - The parallel runtime on a simulated 1987 network multiprocessor
 //     (internal/cluster, internal/netsim): CompileSim.
 //   - Supporting data structures from §4.3 of the paper: rope strings
@@ -169,7 +175,9 @@ func DefaultHardware() Hardware { return netsim.DefaultHardware() }
 // one-shot runs, CompileSim for the paper's virtual-time testbed.
 type (
 	// Options configures the shared-memory parallel runtime, including
-	// the job's Client identity and admission Priority.
+	// the job's Client identity and admission Priority. Its Mode,
+	// Librarian and UIDPreset fields are deprecated and ignored (a Mode
+	// other than Combined is refused).
 	Options = parallel.Options
 	// Result reports a real parallel compilation: wall time,
 	// statistics and the produced program.
@@ -195,8 +203,7 @@ type (
 	PlanStats = parallel.PlanStats
 	// Pool is a persistent compile service: one long-lived worker pool
 	// serving many concurrent compile jobs, each isolated in its own
-	// fragment set and librarian handle namespace, with a
-	// content-addressed whole-job cache returning the recorded result
+	// fragment set, with a content-addressed whole-job cache returning the recorded result
 	// for recompilations of identical sources without running any
 	// fragment. Every clean cold compile records, so an edited source
 	// compiles cold once and hits from its second compile on.
@@ -276,9 +283,10 @@ func NewPool(opts PoolOptions) *Pool { return parallel.NewPool(opts) }
 // parallel runtime: the tree is decomposed exactly as in CompileSim,
 // but fragments are evaluated by a pool of worker goroutines on real
 // CPU cores, attribute values travel between fragments over
-// per-fragment mailboxes, and code strings are assembled by a
-// concurrent string librarian. Given opts.Workers == Machines, the
-// produced program is byte-identical to CompileSim's. It is a thin
+// per-fragment mailboxes, and code ropes are shared by pointer and
+// flattened once at the end. Given opts.Workers == Machines and the
+// simulator's unique-identifier presets, the produced program is
+// byte-identical to CompileSim's. It is a thin
 // wrapper over a one-shot Pool; services compiling repeatedly should
 // hold a NewPool and call Pool.Compile.
 func CompileParallel(job Job, opts Options) (*Result, error) {
