@@ -49,8 +49,8 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare -fail-over 25 $(BENCH_BASELINE) /tmp/bench-new.json
 
 # Short-budget native fuzzing of the tree-hash, tree-codec,
-# Pascal-parser, planning, disk-recording, CAS-frame, fleet-worker RPC
-# and peephole invariants.
+# Pascal-parser, planning, disk-recording, CAS-frame, fleet-worker RPC,
+# fleet-frame and peephole invariants.
 fuzz:
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzHash -fuzztime 30s
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzDecode -fuzztime 15s
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzDecodeEntry -fuzztime 15s
 	$(GO) test ./internal/cas -run XXX -fuzz FuzzDecodeFile -fuzztime 15s
 	$(GO) test ./internal/fleet -run XXX -fuzz FuzzWorkerRPC -fuzztime 15s
+	$(GO) test ./internal/fleet -run XXX -fuzz FuzzFleetFrames -fuzztime 15s
 	$(GO) test ./internal/vax -run XXX -fuzz FuzzPeephole -fuzztime 15s
 
 # vet + gofmt + the repo's own analyzer suite (cmd/paglint:

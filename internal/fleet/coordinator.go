@@ -179,30 +179,7 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	j := &fjob{
-		co:     co,
-		ctx:    jctx,
-		cancel: cancel,
-		job:    job,
-		uids:   uids,
-		store:  map[int32]string{},
-		roots:  map[int]rootOut{},
-		failed: make(chan struct{}),
-	}
-	sid := newSessionID()
-	for _, fr := range decomp.Frags {
-		j.frags = append(j.frags, &cfrag{
-			id:        fr.ID,
-			parent:    fr.Parent,
-			session:   fmt.Sprintf("%s-%d", sid, fr.ID),
-			data:      encoded[fr.ID],
-			wake:      make(chan struct{}, 1),
-			sentOut:   map[outKey]bool{},
-			seenStore: map[int32]bool{},
-			seenRoot:  map[int]bool{},
-		})
-	}
-	j.busy = len(j.frags)
+	j := co.newJob(jctx, cancel, job, uids, decomp, encoded)
 
 	var wg sync.WaitGroup
 	for _, f := range j.frags {
@@ -248,6 +225,37 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 	res.StoredStrings = len(j.store)
 	res.StoredBytes = j.storeBytes
 	return nil
+}
+
+// newJob builds the coordinator-side state of one job: a fragment per
+// planned fragment (encoded[i] is fragment i's subtree), every one busy
+// until it first parks.
+func (co *Coordinator) newJob(ctx context.Context, cancel context.CancelFunc, job cluster.Job, uids []wireUID, decomp *tree.Decomposition, encoded [][]byte) *fjob {
+	j := &fjob{
+		co:     co,
+		ctx:    ctx,
+		cancel: cancel,
+		job:    job,
+		uids:   uids,
+		store:  map[int32]string{},
+		roots:  map[int]rootOut{},
+		failed: make(chan struct{}),
+	}
+	sid := newSessionID()
+	for _, fr := range decomp.Frags {
+		j.frags = append(j.frags, &cfrag{
+			id:        fr.ID,
+			parent:    fr.Parent,
+			session:   fmt.Sprintf("%s-%d", sid, fr.ID),
+			data:      encoded[fr.ID],
+			wake:      make(chan struct{}, 1),
+			sentOut:   map[outKey]bool{},
+			seenStore: map[int32]bool{},
+			seenRoot:  map[int]bool{},
+		})
+	}
+	j.busy = len(j.frags)
+	return j
 }
 
 // outKey dedups one fragment's routed outputs across journal replays:
@@ -427,7 +435,7 @@ func (j *fjob) rpc(w *workerRef, path string, body []byte) (*evalResp, error) {
 		raw, err := co.client.do(j.ctx, w, path, body)
 		if err == nil {
 			var resp evalResp
-			if uerr := unsealJSON(raw, &resp); uerr == nil {
+			if uerr := unsealFrame(raw, &resp); uerr == nil {
 				return &resp, nil
 			} else {
 				err = uerr
@@ -491,12 +499,7 @@ func (j *fjob) place(f *cfrag) (*evalResp, error) {
 			}
 			return j.openLocal(f)
 		}
-		body, err := sealJSON(j.openReqFor(f))
-		if err != nil {
-			co.client.release(w)
-			return nil, fmt.Errorf("fleet: encoding open: %w", err)
-		}
-		resp, err := j.rpc(w, pathOpen, body)
+		resp, err := j.rpc(w, pathOpen, sealFrame(j.openReqFor(f)))
 		if err == nil {
 			if requeue {
 				j.noteRequeue()
@@ -529,8 +532,8 @@ func (j *fjob) place(f *cfrag) (*evalResp, error) {
 }
 
 // openReqFor assembles the (re)open request, journal included.
-func (j *fjob) openReqFor(f *cfrag) openReq {
-	return openReq{
+func (j *fjob) openReqFor(f *cfrag) *openReq {
+	return &openReq{
 		Session: f.session,
 		Grammar: j.job.G.Name,
 		Frag:    f.id,
@@ -563,17 +566,13 @@ func (j *fjob) openLocal(f *cfrag) (*evalResp, error) {
 }
 
 // localRPC serves one RPC on the fallback worker, in-process.
-func (j *fjob) localRPC(path string, req any) (*evalResp, error) {
-	body, err := sealJSON(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding local %s: %w", path, err)
-	}
-	code, raw := j.co.local.ServeRPC(path, body)
+func (j *fjob) localRPC(path string, req wireFrame) (*evalResp, error) {
+	code, raw := j.co.local.ServeRPC(path, sealFrame(req))
 	if code != http.StatusOK {
 		return nil, fmt.Errorf("fleet: local evaluation: %s", raw)
 	}
 	var resp evalResp
-	if err := unsealJSON(raw, &resp); err != nil {
+	if err := unsealFrame(raw, &resp); err != nil {
 		return nil, fmt.Errorf("fleet: local evaluation: %w", err)
 	}
 	return &resp, nil
@@ -588,13 +587,9 @@ func (j *fjob) supply(f *cfrag, batch []wireMsg) (*evalResp, error) {
 	f.journal = append(f.journal, batch)
 	req := supplyReq{Session: f.session, Seq: len(f.journal), Msgs: batch}
 	if f.local {
-		return j.localRPC(pathSupply, req)
+		return j.localRPC(pathSupply, &req)
 	}
-	body, err := sealJSON(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding supply: %w", err)
-	}
-	resp, err := j.rpc(f.worker, pathSupply, body)
+	resp, err := j.rpc(f.worker, pathSupply, sealFrame(&req))
 	if err == nil {
 		return resp, nil
 	}
@@ -619,10 +614,7 @@ func (j *fjob) supply(f *cfrag, batch []wireMsg) (*evalResp, error) {
 // closeSession releases the fragment's placement and discards its
 // worker-side session, best-effort.
 func (j *fjob) closeSession(f *cfrag) {
-	body, err := sealJSON(closeReq{Session: f.session})
-	if err != nil {
-		return
-	}
+	body := sealFrame(&closeReq{Session: f.session})
 	if f.local {
 		j.co.local.ServeRPC(pathClose, body)
 		return

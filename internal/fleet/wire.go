@@ -11,7 +11,9 @@
 // replays there, and rule purity plus deterministic handle allocation
 // make the replayed outputs byte-identical); when no worker is healthy
 // at all, evaluation degrades to an in-process worker instead of
-// failing the job. Every RPC payload is sealed with an integrity
+// failing the job. Every RPC payload is one versioned binary frame
+// (subtrees, attribute values and code text as raw length-prefixed
+// bytes, integers as varints; see sealFrame) sealed with an integrity
 // checksum, so a corrupted response is detected and the fragment
 // retried — garbage is never spliced into a program.
 //
@@ -24,25 +26,23 @@
 // (FaultTransport).
 package fleet
 
-// This file is the sealed wire codec (paglint/sealedio: the one place
-// raw encoding/json is legitimate) and produces canonical wire bytes
-// (paglint/determinism).
-//paglint:sealed
+// This file is the sealed binary wire codec (paglint/sealedio) and
+// produces canonical wire bytes (paglint/determinism).
 //paglint:deterministic
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"pag/internal/eval"
+	"pag/internal/frame"
 )
 
 // Worker RPC paths. The open/supply/close session protocol carries
-// sealed JSON bodies; the health endpoints are plain text so any HTTP
-// prober can read them.
+// sealed binary frames; the health endpoints are plain text so any
+// HTTP prober can read them.
 const (
 	pathOpen   = "/fleet/open"
 	pathSupply = "/fleet/supply"
@@ -79,24 +79,49 @@ func unseal(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// sealJSON marshals v and seals it.
-func sealJSON(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return seal(payload), nil
+// wireVersion leads every frame; a frame of another version is
+// corrupt, since coordinator and workers come from one build.
+const wireVersion = 1
+
+// Frame kinds, the second byte of every frame.
+const (
+	kindOpen = 1 + iota
+	kindSupply
+	kindClose
+	kindResp
+)
+
+// wireFrame is one message type of the session protocol.
+type wireFrame interface {
+	kind() byte
+	put(e *frame.Enc)
+	get(d *frame.Dec)
 }
 
-// unsealJSON verifies data and unmarshals the payload into v. A body
-// that verifies but does not parse is still corruption from the
-// receiver's point of view.
-func unsealJSON(data []byte, v any) error {
+// sealFrame encodes m as a frame — version, kind, then m's fields
+// (integers as varints, bytes and text length-prefixed and raw) — and
+// seals it.
+func sealFrame(m wireFrame) []byte {
+	e := frame.Enc{Buf: []byte{wireVersion, m.kind()}}
+	m.put(&e)
+	return seal(e.Buf)
+}
+
+// unsealFrame verifies data and decodes the frame into m. A frame that
+// verifies but is not exactly one well-formed m — another version or
+// kind, a prefix longer than the rest, trailing bytes — is still
+// corruption from the receiver's point of view.
+func unsealFrame(data []byte, m wireFrame) error {
 	payload, err := unseal(data)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
+	if len(payload) < 2 || payload[0] != wireVersion || payload[1] != m.kind() {
+		return fmt.Errorf("%w: not a version %d frame of kind %d", errCorrupt, wireVersion, m.kind())
+	}
+	d := frame.NewDec(payload[2:], "fleet: frame")
+	m.get(d)
+	if err := d.End(); err != nil {
 		return fmt.Errorf("%w: %v", errCorrupt, err)
 	}
 	return nil
@@ -106,9 +131,9 @@ func unsealJSON(data []byte, v any) error {
 // symbol index — grammar symbols are identified positionally on the
 // wire, the two sides having built the same grammar.
 type wireUID struct {
-	Sym   int `json:"sym"`
-	Base  int `json:"base"`
-	Count int `json:"count"`
+	Sym   int
+	Base  int
+	Count int
 }
 
 // wireMsg is one inbound attribute value for a session: Leaf is the
@@ -116,9 +141,9 @@ type wireUID struct {
 // for the fragment's own root (an inherited value arriving from the
 // parent side).
 type wireMsg struct {
-	Leaf int    `json:"leaf"`
-	Attr int    `json:"attr"`
-	Data []byte `json:"data,omitempty"`
+	Leaf int
+	Attr int
+	Data []byte
 }
 
 // openReq creates (or rebuilds, idempotently) one evaluation session.
@@ -132,13 +157,13 @@ type wireMsg struct {
 // unique-identifier presets, and the librarian whenever the grammar
 // has a code attribute.
 type openReq struct {
-	Session string      `json:"session"`
-	Grammar string      `json:"grammar"`
-	Frag    int         `json:"frag"`
-	UIDBase int         `json:"uid_base"`
-	UIDs    []wireUID   `json:"uids,omitempty"`
-	Tree    []byte      `json:"tree"`
-	Journal [][]wireMsg `json:"journal,omitempty"`
+	Session string
+	Grammar string
+	Frag    int
+	UIDBase int
+	UIDs    []wireUID
+	Tree    []byte
+	Journal [][]wireMsg
 }
 
 // supplyReq delivers one batch of attribute values to a session. Seq
@@ -148,14 +173,14 @@ type openReq struct {
 // to a response with More — is a supplyReq whose batch may be empty,
 // numbered and journaled like any other.
 type supplyReq struct {
-	Session string    `json:"session"`
-	Seq     int       `json:"seq"`
-	Msgs    []wireMsg `json:"msgs"`
+	Session string
+	Seq     int
+	Msgs    []wireMsg
 }
 
 // closeReq discards a session (best-effort hygiene at job end).
 type closeReq struct {
-	Session string `json:"session"`
+	Session string
 }
 
 // outMsg is one attribute value the session computed for another
@@ -164,27 +189,27 @@ type closeReq struct {
 // owning remote leaf Frag. The coordinator routes it; workers never
 // talk to each other directly.
 type outMsg struct {
-	Up   bool   `json:"up,omitempty"`
-	Frag int    `json:"frag"`
-	Attr int    `json:"attr"`
-	Data []byte `json:"data,omitempty"`
+	Up   bool
+	Frag int
+	Attr int
+	Data []byte
 }
 
 // storeOut is one run of code text deposited for the librarian: the
 // coordinator keeps the store, workers only allocate handles (from
 // their fragment's private deterministic range).
 type storeOut struct {
-	Handle int32  `json:"handle"`
-	Text   string `json:"text"`
+	Handle int32
+	Text   string
 }
 
 // rootOut is one synthesized attribute of the tree root (only the root
 // fragment produces these). Ship marks descriptor-encoded code values
 // that the coordinator resolves against its store.
 type rootOut struct {
-	Attr int    `json:"attr"`
-	Data []byte `json:"data,omitempty"`
-	Ship bool   `json:"ship,omitempty"`
+	Attr int
+	Data []byte
+	Ship bool
 }
 
 // evalResp is the response to open and supply alike: everything the
@@ -193,10 +218,93 @@ type rootOut struct {
 // priority value: it still has work it can do without further input
 // and waits for a continue.
 type evalResp struct {
-	Done   bool       `json:"done,omitempty"`
-	More   bool       `json:"more,omitempty"`
-	Msgs   []outMsg   `json:"msgs,omitempty"`
-	Stores []storeOut `json:"stores,omitempty"`
-	Roots  []rootOut  `json:"roots,omitempty"`
-	Stats  eval.Stats `json:"stats,omitempty"`
+	Done   bool
+	More   bool
+	Msgs   []outMsg
+	Stores []storeOut
+	Roots  []rootOut
+	Stats  eval.Stats
+}
+
+// putList and getList frame a list as its count and then its
+// elements.
+func putList[T any](e *frame.Enc, xs []T, put func(*T)) {
+	e.Uint(uint64(len(xs)))
+	for i := range xs {
+		put(&xs[i])
+	}
+}
+
+func getList[T any](d *frame.Dec, get func(*T)) []T {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, n)
+	for i := 0; i < n && d.Err == nil; i++ {
+		get(&xs[i])
+	}
+	return xs
+}
+
+func putMsgs(e *frame.Enc, msgs []wireMsg) {
+	putList(e, msgs, func(m *wireMsg) { e.Int(m.Leaf); e.Int(m.Attr); e.Bytes(m.Data) })
+}
+
+func getMsgs(d *frame.Dec) []wireMsg {
+	return getList(d, func(m *wireMsg) { *m = wireMsg{Leaf: d.Int(), Attr: d.Int(), Data: d.Bytes()} })
+}
+
+func (*openReq) kind() byte   { return kindOpen }
+func (*supplyReq) kind() byte { return kindSupply }
+func (*closeReq) kind() byte  { return kindClose }
+func (*evalResp) kind() byte  { return kindResp }
+
+func (r *openReq) put(e *frame.Enc) {
+	e.String(r.Session)
+	e.String(r.Grammar)
+	e.Int(r.Frag)
+	e.Int(r.UIDBase)
+	putList(e, r.UIDs, func(u *wireUID) { e.Int(u.Sym); e.Int(u.Base); e.Int(u.Count) })
+	e.Bytes(r.Tree)
+	putList(e, r.Journal, func(b *[]wireMsg) { putMsgs(e, *b) })
+}
+
+func (r *openReq) get(d *frame.Dec) {
+	r.Session, r.Grammar, r.Frag, r.UIDBase = d.String(), d.String(), d.Int(), d.Int()
+	r.UIDs = getList(d, func(u *wireUID) { *u = wireUID{Sym: d.Int(), Base: d.Int(), Count: d.Int()} })
+	r.Tree = d.Bytes()
+	r.Journal = getList(d, func(b *[]wireMsg) { *b = getMsgs(d) })
+}
+
+func (r *supplyReq) put(e *frame.Enc) {
+	e.String(r.Session)
+	e.Int(r.Seq)
+	putMsgs(e, r.Msgs)
+}
+
+func (r *supplyReq) get(d *frame.Dec) { r.Session, r.Seq, r.Msgs = d.String(), d.Int(), getMsgs(d) }
+
+func (r *closeReq) put(e *frame.Enc) { e.String(r.Session) }
+
+func (r *closeReq) get(d *frame.Dec) { r.Session = d.String() }
+
+func (r *evalResp) put(e *frame.Enc) {
+	e.Flag(r.Done)
+	e.Flag(r.More)
+	putList(e, r.Msgs, func(m *outMsg) { e.Flag(m.Up); e.Int(m.Frag); e.Int(m.Attr); e.Bytes(m.Data) })
+	putList(e, r.Stores, func(st *storeOut) { e.Int(int(st.Handle)); e.String(st.Text) })
+	putList(e, r.Roots, func(rt *rootOut) { e.Int(rt.Attr); e.Bytes(rt.Data); e.Flag(rt.Ship) })
+	s := r.Stats
+	for _, v := range []int{s.DynamicEvals, s.StaticEvals, s.GraphNodes, s.GraphEdges, s.Supplied} {
+		e.Int(v)
+	}
+}
+
+func (r *evalResp) get(d *frame.Dec) {
+	r.Done, r.More = d.Flag(), d.Flag()
+	r.Msgs = getList(d, func(m *outMsg) { *m = outMsg{Up: d.Flag(), Frag: d.Int(), Attr: d.Int(), Data: d.Bytes()} })
+	r.Stores = getList(d, func(st *storeOut) { *st = storeOut{Handle: int32(d.Int()), Text: d.String()} })
+	r.Roots = getList(d, func(rt *rootOut) { *rt = rootOut{Attr: d.Int(), Data: d.Bytes(), Ship: d.Flag()} })
+	r.Stats = eval.Stats{DynamicEvals: d.Int(), StaticEvals: d.Int(), GraphNodes: d.Int(), GraphEdges: d.Int(), Supplied: d.Int()}
 }

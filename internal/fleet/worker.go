@@ -237,7 +237,7 @@ type session struct {
 
 func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	var req openReq
-	if err := unsealJSON(body, &req); err != nil {
+	if err := unsealFrame(body, &req); err != nil {
 		return http.StatusBadRequest, []byte(err.Error())
 	}
 	w.mu.Lock()
@@ -389,16 +389,12 @@ func (s *session) drain() (int, []byte) {
 		resp.Stats = s.ep.Stats()
 	}
 	s.out, s.stores, s.roots = nil, nil, nil
-	body, err := sealJSON(resp)
-	if err != nil {
-		return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("fleet: encoding response: %v", err))
-	}
-	return http.StatusOK, body
+	return http.StatusOK, sealFrame(&resp)
 }
 
 func (w *Worker) handleSupply(body []byte) (int, []byte) {
 	var req supplyReq
-	if err := unsealJSON(body, &req); err != nil {
+	if err := unsealFrame(body, &req); err != nil {
 		return http.StatusBadRequest, []byte(err.Error())
 	}
 	w.mu.Lock()
@@ -434,15 +430,11 @@ func (w *Worker) handleSupply(body []byte) (int, []byte) {
 
 func (w *Worker) handleClose(body []byte) (int, []byte) {
 	var req closeReq
-	if err := unsealJSON(body, &req); err != nil {
+	if err := unsealFrame(body, &req); err != nil {
 		return http.StatusBadRequest, []byte(err.Error())
 	}
 	w.mu.Lock()
 	delete(w.sessions, req.Session)
 	w.mu.Unlock()
-	resp, err := sealJSON(evalResp{})
-	if err != nil {
-		return http.StatusUnprocessableEntity, []byte(err.Error())
-	}
-	return http.StatusOK, resp
+	return http.StatusOK, sealFrame(&evalResp{})
 }

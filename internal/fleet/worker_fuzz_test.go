@@ -35,27 +35,23 @@ func FuzzWorkerRPC(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	mustJSON := func(v any) []byte {
-		body, err := sealJSON(v)
+	payload := func(m wireFrame) []byte {
+		p, err := unseal(sealFrame(m))
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := unseal(body)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return payload
+		return p
 	}
 	for _, fr := range d.Frags {
-		open := mustJSON(openReq{Session: "s", Grammar: l.G.Name, Frag: fr.ID, UIDBase: cluster.UIDBaseFor(fr.ID), Tree: enc[fr.ID]})
+		open := payload(&openReq{Session: "s", Grammar: l.G.Name, Frag: fr.ID, UIDBase: cluster.UIDBaseFor(fr.ID), Tree: enc[fr.ID]})
 		// A child fragment's first input is its root's symbol table;
 		// the root fragment's is a child's synthesized value.
 		msg := wireMsg{Leaf: cluster.RootLeaf, Attr: exprlang.AttrStab, Data: stabData}
 		if fr.ID == 0 {
 			msg = wireMsg{Leaf: d.Children(0)[0], Attr: exprlang.AttrValue, Data: valueData}
 		}
-		f.Add(open, mustJSON(supplyReq{Session: "s", Seq: 1, Msgs: []wireMsg{msg}}))
-		f.Add(open, mustJSON(supplyReq{Session: "s", Seq: 1}))
+		f.Add(open, payload(&supplyReq{Session: "s", Seq: 1, Msgs: []wireMsg{msg}}))
+		f.Add(open, payload(&supplyReq{Session: "s", Seq: 1}))
 	}
 	f.Fuzz(func(t *testing.T, open, supply []byte) {
 		w := NewWorker()

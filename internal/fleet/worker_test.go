@@ -29,25 +29,18 @@ func testWorker(t *testing.T) (*Worker, *ag.Grammar, []byte) {
 	}
 	w := NewWorker()
 	w.Register(l.G, a, l.TerminalAttrs)
-	body, err := sealJSON(openReq{
+	body := sealFrame(&openReq{
 		Session: "sess-0",
 		Grammar: l.G.Name,
 		Frag:    0,
 		Tree:    tree.Encode(root),
 	})
-	if err != nil {
-		t.Fatalf("sealJSON: %v", err)
-	}
 	return w, l.G, body
 }
 
 func sealedSupply(t *testing.T, session string, seq int) []byte {
 	t.Helper()
-	body, err := sealJSON(supplyReq{Session: session, Seq: seq})
-	if err != nil {
-		t.Fatalf("sealJSON: %v", err)
-	}
-	return body
+	return sealFrame(&supplyReq{Session: session, Seq: seq})
 }
 
 // TestWorkerSupplyIdempotency: a supply batch retried with the same
@@ -75,10 +68,7 @@ func TestWorkerSupplyIdempotency(t *testing.T) {
 	if code, resp := w.ServeRPC(pathSupply, sealedSupply(t, "nope", 1)); code != http.StatusNotFound {
 		t.Errorf("unknown session: got %d %s, want 404", code, resp)
 	}
-	closeBody, err := sealJSON(closeReq{Session: "sess-0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	closeBody := sealFrame(&closeReq{Session: "sess-0"})
 	if code, resp := w.ServeRPC(pathClose, closeBody); code != http.StatusOK {
 		t.Fatalf("close: %d %s", code, resp)
 	}
@@ -115,14 +105,11 @@ func TestWorkerReadyStates(t *testing.T) {
 	if code, body := w.ServeRPC(pathReady, nil); code != http.StatusServiceUnavailable || string(body) != "saturated" {
 		t.Errorf("full worker readyz: %d %q, want 503 saturated", code, body)
 	}
-	other, err := sealJSON(openReq{Session: "sess-1", Grammar: g.Name, Frag: 0, Tree: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := sealFrame(&openReq{Session: "sess-1", Grammar: g.Name, Frag: 0, Tree: nil})
 	if code, _ := w.ServeRPC(pathOpen, other); code != http.StatusServiceUnavailable {
 		t.Errorf("open on saturated worker: got %d, want 503", code)
 	}
-	closeBody, _ := sealJSON(closeReq{Session: "sess-0"})
+	closeBody := sealFrame(&closeReq{Session: "sess-0"})
 	w.ServeRPC(pathClose, closeBody)
 	if code, body := w.ServeRPC(pathReady, nil); code != http.StatusOK {
 		t.Errorf("readyz after close: %d %q, want 200", code, body)
@@ -150,17 +137,11 @@ func TestWorkerRejectsCorruptAndForeign(t *testing.T) {
 	if code, _ := w.ServeRPC(pathOpen, []byte("garbage")); code != http.StatusBadRequest {
 		t.Errorf("garbage open: got %d, want 400", code)
 	}
-	foreign, err := sealJSON(openReq{Session: "s", Grammar: "no-such-grammar"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	foreign := sealFrame(&openReq{Session: "s", Grammar: "no-such-grammar"})
 	if code, _ := w.ServeRPC(pathOpen, foreign); code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown grammar: got %d, want 422", code)
 	}
-	hostile, err := sealJSON(openReq{Session: "s", Grammar: g.Name, Frag: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hostile := sealFrame(&openReq{Session: "s", Grammar: g.Name, Frag: 1 << 30})
 	if code, _ := w.ServeRPC(pathOpen, hostile); code != http.StatusUnprocessableEntity {
 		t.Errorf("hostile fragment id: got %d, want contained 422", code)
 	}
@@ -199,10 +180,7 @@ func TestWorkerValidatesOpen(t *testing.T) {
 		{"uid pair of two codecs", openReq{UIDs: []wireUID{{Sym: block.Index, Base: exprlang.AttrStab, Count: exprlang.AttrValue}}}, "uids[0]"},
 	} {
 		c.req.Session, c.req.Grammar = "s", g.Name
-		body, err := sealJSON(c.req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := sealFrame(&c.req)
 		code, resp := w.ServeRPC(pathOpen, body)
 		if code != http.StatusUnprocessableEntity {
 			t.Errorf("%s: got %d %s, want 422", c.name, code, resp)
@@ -219,27 +197,24 @@ func TestWorkerValidatesOpen(t *testing.T) {
 // TestWireSealDetectsCorruption: every byte flip in a sealed payload is
 // caught, as is truncation.
 func TestWireSealDetectsCorruption(t *testing.T) {
-	body, err := sealJSON(supplyReq{Session: "s", Seq: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := sealFrame(&supplyReq{Session: "s", Seq: 3})
 	var ok supplyReq
-	if err := unsealJSON(body, &ok); err != nil || ok.Seq != 3 {
+	if err := unsealFrame(body, &ok); err != nil || ok.Seq != 3 {
 		t.Fatalf("clean unseal: %v %+v", err, ok)
 	}
 	for i := range body {
 		mangled := append([]byte(nil), body...)
 		mangled[i] ^= 0x20
 		var out supplyReq
-		if err := unsealJSON(mangled, &out); err == nil {
+		if err := unsealFrame(mangled, &out); err == nil {
 			t.Fatalf("flip at byte %d went undetected", i)
 		}
 	}
 	var out supplyReq
-	if err := unsealJSON(body[:len(body)-1], &out); err == nil {
+	if err := unsealFrame(body[:len(body)-1], &out); err == nil {
 		t.Error("truncated payload went undetected")
 	}
-	if err := unsealJSON(nil, &out); err == nil {
+	if err := unsealFrame(nil, &out); err == nil {
 		t.Error("empty payload went undetected")
 	}
 }
@@ -343,10 +318,7 @@ func TestWorkerPriorityShipping(t *testing.T) {
 
 	w := NewWorker()
 	w.Register(l.G, a, l.TerminalAttrs)
-	body, err := sealJSON(openReq{Session: "s", Grammar: l.G.Name, Tree: enc[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := sealFrame(&openReq{Session: "s", Grammar: l.G.Name, Tree: enc[0]})
 	path := pathOpen
 	var yielding []evalResp
 	for seq := 1; ; seq++ {
@@ -355,7 +327,7 @@ func TestWorkerPriorityShipping(t *testing.T) {
 			t.Fatalf("rpc %d: %d %s", seq, code, raw)
 		}
 		var resp evalResp
-		if err := unsealJSON(raw, &resp); err != nil {
+		if err := unsealFrame(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
 		yielding = append(yielding, resp)
@@ -384,8 +356,8 @@ func TestWorkerPriorityShipping(t *testing.T) {
 			t.Errorf("response %d stopped after %s.%s, not after a priority value", i, sym.Name, sym.Attrs[last.Attr].Name)
 		}
 	}
-	got, _ := sealJSON(msgs)
-	want, _ := sealJSON(plain)
+	got := sealFrame(&evalResp{Msgs: msgs})
+	want := sealFrame(&evalResp{Msgs: plain})
 	if !bytes.Equal(got, want) {
 		t.Error("yielding session shipped different values than the non-yielding endpoint")
 	}
@@ -416,26 +388,20 @@ func TestWorkerRejectsMisdirectedValues(t *testing.T) {
 	w.Register(l.G, a, l.TerminalAttrs)
 	open := func(frag int) evalResp {
 		t.Helper()
-		body, err := sealJSON(openReq{Session: fmt.Sprint("s", frag), Grammar: l.G.Name, Frag: frag, Tree: enc[frag]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := sealFrame(&openReq{Session: fmt.Sprint("s", frag), Grammar: l.G.Name, Frag: frag, Tree: enc[frag]})
 		code, raw := w.ServeRPC(pathOpen, body)
 		if code != http.StatusOK {
 			t.Fatalf("open fragment %d: %d %s", frag, code, raw)
 		}
 		var resp evalResp
-		if err := unsealJSON(raw, &resp); err != nil {
+		if err := unsealFrame(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 	supply := func(frag, seq int, msgs ...wireMsg) (int, string) {
 		t.Helper()
-		body, err := sealJSON(supplyReq{Session: fmt.Sprint("s", frag), Seq: seq, Msgs: msgs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := sealFrame(&supplyReq{Session: fmt.Sprint("s", frag), Seq: seq, Msgs: msgs})
 		code, raw := w.ServeRPC(pathSupply, body)
 		return code, string(raw)
 	}
@@ -465,7 +431,7 @@ func TestWorkerRejectsMisdirectedValues(t *testing.T) {
 			t.Fatalf("continue fragment 0: %d %s", code, raw)
 		}
 		resp = evalResp{}
-		if err := unsealJSON([]byte(raw), &resp); err != nil {
+		if err := unsealFrame([]byte(raw), &resp); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,12 +8,10 @@
 // are loaded via `go list -export` and type-checked against gc export
 // data from the build cache.
 //
-// Three directive comments steer the analyzers:
+// Two directive comments steer the analyzers:
 //
 //	//paglint:deterministic   file computes canonical encodings; the
 //	                          determinism analyzer applies to it
-//	//paglint:sealed          file implements the sealed wire codec;
-//	                          raw encoding/json use is expected here
 //	//paglint:allow <name>    suppress <name>'s findings on this line
 //	                          (same line or the line directly above)
 package lint

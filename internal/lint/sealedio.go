@@ -8,15 +8,14 @@ import (
 // SealedIO enforces the fleet wire-integrity invariant: every RPC
 // payload carries a SHA-256 trailer so corruption surfaces as a
 // retryable error instead of a silently wrong program. That argument
-// holds only if *all* fleet payloads go through the sealed codec
-// (sealJSON/unsealJSON in wire.go) — one raw json.Marshal on a wire
-// path is an unsealed payload whose corruption is undetectable. So
-// inside internal/fleet, any direct use of encoding/json outside a
-// file marked //paglint:sealed (the codec's own implementation) is an
-// error.
+// holds only if *all* fleet payloads go through the sealed binary
+// frames (sealFrame/unsealFrame in wire.go) — one raw json.Marshal on
+// a wire path is an unsealed payload whose corruption is undetectable.
+// The frames use no JSON at all, so inside internal/fleet any use of
+// encoding/json is an error.
 var SealedIO = &Analyzer{
 	Name: "sealedio",
-	Doc:  "flags raw encoding/json use in fleet code that must use the sealed wire codec",
+	Doc:  "flags encoding/json use in fleet code, whose payloads must be sealed binary frames",
 	Run:  runSealedIO,
 }
 
@@ -25,9 +24,6 @@ func runSealedIO(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.FileDirective(f, "sealed") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -37,7 +33,7 @@ func runSealedIO(pass *Pass) {
 			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "encoding/json" {
 				return true
 			}
-			pass.Report(sel.Pos(), "raw encoding/json (%s) on a fleet payload path: use the sealed codec (sealJSON/unsealJSON)", obj.Name())
+			pass.Report(sel.Pos(), "raw encoding/json (%s) on a fleet payload path: use the sealed binary frames (sealFrame/unsealFrame)", obj.Name())
 			return true
 		})
 	}

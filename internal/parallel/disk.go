@@ -39,13 +39,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"pag/internal/ag"
 	"pag/internal/cas"
 	"pag/internal/cluster"
+	"pag/internal/frame"
 )
 
 // entryFormat versions the recording payload layout inside cas
@@ -255,164 +255,71 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	return key
 }
 
-// ---------------------------------------------------------------------
-// Recording payload encoding: varint-framed, defensive on decode (the
-// payload may come from a shared directory another process wrote).
-
-type entryEnc struct {
-	buf []byte
-	err error
-}
-
-func (e *entryEnc) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *entryEnc) bytes(b []byte) {
-	e.u(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *entryEnc) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-type entryDec struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *entryDec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("parallel: recording payload: %s at %d", msg, d.pos)
-	}
-}
-
-func (d *entryDec) u() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// flag reads a 0/1 flag; any other value is malformed, so an accepted
-// payload is canonical.
-func (d *entryDec) flag() bool {
-	v := d.u()
-	if v > 1 {
-		d.fail(fmt.Sprintf("flag %d", v))
-	}
-	return v == 1
-}
-
-// counter reads a job counter, bounded so a corrupted value cannot
-// overflow an int on any platform.
-func (d *entryDec) counter() int {
-	v := d.u()
-	if v > math.MaxInt32 {
-		d.fail(fmt.Sprintf("counter %d out of range", v))
-		return 0
-	}
-	return int(v)
-}
-
-// count reads a collection length, bounding it by the bytes that could
-// possibly back it (each element costs at least one byte) so a
-// corrupted length cannot drive a giant allocation.
-func (d *entryDec) count() int {
-	v := d.u()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(len(d.data)-d.pos) {
-		d.fail(fmt.Sprintf("count %d exceeds remaining %d bytes", v, len(d.data)-d.pos))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *entryDec) bytes() []byte {
-	n := d.count()
-	if d.err != nil {
-		return nil
-	}
-	b := d.data[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
+// Recording payload encoding: internal/frame's varints, defensive on
+// decode (the payload may come from another process).
 
 // encodeEntry serializes what a disk hit returns: the format byte, the
 // root attributes of g's start symbol (each a nil flag, then its
 // codec's bytes) and the message count.
 func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
-	e := &entryEnc{}
-	e.u(entryFormat)
-	e.u(uint64(len(entry.rootAttrs)))
+	e := &frame.Enc{}
+	e.Uint(entryFormat)
+	e.Uint(uint64(len(entry.rootAttrs)))
 	for ai, v := range entry.rootAttrs {
-		e.u(uint64(b2i(v != nil)))
+		e.Flag(v != nil)
 		if v == nil {
 			continue
 		}
 		a := &g.Start.Attrs[ai]
 		if a.Codec == nil {
-			e.fail(fmt.Errorf("parallel: %s.%s value %T has no codec", g.Start.Name, a.Name, v))
-			break
+			return nil, fmt.Errorf("parallel: %s.%s value %T has no codec", g.Start.Name, a.Name, v)
 		}
 		data, err := a.Codec.Encode(v)
 		if err != nil {
-			e.fail(fmt.Errorf("parallel: encoding %s.%s: %w", g.Start.Name, a.Name, err))
-			break
+			return nil, fmt.Errorf("parallel: encoding %s.%s: %w", g.Start.Name, a.Name, err)
 		}
-		e.bytes(data)
+		e.Bytes(data)
 	}
-	e.u(uint64(entry.messages))
-	return e.buf, e.err
+	e.Uint(uint64(entry.messages))
+	return e.Buf, nil
 }
 
 // decodeEntry reconstructs a results-only recording. A root-attribute
 // count that does not match g's start symbol is a decode error — the
 // caller deletes the entry and the job runs cold.
 func decodeEntry(data []byte, g *ag.Grammar) (*cacheEntry, error) {
-	d := &entryDec{data: data}
-	if v := d.u(); d.err == nil && v != entryFormat {
+	d := frame.NewDec(data, "parallel: recording payload")
+	if v := d.Uint(); d.Err == nil && v != entryFormat {
 		return nil, fmt.Errorf("parallel: recording format %d (want %d)", v, entryFormat)
 	}
-	na := d.count()
-	if d.err == nil && na != len(g.Start.Attrs) {
+	na := d.Count()
+	if d.Err == nil && na != len(g.Start.Attrs) {
 		return nil, fmt.Errorf("parallel: recording has %d root attrs, grammar has %d", na, len(g.Start.Attrs))
 	}
 	entry := &cacheEntry{rootAttrs: make([]ag.Value, na)}
-	for ai := 0; ai < na && d.err == nil; ai++ {
-		if !d.flag() {
+	for ai := 0; ai < na && d.Err == nil; ai++ {
+		if !d.Flag() {
 			continue
 		}
 		a := &g.Start.Attrs[ai]
 		if a.Codec == nil {
-			d.fail(fmt.Sprintf("%s.%s has no codec for stored value", g.Start.Name, a.Name))
+			d.Fail(fmt.Sprintf("%s.%s has no codec for stored value", g.Start.Name, a.Name))
 			break
 		}
-		data := d.bytes()
-		if d.err != nil {
+		data := d.Bytes()
+		if d.Err != nil {
 			break
 		}
 		v, err := a.Codec.Decode(data)
 		if err != nil {
-			d.fail(fmt.Sprintf("decoding %s.%s: %v", g.Start.Name, a.Name, err))
+			d.Fail(fmt.Sprintf("decoding %s.%s: %v", g.Start.Name, a.Name, err))
 			break
 		}
 		entry.rootAttrs[ai] = v
 	}
-	entry.messages = d.counter()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("parallel: %d trailing bytes after recording", len(d.data)-d.pos)
+	entry.messages = d.Counter()
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return entry, nil
 }

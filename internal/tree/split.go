@@ -171,6 +171,10 @@ type cut struct {
 // least one granularity's worth of work for itself, so left-recursive
 // declaration and statement lists decompose into a chain of roughly
 // granularity-sized pieces (the shape of paper Figure 7).
+//
+// The walk stops at its last cut (1+len(cuts) == maxFrags) and does
+// not enter a subtree smaller than granularity/splitFloorDiv: every
+// node in it is below every split floor, so it holds no cut.
 func planCuts(root *Node, granularity, maxFrags int) []cut {
 	if maxFrags <= 1 {
 		return nil
@@ -178,21 +182,25 @@ func planCuts(root *Node, granularity, maxFrags int) []cut {
 	if granularity < MinGranularity {
 		granularity = MinGranularity
 	}
+	minCut := granularity / splitFloorDiv
 	rem := []int{root.Size()} // sizes of hand-assembled trees are computed here, before the walk
 	var cuts []cut
 	var walk func(n *Node, frag int)
 	walk = func(n *Node, frag int) {
 		for i, c := range n.Children {
-			if 1+len(cuts) < maxFrags &&
-				!c.Remote && !c.Sym.Terminal && c.Sym.Split &&
+			switch {
+			case 1+len(cuts) == maxFrags:
+				return
+			case c.Size() < minCut: // holds no cut: skip it
+			case !c.Remote && !c.Sym.Terminal && c.Sym.Split &&
 				c.Size() >= splitFloor(c.Sym, granularity) &&
-				rem[frag]-c.Size() >= granularity {
+				rem[frag]-c.Size() >= granularity:
 				id := len(rem)
 				cuts = append(cuts, cut{parent: n, idx: i, node: c, from: frag})
 				rem[frag] -= c.Size()
 				rem = append(rem, c.Size())
 				walk(c, id)
-			} else {
+			default:
 				walk(c, frag)
 			}
 		}
