@@ -49,14 +49,15 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare -fail-over 25 $(BENCH_BASELINE) /tmp/bench-new.json
 
 # Short-budget native fuzzing of the tree-hash, tree-codec,
-# Pascal-parser, planning, disk-recording, CAS-frame, fleet-worker RPC,
-# fleet-frame and peephole invariants.
+# Pascal-parser, planning, ship-codec, attribute-codec, disk-recording,
+# CAS-frame, fleet-worker RPC, fleet-frame and peephole invariants.
 fuzz:
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzHash -fuzztime 30s
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzDecode -fuzztime 15s
 	$(GO) test ./internal/pascal -run XXX -fuzz FuzzParse -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzPlan -fuzztime 15s
 	$(GO) test ./internal/rope -run XXX -fuzz FuzzShipCodec -fuzztime 15s
+	$(GO) test ./internal/frame -run XXX -fuzz FuzzCodecs -fuzztime 15s
 	$(GO) test ./internal/parallel -run XXX -fuzz FuzzDecodeEntry -fuzztime 15s
 	$(GO) test ./internal/cas -run XXX -fuzz FuzzDecodeFile -fuzztime 15s
 	$(GO) test ./internal/fleet -run XXX -fuzz FuzzWorkerRPC -fuzztime 15s

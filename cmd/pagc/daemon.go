@@ -10,6 +10,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"pag/internal/parallel"
 )
 
 // Daemon mode: instead of compiling in-process, pagc submits the job
@@ -29,9 +31,6 @@ const (
 	defaultDaemonRetries = 2
 	defaultRetryBackoff  = 200 * time.Millisecond
 	maxRetryBackoff      = 5 * time.Second
-
-	// priorityHeader is pagd's default -priority-header.
-	priorityHeader = "X-Pag-Priority"
 )
 
 // daemonRequest mirrors pagd's compile request wire format.
@@ -150,7 +149,7 @@ func (c *daemonClient) compile(req daemonRequest) (string, int, error) {
 		httpReq.Header.Set("Content-Type", "application/json")
 		httpReq.Header.Set("X-Pag-Client", "pagc")
 		if c.priority != "" {
-			httpReq.Header.Set(priorityHeader, c.priority)
+			httpReq.Header.Set(parallel.PriorityHeader, c.priority)
 		}
 		resp, err := c.client.Do(httpReq)
 		if err == nil {

@@ -56,8 +56,8 @@
 // through the structured (JSON, log/slog) request log. Clients
 // identify themselves with the X-Pag-Client header (falling back to
 // the peer address) for per-client admission quotas (-quota), and may
-// mark batch traffic with the priority header (-priority-header,
-// default X-Pag-Priority: "high" or "low"). -max-timeout is the
+// mark batch traffic with the X-Pag-Priority header
+// (parallel.PriorityHeader: "high" or "low"). -max-timeout is the
 // server-side bound on per-job deadlines: client timeouts are capped
 // to it, and requests without one get it as their default. -debug-addr
 // starts an optional second listener serving net/http/pprof, kept off
@@ -100,10 +100,6 @@ import (
 	"pag/internal/workload"
 )
 
-// defaultPriorityHeader carries the job's admission class when the
-// -priority-header flag is not overridden.
-const defaultPriorityHeader = "X-Pag-Priority"
-
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
 	workers := flag.Int("workers", 0, "pool worker goroutines (0 = all CPUs)")
@@ -113,7 +109,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the whole-job cache to this directory across restarts (empty = in-memory only)")
 	cacheDiskBytes := flag.Int64("cache-disk-bytes", 0, "with -cache-dir: on-disk cache bound in bytes (0 = default 256 MiB, <0 = unbounded)")
 	quota := flag.Int("quota", 0, "per-client bound on jobs admitted or waiting (0 = unlimited)")
-	priorityHeader := flag.String("priority-header", defaultPriorityHeader, `request header carrying the job priority ("high" or "low")`)
 	maxTimeout := flag.Duration("max-timeout", 0, "server-side job deadline: caps client timeout_ms and applies to requests without one (0 = none)")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (empty = disabled)")
 	workerMode := flag.Bool("worker", false, "serve as a fleet evaluation worker instead of a coordinator daemon")
@@ -169,7 +164,6 @@ func main() {
 	}
 	s := newServer(poolOpts)
 	s.log = logger
-	s.priorityHeader = *priorityHeader
 	s.maxTimeout = *maxTimeout
 	srv := &http.Server{Addr: *addr, Handler: s.routes()}
 	debug := startDebug(logger, *debugAddr)
@@ -279,11 +273,9 @@ type server struct {
 	pool *parallel.Pool
 	lang *pascal.Lang
 	log  *slog.Logger
-	// priorityHeader names the request header carrying the admission
-	// class; maxTimeout, when positive, caps client-supplied job
-	// timeouts and is the default for requests without one.
-	priorityHeader string
-	maxTimeout     time.Duration
+	// maxTimeout, when positive, caps client-supplied job timeouts and
+	// is the default for requests without one.
+	maxTimeout time.Duration
 	// draining flips when shutdown begins: /readyz answers 503 while
 	// in-flight requests finish, so fleet clients and load balancers
 	// stop routing here before the listener closes.
@@ -292,10 +284,9 @@ type server struct {
 
 func newServer(opts parallel.PoolOptions) *server {
 	return &server{
-		pool:           parallel.NewPool(opts),
-		lang:           pascal.MustNew(),
-		log:            slog.New(slog.NewJSONHandler(os.Stderr, nil)),
-		priorityHeader: defaultPriorityHeader,
+		pool: parallel.NewPool(opts),
+		lang: pascal.MustNew(),
+		log:  slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 	}
 }
 
@@ -524,7 +515,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	prio, err := parallel.ParsePriority(r.Header.Get(s.priorityHeader))
+	prio, err := parallel.ParsePriority(r.Header.Get(parallel.PriorityHeader))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

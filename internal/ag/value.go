@@ -1,5 +1,11 @@
 package ag
 
+import (
+	"fmt"
+
+	"pag/internal/frame"
+)
+
 // Interned boxes for the small scalar values that dominate attribute
 // traffic (sizes, offsets, label counters, error counts). Storing an
 // int in an ag.Value (an interface) normally heap-allocates the box;
@@ -31,3 +37,28 @@ func IntValue(i int) Value {
 // BoolValue boxes a bool. Both values are interned by the Go runtime,
 // so this never allocates; it exists for symmetry with IntValue.
 func BoolValue(b bool) Value { return b }
+
+// IntCodec is the conversion function pair (paper §2.5) for an int
+// attribute: one signed varint over the whole range of int.
+type IntCodec struct{}
+
+// Encode implements Codec.
+func (IntCodec) Encode(v Value) ([]byte, error) {
+	n, ok := v.(int)
+	if !ok {
+		return nil, fmt.Errorf("ag: int attribute holds %T", v)
+	}
+	e := frame.Enc{}
+	e.Int(n)
+	return e.Buf, nil
+}
+
+// Decode implements Codec.
+func (IntCodec) Decode(data []byte) (Value, error) {
+	d := frame.NewDec(data, "ag: int")
+	n := d.FullInt()
+	if err := d.End(); err != nil {
+		return nil, err
+	}
+	return IntValue(n), nil
+}

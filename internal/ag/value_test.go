@@ -31,3 +31,26 @@ func TestBoolValue(t *testing.T) {
 		t.Error("BoolValue does not round-trip")
 	}
 }
+
+// TestIntCodec: the int attribute codec keeps the whole int range,
+// accepts only what it writes and refuses a non-int value.
+func TestIntCodec(t *testing.T) {
+	c := ag.IntCodec{}
+	for _, v := range []int{0, -1, 300, 1 << 31, -(1 << 40), 100000 * 100000} {
+		data, err := c.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := c.Decode(data); err != nil || back != v {
+			t.Errorf("%d: decoded %v, %v", v, back, err)
+		}
+	}
+	for _, bad := range [][]byte{{}, {0x02, 0x99}, {0x82, 0x00}, {0x80}} {
+		if v, err := c.Decode(bad); err == nil {
+			t.Errorf("%x decoded to %v", bad, v)
+		}
+	}
+	if _, err := c.Encode("7"); err == nil {
+		t.Error("a string encoded as an int attribute")
+	}
+}

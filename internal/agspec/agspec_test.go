@@ -244,4 +244,11 @@ func TestAppendixStabCodecRejectsHostileLength(t *testing.T) {
 	if _, err := stab.Decode(binary.AppendUvarint([]byte{1}, math.MaxUint64)); err == nil {
 		t.Error("stab decode accepted a name length beyond the input")
 	}
+	// A wrong-typed value is an encode error, not a panic.
+	if _, err := stab.Encode(7); err == nil {
+		t.Error("stab codec encoded an int")
+	}
+	if _, err := agspec.AppendixLibrary().Codecs["value"].Encode(nil); err == nil {
+		t.Error("value codec encoded nil")
+	}
 }

@@ -1,8 +1,6 @@
 package agspec
 
 import (
-	"encoding/binary"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -59,63 +57,6 @@ expr : '(' expr ')'
     $2.stab = $.stab ;
 `
 
-// appendixIntCodec and appendixStabCodec are the conversion functions
-// ("st_put and st_get", appendix) for the split symbol's attributes.
-type appendixIntCodec struct{}
-
-func (appendixIntCodec) Encode(v ag.Value) ([]byte, error) {
-	return binary.AppendVarint(nil, int64(v.(int))), nil
-}
-
-func (appendixIntCodec) Decode(data []byte) (ag.Value, error) {
-	n, k := binary.Varint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("agspec: bad int encoding")
-	}
-	return int(n), nil
-}
-
-type appendixStabCodec struct{}
-
-func (appendixStabCodec) Encode(v ag.Value) ([]byte, error) {
-	t := v.(*symtab.Table)
-	var buf []byte
-	entries := t.Entries()
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.AppendVarint(buf, int64(e.Val.(int)))
-	}
-	return buf, nil
-}
-
-func (appendixStabCodec) Decode(data []byte) (ag.Value, error) {
-	pos := 0
-	count, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("agspec: bad stab encoding")
-	}
-	pos += k
-	t := symtab.New()
-	for i := uint64(0); i < count; i++ {
-		n, k := binary.Uvarint(data[pos:])
-		if k <= 0 || n > uint64(len(data)-pos-k) {
-			return nil, fmt.Errorf("agspec: truncated stab name")
-		}
-		pos += k
-		name := string(data[pos : pos+int(n)])
-		pos += int(n)
-		v, k := binary.Varint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("agspec: bad stab value")
-		}
-		pos += k
-		t = t.Add(name, int(v))
-	}
-	return t, nil
-}
-
 // AppendixLibrary returns the semantic functions and conversion
 // functions the appendix grammar requires — the "standard library of
 // symbol table routines" the paper mentions.
@@ -152,8 +93,8 @@ func AppendixLibrary() Library {
 			},
 		},
 		Codecs: map[string]ag.Codec{
-			"value": appendixIntCodec{},
-			"stab":  appendixStabCodec{},
+			"value": ag.IntCodec{},
+			"stab":  symtab.IntTableCodec{},
 		},
 	}
 }

@@ -7,8 +7,6 @@
 package exprlang
 
 import (
-	"encoding/binary"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -41,73 +39,6 @@ const (
 // separately processed block subtree.
 const BlockMinSplit = 40
 
-// intCodec serializes int attribute values.
-type intCodec struct{}
-
-func (intCodec) Encode(v ag.Value) ([]byte, error) {
-	return binary.AppendVarint(nil, int64(v.(int))), nil
-}
-
-func (intCodec) Decode(data []byte) (ag.Value, error) {
-	n, k := binary.Varint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("exprlang: bad int encoding")
-	}
-	return int(n), nil
-}
-
-// stabCodec is the appendix's st_put/st_get pair: it flattens a symbol
-// table to a contiguous representation for network transmission.
-type stabCodec struct{}
-
-func (stabCodec) Encode(v ag.Value) ([]byte, error) {
-	t := v.(*symtab.Table)
-	var buf []byte
-	entries := t.Entries()
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.AppendVarint(buf, int64(e.Val.(int)))
-	}
-	return buf, nil
-}
-
-func (stabCodec) Decode(data []byte) (ag.Value, error) {
-	pos := 0
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("exprlang: bad stab encoding")
-		}
-		pos += n
-		return v, nil
-	}
-	count, err := uv()
-	if err != nil {
-		return nil, err
-	}
-	t := symtab.New()
-	for i := uint64(0); i < count; i++ {
-		ln, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if ln > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("exprlang: truncated stab name")
-		}
-		name := string(data[pos : pos+int(ln)])
-		pos += int(ln)
-		val, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("exprlang: bad stab value")
-		}
-		pos += n
-		t = t.Add(name, int(val))
-	}
-	return t, nil
-}
-
 // Simulated costs of the semantic functions on ~1 MIPS hardware.
 func arithCost([]ag.Value) time.Duration { return 4 * time.Microsecond }
 
@@ -137,10 +68,10 @@ func New() (*Lang, error) {
 	l.LP = b.Terminal("'('")
 	l.RP = b.Terminal("')'")
 
-	value := ag.Syn("value").WithCodec(intCodec{})
-	stab := ag.Inh("stab").WithCodec(stabCodec{}).WithPriority()
+	value := ag.Syn("value").WithCodec(ag.IntCodec{})
+	stab := ag.Inh("stab").WithCodec(symtab.IntTableCodec{}).WithPriority()
 
-	l.MainExpr = b.Nonterminal("main_expr", ag.Syn("value").WithCodec(intCodec{}))
+	l.MainExpr = b.Nonterminal("main_expr", ag.Syn("value").WithCodec(ag.IntCodec{}))
 	l.Expr = b.Nonterminal("expr", value, stab)
 	l.Block = b.SplitNonterminal("block", BlockMinSplit, value, stab)
 

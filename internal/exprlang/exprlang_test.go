@@ -196,4 +196,11 @@ func TestCodecsRoundTrip(t *testing.T) {
 	if _, err := stab.Decode(binary.AppendUvarint([]byte{1}, math.MaxUint64)); err == nil {
 		t.Error("stab decode accepted a name length beyond the input")
 	}
+	// A wrong-typed value is an encode error, not a panic.
+	if _, err := stab.Encode(symtab.New().Add("x", "text")); err == nil {
+		t.Error("stab encoded a binding to a string")
+	}
+	if _, err := l.Block.Attrs[exprlang.AttrValue].Codec.Encode("7"); err == nil {
+		t.Error("value codec encoded a string")
+	}
 }

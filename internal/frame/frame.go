@@ -1,13 +1,19 @@
-// Package frame holds the primitives of the repository's binary
-// encodings, the disk tier's recordings (internal/parallel) and the
-// fleet's sealed wire frames (internal/fleet): integers are varints,
-// byte strings a length and the raw bytes.
+// Package frame holds the primitives of every binary encoding in the
+// repository, and it is the only package that reads or writes a varint:
+// integers are varints, byte strings a length and the raw bytes. Its
+// users are the linearized subtree (internal/tree), the shipped code
+// descriptors (internal/rope), the attribute conversion functions of
+// paper §2.5 (ag.IntCodec, symtab.IntTableCodec and the Pascal
+// grammar's codecs), the disk tier's recordings (internal/parallel) and
+// the fleet's sealed wire frames (internal/fleet).
 //
 // A Dec reads defensively, since its input may come from another
 // process or the network. It keeps the first error in Err, after which
 // every read returns a zero value, so a decoder checks once at the
 // end. No length or count may exceed the bytes left, so a corrupted
-// prefix cannot drive a large allocation.
+// prefix cannot drive a large allocation. Decoding is canonical: an
+// overlong varint, a flag other than 0 or 1 and (at End) trailing
+// bytes are errors, so an accepted input re-encodes to the same bytes.
 package frame
 
 import (
@@ -73,8 +79,19 @@ func (d *Dec) End() error {
 	return d.Err
 }
 
-// Uint reads an unsigned varint.
+// Pos returns the offset of the next read in the input.
+func (d *Dec) Pos() int { return d.pos }
+
+// Uint reads an unsigned varint. Most are one byte, read inline.
 func (d *Dec) Uint() uint64 {
+	if p := d.pos; p < len(d.data) && d.data[p] < 0x80 && d.Err == nil {
+		d.pos = p + 1
+		return uint64(d.data[p])
+	}
+	return d.uvarint()
+}
+
+func (d *Dec) uvarint() uint64 {
 	if d.Err != nil {
 		return 0
 	}
@@ -83,22 +100,35 @@ func (d *Dec) Uint() uint64 {
 		d.Fail("bad uvarint")
 		return 0
 	}
+	if n > 1 && d.data[d.pos+n-1] == 0 {
+		// A redundant zero group: the value would re-encode shorter.
+		d.Fail("overlong varint")
+		return 0
+	}
 	d.pos += n
 	return v
 }
 
 // Int reads a signed varint, bounded to the int32 range so a corrupted
-// value cannot overflow an int on any platform.
+// counter or index cannot overflow an int on any platform.
 func (d *Dec) Int() int {
-	if d.Err != nil {
+	v := d.FullInt()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.Fail(fmt.Sprintf("varint %d out of range", v))
 		return 0
 	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
-		d.Fail("bad or out-of-range varint")
+	return v
+}
+
+// FullInt reads a signed varint over the whole range of int, for
+// values (such as attribute integers) that Int's bound would refuse.
+func (d *Dec) FullInt() int {
+	u := d.Uint() // a signed varint is the zigzag of an unsigned one
+	v := int64(u>>1) ^ -int64(u&1)
+	if int64(int(v)) != v {
+		d.Fail(fmt.Sprintf("varint %d overflows int", v))
 		return 0
 	}
-	d.pos += n
 	return int(v)
 }
 

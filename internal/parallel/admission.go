@@ -30,6 +30,10 @@ func (p Priority) String() string {
 	return "high"
 }
 
+// PriorityHeader is the HTTP request header that carries a job's
+// admission class to pagd, parsed by ParsePriority.
+const PriorityHeader = "X-Pag-Priority"
+
 // ParsePriority maps "high"/"low" (and "" = high) to a Priority.
 func ParsePriority(s string) (Priority, error) {
 	switch s {

@@ -147,7 +147,7 @@ func TestDiskFuzzCorpusReachesRootCodec(t *testing.T) {
 	}
 	_, g := tinyRecording(t)
 	_, err = decodeEntry([]byte(data), g)
-	if err == nil || !strings.Contains(err.Error(), ".errs: pascal: truncated count") {
+	if err == nil || !strings.Contains(err.Error(), ".errs: pascal: count") {
 		t.Fatalf("corpus input: got %v, want an errs codec count error", err)
 	}
 }

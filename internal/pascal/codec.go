@@ -1,10 +1,10 @@
 package pascal
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pag/internal/ag"
+	"pag/internal/frame"
 	"pag/internal/symtab"
 )
 
@@ -12,119 +12,37 @@ import (
 // attribute of the grammar's split symbols: environments, declaration
 // signatures, label bases and error lists must all be flattened to a
 // contiguous representation for network transmission and rebuilt on the
-// receiving machine.
+// receiving machine. Int attributes use ag.IntCodec; the rest are
+// written with frame.Enc and read back canonically with frame.Dec.
 
-// enc is a small append-only encoder.
-type enc struct{ buf []byte }
-
-func (e *enc) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) i(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) s(s string) { e.u(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *enc) b(b bool) {
-	if b {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
-// dec is the matching decoder.
-type dec struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("pascal: truncated %s at offset %d", what, d.pos)
-	}
-}
-
-func (d *dec) u() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *dec) i() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// n reads a length or element count. Every element costs at least one
-// byte, so a count the rest of the input cannot hold is malformed: it
-// fails here instead of driving a huge allocation or a loop that
-// outlives the input.
-func (d *dec) n() int {
-	v := d.u()
-	if d.err == nil && v > uint64(len(d.buf)-d.pos) {
-		d.fail("count")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) s() string {
-	n := d.n()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-func (d *dec) b() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos >= len(d.buf) {
-		d.fail("bool")
-		return false
-	}
-	v := d.buf[d.pos] == 1
-	d.pos++
-	return v
-}
-
-// type tags for the recursive type encoding
+// Type tags for the recursive type encoding: one-byte varints.
 const (
-	tyBasic byte = iota + 1
+	tyBasic = iota + 1
 	tyArray
 	tyRecord
 )
 
-func encodeType(e *enc, t Type) {
+// basicTypes maps a predeclared type's name back to its one instance.
+var basicTypes = map[string]*Basic{
+	IntegerType.Name: IntegerType, BooleanType.Name: BooleanType,
+	CharType.Name: CharType, ErrorType.Name: ErrorType,
+}
+
+func encodeType(e *frame.Enc, t Type) {
 	switch t := t.(type) {
 	case *Basic:
-		e.buf = append(e.buf, tyBasic)
-		e.s(t.Name)
+		e.Uint(tyBasic)
+		e.String(t.Name)
 	case *Array:
-		e.buf = append(e.buf, tyArray)
-		e.i(int64(t.Lo))
-		e.i(int64(t.Hi))
+		e.Uint(tyArray)
+		e.Int(t.Lo)
+		e.Int(t.Hi)
 		encodeType(e, t.Elem)
 	case *Record:
-		e.buf = append(e.buf, tyRecord)
-		e.u(uint64(len(t.Fields)))
+		e.Uint(tyRecord)
+		e.Uint(uint64(len(t.Fields)))
 		for _, f := range t.Fields {
-			e.s(f.Name)
+			e.String(f.Name)
 			encodeType(e, f.Type)
 		}
 	default:
@@ -132,61 +50,61 @@ func encodeType(e *enc, t Type) {
 	}
 }
 
-func decodeType(d *dec) Type {
-	if d.err != nil {
-		return ErrorType
-	}
-	if d.pos >= len(d.buf) {
-		d.fail("type tag")
-		return ErrorType
-	}
-	tag := d.buf[d.pos]
-	d.pos++
-	switch tag {
+func decodeType(d *frame.Dec) Type {
+	switch tag := d.Uint(); tag {
 	case tyBasic:
-		switch name := d.s(); name {
-		case "integer":
-			return IntegerType
-		case "boolean":
-			return BooleanType
-		case "char":
-			return CharType
-		default:
-			return ErrorType
+		name := d.String()
+		if b, ok := basicTypes[name]; ok {
+			return b
 		}
+		d.Fail(fmt.Sprintf("unknown type %q", name))
 	case tyArray:
-		lo := int(d.i())
-		hi := int(d.i())
+		lo := d.FullInt()
+		hi := d.FullInt()
 		return &Array{Lo: lo, Hi: hi, Elem: decodeType(d)}
 	case tyRecord:
-		n := d.n()
+		n := d.Count()
 		fields := make([]Field, 0, n)
-		for i := 0; i < n; i++ {
-			name := d.s()
+		for i := 0; i < n && d.Err == nil; i++ {
+			name := d.String()
 			fields = append(fields, Field{Name: name, Type: decodeType(d)})
 		}
 		return NewRecord(fields)
 	default:
-		d.fail("type tag")
-		return ErrorType
+		d.Fail(fmt.Sprintf("type tag %d", tag))
+	}
+	return ErrorType
+}
+
+func encodeParams(e *frame.Enc, params []Param) {
+	e.Uint(uint64(len(params)))
+	for _, p := range params {
+		e.String(p.Name)
+		e.Flag(p.ByRef)
+		encodeType(e, p.Type)
 	}
 }
 
-func encodeEntry(e *enc, ent *Entry) {
-	e.s(ent.Name)
-	e.u(uint64(ent.Kind))
-	encodeType(e, entryType(ent))
-	e.i(int64(ent.Level))
-	e.i(int64(ent.Offset))
-	e.b(ent.ByRef)
-	e.i(int64(ent.Value))
-	e.s(ent.Label)
-	e.u(uint64(len(ent.Params)))
-	for _, p := range ent.Params {
-		e.s(p.Name)
-		e.b(p.ByRef)
-		encodeType(e, p.Type)
+func decodeParams(d *frame.Dec) []Param {
+	var params []Param
+	for i, n := 0, d.Count(); i < n && d.Err == nil; i++ {
+		p := Param{Name: d.String(), ByRef: d.Flag()}
+		p.Type = decodeType(d)
+		params = append(params, p)
 	}
+	return params
+}
+
+func encodeEntry(e *frame.Enc, ent *Entry) {
+	e.String(ent.Name)
+	e.Uint(uint64(ent.Kind))
+	encodeType(e, entryType(ent))
+	e.Int(ent.Level)
+	e.Int(ent.Offset)
+	e.Flag(ent.ByRef)
+	e.Int(ent.Value)
+	e.String(ent.Label)
+	encodeParams(e, ent.Params)
 }
 
 // entryType guards against nil types (procedures have none).
@@ -197,22 +115,17 @@ func entryType(ent *Entry) Type {
 	return ent.Type
 }
 
-func decodeEntry(d *dec) *Entry {
+func decodeEntry(d *frame.Dec) *Entry {
 	ent := &Entry{}
-	ent.Name = d.s()
-	ent.Kind = EntryKind(d.u())
+	ent.Name = d.String()
+	ent.Kind = EntryKind(d.Counter())
 	ent.Type = decodeType(d)
-	ent.Level = int(d.i())
-	ent.Offset = int(d.i())
-	ent.ByRef = d.b()
-	ent.Value = int(d.i())
-	ent.Label = d.s()
-	n := d.n()
-	for i := 0; i < n; i++ {
-		p := Param{Name: d.s(), ByRef: d.b()}
-		p.Type = decodeType(d)
-		ent.Params = append(ent.Params, p)
-	}
+	ent.Level = d.FullInt()
+	ent.Offset = d.FullInt()
+	ent.ByRef = d.Flag()
+	ent.Value = d.FullInt()
+	ent.Label = d.String()
+	ent.Params = decodeParams(d)
 	return ent
 }
 
@@ -224,32 +137,37 @@ func (envCodec) Encode(v ag.Value) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("pascal: env attribute holds %T", v)
 	}
-	e := &enc{}
-	e.i(int64(env.Level))
-	e.i(int64(env.NextFree))
+	e := &frame.Enc{}
+	e.Int(env.Level)
+	e.Int(env.NextFree)
 	entries := env.Entries()
-	e.u(uint64(len(entries)))
+	e.Uint(uint64(len(entries)))
 	for _, ent := range entries {
 		encodeEntry(e, ent)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 func (envCodec) Decode(data []byte) (ag.Value, error) {
-	d := &dec{buf: data}
-	level := int(d.i())
-	nextFree := int(d.i())
-	n := d.n()
+	d := frame.NewDec(data, "pascal")
+	level := d.FullInt()
+	nextFree := d.FullInt()
+	n := d.Count()
 	// Entries arrive in key order; rebuild a balanced tree rather than
 	// inserting sorted keys one by one (which would degenerate the BST
-	// and destroy the O(log n) lookups of paper §4.3).
+	// and destroy the O(log n) lookups of paper §4.3). FromEntries
+	// trusts that order, so a duplicate or out-of-order entry is an
+	// error here.
 	entries := make([]symtab.Entry, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		ent := decodeEntry(d)
+		if i > 0 && !symtab.KeyLess(entries[i-1].Name, ent.Name) {
+			d.Fail(fmt.Sprintf("env entry %q out of key order", ent.Name))
+		}
 		entries = append(entries, symtab.Entry{Name: ent.Name, Val: ent})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return &Env{tab: symtab.FromEntries(entries), Level: level, NextFree: nextFree}, nil
 }
@@ -262,68 +180,39 @@ func (declCodec) Encode(v ag.Value) ([]byte, error) {
 	if !ok && v != nil {
 		return nil, fmt.Errorf("pascal: decl attribute holds %T", v)
 	}
-	e := &enc{}
-	e.u(uint64(len(sigs)))
+	e := &frame.Enc{}
+	e.Uint(uint64(len(sigs)))
 	for _, s := range sigs {
-		e.u(uint64(s.Kind))
-		e.s(s.Name)
+		e.Uint(uint64(s.Kind))
+		e.String(s.Name)
 		t := s.Type
 		if t == nil {
 			t = ErrorType
 		}
 		encodeType(e, t)
-		e.i(int64(s.Value))
-		e.u(uint64(len(s.Params)))
-		for _, p := range s.Params {
-			e.s(p.Name)
-			e.b(p.ByRef)
-			encodeType(e, p.Type)
-		}
+		e.Int(s.Value)
+		encodeParams(e, s.Params)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 func (declCodec) Decode(data []byte) (ag.Value, error) {
-	d := &dec{buf: data}
-	n := d.n()
+	d := frame.NewDec(data, "pascal")
+	n := d.Count()
 	sigs := make([]*DeclSig, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		s := &DeclSig{}
-		s.Kind = EntryKind(d.u())
-		s.Name = d.s()
+		s.Kind = EntryKind(d.Counter())
+		s.Name = d.String()
 		s.Type = decodeType(d)
-		s.Value = int(d.i())
-		np := d.n()
-		for j := 0; j < np; j++ {
-			p := Param{Name: d.s(), ByRef: d.b()}
-			p.Type = decodeType(d)
-			s.Params = append(s.Params, p)
-		}
+		s.Value = d.FullInt()
+		s.Params = decodeParams(d)
 		sigs = append(sigs, s)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return sigs, nil
-}
-
-// intCodec serializes int attributes (label bases and counts).
-type intCodec struct{}
-
-func (intCodec) Encode(v ag.Value) ([]byte, error) {
-	n, ok := v.(int)
-	if !ok {
-		return nil, fmt.Errorf("pascal: int attribute holds %T", v)
-	}
-	return binary.AppendVarint(nil, int64(n)), nil
-}
-
-func (intCodec) Decode(data []byte) (ag.Value, error) {
-	n, k := binary.Varint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("pascal: bad int encoding")
-	}
-	return int(n), nil
 }
 
 // stringCodec serializes string attributes (procedure labels).
@@ -353,23 +242,23 @@ func (errsCodec) Encode(v ag.Value) ([]byte, error) {
 			return nil, fmt.Errorf("pascal: errs attribute holds %T", v)
 		}
 	}
-	e := &enc{}
-	e.u(uint64(len(list)))
+	e := &frame.Enc{}
+	e.Uint(uint64(len(list)))
 	for _, s := range list {
-		e.s(s)
+		e.String(s)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 func (errsCodec) Decode(data []byte) (ag.Value, error) {
-	d := &dec{buf: data}
-	n := d.n()
+	d := frame.NewDec(data, "pascal")
+	n := d.Count()
 	var list []string
-	for i := 0; i < n; i++ {
-		list = append(list, d.s())
+	for i := 0; i < n && d.Err == nil; i++ {
+		list = append(list, d.String())
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return list, nil
 }

@@ -121,10 +121,10 @@ func New() (*Lang, error) {
 	codeC := rope.CodeCodec{Librarian: true}
 	env := ag.Inh("env").WithCodec(envCodec{}).WithPriority()
 	label := ag.Inh("label").WithCodec(stringCodec{})
-	lbase := ag.Inh("lbase").WithCodec(intCodec{})
+	lbase := ag.Inh("lbase").WithCodec(ag.IntCodec{})
 	code := ag.Syn("code").WithCodec(codeC)
 	data := ag.Syn("data").WithCodec(codeC)
-	lused := ag.Syn("lused").WithCodec(intCodec{})
+	lused := ag.Syn("lused").WithCodec(ag.IntCodec{})
 	errs := ag.Syn("errs").WithCodec(errsCodec{})
 	decl := ag.Syn("decl").WithCodec(declCodec{})
 

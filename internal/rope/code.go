@@ -1,9 +1,10 @@
 package rope
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
+
+	"pag/internal/frame"
 )
 
 // Code is the code-attribute string type of the parallel compiler. It
@@ -167,54 +168,42 @@ func (c CodeCodec) EncodeShip(store func(text string) (int32, error), v any) ([]
 	if err != nil {
 		return nil, err
 	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(d.NumHandles()))
+	e := frame.Enc{}
+	e.Uint(uint64(d.NumHandles()))
 	d.walk(nil, func(h int32, n int) {
-		buf = binary.AppendVarint(buf, int64(h))
-		buf = binary.AppendUvarint(buf, uint64(n))
+		e.Int(int(h))
+		e.Uint(uint64(n))
 	})
-	return buf, nil
+	return e.Buf, nil
 }
 
 // DecodeShip implements ShipCodec. The payload may have crossed a real
 // network, so it is treated as hostile until proven otherwise: the
 // declared handle count must be coverable by the bytes present (each
 // handle costs at least two), handles must fit the librarian's int32
-// handle space, run lengths must be sane, and trailing garbage is an
-// error rather than silently ignored — a decoded descriptor always
-// re-encodes to a canonical byte string.
+// handle space, run lengths must be sane, and trailing garbage or an
+// overlong varint is an error rather than silently ignored — a decoded
+// descriptor always re-encodes to a canonical byte string.
 func (c CodeCodec) DecodeShip(data []byte) (any, error) {
-	pos := 0
-	count, k := binary.Uvarint(data[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("rope: bad descriptor encoding")
-	}
-	pos += k
-	if count > uint64(len(data)-pos)/2 {
-		return nil, fmt.Errorf("rope: descriptor declares %d handles in %d bytes", count, len(data)-pos)
+	in := frame.NewDec(data, "rope: descriptor")
+	count := in.Uint()
+	if rest := uint64(len(data) - in.Pos()); in.Err == nil && count > rest/2 {
+		in.Fail(fmt.Sprintf("%d handles in %d bytes", count, rest))
 	}
 	var d *Descriptor
-	for i := uint64(0); i < count; i++ {
-		h, k := binary.Varint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("rope: bad descriptor handle")
+	for i := uint64(0); i < count && in.Err == nil; i++ {
+		h := in.FullInt()
+		if in.Err == nil && (h < 0 || int64(h) > maxInt32) {
+			in.Fail(fmt.Sprintf("handle %d outside the handle space", h))
 		}
-		pos += k
-		if h < 0 || h > int64(maxInt32) {
-			return nil, fmt.Errorf("rope: descriptor handle %d outside the handle space", h)
-		}
-		n, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("rope: bad descriptor length")
-		}
-		pos += k
-		if n > uint64(maxInt32) {
-			return nil, fmt.Errorf("rope: descriptor run length %d out of range", n)
+		n := in.Uint()
+		if in.Err == nil && n > uint64(maxInt32) {
+			in.Fail(fmt.Sprintf("run length %d out of range", n))
 		}
 		d = ConcatDesc(d, HandleDesc(int32(h), int(n)))
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("rope: %d trailing bytes after descriptor", len(data)-pos)
+	if err := in.End(); err != nil {
+		return nil, err
 	}
 	if d == nil {
 		d = &Descriptor{}

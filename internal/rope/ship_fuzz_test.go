@@ -96,6 +96,8 @@ func TestDecodeShipRejects(t *testing.T) {
 		"handle overflow":  {0x01, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00},             // 2^32 > MaxInt32
 		"length overflow":  {0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, // 2^43
 		"truncated length": {0x01, 0x80, 0x02},                                     // handle, then no length
+		"overlong count":   {0x80, 0x00},                                           // 0 in two bytes
+		"overlong length":  {0x01, 0x02, 0x83, 0x00},                               // 3 in two bytes
 	} {
 		if _, err := codec.DecodeShip(data); err == nil {
 			t.Errorf("%s (%x): accepted", name, data)

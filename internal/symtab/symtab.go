@@ -70,6 +70,10 @@ func keyLess(h1 uint32, n1 string, h2 uint32, n2 string) bool {
 	return n1 < n2
 }
 
+// KeyLess reports whether name a sorts strictly before name b in the
+// key order of Entries, so a decoder can check the order it is sent.
+func KeyLess(a, b string) bool { return keyLess(fnv1a(a), a, fnv1a(b), b) }
+
 // Add returns a table identical to t except that name is bound to v
 // (the paper's st_add). An existing binding for name is shadowed. The
 // receiver is not modified; the result shares all untouched nodes.

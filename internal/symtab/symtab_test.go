@@ -1,6 +1,8 @@
 package symtab_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -180,5 +182,65 @@ func TestConcurrentReadersAndDerivers(t *testing.T) {
 	wg.Wait()
 	if base.Len() != 64 {
 		t.Errorf("base table mutated: %d entries, want 64", base.Len())
+	}
+}
+
+// TestIntTableCodec: the int-valued table codec round-trips values past
+// int32, rebuilds the table by Add in wire order, and refuses entries
+// out of key order or twice, trailing bytes and non-int values.
+func TestIntTableCodec(t *testing.T) {
+	c := symtab.IntTableCodec{}
+	tab := symtab.New()
+	for i := 0; i < 16; i++ {
+		tab = tab.Add(fmt.Sprintf("v%d", i), i<<28)
+	}
+	data, err := c.Encode(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := v.(*symtab.Table)
+	want := symtab.New()
+	for _, e := range tab.Entries() {
+		got, ok := back.Lookup(e.Name)
+		if !ok || got != e.Val {
+			t.Errorf("%s: got %v, %v; want %v", e.Name, got, ok, e.Val)
+		}
+		want = want.Add(e.Name, e.Val)
+	}
+	if back.Len() != tab.Len() || back.Depth() != want.Depth() {
+		t.Errorf("decoded %d entries at depth %d, want %d at depth %d", back.Len(), back.Depth(), tab.Len(), want.Depth())
+	}
+
+	entries := tab.Entries()
+	encode := func(order []symtab.Entry) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(order)))
+		for _, e := range order {
+			b = binary.AppendUvarint(b, uint64(len(e.Name)))
+			b = append(b, e.Name...)
+			b = binary.AppendVarint(b, int64(e.Val.(int)))
+		}
+		return b
+	}
+	if !bytes.Equal(encode(entries), data) {
+		t.Fatal("hand encoding differs from the codec's")
+	}
+	for name, bad := range map[string][]byte{
+		"reversed":      encode([]symtab.Entry{entries[1], entries[0]}),
+		"duplicate":     encode([]symtab.Entry{entries[0], entries[0]}),
+		"trailing byte": append(encode(entries[:2]), 0),
+		"overlong":      append([]byte{0x81, 0x00}, encode(entries[:1])[1:]...),
+	} {
+		if v, err := c.Decode(bad); err == nil {
+			t.Errorf("%s: %x decoded to %v", name, bad, v)
+		}
+	}
+	for _, v := range []any{symtab.New().Add("x", "text"), 3, nil} {
+		if _, err := c.Encode(v); err == nil {
+			t.Errorf("encoded %v", v)
+		}
 	}
 }

@@ -1,11 +1,10 @@
 package tree
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"pag/internal/ag"
+	"pag/internal/frame"
 )
 
 // TerminalAttrs recomputes the scanner-supplied attribute values of a
@@ -15,9 +14,9 @@ import (
 type TerminalAttrs func(sym *ag.Symbol, token string) ([]ag.Value, error)
 
 const (
-	tagInterior byte = 1
-	tagTerminal byte = 2
-	tagRemote   byte = 3
+	tagInterior = 1
+	tagTerminal = 2
+	tagRemote   = 3
 )
 
 // maxDecodeDepth bounds the nesting Decode accepts: the encoding
@@ -52,13 +51,10 @@ func (e *encoder) node(n *Node, f int) {
 	case n.Remote:
 		b = appendRemote(b, n.Sym, n.RemoteID)
 	case n.Sym.Terminal:
-		b = append(b, tagTerminal)
-		b = binary.AppendUvarint(b, uint64(n.Sym.Index))
-		b = binary.AppendUvarint(b, uint64(len(n.Token)))
-		b = append(b, n.Token...)
+		b = appendUint(append(b, tagTerminal), n.Sym.Index)
+		b = append(appendUint(b, len(n.Token)), n.Token...)
 	default:
-		b = append(b, tagInterior)
-		e.bufs[f] = binary.AppendUvarint(b, uint64(n.Prod.Index))
+		e.bufs[f] = appendUint(append(b, tagInterior), n.Prod.Index)
 		for _, c := range n.Children {
 			if e.next < len(e.cuts) && e.cuts[e.next].node == c {
 				e.next++
@@ -74,9 +70,13 @@ func (e *encoder) node(n *Node, f int) {
 }
 
 func appendRemote(b []byte, sym *ag.Symbol, id int) []byte {
-	b = append(b, tagRemote)
-	b = binary.AppendUvarint(b, uint64(sym.Index))
-	return binary.AppendUvarint(b, uint64(id))
+	return appendUint(appendUint(append(b, tagRemote), sym.Index), id)
+}
+
+func appendUint(b []byte, v int) []byte {
+	e := frame.Enc{Buf: b}
+	e.Uint(uint64(v))
+	return e.Buf
 }
 
 // SplitEncode plans the decomposition Decompose would make of root
@@ -119,127 +119,98 @@ func SplitEncode(root *Node, granularity, maxFrags int) (d *Decomposition, enc [
 // copy of the input: a decode costs a few allocations per thousand
 // nodes instead of several per node.
 func Decode(g *ag.Grammar, data []byte, lex TerminalAttrs) (*Node, error) {
-	d := decoder{g: g, data: data, str: string(data), lex: lex}
-	n, err := d.node(0)
-	if err != nil {
+	d := decoder{Dec: *frame.NewDec(data, "tree"), g: g, str: string(data), lex: lex}
+	n := d.node(0)
+	if err := d.End(); err != nil {
 		return nil, err
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("tree: %d trailing bytes", len(data)-d.pos)
 	}
 	return n, nil
 }
 
-// decoder is the state of one Decode.
+// decoder is the state of one Decode. Its frame.Dec keeps the first
+// error; node returns nil once there is one.
 type decoder struct {
-	g    *ag.Grammar
-	data []byte
-	str  string // data as a string; tokens are substrings of it
-	pos  int
-	lex  TerminalAttrs
+	frame.Dec
+	g   *ag.Grammar
+	str string // the input as a string; tokens are substrings of it
+	lex TerminalAttrs
 
 	b     Builder
 	stack []*Node // children of the interior nodes being decoded
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("tree: truncated or overlong varint at offset %d", d.pos)
-	}
-	if n > 1 && d.data[d.pos+n-1] == 0 {
-		// A redundant zero group: the value would re-encode shorter.
-		return 0, fmt.Errorf("tree: non-canonical varint at offset %d", d.pos)
-	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *decoder) symbol() (*ag.Symbol, error) {
-	si, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) symbol() *ag.Symbol {
+	si := d.Uint()
 	if si >= uint64(len(d.g.Symbols)) {
-		return nil, fmt.Errorf("tree: symbol index %d out of range", si)
+		d.Fail(fmt.Sprintf("symbol index %d out of range", si))
 	}
-	return d.g.Symbols[si], nil
+	if d.Err != nil {
+		return nil
+	}
+	return d.g.Symbols[si]
 }
 
-func (d *decoder) node(depth int) (*Node, error) {
+func (d *decoder) node(depth int) *Node {
 	if depth > maxDecodeDepth {
-		return nil, fmt.Errorf("tree: nesting deeper than %d at offset %d", maxDecodeDepth, d.pos)
+		d.Fail(fmt.Sprintf("nesting deeper than %d", maxDecodeDepth))
+		return nil
 	}
-	if d.pos >= len(d.data) {
-		return nil, fmt.Errorf("tree: truncated encoding at offset %d", d.pos)
-	}
-	tag := d.data[d.pos]
-	d.pos++
-	switch tag {
+	switch tag := d.Uint(); tag { // tags are one-byte varints
 	case tagRemote:
-		sym, err := d.symbol()
-		if err != nil {
-			return nil, err
+		sym := d.symbol()
+		id := d.Counter()
+		if d.Err == nil && sym.Terminal {
+			d.Fail(fmt.Sprintf("remote leaf for terminal %s", sym))
 		}
-		id, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		if d.Err != nil {
+			return nil
 		}
-		if sym.Terminal {
-			return nil, fmt.Errorf("tree: remote leaf for terminal %s", sym)
-		}
-		if id > math.MaxInt32 {
-			return nil, fmt.Errorf("tree: remote fragment id %d out of range", id)
-		}
-		return d.b.remote(sym, int(id)), nil
+		return d.b.remote(sym, id)
 	case tagTerminal:
-		sym, err := d.symbol()
-		if err != nil {
-			return nil, err
+		sym := d.symbol()
+		if d.Err == nil && !sym.Terminal {
+			d.Fail(fmt.Sprintf("terminal tag on nonterminal %s", sym))
 		}
-		ln, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		n := len(d.Bytes())
+		if d.Err != nil {
+			return nil
 		}
-		if !sym.Terminal {
-			return nil, fmt.Errorf("tree: terminal tag on nonterminal %s", sym)
-		}
-		if ln > uint64(len(d.data)-d.pos) {
-			return nil, fmt.Errorf("tree: truncated token at offset %d", d.pos)
-		}
-		tok := d.str[d.pos : d.pos+int(ln)]
-		d.pos += int(ln)
+		tok := d.str[d.Pos()-n : d.Pos()]
 		var vals []ag.Value
 		if d.lex != nil {
+			var err error
 			if vals, err = d.lex(sym, tok); err != nil {
-				return nil, fmt.Errorf("tree: terminal %s %q: %w", sym, tok, err)
+				d.Err = fmt.Errorf("tree: terminal %s %q: %w", sym, tok, err)
+				return nil
 			}
 		}
-		return d.b.NewTerminal(sym, tok, vals...), nil
+		return d.b.NewTerminal(sym, tok, vals...)
 	case tagInterior:
-		pi, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		pi := d.Uint()
 		if pi >= uint64(len(d.g.Prods)) {
-			return nil, fmt.Errorf("tree: production index %d out of range", pi)
+			d.Fail(fmt.Sprintf("production index %d out of range", pi))
+		}
+		if d.Err != nil {
+			return nil
 		}
 		p := d.g.Prods[pi]
 		base := len(d.stack)
 		for i, want := range p.RHS {
-			c, err := d.node(depth + 1)
-			if err != nil {
-				return nil, err
+			c := d.node(depth + 1)
+			if c == nil {
+				return nil
 			}
 			if c.Sym != want {
-				return nil, fmt.Errorf("tree: production %s child %d: want %s, got %s", p, i, want, c.Sym)
+				d.Fail(fmt.Sprintf("production %s child %d: want %s, got %s", p, i, want, c.Sym))
+				return nil
 			}
 			d.stack = append(d.stack, c)
 		}
 		n := d.b.New(p, d.stack[base:]...)
 		d.stack = d.stack[:base]
-		return n, nil
+		return n
 	default:
-		return nil, fmt.Errorf("tree: bad tag %d at offset %d", tag, d.pos-1)
+		d.Fail(fmt.Sprintf("bad tag %d", tag))
+		return nil
 	}
 }
