@@ -102,3 +102,69 @@ func TestSlabAllocationCount(t *testing.T) {
 		t.Errorf("256 carves cost %.0f allocations; want <= 1", allocs)
 	}
 }
+
+func TestArenaClearReusesZeroedSlabs(t *testing.T) {
+	var a arena.Arena[item]
+	a.Clear() // from here on every slab is kept
+	first := map[*item]bool{}
+	for i := 0; i < 3000; i++ {
+		p := a.New()
+		p.id, p.next = i+1, p
+		first[p] = true
+	}
+	a.Clear()
+	if a.Allocated() != 0 || a.Slabs() != 3 {
+		t.Fatalf("after Clear: Allocated = %d, Slabs = %d; want 0 and 3", a.Allocated(), a.Slabs())
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 3000; i++ {
+			p := a.New()
+			if !first[p] || p.id != 0 || p.next != nil {
+				t.Fatalf("New %d after Clear: reused=%v id=%d next=%v; want a zeroed kept object", i, first[p], p.id, p.next)
+			}
+			p.id = i
+		}
+		a.Clear()
+	})
+	if allocs != 0 {
+		t.Errorf("refilling kept slabs cost %.0f allocations; want 0", allocs)
+	}
+}
+
+func TestSlabClearReusesZeroedSlabs(t *testing.T) {
+	var s arena.Slab[int]
+	for i := 0; i < 300; i++ {
+		for _, c := range [][]int{s.Make(5), s.Make(2000)} { // one slab-sized, one oversized
+			c[0] = 7
+		}
+	}
+	s.Clear() // keeps only the slab in use: earlier ones were dropped
+	if s.Slabs() != 1 {
+		t.Fatalf("first Clear kept %d slabs, want 1", s.Slabs())
+	}
+	fill := func() {
+		for i := 0; i < 300; i++ {
+			c := s.Make(5)
+			if c[0] != 0 || c[4] != 0 {
+				t.Fatalf("carve %d after Clear not zeroed: %v", i, c)
+			}
+			c[0], c[4] = 7, 7
+		}
+	}
+	fill()
+	s.Clear()
+	kept := s.Slabs()
+	if kept != 2 { // 300 carves of 5 at 204 per slab
+		t.Fatalf("Slabs = %d, want 2", kept)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { fill(); s.Clear() }); allocs != 0 {
+		t.Errorf("refilling kept slabs cost %.0f allocations; want 0", allocs)
+	}
+	if s.Slabs() != kept || s.Allocated() != 0 {
+		t.Errorf("Slabs = %d, Allocated = %d after refills; want %d and 0", s.Slabs(), s.Allocated(), kept)
+	}
+	s.Reset()
+	if s.Slabs() != 0 {
+		t.Errorf("Reset kept %d slabs", s.Slabs())
+	}
+}

@@ -62,20 +62,27 @@ type Endpoint struct {
 	err    error
 }
 
-// NewEndpoint decodes data, fragment s.ID's linearized subtree, and
-// builds its evaluator. s supplies the fragment's id, switches and
-// Charge/Ready hooks; the endpoint fills in Root, Leaves and the value
-// sinks, which encode into w.
+// NewEndpoint decodes data, fragment s.ID's linearized subtree, into
+// s.Builder (new storage when nil) and builds its evaluator. s supplies
+// the fragment's id, switches and Charge/Ready hooks; the endpoint
+// fills in Root, Leaves and the value sinks, which encode into w.
 func NewEndpoint(job Job, data []byte, s FragmentSpec, w Wire) (*Endpoint, error) {
-	root, err := tree.Decode(job.G, data, job.Lex)
+	b := s.Builder
+	if b == nil {
+		b = new(tree.Builder)
+	}
+	root, err := b.Decode(job.G, data, job.Lex)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fragment %d: decoding subtree: %w", s.ID, err)
 	}
 	charge := s.Charge
 	if charge == nil {
 		charge = func(time.Duration) {}
+	} else {
+		// Only the simulator charges, and only the charge needs the
+		// node count: a real runtime skips the walk.
+		charge(time.Duration(root.Count())*costPerNodeDecode + time.Duration(len(data))*costPerByteCodec)
 	}
-	charge(time.Duration(root.Count())*costPerNodeDecode + time.Duration(len(data))*costPerByteCodec)
 
 	e := &Endpoint{id: s.ID, root: root, leaves: map[int]*tree.Node{}, useLib: w.Librarian}
 	leafList := tree.RemoteLeaves(root)

@@ -22,6 +22,11 @@ type FragmentSpec struct {
 	// UIDBase is the unique-identifier base the parser hands this
 	// fragment under UIDPreset (UIDBaseFor(ID) in every runtime).
 	UIDBase int
+	// Builder, if set, is the storage NewEndpoint decodes the subtree
+	// into: a fleet worker's cleared builder, whose kept slabs the tree
+	// reuses. Nil decodes into new storage. NewFragmentEvaluator
+	// ignores it.
+	Builder *tree.Builder
 
 	Mode       Mode
 	UIDPreset  bool // per-fragment unique-identifier bases (§4.3)

@@ -344,14 +344,10 @@ func (j *fjob) noteRequeue() {
 }
 
 // runFrag drives one fragment to completion: place (open), then route
-// and supply until its evaluator reports done.
+// and supply until its evaluator reports done. However it ends —
+// finished, failed, cancelled — the fragment's session is closed.
 func (j *fjob) runFrag(f *cfrag) {
-	defer func() {
-		if f.worker != nil {
-			j.co.client.release(f.worker)
-			f.worker = nil
-		}
-	}()
+	defer j.closeSession(f)
 	resp, err := j.place(f)
 	if err != nil {
 		j.fail(err)
@@ -363,7 +359,6 @@ func (j *fjob) runFrag(f *cfrag) {
 			return
 		}
 		if f.finished {
-			j.closeSession(f)
 			return
 		}
 		// A worker that stopped early to ship a priority value (routed
@@ -612,19 +607,25 @@ func (j *fjob) supply(f *cfrag, batch []wireMsg) (*evalResp, error) {
 }
 
 // closeSession releases the fragment's placement and discards its
-// worker-side session, best-effort.
+// worker-side session. The close is best-effort and fire-and-forget:
+// the job never waits for it, so the worker's recycling of the
+// session's storage stays off the job's critical path. Its goroutine
+// ends with the RPC, within the close's one-second deadline.
 func (j *fjob) closeSession(f *cfrag) {
 	body := sealFrame(&closeReq{Session: f.session})
 	if f.local {
-		j.co.local.ServeRPC(pathClose, body)
+		go j.co.local.ServeRPC(pathClose, body)
 		return
 	}
 	if f.worker == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	j.co.client.transport.Do(ctx, f.worker.addr, pathClose, body) //nolint:errcheck // hygiene only; sessions die with the worker anyway
-	cancel()
+	transport, addr := j.co.client.transport, f.worker.addr
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		transport.Do(ctx, addr, pathClose, body) //nolint:errcheck // hygiene only; sessions die with the worker anyway
+	}()
 	j.co.client.release(f.worker)
 	f.worker = nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -32,6 +33,13 @@ import (
 // coordinator may retry any RPC whose response it lost without
 // double-evaluating anything.
 //
+// Session storage is recycled (paper §4.3 inside a session: bump
+// allocation, nothing freed). An open decodes its subtree into a tree
+// builder from the worker's free list; a close clears the builder's
+// slabs and returns it, so a steady-state open allocates no slab. The
+// free list holds at most GOMAXPROCS builders, and a builder that
+// grew past maxBuilderSlabs slabs is dropped instead of kept.
+//
 // A Worker is safe for concurrent use.
 type Worker struct {
 	mu          sync.Mutex
@@ -39,7 +47,15 @@ type Worker struct {
 	sessions    map[string]*session
 	draining    bool
 	maxSessions int
+	free        []*tree.Builder // cleared builders, at most GOMAXPROCS
 }
+
+// maxBuilderSlabs bounds the storage a recycled builder keeps, in
+// 1024-element slabs of nodes, attribute slots and child pointers. The
+// whole course-sized program (24k nodes) fills 173 slabs and a width-2
+// fragment of it about 100 (3 MB), so only a builder that decoded an
+// unusually large subtree is dropped.
+const maxBuilderSlabs = 256
 
 // DefaultMaxSessions bounds concurrently open sessions per worker;
 // beyond it the worker answers 503 (and reports unready), shedding
@@ -115,7 +131,8 @@ func (w *Worker) Drain() {
 	w.draining = true
 }
 
-// Reset discards every session, as a crash would. Tests use it (with
+// Reset discards every session, as a crash would; their storage is
+// left to the garbage collector, not recycled. Tests use it (with
 // FaultConfig.CrashAfter) to simulate worker death without a process.
 func (w *Worker) Reset() {
 	w.mu.Lock()
@@ -217,6 +234,11 @@ type session struct {
 
 	id string
 	ep *cluster.Endpoint
+	b  *tree.Builder // the storage ep's subtree was decoded into
+
+	// closed is set, under mu, by the close that recycles b: a supply
+	// that waited for mu behind it answers 404 and evaluates nothing.
+	closed bool
 
 	// pending holds the inbound values of the RPCs so far that the
 	// endpoint has not yet been fed: a session yields after each
@@ -256,10 +278,14 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 		return http.StatusUnprocessableEntity, []byte(err.Error())
 	}
 
-	s := &session{id: req.Session}
+	// A session that fails to open, is refused below or is later
+	// replaced by a reopen or discarded by Reset leaves its builder to
+	// the garbage collector: only handleClose recycles one.
+	s := &session{id: req.Session, b: w.builder()}
 	s.ep, err = cluster.NewEndpoint(job, req.Tree, cluster.FragmentSpec{
 		ID:        req.Frag,
 		UIDBase:   req.UIDBase,
+		Builder:   s.b,
 		Mode:      cluster.Combined,
 		UIDPreset: true,
 		Yield:     true,
@@ -403,9 +429,18 @@ func (w *Worker) handleSupply(body []byte) (int, []byte) {
 	if s == nil {
 		return http.StatusNotFound, []byte(fmt.Sprintf("fleet: unknown session %s", req.Session))
 	}
+	return s.supply(&req)
+}
+
+// supply applies one batch to s. A close may have won the race for
+// s.mu since the lookup: the session's storage is then recycled and
+// the batch is answered like one for an unknown session.
+func (s *session) supply(req *supplyReq) (int, []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
+	case s.closed:
+		return http.StatusNotFound, []byte(fmt.Sprintf("fleet: unknown session %s", req.Session))
 	case req.Seq == s.lastSeq:
 		// Retried batch (the coordinator lost our response): it is
 		// already applied, answer what we answered then.
@@ -434,7 +469,51 @@ func (w *Worker) handleClose(body []byte) (int, []byte) {
 		return http.StatusBadRequest, []byte(err.Error())
 	}
 	w.mu.Lock()
+	s := w.sessions[req.Session]
 	delete(w.sessions, req.Session)
 	w.mu.Unlock()
+	if s != nil {
+		w.recycle(s)
+	}
 	return http.StatusOK, sealFrame(&evalResp{})
+}
+
+// builder takes a cleared builder from the free list, or makes one.
+// A new builder is cleared before its first tree, so it keeps every
+// slab it fills.
+func (w *Worker) builder() *tree.Builder {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		b := w.free[n-1]
+		w.free = w.free[:n-1]
+		return b
+	}
+	b := new(tree.Builder)
+	b.Clear()
+	return b
+}
+
+// recycle closes s for good and returns its storage to the free list.
+// The closed flag is set under s.mu, so no supply evaluates on s once
+// its slabs are cleared; the clear itself runs after, outside every
+// lock. A full free list or an oversized builder drops the builder.
+func (w *Worker) recycle(s *session) {
+	s.mu.Lock()
+	s.closed = true
+	b := s.b
+	s.ep, s.b, s.pending, s.lastResp = nil, nil, nil, nil
+	s.mu.Unlock()
+	b.Clear()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if keeps(len(w.free), b.Slabs()) {
+		w.free = append(w.free, b)
+	}
+}
+
+// keeps reports whether a free list of n builders takes back a cleared
+// builder holding slabs slabs: the retention bound.
+func keeps(n, slabs int) bool {
+	return n < runtime.GOMAXPROCS(0) && slabs <= maxBuilderSlabs
 }

@@ -17,9 +17,9 @@ import (
 //
 // The parsers and Decode build through a Builder. Every node it hands
 // out lives as long as any node of the same slab is reachable, which
-// for a parse tree is the whole tree. The zero value is ready to use;
-// a Builder is not safe for concurrent use, so give each parse or
-// decode its own.
+// for a parse tree is the whole tree, or until Clear. The zero value is
+// ready to use; a Builder is not safe for concurrent use, so give each
+// parse or decode its own.
 type Builder struct {
 	nodes arena.Arena[Node]
 	vals  arena.Slab[ag.Value]
@@ -58,4 +58,24 @@ func (b *Builder) remote(sym *ag.Symbol, id int) *Node {
 	n.Sym, n.Remote, n.RemoteID, n.size = sym, true, id, remoteSize
 	n.Attrs = b.vals.Make(len(sym.Attrs))
 	return n
+}
+
+// Clear zeroes every node, attribute slot and child pointer the
+// builder has handed out and keeps the slabs, so the next tree built
+// through it (Builder.Decode) allocates no slab the last one filled. A
+// cleared tree holds no values and no tokens, so nothing it referenced
+// stays reachable through the slabs. Every node of the trees built
+// before Clear becomes zero storage for the next tree: nothing may
+// hold one. A builder keeps every slab it fills from its first Clear
+// on, so clear a new builder before its first tree if it is to be
+// reused whole.
+func (b *Builder) Clear() {
+	b.nodes.Clear()
+	b.vals.Clear()
+	b.kids.Clear()
+}
+
+// Slabs reports how many slabs a cleared builder keeps.
+func (b *Builder) Slabs() int {
+	return b.nodes.Slabs() + b.vals.Slabs() + b.kids.Slabs()
 }

@@ -3,6 +3,7 @@ package tree_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"pag/internal/ag"
@@ -13,15 +14,21 @@ import (
 // FuzzDecode fuzzes the network boundary of the tree codec: Decode
 // reads subtrees a fleet worker receives from a coordinator, so any
 // input must yield a tree or an error, never a panic, and an accepted
-// input must re-encode to exactly the bytes it was decoded from.
+// input must re-encode to exactly the bytes it was decoded from. A
+// fleet worker decodes into a builder recycled after another session's
+// tree, so each input is also decoded into a builder cleared after a
+// different tree: it must be accepted or rejected alike, with the
+// same error, and re-encode the same.
 func FuzzDecode(f *testing.F) {
 	l := exprlang.MustNew()
+	var other []byte // the tree the recycled builder held before
 	for _, src := range []string{"1+2*(3+4)+5*6", "let x = 2 in 1 + 3*x ni", exprlang.Generate(6, 5)} {
 		root, err := l.Parse(src)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(tree.Encode(root))
+		other = tree.Encode(root)
 		_, enc := tree.SplitEncode(root, tree.GranularityFor(root, 3), 3)
 		for _, e := range enc {
 			f.Add(e) // fragments with remote leaves
@@ -29,13 +36,26 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{9})
+	var b tree.Builder
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := b.Decode(l.G, other, l.TerminalAttrs); err != nil {
+			t.Fatal(err)
+		}
+		b.Clear()
 		n, err := tree.Decode(l.G, data, l.TerminalAttrs)
+		rn, rerr := b.Decode(l.G, data, l.TerminalAttrs)
+		defer b.Clear()
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("fresh decode: %v; recycled decode: %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
 		if got := tree.Encode(n); !bytes.Equal(got, data) {
 			t.Fatalf("decoded %x, re-encoded %x", data, got)
+		}
+		if got := tree.Encode(rn); !bytes.Equal(got, data) {
+			t.Fatalf("decoded %x into a recycled builder, re-encoded %x", data, got)
 		}
 		if got, want := n.Size(), linearSize(n); got != want {
 			t.Fatalf("decoded size %d, want %d", got, want)

@@ -119,7 +119,14 @@ func SplitEncode(root *Node, granularity, maxFrags int) (d *Decomposition, enc [
 // copy of the input: a decode costs a few allocations per thousand
 // nodes instead of several per node.
 func Decode(g *ag.Grammar, data []byte, lex TerminalAttrs) (*Node, error) {
-	d := decoder{Dec: *frame.NewDec(data, "tree"), g: g, str: string(data), lex: lex}
+	return new(Builder).Decode(g, data, lex)
+}
+
+// Decode is the package-level Decode building through b: a cleared
+// builder hands its kept slabs to the new tree instead of allocating
+// them. On an error the nodes decoded so far stay in b's slabs.
+func (b *Builder) Decode(g *ag.Grammar, data []byte, lex TerminalAttrs) (*Node, error) {
+	d := decoder{Dec: *frame.NewDec(data, "tree"), g: g, str: string(data), lex: lex, b: b}
 	n := d.node(0)
 	if err := d.End(); err != nil {
 		return nil, err
@@ -135,7 +142,7 @@ type decoder struct {
 	str string // the input as a string; tokens are substrings of it
 	lex TerminalAttrs
 
-	b     Builder
+	b     *Builder
 	stack []*Node // children of the interior nodes being decoded
 }
 

@@ -38,6 +38,10 @@ func BenchmarkSplit(b *testing.B) {
 	})
 }
 
+// BenchmarkDecode times a worker's session-open decode of the root
+// fragment: into new storage ("fresh"), and into a builder cleared
+// after the previous decode ("recycled"), as a fleet worker's open does
+// in steady state.
 func BenchmarkDecode(b *testing.B) {
 	l := pascal.MustNew()
 	job, err := l.ClusterJob(workload.Generate(workload.CourseCompiler()))
@@ -45,11 +49,25 @@ func BenchmarkDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	_, enc := tree.SplitEncode(job.Root, tree.GranularityFor(job.Root, 2), 2)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(enc[0])))
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Decode(job.G, enc[0], l.TerminalAttrs); err != nil {
-			b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc[0])))
+		for i := 0; i < b.N; i++ {
+			if _, err := tree.Decode(job.G, enc[0], l.TerminalAttrs); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		var tb tree.Builder
+		tb.Clear()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc[0])))
+		for i := 0; i < b.N; i++ {
+			if _, err := tb.Decode(job.G, enc[0], l.TerminalAttrs); err != nil {
+				b.Fatal(err)
+			}
+			tb.Clear()
+		}
+	})
 }
