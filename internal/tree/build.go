@@ -62,13 +62,11 @@ func (b *Builder) remote(sym *ag.Symbol, id int) *Node {
 
 // Clear zeroes every node, attribute slot and child pointer the
 // builder has handed out and keeps the slabs, so the next tree built
-// through it (Builder.Decode) allocates no slab the last one filled. A
-// cleared tree holds no values and no tokens, so nothing it referenced
-// stays reachable through the slabs. Every node of the trees built
-// before Clear becomes zero storage for the next tree: nothing may
-// hold one. A builder keeps every slab it fills from its first Clear
-// on, so clear a new builder before its first tree if it is to be
-// reused whole.
+// through it allocates no slab the last one filled, and nothing the
+// old tree referenced stays reachable through them. Nothing may hold a
+// node built before Clear: it is zero storage for the next tree. A
+// builder keeps every slab it fills only from its first Clear on, so
+// clear a new builder first if it is to be reused whole.
 func (b *Builder) Clear() {
 	b.nodes.Clear()
 	b.vals.Clear()
