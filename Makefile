@@ -50,7 +50,8 @@ bench-gate:
 
 # Short-budget native fuzzing of the tree-hash, tree-codec,
 # Pascal-parser, planning, ship-codec, attribute-codec, disk-recording,
-# CAS-frame, fleet-worker RPC, fleet-frame and peephole invariants.
+# CAS-frame, fleet-worker RPC, fleet-frame, peephole and static-frame
+# invariants.
 fuzz:
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzHash -fuzztime 30s
 	$(GO) test ./internal/tree -run XXX -fuzz FuzzDecode -fuzztime 15s
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/fleet -run XXX -fuzz FuzzWorkerRPC -fuzztime 15s
 	$(GO) test ./internal/fleet -run XXX -fuzz FuzzFleetFrames -fuzztime 15s
 	$(GO) test ./internal/vax -run XXX -fuzz FuzzPeephole -fuzztime 15s
+	$(GO) test ./internal/eval -run XXX -fuzz FuzzStaticFrames -fuzztime 15s
 
 # vet + gofmt + the repo's own analyzer suite (cmd/paglint:
 # determinism, lockdiscipline, sealedio). staticcheck and govulncheck

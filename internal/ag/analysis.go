@@ -179,26 +179,69 @@ type Plan struct {
 	Segments [][]VisitOp
 }
 
+// Where names the storage that holds an attribute occurrence while
+// the static evaluator runs a visit of the production (see Loc).
+type Where uint8
+
+// Storage kinds of an attribute occurrence during a static visit.
+const (
+	// InOwn: the visited node's own attributes (occurrence 0), wherever
+	// the caller keeps them.
+	InOwn Where = iota
+	// InFrame: the visit's frame. A single-visit production's nonterminal
+	// children live only while its one visit runs (Kastens' attribute
+	// lifetimes), so their instances sit side by side in a frame on the
+	// evaluator's stack instead of in the tree.
+	InFrame
+	// InChild: a child's node slots. Terminals keep their scanner values
+	// there, and the children of a multi-visit production must outlive
+	// each of its visits.
+	InChild
+)
+
+// Loc is where the static evaluator reads or writes one attribute
+// occurrence of a production: Index is the attribute index for InOwn
+// and InChild (with Occ the 1-based child occurrence) and the slot in
+// the visit's frame for InFrame.
+type Loc struct {
+	Where Where
+	Occ   int32
+	Index int32
+}
+
 // CompiledOp is one fully resolved step of a compiled visit sequence.
-// For an eval op, Rule points directly at the defining rule and
-// TargetOcc/TargetAttr name the defined occurrence, so the static
-// evaluator's inner loop performs no RuleFor table lookups. For a visit
-// op, Rule is nil and Child/Visit carry the (1-based) child occurrence
-// and child visit number.
+// For an eval op, Rule points directly at the defining rule, so the
+// static evaluator's inner loop performs no RuleFor table lookups, and
+// Target and Args (one per rule dependency) say where the defined
+// occurrence and the rule's operands live. For a visit op, Rule is
+// nil, Child/Visit carry the (1-based) child occurrence and child
+// visit number, and the child's attributes are frame slots
+// [Frame, FrameEnd), or its node slots when Frame is -1.
 type CompiledOp struct {
-	Rule                  *Rule
-	TargetOcc, TargetAttr int32
-	Child, Visit          int32
+	Rule            *Rule
+	Target          Loc
+	Args            []Loc
+	Child, Visit    int32
+	Frame, FrameEnd int32
 }
 
 // CompiledPlan is the compiled form of a production's visit sequence:
 // the same segments as Plan, with every operation resolved to rule
-// pointers. It is built once per production during Analyze and shared
-// by every evaluator instance, so oversubscribed parallel runs never
-// recompute (or re-resolve) identical plans per fragment.
+// pointers and operand locations. It is built once per production
+// during Analyze and shared by every evaluator instance, so
+// oversubscribed parallel runs never recompute (or re-resolve)
+// identical plans per fragment.
+//
+// Frame is the number of frame slots a visit of the production needs:
+// the attributes of its nonterminal children, when the production has
+// one visit. A production of several visits keeps its nonterminal
+// children's attributes in their node slots (ChildSlots), since they
+// must survive from one visit to the next.
 type CompiledPlan struct {
-	Prod     *Production
-	Segments [][]CompiledOp
+	Prod       *Production
+	Segments   [][]CompiledOp
+	Frame      int
+	ChildSlots bool
 }
 
 // Analysis is the result of the OAG analysis of a grammar: the
@@ -245,9 +288,31 @@ func (a *Analysis) Plan(p *Production) *Plan { return a.plans[p.Index] }
 // production p.
 func (a *Analysis) Compiled(p *Production) *CompiledPlan { return a.compiled[p.Index] }
 
-// compilePlan resolves every eval op of plan to its rule pointer.
+// compilePlan resolves every eval op of plan to its rule pointer and
+// every occurrence to its storage: a single-visit production lays its
+// nonterminal children's attributes out in its frame, in child order.
 func compilePlan(plan *Plan) *CompiledPlan {
-	cp := &CompiledPlan{Prod: plan.Prod, Segments: make([][]CompiledOp, len(plan.Segments))}
+	p := plan.Prod
+	cp := &CompiledPlan{Prod: p, Segments: make([][]CompiledOp, len(plan.Segments))}
+	cp.ChildSlots = len(plan.Segments) > 1
+	frameOff := make([]int32, len(p.RHS)+1) // per occurrence; -1: node slots
+	for occ := 1; occ <= len(p.RHS); occ++ {
+		frameOff[occ] = -1
+		if sym := p.Sym(occ); !sym.Terminal && !cp.ChildSlots {
+			frameOff[occ] = int32(cp.Frame)
+			cp.Frame += len(sym.Attrs)
+		}
+	}
+	loc := func(r AttrRef) Loc {
+		switch {
+		case r.Occ == 0:
+			return Loc{Where: InOwn, Index: int32(r.Attr)}
+		case frameOff[r.Occ] >= 0:
+			return Loc{Where: InFrame, Index: frameOff[r.Occ] + int32(r.Attr)}
+		default:
+			return Loc{Where: InChild, Occ: int32(r.Occ), Index: int32(r.Attr)}
+		}
+	}
 	for v, seg := range plan.Segments {
 		if len(seg) == 0 {
 			continue
@@ -256,13 +321,16 @@ func compilePlan(plan *Plan) *CompiledPlan {
 		for i, op := range seg {
 			switch op.Kind {
 			case OpEval:
-				ops[i] = CompiledOp{
-					Rule:       plan.Prod.RuleFor(op.Occ, op.Attr),
-					TargetOcc:  int32(op.Occ),
-					TargetAttr: int32(op.Attr),
+				r := p.RuleFor(op.Occ, op.Attr)
+				args := make([]Loc, len(r.Deps))
+				for k, d := range r.Deps {
+					args[k] = loc(d)
 				}
+				ops[i] = CompiledOp{Rule: r, Target: loc(AttrRef{Occ: op.Occ, Attr: op.Attr}), Args: args}
 			default:
-				ops[i] = CompiledOp{Child: int32(op.Child), Visit: int32(op.Visit)}
+				off := frameOff[op.Child]
+				ops[i] = CompiledOp{Child: int32(op.Child), Visit: int32(op.Visit), Frame: off,
+					FrameEnd: off + int32(len(p.Sym(op.Child).Attrs))}
 			}
 		}
 		cp.Segments[v] = ops

@@ -47,6 +47,63 @@ func binGrammar(t *testing.T) (*Grammar, *Symbol, *Symbol) {
 	return g, node, root
 }
 
+// TestCompiledLocations checks where compiled plans put operands: a
+// single-visit production lays its nonterminal child's attributes out
+// in its frame, while the productions of the two-visit node keep their
+// children's attributes in node slots.
+func TestCompiledLocations(t *testing.T) {
+	g, node, root := binGrammar(t)
+	a, err := Analyze(g)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	for _, p := range g.Prods {
+		cp := a.Compiled(p)
+		switch p.LHS {
+		case root:
+			if cp.Frame != len(node.Attrs) || cp.ChildSlots {
+				t.Errorf("%s: Frame %d, ChildSlots %v; want %d, false", p, cp.Frame, cp.ChildSlots, len(node.Attrs))
+			}
+		case node:
+			if cp.Frame != 0 || !cp.ChildSlots {
+				t.Errorf("%s: Frame %d, ChildSlots %v; want 0, true", p, cp.Frame, cp.ChildSlots)
+			}
+		}
+		for _, seg := range cp.Segments {
+			for _, op := range seg {
+				if op.Rule == nil {
+					want := int32(-1)
+					if !cp.ChildSlots {
+						want = 0 // the only child is first in the frame
+					}
+					if op.Frame != want {
+						t.Errorf("%s: visit(%d,#%d) frame %d, want %d", p, op.Child, op.Visit, op.Frame, want)
+					}
+					continue
+				}
+				for k, ref := range append([]AttrRef{op.Rule.Target}, op.Rule.Deps...) {
+					l := op.Target
+					if k > 0 {
+						l = op.Args[k-1]
+					}
+					var want Loc
+					switch {
+					case ref.Occ == 0:
+						want = Loc{Where: InOwn, Index: int32(ref.Attr)}
+					case cp.ChildSlots:
+						want = Loc{Where: InChild, Occ: int32(ref.Occ), Index: int32(ref.Attr)}
+					default:
+						want = Loc{Where: InFrame, Index: int32(ref.Attr)}
+					}
+					if l != want {
+						t.Errorf("%s: %v lives at %+v, want %+v", p, ref, l, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAnalyzeTwoPhase(t *testing.T) {
 	g, node, root := binGrammar(t)
 	a, err := Analyze(g)

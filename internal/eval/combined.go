@@ -25,7 +25,11 @@ type staticChild struct {
 // Figure 4): nodes on a path from the fragment root to a remote leaf
 // (the spine) are evaluated dynamically; every subtree hanging off the
 // spine — in particular every bottom fragment — is evaluated by the
-// static ordered evaluator, with no dependency analysis at all.
+// static ordered evaluator, with no dependency analysis at all. The
+// fragment root, the spine nodes and the static-child roots keep their
+// instances in node slots, carved by the evaluator on its own worker
+// where they have none; the static subtrees keep theirs in visit
+// frames (see Static).
 type Combined struct {
 	a  *ag.Analysis
 	g  graph
@@ -103,6 +107,7 @@ func NewCombined(a *ag.Analysis, root *tree.Node, leaves []*tree.Node, hooks Hoo
 }
 
 func (c *Combined) addStaticChild(n *tree.Node) {
+	c.g.slots.carve(n)
 	phases := c.a.Phases(n.Sym)
 	sc := staticChild{node: n, nextVisit: 1, pendingInh: c.inhSlab.Make(len(phases))}
 	for v, ph := range phases {

@@ -20,6 +20,8 @@ type Dynamic struct {
 // NewDynamic builds the dependency graph for the fragment rooted at
 // root ("dependency analysis", Figure 1). This is the expensive step
 // that static evaluation avoids; its simulated cost is charged here.
+// Every interior node of the fragment gets node slots, so after Run
+// each instance can be read from its node.
 func NewDynamic(gr *ag.Grammar, root *tree.Node, hooks Hooks) *Dynamic {
 	d := &Dynamic{}
 	d.g.init(root, gr.MaxRuleArgs(), hooks)
@@ -59,6 +61,7 @@ func (d *Dynamic) Supply(n *tree.Node, attr int, v ag.Value) {
 	if !ok || !d.g.infos[i].present {
 		// Nothing in this fragment depends on the value; record it
 		// anyway for completeness.
+		d.g.slots.carve(n)
 		n.Attrs[attr] = v
 		return
 	}

@@ -7,6 +7,19 @@
 // Evaluators operate on one tree fragment. Attribute values crossing
 // machine boundaries enter through Supply and leave through the Hooks
 // callbacks; the cluster package wires these to the network.
+//
+// The evaluators own attribute storage: trees are built without slots
+// on their interior nodes. The instances of a single-visit
+// production's nonterminal children live only while its visit runs
+// (Kastens' attribute lifetimes), so the static evaluator keeps them
+// in frames on a reusable stack. After a static evaluation of the
+// course program, 368 of its 16,925 interior nodes hold slots (1,993
+// of 120,170 instances). The nodes an evaluator must address across
+// visits or runtimes — the fragment root, spine nodes, static-child
+// roots, the children of multi-visit productions, and every node of a
+// dynamic evaluation — get node slots (tree.Node.Attrs), carved from
+// the evaluator's own slab on its own worker. Terminals keep their
+// scanner values and remote leaves their interface slots.
 package eval
 
 import (

@@ -127,6 +127,9 @@ type pump struct {
 	// the Runs that stopped at a yield point.
 	beforeRun func()
 	yields    int
+	// shipped[i] lists, in order, every value fragment i's evaluator
+	// handed to its hooks.
+	shipped [][]string
 }
 
 type leafRef struct {
@@ -143,7 +146,7 @@ func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition,
 // (the pump installs the routing callbacks itself).
 func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition, combined bool, base eval.Hooks) *pump {
 	t.Helper()
-	p := &pump{leaves: make(map[int]leafRef)}
+	p := &pump{leaves: make(map[int]leafRef), shipped: make([][]string, len(d.Frags))}
 	for _, f := range d.Frags {
 		f := f
 		for _, pf := range d.Frags {
@@ -161,6 +164,7 @@ func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposit
 			if base.OnRemoteInh != nil {
 				base.OnRemoteInh(leaf, attr, v)
 			}
+			p.shipped[f.ID] = append(p.shipped[f.ID], fmt.Sprintf("down %d.%s = %v", leaf.RemoteID, leaf.Sym.Attrs[attr].Name, v))
 			child := leaf.RemoteID
 			p.queue = append(p.queue, func() {
 				p.evs[child].Supply(d.Frags[child].Root, attr, v)
@@ -168,6 +172,7 @@ func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposit
 			})
 		}
 		hooks.OnRootSyn = func(attr int, v ag.Value) {
+			p.shipped[f.ID] = append(p.shipped[f.ID], fmt.Sprintf("up %s = %v", f.Root.Sym.Attrs[attr].Name, v))
 			ref, ok := p.leaves[f.ID]
 			if !ok {
 				return // root fragment: final attribute

@@ -31,10 +31,13 @@ type instInfo struct {
 // so the steady-state evaluation loop performs no map lookups and no
 // allocation: rule arguments go through a reusable scratch buffer,
 // dependent edges are carved from a single slab, and the ready queues
-// recycle their backing arrays.
+// recycle their backing arrays. Every node the graph registers keeps
+// its instances in its node slots, which the graph carves if it has
+// none.
 type graph struct {
 	hooks Hooks
 	root  *tree.Node
+	slots slotSlab
 
 	nodes    []*tree.Node         // registered nodes; Seq-1 indexes this
 	attrBase []int32              // first instance id of each registered node
@@ -67,15 +70,17 @@ func (g *graph) init(root *tree.Node, maxArgs int, hooks Hooks) {
 	g.root = root
 	g.hooks = hooks
 	g.argbuf = make([]ag.Value, maxArgs)
+	g.slots.carve(root)
 }
 
-// register assigns node n a registration number and extends the flat
-// table with one (zeroed) row per attribute. A node's number from a
-// previous evaluator is validated before reuse, so evaluators never
-// need to reset the tree; the side map keeps this graph's own numbers
-// recoverable even if a later evaluator over the same tree overwrites
-// Seq (one map entry per node, not per instance — the fast path never
-// touches it while this graph owns the numbering).
+// register assigns node n a registration number, carves its node slots
+// if it has none, and extends the flat table with one (zeroed) row per
+// attribute. A node's number from a previous evaluator is validated
+// before reuse, so evaluators never need to reset the tree; the side
+// map keeps this graph's own numbers recoverable even if a later
+// evaluator over the same tree overwrites Seq (one map entry per node,
+// not per instance — the fast path never touches it while this graph
+// owns the numbering).
 func (g *graph) register(n *tree.Node) int32 {
 	if s := n.Seq; s > 0 && int(s) <= len(g.nodes) && g.nodes[s-1] == n {
 		return g.attrBase[s-1]
@@ -92,8 +97,10 @@ func (g *graph) register(n *tree.Node) int32 {
 		g.seqOf = make(map[*tree.Node]int32)
 	}
 	g.seqOf[n] = n.Seq
-	g.infos = slices.Grow(g.infos, len(n.Attrs))[:len(g.infos)+len(n.Attrs)]
-	for a := range n.Attrs {
+	g.slots.carve(n)
+	na := len(n.Sym.Attrs)
+	g.infos = slices.Grow(g.infos, na)[:len(g.infos)+na]
+	for a := range na {
 		in := &g.infos[int(base)+a]
 		in.node = n
 		in.attr = int32(a)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -282,6 +283,12 @@ type cfrag struct {
 	placed bool       // at least one open succeeded somewhere
 	local  bool       // pinned to the in-process fallback worker
 
+	// tried lists the workers whose open of this session failed on our
+	// side (deadline, cancel, lost or corrupt response): the worker may
+	// still have served it, so closeSession closes the session there
+	// too.
+	tried []*workerRef
+
 	// Dedup state for replayed responses; guarded by fjob.mu.
 	sentOut   map[outKey]bool
 	seenStore map[int32]bool
@@ -505,6 +512,11 @@ func (j *fjob) place(f *cfrag) (*evalResp, error) {
 			return resp, nil
 		}
 		co.client.release(w)
+		// Unless the worker answered with a refusal, it may have served
+		// the open after all: close the session there when done.
+		if se := (*StatusError)(nil); !errors.As(err, &se) && !slices.Contains(f.tried, w) {
+			f.tried = append(f.tried, w)
+		}
 		if err2 := j.ctx.Err(); err2 != nil {
 			return nil, err2
 		}
@@ -607,12 +619,20 @@ func (j *fjob) supply(f *cfrag, batch []wireMsg) (*evalResp, error) {
 }
 
 // closeSession releases the fragment's placement and discards its
-// worker-side session. The close is best-effort and fire-and-forget:
-// the job never waits for it, so the worker's recycling of the
-// session's storage stays off the job's critical path. Its goroutine
-// ends with the RPC, within the close's one-second deadline.
+// worker-side sessions: the placement's, and any a failed open may
+// have left on a worker it tried. The closes are best-effort and
+// fire-and-forget: the job never waits for them, so the worker's
+// recycling of the session's storage stays off the job's critical
+// path. Each goroutine ends with its RPC, within the close's
+// one-second deadline.
 func (j *fjob) closeSession(f *cfrag) {
 	body := sealFrame(&closeReq{Session: f.session})
+	for _, w := range f.tried {
+		if w != f.worker {
+			j.closeOn(w, body)
+		}
+	}
+	f.tried = nil
 	if f.local {
 		go j.co.local.ServeRPC(pathClose, body)
 		return
@@ -620,14 +640,19 @@ func (j *fjob) closeSession(f *cfrag) {
 	if f.worker == nil {
 		return
 	}
-	transport, addr := j.co.client.transport, f.worker.addr
+	j.closeOn(f.worker, body)
+	j.co.client.release(f.worker)
+	f.worker = nil
+}
+
+// closeOn sends a close to w without waiting for it.
+func (j *fjob) closeOn(w *workerRef, body []byte) {
+	transport, addr := j.co.client.transport, w.addr
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		transport.Do(ctx, addr, pathClose, body) //nolint:errcheck // hygiene only; sessions die with the worker anyway
 	}()
-	j.co.client.release(f.worker)
-	f.worker = nil
 }
 
 // handle routes one response: stores into the coordinator's librarian

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,4 +170,45 @@ func TestFleetRecycledStorageNeverLeaks(t *testing.T) {
 	compile("course/4", course, 4)
 	compile("exprlang/2", expr, 2)
 	compile("small/2", small, 2)
+}
+
+// TestFleetAbandonedOpenLeavesNoSession: an open the coordinator gives
+// up on (its per-call deadline passes first) is still served by the
+// worker, which must not keep the session: the coordinator has moved
+// on, so nothing would ever close it, and enough of them saturate the
+// worker. Every open here is answered after 60 ms against a 30 ms
+// deadline, so each is abandoned and the job finishes on the
+// coordinator's local fallback.
+func TestFleetAbandonedOpenLeavesNoSession(t *testing.T) {
+	job := pascalJob(t, workload.Tiny())
+	w := fleet.NewWorker()
+	w.Register(job.G, job.A, job.Lex)
+	routes := w.Routes()
+	var opens, served atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fleet/open" {
+			opens.Add(1)
+			defer served.Add(1)
+			time.Sleep(60 * time.Millisecond)
+		}
+		routes.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(srv.Close)
+	client := fleet.NewClient(fleet.ClientOptions{Workers: []string{srv.URL}, CallTimeout: 30 * time.Millisecond})
+	client.Start()
+	defer client.Stop()
+	co := fleet.NewCoordinator(fleet.CoordinatorOptions{Client: client})
+	if _, err := compileFleet(context.Background(), co, job, parallel.Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if opens.Load() == 0 {
+		t.Fatal("no open reached the worker; the test exercises nothing")
+	}
+	// The job finished on the fallback while the worker still served
+	// its opens: wait for them before counting sessions.
+	waitUntil(t, func() bool { return served.Load() == opens.Load() },
+		func() string {
+			return fmt.Sprintf("%d of %d opens still being served", opens.Load()-served.Load(), opens.Load())
+		})
+	waitNoSessions(t, w)
 }

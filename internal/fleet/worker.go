@@ -48,13 +48,26 @@ type Worker struct {
 	draining    bool
 	maxSessions int
 	free        []*tree.Builder // cleared builders, at most GOMAXPROCS
+
+	// closedEarly holds the ids of sessions closed while unknown here,
+	// at most maxEarlyCloses of them, oldest first in closedOrder. A
+	// coordinator closes a session only once done with it, so such a
+	// close overtook its open (one whose caller gave up on it): the
+	// next open of the id finishing here is not registered.
+	closedEarly map[string]bool
+	closedOrder []string
 }
 
+// maxEarlyCloses bounds how many closes of unknown sessions a worker
+// remembers.
+const maxEarlyCloses = 4 * DefaultMaxSessions
+
 // maxBuilderSlabs bounds the storage a recycled builder keeps, in
-// 1024-element slabs of nodes, attribute slots and child pointers. The
-// whole course-sized program (24k nodes) fills 173 slabs and a width-2
-// fragment of it about 100 (3 MB), so only a builder that decoded an
-// unusually large subtree is dropped.
+// 1024-element slabs of nodes, leaf attribute slots and child
+// pointers (interior nodes carry no slots). The whole course-sized
+// program (24k nodes) fills 55 slabs and a width-2 fragment of it at
+// most 32, so only a builder that decoded a subtree several times the
+// course program's size is dropped.
 const maxBuilderSlabs = 256
 
 // DefaultMaxSessions bounds concurrently open sessions per worker;
@@ -75,6 +88,7 @@ func NewWorker() *Worker {
 		grammars:    make(map[string]*langEntry),
 		sessions:    make(map[string]*session),
 		maxSessions: DefaultMaxSessions,
+		closedEarly: make(map[string]bool),
 	}
 }
 
@@ -138,6 +152,7 @@ func (w *Worker) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sessions = make(map[string]*session)
+	w.closedEarly, w.closedOrder = make(map[string]bool), nil
 }
 
 // Sessions reports how many sessions are open.
@@ -280,7 +295,8 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 
 	// A session that fails to open, is refused below or is later
 	// replaced by a reopen or discarded by Reset leaves its builder to
-	// the garbage collector: only handleClose recycles one.
+	// the garbage collector: only handleClose and an open closed before
+	// it finished recycle one.
 	s := &session{id: req.Session, b: w.builder()}
 	s.ep, err = cluster.NewEndpoint(job, req.Tree, cluster.FragmentSpec{
 		ID:        req.Frag,
@@ -327,6 +343,15 @@ func (w *Worker) handleOpen(body []byte) (int, []byte) {
 	s.lastResp = resp
 
 	w.mu.Lock()
+	// An open whose close came first is not registered: its caller gave
+	// up on it (a deadline passed, or its job was cancelled) and has
+	// moved on, so nobody would ever close the session again.
+	if w.closedEarly[req.Session] {
+		delete(w.closedEarly, req.Session)
+		w.mu.Unlock()
+		w.recycle(s)
+		return http.StatusNotFound, []byte(fmt.Sprintf("fleet: session %s closed while it opened", req.Session))
+	}
 	// Re-check admission under the lock: a concurrent open may have
 	// filled the worker while this one evaluated.
 	if w.draining || (w.sessions[req.Session] == nil && len(w.sessions) >= w.maxSessions) {
@@ -470,12 +495,28 @@ func (w *Worker) handleClose(body []byte) (int, []byte) {
 	}
 	w.mu.Lock()
 	s := w.sessions[req.Session]
-	delete(w.sessions, req.Session)
+	if s != nil {
+		delete(w.sessions, req.Session)
+	} else {
+		w.closeEarly(req.Session)
+	}
 	w.mu.Unlock()
 	if s != nil {
 		w.recycle(s)
 	}
 	return http.StatusOK, sealFrame(&evalResp{})
+}
+
+// closeEarly remembers the close of a session this worker does not
+// know, forgetting the oldest such close beyond maxEarlyCloses. The
+// caller holds w.mu.
+func (w *Worker) closeEarly(id string) {
+	if len(w.closedOrder) == maxEarlyCloses {
+		delete(w.closedEarly, w.closedOrder[0])
+		w.closedOrder = w.closedOrder[1:]
+	}
+	w.closedEarly[id] = true
+	w.closedOrder = append(w.closedOrder, id)
 }
 
 // builder takes a cleared builder from the free list, or makes one.

@@ -3,6 +3,7 @@ package pascal
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,7 +84,9 @@ func TestParseReportsScanErrors(t *testing.T) {
 // TestParseAllocs guards the slab-built parse: a course program costs
 // at most two allocations per terminal leaf (the boxed lexeme
 // attribute, and a string literal's text) plus one per slab of nodes,
-// attribute slots and child pointers — not several per node.
+// attribute slots and child pointers — not several per node — and at
+// most 3.5 MB, since interior nodes get no attribute slots (5.2 MB
+// when every interior node had them).
 func TestParseAllocs(t *testing.T) {
 	l := MustNew()
 	src := workload.Generate(workload.CourseCompiler())
@@ -109,6 +112,20 @@ func TestParseAllocs(t *testing.T) {
 	t.Logf("%d nodes, %d terminals, %d slots: %.0f allocations (limit %d)", nodes, terms, slots, allocs, limit)
 	if allocs > float64(limit) {
 		t.Errorf("parsing the course program costs %.0f allocations, want at most %d", allocs, limit)
+	}
+	const runs, maxBytes = 5, 3_500_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := l.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perParse := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per parse (limit %d)", perParse, maxBytes)
+	if perParse > maxBytes {
+		t.Errorf("parsing the course program allocates %d bytes, want at most %d", perParse, maxBytes)
 	}
 }
 

@@ -7,13 +7,15 @@ import (
 
 // Builder constructs trees out of slabs, the storage discipline of
 // paper §4.3 ("storage allocation is extremely fast throughout since we
-// make no provision for reusing memory"): nodes, attribute slots and
-// child-pointer slices are carved from large backing arrays, so a tree
-// of n nodes costs O(n/slab size) allocations for its structure instead
-// of three or four per node. Builder.New and Builder.NewTerminal run
-// the same checks, panic with the same messages and compute the same
-// sizes as New and NewTerminal, so a tree built either way is equal
-// node for node and encodes and hashes identically.
+// make no provision for reusing memory"): nodes, the attribute slots of
+// leaves and child-pointer slices are carved from large backing arrays,
+// so a tree of n nodes costs O(n/slab size) allocations for its
+// structure instead of three or four per node. Interior nodes get no
+// attribute slots (see Node.Attrs): the evaluators keep their
+// instances. Builder.New and Builder.NewTerminal run the same checks,
+// panic with the same messages and compute the same sizes as New and
+// NewTerminal, so a tree built either way is equal node for node and
+// encodes and hashes identically.
 //
 // The parsers and Decode build through a Builder. Every node it hands
 // out lives as long as any node of the same slab is reachable, which
@@ -27,13 +29,12 @@ type Builder struct {
 }
 
 // New creates an interior node for production p with the given
-// children, like the package-level New. The children slice is copied,
-// so the caller may reuse it.
+// children and no attribute slots, like the package-level New. The
+// children slice is copied, so the caller may reuse it.
 func (b *Builder) New(p *ag.Production, children ...*Node) *Node {
 	checkChildren(p, children)
 	n := b.nodes.New()
 	n.Sym, n.Prod = p.LHS, p
-	n.Attrs = b.vals.Make(len(p.LHS.Attrs))
 	n.Children = b.kids.Make(len(children))
 	copy(n.Children, children)
 	n.size = interiorSize(children)
@@ -60,7 +61,7 @@ func (b *Builder) remote(sym *ag.Symbol, id int) *Node {
 	return n
 }
 
-// Clear zeroes every node, attribute slot and child pointer the
+// Clear zeroes every node, leaf attribute slot and child pointer the
 // builder has handed out and keeps the slabs, so the next tree built
 // through it allocates no slab the last one filled, and nothing the
 // old tree referenced stays reachable through them. Nothing may hold a

@@ -2,6 +2,7 @@ package tree_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pag/internal/pascal"
@@ -79,5 +80,55 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 			}
 			b.Clear()
 		}
+	}
+}
+
+// TestNoInteriorSlots: a parse, a decode and a recycled decode build
+// interior nodes without attribute slots (evaluators keep those
+// instances), while terminals keep their scanner values and remote
+// leaves their interface slots.
+func TestNoInteriorSlots(t *testing.T) {
+	l := pascal.MustNew()
+	job, err := l.ClusterJob(workload.Generate(workload.CourseCompiler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, "parse", job.Root)
+	_, enc := tree.SplitEncode(job.Root, tree.GranularityFor(job.Root, 2), 2)
+	var b tree.Builder
+	b.Clear()
+	recycled := func(data []byte) (*tree.Node, error) {
+		b.Clear()
+		return b.Decode(job.G, data, l.TerminalAttrs)
+	}
+	for i, data := range enc {
+		for name, decode := range map[string]func([]byte) (*tree.Node, error){
+			"decode":   func(d []byte) (*tree.Node, error) { return tree.Decode(job.G, d, l.TerminalAttrs) },
+			"recycled": recycled,
+		} {
+			root, err := decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSlots(t, fmt.Sprintf("%s of fragment %d", name, i), root)
+		}
+	}
+}
+
+func checkSlots(t *testing.T, name string, root *tree.Node) {
+	t.Helper()
+	interior, leaves := 0, 0
+	root.Walk(func(n *tree.Node) {
+		switch {
+		case n.Remote || n.Sym.Terminal:
+			if len(n.Attrs) != len(n.Sym.Attrs) {
+				leaves++
+			}
+		case n.Attrs != nil:
+			interior++
+		}
+	})
+	if interior != 0 || leaves != 0 {
+		t.Errorf("%s: %d interior nodes hold slots and %d leaves lack them", name, interior, leaves)
 	}
 }

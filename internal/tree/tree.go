@@ -24,8 +24,17 @@ type Node struct {
 	Sym      *ag.Symbol
 	Prod     *ag.Production
 	Children []*Node
-	Attrs    []ag.Value
-	Token    string
+	// Attrs holds the node's attribute instances, one slot per
+	// attribute of Sym, where the node has slots. Terminals and remote
+	// leaves are built with them. Interior nodes are built without:
+	// the static evaluator keeps most of their instances in visit
+	// frames, and an evaluator carves slots, from its own storage, only
+	// for the nodes it must address across visits or runtimes (the
+	// fragment root, spine nodes, static-child roots and the children
+	// of multi-visit productions; every node under the dynamic
+	// evaluator). The slots stay with the tree after evaluation.
+	Attrs []ag.Value
+	Token string
 
 	RemoteID int
 	Remote   bool // packs beside Seq
@@ -45,14 +54,14 @@ type Node struct {
 }
 
 // New creates an interior node for production p with the given
-// children. The child count must match the production arity.
+// children. The child count must match the production arity. The node
+// has no attribute slots (see Node.Attrs).
 func New(p *ag.Production, children ...*Node) *Node {
 	checkChildren(p, children)
 	return &Node{
 		Sym:      p.LHS,
 		Prod:     p,
 		Children: children,
-		Attrs:    make([]ag.Value, len(p.LHS.Attrs)),
 		size:     interiorSize(children),
 	}
 }
@@ -137,10 +146,11 @@ func (n *Node) Count() int {
 	return c
 }
 
-// CountAttrs returns the number of attribute instances in the subtree
+// CountAttrs returns the number of attribute instances in the subtree,
+// counted from the grammar whether or not a node has slots for them
 // (remote leaves contribute their interface attributes).
 func (n *Node) CountAttrs() int {
-	c := len(n.Attrs)
+	c := len(n.Sym.Attrs)
 	for _, ch := range n.Children {
 		c += ch.CountAttrs()
 	}
@@ -262,15 +272,16 @@ func Spine(root *Node, leaves []*Node) map[*Node]bool {
 }
 
 // Equal reports structural equality of two subtrees including attribute
-// values compared with ==(comparable) or fmt-formatting fallback.
+// values, compared by their fmt formatting; a node without slots holds
+// only zero values.
 func Equal(a, b *Node) bool {
 	if a.Sym != b.Sym || a.Prod != b.Prod || a.Token != b.Token ||
 		a.Remote != b.Remote || a.RemoteID != b.RemoteID ||
-		len(a.Children) != len(b.Children) || len(a.Attrs) != len(b.Attrs) {
+		len(a.Children) != len(b.Children) {
 		return false
 	}
-	for i := range a.Attrs {
-		if fmt.Sprint(a.Attrs[i]) != fmt.Sprint(b.Attrs[i]) {
+	for i := range a.Sym.Attrs {
+		if fmt.Sprint(slot(a, i)) != fmt.Sprint(slot(b, i)) {
 			return false
 		}
 	}
@@ -280,4 +291,13 @@ func Equal(a, b *Node) bool {
 		}
 	}
 	return true
+}
+
+// slot returns the value in n's slot for attribute i, or nil if n has
+// no slots.
+func slot(n *Node, i int) ag.Value {
+	if i < len(n.Attrs) {
+		return n.Attrs[i]
+	}
+	return nil
 }
