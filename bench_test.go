@@ -406,11 +406,11 @@ func BenchmarkT3Sequential(b *testing.B) {
 func BenchmarkT2CombinedStats(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.T2DynamicFraction(5)
+		pt, err := experiments.RunPoint(cluster.Combined, 5, experiments.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		frac = f
+		frac = pt.DynFrac
 	}
 	b.ReportMetric(frac*100, "dyn_pct")
 }

@@ -188,14 +188,12 @@ const (
 	// InOwn: the visited node's own attributes (occurrence 0), wherever
 	// the caller keeps them.
 	InOwn Where = iota
-	// InFrame: the visit's frame. A single-visit production's nonterminal
-	// children live only while its one visit runs (Kastens' attribute
-	// lifetimes), so their instances sit side by side in a frame on the
-	// evaluator's stack instead of in the tree.
+	// InFrame: the production's frame. Its nonterminal children's
+	// instances sit side by side there, in the evaluator's storage
+	// instead of the tree, for as long as the production's visits run
+	// (Kastens' attribute lifetimes).
 	InFrame
-	// InChild: a child's node slots. Terminals keep their scanner values
-	// there, and the children of a multi-visit production must outlive
-	// each of its visits.
+	// InChild: a terminal child's scanner value, in its node slots.
 	InChild
 )
 
@@ -232,16 +230,14 @@ type CompiledOp struct {
 // oversubscribed parallel runs never recompute (or re-resolve)
 // identical plans per fragment.
 //
-// Frame is the number of frame slots a visit of the production needs:
-// the attributes of its nonterminal children, when the production has
-// one visit. A production of several visits keeps its nonterminal
-// children's attributes in their node slots (ChildSlots), since they
-// must survive from one visit to the next.
+// Frame is the number of frame slots the production needs: the
+// attributes of its nonterminal children. A production of one visit
+// holds its frame only while that visit runs; one of several visits
+// holds it from the first visit to the last.
 type CompiledPlan struct {
-	Prod       *Production
-	Segments   [][]CompiledOp
-	Frame      int
-	ChildSlots bool
+	Prod     *Production
+	Segments [][]CompiledOp
+	Frame    int
 }
 
 // Analysis is the result of the OAG analysis of a grammar: the
@@ -289,16 +285,15 @@ func (a *Analysis) Plan(p *Production) *Plan { return a.plans[p.Index] }
 func (a *Analysis) Compiled(p *Production) *CompiledPlan { return a.compiled[p.Index] }
 
 // compilePlan resolves every eval op of plan to its rule pointer and
-// every occurrence to its storage: a single-visit production lays its
-// nonterminal children's attributes out in its frame, in child order.
+// every occurrence to its storage: the production lays its nonterminal
+// children's attributes out in its frame, in child order.
 func compilePlan(plan *Plan) *CompiledPlan {
 	p := plan.Prod
 	cp := &CompiledPlan{Prod: p, Segments: make([][]CompiledOp, len(plan.Segments))}
-	cp.ChildSlots = len(plan.Segments) > 1
-	frameOff := make([]int32, len(p.RHS)+1) // per occurrence; -1: node slots
+	frameOff := make([]int32, len(p.RHS)+1) // per occurrence; -1: a terminal
 	for occ := 1; occ <= len(p.RHS); occ++ {
 		frameOff[occ] = -1
-		if sym := p.Sym(occ); !sym.Terminal && !cp.ChildSlots {
+		if sym := p.Sym(occ); !sym.Terminal {
 			frameOff[occ] = int32(cp.Frame)
 			cp.Frame += len(sym.Attrs)
 		}

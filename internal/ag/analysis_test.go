@@ -47,37 +47,35 @@ func binGrammar(t *testing.T) (*Grammar, *Symbol, *Symbol) {
 	return g, node, root
 }
 
-// TestCompiledLocations checks where compiled plans put operands: a
-// single-visit production lays its nonterminal child's attributes out
-// in its frame, while the productions of the two-visit node keep their
-// children's attributes in node slots.
+// TestCompiledLocations checks where compiled plans put operands:
+// single-visit and two-visit productions alike lay their nonterminal
+// children's attributes out in their frame, in child order, and read a
+// terminal child's values from its node.
 func TestCompiledLocations(t *testing.T) {
-	g, node, root := binGrammar(t)
+	g, _, _ := binGrammar(t)
 	a, err := Analyze(g)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	for _, p := range g.Prods {
 		cp := a.Compiled(p)
-		switch p.LHS {
-		case root:
-			if cp.Frame != len(node.Attrs) || cp.ChildSlots {
-				t.Errorf("%s: Frame %d, ChildSlots %v; want %d, false", p, cp.Frame, cp.ChildSlots, len(node.Attrs))
+		off := make([]int32, len(p.RHS)+1)
+		frame := int32(0)
+		for occ := 1; occ <= len(p.RHS); occ++ {
+			off[occ] = -1
+			if sym := p.Sym(occ); !sym.Terminal {
+				off[occ] = frame
+				frame += int32(len(sym.Attrs))
 			}
-		case node:
-			if cp.Frame != 0 || !cp.ChildSlots {
-				t.Errorf("%s: Frame %d, ChildSlots %v; want 0, true", p, cp.Frame, cp.ChildSlots)
-			}
+		}
+		if cp.Frame != int(frame) {
+			t.Errorf("%s: Frame %d, want %d", p, cp.Frame, frame)
 		}
 		for _, seg := range cp.Segments {
 			for _, op := range seg {
 				if op.Rule == nil {
-					want := int32(-1)
-					if !cp.ChildSlots {
-						want = 0 // the only child is first in the frame
-					}
-					if op.Frame != want {
-						t.Errorf("%s: visit(%d,#%d) frame %d, want %d", p, op.Child, op.Visit, op.Frame, want)
+					if want := off[op.Child]; op.Frame != want || op.FrameEnd != want+int32(len(p.Sym(int(op.Child)).Attrs)) {
+						t.Errorf("%s: visit(%d,#%d) frame [%d,%d), want it at %d", p, op.Child, op.Visit, op.Frame, op.FrameEnd, want)
 					}
 					continue
 				}
@@ -90,10 +88,10 @@ func TestCompiledLocations(t *testing.T) {
 					switch {
 					case ref.Occ == 0:
 						want = Loc{Where: InOwn, Index: int32(ref.Attr)}
-					case cp.ChildSlots:
+					case off[ref.Occ] < 0:
 						want = Loc{Where: InChild, Occ: int32(ref.Occ), Index: int32(ref.Attr)}
 					default:
-						want = Loc{Where: InFrame, Index: int32(ref.Attr)}
+						want = Loc{Where: InFrame, Index: off[ref.Occ] + int32(ref.Attr)}
 					}
 					if l != want {
 						t.Errorf("%s: %v lives at %+v, want %+v", p, ref, l, want)

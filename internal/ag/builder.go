@@ -212,13 +212,3 @@ func (b *Builder) BuildUnchecked() (*Grammar, []error) {
 	b.g.finishUnchecked()
 	return b.g, b.errs
 }
-
-// MustBuild is Build that panics on error; for grammars constructed in
-// package init paths and tests.
-func MustBuild(b *Builder) *Grammar {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

@@ -20,10 +20,6 @@ type Wave struct {
 
 // cutSym is the per-symbol slice of a CutPlan.
 type cutSym struct {
-	// nclass is the number of occurrence equivalence classes:
-	// attributes with the same kind and visit number cross a cut in the
-	// same wave and are interchangeable for scheduling purposes.
-	nclass int
 	// waves is the symbol's static wave schedule, in visit order.
 	waves    []Wave
 	messages int
@@ -82,11 +78,13 @@ func buildCutSym(s *Symbol, a *Analysis) cutSym {
 		kind  AttrKind
 		visit int
 	}
+	// Occurrence equivalence classes: attributes with the same kind and
+	// visit number cross a cut in the same wave and are interchangeable
+	// for scheduling purposes.
 	classes := map[classKey]bool{}
 	for ai := 0; ai < n; ai++ {
 		classes[classKey{s.Attrs[ai].Kind, visit(ai)}] = true
 	}
-	cs.nclass = len(classes)
 
 	// Wave schedule: one wave per visit, inherited attributes shipped
 	// down before the visit, synthesized shipped up after it.
@@ -103,7 +101,7 @@ func buildCutSym(s *Symbol, a *Analysis) cutSym {
 	// Cut cost: the messages the cut exchanges, plus the number of
 	// distinct waves as a latency proxy (each wave is a network round
 	// trip between the fragments on either side of the cut).
-	cs.cost = cs.messages + cs.nclass
+	cs.cost = cs.messages + len(classes)
 	return cs
 }
 
@@ -116,9 +114,6 @@ func (cp *CutPlan) CutMessages(s *Symbol) int { return cp.syms[s.Index].messages
 // plus the number of occurrence equivalence classes (a proxy for the
 // wave round trips the cut serializes on).
 func (cp *CutPlan) CutCost(s *Symbol) int { return cp.syms[s.Index].cost }
-
-// Classes returns the number of occurrence equivalence classes of s.
-func (cp *CutPlan) Classes(s *Symbol) int { return cp.syms[s.Index].nclass }
 
 // Waves returns the static wave schedule of a cut at s, in visit
 // order. The returned slice is shared; callers must not mutate it.

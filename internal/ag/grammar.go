@@ -209,17 +209,6 @@ func (g *Grammar) MaxRuleArgs() int { return g.maxArgs }
 // SymbolNamed returns the symbol with the given name, or nil.
 func (g *Grammar) SymbolNamed(name string) *Symbol { return g.byName[name] }
 
-// ProdsFor returns all productions with the given LHS.
-func (g *Grammar) ProdsFor(lhs *Symbol) []*Production {
-	var out []*Production
-	for _, p := range g.Prods {
-		if p.LHS == lhs {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // finish computes derived tables and validates structural invariants.
 func (g *Grammar) finish() error {
 	g.byName = make(map[string]*Symbol, len(g.Symbols))

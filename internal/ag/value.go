@@ -34,10 +34,6 @@ func IntValue(i int) Value {
 	return i
 }
 
-// BoolValue boxes a bool. Both values are interned by the Go runtime,
-// so this never allocates; it exists for symmetry with IntValue.
-func BoolValue(b bool) Value { return b }
-
 // IntCodec is the conversion function pair (paper §2.5) for an int
 // attribute: one signed varint over the whole range of int.
 type IntCodec struct{}

@@ -93,14 +93,11 @@ func UIDBaseFor(id int) int { return 1 + id*1_000_000 }
 type Job struct {
 	G *ag.Grammar
 	A *ag.Analysis // required for Combined mode
-	// Root is the parsed tree. The simulator and a pool's fleet jobs
-	// only read it: they encode fragments straight from it. A local
-	// pool evaluates it in place: it cuts the tree at the planned
-	// points, its evaluators write the nodes' attribute slots, and it
-	// restores the cuts before Compile returns. Pool compiles of one
-	// tree take turns, so a Job can be reused and compiled by several
-	// callers at once; just do not read the tree elsewhere (a simulator
-	// or fleet compile included) while a local pool compile of it runs.
+	// Root is the parsed tree. Every runtime only reads it: the
+	// simulator and a pool's fleet jobs encode fragments straight from
+	// it, and a local pool evaluates each planned fragment where it
+	// lies, keeping the attribute instances in its evaluators. So a Job
+	// can be reused and compiled by any number of callers at once.
 	Root *tree.Node
 	// Lex recomputes terminal attributes after network transfer.
 	Lex tree.TerminalAttrs
@@ -157,10 +154,11 @@ type Result struct {
 	PerFrag []eval.Stats
 	// Frags is the number of fragments the tree was split into.
 	Frags int
-	// Decomp describes the process tree. It is a planned decomposition
-	// (tree.SplitEncode): its fragment roots are nodes of the job's
-	// uncut tree, so read the fragments through its methods (Sizes,
-	// Balance, Children, Describe, Digests), not by walking Frags[i].Root.
+	// Decomp describes the process tree. It is the planned
+	// decomposition of the job's tree (tree.Plan, through
+	// tree.SplitEncode): its fragment roots are nodes of the uncut tree,
+	// so read the fragments through its methods (Sizes, Balance,
+	// Children, Leaves, Describe, Digests), not by walking Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Trace is the machine activity trace (paper Figure 6).
 	Trace *trace.Trace

@@ -14,7 +14,7 @@ import (
 // RootLeaf is the Endpoint.Supply address of the fragment's own root:
 // an inherited value arriving from the parent fragment. Every other
 // address is the fragment id a remote leaf stands for.
-const RootLeaf = -1
+const RootLeaf = eval.Root
 
 // Inbound values an Endpoint refuses, distinguishable with errors.Is.
 var (
@@ -57,7 +57,8 @@ type Endpoint struct {
 	id     int
 	ev     eval.FragmentEvaluator
 	root   *tree.Node
-	leaves map[int]*tree.Node
+	leaves []*tree.Node // remote leaves, in preorder
+	leafOf map[int]int  // fragment id -> its remote leaf's index in leaves
 	useLib bool
 	err    error
 }
@@ -84,10 +85,9 @@ func NewEndpoint(job Job, data []byte, s FragmentSpec, w Wire) (*Endpoint, error
 		charge(time.Duration(root.Count())*costPerNodeDecode + time.Duration(len(data))*costPerByteCodec)
 	}
 
-	e := &Endpoint{id: s.ID, root: root, leaves: map[int]*tree.Node{}, useLib: w.Librarian}
-	leafList := tree.RemoteLeaves(root)
-	for _, leaf := range leafList {
-		e.leaves[leaf.RemoteID] = leaf
+	e := &Endpoint{id: s.ID, root: root, leaves: tree.RemoteLeaves(root), leafOf: map[int]int{}, useLib: w.Librarian}
+	for k, leaf := range e.leaves {
+		e.leafOf[leaf.RemoteID] = k
 	}
 	var store func(text string) (int32, error)
 	if w.Librarian {
@@ -122,8 +122,9 @@ func NewEndpoint(job Job, data []byte, s FragmentSpec, w Wire) (*Endpoint, error
 		charge(time.Duration(len(data)) * costPerByteCodec)
 		return data, ship, true
 	}
-	s.Root, s.Leaves = root, leafList
-	s.Down = func(leaf *tree.Node, attr int, v ag.Value, _ bool) {
+	s.Root, s.Leaves = root, e.leaves
+	s.Down = func(k, attr int, v ag.Value, _ bool) {
+		leaf := e.leaves[k]
 		if data, _, ok := encode(leaf.Sym, attr, v); ok {
 			w.Down(leaf, attr, data)
 		}
@@ -169,14 +170,14 @@ func (e *Endpoint) Stats() eval.Stats { return e.ev.Stats() }
 // instance (ErrDuplicateValue) and undecodable bytes are errors, and
 // the evaluator is left as it was.
 func (e *Endpoint) Supply(leaf, attr int, data []byte) error {
-	target, kind := e.root, ag.Inherited
+	sym, k, kind := e.root.Sym, eval.Root, ag.Inherited
 	if leaf != RootLeaf {
-		if target = e.leaves[leaf]; target == nil {
+		var ok bool
+		if k, ok = e.leafOf[leaf]; !ok {
 			return fmt.Errorf("cluster: fragment %d has no remote leaf for fragment %d", e.id, leaf)
 		}
-		kind = ag.Synthesized
+		sym, kind = e.leaves[k].Sym, ag.Synthesized
 	}
-	sym := target.Sym
 	if attr < 0 || attr >= len(sym.Attrs) {
 		return fmt.Errorf("cluster: fragment %d: attribute %d out of range for %s", e.id, attr, sym.Name)
 	}
@@ -184,7 +185,7 @@ func (e *Endpoint) Supply(leaf, attr int, data []byte) error {
 	switch {
 	case a.Kind != kind:
 		return fmt.Errorf("cluster: fragment %d: %s.%s: %w", e.id, sym.Name, a.Name, ErrWrongDirection)
-	case target.Attrs[attr] != nil:
+	case e.ev.Has(k, attr):
 		return fmt.Errorf("cluster: fragment %d: %s.%s: %w", e.id, sym.Name, a.Name, ErrDuplicateValue)
 	case a.Codec == nil:
 		return fmt.Errorf("cluster: fragment %d: %s.%s has no codec", e.id, sym.Name, a.Name)
@@ -199,7 +200,7 @@ func (e *Endpoint) Supply(leaf, attr int, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("cluster: fragment %d: decoding %s.%s: %w", e.id, sym.Name, a.Name, err)
 	}
-	e.ev.Supply(target, attr, v)
+	e.ev.Supply(k, attr, v)
 	return nil
 }
 

@@ -16,9 +16,13 @@ import (
 // fragments through this one description, so the §4.3 boundary policy
 // is the same code everywhere; a runtime supplies only its transport.
 type FragmentSpec struct {
-	ID     int          // fragment id; 0 is the root fragment
-	Root   *tree.Node   // the fragment's subtree
-	Leaves []*tree.Node // remote leaves of Root, in tree order
+	ID   int        // fragment id; 0 is the root fragment
+	Root *tree.Node // the fragment's subtree
+	// Leaves are the leaves of Root in preorder, which the evaluator
+	// does not enter: a decoded fragment's remote leaves, or the cut
+	// nodes of a planned decomposition. Down and the presets address
+	// them by their index in this list.
+	Leaves []*tree.Node
 	// UIDBase is the unique-identifier base the parser hands this
 	// fragment under UIDPreset (UIDBaseFor(ID) in every runtime).
 	UIDBase int
@@ -40,9 +44,9 @@ type FragmentSpec struct {
 	// unique-identifier presets are supplied.
 	Ready func()
 
-	// Down ships inherited attribute attr of remote leaf leaf to the
-	// child fragment leaf.RemoteID.
-	Down func(leaf *tree.Node, attr int, v ag.Value, priority bool)
+	// Down ships inherited attribute attr of Leaves[leaf] to the child
+	// fragment that leaf stands for.
+	Down func(leaf, attr int, v ag.Value, priority bool)
 	// Up ships synthesized attribute attr of Root to the parent
 	// fragment. It is never called for fragment 0.
 	Up func(attr int, v ag.Value, priority bool)
@@ -82,11 +86,12 @@ func NewFragmentEvaluator(job Job, s FragmentSpec) (eval.FragmentEvaluator, erro
 		Charge:             s.Charge,
 		NoPriority:         s.NoPriority,
 		YieldAfterPriority: s.Yield,
-		OnRemoteInh: func(leaf *tree.Node, attr int, v ag.Value) {
-			if uidChain(leaf.Sym, attr, false) {
+		OnRemoteInh: func(leaf, attr int, v ag.Value) {
+			sym := s.Leaves[leaf].Sym
+			if uidChain(sym, attr, false) {
 				return
 			}
-			s.Down(leaf, attr, v, priority(leaf.Sym, attr))
+			s.Down(leaf, attr, v, priority(sym, attr))
 		},
 		OnRootSyn: func(attr int, v ag.Value) {
 			switch {
@@ -115,11 +120,11 @@ func NewFragmentEvaluator(job Job, s FragmentSpec) (eval.FragmentEvaluator, erro
 	if s.UIDPreset {
 		for _, k := range job.UIDs {
 			if k.Sym == s.Root.Sym && s.ID != 0 {
-				ev.Supply(s.Root, k.Base, s.UIDBase)
+				ev.Supply(eval.Root, k.Base, s.UIDBase)
 			}
-			for _, leaf := range s.Leaves {
+			for i, leaf := range s.Leaves {
 				if k.Sym == leaf.Sym {
-					ev.Supply(leaf, k.Count, 0)
+					ev.Supply(i, k.Count, 0)
 				}
 			}
 		}

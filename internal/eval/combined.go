@@ -17,55 +17,68 @@ import (
 // are entered into the dynamic dependency graph.
 type staticChild struct {
 	node       *tree.Node
+	owner      int32   // the graph owner whose rows hold node's instances
 	nextVisit  int     // next visit to run, 1-based
 	pendingInh []int32 // per phase: inherited attrs not yet available
 }
 
 // Combined is the paper's combined static/dynamic evaluator (§2.4,
-// Figure 4): nodes on a path from the fragment root to a remote leaf
-// (the spine) are evaluated dynamically; every subtree hanging off the
+// Figure 4): nodes on a path from the fragment root to a leaf (the
+// spine) are evaluated dynamically; every subtree hanging off the
 // spine — in particular every bottom fragment — is evaluated by the
 // static ordered evaluator, with no dependency analysis at all. The
-// fragment root, the spine nodes and the static-child roots keep their
-// instances in node slots, carved by the evaluator on its own worker
-// where they have none; the static subtrees keep theirs in visit
-// frames (see Static).
+// fragment root, the spine nodes, the leaves and the static-child
+// roots keep their instances in rows of the dynamic graph; the static
+// subtrees keep theirs in visit frames (see Static). Nothing is written
+// to the tree.
 type Combined struct {
 	a  *ag.Analysis
 	g  graph
 	st *Static
 
-	// rootStatic indicates the fragment has no remote leaves: the
-	// entire fragment is one static subtree (kids[0]) driven by the
-	// arrival of the root's inherited phases.
+	// rootStatic indicates the fragment has no leaves: the entire
+	// fragment is one static subtree (kids[0]) driven by the arrival of
+	// the root's inherited phases.
 	rootStatic bool
 
-	// kids holds the static children in tree (preorder) order; childOf
-	// maps a subtree root to its index. Slices into kids are only taken
-	// after construction, when the slice has stopped growing.
+	// kids holds the static children in tree (preorder) order. Slices
+	// into kids are only taken after construction, when the slice has
+	// stopped growing.
 	kids    []staticChild
-	childOf map[*tree.Node]int32
 	inhSlab arena.Slab[int32]
 }
 
 // NewCombined builds a combined evaluator for the fragment rooted at
-// root, whose remote leaves in tree order are leaves (nil for a
-// fragment without any). Dynamic dependency information is computed
-// only for spine nodes, which the paper's measurements show is a small
+// root, whose leaves in preorder are leaves (nil for a fragment without
+// any): the remote leaves of a decoded fragment or the cut nodes of a
+// planned decomposition. Supply and Hooks.OnRemoteInh address a leaf by
+// its index in leaves. Dynamic dependency information is computed only
+// for spine nodes, which the paper's measurements show is a small
 // fraction of the tree ("less than N percent of the attributes are
 // evaluated dynamically", §4.1).
 func NewCombined(a *ag.Analysis, root *tree.Node, leaves []*tree.Node, hooks Hooks) *Combined {
-	c := &Combined{a: a, childOf: make(map[*tree.Node]int32)}
-	c.g.init(root, a.G.MaxRuleArgs(), hooks)
+	c := &Combined{a: a}
+	c.g.init(hooks, leaves)
 	c.st = NewStatic(a, Hooks{Charge: hooks.Charge})
-
 	spine := tree.Spine(root, leaves)
+	// Rows: the root's and those of the spine nodes' children.
+	nodes, rows := 1, len(root.Sym.Attrs)
+	for n := range spine {
+		for _, ch := range n.Children {
+			if !ch.Sym.Terminal {
+				nodes++
+				rows += len(ch.Sym.Attrs)
+			}
+		}
+	}
+	c.g.reserve(nodes, rows)
+	self := c.g.register(root.Sym, -1)
 	if len(spine) == 0 {
 		// Entirely local fragment: pure static evaluation, gated on the
 		// root's inherited phases ("all bottom subtrees are evaluated
 		// entirely statically", §4.1).
 		c.rootStatic = true
-		c.addStaticChild(root)
+		c.addStaticChild(root, self)
 		return c
 	}
 	// Dynamic instances for the rules of every spine node. Children of
@@ -73,47 +86,34 @@ func NewCombined(a *ag.Analysis, root *tree.Node, leaves []*tree.Node, hooks Hoo
 	// subtrees; their synthesized attributes are produced by visits.
 	// Discovery order is tree (preorder) order, which keeps the drain
 	// deterministic.
-	var scanned []*tree.Node
-	var build func(n *tree.Node)
-	build = func(n *tree.Node) {
-		if !spine[n] {
-			return
-		}
-		scanned = append(scanned, n)
-		c.g.scanNodeRules(n)
-		for _, ch := range n.Children {
-			switch {
-			case ch.Remote, ch.Sym.Terminal:
-			case spine[ch]:
-				build(ch)
-			default:
-				c.addStaticChild(ch)
-			}
+	var next func(n *tree.Node, o int32)
+	next = func(n *tree.Node, o int32) {
+		if spine[n] {
+			c.g.build(n, o, next)
+		} else {
+			c.addStaticChild(n, o)
 		}
 	}
-	build(root)
-	c.g.finishBuild(scanned)
+	next(root, self)
+	c.g.finishBuild(a.G.MaxRuleArgs())
 	// An inherited attribute of a static child's root may enable its
 	// next static visit.
-	c.g.onInhAvail = func(n *tree.Node, attr int) {
-		if idx, ok := c.childOf[n]; ok {
-			sc := &c.kids[idx]
-			ph := c.a.VisitOf(n.Sym, attr)
-			sc.pendingInh[ph-1]--
-			c.runStaticChild(sc, false)
-		}
+	c.g.onInhAvail = func(kid int32, attr int) {
+		sc := &c.kids[kid]
+		ph := c.a.VisitOf(sc.node.Sym, attr)
+		sc.pendingInh[ph-1]--
+		c.runStaticChild(sc, false)
 	}
 	return c
 }
 
-func (c *Combined) addStaticChild(n *tree.Node) {
-	c.g.slots.carve(n)
+func (c *Combined) addStaticChild(n *tree.Node, o int32) {
 	phases := c.a.Phases(n.Sym)
-	sc := staticChild{node: n, nextVisit: 1, pendingInh: c.inhSlab.Make(len(phases))}
+	sc := staticChild{node: n, owner: o, nextVisit: 1, pendingInh: c.inhSlab.Make(len(phases))}
 	for v, ph := range phases {
 		sc.pendingInh[v] = int32(len(ph.Inh))
 	}
-	c.childOf[n] = int32(len(c.kids))
+	c.g.owners[o].kid = int32(len(c.kids))
 	c.kids = append(c.kids, sc)
 }
 
@@ -150,52 +150,64 @@ func (c *Combined) drainStaticChildren() {
 // the dynamic graph (or, for a fully static fragment root, to the
 // parent evaluator via OnRootSyn).
 func (c *Combined) runStaticChild(sc *staticChild, isRoot bool) {
-	phases := c.a.Phases(sc.node.Sym)
+	o := &c.g.owners[sc.owner]
+	end := o.base + int32(len(o.sym.Attrs))
+	own := c.g.vals[o.base:end:end]
+	phases := c.a.Phases(o.sym)
 	for sc.nextVisit <= len(phases) && sc.pendingInh[sc.nextVisit-1] == 0 {
 		v := sc.nextVisit
 		sc.nextVisit++
-		c.st.Visit(sc.node, v)
+		c.st.visitOwn(sc.node, own, v)
 		for _, ai := range phases[v-1].Syn {
-			val := sc.node.Attrs[ai]
 			if isRoot {
 				if c.g.hooks.OnRootSyn != nil {
-					c.g.hooks.OnRootSyn(ai, val)
+					c.g.hooks.OnRootSyn(ai, own[ai])
 				}
 				continue
 			}
-			if i, ok := c.g.lookup(sc.node, ai); ok && c.g.infos[i].present && !c.g.infos[i].avail {
-				c.g.markAvail(i, val)
+			if i := o.base + int32(ai); c.g.infos[i].present && !c.g.infos[i].avail {
+				c.g.markAvail(i)
 			}
 		}
 	}
 }
 
 // Supply injects a remotely computed attribute value: a synthesized
-// attribute of a remote leaf or an inherited attribute of the fragment
-// root.
-func (c *Combined) Supply(n *tree.Node, attr int, v ag.Value) {
-	n.Attrs[attr] = v
+// attribute of leaf leaf (its index in the leaf list) or an inherited
+// attribute of the fragment root (leaf = Root). A second value for an
+// instance is ignored.
+func (c *Combined) Supply(leaf, attr int, v ag.Value) {
 	c.g.stats.Supplied++
 	c.g.hooks.charge(CostSupply)
-	if c.rootStatic {
-		if n != c.g.root {
-			panic(fmt.Sprintf("eval: Supply(%s) to fully static fragment rooted at %s", n.Sym, c.g.root.Sym))
-		}
-		ph := c.a.VisitOf(n.Sym, attr)
+	if c.rootStatic && leaf != Root {
+		panic(fmt.Sprintf("eval: Supply to leaf %d of fully static fragment rooted at %s", leaf, c.kids[0].node.Sym))
+	}
+	i := c.g.input(leaf, attr)
+	in := &c.g.infos[i]
+	if in.avail {
+		return
+	}
+	c.g.vals[i] = v
+	switch {
+	case c.rootStatic:
+		in.avail = true
+		ph := c.a.VisitOf(c.kids[0].node.Sym, attr)
 		c.kids[0].pendingInh[ph-1]--
-		return
+	case in.present:
+		c.g.markAvail(i)
+	default:
+		in.avail = true
 	}
-	i, ok := c.g.lookup(n, attr)
-	if !ok || !c.g.infos[i].present || c.g.infos[i].avail {
-		return
-	}
-	c.g.markAvail(i, v)
 }
+
+// Has reports whether the input instance Supply addresses by (leaf,
+// attr) has a value.
+func (c *Combined) Has(leaf, attr int) bool { return c.g.infos[c.g.input(leaf, attr)].avail }
 
 // Done reports whether all local attribute instances are evaluated.
 func (c *Combined) Done() bool {
 	if c.rootStatic {
-		return c.kids[0].nextVisit > len(c.a.Phases(c.g.root.Sym))
+		return c.kids[0].nextVisit > len(c.a.Phases(c.kids[0].node.Sym))
 	}
 	if c.g.evaluated != c.g.defined {
 		return false

@@ -8,25 +8,25 @@
 // machine boundaries enter through Supply and leave through the Hooks
 // callbacks; the cluster package wires these to the network.
 //
-// The evaluators own attribute storage: trees are built without slots
-// on their interior nodes. The instances of a single-visit
-// production's nonterminal children live only while its visit runs
-// (Kastens' attribute lifetimes), so the static evaluator keeps them
-// in frames on a reusable stack. After a static evaluation of the
-// course program, 368 of its 16,925 interior nodes hold slots (1,993
-// of 120,170 instances). The nodes an evaluator must address across
-// visits or runtimes — the fragment root, spine nodes, static-child
-// roots, the children of multi-visit productions, and every node of a
-// dynamic evaluation — get node slots (tree.Node.Attrs), carved from
-// the evaluator's own slab on its own worker. Terminals keep their
-// scanner values and remote leaves their interface slots.
+// The evaluators own attribute storage and never write the tree they
+// evaluate, so any number of them may run over one tree at once (only
+// the standalone entry points Static.Visit and NewDynamic publish
+// values on the tree they are given). The dependency graph keeps its
+// instances in rows of its own table. A production's nonterminal
+// children live only while its visits run (Kastens' attribute
+// lifetimes), so the static evaluator keeps their instances in frames.
+// Terminals keep their scanner values in their node slots.
+//
+// An evaluator is given its fragment's leaves as a list, in preorder:
+// the remote leaves of a decoded fragment, or the cut nodes of a
+// planned decomposition, which are interior nodes it does not enter.
+// Supply and Hooks.OnRemoteInh address a leaf by its index there.
 package eval
 
 import (
 	"time"
 
 	"pag/internal/ag"
-	"pag/internal/tree"
 )
 
 // Simulated CPU costs of the evaluator machinery itself, calibrated for
@@ -49,14 +49,18 @@ const (
 	CostSupply = 10 * time.Microsecond
 )
 
+// Root is the Supply address of the fragment root.
+const Root = -1
+
 // Hooks connects an evaluator to its environment.
 type Hooks struct {
 	// Charge accounts simulated CPU time; nil ignores costs.
 	Charge func(d time.Duration)
 	// OnRemoteInh fires when an inherited attribute of a remote leaf
-	// has been computed locally and must be shipped to the evaluator
-	// that owns the corresponding subtree.
-	OnRemoteInh func(leaf *tree.Node, attr int, v ag.Value)
+	// (its index in the evaluator's leaf list) has been computed
+	// locally and must be shipped to the evaluator that owns the
+	// corresponding subtree.
+	OnRemoteInh func(leaf, attr int, v ag.Value)
 	// OnRootSyn fires when a synthesized attribute of the fragment root
 	// has been computed and must be shipped to the parent evaluator (or
 	// the parser, for the root fragment).
@@ -126,8 +130,14 @@ type FragmentEvaluator interface {
 	// Yielded reports whether the last Run stopped at a yield point
 	// (Hooks.YieldAfterPriority) with instances still ready to run.
 	Yielded() bool
-	// Supply injects an attribute value computed by another evaluator.
-	Supply(n *tree.Node, attr int, v ag.Value)
+	// Supply injects an attribute value computed by another evaluator:
+	// a synthesized attribute of leaf leaf (its index in the leaf
+	// list), or an inherited attribute of the fragment root (leaf =
+	// Root).
+	Supply(leaf, attr int, v ag.Value)
+	// Has reports whether the instance Supply addresses by (leaf, attr)
+	// already has a value.
+	Has(leaf, attr int) bool
 	// Done reports whether every local attribute instance is evaluated.
 	Done() bool
 	// Blocked lists blocked instances for deadlock diagnostics.

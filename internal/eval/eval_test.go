@@ -100,14 +100,19 @@ func TestCombinedOnUnsplitTreeIsPureStatic(t *testing.T) {
 	}
 	for _, tc := range exprCases {
 		root := parseCase(t, l, tc.src)
-		c := eval.NewCombined(a, root, nil, eval.Hooks{})
+		var got ag.Value
+		c := eval.NewCombined(a, root, nil, eval.Hooks{OnRootSyn: func(attr int, v ag.Value) {
+			if attr == exprlang.AttrValue {
+				got = v
+			}
+		}})
 		// The start symbol has no inherited attributes, so the whole
 		// fragment evaluates in one Run.
 		c.Run()
 		if !c.Done() {
 			t.Fatalf("%q: combined evaluator not done: %v", tc.src, c.Blocked())
 		}
-		if got := root.Attrs[exprlang.AttrValue]; got != tc.want {
+		if got != tc.want {
 			t.Errorf("%q: combined value = %v, want %d", tc.src, got, tc.want)
 		}
 		if st := c.Stats(); st.DynamicEvals != 0 {
@@ -120,21 +125,49 @@ func TestCombinedOnUnsplitTreeIsPureStatic(t *testing.T) {
 // attribute values between fragments synchronously. It is the
 // single-process stand-in for the network runtime in cluster.
 type pump struct {
-	evs    []eval.FragmentEvaluator
-	leaves map[int]leafRef // fragment id -> remote leaf in parent
-	queue  []func()
+	evs   []eval.FragmentEvaluator
+	queue []func()
 	// beforeRun, if set, is called before every Run; yields counts
 	// the Runs that stopped at a yield point.
 	beforeRun func()
 	yields    int
 	// shipped[i] lists, in order, every value fragment i's evaluator
-	// handed to its hooks.
-	shipped [][]string
+	// handed to its hooks; rootAttrs[i] holds the synthesized values of
+	// fragment i's root.
+	shipped   [][]string
+	rootAttrs [][]ag.Value
 }
 
-type leafRef struct {
-	parentEv int
-	leaf     *tree.Node
+// pumpFrag is one fragment as a pump sees it: its root, its leaves in
+// preorder, the fragment each leaf stands for, and its parent fragment.
+type pumpFrag struct {
+	root   *tree.Node
+	leaves []*tree.Node
+	ids    []int
+	parent int
+}
+
+// cutFrags are the fragments of d whose cuts Decompose applied: each
+// fragment's leaves are its remote leaves.
+func cutFrags(d *tree.Decomposition) []pumpFrag {
+	out := make([]pumpFrag, len(d.Frags))
+	for i, f := range d.Frags {
+		out[i] = pumpFrag{root: f.Root, leaves: tree.RemoteLeaves(f.Root), parent: f.Parent}
+		for _, leaf := range out[i].leaves {
+			out[i].ids = append(out[i].ids, leaf.RemoteID)
+		}
+	}
+	return out
+}
+
+// plannedFrags are the fragments of a planned decomposition: each
+// fragment's leaves are the cut nodes below it, in the uncut tree.
+func plannedFrags(d *tree.Decomposition) []pumpFrag {
+	out := make([]pumpFrag, len(d.Frags))
+	for i, f := range d.Frags {
+		out[i] = pumpFrag{root: f.Root, leaves: d.Leaves(i), ids: d.Children(i), parent: f.Parent}
+	}
+	return out
 }
 
 func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition, combined bool) *pump {
@@ -146,49 +179,63 @@ func newPump(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition,
 // (the pump installs the routing callbacks itself).
 func newPumpWith(t *testing.T, g *ag.Grammar, a *ag.Analysis, d *tree.Decomposition, combined bool, base eval.Hooks) *pump {
 	t.Helper()
-	p := &pump{leaves: make(map[int]leafRef), shipped: make([][]string, len(d.Frags))}
-	for _, f := range d.Frags {
-		f := f
-		for _, pf := range d.Frags {
-			pf.Root.Walk(func(n *tree.Node) {
-				if n.Remote && n.RemoteID == f.ID {
-					p.leaves[f.ID] = leafRef{parentEv: pf.ID, leaf: n}
-				}
-			})
+	return newPumpOver(g, a, cutFrags(d), combined, base)
+}
+
+// newPumpOver builds one evaluator per fragment of frags.
+func newPumpOver(g *ag.Grammar, a *ag.Analysis, frags []pumpFrag, combined bool, base eval.Hooks) *pump {
+	p := &pump{shipped: make([][]string, len(frags)), rootAttrs: make([][]ag.Value, len(frags))}
+	leafIdx := make([]int, len(frags)) // fragment id -> its leaf's index in the parent
+	for _, f := range frags {
+		for k, id := range f.ids {
+			leafIdx[id] = k
 		}
 	}
-	for _, f := range d.Frags {
-		f := f
+	for i, f := range frags {
+		p.rootAttrs[i] = make([]ag.Value, len(f.root.Sym.Attrs))
 		hooks := base
-		hooks.OnRemoteInh = func(leaf *tree.Node, attr int, v ag.Value) {
+		hooks.OnRemoteInh = func(leaf, attr int, v ag.Value) {
 			if base.OnRemoteInh != nil {
 				base.OnRemoteInh(leaf, attr, v)
 			}
-			p.shipped[f.ID] = append(p.shipped[f.ID], fmt.Sprintf("down %d.%s = %v", leaf.RemoteID, leaf.Sym.Attrs[attr].Name, v))
-			child := leaf.RemoteID
+			child := f.ids[leaf]
+			sym := f.leaves[leaf].Sym
+			p.shipped[i] = append(p.shipped[i], fmt.Sprintf("down %d.%s = %s", child, sym.Attrs[attr].Name, show(sym, attr, v)))
 			p.queue = append(p.queue, func() {
-				p.evs[child].Supply(d.Frags[child].Root, attr, v)
+				p.evs[child].Supply(eval.Root, attr, v)
 				p.runAll(p.evs[child])
 			})
 		}
 		hooks.OnRootSyn = func(attr int, v ag.Value) {
-			p.shipped[f.ID] = append(p.shipped[f.ID], fmt.Sprintf("up %s = %v", f.Root.Sym.Attrs[attr].Name, v))
-			ref, ok := p.leaves[f.ID]
-			if !ok {
+			p.shipped[i] = append(p.shipped[i], fmt.Sprintf("up %s = %s", f.root.Sym.Attrs[attr].Name, show(f.root.Sym, attr, v)))
+			p.rootAttrs[i][attr] = v
+			if f.parent < 0 {
 				return // root fragment: final attribute
 			}
 			p.queue = append(p.queue, func() {
-				p.evs[ref.parentEv].Supply(ref.leaf, attr, v)
-				p.runAll(p.evs[ref.parentEv])
+				p.evs[f.parent].Supply(leafIdx[i], attr, v)
+				p.runAll(p.evs[f.parent])
 			})
 		}
 		if combined {
-			p.evs = append(p.evs, eval.NewCombined(a, f.Root, tree.RemoteLeaves(f.Root), hooks))
+			p.evs = append(p.evs, eval.NewCombined(a, f.root, f.leaves, hooks))
 		} else {
-			p.evs = append(p.evs, eval.NewDynamic(g, f.Root, hooks))
+			p.evs = append(p.evs, eval.NewDynamic(g, f.root, hooks))
 		}
 	}
 	return p
+}
+
+// show renders attribute attr of sym's value v: its encoding where the
+// attribute has a codec, so values that hold pointers compare by
+// content, and its formatting otherwise.
+func show(sym *ag.Symbol, attr int, v ag.Value) string {
+	if c := sym.Attrs[attr].Codec; c != nil {
+		if data, err := c.Encode(v); err == nil {
+			return fmt.Sprintf("%q", data)
+		}
+	}
+	return fmt.Sprint(v)
 }
 
 func (p *pump) run(t *testing.T) {
@@ -247,7 +294,7 @@ func TestDistributedEvaluationAgrees(t *testing.T) {
 				d := tree.Decompose(root, gran, frags)
 				p := newPump(t, l.G, a, d, mode == "combined")
 				p.run(t)
-				got := d.Frags[0].Root.Attrs[exprlang.AttrValue]
+				got := p.rootAttrs[0][exprlang.AttrValue]
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("%s x%d on %q: value = %v, want %v (frags=%d)",
 						mode, frags, truncate(src), got, want, d.NumFragments())

@@ -8,41 +8,57 @@ import (
 	"pag/internal/tree"
 )
 
-// instInfo is one dependency-graph row of the flat instance table.
-// node/attr identify the instance; rule/home the defining production
-// occurrence (rule is nil for pure inputs such as remote-leaf
-// synthesized attributes).
+// instInfo is one row of the dependency graph: one attribute instance.
+// rule is the defining rule (nil for an input: a leaf's synthesized or
+// the root's inherited attribute); its operands, resolved to rows when
+// the graph is built, are operands[args : args+len(rule.Deps)].
 type instInfo struct {
 	rule       *ag.Rule
-	home       *tree.Node
-	node       *tree.Node
-	attr       int32
+	args       int32 // first operand in graph.operands
+	dependents int32 // first dependent in graph.edges
+	ndep       int32 // number of dependents
 	remaining  int32 // dependencies not yet available
-	ndep       int32 // build scratch: dependents counted in the scan pass
-	present    bool  // instance appears in the dependency graph
+	owner      int32 // graph.owners index of the node the instance belongs to
+	attr       int32
+	present    bool // instance appears in the dependency graph
 	avail      bool
-	dependents []int32 // instance ids unblocked when this one arrives
+	prio       bool // a priority attribute (paper §4.3)
+}
+
+// owner is a node whose instances are rows of the graph: rows
+// [base, base+len(sym.Attrs)). Owner 0 is the fragment root.
+type owner struct {
+	sym  *ag.Symbol
+	base int32
+	leaf int32 // index in the evaluator's leaf list, or -1
+	kid  int32 // index of the static child it roots (Combined), or -1
 }
 
 // graph is the dependency-graph core shared by the Dynamic and Combined
-// evaluators. Attribute instances live in a flat table indexed by the
-// node's registration number (tree.Node.Seq) and attribute index —
-// godl's flat-matrix relation style applied to attribute instances —
-// so the steady-state evaluation loop performs no map lookups and no
-// allocation: rule arguments go through a reusable scratch buffer,
-// dependent edges are carved from a single slab, and the ready queues
-// recycle their backing arrays. Every node the graph registers keeps
-// its instances in its node slots, which the graph carves if it has
-// none.
+// evaluators. It owns every instance it evaluates: values live in vals,
+// one per row of the flat instance table infos — godl's flat-matrix
+// relation style applied to attribute instances — and never in the
+// tree. The rows of a node are registered when the build walk reaches
+// its parent, and every rule operand is resolved to its row then, so
+// the evaluation loop performs no lookups and no allocation: rule
+// arguments go through a reusable scratch buffer, dependent edges sit
+// in one slab, and the ready queues recycle their backing arrays.
 type graph struct {
 	hooks Hooks
-	root  *tree.Node
-	slots slotSlab
 
-	nodes    []*tree.Node         // registered nodes; Seq-1 indexes this
-	attrBase []int32              // first instance id of each registered node
-	infos    []instInfo           // flat node×attr instance table
-	seqOf    map[*tree.Node]int32 // fallback when another evaluator overwrote Seq
+	infos    []instInfo
+	vals     []ag.Value // vals[i] is row i's value
+	owners   []owner
+	operands []int32    // rule operands: a row, or ^k for consts[k]
+	consts   []ag.Value // terminal scanner values read by rules
+	edges    []int32    // dependents, carved per row
+
+	// leafAt indexes the leaf list the evaluator was given: nodes of
+	// its fragment it treats as remote leaves, in preorder. leafOwner[k]
+	// is the owner of leaf k.
+	leafAt    map[*tree.Node]int32
+	leafOwner []int32
+	kidOwners []int32 // build scratch: owners of the children being scanned
 
 	order     []int32 // defined instances in build order (determinism, diagnostics)
 	ready     []int32 // FIFO worklist
@@ -62,69 +78,74 @@ type graph struct {
 	stats     Stats
 
 	// onInhAvail, set by Combined, fires when an inherited attribute
-	// instance becomes available (it may enable a static child visit).
-	onInhAvail func(n *tree.Node, attr int)
+	// of a static child's root becomes available (it may enable the
+	// child's next visit).
+	onInhAvail func(kid int32, attr int)
 }
 
-func (g *graph) init(root *tree.Node, maxArgs int, hooks Hooks) {
-	g.root = root
+func (g *graph) init(hooks Hooks, leaves []*tree.Node) {
 	g.hooks = hooks
-	g.argbuf = make([]ag.Value, maxArgs)
-	g.slots.carve(root)
+	if len(leaves) > 0 {
+		g.leafAt = make(map[*tree.Node]int32, len(leaves))
+		for k, n := range leaves {
+			g.leafAt[n] = int32(k)
+		}
+		g.leafOwner = make([]int32, len(leaves))
+	}
 }
 
-// register assigns node n a registration number, carves its node slots
-// if it has none, and extends the flat table with one (zeroed) row per
-// attribute. A node's number from a previous evaluator is validated
-// before reuse, so evaluators never need to reset the tree; the side
-// map keeps this graph's own numbers recoverable even if a later
-// evaluator over the same tree overwrites Seq (one map entry per node,
-// not per instance — the fast path never touches it while this graph
-// owns the numbering).
-func (g *graph) register(n *tree.Node) int32 {
-	if s := n.Seq; s > 0 && int(s) <= len(g.nodes) && g.nodes[s-1] == n {
-		return g.attrBase[s-1]
-	}
-	if s, ok := g.seqOf[n]; ok {
-		n.Seq = s // reclaim our numbering from the side map
-		return g.attrBase[s-1]
-	}
+// reserve sizes the tables for nodes owners of rows rows in all, so
+// registering them moves no row.
+func (g *graph) reserve(nodes, rows int) {
+	g.owners = make([]owner, 0, nodes)
+	g.infos = make([]instInfo, 0, rows)
+	g.vals = make([]ag.Value, 0, rows)
+}
+
+// register adds one (zeroed) row per attribute of sym and returns the
+// new owner's index.
+func (g *graph) register(sym *ag.Symbol, leaf int32) int32 {
+	o := int32(len(g.owners))
 	base := int32(len(g.infos))
-	g.nodes = append(g.nodes, n)
-	g.attrBase = append(g.attrBase, base)
-	n.Seq = int32(len(g.nodes))
-	if g.seqOf == nil {
-		g.seqOf = make(map[*tree.Node]int32)
-	}
-	g.seqOf[n] = n.Seq
-	g.slots.carve(n)
-	na := len(n.Sym.Attrs)
-	g.infos = slices.Grow(g.infos, na)[:len(g.infos)+na]
+	g.owners = append(g.owners, owner{sym: sym, base: base, leaf: leaf, kid: -1})
+	na := len(sym.Attrs)
+	// Rows are never dropped, so the room past the end is still zero.
+	g.infos = slices.Grow(g.infos, na)[:int(base)+na]
+	g.vals = slices.Grow(g.vals, na)[:int(base)+na]
 	for a := range na {
 		in := &g.infos[int(base)+a]
-		in.node = n
-		in.attr = int32(a)
+		in.owner, in.attr = o, int32(a)
+		in.prio = sym.Attrs[a].Priority
 	}
-	return base
+	return o
 }
 
-// idx returns the instance id of (n, attr), registering n as needed.
-// Pointers into g.infos are invalidated by registration; callers index
-// by id instead of retaining *instInfo across idx calls.
-func (g *graph) idx(n *tree.Node, attr int) int32 {
-	return g.register(n) + int32(attr)
-}
-
-// lookup returns the instance id of (n, attr) if n is registered with
-// this graph.
-func (g *graph) lookup(n *tree.Node, attr int) (int32, bool) {
-	if s := n.Seq; s > 0 && int(s) <= len(g.nodes) && g.nodes[s-1] == n {
-		return g.attrBase[s-1] + int32(attr), true
+// build registers the rows of n's nonterminal children — a leaf of
+// the list as that leaf — scans n's rules, whose own instances are
+// owner self's, and hands each other nonterminal child, with its
+// owner, to next, in child order.
+func (g *graph) build(n *tree.Node, self int32, next func(c *tree.Node, o int32)) {
+	top := len(g.kidOwners)
+	for _, c := range n.Children {
+		o := int32(-1)
+		if !c.Sym.Terminal {
+			k, leaf := g.leafAt[c]
+			if !leaf {
+				k = -1
+			}
+			if o = g.register(c.Sym, k); leaf {
+				g.leafOwner[k] = o
+			}
+		}
+		g.kidOwners = append(g.kidOwners, o)
 	}
-	if s, ok := g.seqOf[n]; ok {
-		return g.attrBase[s-1] + int32(attr), true
+	g.scanRules(n, self, g.kidOwners[top:])
+	for i, c := range n.Children {
+		if o := g.kidOwners[top+i]; o >= 0 && g.owners[o].leaf < 0 {
+			next(c, o)
+		}
 	}
-	return 0, false
+	g.kidOwners = g.kidOwners[:top]
 }
 
 // touch marks instance i as part of the dependency graph, charging the
@@ -139,27 +160,36 @@ func (g *graph) touch(i int32) {
 	}
 }
 
-// scanNodeRules is the first build pass over node n's production: it
-// registers every instance, records defining rules, counts dependency
-// edges (remaining) and dependent-list sizes (ndep), and charges the
-// simulated dependency-analysis costs exactly as the one-pass builder
-// did.
-func (g *graph) scanNodeRules(n *tree.Node) {
+// scanRules is the first build pass over node n's production, whose
+// own instances belong to owner self and whose children's to kids (-1
+// for a terminal): it records defining rules and their operand rows,
+// counts dependency edges (remaining) and dependent-list sizes (ndep),
+// and charges the simulated dependency-analysis costs.
+func (g *graph) scanRules(n *tree.Node, self int32, kids []int32) {
+	row := func(r ag.AttrRef) int32 {
+		if r.Occ == 0 {
+			return g.owners[self].base + int32(r.Attr)
+		}
+		return g.owners[kids[r.Occ-1]].base + int32(r.Attr)
+	}
 	p := n.Prod
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
-		t := g.idx(resolveNode(n, r.Target))
+		t := row(r.Target)
 		g.touch(t)
 		g.infos[t].rule = r
-		g.infos[t].home = n
+		g.infos[t].args = int32(len(g.operands))
 		g.defined++
 		g.order = append(g.order, t)
 		for _, dep := range r.Deps {
-			dn, da := resolveNode(n, dep)
-			if dn.Sym.Terminal {
-				continue // scanner-supplied, always available
+			if dep.Occ > 0 && kids[dep.Occ-1] < 0 {
+				// Scanner-supplied, always available.
+				g.operands = append(g.operands, ^int32(len(g.consts)))
+				g.consts = append(g.consts, n.Children[dep.Occ-1].Attrs[dep.Attr])
+				continue
 			}
-			d := g.idx(dn, da)
+			d := row(dep)
+			g.operands = append(g.operands, d)
 			g.touch(d)
 			g.infos[d].ndep++
 			g.infos[t].remaining++
@@ -169,36 +199,25 @@ func (g *graph) scanNodeRules(n *tree.Node) {
 	}
 }
 
-// finishBuild carves every dependent list out of one edge slab and runs
-// the second pass linking dependents, then seeds the ready queues from
-// instances with no pending dependencies, in build order.
-func (g *graph) finishBuild(scanned []*tree.Node) {
-	total := 0
+// finishBuild lays every dependent list out in one edge slab, linking
+// dependents in build order, then seeds the ready queues from the
+// instances with no pending dependencies, in build order. maxArgs
+// sizes the rule-argument scratch.
+func (g *graph) finishBuild(maxArgs int) {
+	g.argbuf = make([]ag.Value, maxArgs)
+	total := int32(0)
 	for i := range g.infos {
-		total += int(g.infos[i].ndep)
+		in := &g.infos[i]
+		in.dependents, total, in.ndep = total, total+in.ndep, 0
 	}
-	if total > 0 {
-		edges := make([]int32, total)
-		off := 0
-		for i := range g.infos {
-			if nd := int(g.infos[i].ndep); nd > 0 {
-				g.infos[i].dependents = edges[off : off : off+nd]
-				off += nd
-			}
-		}
-	}
-	for _, n := range scanned {
-		p := n.Prod
-		for ri := range p.Rules {
-			r := &p.Rules[ri]
-			t := g.idx(resolveNode(n, r.Target))
-			for _, dep := range r.Deps {
-				dn, da := resolveNode(n, dep)
-				if dn.Sym.Terminal {
-					continue
-				}
-				d := g.idx(dn, da)
-				g.infos[d].dependents = append(g.infos[d].dependents, t)
+	g.edges = make([]int32, total)
+	for _, t := range g.order {
+		in := &g.infos[t]
+		for _, d := range g.operands[in.args : in.args+int32(len(in.rule.Deps))] {
+			if d >= 0 {
+				di := &g.infos[d]
+				g.edges[di.dependents+di.ndep] = t
+				di.ndep++
 			}
 		}
 	}
@@ -209,9 +228,18 @@ func (g *graph) finishBuild(scanned []*tree.Node) {
 	}
 }
 
+// input returns the row of an input instance: attribute attr of leaf
+// k of the leaf list, or of the root when k is Root.
+func (g *graph) input(k, attr int) int32 {
+	o := int32(0)
+	if k != Root {
+		o = g.leafOwner[k]
+	}
+	return g.owners[o].base + int32(attr)
+}
+
 func (g *graph) push(i int32) {
-	in := &g.infos[i]
-	if in.node.Sym.Attrs[in.attr].Priority && !g.hooks.NoPriority {
+	if g.infos[i].prio && !g.hooks.NoPriority {
 		g.readyPrio = append(g.readyPrio, i)
 	} else {
 		g.ready = append(g.ready, i)
@@ -273,40 +301,44 @@ func (g *graph) hasReady() bool {
 func (g *graph) evaluate(i int32) {
 	in := &g.infos[i]
 	r := in.rule
-	home := in.home
 	args := g.argbuf[:len(r.Deps)]
-	for k, dep := range r.Deps {
-		dn, da := resolveNode(home, dep)
-		args[k] = dn.Attrs[da]
+	for k, o := range g.operands[in.args : in.args+int32(len(args))] {
+		if o >= 0 {
+			args[k] = g.vals[o]
+		} else {
+			args[k] = g.consts[^o]
+		}
 	}
-	v := r.Eval(args)
-	in.node.Attrs[in.attr] = v
+	g.vals[i] = r.Eval(args)
 	if g.hooks.Charge != nil {
 		g.hooks.Charge(r.SimCost(args) + CostSchedule)
 	}
 	g.stats.DynamicEvals++
 	g.evaluated++
-	g.markAvail(i, v)
+	g.markAvail(i)
 }
 
-func (g *graph) markAvail(i int32, v ag.Value) {
+// markAvail makes row i's value available: it ships the value if it
+// crosses the fragment boundary and unblocks the row's dependents.
+func (g *graph) markAvail(i int32) {
 	in := &g.infos[i]
 	in.avail = true
-	n, a := in.node, int(in.attr)
-	attr := n.Sym.Attrs[a]
-	if n.Remote && attr.Kind == ag.Inherited && g.hooks.OnRemoteInh != nil {
-		g.hooks.OnRemoteInh(n, a, v)
-		if attr.Priority && g.hooks.YieldAfterPriority && !g.hooks.NoPriority {
-			g.yield = true
+	o := &g.owners[in.owner]
+	a := int(in.attr)
+	if o.sym.Attrs[a].Kind == ag.Inherited {
+		if o.leaf >= 0 && g.hooks.OnRemoteInh != nil {
+			g.hooks.OnRemoteInh(int(o.leaf), a, g.vals[i])
+			if in.prio && g.hooks.YieldAfterPriority && !g.hooks.NoPriority {
+				g.yield = true
+			}
 		}
+		if o.kid >= 0 && g.onInhAvail != nil {
+			g.onInhAvail(o.kid, a)
+		}
+	} else if in.owner == 0 && g.hooks.OnRootSyn != nil {
+		g.hooks.OnRootSyn(a, g.vals[i])
 	}
-	if n == g.root && attr.Kind == ag.Synthesized && g.hooks.OnRootSyn != nil {
-		g.hooks.OnRootSyn(a, v)
-	}
-	if g.onInhAvail != nil && attr.Kind == ag.Inherited {
-		g.onInhAvail(n, a)
-	}
-	for _, dep := range in.dependents {
+	for _, dep := range g.edges[in.dependents : in.dependents+in.ndep] {
 		di := &g.infos[dep]
 		di.remaining--
 		if di.remaining == 0 && di.rule != nil {
@@ -320,18 +352,10 @@ func (g *graph) blocked() []string {
 	var out []string
 	for _, key := range g.order {
 		if in := &g.infos[key]; !in.avail {
+			sym := g.owners[in.owner].sym
 			out = append(out, fmt.Sprintf("%s.%s (missing %d)",
-				in.node.Sym.Name, in.node.Sym.Attrs[in.attr].Name, in.remaining))
+				sym.Name, sym.Attrs[in.attr].Name, in.remaining))
 		}
 	}
 	return out
-}
-
-// resolveNode maps an attribute reference of the production at home to
-// the tree node and attribute index carrying the instance.
-func resolveNode(home *tree.Node, r ag.AttrRef) (*tree.Node, int) {
-	if r.Occ == 0 {
-		return home, r.Attr
-	}
-	return home.Children[r.Occ-1], r.Attr
 }

@@ -190,7 +190,7 @@ func TestTwoPhaseDistributed(t *testing.T) {
 			}
 			p := newPump(t, l.g, l.a, dec, mode == "combined")
 			p.run(t)
-			if got := dec.Frags[0].Root.Attrs[0]; got != want {
+			if got := p.rootAttrs[0][0]; got != want {
 				t.Errorf("%s x%d: out = %v, want %d", mode, frags, got, want)
 			}
 		}

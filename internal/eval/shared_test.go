@@ -9,11 +9,11 @@ import (
 	"pag/internal/tree"
 )
 
-// TestTwoEvaluatorsOverSameFragment pins down an edge of the flat
-// instance tables: constructing a second evaluator over the same
-// subtree renumbers the nodes' Seq workspace, and the first evaluator
-// must fall back to its own numbering (side map) instead of silently
-// dropping Supply calls — which would leave it blocked forever.
+// TestTwoEvaluatorsOverSameFragment checks that evaluators over one
+// subtree are independent: each keeps its instances in its own rows, so
+// a second evaluator built over the subtree — which publishes its own
+// rows on the nodes — leaves the first one's instances alone, and the
+// first completes once its inherited attribute arrives.
 func TestTwoEvaluatorsOverSameFragment(t *testing.T) {
 	l := exprlang.MustNew()
 	root, err := l.Parse(exprlang.Generate(4, 3))
@@ -36,13 +36,13 @@ func TestTwoEvaluatorsOverSameFragment(t *testing.T) {
 	if d1.Done() {
 		t.Fatal("fragment completed before its inherited attribute arrived")
 	}
-	// The rival evaluator overwrites every Seq in the subtree.
+	// The rival evaluator publishes its rows on every node.
 	d2 := eval.NewDynamic(l.G, block, eval.Hooks{})
 	_ = d2
 
-	d1.Supply(block, stabAttr, symtab.New())
+	d1.Supply(eval.Root, stabAttr, symtab.New())
 	d1.Run()
 	if !d1.Done() {
-		t.Fatalf("first evaluator lost its instance table to the second; blocked: %v", d1.Blocked())
+		t.Fatalf("first evaluator lost its instances to the second; blocked: %v", d1.Blocked())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"pag/internal/ag"
-	"pag/internal/arena"
 	"pag/internal/tree"
 )
 
@@ -18,20 +17,23 @@ import (
 // reusable scratch buffer.
 //
 // Attribute instances live where their lifetime needs them (Kastens'
-// attribute lifetime analysis). A production of one visit keeps its
-// nonterminal children's instances in a frame that lives only while
-// the visit runs, on a stack borrowed for the outermost visit and
-// returned, cleared, when it ends. Only the node Visit is called on and
-// the children of multi-visit productions, whose instances must outlive
-// a visit, use node slots; a node without them gets them carved from
-// the evaluator's own slab. Terminals keep their scanner values in
-// their node slots.
+// attribute lifetime analysis). A production keeps its nonterminal
+// children's instances in a frame: one of a single visit on a stack
+// borrowed for the outermost visit and returned, cleared, when it
+// ends; one of several visits on a second stack, held from the first
+// visit to the last, which goes back once no frame on it is held.
+// Terminals keep their scanner values in their node slots. The visited
+// node's own instances are the caller's: the combined evaluator keeps a
+// static child's in its graph rows, and Visit uses the node's slots.
 type Static struct {
 	a      *ag.Analysis
 	hooks  Hooks
 	stats  Stats
 	argbuf []ag.Value // scratch for rule arguments; rules must not retain it
-	slots  slotSlab
+
+	// held is the stack of the frames of multi-visit productions, from
+	// a node's first visit to its last; nil while it holds none.
+	held *frameStack
 }
 
 // NewStatic returns a static evaluator over the given grammar analysis.
@@ -64,13 +66,20 @@ func (s *Static) EvaluateTree(root *tree.Node) error {
 }
 
 // Visit runs visit number v (1-based) of the static plan on node n,
-// whose instances live in its node slots (carved if n has none). The
-// inherited attributes of n's phases 1..v must already be set. After
-// Visit returns, the synthesized attributes of phase v are set.
+// whose instances live in its node slots (given to n if it has none).
+// The inherited attributes of n's phases 1..v must already be set.
+// After Visit returns, the synthesized attributes of phase v are set.
 func (s *Static) Visit(n *tree.Node, v int) {
-	s.slots.carve(n)
+	if len(n.Attrs) < len(n.Sym.Attrs) {
+		n.Attrs = make([]ag.Value, len(n.Sym.Attrs))
+	}
+	s.visitOwn(n, n.Attrs, v)
+}
+
+// visitOwn runs visit v of n with n's own instances in own.
+func (s *Static) visitOwn(n *tree.Node, own []ag.Value, v int) {
 	stk := borrowFrames()
-	s.visit(n, n.Attrs, v, stk)
+	s.visit(n, own, v, stk)
 	returnFrames(stk)
 }
 
@@ -80,12 +89,13 @@ func (s *Static) visit(n *tree.Node, own []ag.Value, v int, stk *frameStack) {
 	plan := s.a.Compiled(n.Prod)
 	var frame []ag.Value
 	mark := stk.mark()
-	if plan.Frame > 0 {
+	multi := len(plan.Segments) > 1
+	switch {
+	case plan.Frame == 0:
+	case multi:
+		frame = s.heldFrame(n, plan, v)
+	default:
 		frame = stk.push(plan.Frame)
-	} else if plan.ChildSlots {
-		for _, c := range n.Children {
-			s.slots.carve(c)
-		}
 	}
 	seg := plan.Segments[v-1]
 	for i := range seg {
@@ -95,15 +105,42 @@ func (s *Static) visit(n *tree.Node, own []ag.Value, v int, stk *frameStack) {
 			continue
 		}
 		s.hooks.charge(CostVisit)
-		c := n.Children[op.Child-1]
-		if op.Frame < 0 {
-			s.visit(c, c.Attrs, int(op.Visit), stk)
-		} else {
-			s.visit(c, frame[op.Frame:op.FrameEnd:op.FrameEnd], int(op.Visit), stk)
+		s.visit(n.Children[op.Child-1], frame[op.Frame:op.FrameEnd:op.FrameEnd], int(op.Visit), stk)
+	}
+	switch {
+	case plan.Frame == 0:
+	case !multi:
+		stk.pop(mark)
+	case v == len(plan.Segments):
+		s.dropHeld(n)
+	}
+}
+
+// heldFrame returns the frame of n, a node of multi-visit production
+// plan.Prod, for its visit v: pushed at the first visit and held until
+// the last has run (dropHeld). Frames on a stack never move.
+func (s *Static) heldFrame(n *tree.Node, plan *ag.CompiledPlan, v int) []ag.Value {
+	if v > 1 {
+		return s.held.of[n]
+	}
+	if s.held == nil {
+		s.held = borrowFrames()
+		if s.held.of == nil {
+			s.held.of = make(map[*tree.Node][]ag.Value)
 		}
 	}
-	if plan.Frame > 0 {
-		stk.pop(mark)
+	frame := s.held.push(plan.Frame)
+	s.held.of[n] = frame
+	return frame
+}
+
+// dropHeld lets n's frame go after its last visit, and returns the
+// stack, cleared, once it holds no frame.
+func (s *Static) dropHeld(n *tree.Node) {
+	delete(s.held.of, n)
+	if len(s.held.of) == 0 {
+		returnFrames(s.held)
+		s.held = nil
 	}
 }
 
@@ -122,13 +159,12 @@ func (s *Static) evalOp(n *tree.Node, own, frame []ag.Value, op *ag.CompiledOp) 
 		}
 	}
 	val := rule.Eval(args)
-	switch t := &op.Target; t.Where {
-	case ag.InOwn:
+	// A rule defines the node's synthesized or a nonterminal child's
+	// inherited attributes, never a terminal's.
+	if t := &op.Target; t.Where == ag.InOwn {
 		own[t.Index] = val
-	case ag.InFrame:
+	} else {
 		frame[t.Index] = val
-	default:
-		n.Children[t.Occ-1].Attrs[t.Index] = val
 	}
 	if s.hooks.Charge != nil {
 		s.hooks.Charge(rule.SimCost(args) + CostStaticOp)
@@ -138,22 +174,6 @@ func (s *Static) evalOp(n *tree.Node, own, frame []ag.Value, op *ag.CompiledOp) 
 
 // Stats returns evaluation statistics.
 func (s *Static) Stats() Stats { return s.stats }
-
-// slotSlab is the storage an evaluator carves node slots from. Parsed
-// and decoded trees carry no interior slots; an evaluator carves them
-// only for the nodes it must address across visits or runtimes, and
-// allocates its slab only when it first carves.
-type slotSlab struct{ slab *arena.Slab[ag.Value] }
-
-// carve gives n one slot per attribute of its symbol if it has none.
-func (ss *slotSlab) carve(n *tree.Node) {
-	if len(n.Attrs) < len(n.Sym.Attrs) {
-		if ss.slab == nil {
-			ss.slab = new(arena.Slab[ag.Value])
-		}
-		n.Attrs = ss.slab.Make(len(n.Sym.Attrs))
-	}
-}
 
 // frameChunk is the size, in values, of a frame stack's first chunk.
 const frameChunk = 1024
@@ -171,6 +191,10 @@ type frameStack struct {
 	cur    int
 	top    int // first free slot of buf
 	hi     int // high-water mark of buf
+
+	// of maps each node whose frame a stack of held frames holds to
+	// it (Static.heldFrame); the map is kept, empty, with the stack.
+	of map[*tree.Node][]ag.Value
 }
 
 // frameMark is a stack position that pop returns to.

@@ -54,8 +54,9 @@ func TestYieldAfterPriority(t *testing.T) {
 							t.Fatalf("%s: evaluation continued after a priority value was shipped", name)
 						}
 					},
-					OnRemoteInh: func(leaf *tree.Node, attr int, _ ag.Value) {
-						if leaf.Sym.Attrs[attr].Priority {
+					OnRemoteInh: func(_, attr int, _ ag.Value) {
+						// Every leaf is a cut block, the one split symbol.
+						if l.Block.Attrs[attr].Priority {
 							shipped = true
 						}
 					},
@@ -68,7 +69,7 @@ func TestYieldAfterPriority(t *testing.T) {
 					if w, g := fmt.Sprint(refPump.shipped[i]), fmt.Sprint(p.shipped[i]); w != g {
 						t.Errorf("%s: fragment %d shipped other values than the non-yielding run:\n got %s\nwant %s", name, i, g, w)
 					}
-					if w, g := fmt.Sprint(ref.Frags[i].Root.Attrs), fmt.Sprint(got.Frags[i].Root.Attrs); w != g {
+					if w, g := fmt.Sprint(refPump.rootAttrs[i]), fmt.Sprint(p.rootAttrs[i]); w != g {
 						t.Errorf("%s: fragment %d root attributes differ from the non-yielding run:\n got %s\nwant %s", name, i, g, w)
 					}
 					if w, g := refPump.evs[i].Stats(), p.evs[i].Stats(); w != g {

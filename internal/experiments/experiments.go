@@ -357,14 +357,3 @@ func T10AssemblySize() (*T10Result, error) {
 		Ratio:         float64(asm) / float64(len(code)),
 	}, nil
 }
-
-// T2DynamicFraction returns the share of dynamically evaluated
-// attributes in the parallel combined evaluator (paper §4.1: "less
-// than N percent").
-func T2DynamicFraction(machines int) (float64, error) {
-	pt, err := RunPoint(cluster.Combined, machines, DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	return pt.DynFrac, nil
-}

@@ -72,13 +72,6 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	}
 }
 
-// Crashed reports whether addr's crash schedule has fired.
-func (t *FaultTransport) Crashed(addr string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crashed[addr]
-}
-
 func (t *FaultTransport) Do(ctx context.Context, addr, path string, body []byte) ([]byte, error) {
 	sessionRPC := path == pathOpen || path == pathSupply || path == pathClose
 

@@ -124,17 +124,6 @@ func (w *Worker) RegisterChecked(g *ag.Grammar, a *ag.Analysis, lex tree.Termina
 	return nil
 }
 
-// SetMaxSessions overrides the concurrent-session bound (n <= 0 keeps
-// the default).
-func (w *Worker) SetMaxSessions(n int) {
-	if n <= 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.maxSessions = n
-}
-
 // Drain flips the worker to draining: /readyz answers 503 and new
 // sessions are refused, while open sessions keep being served — the
 // graceful half of shutdown, so coordinators route around this worker

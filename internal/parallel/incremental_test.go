@@ -197,9 +197,9 @@ func TestIncrementalConcurrentStress(t *testing.T) {
 	defer pool.Close()
 	ctx := context.Background()
 
-	// Half the jobs share the reference trees (compiles of one tree
-	// take turns); the other half each parse their own, so identical
-	// sources also race freely.
+	// Half the jobs share the reference trees, which compiles only
+	// read; the other half each parse their own, so identical sources
+	// race both as one tree and as separate trees.
 	const jobsN = 32
 	trees := make([]cluster.Job, jobsN)
 	for i := range trees {

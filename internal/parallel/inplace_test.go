@@ -12,37 +12,51 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pag/internal/ag"
 	"pag/internal/cluster"
+	"pag/internal/fleet"
 	"pag/internal/parallel"
 	"pag/internal/tree"
 	"pag/internal/workload"
 )
 
-// treeState is what a pool compile, which cuts and evaluates the
-// caller's tree in place, must hand back unchanged: the encoding, the
-// content address and every node's cached size.
+// treeState is what a compile, which only reads the caller's tree,
+// must leave as it found it: the encoding, the content address, every
+// node's cached size and every node's children.
 type treeState struct {
-	enc   []byte
-	hash  tree.Digest
-	sizes []int
+	enc      []byte
+	hash     tree.Digest
+	sizes    []int
+	children []*tree.Node // every Children slice's pointers, in preorder
 }
 
 func stateOf(root *tree.Node) treeState {
 	s := treeState{enc: tree.Encode(root), hash: tree.Hash(root)}
-	root.Walk(func(n *tree.Node) { s.sizes = append(s.sizes, n.Size()) })
+	root.Walk(func(n *tree.Node) {
+		s.sizes = append(s.sizes, n.Size())
+		s.children = append(s.children, n.Children...)
+	})
 	return s
 }
 
-func checkRestored(t *testing.T, what string, root *tree.Node, want treeState) {
+// checkUntouched fails unless root is in state want and no interior
+// node or remote leaf holds attribute slots.
+func checkUntouched(t *testing.T, what string, root *tree.Node, want treeState) {
 	t.Helper()
 	got := stateOf(root)
-	if !bytes.Equal(got.enc, want.enc) || got.hash != want.hash || !slices.Equal(got.sizes, want.sizes) {
-		t.Fatalf("%s: the job's tree was not restored", what)
+	if !bytes.Equal(got.enc, want.enc) || got.hash != want.hash || !slices.Equal(got.sizes, want.sizes) ||
+		!slices.Equal(got.children, want.children) {
+		t.Fatalf("%s: the job's tree changed", what)
 	}
+	root.Walk(func(n *tree.Node) {
+		if !n.Sym.Terminal && n.Attrs != nil {
+			t.Fatalf("%s: %s node holds attribute slots", what, n.Sym.Name)
+		}
+	})
 }
 
 // textCodec carries string attribute values across fragment edges.
@@ -51,27 +65,21 @@ type textCodec struct{}
 func (textCodec) Encode(v ag.Value) ([]byte, error) { return []byte(v.(string)), nil }
 func (textCodec) Decode(b []byte) (ag.Value, error) { return string(b), nil }
 
-// boomListJob is a left-recursive list of tokens under a split
-// nonterminal, so the pool cuts it into several fragments; the rule
-// over a "boom" token panics. The first token sits in the deepest
+// listJob is a left-recursive list of 64 tokens under a split
+// nonterminal, so the pool cuts it into several fragments; item is the
+// rule over each token's text. The first token sits in the deepest
 // fragment.
-func boomListJob(t *testing.T, first string) cluster.Job {
+func listJob(t *testing.T, first string, item func(string) string) cluster.Job {
 	t.Helper()
-	b := ag.NewBuilder("boomlist")
+	b := ag.NewBuilder("list")
 	tok := b.Terminal("tok", ag.Syn("text"))
 	list := b.SplitNonterminal("L", 1, ag.Syn("val").WithCodec(textCodec{}))
 	s := b.Nonterminal("S", ag.Syn("val"))
-	item := func(v ag.Value) string {
-		if v == "boom" {
-			panic("kaboom: rule exploded")
-		}
-		return v.(string)
-	}
 	top := b.Production(s, []*ag.Symbol{list}, ag.Copy("val", "1.val"))
 	more := b.Production(list, []*ag.Symbol{list, tok},
-		ag.Def("val", func(args []ag.Value) ag.Value { return args[0].(string) + item(args[1]) }, "1.val", "2.text"))
+		ag.Def("val", func(args []ag.Value) ag.Value { return args[0].(string) + item(args[1].(string)) }, "1.val", "2.text"))
 	one := b.Production(list, []*ag.Symbol{tok},
-		ag.Def("val", func(args []ag.Value) ag.Value { return item(args[0]) }, "1.text"))
+		ag.Def("val", func(args []ag.Value) ag.Value { return item(args[0].(string)) }, "1.text"))
 	b.Start(s)
 	g, err := b.Build()
 	if err != nil {
@@ -89,13 +97,24 @@ func boomListJob(t *testing.T, first string) cluster.Job {
 	return cluster.Job{G: g, A: a, Root: tree.New(top, l)}
 }
 
-// TestCompileRestoresTree checks the in-place contract of Pool.Compile:
-// the pool cuts the caller's tree and evaluates it where it lies, with
-// no copy, and on every return path — success, cancellation, a
-// panicking rule, a refused mode — it hands the tree back encoding,
-// hashing and sized exactly as before. The same tree then compiles
-// again, under other options and cache states, to the program a fresh
-// parse gives.
+// boomListJob is a listJob whose rule over a "boom" token panics.
+func boomListJob(t *testing.T, first string) cluster.Job {
+	return listJob(t, first, func(v string) string {
+		if v == "boom" {
+			panic("kaboom: rule exploded")
+		}
+		return v
+	})
+}
+
+// TestCompileRestoresTree checks the read-only contract of
+// Pool.Compile: the pool evaluates the caller's tree where it lies,
+// with no copy and no cut, and on every return path — success,
+// cancellation, a panicking rule, a refused mode, a fleet job — the
+// tree is untouched: it encodes, hashes and is sized as before, every
+// node has the same children, and no interior node or remote leaf
+// holds attribute slots. The same tree then compiles again, under
+// other options and cache states, to the program a fresh parse gives.
 func TestCompileRestoresTree(t *testing.T) {
 	base := workload.Generate(workload.Tiny())
 	edited := editSameLen(t, base, "(gtotal - gtotal)", "(gtotal - gcount)")
@@ -111,7 +130,7 @@ func TestCompileRestoresTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRestored(t, "success", job.Root, before)
+		checkUntouched(t, "success", job.Root, before)
 		if res.Decomp.NumFragments() < 2 {
 			t.Fatalf("compile made %d fragments; the test needs cuts", res.Decomp.NumFragments())
 		}
@@ -141,7 +160,7 @@ func TestCompileRestoresTree(t *testing.T) {
 			case err != nil:
 				t.Fatalf("delay %v: %v", d, err)
 			}
-			checkRestored(t, fmt.Sprintf("cancelled after %v", d), job.Root, before)
+			checkUntouched(t, fmt.Sprintf("cancelled after %v", d), job.Root, before)
 		}
 		t.Logf("%d of 4 compiles cancelled", cancelled)
 	})
@@ -155,7 +174,7 @@ func TestCompileRestoresTree(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("panicking job returned %v, want an evaluation-panic report", err)
 		}
-		checkRestored(t, "panicking rule", bad.Root, badBefore)
+		checkUntouched(t, "panicking rule", bad.Root, badBefore)
 		good := boomListJob(t, "w00")
 		res, err := pool.Compile(ctx, good, parallel.Options{Fragments: 4})
 		if err != nil {
@@ -202,7 +221,7 @@ func TestCompileRestoresTree(t *testing.T) {
 				if res.Program != want {
 					t.Fatalf("%s compile of the reused tree differs from a fresh parse", round)
 				}
-				checkRestored(t, round, job.Root, before)
+				checkUntouched(t, round, job.Root, before)
 			}
 		})
 	}
@@ -215,7 +234,7 @@ func TestCompileRestoresTree(t *testing.T) {
 		if _, err := pool.Compile(ctx, job, parallel.Options{Fragments: 4, Mode: cluster.Dynamic}); err == nil {
 			t.Fatal("dynamic-mode compile was not refused")
 		}
-		checkRestored(t, "refused dynamic", job.Root, before)
+		checkUntouched(t, "refused dynamic", job.Root, before)
 		res, err := pool.Compile(ctx, job, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +242,23 @@ func TestCompileRestoresTree(t *testing.T) {
 		if res.Program != fresh(t, opts) {
 			t.Fatal("compile of the reused tree after a refused mode differs from a fresh parse")
 		}
-		checkRestored(t, "dynamic", job.Root, before)
+		checkUntouched(t, "dynamic", job.Root, before)
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		// A coordinator without workers evaluates every fragment on its
+		// in-process fallback, through the same wire endpoint a worker
+		// runs.
+		pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, Remote: fleet.NewCoordinator(fleet.CoordinatorOptions{})})
+		defer pool.Close()
+		res, err := pool.Compile(ctx, job, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Program != fresh(t, opts) {
+			t.Fatal("fleet compile of the reused tree differs from a fresh parse")
+		}
+		checkUntouched(t, "fleet", job.Root, before)
 	})
 
 	t.Run("reuse incremental", func(t *testing.T) {
@@ -244,15 +279,14 @@ func TestCompileRestoresTree(t *testing.T) {
 		if res.Program != fresh(t, opts) {
 			t.Fatal("compile of the reused tree after an edit differs from a fresh parse")
 		}
-		checkRestored(t, "incremental", job.Root, before)
+		checkUntouched(t, "incremental", job.Root, before)
 	})
 }
 
 // TestSameTreeConcurrentCompiles compiles one Job from 8 goroutines on
-// two pools at once (run it with -race). Each compile evaluates the
-// tree in place, so compiles of one tree take turns across pools;
-// every output must equal a fresh parse's and the tree must come back
-// unchanged.
+// two pools at once (run it with -race). Every compile only reads the
+// tree; every output must equal a fresh parse's and the tree must stay
+// untouched.
 func TestSameTreeConcurrentCompiles(t *testing.T) {
 	src := workload.Generate(workload.Tiny())
 	job := pascalSrcJob(t, src)
@@ -298,5 +332,66 @@ func TestSameTreeConcurrentCompiles(t *testing.T) {
 			t.Errorf("compile %d: program differs from a fresh parse's", i)
 		}
 	}
-	checkRestored(t, "concurrent compiles", job.Root, before)
+	checkUntouched(t, "concurrent compiles", job.Root, before)
+}
+
+// TestSameTreeCompilesOverlap checks that compiles of one tree run at
+// once rather than in turn: one compile is held mid-evaluation in a
+// gate rule while a second compile of the same tree, on another pool,
+// runs to the end. Both give the program of an ungated compile.
+func TestSameTreeCompilesOverlap(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var gated atomic.Bool
+	job := listJob(t, "gate", func(v string) string {
+		if v == "gate" && gated.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return v
+	})
+	before := stateOf(job.Root)
+	opts := parallel.Options{Fragments: 4, NoCache: true}
+	want, err := parallel.Run(listJob(t, "gate", func(v string) string { return v }), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held := parallel.NewPool(parallel.PoolOptions{Workers: 2})
+	defer held.Close()
+	first := make(chan error, 1)
+	var firstRes *parallel.Result
+	go func() {
+		var err error
+		firstRes, err = held.Compile(context.Background(), job, opts)
+		first <- err
+	}()
+	<-entered
+	defer close(release) // a failing check below must not leave the first compile hanging
+
+	other := parallel.NewPool(parallel.PoolOptions{Workers: 2})
+	defer other.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := other.Compile(ctx, job, opts)
+	if err != nil {
+		t.Fatalf("compile beside a held compile of the same tree: %v", err)
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("the gated compile finished (%v) before its gate opened", err)
+	default:
+	}
+	if res.Program != want.Program || fmt.Sprint(res.RootAttrs) != fmt.Sprint(want.RootAttrs) {
+		t.Fatalf("overlapping compile gave %v, want %v", res.RootAttrs, want.RootAttrs)
+	}
+	checkUntouched(t, "overlap", job.Root, before)
+
+	release <- struct{}{} // the deferred close then finds nobody waiting
+	if err := <-first; err != nil {
+		t.Fatalf("gated compile: %v", err)
+	}
+	if fmt.Sprint(firstRes.RootAttrs) != fmt.Sprint(want.RootAttrs) {
+		t.Fatalf("gated compile gave %v, want %v", firstRes.RootAttrs, want.RootAttrs)
+	}
+	checkUntouched(t, "after both compiles", job.Root, before)
 }

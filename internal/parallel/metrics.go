@@ -65,8 +65,8 @@ func (h *histogram) snapshot() Histogram {
 }
 
 // Histogram is a point-in-time snapshot of one latency histogram.
-// Buckets[i] is the cumulative count of observations <=
-// HistogramBounds()[i]; Count includes the +Inf overflow.
+// Buckets[i] is the cumulative count of observations <= the i-th
+// shared bucket bound (histBounds); Count includes the +Inf overflow.
 type Histogram struct {
 	Buckets    [len(histBounds)]int64 `json:"buckets"`
 	Count      int64                  `json:"count"`
@@ -97,13 +97,6 @@ func (h Histogram) Quantile(q float64) float64 {
 		lower = histBounds[i]
 	}
 	return histBounds[len(histBounds)-1]
-}
-
-// HistogramBounds returns the shared bucket upper bounds in seconds.
-func HistogramBounds() []float64 {
-	b := make([]float64, len(histBounds))
-	copy(b[:], histBounds[:])
-	return b
 }
 
 // poolMetrics is the pool-side home of the counters that have no

@@ -5,9 +5,10 @@
 // The correspondence to the paper, piece by piece:
 //
 //   - The sequential parser that splits the parse tree is the calling
-//     goroutine: it cuts the caller's tree in place with the same
+//     goroutine: it plans the cuts over the caller's tree with the same
 //     granularity policy as the simulated cluster (internal/tree), and
-//     each fragment evaluator works on its own subtree of it.
+//     each fragment evaluator works on its own subtree of it, stopping
+//     at the cut nodes below, and never writes the tree.
 //   - The attribute evaluator machines become a pool of N worker
 //     goroutines. Each tree fragment is an actor owning one combined
 //     evaluator (internal/eval) with unique-identifier presets (§4.3),
@@ -136,12 +137,11 @@ type Result struct {
 	Frags int
 	// Workers is the requested evaluation width (the fragment default).
 	Workers int
-	// Decomp describes the process tree: a planned decomposition of the
-	// job's tree (tree.SplitInPlace for a local job, tree.SplitEncode
-	// for a fleet job), whose fragment roots are nodes of the caller's
-	// uncut tree. Read the fragments through its methods (Sizes,
-	// Balance, Children, Describe, Digests), not by walking
-	// Frags[i].Root.
+	// Decomp describes the process tree: the planned decomposition of
+	// the job's tree (tree.Plan), whose fragment roots are nodes of the
+	// caller's uncut tree. Read the fragments through its methods
+	// (Sizes, Balance, Children, Leaves, Describe, Digests), not by
+	// walking Frags[i].Root.
 	Decomp *tree.Decomposition
 	// Messages counts cross-fragment attribute messages.
 	Messages int
@@ -190,10 +190,10 @@ func (e *GranularityError) Error() string {
 	return fmt.Sprintf("parallel: granularity %d below minimum %d", e.Granularity, tree.MinGranularity)
 }
 
-// message is one cross-fragment attribute value: attr of node (a
-// fragment root or a remote leaf of the receiving fragment).
+// message is one cross-fragment attribute value: attr of the
+// receiving fragment's root (leaf = eval.Root) or of its leaf leaf.
 type message struct {
-	node *tree.Node
+	leaf int
 	attr int
 	val  ag.Value
 }
@@ -215,7 +215,10 @@ type frag struct {
 	id     int
 	parent int
 	root   *tree.Node
-	leaves []*tree.Node // remote leaves, tree order
+	leaves []*tree.Node // cut nodes below root, in preorder
+	kids   []int        // kids[k]: the fragment leaves[k] roots
+	// leafIdx is the index of root among the parent fragment's leaves.
+	leafIdx int
 
 	mu     sync.Mutex
 	inbox  []message
@@ -240,8 +243,7 @@ type frag struct {
 type rt struct {
 	job cluster.Job
 
-	frags  []*frag
-	leafOf map[int]*tree.Node // child fragment id -> remote leaf in parent
+	frags []*frag
 
 	sched   *sched
 	pending atomic.Int64 // queued or running fragments; 0 = quiescent
@@ -265,10 +267,10 @@ type rt struct {
 }
 
 // Run executes one parallel compilation across real CPU cores and
-// returns its result: a one-shot Pool serving a single job. The job's
-// tree is evaluated in place and restored before Run returns, so the
-// job can be reused (and compared against cluster.Run on the same job).
-// Services that compile repeatedly should hold a Pool and call Compile
+// returns its result: a one-shot Pool serving a single job. Like
+// Compile it only reads the job's tree, so the job can be reused (and
+// compared against cluster.Run on the same job) and compiled
+// elsewhere meanwhile. Services that compile repeatedly should hold a Pool and call Compile
 // instead.
 func Run(job cluster.Job, opts Options) (*Result, error) {
 	// One-shot runs keep the strict contract: the caller supplies the
@@ -449,7 +451,7 @@ func (r *rt) run(w int, f *frag) {
 		f.inbox = f.spare[:0]
 		f.mu.Unlock()
 		for _, m := range msgs {
-			f.ev.Supply(m.node, m.attr, m.val)
+			f.ev.Supply(m.leaf, m.attr, m.val)
 		}
 		f.spare = msgs // recycle the drained buffer next round
 		f.ev.Run()
@@ -483,12 +485,11 @@ func (r *rt) initFrag(f *frag) {
 		UIDBase:   cluster.UIDBaseFor(f.id),
 		Mode:      cluster.Combined,
 		UIDPreset: true,
-		Down: func(leaf *tree.Node, attr int, v ag.Value, priority bool) {
-			child := r.frags[leaf.RemoteID]
-			r.send(f, child, message{node: child.root, attr: attr, val: v}, priority)
+		Down: func(leaf, attr int, v ag.Value, priority bool) {
+			r.send(f, r.frags[f.kids[leaf]], message{leaf: eval.Root, attr: attr, val: v}, priority)
 		},
 		Up: func(attr int, v ag.Value, priority bool) {
-			r.send(f, r.frags[f.parent], message{node: r.leafOf[f.id], attr: attr, val: v}, priority)
+			r.send(f, r.frags[f.parent], message{leaf: f.leafIdx, attr: attr, val: v}, priority)
 		},
 		// Only the worker driving fragment 0 writes the results.
 		Result: func(attr int, v ag.Value) { r.rootAttrs[attr] = v },

@@ -2,7 +2,9 @@ package parallel
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"pag/internal/ag"
@@ -14,9 +16,10 @@ import (
 // appendix-grammar programs: the grammar cut plan (which replay
 // aglint reads) is a pure, deterministic function of
 // (grammar, analysis); and at any width the non-mutating SplitEncode
-// and the pool's in-place cut (SplitInPlace) agree with the fragments
-// Decompose cuts out of a clone, and undoing the in-place cut gives
-// the tree back.
+// and the pool's plan (Plan) agree with the fragments Decompose cuts
+// out of a clone: each planned fragment's leaves are the cut nodes its
+// remote leaves stand for, in the same order, and planning leaves the
+// tree as it was.
 func FuzzPlan(f *testing.F) {
 	f.Add("1+2*(3+4)+5*6", uint8(3))
 	f.Add("let x = 2 in 1 + 3*x ni", uint8(2))
@@ -41,7 +44,9 @@ func FuzzPlan(f *testing.F) {
 		for _, s := range l.G.Symbols {
 			for _, pp := range [][2]*ag.CutPlan{{p1, p2}, {d1, d2}} {
 				x, y := pp[0], pp[1]
-				if x.CutCost(s) != y.CutCost(s) || x.CutMessages(s) != y.CutMessages(s) || x.Classes(s) != y.Classes(s) {
+				// The cost is the message count plus the class count, so
+				// equal costs and messages mean equal classes too.
+				if x.CutCost(s) != y.CutCost(s) || x.CutMessages(s) != y.CutMessages(s) {
 					t.Fatalf("cut plan not deterministic for %s", s.Name)
 				}
 			}
@@ -73,33 +78,55 @@ func FuzzPlan(f *testing.F) {
 			}
 		}
 
-		// The pool's in-place cut makes the same fragments, hands each
-		// its remote leaves in tree order, and its undo restores the
-		// tree; the decomposition stays valid after the undo.
+		// The pool's plan makes the same fragments and hands each the
+		// cut nodes its remote leaves replace, in tree order, without
+		// touching the tree.
 		whole, wholeHash := tree.Encode(root), tree.Hash(root)
-		di, leaves, undo := tree.SplitInPlace(root, gran, w)
-		check := func(when string) {
-			if di.NumFragments() != d.NumFragments() || di.Balance() != d.Balance() || !slices.Equal(di.Sizes(), d.Sizes()) {
-				t.Fatalf("%s: SplitInPlace plans %d fragments (balance %v, sizes %v), Decompose %d (%v, %v)", when,
-					di.NumFragments(), di.Balance(), di.Sizes(), d.NumFragments(), d.Balance(), d.Sizes())
-			}
-			if !slices.Equal(di.Digests(), h) {
-				t.Fatalf("%s: SplitInPlace digests differ from the cut fragments'", when)
-			}
+		pl := tree.Plan(root, gran, w)
+		if pl.NumFragments() != d.NumFragments() || pl.Balance() != d.Balance() || !slices.Equal(pl.Sizes(), d.Sizes()) {
+			t.Fatalf("Plan plans %d fragments (balance %v, sizes %v), Decompose %d (%v, %v)",
+				pl.NumFragments(), pl.Balance(), pl.Sizes(), d.NumFragments(), d.Balance(), d.Sizes())
 		}
-		check("cut")
+		if !slices.Equal(pl.Digests(), h) {
+			t.Fatal("Plan digests differ from the cut fragments'")
+		}
 		for i, f := range d.Frags {
-			if di.Frags[i].Parent != f.Parent || !bytes.Equal(tree.Encode(di.Frags[i].Root), enc[i]) {
-				t.Fatalf("SplitInPlace fragment %d differs from the cut fragment", i)
+			if pl.Frags[i].Parent != f.Parent {
+				t.Fatalf("Plan fragment %d has parent %d, want %d", i, pl.Frags[i].Parent, f.Parent)
 			}
-			if !slices.Equal(leaves[i], tree.RemoteLeaves(di.Frags[i].Root)) {
-				t.Fatalf("SplitInPlace fragment %d: remote leaves not those of the cut fragment in tree order", i)
+			if got, want := render(pl.Frags[i].Root, pl.Leaves(i), pl.Children(i)), render(f.Root, nil, nil); got != want {
+				t.Fatalf("Plan fragment %d over its leaves reads\n%s\nthe cut fragment\n%s", i, got, want)
 			}
 		}
-		undo()
 		if !bytes.Equal(tree.Encode(root), whole) || tree.Hash(root) != wholeHash {
-			t.Fatal("undoing the in-place cut did not restore the tree")
+			t.Fatal("planning changed the tree")
 		}
-		check("undone")
 	})
+}
+
+// render spells out the subtree at n in preorder, with a remote leaf —
+// or leaves[k], which stands for fragment ids[k] — as its fragment id.
+func render(n *tree.Node, leaves []*tree.Node, ids []int) string {
+	var b strings.Builder
+	var walk func(n *tree.Node)
+	walk = func(n *tree.Node) {
+		if k := slices.Index(leaves, n); k >= 0 {
+			fmt.Fprintf(&b, "<%s %d>", n.Sym.Name, ids[k])
+			return
+		}
+		switch {
+		case n.Remote:
+			fmt.Fprintf(&b, "<%s %d>", n.Sym.Name, n.RemoteID)
+		case n.Sym.Terminal:
+			fmt.Fprintf(&b, "%q", n.Token)
+		default:
+			fmt.Fprintf(&b, "(%d", n.Prod.Index)
+			for _, c := range n.Children {
+				walk(c)
+			}
+			b.WriteString(")")
+		}
+	}
+	walk(n)
+	return b.String()
 }

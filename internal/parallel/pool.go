@@ -385,11 +385,12 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // messages discarded — and Compile returns ctx.Err(); the pool keeps
 // serving every other job). Many Compile calls may run concurrently;
 // each is isolated in its own fragment set, and the output is
-// byte-identical to running the job alone. The job's tree is evaluated
-// in place and restored before Compile returns, so compiles of one
-// tree, on any pool, take turns: a Compile whose tree is in use waits
-// (until ctx ends) for it; a pool with a RemoteEvaluator only reads the
-// tree. Every job runs the paper's configuration — combined evaluation
+// byte-identical to running the job alone. Compile only reads the
+// job's tree: a local job evaluates each planned fragment where it
+// lies, keeping every attribute instance in its evaluators' own
+// storage, and a pool with a RemoteEvaluator ships encoded fragments.
+// So one tree may be compiled by any number of callers, on any pools,
+// at once. Every job runs the paper's configuration — combined evaluation
 // with unique-identifier presets — and Compile rejects an Options.Mode
 // other than Combined; if the job carries no analysis, the pool
 // supplies the shared one for its grammar.
@@ -442,44 +443,6 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	return res, err
 }
 
-// heldTrees lists the job trees being evaluated in place: a local
-// compile cuts its job's tree and writes its attribute slots, so it
-// must be the tree's only user until it has restored it. The table is
-// package-level, not per pool, because one tree may be compiled by
-// several pools at once. Each entry's channel closes when its holder
-// lets the tree go.
-var heldTrees = struct {
-	mu sync.Mutex
-	m  map[*tree.Node]chan struct{}
-}{m: make(map[*tree.Node]chan struct{})}
-
-// holdTree waits until no other compile holds root, then holds it
-// until release is called. It gives up with ctx.Err() when ctx ends
-// first.
-func holdTree(ctx context.Context, root *tree.Node) (release func(), err error) {
-	for {
-		heldTrees.mu.Lock()
-		busy, held := heldTrees.m[root]
-		if !held {
-			free := make(chan struct{})
-			heldTrees.m[root] = free
-			heldTrees.mu.Unlock()
-			return func() {
-				heldTrees.mu.Lock()
-				delete(heldTrees.m, root)
-				heldTrees.mu.Unlock()
-				close(free)
-			}, nil
-		}
-		heldTrees.mu.Unlock()
-		select {
-		case <-busy:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // compile is the admitted job body. The parser side is the same for
 // local and remote jobs: default the options, supply the analysis,
 // plan the cuts. A remote job then goes to remoteJob. A local one
@@ -501,38 +464,23 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if opts.Fragments <= 0 {
 		opts.Fragments = opts.Workers
 	}
-	// A local job is evaluated in the caller's tree, so it waits its
-	// turn behind any other compile of the same tree.
-	if p.remote == nil {
-		release, err := holdTree(ctx, job.Root)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-	}
 	start := time.Now()
 	root := job.Root
 	gran := opts.Granularity
 	if gran == 0 {
 		gran = tree.GranularityFor(root, opts.Fragments)
 	}
-	// The parser side, same policy as the cluster. A remote job
-	// linearizes each planned fragment straight from the caller's tree,
-	// which it does not write. A local job cuts the caller's tree at the
-	// planned points: each fragment evaluator writes into the tree's own
-	// attribute slots, and the cuts are undone once the job is
-	// quiescent, on every return path below. A whole-tree hit cuts too:
-	// the content address is made of the fragments' digests.
+	// The parser side, same policy as the cluster: plan the cuts over
+	// the caller's tree, which no job writes. A remote job linearizes
+	// each planned fragment straight from it; a local job evaluates
+	// each fragment where it lies, over its cut nodes as leaves.
 	planStart := time.Now()
 	var decomp *tree.Decomposition
-	var encoded [][]byte      // remote: the linearized fragments
-	var leaves [][]*tree.Node // local: each fragment's remote leaves
+	var encoded [][]byte // remote: the linearized fragments
 	if p.remote != nil {
 		decomp, encoded = tree.SplitEncode(root, gran, opts.Fragments)
 	} else {
-		var undo func()
-		decomp, leaves, undo = tree.SplitInPlace(root, gran, opts.Fragments)
-		defer undo()
+		decomp = tree.Plan(root, gran, opts.Fragments)
 	}
 	res := &Result{
 		Frags:   decomp.NumFragments(),
@@ -590,7 +538,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 
 	r := &rt{
 		job:       job,
-		leafOf:    make(map[int]*tree.Node),
 		sched:     p.sched,
 		ctx:       ctx,
 		quiet:     make(chan struct{}),
@@ -601,10 +548,12 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		// goroutine: the moment the first fragment is pushed, workers
 		// may start posting to its siblings, and those reads of queued
 		// (under the mailbox lock) must not race the seeding loop.
-		fr := &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root, leaves: leaves[f.ID], queued: true}
-		r.frags = append(r.frags, fr)
-		for _, leaf := range fr.leaves {
-			r.leafOf[leaf.RemoteID] = leaf
+		r.frags = append(r.frags, &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root,
+			leaves: decomp.Leaves(f.ID), kids: decomp.Children(f.ID), queued: true})
+	}
+	for _, f := range r.frags {
+		for k, c := range f.kids {
+			r.frags[c].leafIdx = k
 		}
 	}
 

@@ -232,43 +232,3 @@ func TestPoolDefaults(t *testing.T) {
 		t.Errorf("stats don't reflect configuration: %+v", st)
 	}
 }
-
-// TestSameTreeWaitHonoursContext holds a job's tree as a running
-// compile would and checks that a Compile of the same tree waits for
-// it, returns ctx.Err() promptly when its context ends, releases its
-// admission slot, and compiles once the tree is free.
-func TestSameTreeWaitHonoursContext(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, MaxInFlight: 1})
-	defer p.Close()
-	job := exprJobInternal(t)
-	release, err := holdTree(context.Background(), job.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := p.Compile(ctx, job, Options{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("compile of a held tree returned %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("compile gave up %v after its deadline", waited)
-	}
-	if st := p.Stats(); st.Cancelled != 1 || st.InFlight != 0 {
-		t.Fatalf("stats after the abandoned wait: %+v", st)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Compile(context.Background(), job, Options{})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("compile of a held tree finished (%v) before the tree was released", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	release()
-	if err := <-done; err != nil {
-		t.Fatalf("compile after release: %v", err)
-	}
-}

@@ -57,10 +57,6 @@ func (d *Descriptor) NumHandles() int {
 	return c
 }
 
-// WireSize returns the network size of the descriptor in bytes
-// (5 bytes per handle leaf: handle plus structure overhead).
-func (d *Descriptor) WireSize() int { return 5 * d.NumHandles() }
-
 // Resolve splices the described text by looking up each handle.
 func (d *Descriptor) Resolve(lookup func(h int32) string) string {
 	var out *Rope

@@ -41,15 +41,6 @@ func Concat(a, b *Rope) *Rope {
 	return &Rope{left: a, right: b, n: a.n + b.n}
 }
 
-// ConcatAll concatenates any number of ropes.
-func ConcatAll(rs ...*Rope) *Rope {
-	var out *Rope
-	for _, r := range rs {
-		out = Concat(out, r)
-	}
-	return out
-}
-
 // Len returns the length in bytes.
 func (r *Rope) Len() int {
 	if r == nil {

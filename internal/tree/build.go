@@ -8,11 +8,11 @@ import (
 // Builder constructs trees out of slabs, the storage discipline of
 // paper §4.3 ("storage allocation is extremely fast throughout since we
 // make no provision for reusing memory"): nodes, the attribute slots of
-// leaves and child-pointer slices are carved from large backing arrays,
+// terminals and child-pointer slices are carved from large backing arrays,
 // so a tree of n nodes costs O(n/slab size) allocations for its
-// structure instead of three or four per node. Interior nodes get no
-// attribute slots (see Node.Attrs): the evaluators keep their
-// instances. Builder.New and Builder.NewTerminal run the same checks,
+// structure instead of three or four per node. Only terminals get
+// attribute slots, for their scanner values (see Node.Attrs): the
+// evaluators keep every other instance. Builder.New and Builder.NewTerminal run the same checks,
 // panic with the same messages and compute the same sizes as New and
 // NewTerminal, so a tree built either way is equal node for node and
 // encodes and hashes identically.
@@ -57,11 +57,10 @@ func (b *Builder) NewTerminal(sym *ag.Symbol, token string, attrs ...ag.Value) *
 func (b *Builder) remote(sym *ag.Symbol, id int) *Node {
 	n := b.nodes.New()
 	n.Sym, n.Remote, n.RemoteID, n.size = sym, true, id, remoteSize
-	n.Attrs = b.vals.Make(len(sym.Attrs))
 	return n
 }
 
-// Clear zeroes every node, leaf attribute slot and child pointer the
+// Clear zeroes every node, terminal attribute slot and child pointer the
 // builder has handed out and keeps the slabs, so the next tree built
 // through it allocates no slab the last one filled, and nothing the
 // old tree referenced stays reachable through them. Nothing may hold a

@@ -79,31 +79,23 @@ func appendUint(b []byte, v int) []byte {
 	return e.Buf
 }
 
-// SplitEncode plans the decomposition Decompose would make of root
-// and linearizes every fragment, without writing to the tree: where
-// Decompose replaces a cut subtree by a remote leaf, the fragment's
-// encoding carries the remote-leaf tag instead. enc[i] equals
-// Encode(Frags[i].Root) of the Decompose result byte for byte, and d
-// has the same fragment IDs, parents, children, sizes and balance. It
-// is the split of a runtime that ships fragments instead of evaluating
-// them, so it needs no private copy of the tree and one tree can be
-// split by any number of callers at once.
-//
-// d's fragment roots are nodes of the unmodified tree and still
-// contain the subtrees cut from them: inspect the fragments through
-// d's methods (Sizes, Balance, Children, Describe, Digests), which
-// account for the cuts, not by walking Root.
+// SplitEncode plans root's decomposition (Plan) and linearizes every
+// fragment, without writing to the tree: where Decompose replaces a
+// cut subtree by a remote leaf, the fragment's encoding carries the
+// remote-leaf tag instead. enc[i] equals Encode(Frags[i].Root) of the
+// Decompose result byte for byte, and d is the planned decomposition,
+// with the same fragment IDs, parents, children, sizes and balance.
+// It is the split of a runtime that ships fragments instead of
+// evaluating them.
 func SplitEncode(root *Node, granularity, maxFrags int) (d *Decomposition, enc [][]byte) {
-	cuts := planCuts(root, granularity, maxFrags)
-	d = fromCuts(root, cuts)
-	d.cuts = cuts
-	e := encoder{bufs: make([][]byte, len(d.Frags)), cuts: cuts}
+	d = Plan(root, granularity, maxFrags)
+	e := encoder{bufs: make([][]byte, len(d.Frags)), cuts: d.cuts}
 	for i, s := range d.Sizes() {
 		e.bufs[i] = make([]byte, 0, s+s/4) // varints past 127 take two bytes
 	}
 	e.node(root, 0)
-	if e.next != len(cuts) {
-		panic(fmt.Sprintf("tree: %d of %d planned cuts not met in preorder", e.next, len(cuts)))
+	if e.next != len(d.cuts) {
+		panic(fmt.Sprintf("tree: %d of %d planned cuts not met in preorder", e.next, len(d.cuts)))
 	}
 	return d, e.bufs
 }

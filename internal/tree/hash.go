@@ -51,24 +51,27 @@ func Hash(n *Node) Digest {
 // edit elsewhere in the tree leaves the digest unchanged as long as the
 // cut placement (and hence the fragment numbering) is stable. This is
 // the per-fragment half of the incremental cache key. A planned
-// decomposition (SplitEncode) hashes each cut subtree as the remote
-// leaf that replaces it, so its digests equal those of the same cuts
-// made in place.
+// decomposition (Plan) hashes each cut subtree as the remote leaf that
+// replaces it, so its digests equal those of the same cuts applied.
 func (d *Decomposition) Digests() []Digest {
-	var cutAt map[*Node]int
-	if d.cuts != nil && !d.applied {
-		cutAt = make(map[*Node]int, len(d.cuts))
-		for i, c := range d.cuts {
-			cutAt[c.node] = i + 1
+	hs := make([]*hasher, len(d.Frags))
+	for i := range hs {
+		hs[i] = newHasher()
+	}
+	if d.cuts == nil {
+		for i, f := range d.Frags {
+			hs[i].node(f.Root)
 		}
+	} else {
+		// One preorder walk of the uncut tree feeds every fragment's
+		// hasher, meeting the cuts in list order, as SplitEncode's
+		// encoder does.
+		w := cutHasher{hs: hs, cuts: d.cuts}
+		w.node(d.Frags[0].Root, 0)
 	}
 	out := make([]Digest, len(d.Frags))
-	for i, f := range d.Frags {
-		h := newHasher()
-		h.cutAt = cutAt
-		h.node(f.Root)
+	for i, h := range hs {
 		out[i] = h.sum()
-		h.cutAt = nil
 		h.release()
 	}
 	return out
@@ -98,9 +101,6 @@ func CombineDigests(digs []Digest) Digest {
 type hasher struct {
 	w   hash.Hash
 	buf []byte
-	// cutAt maps the cut nodes of a planned decomposition to the ids of
-	// the fragments they root; nil when hashing a tree as it is.
-	cutAt map[*Node]int
 }
 
 const hasherChunk = 4096
@@ -218,13 +218,39 @@ func (h *hasher) node(n *Node) {
 		h.byte(tagInterior)
 		h.int(n.Prod.Index)
 		for _, c := range n.Children {
-			if h.cutAt != nil {
-				if id, ok := h.cutAt[c]; ok {
-					h.remote(c.Sym, id)
-					continue
-				}
-			}
 			h.node(c)
+		}
+	}
+}
+
+// cutHasher hashes the fragments of a planned decomposition in one
+// preorder walk of the uncut tree: a child that roots the next cut is
+// hashed as a remote leaf into its parent fragment's hasher and walked
+// into its own.
+type cutHasher struct {
+	hs   []*hasher
+	cuts []cut
+	next int
+}
+
+func (w *cutHasher) node(n *Node, f int) {
+	h := w.hs[f]
+	if n.Prod == nil {
+		h.node(n)
+		return
+	}
+	h.byte(tagInterior)
+	h.int(n.Prod.Index)
+	for _, c := range n.Children {
+		switch {
+		case w.next == len(w.cuts):
+			h.node(c) // no cut left: the rest is this fragment's
+		case w.cuts[w.next].node == c:
+			w.next++
+			h.remote(c.Sym, w.next)
+			w.node(c, w.next)
+		default:
+			w.node(c, f)
 		}
 	}
 }

@@ -84,9 +84,8 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 }
 
 // TestNoInteriorSlots: a parse, a decode and a recycled decode build
-// interior nodes without attribute slots (evaluators keep those
-// instances), while terminals keep their scanner values and remote
-// leaves their interface slots.
+// interior nodes and remote leaves without attribute slots (evaluators
+// keep those instances), while terminals keep their scanner values.
 func TestNoInteriorSlots(t *testing.T) {
 	l := pascal.MustNew()
 	job, err := l.ClusterJob(workload.Generate(workload.CourseCompiler()))
@@ -117,18 +116,18 @@ func TestNoInteriorSlots(t *testing.T) {
 
 func checkSlots(t *testing.T, name string, root *tree.Node) {
 	t.Helper()
-	interior, leaves := 0, 0
+	slotted, terminals := 0, 0
 	root.Walk(func(n *tree.Node) {
 		switch {
-		case n.Remote || n.Sym.Terminal:
+		case n.Sym.Terminal:
 			if len(n.Attrs) != len(n.Sym.Attrs) {
-				leaves++
+				terminals++
 			}
 		case n.Attrs != nil:
-			interior++
+			slotted++
 		}
 	})
-	if interior != 0 || leaves != 0 {
-		t.Errorf("%s: %d interior nodes hold slots and %d leaves lack them", name, interior, leaves)
+	if slotted != 0 || terminals != 0 {
+		t.Errorf("%s: %d interior nodes or remote leaves hold slots and %d terminals lack them", name, slotted, terminals)
 	}
 }

@@ -17,7 +17,11 @@ type Fragment struct {
 	Root   *Node
 }
 
-// Decomposition is the result of splitting a parse tree.
+// Decomposition is the result of splitting a parse tree. A planned
+// decomposition (Plan, SplitEncode) leaves the tree as it is: its
+// fragment roots are nodes of the uncut tree, and fragment i+1 is the
+// subtree at its root less the later cuts below it. Decompose applies
+// the cuts, so its fragment roots are the cut fragments themselves.
 type Decomposition struct {
 	Frags []*Fragment
 
@@ -26,44 +30,29 @@ type Decomposition struct {
 	// paths never re-scan the fragment list per lookup.
 	children [][]int
 
-	// cuts is set on a planned decomposition (SplitEncode,
-	// SplitInPlace), whose fragment roots are nodes of the uncut tree:
-	// fragment i+1 is the subtree at cuts[i].node less the later cuts
-	// below it. nil when every Frags[i].Root is the cut fragment itself.
+	// cuts is set on a planned decomposition: fragment i+1 is rooted at
+	// cuts[i].node. nil once the cuts are applied (Decompose).
 	cuts []cut
-	// applied is set while SplitInPlace's remote leaves stand in the
-	// tree, so hashing a fragment meets them instead of the cut nodes.
-	applied bool
 }
 
 // NumFragments returns the number of fragments.
 func (d *Decomposition) NumFragments() int { return len(d.Frags) }
 
 // Children returns the IDs of the fragments directly below fragment
-// id, in ID order. For decompositions produced by Decompose the index
-// is prebuilt (O(1) per call); hand-assembled values fall back to a
-// scan.
-func (d *Decomposition) Children(id int) []int {
-	if d.children != nil {
-		return d.children[id]
-	}
-	var out []int
-	for _, f := range d.Frags {
-		if f.Parent == id {
-			out = append(out, f.ID)
-		}
+// id, in ID order.
+func (d *Decomposition) Children(id int) []int { return d.children[id] }
+
+// Leaves returns the leaves of fragment id in a planned decomposition:
+// the roots of its child fragments, which are interior nodes of the
+// uncut tree, in preorder. Cut IDs follow preorder, so Leaves(id)[k]
+// roots fragment Children(id)[k]. An evaluator given these leaves
+// treats each as a remote leaf and never enters the subtree below it.
+func (d *Decomposition) Leaves(id int) []*Node {
+	var out []*Node
+	for _, c := range d.children[id] {
+		out = append(out, d.Frags[c].Root)
 	}
 	return out
-}
-
-// buildChildren populates the child index from the Parent links.
-func (d *Decomposition) buildChildren() {
-	d.children = make([][]int, len(d.Frags))
-	for _, f := range d.Frags {
-		if f.Parent >= 0 {
-			d.children[f.Parent] = append(d.children[f.Parent], f.ID)
-		}
-	}
 }
 
 // Sizes returns the linearized size of every fragment (after cuts).
@@ -165,7 +154,7 @@ type cut struct {
 }
 
 // planCuts runs the §2.5 size-driven walk — the one cut decision that
-// Decompose, SplitInPlace and SplitEncode share — and returns the cuts
+// Plan, Decompose and SplitEncode share — and returns the cuts
 // it decides, without mutating the tree. rem[f] is the size fragment f
 // still retains; a subtree is cut off only while the fragment keeps at
 // least one granularity's worth of work for itself, so left-recursive
@@ -209,15 +198,25 @@ func planCuts(root *Node, granularity, maxFrags int) []cut {
 	return cuts
 }
 
-// fromCuts builds the decomposition cuts describe: fragment i+1 is
-// rooted at cuts[i].node and hangs below fragment cuts[i].from.
-func fromCuts(root *Node, cuts []cut) *Decomposition {
-	d := &Decomposition{Frags: make([]*Fragment, 1, 1+len(cuts))}
+// Plan decides the decomposition Decompose would make of the tree
+// rooted at root, without writing to the tree: the result is a planned
+// decomposition whose fragment roots are nodes of the uncut tree, and
+// each fragment's leaves (Leaves) are the cut nodes below it. Sizes,
+// Balance, Children, Describe and Digests account for the cuts; do not
+// walk Frags[i].Root, which still holds the subtrees cut from it. One
+// tree can be planned, and evaluated over its plan, by any number of
+// callers at once.
+func Plan(root *Node, granularity, maxFrags int) *Decomposition {
+	cuts := planCuts(root, granularity, maxFrags)
+	d := &Decomposition{Frags: make([]*Fragment, 1, 1+len(cuts)), cuts: cuts}
 	d.Frags[0] = &Fragment{ID: 0, Parent: -1, Root: root}
 	for i, c := range cuts {
 		d.Frags = append(d.Frags, &Fragment{ID: i + 1, Parent: c.from, Root: c.node})
 	}
-	d.buildChildren()
+	d.children = make([][]int, len(d.Frags))
+	for _, f := range d.Frags[1:] {
+		d.children[f.Parent] = append(d.children[f.Parent], f.ID)
+	}
 	return d
 }
 
@@ -229,54 +228,26 @@ func fromCuts(root *Node, cuts []cut) *Decomposition {
 // remainder is cut off into a new fragment at the next eligible node.
 // Cut subtrees must also meet the grammar's per-symbol MinSplitSize.
 //
-// The tree is mutated: cut subtrees are replaced by remote leaves.
+// The tree is mutated: Decompose applies Plan's cuts, replacing each
+// cut subtree by a remote leaf, so give it a private copy.
 // Decompose(root, _, 1) performs no cuts.
 func Decompose(root *Node, granularity, maxFrags int) *Decomposition {
-	d, _, _ := SplitInPlace(root, granularity, maxFrags)
+	d := Plan(root, granularity, maxFrags)
 	if len(d.cuts) == 0 {
 		return d
 	}
-	// The cuts stay, so the fragment roots become the cut fragments
-	// themselves, and their cached sizes must drop the subtrees cut
-	// from them (remote leaves are smaller); recompute per fragment.
-	d.cuts, d.applied = nil, false
+	for i, c := range d.cuts {
+		c.parent.Children[c.idx] = newRemote(c.node.Sym, i+1)
+	}
+	// The fragment roots are now the cut fragments themselves, and
+	// their cached sizes must drop the subtrees cut from them (remote
+	// leaves are smaller); recompute per fragment.
+	d.cuts = nil
 	for _, f := range d.Frags {
 		f.Root.invalidateSizes()
 		f.Root.Size()
 	}
 	return d
-}
-
-// SplitInPlace makes the cuts Decompose would make directly in the
-// caller's tree, without copying it: each cut parent gets a remote
-// leaf in place of the cut subtree, so the cost is a few pointer
-// writes per fragment, not a walk of the tree. It returns the planned
-// decomposition (as SplitEncode's: the cut list is kept and cached
-// sizes stay those of the uncut tree), the remote leaves of every
-// fragment in tree (preorder) order, and undo, which puts the cut
-// subtrees back. Until undo the tree is the cut one — its fragment
-// roots are the cut fragments, and an evaluator may run on each — and
-// the caller must be its only user. After undo the tree encodes and
-// hashes as before, and d stays valid through its methods.
-func SplitInPlace(root *Node, granularity, maxFrags int) (d *Decomposition, leaves [][]*Node, undo func()) {
-	cuts := planCuts(root, granularity, maxFrags)
-	d = fromCuts(root, cuts)
-	d.cuts = cuts
-	leaves = make([][]*Node, len(d.Frags))
-	// Cuts are listed in preorder, so each fragment's leaves arrive in
-	// tree order.
-	for i, c := range cuts {
-		leaf := newRemote(c.node.Sym, i+1)
-		c.parent.Children[c.idx] = leaf
-		leaves[c.from] = append(leaves[c.from], leaf)
-	}
-	d.applied = true
-	return d, leaves, func() {
-		for _, c := range cuts {
-			c.parent.Children[c.idx] = c.node
-		}
-		d.applied = false
-	}
 }
 
 // Planner names a decomposition policy. PlanSize, the §2.5 size-driven

@@ -1,6 +1,7 @@
 package tree_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pag/internal/pascal"
@@ -70,4 +71,31 @@ func BenchmarkDecode(b *testing.B) {
 			tb.Clear()
 		}
 	})
+}
+
+// BenchmarkDigests times Decomposition.Digests on the course program
+// at widths 2 and 8: over the planned decomposition SplitEncode
+// returns, which leaves the tree uncut (the pool hashes every cached
+// job this way), and over the cuts Decompose applied to a clone.
+func BenchmarkDigests(b *testing.B) {
+	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.CourseCompiler()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, width := range []int{2, 8} {
+		gran := tree.GranularityFor(job.Root, width)
+		planned, _ := tree.SplitEncode(job.Root, gran, width)
+		applied := tree.Decompose(job.Root.Clone(), gran, width)
+		for _, c := range []struct {
+			name string
+			d    *tree.Decomposition
+		}{{"planned", planned}, {"applied", applied}} {
+			b.Run(fmt.Sprintf("%s/width=%d", c.name, width), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.d.Digests()
+				}
+			})
+		}
+	}
 }

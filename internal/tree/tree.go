@@ -20,32 +20,26 @@ import (
 //     is evaluated by another machine (fragment RemoteID). Its
 //     synthesized attributes arrive over the network; its inherited
 //     attributes are computed locally and shipped out.
+//
+// A decoded fragment has remote leaves; the pool evaluates a planned
+// decomposition instead, whose leaves are ordinary interior nodes of
+// the uncut tree that the evaluator is told to stop at.
 type Node struct {
 	Sym      *ag.Symbol
 	Prod     *ag.Production
 	Children []*Node
-	// Attrs holds the node's attribute instances, one slot per
-	// attribute of Sym, where the node has slots. Terminals and remote
-	// leaves are built with them. Interior nodes are built without:
-	// the static evaluator keeps most of their instances in visit
-	// frames, and an evaluator carves slots, from its own storage, only
-	// for the nodes it must address across visits or runtimes (the
-	// fragment root, spine nodes, static-child roots and the children
-	// of multi-visit productions; every node under the dynamic
-	// evaluator). The slots stay with the tree after evaluation.
+	// Attrs holds a terminal's scanner-supplied attribute values, one
+	// per attribute of Sym. Interior nodes and remote leaves are built
+	// without: the evaluators keep every attribute instance in their
+	// own storage and never write the tree. Only the standalone
+	// whole-tree entry points publish values here, on the tree they are
+	// given: Static.Visit and Static.EvaluateTree on the node they are
+	// called on, NewDynamic on every interior node.
 	Attrs []ag.Value
 	Token string
 
 	RemoteID int
-	Remote   bool // packs beside Seq
-
-	// Seq is evaluator workspace: the 1-based registration number of
-	// the node within the evaluator that owns its fragment (0 =
-	// unregistered). Evaluators use it to index flat, arena-backed
-	// instance tables instead of per-node maps; fragments are disjoint
-	// and an evaluator validates the number before trusting it, so no
-	// coordination is needed.
-	Seq int32
+	Remote   bool
 
 	// size is the linearized size in bytes. The constructors set it,
 	// so Size never writes to a tree built through them and concurrent
@@ -111,7 +105,7 @@ func checkTerminal(sym *ag.Symbol) {
 
 // newRemote creates a remote-leaf placeholder for fragment id.
 func newRemote(sym *ag.Symbol, id int) *Node {
-	return &Node{Sym: sym, Remote: true, RemoteID: id, Attrs: make([]ag.Value, len(sym.Attrs)), size: remoteSize}
+	return &Node{Sym: sym, Remote: true, RemoteID: id, size: remoteSize}
 }
 
 // Size returns the linearized size of the subtree in bytes (the metric
@@ -171,8 +165,8 @@ func (n *Node) Walk(f func(*Node)) {
 // child-pointer slab for the whole subtree — three allocations instead
 // of two per node — with every node's Attrs slice carved (full-cap) out
 // of the flat value slab. No runtime clones a job tree (the pool
-// evaluates it in place, see SplitInPlace); tests and the benchmark
-// harness use Clone for an independent copy.
+// evaluates over a planned decomposition, see Plan); tests and the
+// benchmark harness use Clone for an independent copy.
 func (n *Node) Clone() *Node {
 	var nodes, attrs int
 	var count func(*Node)
@@ -233,35 +227,36 @@ func RemoteLeaves(root *Node) []*Node {
 	return out
 }
 
-// Spine returns the set of nodes lying on a path from root to some
-// remote leaf, including root itself if any remote leaf exists. These
-// are exactly the nodes the combined evaluator processes dynamically
-// (paper §2.4); all other nodes are evaluated by static visits. leaves
-// must be the remote leaves of root in tree order (RemoteLeaves(root)),
-// which every runtime already holds: with none the spine is empty and
-// no node is visited, otherwise the walk stops at the last leaf.
+// Spine returns the set of nodes lying on a path from root to one of
+// leaves, including root itself if there is a leaf. These are exactly
+// the nodes the combined evaluator processes dynamically (paper §2.4);
+// all other nodes are evaluated by static visits. leaves must be nodes
+// of root's subtree in preorder, none below another: the remote leaves
+// of a decoded fragment (RemoteLeaves) or the cut nodes of a planned
+// one (Decomposition.Leaves). The walk does not enter a leaf and stops
+// at the last; with no leaves the spine is empty and no node is
+// visited.
 func Spine(root *Node, leaves []*Node) map[*Node]bool {
 	if len(leaves) == 0 {
 		return nil
 	}
 	spine := make(map[*Node]bool)
-	last := leaves[len(leaves)-1]
 	var path []*Node
-	done := false
+	next := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.Remote {
+		if n == leaves[next] {
 			// Mark the path bottom-up; above a node already on the
 			// spine everything is marked.
 			for i := len(path) - 1; i >= 0 && !spine[path[i]]; i-- {
 				spine[path[i]] = true
 			}
-			done = n == last
+			next++
 			return
 		}
 		path = append(path, n)
 		for _, c := range n.Children {
-			if walk(c); done {
+			if walk(c); next == len(leaves) {
 				break
 			}
 		}
