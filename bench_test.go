@@ -199,17 +199,23 @@ func BenchmarkPoolReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkFragmentCache measures what the content-addressed fragment
-// cache buys a pool serving repeated traffic: the same tiny-pascal job
-// compiled through one pool cold (cache bypassed — every compile
-// evaluates every attribute) versus warm (every compile after the
-// first is a whole-tree hit that returns the recorded result). Warm
-// runs still cut and hash the tree, but run no fragment and flatten
-// no rope — the recorded program is already one leaf. The warm side must stay >= 2x faster for the cache to earn its
-// complexity. The hits metric reports cache hits per op (warm steady
-// state: 1).
+// BenchmarkFragmentCache measures what the content-addressed whole-job
+// cache buys a pool serving repeated traffic, and what it costs one
+// that is not: the same tiny-pascal job compiled through one pool cold
+// (cache bypassed — every compile evaluates every attribute), warm
+// (every compile after the first is a hit that returns the recorded
+// result: it plans nothing, runs no fragment and flattens no rope —
+// the recorded program is already one leaf), and miss (a cached pool
+// given a distinct source per op, so every compile is looked up,
+// evaluated and recorded). Each miss source is the program behind a
+// distinct leading comment: it parses to the same tree, which the op
+// reuses, under its own source key. The warm side must stay >= 2x
+// faster than cold for the cache to earn its complexity, and miss
+// should cost no more than cold plus the recording. The hits metric
+// reports cache hits per op (warm steady state: 1).
 func BenchmarkFragmentCache(b *testing.B) {
-	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.Tiny()))
+	src := workload.Generate(workload.Tiny())
+	job, err := pascal.MustNew().ClusterJob(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,6 +254,23 @@ func BenchmarkFragmentCache(b *testing.B) {
 			b.Fatalf("warm loop missed the cache: %+v", st)
 		}
 		b.ReportMetric(float64(st.CacheHits)/float64(b.N), "hits/op")
+	})
+	b.Run("miss", func(b *testing.B) {
+		pool := parallel.NewPool(parallel.PoolOptions{Workers: 4})
+		defer pool.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := job
+			j.Key = pascal.SourceKey(fmt.Sprintf("{ %d }\n", i) + src)
+			if _, err := pool.Compile(ctx, j, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if st := pool.Stats(); st.CacheHits != 0 {
+			b.Fatalf("distinct sources hit the cache: %+v", st)
+		}
 	})
 }
 

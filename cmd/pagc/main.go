@@ -339,12 +339,10 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 			results[i].err = err
 			return
 		}
-		job, err := l.ClusterJob(string(data))
-		if err != nil {
-			results[i].err = err
-			return
-		}
-		res, err := pool.Compile(context.Background(), job, opts)
+		// The pool parses the file only on a cache miss.
+		src := string(data)
+		parse := func() (*tree.Node, error) { return l.Parse(src) }
+		res, err := pool.CompileSource(context.Background(), l.SourceJob(src), parse, opts)
 		if err != nil {
 			results[i].err = err
 			return
@@ -379,7 +377,12 @@ func runBatch(out io.Writer, cfg config, args []string) error {
 			fmt.Fprintf(out, "%s: %d bytes of VAX assembly, %d fragment(s), %v (split %v + eval %v + splice %v)",
 				r.file, len(r.res.Program), r.res.Frags, r.res.WallTime,
 				r.res.SplitTime, r.res.EvalTime, r.res.SpliceTime)
-			fmt.Fprintf(out, ", %d message(s), balance %.2f", r.res.Messages, r.res.PlanStats.Balance)
+			fmt.Fprintf(out, ", %d message(s)", r.res.Messages)
+			if r.res.Decomp == nil {
+				fmt.Fprint(out, ", cached") // a hit plans nothing
+			} else {
+				fmt.Fprintf(out, ", balance %.2f", r.res.PlanStats.Balance)
+			}
 			fmt.Fprintln(out)
 		}
 		if cfg.asm {

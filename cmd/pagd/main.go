@@ -7,12 +7,16 @@
 //	pagd -addr :8642 -workers 8 -max-inflight 16 -queue 64 -cache-bytes 67108864 \
 //	     -cache-dir /var/cache/pag -quota 8 -max-timeout 30s -debug-addr localhost:8643
 //
-// -cache-dir persists the whole-job cache across restarts: cold runs'
-// results spill to a crash-safe on-disk store (see README "Persistent
-// cache") and a restarted daemon serves identical sources from them
-// byte-identically instead of recompiling. -cache-disk-bytes bounds
-// the directory (0 = default 256 MiB, <0 = unbounded); several
-// daemons may share one directory.
+// The whole-job cache is keyed by the source: the daemon hashes each
+// request's source and asks the cache (memory, then disk) before it
+// parses, so a repeated source at the same fragment count costs a
+// hash, a lookup and a copy, and no parse and no admission wait (see
+// README "Caching"). -cache-dir persists the cache across restarts:
+// cold runs' results spill to a crash-safe on-disk store (see README
+// "Persistent cache") and a restarted daemon of the same build serves
+// identical sources from them byte-identically instead of
+// recompiling. -cache-disk-bytes bounds the directory (0 = default
+// 256 MiB, <0 = unbounded); several daemons may share one directory.
 //
 // Endpoints:
 //
@@ -97,6 +101,7 @@ import (
 	"pag/internal/fleet"
 	"pag/internal/parallel"
 	"pag/internal/pascal"
+	"pag/internal/tree"
 	"pag/internal/workload"
 )
 
@@ -272,7 +277,10 @@ func startDebug(logger *slog.Logger, addr string) *http.Server {
 type server struct {
 	pool *parallel.Pool
 	lang *pascal.Lang
-	log  *slog.Logger
+	// parse is lang.Parse; tests wrap it to count the parses a request
+	// costs.
+	parse func(src string) (*tree.Node, error)
+	log   *slog.Logger
 	// maxTimeout, when positive, caps client-supplied job timeouts and
 	// is the default for requests without one.
 	maxTimeout time.Duration
@@ -283,10 +291,12 @@ type server struct {
 }
 
 func newServer(opts parallel.PoolOptions) *server {
+	lang := pascal.MustNew()
 	return &server{
-		pool: parallel.NewPool(opts),
-		lang: pascal.MustNew(),
-		log:  slog.New(slog.NewJSONHandler(os.Stderr, nil)),
+		pool:  parallel.NewPool(opts),
+		lang:  lang,
+		parse: lang.Parse,
+		log:   slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 	}
 }
 
@@ -444,7 +454,7 @@ type event struct {
 	Workers  int      `json:"workers,omitempty"`
 	Messages int      `json:"messages,omitempty"`
 	// Balance is the decomposition's size balance (1 = perfectly
-	// even).
+	// even); absent on a cache hit, which plans nothing.
 	Balance       float64 `json:"balance,omitempty"`
 	WallMs        float64 `json:"wall_ms,omitempty"`
 	EvalMs        float64 `json:"eval_ms,omitempty"`
@@ -587,13 +597,11 @@ func (s *server) jobSpec(req compileRequest) (string, parallel.Options, error) {
 	return src, opts, nil
 }
 
-// compile parses the source and runs the job on the pool.
+// compile runs the source's job on the pool, which parses the source
+// only if its whole-job cache does not hold the job.
 func (s *server) compile(ctx context.Context, src string, opts parallel.Options) (*parallel.Result, error) {
-	job, err := s.lang.ClusterJob(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.pool.Compile(ctx, job, opts)
+	parse := func() (*tree.Node, error) { return s.parse(src) }
+	res, err := s.pool.CompileSource(ctx, s.lang.SourceJob(src), parse, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pag/internal/cluster"
 	"pag/internal/parallel"
+	"pag/internal/tree"
 	"pag/internal/workload"
 )
 
@@ -576,5 +578,70 @@ func TestDebugServerShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(url); err == nil {
 		t.Errorf("debug listener still serving after Shutdown")
+	}
+}
+
+// TestRepeatServedWithoutParse: the daemon asks the pool's cache before
+// it parses, so a repeated request costs no parse. A request at another
+// width misses the first recording — one source compiles to a different
+// program at each width — and matches the cluster at that width; its
+// own repeat then hits without a parse too.
+func TestRepeatServedWithoutParse(t *testing.T) {
+	s, ts := testServer(t)
+	var parses atomic.Int64
+	parse := s.parse
+	s.parse = func(src string) (*tree.Node, error) {
+		parses.Add(1)
+		return parse(src)
+	}
+	post := func(body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/compile?format=asm", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		return string(raw)
+	}
+	want := func(machines int) string {
+		t.Helper()
+		job, err := s.lang.ClusterJob(workload.Generate(workload.Tiny()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := cluster.Run(job, cluster.Options{
+			Machines: machines, Mode: cluster.Combined, Librarian: true, UIDPreset: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref.Program + "\n"
+	}
+	for _, c := range []struct {
+		body     string
+		machines int
+		parses   int64
+	}{
+		{`{"workload":"tiny"}`, 2, 1},
+		{`{"workload":"tiny"}`, 2, 1},
+		{`{"workload":"tiny","fragments":4}`, 4, 2},
+		{`{"workload":"tiny","fragments":4}`, 4, 2},
+	} {
+		if got := post(c.body); got != want(c.machines) {
+			t.Errorf("%s: assembly differs from the %d-machine cluster's", c.body, c.machines)
+		}
+		if n := parses.Load(); n != c.parses {
+			t.Errorf("%s: %d parses so far, want %d", c.body, n, c.parses)
+		}
+	}
+	if st := s.pool.Stats(); st.CacheHits != 2 || st.CacheMisses != 2 {
+		t.Errorf("want 2 hits and 2 misses: %+v", st)
 	}
 }

@@ -99,6 +99,15 @@ type Job struct {
 	// lies, keeping the attribute instances in its evaluators. So a Job
 	// can be reused and compiled by any number of callers at once.
 	Root *tree.Node
+	// Key is the content address of the job's source, which a front end
+	// fills in (pascal.(*Lang).ClusterJob: SHA-256 over the front end's
+	// identity and the source text). A parser is deterministic, so the
+	// source determines the tree; the pool's whole-job cache keys on
+	// Key and so neither hashes the tree nor, through
+	// parallel.(*Pool).CompileSource, parses it for a cached job. A
+	// zero Key (a tree built by hand) makes the pool key the job by
+	// tree.Hash(Root). The simulator ignores it.
+	Key tree.Digest
 	// Lex recomputes terminal attributes after network transfer.
 	Lex tree.TerminalAttrs
 	// ParseCost is the simulated parsing time, charged to the parser

@@ -180,8 +180,8 @@ func TestFleetMatchesClusterPascal(t *testing.T) {
 // straight from the job's tree, so the tree must come out unchanged —
 // no cut, no cached size written — and both programs byte-identical to
 // the local pool's at the same width. The fleet result's planned
-// decomposition must describe the same fragments as the pool's cut
-// one: equal sizes and digests.
+// decomposition must describe the same fragments as the pool's: equal
+// sizes, parents, and subtree encodings at every fragment root.
 func TestFleetConcurrentCompilesShareJob(t *testing.T) {
 	// The references come from a second parse of the same program, so
 	// nothing but the two fleet compiles touches job's tree.
@@ -218,9 +218,13 @@ func TestFleetConcurrentCompilesShareJob(t *testing.T) {
 		gd, wd := got[i].Decomp, want[i].Decomp
 		if !slices.Equal(gd.Sizes(), wd.Sizes()) {
 			t.Errorf("width %d: fleet fragment sizes %v, want %v", w, gd.Sizes(), wd.Sizes())
+			continue
 		}
-		if !slices.Equal(gd.Digests(), wd.Digests()) {
-			t.Errorf("width %d: fleet fragment digests differ from the pool's", w)
+		for f := range wd.Frags {
+			if gd.Frags[f].Parent != wd.Frags[f].Parent ||
+				!bytes.Equal(tree.Encode(gd.Frags[f].Root), tree.Encode(wd.Frags[f].Root)) {
+				t.Errorf("width %d: fleet fragment %d differs from the pool's", w, f)
+			}
 		}
 	}
 	if !bytes.Equal(tree.Encode(job.Root), tree.Encode(ref.Root)) {

@@ -16,47 +16,51 @@ import (
 
 // The whole-job cache memoizes compilations: a pool serving repeated
 // traffic (resubmitted sources, the same edit compiled twice, shared
-// workloads) skips attribute evaluation for a tree it has compiled
+// workloads) skips attribute evaluation for a job it has compiled
 // before and returns the recorded outcome instead.
 //
 // Soundness dictates the key. The content address covers everything
 // that determines the job's result:
 //
 //   - the grammar (pointer identity — the rules live on it),
-//   - the combined hash of every fragment's post-cut subtree (symbols,
-//     tokens, remote-leaf shape, in fragment order). The fragments
-//     plus their remote-leaf structure reassemble into exactly one
-//     whole tree, so this pins both the decomposition AND the whole
-//     job tree — attribute rules being pure, it determines every
-//     attribute value in the job (a separate whole-tree hash would be
-//     redundant work on every lookup),
-//   - every option that shapes the decomposition (effective fragment
-//     width and granularity). The evaluator configuration is not an
-//     input: every job runs the combined evaluator with
-//     unique-identifier presets. Admission options (priority, client)
-//     are not inputs either: they decide when a job runs, not what it
-//     computes.
+//   - the job's source key (cluster.Job.Key, which the front end
+//     computes over its identity and the source text; the parser is
+//     deterministic, so it pins the whole tree), or, for a tree built
+//     by hand, tree.Hash of the tree,
+//   - the decomposition inputs: the effective fragment cap and the
+//     requested granularity (0 derives it from the tree and the cap).
+//     Together with the tree they determine the cuts, and the cuts
+//     matter: each fragment numbers its labels from its own
+//     unique-identifier base (cluster.UIDBaseFor), so one source
+//     compiles to different programs at different widths. The plan's
+//     outputs (the cuts, the fragment count) are not in the key, so a
+//     lookup needs no plan.
 //
-// One entry records one whole job: its root attributes and message
-// count. A hit evaluates nothing and runs no fragment: it returns them
-// as the job's result. Every clean cold run records, whatever its
-// tree, so an edited tree misses once and hits from its second compile
-// on.
+// The evaluator configuration is not an input: every job runs the
+// combined evaluator with unique-identifier presets. Admission options
+// (priority, client) are not inputs either: they decide when a job
+// runs, not what it computes.
+//
+// One entry records one whole job: its root attributes, fragment count
+// and message count. A hit evaluates nothing and runs no fragment: it
+// returns them as the job's result. Every clean cold run records,
+// whatever its tree, so an edited program misses once and hits from its
+// second compile on.
 type cacheKey struct {
-	g         *ag.Grammar
-	fragsHash tree.Digest // every post-cut fragment subtree, in order
-	frags     int         // decomposition width the digests describe
-	width     int         // effective fragment cap (decomposition input)
-	gran      int         // effective granularity (decomposition input)
+	g     *ag.Grammar
+	src   tree.Digest // cluster.Job.Key, or tree.Hash of a keyless job's tree
+	width int         // effective fragment cap (decomposition input)
+	gran  int         // requested granularity, 0 = derived (decomposition input)
 }
 
 // cacheEntry is one job's recorded result, what a hit returns: the
 // synthesized root attributes (the code attribute flattened to one
-// leaf) and the cold run's cross-fragment message count. The disk tier
-// stores exactly these fields (see disk.go).
+// leaf) and the cold run's fragment and cross-fragment message counts.
+// The disk tier stores exactly these fields (see disk.go).
 type cacheEntry struct {
 	key       cacheKey
 	rootAttrs []ag.Value
+	frags     int
 	messages  int
 	bytes     int64
 }

@@ -13,7 +13,7 @@ import (
 	"pag/internal/workload"
 )
 
-func testKey(i int) cacheKey { return cacheKey{fragsHash: tree.Digest{byte(i)}, frags: 1} }
+func testKey(i int) cacheKey { return cacheKey{src: tree.Digest{byte(i)}, width: 1} }
 
 // testEntry is an entry whose only retained value is a code root
 // attribute of textBytes bytes.

@@ -8,9 +8,9 @@ package parallel
 //
 // A disk recording holds exactly what an in-memory entry holds, and
 // what a hit returns: the job's post-splice root attributes and its
-// cross-fragment message count. One compilation's output is its root
-// attributes (§4.3) — the spliced program is among them — so nothing
-// else is needed to serve an identical tree.
+// fragment and cross-fragment message counts. One compilation's output
+// is its root attributes (§4.3) — the spliced program is among them —
+// so nothing else is needed to serve an identical job.
 //
 // Soundness carries over from the in-memory design unchanged because
 // the disk key is a superset of the in-memory one. cacheKey leans on
@@ -18,14 +18,15 @@ package parallel
 // serialization can preserve; the disk key substitutes a structural
 // grammar digest (symbols, attributes with their codec types, and
 // production shapes — everything that addresses a recording) plus the
-// job's UID-pair layout and the recording format version. Two
-// processes built from the same source produce the same digest; a
-// grammar whose structure changed simply never matches — stale entries
-// are ignored, not misread. The one caveat: rule *bodies* are Go
-// functions and cannot be digested, so a rule rewrite that keeps the
-// grammar's shape must be paired with a cas scope/format bump (or a
-// fresh cache directory) to invalidate old recordings; README's
-// persistent-cache section documents this.
+// job's UID-pair layout, the recording format version and a
+// fingerprint of the build. Rule *bodies* are Go functions and cannot
+// be digested, but they are part of the build: a process built from
+// other code, a rule rewrite that keeps the grammar's shape included,
+// computes other keys, so it never reads this build's recordings —
+// stale entries are ignored, not misread, and age out through the
+// store's GC. The fingerprint is in the key, not the cas scope: a
+// scope mismatch wipes the directory, and two builds sharing one
+// directory would wipe each other.
 //
 // Each root attribute is stored as its own codec's bytes — the bytes
 // a cluster.Endpoint ships with the librarian off, the canonical form
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"pag/internal/ag"
+	"pag/internal/buildid"
 	"pag/internal/cas"
 	"pag/internal/cluster"
 	"pag/internal/frame"
@@ -52,11 +54,11 @@ import (
 // entries. It participates in both the cas scope (a bump wipes stale
 // directories wholesale) and each payload's leading byte (belt and
 // suspenders against mixed-version shared directories).
-const entryFormat = 5
+const entryFormat = 6
 
 // DiskScope is the cas scope string pools open their store under;
 // sharing a directory requires sharing the scope.
-const DiskScope = "pag-fragment-recordings/v5"
+const DiskScope = "pag-fragment-recordings/v6"
 
 // OpenDiskCache opens (creating or, on a layout-version mismatch,
 // wiping) dir as a persistent whole-job cache store for
@@ -67,12 +69,16 @@ func OpenDiskCache(dir string, maxBytes int64) (*cas.Store, error) {
 }
 
 // diskCache wires a cas.Store behind the in-memory whole-job cache:
-// loads are synchronous (a whole-tree miss is already off the
+// loads are synchronous (an in-memory miss is already off the
 // per-message hot path), spills are write-behind on a single writer
 // goroutine with a bounded queue — a slow or full disk drops spills
 // rather than stalling compiles.
 type diskCache struct {
 	store *cas.Store
+	// build returns the fingerprint of the running build that every
+	// disk key carries (buildid.Fingerprint; tests substitute their
+	// own).
+	build func() [sha256.Size]byte
 
 	hits   atomic.Int64
 	writes atomic.Int64
@@ -92,7 +98,7 @@ type spillReq struct {
 }
 
 func newDiskCache(store *cas.Store) *diskCache {
-	d := &diskCache{store: store, ch: make(chan spillReq, 32)}
+	d := &diskCache{store: store, build: buildid.Fingerprint, ch: make(chan spillReq, 32)}
 	d.wg.Add(1)
 	go d.writer()
 	return d
@@ -135,9 +141,10 @@ func (d *diskCache) close() {
 
 // load fetches and decodes the recording under key, or nil: a clean
 // miss silently, anything else (I/O failure, corrupt store entry,
-// undecodable payload) via the errors counter. An undecodable payload
-// is deleted so the next cold run rewrites it.
-func (d *diskCache) load(key cas.Key, g *ag.Grammar) *cacheEntry {
+// undecodable payload, a fragment count outside 1..width) via the
+// errors counter. An undecodable payload is deleted so the next cold
+// run rewrites it.
+func (d *diskCache) load(key cas.Key, g *ag.Grammar, width int) *cacheEntry {
 	data, err := d.store.Get(key)
 	if err != nil {
 		if !errors.Is(err, cas.ErrNotExist) {
@@ -146,6 +153,9 @@ func (d *diskCache) load(key cas.Key, g *ag.Grammar) *cacheEntry {
 		return nil
 	}
 	e, err := decodeEntry(data, g)
+	if err == nil && (e.frags < 1 || e.frags > width) {
+		err = fmt.Errorf("parallel: recording of %d fragments at width %d", e.frags, width)
+	}
 	if err != nil {
 		d.errors.Add(1)
 		d.store.Delete(key)
@@ -227,8 +237,9 @@ func (p *Pool) grammarDigestFor(g *ag.Grammar) [sha256.Size]byte {
 	return d.([sha256.Size]byte)
 }
 
-// diskKey maps the in-memory cacheKey (plus the job's UID layout and
-// the recording format) to a process-independent content address.
+// diskKey maps the in-memory cacheKey (plus the recording format, the
+// build fingerprint and the job's UID layout) to a process-independent
+// content address.
 func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	h := sha256.New()
 	var scratch [binary.MaxVarintLen64]byte
@@ -238,6 +249,8 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 	}
 	h.Write([]byte("pag-disk-key"))
 	num(entryFormat)
+	build := p.disk.build()
+	h.Write(build[:])
 	gd := p.grammarDigestFor(k.g)
 	h.Write(gd[:])
 	num(int64(len(uids)))
@@ -246,8 +259,7 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 		num(int64(u.Base))
 		num(int64(u.Count))
 	}
-	h.Write(k.fragsHash[:])
-	num(int64(k.frags))
+	h.Write(k.src[:])
 	num(int64(k.width))
 	num(int64(k.gran))
 	var key cas.Key
@@ -260,7 +272,7 @@ func (p *Pool) diskKey(k *cacheKey, uids []cluster.UIDPair) cas.Key {
 
 // encodeEntry serializes what a disk hit returns: the format byte, the
 // root attributes of g's start symbol (each a nil flag, then its
-// codec's bytes) and the message count.
+// codec's bytes), the fragment count and the message count.
 func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
 	e := &frame.Enc{}
 	e.Uint(entryFormat)
@@ -280,6 +292,7 @@ func encodeEntry(entry *cacheEntry, g *ag.Grammar) ([]byte, error) {
 		}
 		e.Bytes(data)
 	}
+	e.Uint(uint64(entry.frags))
 	e.Uint(uint64(entry.messages))
 	return e.Buf, nil
 }
@@ -317,6 +330,7 @@ func decodeEntry(data []byte, g *ag.Grammar) (*cacheEntry, error) {
 		}
 		entry.rootAttrs[ai] = v
 	}
+	entry.frags = d.Counter()
 	entry.messages = d.Counter()
 	if err := d.End(); err != nil {
 		return nil, err

@@ -118,8 +118,9 @@ type Result struct {
 	// on this machine — the number the simulated cluster can only
 	// estimate. It is the sum of the three phases below.
 	WallTime time.Duration
-	// SplitTime covers the parser side: planning and cutting the tree,
-	// cache lookups, and setting up the fragment actors.
+	// SplitTime covers the parser side: on a cache hit, the lookup; on
+	// a miss, planning the cuts and setting up the fragment actors
+	// (the lookup ran before admission).
 	SplitTime time.Duration
 	// EvalTime is the parallel attribute evaluation proper: from the
 	// moment the fragments are handed to the worker pool until the job
@@ -131,26 +132,31 @@ type Result struct {
 	SpliceTime time.Duration
 	// Stats aggregates evaluator statistics across fragments.
 	Stats eval.Stats
-	// PerFrag holds per-fragment evaluator statistics.
+	// PerFrag holds per-fragment evaluator statistics (all zero on a
+	// cache hit, which evaluates nothing).
 	PerFrag []eval.Stats
-	// Frags is the number of fragments the tree was split into.
+	// Frags is the number of fragments the tree was split into. A cache
+	// hit reports the recording run's count; the cache key holds every
+	// input of the plan, so it is the count this job would have had.
 	Frags int
 	// Workers is the requested evaluation width (the fragment default).
 	Workers int
 	// Decomp describes the process tree: the planned decomposition of
 	// the job's tree (tree.Plan), whose fragment roots are nodes of the
 	// caller's uncut tree. Read the fragments through its methods
-	// (Sizes, Balance, Children, Leaves, Describe, Digests), not by
-	// walking Frags[i].Root.
+	// (Sizes, Balance, Children, Leaves, Describe), not by walking
+	// Frags[i].Root. It is nil on a cache hit, which plans nothing.
 	Decomp *tree.Decomposition
-	// Messages counts cross-fragment attribute messages.
+	// Messages counts cross-fragment attribute messages. A cache hit
+	// sends none and reports the recording run's count.
 	Messages int
 	// StoredStrings and StoredBytes report librarian activity: always
 	// zero on the local pool, which keeps no librarian, and the fleet
 	// librarian's strings and bytes on a fleet job.
 	StoredStrings int
 	StoredBytes   int
-	// PlanStats describes the decomposition planning of this job.
+	// PlanStats describes the decomposition planning of this job; zero
+	// on a cache hit.
 	PlanStats PlanStats
 	// PartialHits and Demoted are always zero: the runtime replays
 	// whole jobs only, never single fragments. They stay for the

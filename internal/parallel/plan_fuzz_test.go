@@ -56,7 +56,7 @@ func FuzzPlan(f *testing.F) {
 		}
 
 		// The fleet's non-mutating split agrees with the cut fragments
-		// byte for byte, and with their sizes and digests.
+		// byte for byte, and with their sizes.
 		w := 2 + int(width)%7
 		gran := tree.GranularityFor(root, w)
 		d := tree.Decompose(root.Clone(), gran, w)
@@ -68,12 +68,11 @@ func FuzzPlan(f *testing.F) {
 			t.Fatalf("SplitEncode plans %d fragments (balance %v), Decompose %d (%v)",
 				dp.NumFragments(), dp.Balance(), d.NumFragments(), d.Balance())
 		}
-		hp, h := dp.Digests(), d.Digests()
 		if !slices.Equal(dp.Sizes(), d.Sizes()) {
 			t.Fatalf("SplitEncode sizes %v, Decompose %v", dp.Sizes(), d.Sizes())
 		}
 		for i, f := range d.Frags {
-			if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) || hp[i] != h[i] {
+			if dp.Frags[i].Parent != f.Parent || !bytes.Equal(enc[i], tree.Encode(f.Root)) {
 				t.Fatalf("SplitEncode fragment %d differs from the cut fragment", i)
 			}
 		}
@@ -86,9 +85,6 @@ func FuzzPlan(f *testing.F) {
 		if pl.NumFragments() != d.NumFragments() || pl.Balance() != d.Balance() || !slices.Equal(pl.Sizes(), d.Sizes()) {
 			t.Fatalf("Plan plans %d fragments (balance %v, sizes %v), Decompose %d (%v, %v)",
 				pl.NumFragments(), pl.Balance(), pl.Sizes(), d.NumFragments(), d.Balance(), d.Sizes())
-		}
-		if !slices.Equal(pl.Digests(), h) {
-			t.Fatal("Plan digests differ from the cut fragments'")
 		}
 		for i, f := range d.Frags {
 			if pl.Frags[i].Parent != f.Parent {

@@ -33,11 +33,12 @@ type PoolOptions struct {
 	// queueing entirely (busy pool = immediate ErrOverloaded).
 	QueueDepth int
 	// CacheBytes bounds the content-addressed whole-job cache, the
-	// memoization layer that lets the pool skip attribute evaluation
-	// for trees it has compiled before (identical resubmitted sources,
-	// an edit compiled a second time). 0 uses DefaultCacheBytes;
-	// negative disables caching entirely. Per-job, Options.NoCache
-	// opts a single compile out.
+	// memoization layer that lets the pool skip planning and attribute
+	// evaluation — and, through CompileSource, parsing — for a source
+	// it has compiled before at the same width and granularity
+	// (identical resubmitted sources, an edit compiled a second time).
+	// 0 uses DefaultCacheBytes; negative disables caching entirely.
+	// Per-job, Options.NoCache opts a single compile out.
 	CacheBytes int64
 	// ClientQuota bounds the jobs one client (Options.Client) may have
 	// admitted or waiting at once; further submissions fail fast with
@@ -46,11 +47,13 @@ type PoolOptions struct {
 	// queue of a shared daemon.
 	ClientQuota int
 	// DiskCache, when non-nil, persists whole-job recordings to the
-	// given store and loads them back on whole-tree misses — across
+	// given store and loads them back on in-memory misses — across
 	// pool restarts, and across processes sharing one directory. Cold
 	// runs spill write-behind (a slow disk never stalls compiles); a
 	// loaded recording serves the job exactly as an in-memory hit
-	// does, so a disk hit stays byte-identical to cold evaluation.
+	// does, so a disk hit stays byte-identical to cold evaluation. Disk
+	// keys carry a fingerprint of the build, so a process built from
+	// other code never reads this one's recordings.
 	// Requires the in-memory cache (ignored when CacheBytes is
 	// negative).
 	DiskCache *cas.Store
@@ -125,14 +128,14 @@ type Pool struct {
 	analyses sync.Map // *ag.Grammar -> *ag.Analysis
 
 	// cache is the content-addressed whole-job cache (nil when
-	// disabled): every clean cold job's result is recorded under a
-	// structural content address and returned to later jobs with
-	// identical content, see cache.go.
+	// disabled): every clean cold job's result is recorded under its
+	// source's content address and returned to later jobs of the same
+	// source, width and granularity, see cache.go.
 	cache *jobCache
 
 	// disk is the persistent tier behind cache (nil without
 	// PoolOptions.DiskCache): whole-job recordings spilled write-behind
-	// and loaded on whole-tree misses, see disk.go. gramDigests
+	// and loaded on in-memory misses, see disk.go. gramDigests
 	// memoizes the structural grammar digest the disk keys substitute
 	// for cacheKey's grammar pointer identity.
 	disk        *diskCache
@@ -398,8 +401,22 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // Admission is governed by Options.Priority (capacity freed by a
 // finishing job goes to waiting high-priority jobs first) and, when
 // the pool has a ClientQuota, by Options.Client (over-quota
-// submissions fail with an error wrapping ErrQuotaExceeded).
+// submissions fail with an error wrapping ErrQuotaExceeded). A job the
+// whole-job cache holds does not wait for admission: admission bounds
+// the jobs that evaluate at once, and a hit evaluates nothing — it
+// costs a lookup and a copy of the recorded root attributes, at worst
+// one disk read.
 func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
+	return p.CompileSource(ctx, job, nil, opts)
+}
+
+// CompileSource is Compile for a front end that keys a job before it
+// parses it: job carries its Key (cluster.Job.Key) but no tree, and
+// parse builds the tree. A job the whole-job cache holds is served
+// without calling parse. On a miss, parse runs before admission, as it
+// would in a caller that parsed first; its error is returned as is,
+// and nothing is recorded. With a nil parse, CompileSource is Compile.
+func (p *Pool) CompileSource(ctx context.Context, job cluster.Job, parse func() (*tree.Node, error), opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		p.jobsCancelled.Add(1)
 		return nil, err
@@ -415,6 +432,35 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	if opts.Mode != 0 && opts.Mode != cluster.Combined {
 		return nil, fmt.Errorf("parallel: mode %s: the pool runs only the combined evaluator (the simulator keeps the others)", opts.Mode)
 	}
+	if parse != nil && job.Key == (tree.Digest{}) {
+		return nil, errors.New("parallel: CompileSource needs a job with a source key")
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = p.workers
+	}
+	if opts.Fragments <= 0 {
+		opts.Fragments = opts.Workers
+	}
+	// Remote jobs bypass the cache, and a closed pool serves nothing.
+	var key *cacheKey
+	if p.cache != nil && !opts.NoCache && p.remote == nil && !p.closed.Load() {
+		start := time.Now()
+		key = &cacheKey{g: job.G, src: job.Key, width: opts.Fragments, gran: opts.Granularity}
+		if key.src == (tree.Digest{}) {
+			key.src = tree.Hash(job.Root)
+		}
+		if res := p.lookup(key, job, opts, start); res != nil {
+			p.jobDone(res)
+			return res, nil
+		}
+	}
+	if parse != nil {
+		root, err := parse()
+		if err != nil {
+			return nil, err
+		}
+		job.Root = root
+	}
 	enter := time.Now()
 	if err := p.acquire(ctx, opts); err != nil {
 		// Jobs cancelled while waiting for admission count as
@@ -426,15 +472,10 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		return nil, err
 	}
 	p.m.queueWait.observe(time.Since(enter))
-	defer p.adm.release(opts.Client)
-	res, err := p.compile(ctx, job, opts)
+	res, err := p.compile(ctx, job, opts, key)
 	switch {
 	case err == nil:
-		p.jobsDone.Add(1)
-		p.m.split.observe(res.SplitTime)
-		p.m.eval.observe(res.EvalTime)
-		p.m.splice.observe(res.SpliceTime)
-		p.m.wall.observe(res.WallTime)
+		p.jobDone(res)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		p.jobsCancelled.Add(1)
 	default:
@@ -443,26 +484,56 @@ func (p *Pool) Compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	return res, err
 }
 
-// compile is the admitted job body. The parser side is the same for
-// local and remote jobs: default the options, supply the analysis,
-// plan the cuts. A remote job then goes to remoteJob. A local one
-// looks the job up in the cache, seeds the
-// shared deques, waits for per-job quiescence and assembles the
-// result; a whole-tree cache hit returns right after the lookup,
-// running no fragment.
-func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Result, error) {
+// jobDone files a completed job's outcome.
+func (p *Pool) jobDone(res *Result) {
+	p.jobsDone.Add(1)
+	p.m.split.observe(res.SplitTime)
+	p.m.eval.observe(res.EvalTime)
+	p.m.splice.observe(res.SpliceTime)
+	p.m.wall.observe(res.WallTime)
+}
+
+// lookup serves a job from the whole-job cache, memory first, then
+// disk, or returns nil. A disk recording is published to memory, so
+// later identical jobs hit there. A hit plans nothing: it returns the
+// recording's root attributes and counters, and no fragment runs.
+func (p *Pool) lookup(key *cacheKey, job cluster.Job, opts Options, start time.Time) *Result {
+	hit, _ := p.cache.get(*key)
+	if hit == nil && p.disk != nil {
+		if hit = p.disk.load(p.diskKey(key, job.UIDs), job.G, key.width); hit != nil {
+			p.cache.put(*key, hit)
+		}
+	}
+	if hit == nil {
+		return nil
+	}
+	res := &Result{
+		RootAttrs: append([]ag.Value(nil), hit.rootAttrs...),
+		Frags:     hit.frags,
+		Workers:   opts.Workers,
+		PerFrag:   make([]eval.Stats, hit.frags),
+		Messages:  hit.messages,
+	}
+	done := time.Now()
+	splice(res, cluster.CodeAttr(job.G))
+	p.finish(res, start, done, done)
+	return res
+}
+
+// compile is the admitted job body; it releases the job's admission
+// slot when it returns. The parser side is the same for local and
+// remote jobs: supply the analysis and plan the cuts. A remote job
+// then goes to remoteJob. A local one seeds the shared deques, waits
+// for per-job quiescence and assembles the result; with a cache key, a
+// clean run is recorded under it.
+func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *cacheKey) (*Result, error) {
+	defer p.adm.release(opts.Client)
 	if job.A == nil {
 		a, err := p.analysisFor(job.G)
 		if err != nil {
 			return nil, fmt.Errorf("parallel: combined mode: %w", err)
 		}
 		job.A = a
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = p.workers
-	}
-	if opts.Fragments <= 0 {
-		opts.Fragments = opts.Workers
 	}
 	start := time.Now()
 	root := job.Root
@@ -494,46 +565,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 	}
 	if p.remote != nil {
 		return p.remoteJob(ctx, job, opts, encoded, res, start)
-	}
-	useCache := p.cache != nil && !opts.NoCache
-
-	codeAttr := cluster.CodeAttr(job.G)
-
-	// Complete the content address now that the decomposition is known.
-	// A hit, from memory or from disk, is the job's result: the
-	// recording's root attributes and counters are returned and no
-	// fragment runs. A miss evaluates every fragment live and, once the
-	// job completes cleanly, records its result.
-	var key cacheKey
-	var dk cas.Key
-	if useCache {
-		key = cacheKey{
-			g:         job.G,
-			fragsHash: tree.CombineDigests(decomp.Digests()),
-			frags:     res.Frags,
-			width:     opts.Fragments,
-			gran:      gran,
-		}
-		hit, _ := p.cache.get(key)
-		if hit == nil && p.disk != nil {
-			dk = p.diskKey(&key, job.UIDs)
-			// Memory missed; try the persistent tier. A loaded result is
-			// published to the in-memory cache, so later identical trees
-			// hit memory, and serves this job as a hit.
-			if e := p.disk.load(dk, job.G); e != nil {
-				p.cache.put(key, e)
-				hit = e
-			}
-		}
-		if hit != nil {
-			res.RootAttrs = append([]ag.Value(nil), hit.rootAttrs...)
-			res.PerFrag = make([]eval.Stats, res.Frags)
-			res.Messages = hit.messages
-			lookupDone := time.Now()
-			splice(res, codeAttr)
-			p.finish(res, start, lookupDone, lookupDone)
-			return res, nil
-		}
 	}
 
 	r := &rt{
@@ -604,18 +635,19 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options) (*Res
 		res.PerFrag = append(res.PerFrag, f.stats)
 		res.Stats.Add(f.stats)
 	}
-	splice(res, codeAttr)
+	splice(res, cluster.CodeAttr(job.G))
 	// Record the clean run's result. The code attribute has been
 	// flattened to one leaf by now, so a hit returns the program
 	// without walking the rope again.
-	if useCache {
+	if key != nil {
 		entry := &cacheEntry{
 			rootAttrs: append([]ag.Value(nil), r.rootAttrs...),
+			frags:     res.Frags,
 			messages:  res.Messages,
 		}
-		p.cache.put(key, entry)
+		p.cache.put(*key, entry)
 		if p.disk != nil {
-			p.disk.spill(dk, entry, job.G)
+			p.disk.spill(p.diskKey(key, job.UIDs), entry, job.G)
 		}
 	}
 	p.finish(res, start, splitDone, evalDone)
@@ -654,8 +686,9 @@ func splice(res *Result, codeAttr int) {
 }
 
 // finish stamps the phase timings on a completed job's result and
-// files the plan observability counters (pool stats + pag_plan_*
-// metrics), for cold runs and whole-tree hits alike.
+// files its message count and, for a job that planned its cuts (a
+// cache hit plans nothing), the plan observability counters (pool
+// stats + pag_plan_* metrics).
 func (p *Pool) finish(res *Result, start, splitDone, evalDone time.Time) {
 	now := time.Now()
 	res.SplitTime = splitDone.Sub(start)
@@ -663,6 +696,8 @@ func (p *Pool) finish(res *Result, start, splitDone, evalDone time.Time) {
 	res.SpliceTime = now.Sub(evalDone)
 	res.WallTime = now.Sub(start)
 	p.messagesTotal.Add(int64(res.Messages))
-	p.lastBalance.Store(math.Float64bits(res.PlanStats.Balance))
-	p.m.observePlan(&res.PlanStats)
+	if res.Decomp != nil {
+		p.lastBalance.Store(math.Float64bits(res.PlanStats.Balance))
+		p.m.observePlan(&res.PlanStats)
+	}
 }

@@ -14,8 +14,9 @@ import (
 	"pag/internal/ag"
 )
 
-// Digest is a canonical structural content address of a subtree.
-// SHA-256 deliberately: whole-job cache keys are built from digests of
+// Digest is a SHA-256 content address: of a subtree (Hash), or of the
+// source a front end parses a job from (cluster.Job.Key). SHA-256
+// deliberately: whole-job cache keys are built from digests of
 // arbitrary user sources, and a collision would silently serve one
 // job's cached output as another's — the address must be
 // collision-resistant, not merely well-distributed.
@@ -44,60 +45,29 @@ func Hash(n *Node) Digest {
 	return d
 }
 
-// Digests returns the content address of every fragment's post-cut
-// subtree, in fragment order. A fragment's digest covers its own
-// symbols, tokens and remote-leaf shape (including the fragment ids its
-// remote leaves point at), but nothing outside the fragment — so an
-// edit elsewhere in the tree leaves the digest unchanged as long as the
-// cut placement (and hence the fragment numbering) is stable. This is
-// the per-fragment half of the incremental cache key. A planned
-// decomposition (Plan) hashes each cut subtree as the remote leaf that
-// replaces it, so its digests equal those of the same cuts applied.
+// Digests returns the content address of every fragment's subtree, in
+// fragment order, once Decompose has applied the cuts. A fragment's
+// digest covers its own symbols, tokens and remote-leaf shape
+// (including the fragment ids its remote leaves point at), but nothing
+// outside the fragment — so an edit elsewhere in the tree leaves the
+// digest unchanged as long as the cut placement (and hence the
+// fragment numbering) is stable. A planned decomposition (Plan,
+// SplitEncode) has cut nothing yet; Digests panics on one.
 func (d *Decomposition) Digests() []Digest {
-	hs := make([]*hasher, len(d.Frags))
-	for i := range hs {
-		hs[i] = newHasher()
-	}
-	if d.cuts == nil {
-		for i, f := range d.Frags {
-			hs[i].node(f.Root)
-		}
-	} else {
-		// One preorder walk of the uncut tree feeds every fragment's
-		// hasher, meeting the cuts in list order, as SplitEncode's
-		// encoder does.
-		w := cutHasher{hs: hs, cuts: d.cuts}
-		w.node(d.Frags[0].Root, 0)
+	if len(d.cuts) > 0 {
+		panic("tree: Digests of a planned decomposition; Decompose applies the cuts")
 	}
 	out := make([]Digest, len(d.Frags))
-	for i, h := range hs {
-		out[i] = h.sum()
-		h.release()
+	for i, f := range d.Frags {
+		out[i] = Hash(f.Root)
 	}
 	return out
 }
 
-// CombineDigests folds a digest sequence into one digest (order
-// matters: fragment 0's digest first). CombineDigests(d.Digests()) is
-// the content address of a whole decomposition — and, because the
-// fragments plus their remote-leaf structure reassemble into exactly
-// one tree, of the whole job tree; keeping the two steps separate
-// lets a caller address each fragment and the whole job while hashing
-// every subtree once.
-func CombineDigests(digs []Digest) Digest {
-	h := newHasher()
-	for i := range digs {
-		h.write(digs[i][:])
-	}
-	d := h.sum()
-	h.release()
-	return d
-}
-
 // hasher accumulates the canonical encoding in a local buffer and
-// feeds the SHA-256 state in large chunks: digests are computed on
-// every cache lookup's path, and a state update per 8-byte field costs
-// more than the hashing itself.
+// feeds the SHA-256 state in large chunks: a whole-tree digest keys
+// every cached job built without a source key, and a state update per
+// 8-byte field costs more than the hashing itself.
 type hasher struct {
 	w   hash.Hash
 	buf []byte
@@ -105,9 +75,8 @@ type hasher struct {
 
 const hasherChunk = 4096
 
-// hashers recycles hasher states: digests are computed per fragment on
-// every cache lookup, and the 4KiB batching buffer is the kind of
-// allocation that turns into GC pressure on a busy pool.
+// hashers recycles hasher states: the 4KiB batching buffer is the kind
+// of allocation that turns into GC pressure on a busy pool.
 var hashers = sync.Pool{New: func() any {
 	return &hasher{w: sha256.New(), buf: make([]byte, 0, hasherChunk)}
 }}
@@ -155,16 +124,6 @@ func (h *hasher) string(s string) {
 	h.buf = append(h.buf, s...)
 }
 
-func (h *hasher) write(p []byte) {
-	if len(p) >= hasherChunk {
-		h.drain()
-		h.w.Write(p) //nolint:errcheck // hash.Hash never errors
-		return
-	}
-	h.room(len(p))
-	h.buf = append(h.buf, p...)
-}
-
 func (h *hasher) sum() Digest {
 	h.drain()
 	var d Digest
@@ -190,9 +149,9 @@ func (h *hasher) node(n *Node) {
 			// formatted: a formatted value may contain any byte, so only
 			// the prefix keeps adjacent values from sliding into each
 			// other and colliding. The typed branches cover the scalar
-			// attribute values scanners actually produce — hashing is on
-			// every cache lookup's path, and fmt boxing there is real
-			// cost, not just untidiness.
+			// attribute values scanners actually produce — hashing keys
+			// cached jobs, and fmt boxing there is real cost, not just
+			// untidiness.
 			switch x := v.(type) {
 			case nil:
 				h.byte('n')
@@ -219,38 +178,6 @@ func (h *hasher) node(n *Node) {
 		h.int(n.Prod.Index)
 		for _, c := range n.Children {
 			h.node(c)
-		}
-	}
-}
-
-// cutHasher hashes the fragments of a planned decomposition in one
-// preorder walk of the uncut tree: a child that roots the next cut is
-// hashed as a remote leaf into its parent fragment's hasher and walked
-// into its own.
-type cutHasher struct {
-	hs   []*hasher
-	cuts []cut
-	next int
-}
-
-func (w *cutHasher) node(n *Node, f int) {
-	h := w.hs[f]
-	if n.Prod == nil {
-		h.node(n)
-		return
-	}
-	h.byte(tagInterior)
-	h.int(n.Prod.Index)
-	for _, c := range n.Children {
-		switch {
-		case w.next == len(w.cuts):
-			h.node(c) // no cut left: the rest is this fragment's
-		case w.cuts[w.next].node == c:
-			w.next++
-			h.remote(c.Sym, w.next)
-			w.node(c, w.next)
-		default:
-			w.node(c, f)
 		}
 	}
 }

@@ -73,29 +73,37 @@ func BenchmarkDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkDigests times Decomposition.Digests on the course program
-// at widths 2 and 8: over the planned decomposition SplitEncode
-// returns, which leaves the tree uncut (the pool hashes every cached
-// job this way), and over the cuts Decompose applied to a clone.
+// BenchmarkDigests times the content addresses of the course program:
+// the source key a front end gives its jobs (pascal.SourceKey, what a
+// cached pool keys a parsed program by), tree.Hash of the whole tree
+// (what it keys a hand-built tree by), and Decomposition.Digests over
+// the cuts Decompose applied to a clone at widths 2 and 8.
 func BenchmarkDigests(b *testing.B) {
-	job, err := pascal.MustNew().ClusterJob(workload.Generate(workload.CourseCompiler()))
+	src := workload.Generate(workload.CourseCompiler())
+	job, err := pascal.MustNew().ClusterJob(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, width := range []int{2, 8} {
-		gran := tree.GranularityFor(job.Root, width)
-		planned, _ := tree.SplitEncode(job.Root, gran, width)
-		applied := tree.Decompose(job.Root.Clone(), gran, width)
-		for _, c := range []struct {
-			name string
-			d    *tree.Decomposition
-		}{{"planned", planned}, {"applied", applied}} {
-			b.Run(fmt.Sprintf("%s/width=%d", c.name, width), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c.d.Digests()
-				}
-			})
+	b.Run("source-key", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(src)))
+		for i := 0; i < b.N; i++ {
+			pascal.SourceKey(src)
 		}
+	})
+	b.Run("tree-hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tree.Hash(job.Root)
+		}
+	})
+	for _, width := range []int{2, 8} {
+		applied := tree.Decompose(job.Root.Clone(), tree.GranularityFor(job.Root, width), width)
+		b.Run(fmt.Sprintf("applied/width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				applied.Digests()
+			}
+		})
 	}
 }
