@@ -138,8 +138,8 @@ func BenchmarkAdaptive(b *testing.B) {
 }
 
 // BenchmarkPoolReuse measures what the persistent compile service
-// buys: the same job compiled through one long-lived Pool (workers
-// and deques reused across jobs, analysis shared) versus a
+// buys: the same job compiled through one long-lived Pool (slots and
+// caches reused across jobs, analysis shared) versus a
 // fresh one-shot runtime per compilation (parallel.Run), which is what
 // a naive service would do. The pool case is the steady state of
 // cmd/pagd; the gap between the two is the per-job setup/teardown

@@ -71,7 +71,7 @@ func main() {
 	wl := flag.String("workload", "", "compile a generated workload (tiny, small, course) instead of a file")
 	dump := flag.Bool("dump-source", false, "print the generated -workload source instead of compiling it")
 	batch := flag.Bool("batch", false, "compile every file through one persistent pool on the real multicore runtime")
-	workers := flag.Int("workers", 0, "batch mode: pool worker goroutines (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "batch mode: pool evaluation slots, fragments evaluating at once (0 = all CPUs)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "batch mode: whole-job cache budget in bytes (0 = default, <0 = disable)")
 	cacheDir := flag.String("cache-dir", "", "batch mode: persist the whole-job cache to this directory across runs (empty = in-memory only)")
 	priority := flag.String("priority", "", `batch and daemon modes: admission class of the jobs ("high" or "low"; "" = high)`)

@@ -71,7 +71,7 @@
 // in the bounded admission queue, beyond that the service answers 503,
 // and over-quota clients get 429 instead of crowding everyone else
 // out. Failure stays scoped to the job that caused it: evaluation
-// panics are contained per job by the pool's workers (and a fleet
+// panics are contained per job by the pool (and a fleet
 // worker's handle-range exhaustion fails only its job), and an HTTP
 // recovery middleware answers 500
 // for anything that still escapes a handler, so one malformed request
@@ -107,7 +107,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
-	workers := flag.Int("workers", 0, "pool worker goroutines (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "pool evaluation slots: fragments evaluating at once (0 = all CPUs)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently evaluating jobs (0 = worker count)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond max-inflight (0 = default, <0 = none)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "whole-job cache budget in bytes (0 = default, <0 = disable)")
@@ -388,8 +388,8 @@ func (w *statusWriter) Flush() {
 // taking the daemon down: the panicking request answers 500 (best
 // effort — if the handler already streamed a partial body, the error
 // text lands in that stream) and every other connection keeps being
-// served. Evaluation panics never get this far — the pool's workers
-// contain them per job — so anything recovered here is a server bug
+// served. Evaluation panics never get this far — the pool contains
+// them per job — so anything recovered here is a server bug
 // worth the log line.
 func recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

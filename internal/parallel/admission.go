@@ -11,7 +11,7 @@ import (
 // first, so interactive traffic is never starved by queued batch work;
 // low-priority jobs run whenever no high-priority job is waiting.
 // Priority orders ADMISSION only — once admitted, fragments of every
-// job interleave on the same worker deques.
+// job share the pool's evaluation slots in the order they ask.
 type Priority uint8
 
 const (

@@ -237,7 +237,7 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	b.head("pag_queue_depth", "gauge", "Jobs waiting for admission, by priority class.")
 	b.val(`pag_queue_depth{priority="high"}`, float64(m.WaitingHigh))
 	b.val(`pag_queue_depth{priority="low"}`, float64(m.WaitingLow))
-	b.head("pag_workers", "gauge", "Pool worker goroutines.")
+	b.head("pag_workers", "gauge", "Pool evaluation slots: fragments that may evaluate at once.")
 	b.val("pag_workers", float64(m.Workers))
 	b.head("pag_max_in_flight", "gauge", "Admission bound on concurrently evaluating jobs.")
 	b.val("pag_max_in_flight", float64(m.MaxInFlight))

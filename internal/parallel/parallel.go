@@ -9,14 +9,14 @@
 //     granularity policy as the simulated cluster (internal/tree), and
 //     each fragment evaluator works on its own subtree of it, stopping
 //     at the cut nodes below, and never writes the tree.
-//   - The attribute evaluator machines become a pool of N worker
-//     goroutines. Each tree fragment is an actor owning one combined
-//     evaluator (internal/eval) with unique-identifier presets (§4.3),
-//     the paper's configuration; a fragment is scheduled onto a
-//     worker whenever it has unprocessed input, and at most one worker
-//     drives a given fragment at a time. Runnable fragments sit in
-//     per-worker work-stealing deques (local LIFO push/pop, random
-//     steal), not a single shared run queue.
+//   - The attribute evaluator machines become goroutines. Each tree
+//     fragment is an actor goroutine owning one combined evaluator
+//     (internal/eval) with unique-identifier presets (§4.3), the
+//     paper's configuration: like the paper's evaluator process, it
+//     evaluates while it has unprocessed input and parks on its
+//     mailbox when it has none. The Go runtime schedules the actors;
+//     the pool only bounds how many evaluate at once, with N
+//     evaluation slots shared by every job (PoolOptions.Workers).
 //   - V-System IPC becomes message passing over per-fragment mailboxes:
 //     inherited attributes of remote subtrees and synthesized
 //     attributes of fragment roots travel between fragments as plain Go
@@ -36,8 +36,8 @@
 //
 // The paper frames the evaluator machines as a standing facility that
 // compilations are farmed out to (§3), and that is how the runtime is
-// organized: Pool is the long-lived facility — worker goroutines,
-// deques, shared read-only analyses — multiplexing many concurrent
+// organized: Pool is the long-lived facility — evaluation slots,
+// shared read-only analyses, caches — multiplexing many concurrent
 // jobs, each isolated in its own fragment set. Run wraps a whole Pool
 // lifecycle around a single job.
 //
@@ -62,9 +62,10 @@ import (
 
 // Options configures one parallel compilation.
 type Options struct {
-	// Workers is the number of worker goroutines; <= 0 uses GOMAXPROCS.
-	// On an existing Pool it only provides the Fragments default (the
-	// pool's own width is fixed at NewPool time).
+	// Workers is the evaluation width: for Run, the number of fragments
+	// that may evaluate at once; <= 0 uses GOMAXPROCS. On an existing
+	// Pool it only provides the Fragments default (the pool's own width
+	// is fixed at NewPool time).
 	Workers int
 	// Fragments caps the decomposition; 0 splits into at most Workers
 	// fragments (mirroring the cluster's one-fragment-per-machine
@@ -123,8 +124,8 @@ type Result struct {
 	// (the lookup ran before admission).
 	SplitTime time.Duration
 	// EvalTime is the parallel attribute evaluation proper: from the
-	// moment the fragments are handed to the worker pool until the job
-	// reaches quiescence. This is the phase the paper's running-time
+	// moment the fragment goroutines start until the job reaches
+	// quiescence. This is the phase the paper's running-time
 	// figures measure.
 	EvalTime time.Duration
 	// SpliceTime covers assembling the final program text (rope
@@ -213,11 +214,10 @@ type outBatch struct {
 	msgs   []message
 }
 
-// frag is one fragment actor. The scheduler guarantees at most one
-// worker executes step on a fragment at a time; inbox, queued and done
-// are the only cross-goroutine state and are guarded by mu.
+// frag is one fragment actor, driven by its own goroutine (rt.actor).
+// inbox, parked and done are the only cross-goroutine state and are
+// guarded by mu.
 type frag struct {
-	r      *rt // the owning job's runtime (fragments of many jobs share the deques)
 	id     int
 	parent int
 	root   *tree.Node
@@ -229,34 +229,34 @@ type frag struct {
 	mu     sync.Mutex
 	inbox  []message
 	spare  []message // drained buffer, swapped back in next drain
-	queued bool
+	parked bool      // waiting on wake, not counted busy
 	done   bool
-
-	// curWorker is the worker currently driving this fragment; only
-	// that worker reads it (from hook callbacks), and only the driving
-	// worker writes it at step entry.
-	curWorker int
+	// wake carries the one signal of the postBatch that unparked the
+	// fragment.
+	wake chan struct{}
 
 	out   []outBatch
 	prio  [1]message             // scratch for immediate (priority) sends
-	ev    eval.FragmentEvaluator // created on first step, in a worker
+	ev    eval.FragmentEvaluator // created on first step, by the actor
 	stats eval.Stats
 }
 
 // rt is the state of one job in flight on a Pool: the job's private
-// fragment set, message counters and quiescence tracking. The sched it
-// pushes to is the pool's shared scheduler.
+// fragment set, message counters and quiescence tracking. The slots it
+// evaluates in are the pool's, shared by every job.
 type rt struct {
 	job cluster.Job
 
 	frags []*frag
 
-	sched   *sched
-	pending atomic.Int64 // queued or running fragments; 0 = quiescent
+	slots chan struct{} // the pool's evaluation slots; send to take one
+	// busy counts the fragments not parked: evaluating, waiting for a
+	// slot, or about to park. Whoever brings it to zero closes quiet.
+	busy    atomic.Int64
 	doneCnt atomic.Int64
 	// ctx is the job's context; cancelled flips once the job stops
-	// (see stopped), and workers then discard the job's fragments
-	// instead of evaluating them.
+	// (see stopped), and its fragments are then discarded instead of
+	// evaluated.
 	ctx       context.Context
 	cancelled atomic.Bool
 	// failMu/failErr hold the first evaluation failure (a recovered
@@ -264,12 +264,13 @@ type rt struct {
 	// fragments are reclaimed, not evaluated.
 	failMu  sync.Mutex
 	failErr error
-	// quiet closes at job quiescence: no fragment queued or running
-	// (all done, cancelled, or deadlock).
+	// quiet closes at job quiescence: every fragment done or parked
+	// (all done, cancelled, failed, or deadlock). It also releases the
+	// parked fragments' goroutines.
 	quiet    chan struct{}
 	messages atomic.Int64
 
-	rootAttrs []ag.Value // written only by the worker driving fragment 0
+	rootAttrs []ag.Value // written only by fragment 0's goroutine
 }
 
 // Run executes one parallel compilation across real CPU cores and
@@ -303,7 +304,7 @@ func (r *rt) send(f *frag, target *frag, m message, priority bool) {
 		// postBatch copies the batch into the inbox, so the scratch
 		// array is free again when it returns (f is single-threaded).
 		f.prio[0] = m
-		r.postBatch(f, target, f.prio[:])
+		r.postBatch(target, f.prio[:])
 		return
 	}
 	for i := range f.out {
@@ -323,17 +324,17 @@ func (r *rt) flush(f *frag) {
 		if len(b.msgs) == 0 {
 			continue
 		}
-		r.postBatch(f, b.target, b.msgs)
+		r.postBatch(b.target, b.msgs)
 		b.msgs = b.msgs[:0]
 	}
 }
 
 // postBatch appends a batch of messages to target's mailbox under a
-// single lock acquisition, scheduling the fragment (onto the posting
-// worker's own deque) if it is idle. Messages to completed fragments
-// are dropped (the value was provably not needed: a fragment only
-// completes once every local instance is evaluated).
-func (r *rt) postBatch(from *frag, target *frag, msgs []message) {
+// single lock acquisition, waking the fragment if it is parked.
+// Messages to completed fragments are dropped (the value was provably
+// not needed: a fragment only completes once every local instance is
+// evaluated).
+func (r *rt) postBatch(target *frag, msgs []message) {
 	r.messages.Add(int64(len(msgs)))
 	target.mu.Lock()
 	if target.done {
@@ -341,48 +342,80 @@ func (r *rt) postBatch(from *frag, target *frag, msgs []message) {
 		return
 	}
 	target.inbox = append(target.inbox, msgs...)
-	enqueue := !target.queued
-	if enqueue {
-		target.queued = true
-	}
+	wake := target.parked
+	target.parked = false
 	target.mu.Unlock()
-	if enqueue {
-		// The poster's own step still holds a pending reference, so the
-		// job cannot look quiescent before this push lands.
-		r.pending.Add(1)
-		r.sched.push(from.curWorker, target)
+	if wake {
+		// The poster is busy, so the job cannot look quiescent before
+		// the target counts as busy again.
+		r.busy.Add(1)
+		target.wake <- struct{}{}
 	}
 }
 
-// step drives one fragment on worker w: build its evaluator on first
-// entry, drain the mailbox (whole inbox under one lock), evaluate until
-// blocked, deliver the outbound batches, repeat until the mailbox stays
-// empty or the fragment completes. Fragments of cancelled jobs are
-// discarded instead: marked done (so pending messages drop) without
-// touching the evaluator.
-func (r *rt) step(w int, f *frag) {
-	r.stepGuarded(w, f)
-	if r.pending.Add(-1) == 0 {
-		// Nothing of this job queued or running, no messages in
-		// flight: the job is quiescent (all fragments done, cancelled,
-		// failed, or deadlock). The pool's workers move on to other jobs.
+// actor is fragment f's goroutine, the paper's evaluator process
+// (§2.1): it evaluates in one of the pool's slots while it has input,
+// parks until postBatch wakes it, and ends once the fragment is done
+// (completed, discarded or failed) or the job goes quiet.
+func (r *rt) actor(f *frag) {
+	for {
+		r.slots <- struct{}{}
+		live := r.step(f)
+		<-r.slots
+		if !live {
+			r.idle()
+			return
+		}
+		if !r.park(f) {
+			return
+		}
+	}
+}
+
+// park waits for input to f and reports false if the job went quiet
+// instead. It re-checks the inbox under f.mu before it stops counting
+// f busy, so a batch posted after run's last drain is never lost: from
+// then on postBatch sees parked and wakes f.
+func (r *rt) park(f *frag) bool {
+	f.mu.Lock()
+	if len(f.inbox) > 0 {
+		f.mu.Unlock()
+		return true
+	}
+	f.parked = true
+	f.mu.Unlock()
+	r.idle()
+	select {
+	case <-f.wake:
+		return true
+	case <-r.quiet:
+		return false
+	}
+}
+
+// idle stops counting one fragment busy. At zero nothing of the job is
+// evaluating, waiting for a slot or in flight: the job is quiescent
+// (all fragments done, cancelled, failed, or deadlock).
+func (r *rt) idle() {
+	if r.busy.Add(-1) == 0 {
 		close(r.quiet)
 	}
 }
 
 // jobPanic carries an error out of fragment evaluation through
-// panic/recover: the evaluator is built inside a worker, so a
-// construction failure unwinds to the worker's recovery point, which
-// files it as a clean job failure.
+// panic/recover: the evaluator is built inside the fragment's
+// goroutine, so a construction failure unwinds to step's recovery
+// point, which files it as a clean job failure.
 type jobPanic struct{ err error }
 
-// stepGuarded is step's body with panic containment: a panicking
-// semantic rule (or any other evaluation panic) fails the one job that
-// raised it — the fragment is marked done so pending messages drop,
-// the job's remaining fragments are reclaimed via the cancelled flag —
-// while the worker goroutine survives to keep serving every other job
-// on the pool.
-func (r *rt) stepGuarded(w int, f *frag) {
+// step drives f for one tenure of an evaluation slot and reports
+// whether f lives on. Fragments of a stopped job are discarded instead:
+// marked done (so later messages drop) without touching the evaluator.
+// A panicking semantic rule (or any other evaluation panic) fails the
+// one job that raised it: the fragment is marked done and the job's
+// remaining fragments are reclaimed via the cancelled flag, while
+// every other job on the pool evaluates on.
+func (r *rt) step(f *frag) (live bool) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -393,17 +426,21 @@ func (r *rt) stepGuarded(w int, f *frag) {
 		} else {
 			r.fail(fmt.Errorf("parallel: fragment %d: evaluation panicked: %v\n%s", f.id, p, debug.Stack()))
 		}
-		f.mu.Lock()
-		f.done = true
-		f.mu.Unlock()
+		f.markDone()
+		live = false
 	}()
 	if r.stopped() {
-		f.mu.Lock()
-		f.done = true
-		f.mu.Unlock()
-		return
+		f.markDone()
+		return false
 	}
-	r.run(w, f)
+	return r.run(f)
+}
+
+// markDone marks f done, so messages to it drop.
+func (f *frag) markDone() {
+	f.mu.Lock()
+	f.done = true
+	f.mu.Unlock()
 }
 
 // fail files the job's first failure and cancels the rest of the job.
@@ -439,9 +476,11 @@ func (r *rt) failure() error {
 	return r.failErr
 }
 
-// run is the evaluation body of step.
-func (r *rt) run(w int, f *frag) {
-	f.curWorker = w
+// run is the evaluation body of step: build the evaluator on first
+// entry, drain the mailbox (whole inbox under one lock), evaluate until
+// blocked, deliver the outbound batches, and repeat until the mailbox
+// stays empty or the job stops. It reports false once f completes.
+func (r *rt) run(f *frag) bool {
 	if f.ev == nil {
 		r.initFrag(f)
 		// The first Run happens before anything is supplied, so the
@@ -464,19 +503,16 @@ func (r *rt) run(w int, f *frag) {
 		r.flush(f)
 		if f.ev.Done() {
 			f.stats = f.ev.Stats()
-			f.mu.Lock()
-			f.done = true // queued stays true: completed fragments never reschedule
-			f.mu.Unlock()
+			f.markDone()
 			r.doneCnt.Add(1)
-			return
+			return false
 		}
 		f.mu.Lock()
-		if len(f.inbox) == 0 || r.stopped() {
-			f.queued = false
-			f.mu.Unlock()
-			return
-		}
+		empty := len(f.inbox) == 0
 		f.mu.Unlock()
+		if empty || r.stopped() {
+			return true
+		}
 	}
 }
 
@@ -497,7 +533,7 @@ func (r *rt) initFrag(f *frag) {
 		Up: func(attr int, v ag.Value, priority bool) {
 			r.send(f, r.frags[f.parent], message{leaf: f.leafIdx, attr: attr, val: v}, priority)
 		},
-		// Only the worker driving fragment 0 writes the results.
+		// Only fragment 0's goroutine writes the results.
 		Result: func(attr int, v ag.Value) { r.rootAttrs[attr] = v },
 	})
 	if err != nil {

@@ -20,7 +20,8 @@ import (
 
 // PoolOptions configures a long-lived compile Pool.
 type PoolOptions struct {
-	// Workers is the number of worker goroutines; <= 0 uses GOMAXPROCS.
+	// Workers is the number of evaluation slots: how many fragments,
+	// across all jobs, may evaluate at once; <= 0 uses GOMAXPROCS.
 	Workers int
 	// MaxInFlight bounds the number of jobs evaluating concurrently;
 	// <= 0 uses the worker count. Jobs beyond the bound wait in the
@@ -59,8 +60,9 @@ type PoolOptions struct {
 	DiskCache *cas.Store
 	// Remote, when set, routes admitted jobs to a distributed
 	// evaluation backend (a pagd worker fleet) instead of the pool's
-	// in-process deques. Admission control, quotas, priorities and all
-	// outcome accounting still apply; only the evaluation itself moves.
+	// in-process fragment goroutines. Admission control, quotas,
+	// priorities and all outcome accounting still apply; only the
+	// evaluation itself moves.
 	Remote RemoteEvaluator
 }
 
@@ -81,18 +83,20 @@ var (
 	ErrOverloaded = errors.New("parallel: pool overloaded (admission queue full)")
 )
 
-// Pool is a persistent compile service: one long-lived set of worker
-// goroutines and work-stealing deques serving many concurrent compile
-// jobs. It is the paper's standing network multiprocessor (§3) as a
-// runtime object — compilations are farmed out to it, rather than each
-// compilation assembling its own machine room.
+// Pool is a persistent compile service: one long-lived set of
+// evaluation slots serving many concurrent compile jobs. It is the
+// paper's standing network multiprocessor (§3) as a runtime object —
+// compilations are farmed out to it, rather than each compilation
+// assembling its own machine room. Each job runs one goroutine per
+// fragment, and a fragment evaluates only while it holds one of the
+// pool's Workers slots; the goroutines end with their job.
 //
 // Isolation between concurrent jobs is structural: each job owns its
 // fragment set and its runtime state, while read-only state — the
 // grammar, the OAG analysis with its compiled visit plans — is shared
-// across all jobs of the same grammar. Jobs are cancellable via context: a cancelled
-// job's queued fragments are discarded as workers pop them, its
-// pending messages are dropped, and its workers move on to other jobs.
+// across all jobs of the same grammar. Jobs are cancellable via
+// context: a cancelled job's fragments are discarded as they next take
+// a slot, and its pending messages are dropped.
 //
 // The per-grammar analysis cache is keyed by grammar identity and
 // never evicted — the expected shape is a handful of long-lived
@@ -107,8 +111,8 @@ type Pool struct {
 	maxInFlight int
 	queueDepth  int
 
-	sched *sched
-	wg    sync.WaitGroup
+	// slots holds one token per evaluating fragment, across all jobs.
+	slots chan struct{}
 
 	// Admission control: adm bounds in-flight jobs at maxInFlight with
 	// a two-priority-class bounded wait queue and per-client quotas
@@ -142,7 +146,7 @@ type Pool struct {
 	gramDigests sync.Map // *ag.Grammar -> [sha256.Size]byte
 
 	// remote, when non-nil, evaluates admitted jobs on a worker fleet
-	// instead of the local deques (PoolOptions.Remote).
+	// instead of locally (PoolOptions.Remote).
 	remote RemoteEvaluator
 
 	// Plan observability: cross-fragment messages across completed
@@ -202,7 +206,8 @@ type PoolStats struct {
 	LastBalance   float64 `json:"last_balance"`
 }
 
-// NewPool starts the worker goroutines and returns the ready pool.
+// NewPool returns a ready pool. It starts no goroutine: each job
+// starts its own fragment goroutines.
 func NewPool(opts PoolOptions) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -228,7 +233,7 @@ func NewPool(opts PoolOptions) *Pool {
 		workers:     opts.Workers,
 		maxInFlight: opts.MaxInFlight,
 		queueDepth:  depth,
-		sched:       newSched(opts.Workers),
+		slots:       make(chan struct{}, opts.Workers),
 		adm:         newAdmission(opts.MaxInFlight, depth, opts.ClientQuota),
 		closeCh:     make(chan struct{}),
 		remote:      opts.Remote,
@@ -239,34 +244,11 @@ func NewPool(opts PoolOptions) *Pool {
 			p.disk = newDiskCache(opts.DiskCache)
 		}
 	}
-	for w := 0; w < p.workers; w++ {
-		p.wg.Add(1)
-		go p.worker(w)
-	}
 	return p
 }
 
-// worker is one pool worker: pop local work, steal, or park, forever —
-// fragments of every in-flight job interleave on the same deques.
-func (p *Pool) worker(w int) {
-	defer p.wg.Done()
-	rng := uint64(w)*0x9E3779B97F4A7C15 + 0x1234567
-	for {
-		f, ok := p.sched.popLocal(w)
-		if !ok {
-			f, ok = p.sched.steal(w, &rng)
-		}
-		if !ok {
-			if f = p.sched.park(w); f == nil {
-				return
-			}
-		}
-		f.r.step(w, f)
-	}
-}
-
-// Close rejects new jobs, waits for every admitted job to drain, then
-// stops the worker goroutines. It is idempotent.
+// Close rejects new jobs and waits for every admitted job to drain. It
+// is idempotent.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
@@ -277,8 +259,6 @@ func (p *Pool) Close() {
 	p.adm.close()
 	close(p.closeCh)
 	p.adm.drain()
-	p.sched.shutdown()
-	p.wg.Wait()
 	// Flush pending write-behind spills after the last job drained, so
 	// a pool closed right after a cold compile (a daemon handling
 	// SIGTERM above all) leaves its recordings on disk for the next
@@ -384,8 +364,8 @@ func (p *Pool) analysisFor(g *ag.Grammar) (*ag.Analysis, error) {
 // or ctx is cancelled. Deadlines and cancellation on ctx propagate
 // through admission (a job cancelled while queued never runs) and
 // evaluation (a job cancelled mid-flight has its remaining fragments
-// reclaimed — queued ones dropped as workers pop them, in-flight
-// messages discarded — and Compile returns ctx.Err(); the pool keeps
+// reclaimed — discarded as they next take an evaluation slot, in-flight
+// messages dropped — and Compile returns ctx.Err(); the pool keeps
 // serving every other job). Many Compile calls may run concurrently;
 // each is isolated in its own fragment set, and the output is
 // byte-identical to running the job alone. Compile only reads the
@@ -523,9 +503,9 @@ func (p *Pool) lookup(key *cacheKey, job cluster.Job, opts Options, start time.T
 // compile is the admitted job body; it releases the job's admission
 // slot when it returns. The parser side is the same for local and
 // remote jobs: supply the analysis and plan the cuts. A remote job
-// then goes to remoteJob. A local one seeds the shared deques, waits
-// for per-job quiescence and assembles the result; with a cache key, a
-// clean run is recorded under it.
+// then goes to remoteJob. A local one starts a goroutine per fragment,
+// waits for per-job quiescence and assembles the result; with a cache
+// key, a clean run is recorded under it.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *cacheKey) (*Result, error) {
 	defer p.adm.release(opts.Client)
 	if job.A == nil {
@@ -569,18 +549,14 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *
 
 	r := &rt{
 		job:       job,
-		sched:     p.sched,
+		slots:     p.slots,
 		ctx:       ctx,
 		quiet:     make(chan struct{}),
 		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
 	}
 	for _, f := range decomp.Frags {
-		// queued is set here, while the job is still private to this
-		// goroutine: the moment the first fragment is pushed, workers
-		// may start posting to its siblings, and those reads of queued
-		// (under the mailbox lock) must not race the seeding loop.
-		r.frags = append(r.frags, &frag{r: r, id: f.ID, parent: f.Parent, root: f.Root,
-			leaves: decomp.Leaves(f.ID), kids: decomp.Children(f.ID), queued: true})
+		r.frags = append(r.frags, &frag{id: f.ID, parent: f.Parent, root: f.Root,
+			leaves: decomp.Leaves(f.ID), kids: decomp.Children(f.ID), wake: make(chan struct{}, 1)})
 	}
 	for _, f := range r.frags {
 		for k, c := range f.kids {
@@ -588,15 +564,13 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *
 		}
 	}
 
-	// Seed every fragment round-robin across the worker deques, then
-	// wait for this job's quiescence. Workers may start stepping the
-	// first fragment before the last is pushed; pending is preset so
+	// Start every fragment's goroutine, then wait for this job's
+	// quiescence. Every fragment counts busy until it first parks, so
 	// the job cannot look quiescent early. Cancellation needs no
-	// watcher: every step checks the job's context (rt.stopped), and
-	// the workers reclaim a cancelled job's fragments as they pop them.
-	r.pending.Store(int64(len(r.frags)))
+	// watcher: every step checks the job's context (rt.stopped).
+	r.busy.Store(int64(len(r.frags)))
 	for _, f := range r.frags {
-		r.sched.push(f.id%p.workers, f)
+		go r.actor(f)
 	}
 	splitDone := time.Now()
 

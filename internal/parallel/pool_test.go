@@ -220,17 +220,17 @@ func settleGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// TestRunReleasesGoroutinesOnError is the regression test for the
-// worker-goroutine leak: a Run that fails partway (after the pool's
-// workers exist) must still tear the whole pool down. Before the
-// persistent-pool rewrite, failed setup paths could leave workers and
-// mailbox state behind.
+// TestRunReleasesGoroutinesOnError is the regression test for a
+// goroutine leak: a Run that fails partway (after its pool exists)
+// must leave no goroutine behind. Before the persistent-pool rewrite,
+// failed setup paths could leave worker goroutines and mailbox state
+// behind; the pool now starts none, and a job's fragment goroutines
+// end with it.
 func TestRunReleasesGoroutinesOnError(t *testing.T) {
 	okJob := pascalJob(t, workload.Tiny())
 	before := settleGoroutines()
 	for i := 0; i < 20; i++ {
-		// Fails in the pool (mode validation) after the worker
-		// goroutines have started.
+		// Fails in the pool (mode validation).
 		//lint:ignore SA1019 the refused mode is the failure under test
 		if _, err := parallel.Run(okJob, parallel.Options{Workers: 2, Mode: cluster.Dynamic}); err == nil {
 			t.Fatal("expected a mode error")
@@ -244,7 +244,53 @@ func TestRunReleasesGoroutinesOnError(t *testing.T) {
 	}
 	after := settleGoroutines()
 	if after > before+2 {
-		t.Errorf("goroutines grew from %d to %d across failing runs (worker leak)", before, after)
+		t.Errorf("goroutines grew from %d to %d across failing runs (goroutine leak)", before, after)
+	}
+}
+
+// TestPoolJobReleasesGoroutines checks that no fragment goroutine
+// outlives its job while the pool stays open: after a clean compile, a
+// job whose rule panics, and a job whose deadline passes
+// mid-evaluation (parked fragments included), the goroutine count is
+// back where it was before the job.
+func TestPoolJobReleasesGoroutines(t *testing.T) {
+	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2})
+	defer pool.Close()
+	ctx := context.Background()
+	opts := parallel.Options{Fragments: 8, NoCache: true}
+	expiring, arm := expiringJob(t)
+	clean := pascalJob(t, workload.Small())
+	bad := boomJob(t, "boom")
+
+	jobs := []struct {
+		name string
+		run  func() error
+	}{
+		{"clean", func() error {
+			_, err := pool.Compile(ctx, clean, opts)
+			return err
+		}},
+		{"panic", func() error {
+			if _, err := pool.Compile(ctx, bad, opts); err == nil {
+				return errors.New("panicking job reported success")
+			}
+			return nil
+		}},
+		{"deadline", func() error {
+			if _, err := pool.Compile(arm(), expiring, opts); !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("got %v, want DeadlineExceeded", err)
+			}
+			return nil
+		}},
+	}
+	for _, j := range jobs {
+		before := settleGoroutines()
+		if err := j.run(); err != nil {
+			t.Fatalf("%s job: %v", j.name, err)
+		}
+		if after := settleGoroutines(); after > before {
+			t.Errorf("%s job: goroutines grew from %d to %d", j.name, before, after)
+		}
 	}
 }
 

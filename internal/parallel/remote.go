@@ -8,10 +8,11 @@ import (
 )
 
 // RemoteEvaluator is a distributed evaluation backend a Pool can route
-// admitted jobs to instead of its in-process deques: the coordinator of
-// a pagd worker fleet (internal/fleet) implements it. The pool keeps
-// owning admission — quotas, priorities, queue bounds and the outcome
-// counters all apply unchanged — and the parser side: it defaults the
+// admitted jobs to instead of running their fragment goroutines
+// in-process: the coordinator of a pagd worker fleet (internal/fleet)
+// implements it. The pool keeps owning admission — quotas,
+// priorities, queue bounds and the outcome counters all apply
+// unchanged — and the parser side: it defaults the
 // options, supplies the analysis, plans and encodes the fragments
 // (tree.SplitEncode, so the caller's tree is only read), and splices
 // and files the result like a local job's. The evaluator owns only the

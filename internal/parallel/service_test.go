@@ -3,6 +3,7 @@ package parallel_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,6 +166,45 @@ func (c *expiringCtx) expire() {
 	}
 }
 
+// wrapRules builds a small pascal job whose every semantic rule runs
+// through around, which gets the rule's own evaluation to call.
+func wrapRules(t *testing.T, around func(eval func([]ag.Value) ag.Value, args []ag.Value) ag.Value) cluster.Job {
+	t.Helper()
+	lang := pascal.MustNew()
+	for _, p := range lang.G.Prods {
+		for i := range p.Rules {
+			eval := p.Rules[i].Eval
+			p.Rules[i].Eval = func(args []ag.Value) ag.Value { return around(eval, args) }
+		}
+	}
+	job, err := lang.ClusterJob(workload.Generate(workload.Small()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// expiringJob returns a job whose every semantic rule first expires the
+// armed context, if any, and arm, which arms a fresh context for the
+// next compile: its deadline passes when that compile's first rule
+// runs, mid-evaluation however loaded the host is. No fragment is done
+// at that point and at most one step per evaluation slot is running,
+// so with more fragments than slots the job cannot complete.
+func expiringJob(t *testing.T) (job cluster.Job, arm func() context.Context) {
+	var armed atomic.Pointer[expiringCtx]
+	job = wrapRules(t, func(eval func([]ag.Value) ag.Value, args []ag.Value) ag.Value {
+		if c := armed.Swap(nil); c != nil {
+			c.expire()
+		}
+		return eval(args)
+	})
+	return job, func() context.Context {
+		ctx := newExpiringCtx()
+		armed.Store(ctx)
+		return ctx
+	}
+}
+
 // TestPoolDeadlineMidEvaluation is the deadline contract end to end:
 // a job whose context deadline expires mid-evaluation comes back with
 // context.DeadlineExceeded, counts as cancelled, and leaves the pool
@@ -172,28 +212,7 @@ func (c *expiringCtx) expire() {
 // bytes as before, repeatedly, proving fragments and librarian handle
 // ranges were reclaimed.
 func TestPoolDeadlineMidEvaluation(t *testing.T) {
-	// Every semantic rule of this grammar first expires the armed
-	// context, if any: the deadline passes when the job's first rule
-	// runs, mid-evaluation however loaded the host is. No fragment is
-	// done at that point and at most one step per worker is running,
-	// so with more fragments than workers the job cannot complete.
-	lang := pascal.MustNew()
-	var armed atomic.Pointer[expiringCtx]
-	for _, p := range lang.G.Prods {
-		for i := range p.Rules {
-			eval := p.Rules[i].Eval
-			p.Rules[i].Eval = func(args []ag.Value) ag.Value {
-				if c := armed.Swap(nil); c != nil {
-					c.expire()
-				}
-				return eval(args)
-			}
-		}
-	}
-	job, err := lang.ClusterJob(workload.Generate(workload.Small()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job, arm := expiringJob(t)
 	// NoCache keeps every round a full evaluation.
 	opts := parallel.Options{Fragments: 8, NoCache: true}
 	pool := parallel.NewPool(parallel.PoolOptions{Workers: 2, MaxInFlight: 2})
@@ -209,9 +228,7 @@ func TestPoolDeadlineMidEvaluation(t *testing.T) {
 
 	const expiries = 3
 	for i := 0; i < expiries; i++ {
-		ctx := newExpiringCtx()
-		armed.Store(ctx)
-		if _, err := pool.Compile(ctx, job, opts); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := pool.Compile(arm(), job, opts); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("compile %d: deadline passed mid-evaluation, got %v, want DeadlineExceeded", i, err)
 		}
 	}
@@ -227,5 +244,49 @@ func TestPoolDeadlineMidEvaluation(t *testing.T) {
 		if res.Program != ref.Program {
 			t.Fatalf("clean compile %d differs from reference after expiries", i)
 		}
+	}
+}
+
+// TestPoolWorkersBoundEvaluation checks that PoolOptions.Workers bounds
+// the fragments evaluating at once across all jobs: two concurrent
+// 8-fragment jobs on a 2-slot pool never run more than 2 rule bodies
+// at once. Each rule yields mid-body, so without the bound another
+// fragment's rule would start meanwhile.
+func TestPoolWorkersBoundEvaluation(t *testing.T) {
+	const slots = 2
+	var running, peak atomic.Int32
+	job := wrapRules(t, func(eval func([]ag.Value) ag.Value, args []ag.Value) ag.Value {
+		n := running.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		runtime.Gosched()
+		defer running.Add(-1)
+		return eval(args)
+	})
+	pool := parallel.NewPool(parallel.PoolOptions{Workers: slots, MaxInFlight: 2})
+	defer pool.Close()
+	opts := parallel.Options{Fragments: 8, NoCache: true}
+
+	errs := make(chan error, 2)
+	var frags atomic.Int32
+	for i := 0; i < 2; i++ {
+		go func() {
+			res, err := pool.Compile(context.Background(), job, opts)
+			if err == nil {
+				frags.Add(int32(res.Frags))
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := frags.Load(); got <= 2*slots {
+		t.Fatalf("the jobs split into %d fragments in all; the test needs more than %d", got, 2*slots)
+	}
+	if got := peak.Load(); got > slots {
+		t.Errorf("%d rule bodies ran at once on a %d-slot pool", got, slots)
 	}
 }

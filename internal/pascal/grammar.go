@@ -222,21 +222,3 @@ func MustNew() *Lang {
 func (l *Lang) TerminalAttrs(sym *ag.Symbol, token string) ([]ag.Value, error) {
 	return []ag.Value{token}, nil
 }
-
-// UIDKeys lists the unique-identifier attributes for the cluster's
-// per-evaluator base optimization (paper §4.3): the lbase attribute of
-// every split symbol.
-func (l *Lang) UIDKeys() []SymbolAttr {
-	return []SymbolAttr{
-		{l.Stmt, SAttrLbase},
-		{l.StmtList, SAttrLbase},
-		{l.ProcDecl, PAttrLbase},
-		{l.ProcPart, PAttrLbase},
-	}
-}
-
-// SymbolAttr names one attribute of one symbol.
-type SymbolAttr struct {
-	Sym  *ag.Symbol
-	Attr int
-}

@@ -268,8 +268,9 @@ var (
 // ParsePriority maps "high"/"low" (and "" = high) to a Priority.
 func ParsePriority(s string) (Priority, error) { return parallel.ParsePriority(s) }
 
-// NewPool starts a persistent compile pool. The pool owns the worker
-// goroutines and work-stealing scheduler; many Pool.Compile calls may
+// NewPool starts a persistent compile pool. The pool owns the
+// evaluation slots that bound how many fragments evaluate at once, each
+// fragment being a goroutine of its job; many Pool.Compile calls may
 // run concurrently on it, subject to the configured admission bounds
 // (max in-flight, queue depth, per-client quotas, priority classes),
 // and each job's output is byte-identical to running it alone.
@@ -281,8 +282,7 @@ func NewPool(opts PoolOptions) *Pool { return parallel.NewPool(opts) }
 
 // CompileParallel runs one compilation on the real shared-memory
 // parallel runtime: the tree is decomposed exactly as in CompileSim,
-// but fragments are evaluated by a pool of worker goroutines on real
-// CPU cores, attribute values travel between fragments over
+// but fragments are evaluated by goroutines on real CPU cores, attribute values travel between fragments over
 // per-fragment mailboxes, and code ropes are shared by pointer and
 // flattened once at the end. Given opts.Workers == Machines and the
 // simulator's unique-identifier presets, the produced program is
