@@ -111,6 +111,35 @@ func TestParseNestingLimit(t *testing.T) {
 	}
 }
 
+// TestParseListBudget pins the bound on the levels lists add to a path
+// (tree.MaxListRun): a program at the budget parses and its tree
+// survives Encode and Decode, as a fleet worker receives it; one more
+// term is an error. Runs add up along a path through parentheses, and a
+// sum of 2^18+10 terms, which once parsed into a tree Decode refused,
+// is rejected.
+func TestParseListBudget(t *testing.T) {
+	l := exprlang.MustNew()
+	sum := func(terms int) string { return "1" + strings.Repeat("+1", terms-1) }
+	half := tree.MaxListRun / 2
+	for name, tc := range map[string]struct{ at, over string }{
+		"sum":    {sum(tree.MaxListRun + 1), sum(tree.MaxListRun + 2)},
+		"nested": {"(" + sum(half+1) + ")" + strings.Repeat("*1", half), "(" + sum(half+2) + ")" + strings.Repeat("*1", half)},
+		"huge":   {sum(8), sum(1<<18 + 10)},
+	} {
+		root, err := l.Parse(tc.at)
+		if err != nil {
+			t.Fatalf("%s at the budget: %v", name, err)
+		}
+		if _, err := tree.Decode(l.G, tree.Encode(root), l.TerminalAttrs); err != nil {
+			t.Errorf("%s at the budget: Decode: %v", name, err)
+		}
+		_, err = l.Parse(tc.over)
+		if err == nil || !strings.Contains(err.Error(), "exprlang: lists deeper than 131072 levels at offset") {
+			t.Errorf("%s over the budget: got %v, want a list-depth error", name, err)
+		}
+	}
+}
+
 func TestGenerateValueFormula(t *testing.T) {
 	l := exprlang.MustNew()
 	tri := func(n int) int { return n * (n + 1) / 2 }

@@ -101,7 +101,8 @@ func (l *lexer) emit(k tokKind, text string, pos int) {
 // may nest. The parser recurses once per level, so without a bound a
 // source of a few megabytes of "(" would exhaust the goroutine stack —
 // a fatal error no recover can catch — instead of failing as a syntax
-// error.
+// error. Sums and products are loops, not recursion; they are charged
+// against tree.MaxListRun instead, which bounds the tree's depth.
 const maxNesting = 1 << 10
 
 // parser is a recursive-descent parser producing attributed parse
@@ -114,6 +115,7 @@ type parser struct {
 	toks  []token
 	pos   int
 	depth int // nesting levels open (see maxNesting)
+	lists tree.ListRuns
 }
 
 // Parse parses src into a parse tree rooted at main_expr. The tree is
@@ -156,6 +158,7 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 // expr := term ('+' term)*      (left-associative, as the appendix's
 // %left declarations direct the parser generator)
 func (p *parser) expr() (*tree.Node, error) {
+	sum := p.lists.Open()
 	left, err := p.term()
 	if err != nil {
 		return nil, err
@@ -167,12 +170,17 @@ func (p *parser) expr() (*tree.Node, error) {
 			return nil, err
 		}
 		left = p.b.New(p.l.PAdd, left, p.b.NewTerminal(p.l.Plus, "+"), right)
+		if err := p.link(&sum); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(sum)
 	return left, nil
 }
 
 // term := factor ('*' factor)*
 func (p *parser) term() (*tree.Node, error) {
+	product := p.lists.Open()
 	left, err := p.factor()
 	if err != nil {
 		return nil, err
@@ -184,8 +192,20 @@ func (p *parser) term() (*tree.Node, error) {
 			return nil, err
 		}
 		left = p.b.New(p.l.PMul, left, p.b.NewTerminal(p.l.Star, "*"), right)
+		if err := p.link(&product); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(product)
 	return left, nil
+}
+
+// link charges list l the element just added (see tree.ListRuns).
+func (p *parser) link(l *tree.List) error {
+	if !p.lists.Link(l) {
+		return fmt.Errorf("exprlang: lists deeper than %d levels at offset %d", tree.MaxListRun, p.cur().pos)
+	}
+	return nil
 }
 
 func (p *parser) factor() (*tree.Node, error) {

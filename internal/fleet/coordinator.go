@@ -49,6 +49,8 @@ type CoordinatorOptions struct {
 // the parser side (options, analysis, split, splice), the coordinator
 // only places, evaluates and routes.
 //
+// A job's fragments run on the pool's job runtime (parallel.Runtime),
+// which decides when the job is done, failed, cancelled or deadlocked.
 // Failure policy, per fragment: an RPC that fails in transit or
 // arrives corrupt is retried against the same placement with
 // exponential backoff + jitter (supply retries are idempotent via
@@ -56,7 +58,9 @@ type CoordinatorOptions struct {
 // 404/409/503 — requeues the fragment to another ready worker, where
 // its journal replays; and when no worker is ready at all the fragment
 // degrades to the in-process fallback worker, so a compilation can
-// lose every worker and still complete.
+// lose every worker and still complete. A permanent refusal (422) fails
+// the job with that error and cancels its other fragments' RPCs and
+// backoffs; a cancelled ctx fails it with ctx's error.
 type Coordinator struct {
 	client  *Client
 	local   *Worker
@@ -178,37 +182,30 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 		uids[i] = wireUID{Sym: k.Sym.Index, Base: k.Base, Count: k.Count}
 	}
 
-	jctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	j := co.newJob(jctx, cancel, job, uids, decomp, encoded)
-
-	var wg sync.WaitGroup
+	rt := parallel.NewRuntime[wireMsg](ctx)
+	j := co.newJob(rt, job, uids, decomp, encoded)
+	rt.Start()
+	err := rt.Wait()
+	// A finished fragment closed its session as it finished; close the
+	// rest, whether the job failed, was cancelled or deadlocked.
 	for _, f := range j.frags {
-		wg.Add(1)
-		go func(f *cfrag) {
-			defer wg.Done()
-			j.runFrag(f)
-		}(f)
-	}
-	wg.Wait()
-
-	if j.failErr != nil {
-		if err := ctx.Err(); err != nil {
-			return err
+		if !f.finished {
+			j.closeSession(f)
 		}
-		return j.failErr
+	}
+	if err != nil {
+		return err
 	}
 
-	res.Messages = j.messages
+	res.Messages = rt.Messages()
 	for _, f := range j.frags {
 		res.PerFrag = append(res.PerFrag, f.stats)
 		res.Stats.Add(f.stats)
-		if f.local {
-			res.Degraded = res.Degraded || (co.client != nil && len(co.client.workers) > 0)
-		} else if f.placed {
+		if f.placed && !f.local {
 			res.RemoteFrags++
 		}
 	}
+	res.Degraded = j.degraded.Load()
 	res.FleetRetries = int(j.retries.Load())
 	res.FleetRequeues = int(j.requeueN.Load())
 	res.RootAttrs = make([]ag.Value, len(job.G.Start.Attrs))
@@ -228,34 +225,31 @@ func (co *Coordinator) Evaluate(ctx context.Context, job cluster.Job, opts paral
 	return nil
 }
 
-// newJob builds the coordinator-side state of one job: a fragment per
-// planned fragment (encoded[i] is fragment i's subtree), every one busy
-// until it first parks.
-func (co *Coordinator) newJob(ctx context.Context, cancel context.CancelFunc, job cluster.Job, uids []wireUID, decomp *tree.Decomposition, encoded [][]byte) *fjob {
+// newJob builds the coordinator-side state of one job on rt: a
+// fragment per planned fragment, encoded[i] being fragment i's subtree.
+func (co *Coordinator) newJob(rt *parallel.Runtime[wireMsg], job cluster.Job, uids []wireUID, decomp *tree.Decomposition, encoded [][]byte) *fjob {
 	j := &fjob{
-		co:     co,
-		ctx:    ctx,
-		cancel: cancel,
-		job:    job,
-		uids:   uids,
-		store:  map[int32]string{},
-		roots:  map[int]rootOut{},
-		failed: make(chan struct{}),
+		co:    co,
+		rt:    rt,
+		ctx:   rt.Context(),
+		job:   job,
+		uids:  uids,
+		store: map[int32]string{},
+		roots: map[int]rootOut{},
 	}
 	sid := newSessionID()
 	for _, fr := range decomp.Frags {
-		j.frags = append(j.frags, &cfrag{
-			id:        fr.ID,
-			parent:    fr.Parent,
-			session:   fmt.Sprintf("%s-%d", sid, fr.ID),
-			data:      encoded[fr.ID],
-			wake:      make(chan struct{}, 1),
-			sentOut:   map[outKey]bool{},
-			seenStore: map[int32]bool{},
-			seenRoot:  map[int]bool{},
-		})
+		f := &cfrag{
+			j:       j,
+			id:      fr.ID,
+			parent:  fr.Parent,
+			session: fmt.Sprintf("%s-%d", sid, fr.ID),
+			data:    encoded[fr.ID],
+			sentOut: map[outKey]bool{},
+		}
+		j.frags = append(j.frags, f)
+		rt.Add(&f.Actor, f)
 	}
-	j.busy = len(j.frags)
 	return j
 }
 
@@ -268,8 +262,11 @@ type outKey struct {
 	attr int
 }
 
-// cfrag is the coordinator-side state of one fragment.
+// cfrag is the coordinator-side state of one fragment: the Body that
+// drives its remote session on the job runtime.
 type cfrag struct {
+	parallel.Actor[wireMsg]
+	j       *fjob
 	id      int
 	parent  int
 	session string
@@ -289,15 +286,8 @@ type cfrag struct {
 	// too.
 	tried []*workerRef
 
-	// Dedup state for replayed responses; guarded by fjob.mu.
-	sentOut   map[outKey]bool
-	seenStore map[int32]bool
-	seenRoot  map[int]bool
-
-	// Mailbox; guarded by fjob.mu.
-	inbox   []wireMsg
-	waiting bool
-	wake    chan struct{}
+	// sentOut dedups the routed outputs of replayed responses.
+	sentOut map[outKey]bool
 
 	finished bool
 	stats    eval.Stats
@@ -305,37 +295,26 @@ type cfrag struct {
 
 // fjob is one distributed compilation in flight.
 type fjob struct {
-	co     *Coordinator
-	ctx    context.Context
-	cancel context.CancelFunc
-	job    cluster.Job
-	uids   []wireUID
+	co   *Coordinator
+	rt   *parallel.Runtime[wireMsg]
+	ctx  context.Context // rt's: cancelled once the job fails
+	job  cluster.Job
+	uids []wireUID
 
+	frags []*cfrag
+
+	// mu guards the librarian store and the root attributes, which
+	// every fragment writes.
 	mu         sync.Mutex
-	frags      []*cfrag
-	busy       int // fragments not parked waiting for input
-	doneCnt    int
 	store      map[int32]string
 	storeBytes int
 	roots      map[int]rootOut
-	messages   int
-	// degradedMarked: this job already counted toward degraded_jobs.
-	degradedMarked bool
 
+	// degraded: a fragment fell back to the in-process worker although
+	// the fleet has workers (the job counts toward degraded_jobs).
+	degraded atomic.Bool
 	retries  atomic.Int64
 	requeueN atomic.Int64
-
-	failOnce sync.Once
-	failErr  error
-	failed   chan struct{}
-}
-
-func (j *fjob) fail(err error) {
-	j.failOnce.Do(func() {
-		j.failErr = err
-		close(j.failed)
-		j.cancel()
-	})
 }
 
 // noteRetry / noteRequeue count into both the job result and the
@@ -350,38 +329,39 @@ func (j *fjob) noteRequeue() {
 	j.co.requeues.Add(1)
 }
 
-// runFrag drives one fragment to completion: place (open), then route
-// and supply until its evaluator reports done. However it ends —
-// finished, failed, cancelled — the fragment's session is closed.
-func (j *fjob) runFrag(f *cfrag) {
-	defer j.closeSession(f)
-	resp, err := j.place(f)
-	if err != nil {
-		j.fail(err)
-		return
+// Step is the remote fragment body: the first step places the
+// fragment (opens its session), later ones supply the drained input;
+// each routes the response. A worker that stopped early to ship a
+// priority value is continued at once (More), with whatever input has
+// already arrived. A finished fragment closes its session.
+func (f *cfrag) Step(in []wireMsg) (parallel.Next, error) {
+	j := f.j
+	var resp *evalResp
+	var err error
+	if !f.placed && !f.local {
+		resp, err = j.place(f)
+	} else {
+		// The journal keeps the batch; the runtime reuses in.
+		resp, err = j.supply(f, append([]wireMsg(nil), in...))
 	}
-	for {
-		if err := j.handle(f, resp); err != nil {
-			j.fail(err)
-			return
-		}
-		if f.finished {
-			return
-		}
-		// A worker that stopped early to ship a priority value (routed
-		// by handle just now) is continued at once, with whatever input
-		// has already arrived; otherwise the fragment parks for input.
-		batch, ok := j.nextBatch(f, !resp.More)
-		if !ok {
-			return
-		}
-		resp, err = j.supply(f, batch)
-		if err != nil {
-			j.fail(err)
-			return
-		}
+	if err == nil {
+		err = j.handle(f, resp)
 	}
+	switch {
+	case err != nil:
+		return parallel.Done, err
+	case f.finished:
+		j.closeSession(f)
+		return parallel.Done, nil
+	case resp.More:
+		return parallel.More, nil
+	}
+	return parallel.Park, nil
 }
+
+// Blocked implements parallel.Body: the coordinator cannot see which
+// instances a remote session waits for.
+func (f *cfrag) Blocked() []string { return nil }
 
 // failKind classifies an RPC failure.
 type failKind int
@@ -472,8 +452,6 @@ func (j *fjob) sleep(d time.Duration) bool {
 	select {
 	case <-t.C:
 		return true
-	case <-j.failed:
-		return false
 	case <-j.ctx.Done():
 		return false
 	}
@@ -559,14 +537,8 @@ func (j *fjob) openLocal(f *cfrag) (*evalResp, error) {
 	if !f.local {
 		f.local = true
 		co.localFrags.Add(1)
-		if co.client != nil && len(co.client.workers) > 0 {
-			j.mu.Lock()
-			first := !j.degradedMarked
-			j.degradedMarked = true
-			j.mu.Unlock()
-			if first {
-				co.degraded.Add(1)
-			}
+		if co.client != nil && len(co.client.workers) > 0 && j.degraded.CompareAndSwap(false, true) {
+			co.degraded.Add(1)
 		}
 	}
 	return j.localRPC(pathOpen, j.openReqFor(f))
@@ -657,106 +629,41 @@ func (j *fjob) closeOn(w *workerRef, body []byte) {
 
 // handle routes one response: stores into the coordinator's librarian
 // store, root attributes aside, attribute messages into sibling
-// inboxes (waking parked fragments). Everything is deduped so journal
+// mailboxes (waking parked fragments). Everything is deduped so journal
 // replays after a requeue are harmless.
 func (j *fjob) handle(f *cfrag, resp *evalResp) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	// Handles come from per-fragment ranges and root attributes from
+	// fragment 0 alone, so the job's maps dedup replays themselves.
 	for _, st := range resp.Stores {
-		if f.seenStore[st.Handle] {
-			continue
+		if _, ok := j.store[st.Handle]; !ok {
+			j.store[st.Handle] = st.Text
+			j.storeBytes += len(st.Text)
 		}
-		f.seenStore[st.Handle] = true
-		j.store[st.Handle] = st.Text
-		j.storeBytes += len(st.Text)
 	}
 	for _, rt := range resp.Roots {
-		if f.seenRoot[rt.Attr] {
-			continue
+		if _, ok := j.roots[rt.Attr]; !ok {
+			j.roots[rt.Attr] = rt
 		}
-		f.seenRoot[rt.Attr] = true
-		j.roots[rt.Attr] = rt
 	}
+	j.mu.Unlock()
 	for _, m := range resp.Msgs {
 		k := outKey{up: m.Up, frag: m.Frag, attr: m.Attr}
 		if f.sentOut[k] {
 			continue
 		}
 		f.sentOut[k] = true
-		var target *cfrag
-		var wm wireMsg
+		to, leaf := m.Frag, cluster.RootLeaf
 		if m.Up {
-			if f.parent < 0 || f.parent >= len(j.frags) {
-				return fmt.Errorf("fleet: fragment %d has no parent for upward attr", f.id)
-			}
-			target = j.frags[f.parent]
-			wm = wireMsg{Leaf: m.Frag, Attr: m.Attr, Data: m.Data}
-		} else {
-			if m.Frag < 0 || m.Frag >= len(j.frags) {
-				return fmt.Errorf("fleet: fragment %d routed attr to unknown fragment %d", f.id, m.Frag)
-			}
-			target = j.frags[m.Frag]
-			wm = wireMsg{Leaf: cluster.RootLeaf, Attr: m.Attr, Data: m.Data}
+			to, leaf = f.parent, m.Frag
 		}
-		j.messages++
-		target.inbox = append(target.inbox, wm)
-		if target.waiting {
-			target.waiting = false
-			j.busy++
-			select {
-			case target.wake <- struct{}{}:
-			default:
-			}
+		if to < 0 || to >= len(j.frags) {
+			return fmt.Errorf("fleet: fragment %d routed attr to unknown fragment %d", f.id, to)
 		}
+		j.rt.Post(&j.frags[to].Actor, []wireMsg{{Leaf: leaf, Attr: m.Attr, Data: m.Data}})
 	}
-	if resp.Done && !f.finished {
-		f.finished = true
-		f.stats = resp.Stats
-		j.doneCnt++
-		j.busy--
-		j.checkStalledLocked()
+	if resp.Done {
+		f.finished, f.stats = true, resp.Stats
 	}
 	return nil
-}
-
-// nextBatch takes the fragment's input; with wait it parks the
-// fragment until some arrives (or the job dies).
-func (j *fjob) nextBatch(f *cfrag, wait bool) ([]wireMsg, bool) {
-	for {
-		j.mu.Lock()
-		if len(f.inbox) > 0 || !wait {
-			batch := f.inbox
-			f.inbox = nil
-			j.mu.Unlock()
-			return batch, true
-		}
-		f.waiting = true
-		j.busy--
-		j.checkStalledLocked()
-		j.mu.Unlock()
-		select {
-		case <-f.wake:
-		case <-j.failed:
-			return nil, false
-		case <-j.ctx.Done():
-			j.fail(j.ctx.Err())
-			return nil, false
-		}
-	}
-}
-
-// checkStalledLocked detects global quiescence with unfinished
-// fragments: every fragment parked, none processing — the distributed
-// equivalent of the pool's deadlock report.
-func (j *fjob) checkStalledLocked() {
-	if j.busy > 0 || j.doneCnt == len(j.frags) || j.failErr != nil {
-		return
-	}
-	var stuck []int
-	for _, f := range j.frags {
-		if !f.finished {
-			stuck = append(stuck, f.id)
-		}
-	}
-	j.fail(fmt.Errorf("fleet: %s evaluation deadlocked; fragments %v blocked with no input in flight", cluster.Combined, stuck))
 }

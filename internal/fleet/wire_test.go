@@ -12,6 +12,7 @@ import (
 	"pag/internal/ag"
 	"pag/internal/cluster"
 	"pag/internal/exprlang"
+	"pag/internal/parallel"
 	"pag/internal/tree"
 )
 
@@ -152,9 +153,8 @@ func FuzzFleetFrames(f *testing.F) {
 		if err := unsealFrame(sealed, &resp); err != nil {
 			return
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		j := NewCoordinator(CoordinatorOptions{}).newJob(ctx, cancel, cluster.Job{G: l.G}, nil, d, enc)
+		rt := parallel.NewRuntime[wireMsg](context.Background())
+		j := NewCoordinator(CoordinatorOptions{}).newJob(rt, cluster.Job{G: l.G}, nil, d, enc)
 		fr := j.frags[int(at)%len(j.frags)]
 		for range 2 { // the second pass is a journal replay: all dedup
 			if err := j.handle(fr, &resp); err != nil {

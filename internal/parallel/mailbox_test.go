@@ -1,25 +1,28 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// mailboxPair builds a runtime and a receiving fragment actor, not
+// mailboxPair builds a runtime and a receiving local fragment, not
 // parked, so delivery exercises only the mailbox path (no wake).
-func mailboxPair() (*rt, *frag) {
-	return &rt{quiet: make(chan struct{})}, &frag{id: 1, wake: make(chan struct{}, 1)}
+func mailboxPair() (*Runtime[message], *frag) {
+	r, to := &Runtime[message]{quiet: make(chan struct{})}, &frag{}
+	r.Add(&to.Actor, to)
+	return r, to
 }
 
-// drain empties to's mailbox exactly the way run does: the whole
-// inbox under one lock, the drained buffer recycled for the next round.
-func drain(to *frag) []message {
-	to.mu.Lock()
-	msgs := to.inbox
-	to.inbox = to.spare[:0]
-	to.mu.Unlock()
-	to.spare = msgs
+// drain empties a's mailbox exactly the way step does: the whole inbox
+// under one lock, the drained buffer recycled for the next round.
+func drain[M any](a *Actor[M]) []M {
+	a.mu.Lock()
+	msgs := a.inbox
+	a.inbox = a.spare[:0]
+	a.mu.Unlock()
+	a.spare = msgs
 	return msgs
 }
 
@@ -32,12 +35,12 @@ func TestMailboxBatchDeliveryAllocFree(t *testing.T) {
 	r, to := mailboxPair()
 	batch := make([]message, 8)
 	for i := 0; i < 2; i++ { // warm the inbox capacity
-		r.postBatch(to, batch)
-		drain(to)
+		r.Post(&to.Actor, batch)
+		drain(&to.Actor)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		r.postBatch(to, batch)
-		if got := drain(to); len(got) != len(batch) {
+		r.Post(&to.Actor, batch)
+		if got := drain(&to.Actor); len(got) != len(batch) {
 			t.Fatalf("drained %d messages, want %d", len(got), len(batch))
 		}
 	})
@@ -52,24 +55,52 @@ func TestMailboxBatchDeliveryAllocFree(t *testing.T) {
 func TestMailboxDropsAfterDone(t *testing.T) {
 	r, to := mailboxPair()
 	to.done = true
-	r.postBatch(to, make([]message, 3))
+	r.Post(&to.Actor, make([]message, 3))
 	if n := len(to.inbox); n != 0 {
 		t.Errorf("done fragment accepted %d messages", n)
 	}
-	if got := r.messages.Load(); got != 3 {
+	if got := r.Messages(); got != 3 {
 		t.Errorf("message counter = %d, want 3", got)
 	}
 }
 
-// TestMailboxWakesParkedOnce checks the park/wake handshake. A
-// fragment with input waiting does not park. A batch posted to a
-// parked fragment counts it busy again and wakes it exactly once; a
+// remoteBody is a fake remote fragment body: each step is one scripted
+// response of a session on a worker, taken in order, and holds no
+// evaluation slot.
+type remoteBody struct {
+	Actor[[]byte]
+	script []Next
+	steps  int
+}
+
+func (b *remoteBody) Step(in [][]byte) (Next, error) {
+	next := b.script[b.steps]
+	b.steps++
+	return next, nil
+}
+
+func (b *remoteBody) Blocked() []string { return nil }
+
+// TestMailboxWakesParkedOnce checks the park/wake handshake, for a
+// local fragment and for a remote one (wire bytes, no evaluation
+// slot). A fragment with input waiting does not park. A batch posted to
+// a parked fragment counts it busy again and wakes it exactly once; a
 // second batch before it runs only queues.
 func TestMailboxWakesParkedOnce(t *testing.T) {
-	r, to := mailboxPair()
-	r.busy.Store(2) // the posting fragment and to
-	batch := make([]message, 4)
+	t.Run("local", func(t *testing.T) {
+		r, to := mailboxPair()
+		wakesParkedOnce(t, r, &to.Actor, make([]message, 4))
+	})
+	t.Run("remote", func(t *testing.T) {
+		r, to := NewRuntime[[]byte](context.Background()), &remoteBody{}
+		r.quiet = make(chan struct{})
+		r.Add(&to.Actor, to)
+		wakesParkedOnce(t, r, &to.Actor, make([][]byte, 4))
+	})
+}
 
+func wakesParkedOnce[M any](t *testing.T, r *Runtime[M], to *Actor[M], batch []M) {
+	r.busy.Store(2) // the posting fragment and to
 	to.inbox = append(to.inbox, batch...)
 	woke := make(chan bool)
 	go func() { woke <- r.park(to) }()
@@ -92,8 +123,8 @@ func TestMailboxWakesParkedOnce(t *testing.T) {
 	if got := r.busy.Load(); got != 1 {
 		t.Fatalf("busy = %d with the fragment parked, want 1", got)
 	}
-	r.postBatch(to, batch)
-	r.postBatch(to, batch)
+	r.Post(to, batch)
+	r.Post(to, batch)
 	if !<-woke {
 		t.Fatal("park reported the job quiet, want a wake")
 	}
@@ -108,17 +139,47 @@ func TestMailboxWakesParkedOnce(t *testing.T) {
 	}
 }
 
+// TestRuntimeMoreStepsWithoutParking checks that a step answering More
+// is stepped again at once, with an empty mailbox, and that the
+// fragment parks only once a step answers Park.
+func TestRuntimeMoreStepsWithoutParking(t *testing.T) {
+	r, b := NewRuntime[[]byte](context.Background()), &remoteBody{script: []Next{More, More, Park, Done}}
+	r.Add(&b.Actor, b)
+	if !r.step(&b.Actor, true) {
+		t.Fatal("fragment ended, want it parked")
+	}
+	if b.steps != 3 {
+		t.Errorf("stepped %d times before parking, want 3 (two More steps continue)", b.steps)
+	}
+}
+
+// TestRuntimeDrainNeverAliases checks the drained-buffer swap across
+// steps that drain an empty mailbox: the buffer a step is handed must
+// never also be the inbox that later posts append to.
+func TestRuntimeDrainNeverAliases(t *testing.T) {
+	r, b := NewRuntime[[]byte](context.Background()), &remoteBody{script: []Next{More, More, Park}}
+	r.Add(&b.Actor, b)
+	r.Post(&b.Actor, make([][]byte, 2))
+	if !r.step(&b.Actor, false) {
+		t.Fatal("fragment ended, want it parked")
+	}
+	in, spare := b.inbox[:cap(b.inbox)], b.spare[:cap(b.spare)]
+	if len(in) > 0 && len(spare) > 0 && &in[0] == &spare[0] {
+		t.Error("the inbox shares its buffer with the recycled drained one")
+	}
+}
+
 // BenchmarkMailboxDelivery measures the per-batch cost of the mailbox
 // hot path (one lock per batch, zero allocations).
 func BenchmarkMailboxDelivery(b *testing.B) {
 	r, to := mailboxPair()
 	batch := make([]message, 8)
-	r.postBatch(to, batch)
-	drain(to)
+	r.Post(&to.Actor, batch)
+	drain(&to.Actor)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.postBatch(to, batch)
-		drain(to)
+		r.Post(&to.Actor, batch)
+		drain(&to.Actor)
 	}
 }

@@ -14,9 +14,13 @@
 //     (internal/eval) with unique-identifier presets (§4.3), the
 //     paper's configuration: like the paper's evaluator process, it
 //     evaluates while it has unprocessed input and parks on its
-//     mailbox when it has none. The Go runtime schedules the actors;
-//     the pool only bounds how many evaluate at once, with N
+//     mailbox when it has none, and the job ends once every fragment
+//     is done or parked (Runtime). The Go runtime schedules the
+//     actors; the pool only bounds how many evaluate at once, with N
 //     evaluation slots shared by every job (PoolOptions.Workers).
+//     Fleet jobs run on the same job runtime: the fleet coordinator's
+//     fragments are actors whose steps are RPCs to remote workers, over
+//     mailboxes of wire-encoded values, and take no slot.
 //   - V-System IPC becomes message passing over per-fragment mailboxes:
 //     inherited attributes of remote subtrees and synthesized
 //     attributes of fragment roots travel between fragments as plain Go
@@ -214,11 +218,11 @@ type outBatch struct {
 	msgs   []message
 }
 
-// frag is one fragment actor, driven by its own goroutine (rt.actor).
-// inbox, parked and done are the only cross-goroutine state and are
-// guarded by mu.
+// frag is one local fragment: the Body that drives its combined
+// evaluator on the job runtime.
 type frag struct {
-	id     int
+	Actor[message]
+	j      *localJob
 	parent int
 	root   *tree.Node
 	leaves []*tree.Node // cut nodes below root, in preorder
@@ -226,51 +230,41 @@ type frag struct {
 	// leafIdx is the index of root among the parent fragment's leaves.
 	leafIdx int
 
-	mu     sync.Mutex
-	inbox  []message
-	spare  []message // drained buffer, swapped back in next drain
-	parked bool      // waiting on wake, not counted busy
-	done   bool
-	// wake carries the one signal of the postBatch that unparked the
-	// fragment.
-	wake chan struct{}
-
 	out   []outBatch
 	prio  [1]message             // scratch for immediate (priority) sends
-	ev    eval.FragmentEvaluator // created on first step, by the actor
+	ev    eval.FragmentEvaluator // created on the first step
 	stats eval.Stats
 }
 
-// rt is the state of one job in flight on a Pool: the job's private
-// fragment set, message counters and quiescence tracking. The slots it
-// evaluates in are the pool's, shared by every job.
-type rt struct {
-	job cluster.Job
-
-	frags []*frag
-
-	slots chan struct{} // the pool's evaluation slots; send to take one
-	// busy counts the fragments not parked: evaluating, waiting for a
-	// slot, or about to park. Whoever brings it to zero closes quiet.
-	busy    atomic.Int64
-	doneCnt atomic.Int64
-	// ctx is the job's context; cancelled flips once the job stops
-	// (see stopped), and its fragments are then discarded instead of
-	// evaluated.
-	ctx       context.Context
-	cancelled atomic.Bool
-	// failMu/failErr hold the first evaluation failure (a recovered
-	// panic); fail() also flips cancelled so the job's remaining
-	// fragments are reclaimed, not evaluated.
-	failMu  sync.Mutex
-	failErr error
-	// quiet closes at job quiescence: every fragment done or parked
-	// (all done, cancelled, failed, or deadlock). It also releases the
-	// parked fragments' goroutines.
-	quiet    chan struct{}
-	messages atomic.Int64
-
+// localJob is one job in flight on a Pool: the job runtime over the
+// job's private fragment set. The slots it evaluates in are the pool's,
+// shared by every job.
+type localJob struct {
+	Runtime[message]
+	job       cluster.Job
+	frags     []frag
 	rootAttrs []ag.Value // written only by fragment 0's goroutine
+}
+
+// newLocalJob sets up the runtime of a local job over decomp's
+// fragments, each evaluated where it lies in the caller's tree.
+func newLocalJob(ctx context.Context, slots chan struct{}, job cluster.Job, decomp *tree.Decomposition) *localJob {
+	j := &localJob{
+		Runtime:   Runtime[message]{slots: slots, ctx: ctx},
+		job:       job,
+		frags:     make([]frag, decomp.NumFragments()),
+		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
+	}
+	for _, d := range decomp.Frags {
+		f := &j.frags[d.ID]
+		f.j, f.parent, f.root = j, d.Parent, d.Root
+		f.leaves, f.kids = decomp.Leaves(d.ID), decomp.Children(d.ID)
+		for k, c := range f.kids {
+			j.frags[c].leafIdx = k
+		}
+		j.Add(&f.Actor, f)
+	}
+	return j
 }
 
 // Run executes one parallel compilation across real CPU cores and
@@ -299,12 +293,12 @@ func Run(job cluster.Job, opts Options) (*Result, error) {
 // on the symbol table as early as possible); everything else is
 // buffered per destination and delivered in one batch when f's
 // evaluation pauses.
-func (r *rt) send(f *frag, target *frag, m message, priority bool) {
+func (f *frag) send(target *frag, m message, priority bool) {
 	if priority {
-		// postBatch copies the batch into the inbox, so the scratch
-		// array is free again when it returns (f is single-threaded).
+		// Post copies the batch into the inbox, so the scratch array is
+		// free again when it returns (f is single-threaded).
 		f.prio[0] = m
-		r.postBatch(target, f.prio[:])
+		f.j.Post(&target.Actor, f.prio[:])
 		return
 	}
 	for i := range f.out {
@@ -318,75 +312,215 @@ func (r *rt) send(f *frag, target *frag, m message, priority bool) {
 
 // flush delivers every buffered batch, one mailbox lock per
 // destination. The batch buffers are retained for reuse.
-func (r *rt) flush(f *frag) {
+func (f *frag) flush() {
 	for i := range f.out {
 		b := &f.out[i]
 		if len(b.msgs) == 0 {
 			continue
 		}
-		r.postBatch(b.target, b.msgs)
+		f.j.Post(&b.target.Actor, b.msgs)
 		b.msgs = b.msgs[:0]
 	}
 }
 
-// postBatch appends a batch of messages to target's mailbox under a
-// single lock acquisition, waking the fragment if it is parked.
-// Messages to completed fragments are dropped (the value was provably
-// not needed: a fragment only completes once every local instance is
-// evaluated).
-func (r *rt) postBatch(target *frag, msgs []message) {
+// Next is what a fragment does after a step.
+type Next int
+
+const (
+	// Park waits for input: the fragment steps again once some arrives.
+	Park Next = iota
+	// More steps again at once, with whatever input has arrived.
+	More
+	// Done completes the fragment; later messages to it drop.
+	Done
+)
+
+// Body is what one fragment evaluates: the pool's combined evaluator,
+// or a fleet fragment's session on a remote worker.
+type Body[M any] interface {
+	// Step consumes in, the drained mailbox (nil on the first step,
+	// which runs before any drain), and says what the fragment does
+	// next. An error fails the job, unless the job already stopped: then
+	// it is the stop's echo (a step blocked on the cancelled context).
+	Step(in []M) (Next, error)
+	// Blocked describes what an unfinished fragment waits for, for the
+	// deadlock report; nil if the body cannot tell.
+	Blocked() []string
+}
+
+// Actor is one fragment's mailbox and park state on a Runtime; embed it
+// in the fragment and register it with Runtime.Add. inbox, parked and
+// done are the only cross-goroutine state and are guarded by mu.
+type Actor[M any] struct {
+	id   int
+	body Body[M]
+
+	mu     sync.Mutex
+	inbox  []M
+	spare  []M  // drained buffer, swapped back in next drain
+	parked bool // waiting on wake, not counted busy
+	done   bool
+	// wake carries the one signal of the Post that unparked the actor.
+	wake chan struct{}
+}
+
+// Runtime runs one job's fragments, one goroutine each (the paper's
+// evaluator processes, §2.1), and decides when the job is over: every
+// fragment done, or the job quiescent with a fragment failed, cancelled
+// or blocked (deadlock). Local pool jobs and fleet jobs both run on it;
+// they differ only in the fragment body and the message type.
+type Runtime[M any] struct {
+	actors []*Actor[M]
+
+	// slots are the pool's evaluation slots, taken around each step;
+	// nil for a remote job, whose steps are RPCs, not local CPU.
+	slots chan struct{}
+	// busy counts the fragments not parked: stepping, waiting for a
+	// slot, or about to park. Whoever brings it to zero closes quiet.
+	busy    atomic.Int64
+	doneCnt atomic.Int32
+	// ctx is the job's context; cancelled flips once the job stops (see
+	// stopped), and its fragments are then discarded instead of stepped.
+	// cancel, if set, cancels ctx when the job fails, so a step blocked
+	// on it returns at once.
+	cancelled atomic.Bool
+	ctx       context.Context
+	cancel    context.CancelFunc
+	// failErr holds the job's first failure; fail() also stops the job
+	// so its remaining fragments are reclaimed.
+	failErr atomic.Pointer[error]
+	// quiet closes at job quiescence: every fragment done or parked. It
+	// also releases the parked fragments' goroutines.
+	quiet    chan struct{}
+	messages atomic.Int64
+}
+
+// NewRuntime returns the runtime of a remote job: its steps take no
+// evaluation slot, and its context, a child of ctx, is cancelled when
+// the job fails or Wait returns.
+func NewRuntime[M any](ctx context.Context) *Runtime[M] {
+	r := &Runtime[M]{}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	return r
+}
+
+// Context is the job's context, for steps that block.
+func (r *Runtime[M]) Context() context.Context { return r.ctx }
+
+// Messages counts the messages posted so far, dropped ones included.
+func (r *Runtime[M]) Messages() int { return int(r.messages.Load()) }
+
+// Add registers a fragment: a is the Actor embedded in it, body what it
+// evaluates. Fragments are numbered in the order they are added.
+func (r *Runtime[M]) Add(a *Actor[M], body Body[M]) {
+	a.id, a.body = len(r.actors), body
+	a.wake = make(chan struct{}, 1)
+	r.actors = append(r.actors, a)
+}
+
+// Start starts one goroutine per fragment. Every fragment counts busy
+// until it first parks, so the job cannot look quiescent early.
+// Cancellation needs no watcher: every step checks the job's context.
+func (r *Runtime[M]) Start() {
+	r.quiet = make(chan struct{})
+	r.busy.Store(int64(len(r.actors)))
+	for _, a := range r.actors {
+		go r.actor(a)
+	}
+}
+
+// Wait blocks until the job is quiescent and returns its outcome: nil
+// once every fragment is done; else the first failure, which takes
+// precedence over the cancellation it triggered; else the context's
+// error if the job was cancelled; else a deadlock report naming every
+// blocked fragment.
+func (r *Runtime[M]) Wait() error {
+	if r.cancel != nil {
+		defer r.cancel()
+	}
+	<-r.quiet
+	if int(r.doneCnt.Load()) == len(r.actors) {
+		return nil
+	}
+	if err := r.failErr.Load(); err != nil {
+		return *err
+	}
+	if r.cancelled.Load() {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		return context.Canceled
+	}
+	var blocked []string
+	for _, a := range r.actors {
+		if !a.done {
+			blocked = append(blocked, fmt.Sprintf("fragment %d %q", a.id, a.body.Blocked()))
+		}
+	}
+	return fmt.Errorf("parallel: %s evaluation deadlocked with no input in flight; blocked: %v", cluster.Combined, blocked)
+}
+
+// Post appends a batch of messages to a's mailbox under a single lock
+// acquisition, waking a if it is parked. Messages to done fragments are
+// dropped (the value was provably not needed: a fragment only
+// completes once every local instance is evaluated) but still counted.
+func (r *Runtime[M]) Post(a *Actor[M], msgs []M) {
 	r.messages.Add(int64(len(msgs)))
-	target.mu.Lock()
-	if target.done {
-		target.mu.Unlock()
+	a.mu.Lock()
+	if a.done {
+		a.mu.Unlock()
 		return
 	}
-	target.inbox = append(target.inbox, msgs...)
-	wake := target.parked
-	target.parked = false
-	target.mu.Unlock()
+	a.inbox = append(a.inbox, msgs...)
+	wake := a.parked
+	a.parked = false
+	a.mu.Unlock()
 	if wake {
 		// The poster is busy, so the job cannot look quiescent before
 		// the target counts as busy again.
 		r.busy.Add(1)
-		target.wake <- struct{}{}
+		a.wake <- struct{}{}
 	}
 }
 
-// actor is fragment f's goroutine, the paper's evaluator process
-// (§2.1): it evaluates in one of the pool's slots while it has input,
-// parks until postBatch wakes it, and ends once the fragment is done
-// (completed, discarded or failed) or the job goes quiet.
-func (r *rt) actor(f *frag) {
-	for {
-		r.slots <- struct{}{}
-		live := r.step(f)
-		<-r.slots
+// actor is fragment a's goroutine, the paper's evaluator process
+// (§2.1): it steps while it has input (a local step in one of the
+// pool's slots), parks until Post wakes it, and ends once the fragment
+// is done (completed, discarded or failed) or the job goes quiet.
+func (r *Runtime[M]) actor(a *Actor[M]) {
+	for first := true; ; first = false {
+		if r.slots != nil {
+			r.slots <- struct{}{}
+		}
+		live := r.step(a, first)
+		if r.slots != nil {
+			<-r.slots
+		}
 		if !live {
 			r.idle()
 			return
 		}
-		if !r.park(f) {
+		if !r.park(a) {
 			return
 		}
 	}
 }
 
-// park waits for input to f and reports false if the job went quiet
-// instead. It re-checks the inbox under f.mu before it stops counting
-// f busy, so a batch posted after run's last drain is never lost: from
-// then on postBatch sees parked and wakes f.
-func (r *rt) park(f *frag) bool {
-	f.mu.Lock()
-	if len(f.inbox) > 0 {
-		f.mu.Unlock()
+// park waits for input to a and reports false if the job went quiet
+// instead. It re-checks the inbox under a.mu before it stops counting a
+// busy, so a batch posted after step's last drain is never lost: from
+// then on Post sees parked and wakes a.
+func (r *Runtime[M]) park(a *Actor[M]) bool {
+	a.mu.Lock()
+	if len(a.inbox) > 0 {
+		a.mu.Unlock()
 		return true
 	}
-	f.parked = true
-	f.mu.Unlock()
+	a.parked = true
+	a.mu.Unlock()
 	r.idle()
 	select {
-	case <-f.wake:
+	case <-a.wake:
 		return true
 	case <-r.quiet:
 		return false
@@ -394,133 +528,132 @@ func (r *rt) park(f *frag) bool {
 }
 
 // idle stops counting one fragment busy. At zero nothing of the job is
-// evaluating, waiting for a slot or in flight: the job is quiescent
-// (all fragments done, cancelled, failed, or deadlock).
-func (r *rt) idle() {
+// stepping, waiting for a slot or in flight: the job is quiescent.
+func (r *Runtime[M]) idle() {
 	if r.busy.Add(-1) == 0 {
 		close(r.quiet)
 	}
 }
 
-// jobPanic carries an error out of fragment evaluation through
-// panic/recover: the evaluator is built inside the fragment's
-// goroutine, so a construction failure unwinds to step's recovery
-// point, which files it as a clean job failure.
-type jobPanic struct{ err error }
-
-// step drives f for one tenure of an evaluation slot and reports
-// whether f lives on. Fragments of a stopped job are discarded instead:
-// marked done (so later messages drop) without touching the evaluator.
-// A panicking semantic rule (or any other evaluation panic) fails the
-// one job that raised it: the fragment is marked done and the job's
-// remaining fragments are reclaimed via the cancelled flag, while
-// every other job on the pool evaluates on.
-func (r *rt) step(f *frag) (live bool) {
+// step drives a until its body parks on an empty mailbox, completes or
+// fails, or the job stops, stepping the body with its drained mailbox
+// (the whole inbox under one lock). It reports whether a lives on.
+// Fragments of a stopped job are discarded instead: marked done (so
+// later messages drop) without stepping the body. A panicking step (a
+// semantic rule, say) fails the one job that raised it, while every
+// other job on the pool evaluates on.
+func (r *Runtime[M]) step(a *Actor[M], first bool) (live bool) {
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("parallel: fragment %d: evaluation panicked: %v\n%s", a.id, p, debug.Stack()))
+			a.markDone()
+			live = false
 		}
-		if jp, ok := p.(jobPanic); ok {
-			r.fail(jp.err)
-		} else {
-			r.fail(fmt.Errorf("parallel: fragment %d: evaluation panicked: %v\n%s", f.id, p, debug.Stack()))
-		}
-		f.markDone()
-		live = false
 	}()
-	if r.stopped() {
-		f.markDone()
-		return false
+	for !r.stopped() {
+		var in []M
+		if !first {
+			a.mu.Lock()
+			in = a.inbox
+			a.inbox = a.spare[:0]
+			a.mu.Unlock()
+		}
+		first = false
+		next, err := a.body.Step(in)
+		a.spare = in // recycle the drained buffer next round (nil at first)
+		switch {
+		case err != nil:
+			if !r.stopped() {
+				r.fail(err)
+			}
+			a.markDone()
+			return false
+		case next == Done:
+			a.markDone()
+			r.doneCnt.Add(1)
+			return false
+		case next == More:
+			continue
+		}
+		a.mu.Lock()
+		empty := len(a.inbox) == 0
+		a.mu.Unlock()
+		if empty {
+			return true
+		}
 	}
-	return r.run(f)
-}
-
-// markDone marks f done, so messages to it drop.
-func (f *frag) markDone() {
-	f.mu.Lock()
-	f.done = true
-	f.mu.Unlock()
-}
-
-// fail files the job's first failure and cancels the rest of the job.
-func (r *rt) fail(err error) {
-	r.failMu.Lock()
-	if r.failErr == nil {
-		r.failErr = err
-	}
-	r.failMu.Unlock()
-	r.cancelled.Store(true)
-}
-
-// stopped reports whether the job's fragments should stop evaluating:
-// a failure cancelled the job, or its context ended. The context is
-// read here, at every step boundary, rather than by a watcher
-// goroutine, so no step that starts after the job's deadline evaluates
-// anything.
-func (r *rt) stopped() bool {
-	if r.cancelled.Load() {
-		return true
-	}
-	if r.ctx.Err() != nil {
-		r.cancelled.Store(true)
-		return true
-	}
+	a.markDone()
 	return false
 }
 
-// failure returns the job's failure, if any.
-func (r *rt) failure() error {
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return r.failErr
+// markDone marks a done, so messages to it drop.
+func (a *Actor[M]) markDone() {
+	a.mu.Lock()
+	a.done = true
+	a.mu.Unlock()
 }
 
-// run is the evaluation body of step: build the evaluator on first
-// entry, drain the mailbox (whole inbox under one lock), evaluate until
-// blocked, deliver the outbound batches, and repeat until the mailbox
-// stays empty or the job stops. It reports false once f completes.
-func (r *rt) run(f *frag) bool {
+// fail files the job's first failure and stops the rest of the job.
+func (r *Runtime[M]) fail(err error) {
+	r.failErr.CompareAndSwap(nil, &err)
+	r.cancelled.Store(true)
+	if r.cancel != nil {
+		r.cancel()
+	}
+}
+
+// stopped reports whether the job's fragments should stop stepping: a
+// failure stopped the job, or its context ended. The context is read
+// here, at every step boundary, rather than by a watcher goroutine, so
+// no step that starts after the job's deadline evaluates anything.
+func (r *Runtime[M]) stopped() bool {
+	if !r.cancelled.Load() && r.ctx.Err() != nil {
+		r.cancelled.Store(true)
+	}
+	return r.cancelled.Load()
+}
+
+// Step is the local fragment body: build the evaluator on the first
+// step, supply the drained input, evaluate until blocked and deliver
+// the outbound batches.
+func (f *frag) Step(in []message) (Next, error) {
 	if f.ev == nil {
-		r.initFrag(f)
+		if err := f.initFrag(); err != nil {
+			return Done, err
+		}
 		// The first Run happens before anything is supplied, so the
 		// outputs that need no input (the paper's bottom-up declaration
 		// phase) ship before the fragment works through inputs that
 		// have already arrived.
 		f.ev.Run()
-		r.flush(f)
+		f.flush()
 	}
-	for {
-		f.mu.Lock()
-		msgs := f.inbox
-		f.inbox = f.spare[:0]
-		f.mu.Unlock()
-		for _, m := range msgs {
-			f.ev.Supply(m.leaf, m.attr, m.val)
-		}
-		f.spare = msgs // recycle the drained buffer next round
-		f.ev.Run()
-		r.flush(f)
-		if f.ev.Done() {
-			f.stats = f.ev.Stats()
-			f.markDone()
-			r.doneCnt.Add(1)
-			return false
-		}
-		f.mu.Lock()
-		empty := len(f.inbox) == 0
-		f.mu.Unlock()
-		if empty || r.stopped() {
-			return true
-		}
+	for _, m := range in {
+		f.ev.Supply(m.leaf, m.attr, m.val)
 	}
+	f.ev.Run()
+	f.flush()
+	if f.ev.Done() {
+		f.stats = f.ev.Stats()
+		return Done, nil
+	}
+	return Park, nil
+}
+
+// Blocked lists the fragment's blocked instances.
+func (f *frag) Blocked() []string {
+	if f.ev == nil {
+		return nil
+	}
+	return f.ev.Blocked()
 }
 
 // initFrag builds the fragment's evaluator (the expensive dependency
 // analysis runs inside the pool, in parallel across fragments) under
 // the shared §4.3 fragment policy of cluster.NewFragmentEvaluator.
-func (r *rt) initFrag(f *frag) {
-	ev, err := cluster.NewFragmentEvaluator(r.job, cluster.FragmentSpec{
+func (f *frag) initFrag() error {
+	j := f.j
+	ev, err := cluster.NewFragmentEvaluator(j.job, cluster.FragmentSpec{
 		ID:        f.id,
 		Root:      f.root,
 		Leaves:    f.leaves,
@@ -528,16 +661,17 @@ func (r *rt) initFrag(f *frag) {
 		Mode:      cluster.Combined,
 		UIDPreset: true,
 		Down: func(leaf, attr int, v ag.Value, priority bool) {
-			r.send(f, r.frags[f.kids[leaf]], message{leaf: eval.Root, attr: attr, val: v}, priority)
+			f.send(&j.frags[f.kids[leaf]], message{leaf: eval.Root, attr: attr, val: v}, priority)
 		},
 		Up: func(attr int, v ag.Value, priority bool) {
-			r.send(f, r.frags[f.parent], message{leaf: f.leafIdx, attr: attr, val: v}, priority)
+			f.send(&j.frags[f.parent], message{leaf: f.leafIdx, attr: attr, val: v}, priority)
 		},
 		// Only fragment 0's goroutine writes the results.
-		Result: func(attr int, v ag.Value) { r.rootAttrs[attr] = v },
+		Result: func(attr int, v ag.Value) { j.rootAttrs[attr] = v },
 	})
 	if err != nil {
-		panic(jobPanic{fmt.Errorf("parallel: fragment %d: %w", f.id, err)})
+		return fmt.Errorf("parallel: fragment %d: %w", f.id, err)
 	}
 	f.ev = ev
+	return nil
 }

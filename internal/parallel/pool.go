@@ -503,9 +503,9 @@ func (p *Pool) lookup(key *cacheKey, job cluster.Job, opts Options, start time.T
 // compile is the admitted job body; it releases the job's admission
 // slot when it returns. The parser side is the same for local and
 // remote jobs: supply the analysis and plan the cuts. A remote job
-// then goes to remoteJob. A local one starts a goroutine per fragment,
-// waits for per-job quiescence and assembles the result; with a cache
-// key, a clean run is recorded under it.
+// then goes to the RemoteEvaluator, and remote jobs bypass the cache.
+// A local one runs its fragments on the job runtime and assembles the
+// result; with a cache key, a clean run is recorded under it.
 func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *cacheKey) (*Result, error) {
 	defer p.adm.release(opts.Client)
 	if job.A == nil {
@@ -544,70 +544,31 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *
 		},
 	}
 	if p.remote != nil {
-		return p.remoteJob(ctx, job, opts, encoded, res, start)
-	}
-
-	r := &rt{
-		job:       job,
-		slots:     p.slots,
-		ctx:       ctx,
-		quiet:     make(chan struct{}),
-		rootAttrs: make([]ag.Value, len(job.G.Start.Attrs)),
-	}
-	for _, f := range decomp.Frags {
-		r.frags = append(r.frags, &frag{id: f.ID, parent: f.Parent, root: f.Root,
-			leaves: decomp.Leaves(f.ID), kids: decomp.Children(f.ID), wake: make(chan struct{}, 1)})
-	}
-	for _, f := range r.frags {
-		for k, c := range f.kids {
-			r.frags[c].leafIdx = k
-		}
-	}
-
-	// Start every fragment's goroutine, then wait for this job's
-	// quiescence. Every fragment counts busy until it first parks, so
-	// the job cannot look quiescent early. Cancellation needs no
-	// watcher: every step checks the job's context (rt.stopped).
-	r.busy.Store(int64(len(r.frags)))
-	for _, f := range r.frags {
-		go r.actor(f)
-	}
-	splitDone := time.Now()
-
-	<-r.quiet
-	evalDone := time.Now()
-
-	if int(r.doneCnt.Load()) != len(r.frags) {
-		// An evaluation failure (a recovered panic) takes precedence:
-		// fail() also flips cancelled to reclaim the job's remaining
-		// fragments, and the failure — not the cancellation it
-		// triggered — is the job's outcome.
-		if err := r.failure(); err != nil {
+		splitDone := time.Now()
+		if err := p.remote.Evaluate(ctx, job, opts, decomp, encoded, res); err != nil {
 			return nil, err
 		}
-		if r.cancelled.Load() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
-		var blocked []string
-		for _, f := range r.frags {
-			if f.ev != nil && !f.ev.Done() {
-				for _, b := range f.ev.Blocked() {
-					blocked = append(blocked, fmt.Sprintf("fragment %d: %s", f.id, b))
-				}
-			}
-		}
-		return nil, fmt.Errorf("parallel: %s on %d worker(s) deadlocked; blocked: %v",
-			cluster.Combined, opts.Workers, blocked)
+		evalDone := time.Now()
+		splice(res, cluster.CodeAttr(job.G))
+		p.finish(res, start, splitDone, evalDone)
+		return res, nil
 	}
 
-	res.RootAttrs = r.rootAttrs
-	res.Messages = int(r.messages.Load())
-	for _, f := range r.frags {
-		res.PerFrag = append(res.PerFrag, f.stats)
-		res.Stats.Add(f.stats)
+	// Start every fragment's goroutine, then wait for the job's outcome.
+	j := newLocalJob(ctx, p.slots, job, decomp)
+	j.Start()
+	splitDone := time.Now()
+	err := j.Wait()
+	evalDone := time.Now()
+	if err != nil {
+		return nil, err
+	}
+
+	res.RootAttrs = j.rootAttrs
+	res.Messages = j.Messages()
+	for i := range j.frags {
+		res.PerFrag = append(res.PerFrag, j.frags[i].stats)
+		res.Stats.Add(j.frags[i].stats)
 	}
 	splice(res, cluster.CodeAttr(job.G))
 	// Record the clean run's result. The code attribute has been
@@ -615,7 +576,7 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *
 	// without walking the rope again.
 	if key != nil {
 		entry := &cacheEntry{
-			rootAttrs: append([]ag.Value(nil), r.rootAttrs...),
+			rootAttrs: append([]ag.Value(nil), j.rootAttrs...),
 			frags:     res.Frags,
 			messages:  res.Messages,
 		}
@@ -624,20 +585,6 @@ func (p *Pool) compile(ctx context.Context, job cluster.Job, opts Options, key *
 			p.disk.spill(p.diskKey(key, job.UIDs), entry, job.G)
 		}
 	}
-	p.finish(res, start, splitDone, evalDone)
-	return res, nil
-}
-
-// remoteJob evaluates the planned fragments of an admitted job on the
-// RemoteEvaluator, then splices and files the result like a local
-// job's. Remote jobs bypass the cache.
-func (p *Pool) remoteJob(ctx context.Context, job cluster.Job, opts Options, encoded [][]byte, res *Result, start time.Time) (*Result, error) {
-	splitDone := time.Now()
-	if err := p.remote.Evaluate(ctx, job, opts, res.Decomp, encoded, res); err != nil {
-		return nil, err
-	}
-	evalDone := time.Now()
-	splice(res, cluster.CodeAttr(job.G))
 	p.finish(res, start, splitDone, evalDone)
 	return res, nil
 }

@@ -17,7 +17,8 @@ import (
 // (tree.SplitEncode, so the caller's tree is only read), and splices
 // and files the result like a local job's. The evaluator owns only the
 // evaluation: placement, health checking, retry/requeue and the
-// degrade-to-local fallback.
+// degrade-to-local fallback. The fleet coordinator runs its fragments
+// on the job runtime local jobs run on (NewRuntime).
 //
 // Evaluate evaluates the fragments of decomp, encoded[i] being fragment
 // i's linearized subtree. The pool has set res's header (Frags,
@@ -27,8 +28,10 @@ import (
 //
 // The result must be byte-identical to evaluating the same job locally
 // at the same width (the simulated cluster remains the shared oracle),
-// ctx cancellation must abort the job, and implementations must be
-// safe for concurrent calls.
+// and implementations must be safe for concurrent calls. Failure
+// policy: what a worker can recover from (a lost RPC, a dead worker)
+// must not fail the job; the first permanent error fails it, with that
+// error; ctx cancellation aborts it with ctx's error.
 type RemoteEvaluator interface {
 	Evaluate(ctx context.Context, job cluster.Job, opts Options, decomp *tree.Decomposition, encoded [][]byte, res *Result) error
 	// FleetStats snapshots the evaluator's distribution counters for

@@ -64,6 +64,33 @@ func TestParseNestingLimit(t *testing.T) {
 	}
 }
 
+// TestParseListBudget pins the bound on the levels lists add to a path
+// (tree.MaxListRun): statement lists and sums at the budget parse and
+// their trees survive Encode and Decode, as a fleet worker receives
+// them; one more element is a line-numbered error.
+func TestParseListBudget(t *testing.T) {
+	l := MustNew()
+	stmts := func(n int) string {
+		return "program p;\nvar x: integer;\nbegin\n" + strings.Repeat("x := 1;\n", n-1) + "x := 1\nend.\n"
+	}
+	sum := func(terms int) string {
+		return "program p;\nvar x: integer;\nbegin\n  x := 1" + strings.Repeat("+1", terms-1) + "\nend.\n"
+	}
+	for name, gen := range map[string]func(int) string{"statements": stmts, "sum": sum} {
+		root, err := l.Parse(gen(tree.MaxListRun + 1))
+		if err != nil {
+			t.Fatalf("%s at the budget: %v", name, err)
+		}
+		if _, err := tree.Decode(l.G, tree.Encode(root), l.TerminalAttrs); err != nil {
+			t.Errorf("%s at the budget: Decode: %v", name, err)
+		}
+		_, err = l.Parse(gen(tree.MaxListRun + 2))
+		if err == nil || !strings.Contains(err.Error(), "lists deeper than 131072 levels") || !strings.Contains(err.Error(), ": line ") {
+			t.Errorf("%s over the budget: got %v, want a line-numbered list-depth error", name, err)
+		}
+	}
+}
+
 // TestParseReportsScanErrors pins that a scanning failure is what Parse
 // reports whenever the parse runs into it, at the failure's line.
 func TestParseReportsScanErrors(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 // expression operands may nest. The parser recurses once per level, so
 // without a bound a source of a few megabytes of "(" would exhaust the
 // goroutine stack — a fatal error no recover can catch — instead of
-// failing as a syntax error.
+// failing as a syntax error. Lists (declarations, statements, sums,
+// arguments) are loops, not recursion; they are charged against
+// tree.MaxListRun instead, which bounds the tree's depth.
 const maxNesting = 1 << 10
 
 // parser is a recursive-descent parser producing attributed parse trees
@@ -27,6 +29,7 @@ type parser struct {
 	tok   token // the current token
 	next  token // one token of lookahead
 	depth int   // nesting levels open (see maxNesting)
+	lists tree.ListRuns
 }
 
 // prodTable holds the productions the parser builds, resolved once when
@@ -149,6 +152,14 @@ func (p *parser) nest() error {
 
 func (p *parser) unnest() { p.depth-- }
 
+// link charges list l the element just added (see tree.ListRuns).
+func (p *parser) link(l *tree.List) error {
+	if !p.lists.Link(l) {
+		return p.errf("lists deeper than %d levels", tree.MaxListRun)
+	}
+	return nil
+}
+
 // ParseCost estimates the simulated parsing time for a source text:
 // the paper's parser needed a few seconds for a ~2000-line program on a
 // SUN-2, i.e. roughly a millisecond per line.
@@ -254,6 +265,7 @@ func (p *parser) constPart() (*tree.Node, error) {
 	if !p.accept(tConst) {
 		return part, nil
 	}
+	decls := p.lists.Open()
 	for p.cur().kind == tIdent {
 		name, err := p.id("constant name")
 		if err != nil {
@@ -276,7 +288,11 @@ func (p *parser) constPart() (*tree.Node, error) {
 		}
 		decl := p.b.New(prod, name, p.b.NewTerminal(p.l.TNum, num.text, num.text))
 		part = p.b.New(p.l.prod.constPartCons, part, decl)
+		if err := p.link(&decls); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(decls)
 	return part, nil
 }
 
@@ -285,6 +301,7 @@ func (p *parser) varPart() (*tree.Node, error) {
 	if !p.accept(tVar) {
 		return part, nil
 	}
+	decls := p.lists.Open()
 	for p.cur().kind == tIdent {
 		ids, err := p.idList()
 		if err != nil {
@@ -302,7 +319,11 @@ func (p *parser) varPart() (*tree.Node, error) {
 		}
 		decl := p.b.New(p.l.prod.varDecl, ids, ty)
 		part = p.b.New(p.l.prod.varPartCons, part, decl)
+		if err := p.link(&decls); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(decls)
 	return part, nil
 }
 
@@ -312,13 +333,18 @@ func (p *parser) idList() (*tree.Node, error) {
 		return nil, err
 	}
 	list := p.b.New(p.l.prod.idListOne, first)
+	ids := p.lists.Open()
 	for p.accept(tComma) {
 		next, err := p.id("identifier")
 		if err != nil {
 			return nil, err
 		}
 		list = p.b.New(p.l.prod.idListCons, list, next)
+		if err := p.link(&ids); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(ids)
 	return list, nil
 }
 
@@ -378,6 +404,7 @@ func (p *parser) typeExpr() (*tree.Node, error) {
 }
 
 func (p *parser) fieldList() (*tree.Node, error) {
+	fields := p.lists.Open()
 	field, err := p.fieldDecl()
 	if err != nil {
 		return nil, err
@@ -392,7 +419,11 @@ func (p *parser) fieldList() (*tree.Node, error) {
 			return nil, err
 		}
 		list = p.b.New(p.l.prod.fieldListCons, list, next)
+		if err := p.link(&fields); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(fields)
 	return list, nil
 }
 
@@ -413,26 +444,20 @@ func (p *parser) fieldDecl() (*tree.Node, error) {
 
 func (p *parser) procPart() (*tree.Node, error) {
 	part := p.b.New(p.l.prod.procPartEmpty)
-	for {
-		switch p.cur().kind {
-		case tProcedure:
-			p.advance()
-			decl, err := p.procDecl(false)
-			if err != nil {
-				return nil, err
-			}
-			part = p.b.New(p.l.prod.procPartCons, part, decl)
-		case tFunction:
-			p.advance()
-			decl, err := p.procDecl(true)
-			if err != nil {
-				return nil, err
-			}
-			part = p.b.New(p.l.prod.procPartCons, part, decl)
-		default:
-			return part, nil
+	decls := p.lists.Open()
+	for p.cur().kind == tProcedure || p.cur().kind == tFunction {
+		isFunc := p.advance().kind == tFunction
+		decl, err := p.procDecl(isFunc)
+		if err != nil {
+			return nil, err
+		}
+		part = p.b.New(p.l.prod.procPartCons, part, decl)
+		if err := p.link(&decls); err != nil {
+			return nil, err
 		}
 	}
+	p.lists.Close(decls)
+	return part, nil
 }
 
 func (p *parser) procDecl(isFunc bool) (*tree.Node, error) {
@@ -475,6 +500,7 @@ func (p *parser) formalPart() (*tree.Node, error) {
 	if !p.accept(tLParen) {
 		return part, nil
 	}
+	formals := p.lists.Open()
 	for {
 		byRef := p.accept(tVar)
 		ids, err := p.idList()
@@ -494,10 +520,14 @@ func (p *parser) formalPart() (*tree.Node, error) {
 		}
 		formal := p.b.New(prod, ids, ty)
 		part = p.b.New(p.l.prod.formalCons, part, formal)
+		if err := p.link(&formals); err != nil {
+			return nil, err
+		}
 		if !p.accept(tSemi) {
 			break
 		}
 	}
+	p.lists.Close(formals)
 	if _, err := p.expect(tRParen, `")"`); err != nil {
 		return nil, err
 	}
@@ -509,6 +539,7 @@ func (p *parser) compound() (*tree.Node, error) {
 	if _, err := p.expect(tBegin, `"begin"`); err != nil {
 		return nil, err
 	}
+	stmts := p.lists.Open()
 	first, err := p.stmt()
 	if err != nil {
 		return nil, err
@@ -520,7 +551,11 @@ func (p *parser) compound() (*tree.Node, error) {
 			return nil, err
 		}
 		list = p.b.New(p.l.prod.stmtListCons, list, next)
+		if err := p.link(&stmts); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(stmts)
 	if _, err := p.expect(tEnd, `"end"`); err != nil {
 		return nil, err
 	}
@@ -598,6 +633,7 @@ func (p *parser) whileStmt() (*tree.Node, error) {
 
 func (p *parser) repeatStmt() (*tree.Node, error) {
 	p.advance() // repeat
+	stmts := p.lists.Open()
 	first, err := p.stmt()
 	if err != nil {
 		return nil, err
@@ -609,7 +645,11 @@ func (p *parser) repeatStmt() (*tree.Node, error) {
 			return nil, err
 		}
 		list = p.b.New(p.l.prod.stmtListCons, list, next)
+		if err := p.link(&stmts); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(stmts)
 	if _, err := p.expect(tUntil, `"until"`); err != nil {
 		return nil, err
 	}
@@ -666,6 +706,7 @@ func (p *parser) caseStmt() (*tree.Node, error) {
 	if _, err := p.expect(tOf, `"of"`); err != nil {
 		return nil, err
 	}
+	caseArms := p.lists.Open()
 	arm, err := p.caseArm()
 	if err != nil {
 		return nil, err
@@ -681,7 +722,11 @@ func (p *parser) caseStmt() (*tree.Node, error) {
 			return nil, err
 		}
 		arms = p.b.New(p.l.prod.caseArmsCons, arms, next)
+		if err := p.link(&caseArms); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(caseArms)
 	if p.accept(tElse) {
 		elseStmt, err = p.stmt()
 		if err != nil {
@@ -703,13 +748,18 @@ func (p *parser) caseArm() (*tree.Node, error) {
 		return nil, err
 	}
 	nums := p.b.New(p.l.prod.numListOne, p.b.NewTerminal(p.l.TNum, num.text, num.text))
+	labels := p.lists.Open()
 	for p.accept(tComma) {
 		next, err := p.expect(tNumber, "case label")
 		if err != nil {
 			return nil, err
 		}
 		nums = p.b.New(p.l.prod.numListCons, nums, p.b.NewTerminal(p.l.TNum, next.text, next.text))
+		if err := p.link(&labels); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(labels)
 	if _, err := p.expect(tColon, `":"`); err != nil {
 		return nil, err
 	}
@@ -725,6 +775,7 @@ func (p *parser) writeStmt() (*tree.Node, error) {
 	p.advance()
 	args := p.b.New(p.l.prod.wargsEmpty)
 	if p.accept(tLParen) {
+		wargs := p.lists.Open()
 		for {
 			var arg *tree.Node
 			if p.cur().kind == tString {
@@ -738,10 +789,14 @@ func (p *parser) writeStmt() (*tree.Node, error) {
 				arg = p.b.New(p.l.prod.wargExpr, e)
 			}
 			args = p.b.New(p.l.prod.wargsCons, args, arg)
+			if err := p.link(&wargs); err != nil {
+				return nil, err
+			}
 			if !p.accept(tComma) {
 				break
 			}
 		}
+		p.lists.Close(wargs)
 		if _, err := p.expect(tRParen, `")"`); err != nil {
 			return nil, err
 		}
@@ -759,6 +814,7 @@ func (p *parser) readStmt() (*tree.Node, error) {
 	if _, err := p.expect(tLParen, `"("`); err != nil {
 		return nil, err
 	}
+	rargs := p.lists.Open()
 	v, err := p.variable()
 	if err != nil {
 		return nil, err
@@ -770,7 +826,11 @@ func (p *parser) readStmt() (*tree.Node, error) {
 			return nil, err
 		}
 		list = p.b.New(p.l.prod.rargsCons, list, next)
+		if err := p.link(&rargs); err != nil {
+			return nil, err
+		}
 	}
+	p.lists.Close(rargs)
 	if _, err := p.expect(tRParen, `")"`); err != nil {
 		return nil, err
 	}
@@ -823,6 +883,7 @@ func (p *parser) variable() (*tree.Node, error) {
 		return nil, err
 	}
 	v := p.b.New(p.l.prod.varID, name)
+	selectors := p.lists.Open()
 	for {
 		switch {
 		case p.accept(tLBrack):
@@ -840,7 +901,11 @@ func (p *parser) variable() (*tree.Node, error) {
 			v = p.b.New(p.l.prod.varField, v,
 				p.b.NewTerminal(p.l.TID, field.text, field.text))
 		default:
+			p.lists.Close(selectors)
 			return v, nil
+		}
+		if err := p.link(&selectors); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -852,16 +917,21 @@ func (p *parser) argList() (*tree.Node, error) {
 	}
 	args := p.b.New(p.l.prod.argsEmpty)
 	if p.cur().kind != tRParen {
+		exprs := p.lists.Open()
 		for {
 			e, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			args = p.b.New(p.l.prod.argsCons, args, e)
+			if err := p.link(&exprs); err != nil {
+				return nil, err
+			}
 			if !p.accept(tComma) {
 				break
 			}
 		}
+		p.lists.Close(exprs)
 	}
 	if _, err := p.expect(tRParen, `")"`); err != nil {
 		return nil, err
@@ -889,6 +959,7 @@ func (p *parser) expr() (*tree.Node, error) {
 
 // simple = ["-"] term { ("+"|"-"|"or") term }
 func (p *parser) simple() (*tree.Node, error) {
+	terms := p.lists.Open()
 	neg := p.accept(tMinus)
 	left, err := p.term()
 	if err != nil {
@@ -900,6 +971,7 @@ func (p *parser) simple() (*tree.Node, error) {
 	for {
 		prod := p.l.prod.add[p.cur().kind]
 		if prod == nil {
+			p.lists.Close(terms)
 			return left, nil
 		}
 		p.advance()
@@ -908,11 +980,15 @@ func (p *parser) simple() (*tree.Node, error) {
 			return nil, err
 		}
 		left = p.b.New(prod, left, right)
+		if err := p.link(&terms); err != nil {
+			return nil, err
+		}
 	}
 }
 
 // term = factor { ("*"|"div"|"mod"|"and") factor }
 func (p *parser) term() (*tree.Node, error) {
+	factors := p.lists.Open()
 	left, err := p.factor()
 	if err != nil {
 		return nil, err
@@ -920,6 +996,7 @@ func (p *parser) term() (*tree.Node, error) {
 	for {
 		prod := p.l.prod.mul[p.cur().kind]
 		if prod == nil {
+			p.lists.Close(factors)
 			return left, nil
 		}
 		p.advance()
@@ -928,6 +1005,9 @@ func (p *parser) term() (*tree.Node, error) {
 			return nil, err
 		}
 		left = p.b.New(prod, left, right)
+		if err := p.link(&factors); err != nil {
+			return nil, err
+		}
 	}
 }
 

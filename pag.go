@@ -226,8 +226,12 @@ type (
 	PoolStats = parallel.PoolStats
 	// RemoteEvaluator is the distributed backend a Pool routes admitted
 	// jobs to when PoolOptions.Remote is set; internal/fleet provides
-	// the production implementation (a health-checked worker fleet with
-	// retry/requeue and graceful degradation to local evaluation).
+	// the production implementation, a health-checked worker fleet whose
+	// fragments run on the pool's job runtime. Its failure policy:
+	// transient RPC failures are retried, a lost worker's fragments are
+	// requeued elsewhere, evaluation degrades to the coordinator when no
+	// worker is ready, and the first permanent error fails the job,
+	// which the job's own cancellation does too.
 	RemoteEvaluator = parallel.RemoteEvaluator
 	// FleetStats is the distributed backend's health and fault-path
 	// snapshot inside Metrics: worker states, remote/local fragment
